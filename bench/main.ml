@@ -1322,122 +1322,6 @@ let hotloop_bench () =
     | Some s -> (s.Prefix_cache.resident_bytes, s.Prefix_cache.evictions)
     | None -> (0, 0)
   in
-  (* Batched lanes: aggregate throughput of [lanes_width] hover worlds
-     stepped in lock-step through the structure-of-arrays kernel, plus the
-     two acceptance checks — every lane's 3000-step fingerprint bit-equal
-     to the single-world step AND the reference step, and a lanes-on
-     campaign reproducing the sequential findings and ledger exactly. *)
-  let lanes_width =
-    match Sys.getenv_opt "AVIS_LANES" with
-    | None -> 8
-    | Some _ -> max 1 (Campaign.lanes_of_env ())
-  in
-  let lanes_steps_per_sec =
-    let pristine = World.snapshot (make_world ()) in
-    let lanes = Lanes.create ~width:lanes_width ~motor_count:4 in
-    let rearm () =
-      for i = 0 to lanes_width - 1 do
-        if Lanes.is_active lanes i then Lanes.release lanes i;
-        Lanes.adopt lanes i (World.restore pristine)
-      done
-    in
-    rearm ();
-    for _ = 1 to 1000 do
-      Lanes.step_all lanes ~motor_commands:cmds ~dt
-    done;
-    for i = 0 to lanes_width - 1 do
-      Lanes.flush lanes i;
-      match Lanes.world lanes i with
-      | Some w when World.crashed w ->
-        failwith "hotloop: batched bench vehicle crashed"
-      | Some _ | None -> ()
-    done;
-    let remaining = ref (n / lanes_width) in
-    let total = !remaining * lanes_width in
-    let t0 = Metrics.now_s () in
-    while !remaining > 0 do
-      let k = min batch !remaining in
-      rearm ();
-      for _ = 1 to k do
-        Lanes.step_all lanes ~motor_commands:cmds ~dt
-      done;
-      remaining := !remaining - k
-    done;
-    let s = Metrics.now_s () -. t0 in
-    float_of_int total /. Float.max 1e-9 s
-  in
-  let lanes_ratio = lanes_steps_per_sec /. Float.max 1e-9 steps_per_sec in
-  (* Minor-heap words per lock-step round of the whole batch (should be ~0
-     up to GC noise: nothing in the lane kernel allocates). *)
-  let lanes_minor_words_per_round =
-    let lanes = Lanes.create ~width:lanes_width ~motor_count:4 in
-    for i = 0 to lanes_width - 1 do
-      Lanes.adopt lanes i (make_world ())
-    done;
-    for _ = 1 to 2000 do
-      Lanes.step_all lanes ~motor_commands:cmds ~dt
-    done;
-    let w0 = Gc.minor_words () in
-    for _ = 1 to 1000 do
-      Lanes.step_all lanes ~motor_commands:cmds ~dt
-    done;
-    (Gc.minor_words () -. w0) /. 1000.0
-  in
-  let lanes_identical =
-    List.for_all
-      (fun windy ->
-        let lanes = Lanes.create ~width:lanes_width ~motor_count:4 in
-        for i = 0 to lanes_width - 1 do
-          Lanes.adopt lanes i (flight_world ~windy)
-        done;
-        for i = 0 to 2999 do
-          Lanes.step_all lanes ~motor_commands:(profile i) ~dt
-        done;
-        let opt = flight World.step ~windy in
-        let reference = flight World.step_reference ~windy in
-        opt = reference
-        && List.for_all
-             (fun i ->
-               Lanes.flush lanes i;
-               match Lanes.world lanes i with
-               | Some w -> fingerprint w = reference
-               | None -> false)
-             (List.init lanes_width Fun.id))
-      [ false; true ]
-  in
-  (* Lanes-on vs lanes-off campaign: random search never consults its
-     observations, so the batched driver must reproduce the sequential
-     findings and budget charges bit-for-bit. *)
-  let lanes_config =
-    {
-      (Campaign.default_config Policy.apm Workload.auto_box) with
-      Campaign.budget_s = Float.min budget_s 60.0;
-      seed =
-        Campaign.cell_seed ~policy:Policy.apm.Policy.name
-          ~workload:Workload.auto_box.Workload.name ~approach:"hotloop-lanes"
-          ();
-    }
-  in
-  let lanes_run w =
-    Campaign.run ~lanes:w lanes_config
-      ~strategy:(fun ctx -> Random_search.make ctx)
-  in
-  let lanes_off = lanes_run 1 in
-  let lanes_on = lanes_run (max 2 lanes_width) in
-  let lanes_campaign_identical =
-    lanes_off.Campaign.simulations = lanes_on.Campaign.simulations
-    && lanes_off.Campaign.inferences = lanes_on.Campaign.inferences
-    && Campaign.unsafe_count lanes_off = Campaign.unsafe_count lanes_on
-    && lanes_off.Campaign.wall_clock_spent_s
-       = lanes_on.Campaign.wall_clock_spent_s
-    && List.map
-         (fun f -> f.Campaign.simulation_index)
-         lanes_off.Campaign.findings
-       = List.map
-           (fun f -> f.Campaign.simulation_index)
-           lanes_on.Campaign.findings
-  in
-  let batched_identical = lanes_identical && lanes_campaign_identical in
   let identical = kernel_identical && campaign_identical in
   let t =
     Table.create
@@ -1454,26 +1338,12 @@ let hotloop_bench () =
       "-" ];
   Table.add_row t [ "restore"; Printf.sprintf "%.4f ms" restore_ms; "-" ];
   Table.add_row t
-    [ Printf.sprintf "batched steps/s (%d lanes)" lanes_width;
-      Printf.sprintf "%.2e (%.2fx)" lanes_steps_per_sec lanes_ratio; "-" ];
-  Table.add_row t
-    [ "batched minor words/round";
-      Printf.sprintf "%.3f" lanes_minor_words_per_round; "-" ];
-  Table.add_row t
-    [ "batched identical"; (if batched_identical then "yes" else "NO");
-      "baseline" ];
-  Table.add_row t
     [ "identical"; (if identical then "yes" else "NO"); "baseline" ];
   Table.print t;
   Printf.printf
     "campaign cache-on vs cache-off: %s (resident %d B, %d evictions)\n"
     (if campaign_identical then "identical" else "DIVERGED")
     cache_resident_bytes cache_evictions;
-  Printf.printf
-    "campaign lanes-on vs lanes-off: %s (%d lanes, aggregate %.2e steps/s, \
-     %.2fx single-world)\n"
-    (if lanes_campaign_identical then "identical" else "DIVERGED")
-    lanes_width lanes_steps_per_sec lanes_ratio;
   let json =
     Json.Assoc
       [
@@ -1487,22 +1357,6 @@ let hotloop_bench () =
         ("cache_resident_bytes", Json.int cache_resident_bytes);
         ("cache_evictions", Json.int cache_evictions);
         ("identical", Json.Bool identical);
-        ( "batched",
-          Json.Assoc
-            [
-              ("lanes", Json.int lanes_width);
-              ("aggregate_steps_per_sec", Json.Number lanes_steps_per_sec);
-              ("ratio_vs_single", Json.Number lanes_ratio);
-              ( "ratio_vs_reference",
-                Json.Number
-                  (lanes_steps_per_sec
-                  /. Float.max 1e-9 baseline_steps_per_sec) );
-              ( "minor_words_per_round",
-                Json.Number lanes_minor_words_per_round );
-              ("lane_fingerprints_identical", Json.Bool lanes_identical);
-              ("campaign_identical", Json.Bool lanes_campaign_identical);
-              ("identical", Json.Bool batched_identical);
-            ] );
       ]
   in
   let path = "BENCH_hotloop.json" in

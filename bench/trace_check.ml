@@ -28,7 +28,6 @@ let known_counters =
     "cache.resident_bytes"; "snapshot.bytes"; "pool.queue_depth";
     "pool.queue_wait_s";
     "budget.spent_s"; "link.dropped"; "link.corrupted"; "link.duplicated";
-    "lanes.active"; "lanes.forks"; "lanes.retired";
     "cell.retries"; "cell.quarantined"; "cell.deadline_hits";
   ]
 

@@ -153,7 +153,37 @@ let strategy_of_name name =
   | Some strategy -> strategy
   | None -> invalid_arg ("unknown approach " ^ name)
 
-let hunt policy workload seed approaches budget jobs lanes verbose artefacts trace
+(* The one result renderer: live, journal-memo and daemon results all
+   print from the cell's journal record, which carries the same counts,
+   spent seconds (by bits) and findings however the cell was obtained, so
+   the same cell always renders the same bytes. [name] is the CLI approach
+   name; the header shows the strategy's display name. *)
+let print_record ~verbose name (record : Run_journal.record) =
+  Printf.printf
+    "%s: %d unsafe conditions in %d simulations (%d inferences, %.0f s spent)\n"
+    (Avis_server.Worker.display_name name)
+    (List.length record.Run_journal.findings)
+    record.Run_journal.simulations record.Run_journal.inferences
+    (Run_journal.spent_s record);
+  List.iter
+    (fun bucket ->
+      let label = Report.bucket_label bucket in
+      let n =
+        List.length
+          (List.filter
+             (fun (f : Run_journal.finding) -> f.Run_journal.bucket = label)
+             record.Run_journal.findings)
+      in
+      Printf.printf "  %-8s %d\n" label n)
+    Report.all_buckets;
+  if verbose then
+    List.iteri
+      (fun i (f : Run_journal.finding) ->
+        Printf.printf "[%02d] sim#%d %s\n" i f.Run_journal.simulation_index
+          f.Run_journal.description)
+      record.Run_journal.findings
+
+let hunt policy workload seed approaches budget jobs verbose artefacts trace
     journal_path =
   (* Tracing spans every campaign, simulation, cache serve and search
      decision; the file is Chrome trace format (open in Perfetto). *)
@@ -204,10 +234,14 @@ let hunt policy workload seed approaches budget jobs lanes verbose artefacts tra
       | Some (Some record) -> `Memo record
       | Some None | None -> (
         match
-          Campaign.run_supervised ?lanes ?journal ~journal_approach:name config
+          Campaign.run_supervised ?journal ~journal_approach:name config
             ~strategy:(strategy_of_name name)
         with
-        | Campaign.Completed r -> `Live r
+        | Campaign.Completed r ->
+          (* Rendered from its record like a memo; the renderer never
+             reads the key, so no fingerprint is needed. *)
+          `Live
+            (r, Campaign.record_of_result config ~approach:name ~fingerprint:"" r)
         | Campaign.Quarantined e -> `Quarantine e)
     in
     (match (journal, outcome) with
@@ -227,7 +261,7 @@ let hunt policy workload seed approaches budget jobs lanes verbose artefacts tra
         }
       in
       match outcome with
-      | `Live result ->
+      | `Live (result, _) ->
         let store_hits, store_misses, store_bytes =
           match result.Campaign.cache_stats with
           | Some s -> Prefix_cache.(s.store_hits, s.store_misses, s.store_bytes)
@@ -281,15 +315,6 @@ let hunt policy workload seed approaches budget jobs lanes verbose artefacts tra
       ~budget_s:budget
   in
   let results = Avis_util.Pool.map_lpt ~jobs ~weight hunt_one approaches in
-  let memo_bucket_counts findings =
-    List.fold_left
-      (fun acc (f : Run_journal.finding) ->
-        match List.assoc_opt f.Run_journal.bucket acc with
-        | Some n -> (f.Run_journal.bucket, n + 1) :: List.remove_assoc f.Run_journal.bucket acc
-        | None -> (f.Run_journal.bucket, 1) :: acc)
-      [] findings
-    |> List.rev
-  in
   List.iter
     (fun (name, outcome, _) ->
       match outcome with
@@ -297,43 +322,15 @@ let hunt policy workload seed approaches budget jobs lanes verbose artefacts tra
         Printf.printf "%s: QUARANTINED [%s] after %d attempt(s): %s\n" name
           e.Campaign.code e.Campaign.attempts e.Campaign.message
       | `Memo record ->
-        Printf.printf
-          "%s: %d unsafe conditions in %d simulations (%d inferences, %.0f s \
-           spent) [served from journal]\n"
-          name
-          (List.length record.Run_journal.findings)
-          record.Run_journal.simulations record.Run_journal.inferences
-          (Run_journal.spent_s record);
-        List.iter
-          (fun (bucket, n) -> Printf.printf "  %-8s %d\n" bucket n)
-          (memo_bucket_counts record.Run_journal.findings);
-        if verbose then
-          List.iteri
-            (fun i (f : Run_journal.finding) ->
-              Printf.printf "[%02d] sim#%d %s\n" i f.Run_journal.simulation_index
-                f.Run_journal.description)
-            record.Run_journal.findings;
+        print_record ~verbose name record;
         if artefacts <> None then
-          Printf.printf
-            "(journal memos carry no profile; rerun without --journal to \
-             write artefacts)\n"
-      | `Live result -> (
-        Printf.printf
-          "%s: %d unsafe conditions in %d simulations (%d inferences, %.0f s spent)\n"
-          result.Campaign.approach
-          (Campaign.unsafe_count result)
-          result.Campaign.simulations result.Campaign.inferences
-          result.Campaign.wall_clock_spent_s;
-        List.iter
-          (fun (bucket, n) ->
-            Printf.printf "  %-8s %d\n" (Report.bucket_label bucket) n)
-          (Campaign.count_by_bucket result);
-        if verbose then
-          List.iteri
-            (fun i f ->
-              Printf.printf "[%02d] sim#%d %s\n" i f.Campaign.simulation_index
-                (Report.describe f.Campaign.report))
-            result.Campaign.findings;
+          Printf.eprintf
+            "[avis] %s: served from the journal, whose records carry no \
+             profile; rerun without --journal to write artefacts\n\
+             %!"
+            name
+      | `Live (result, record) -> (
+        print_record ~verbose name record;
         match artefacts with
         | None -> ()
         | Some dir ->
@@ -388,15 +385,6 @@ let hunt_cmd =
                    \\$AVIS_JOBS, then to the hardware's recommendation. \
                    Results do not depend on N.")
   in
-  let lanes =
-    Arg.(value & opt (some int) None
-         & info [ "lanes" ] ~docv:"N"
-             ~doc:"Scenarios to keep in flight per campaign, stepped \
-                   through a structure-of-arrays lane batch. Defaults to \
-                   \\$AVIS_LANES, then 1 (unbatched). With random search \
-                   the findings and budget ledger are bit-identical to \
-                   --lanes 1.")
-  in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every finding.")
   in
@@ -425,7 +413,7 @@ let hunt_cmd =
   in
   Cmd.v
     (Cmd.info "hunt" ~doc:"Run model-checking campaigns against the firmware.")
-    Term.(const hunt $ firmware_arg $ workload_arg $ seed_arg $ approach $ budget $ jobs $ lanes $ verbose $ artefacts $ trace $ journal)
+    Term.(const hunt $ firmware_arg $ workload_arg $ seed_arg $ approach $ budget $ jobs $ verbose $ artefacts $ trace $ journal)
 
 (* huntd / submit / watch *)
 
@@ -443,36 +431,7 @@ let connect_daemon socket_path =
      exit Cmd.Exit.some_error);
   (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
 
-(* A daemon result printed exactly as `hunt` prints a live one: the
-   record carries the same counts, spent seconds (by bits) and findings
-   a local run would have produced, so cold, memo-served and
-   resumed-after-a-crash submissions all render identical bytes. *)
-let print_daemon_record ~verbose name (record : Run_journal.record) =
-  Printf.printf
-    "%s: %d unsafe conditions in %d simulations (%d inferences, %.0f s spent)\n"
-    name
-    (List.length record.Run_journal.findings)
-    record.Run_journal.simulations record.Run_journal.inferences
-    (Run_journal.spent_s record);
-  List.iter
-    (fun bucket ->
-      let label = Report.bucket_label bucket in
-      let n =
-        List.length
-          (List.filter
-             (fun (f : Run_journal.finding) -> f.Run_journal.bucket = label)
-             record.Run_journal.findings)
-      in
-      Printf.printf "  %-8s %d\n" label n)
-    Report.all_buckets;
-  if verbose then
-    List.iteri
-      (fun i (f : Run_journal.finding) ->
-        Printf.printf "[%02d] sim#%d %s\n" i f.Run_journal.simulation_index
-          f.Run_journal.description)
-      record.Run_journal.findings
-
-let submit policy workload seed approaches budget shards lanes verbose socket =
+let submit policy workload seed approaches budget verbose socket =
   let approaches =
     String.split_on_char ',' approaches
     |> List.map String.trim
@@ -488,12 +447,11 @@ let submit policy workload seed approaches budget shards lanes verbose socket =
             approaches;
             budget_s = budget;
             seed;
-            lanes;
-            shards;
+            lanes = None;
+            shards = 1;
           })
     ^ "\n");
   flush oc;
-  ignore (shards : int);
   Printf.printf
     "submitting %s on %s / %s (budget %.0f s wall-clock each)...\n%!"
     (String.concat ", " approaches)
@@ -539,8 +497,7 @@ let submit policy workload seed approaches budget shards lanes verbose socket =
       match Hashtbl.find_opt results label with
       | Some (_, Avis_server.Wire.Cell_done record)
       | Some (_, Avis_server.Wire.Cell_memo record) ->
-        print_daemon_record ~verbose (Avis_server.Worker.display_name name)
-          record
+        print_record ~verbose name record
       | Some (_, Avis_server.Wire.Cell_quarantined { code; message; attempts })
         ->
         Printf.printf "%s: QUARANTINED [%s] after %d attempt(s): %s\n" name
@@ -567,20 +524,6 @@ let submit_cmd =
          & info [ "b"; "budget" ] ~docv:"SECONDS"
              ~doc:"Wall-clock budget in seconds per cell.")
   in
-  let shards =
-    Arg.(value & opt int 1
-         & info [ "shards" ] ~docv:"N"
-             ~doc:"Historical (pre-pull daemons sharded cells statically). \
-                   Accepted and sent for wire compatibility; the daemon's \
-                   pull-based dispatcher sizes workers from pending work \
-                   and ignores it.")
-  in
-  let lanes =
-    Arg.(value & opt (some int) None
-         & info [ "lanes" ] ~docv:"N"
-             ~doc:"Scenarios in flight per campaign inside the worker; \
-                   defaults to the worker's \\$AVIS_LANES.")
-  in
   let verbose =
     Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print every finding.")
   in
@@ -589,7 +532,7 @@ let submit_cmd =
        ~doc:"Submit a hunt to a running daemon and stream its progress. \
              Results are byte-identical to `hunt` of the same request.")
     Term.(const submit $ firmware_arg $ workload_arg $ seed_arg $ approach
-          $ budget $ shards $ lanes $ verbose $ socket_arg)
+          $ budget $ verbose $ socket_arg)
 
 let watch socket =
   let ic, oc = connect_daemon socket in

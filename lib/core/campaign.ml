@@ -233,17 +233,37 @@ let make_cache ?store_dir config =
    Sim.encode_config covers), the workload, the budget parameters by
    their IEEE-754 bits, and the approach label. Two invocations agree on
    these bytes exactly when their campaigns are bit-identical, which is
-   when serving a memo is sound. *)
+   when serving a memo is sound. The config is destructured exhaustively
+   (warning 9 is an error here in every build profile), so a field added
+   to [config] does not compile until it is keyed here or bound to [_]
+   with a reason. *)
 let journal_identity (config : config) ~approach =
+  let[@warning "+9"] {
+    (* Keyed through the test-run simulator config encoded first. *)
+    policy = _;
+    enabled_bugs = _;
+    link_jitter_steps = _;
+    link_faults = _;
+    workload;
+    budget_s;
+    speedup;
+    seed;
+    profiling_runs;
+    (* Outcomes and ledger are bit-identical with the cache on or off,
+       which the CACHE-ID selftest checks. *)
+    prefix_cache = _;
+  } =
+    config
+  in
   let b = Buffer.create 256 in
-  Sim.encode_config b (sim_cfg_of config ~seed:(config.seed + 1000));
+  Sim.encode_config b (sim_cfg_of config ~seed:(seed + 1000));
   Buffer.add_char b '\x00';
-  Buffer.add_string b config.workload.Workload.name;
+  Buffer.add_string b workload.Workload.name;
   Buffer.add_char b '\x00';
-  Buffer.add_int64_le b (Int64.bits_of_float config.budget_s);
-  Buffer.add_int64_le b (Int64.bits_of_float config.speedup);
-  Buffer.add_int64_le b (Int64.of_int config.seed);
-  Buffer.add_int64_le b (Int64.of_int config.profiling_runs);
+  Buffer.add_int64_le b (Int64.bits_of_float budget_s);
+  Buffer.add_int64_le b (Int64.bits_of_float speedup);
+  Buffer.add_int64_le b (Int64.of_int seed);
+  Buffer.add_int64_le b (Int64.of_int profiling_runs);
   Buffer.add_string b approach;
   Buffer.contents b
 
@@ -288,38 +308,8 @@ let record_of_result ?elapsed_s (config : config) ~approach ~fingerprint
     findings = List.map journal_finding result.findings;
   }
 
-(* How many scenarios a batched campaign keeps in flight at once. Absent,
-   empty, or 1 means the classic one-at-a-time driver; malformed values are
-   rejected loudly (a typo'd width must not silently serialise a campaign
-   that asked for lanes). *)
-let lanes_of_env () =
-  Avis_util.Env.positive_int ~default_label:"1 (unbatched)" ~var:"AVIS_LANES"
-    ~default:1 ()
-
-(* Batched-driver bookkeeping. A campaign's decision sequence — budget
-   charges, affordability gates, observations, findings — is replayed in
-   strict schedule order from a queue of these events, while the runs
-   themselves advance out of order in interleaved lane slices. *)
-type lane_handle =
-  | Cached_run of Prefix_cache.run
-  | Plain_run of Sim.t * Workload.Stepper.stepper
-
-type lane_run = {
-  lr_scenario : Scenario.t;
-  lr_cost : float;  (** The [Search.Run] inference cost. *)
-  lr_handle : lane_handle;
-  mutable lr_slot : int;  (** Lane slot, [-1] when stepping unbatched. *)
-  mutable lr_outcome : Sim.outcome option;
-  mutable lr_inference_applied : bool;
-}
-
-type lane_ev =
-  | Lane_think of float
-  | Lane_exhausted
-  | Lane_run of lane_run
-
 let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
-    ?cache ?lanes ?deadline_s ?journal ?journal_approach config ~strategy =
+    ?cache ?deadline_s ?journal ?journal_approach config ~strategy =
   (* One span per campaign: everything a cell does (profiling, search
      decisions, simulation, monitoring) nests under it, which is what lets
      a trace attribute a cell's wall time phase by phase. *)
@@ -418,247 +408,53 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
         store_bytes;
       }
   in
-  (* Judge one completed run: charge the budget, check the monitor, feed
-     the observation back, record any finding — the shared tail of both
-     drivers, always applied in schedule order. *)
-  let judge_outcome scenario outcome =
-    Budget.charge_simulation budget ~sim_seconds:outcome.Sim.duration;
-    let verdict =
-      Avis_util.Trace.span ~cat:"campaign" "monitor.check" @@ fun () ->
-      Monitor.check profile outcome
-    in
-    let unsafe = match verdict with Monitor.Unsafe _ -> true | Monitor.Safe -> false in
-    (Avis_util.Trace.span ~cat:"search" "search.observe" @@ fun () ->
-     searcher.Search.observe scenario
-       {
-         Search.unsafe;
-         observed_transitions =
-           List.map (fun tr -> tr.Avis_hinj.Hinj.time) outcome.Sim.transitions;
-       });
-    (match verdict with
-    | Monitor.Safe -> ()
-    | Monitor.Unsafe violation ->
-      Avis_util.Trace.instant ~cat:"campaign" "finding";
-      let finding =
-        {
-          report = Report.make outcome scenario violation;
-          simulation_index = Budget.simulations_run budget;
-        }
-      in
-      findings := finding :: !findings;
-      if stop_when finding then stopped := true);
-    report_progress ()
-  in
-  let sequential_loop () =
-    while (not !stopped) && (not (Budget.exhausted budget)) && not (interrupted ()) do
-      tick_deadline ();
-      match
-        Avis_util.Trace.span ~cat:"search" "search.next" searcher.Search.next
-      with
-      | Search.Exhausted -> stopped := true
-      | Search.Think cost -> Budget.charge_inference budget cost
-      | Search.Run (scenario, inference_cost) ->
-        if inference_cost > 0.0 then Budget.charge_inference budget inference_cost;
-        if
-          (* Check against the worst case the simulator could actually
-             charge (its max_duration cap), not an optimistic estimate:
-             any run that starts is then guaranteed to fit the budget. *)
-          not
-            (Budget.can_afford_run budget
-               ~sim_seconds:(max_sim_duration config))
-        then stopped := true
-        else judge_outcome scenario (run_scenario scenario)
-    done
-  in
-  (* The lanes driver: up to [width] scenarios in flight at once, each
-     physics-stepped through a lane of the shared batch, advanced in
-     interleaved one-second slices. The decision sequence is replayed from
-     the event queue in strict schedule order — an event is applied only
-     when everything before it has been, and the loop guard (stopped /
-     budget exhausted) is re-evaluated at each event boundary exactly as
-     the one-at-a-time loop evaluates it between iterations — so findings
-     and budget charges are bit-identical to the unbatched driver whenever
-     the strategy's proposals don't depend on its observations (e.g.
-     random search). Adaptive strategies still work, but observe up to
-     [width] proposals late, so their schedules may legitimately differ.
-     Runs begun speculatively past a stop are discarded unjudged: wall
-     clock wasted, results unchanged. *)
-  let batched_loop width =
-    let ev_queue : lane_ev Queue.t = Queue.create () in
-    let batch = ref None in
-    let inflight = ref 0 in
-    let stream_done = ref false in
-    let slice_s = 1.0 in
-    let start_run scenario cost =
-      let handle =
-        match cache with
-        | Some c -> Cached_run (Prefix_cache.begin_run c ~scenario)
-        | None ->
-          Plain_run
-            ( sim_config config ~seed:test_seed ~scenario,
-              Workload.Stepper.create config.workload )
-      in
-      let sim =
-        match handle with
-        | Cached_run r -> Prefix_cache.run_sim r
-        | Plain_run (sim, _) -> sim
-      in
-      let b =
-        match !batch with
-        | Some b -> b
-        | None ->
-          let motor_count =
-            (Avis_physics.World.airframe (Sim.world sim))
-              .Avis_physics.Airframe.motor_count
+  while (not !stopped) && (not (Budget.exhausted budget)) && not (interrupted ()) do
+    tick_deadline ();
+    match
+      Avis_util.Trace.span ~cat:"search" "search.next" searcher.Search.next
+    with
+    | Search.Exhausted -> stopped := true
+    | Search.Think cost -> Budget.charge_inference budget cost
+    | Search.Run (scenario, inference_cost) ->
+      if inference_cost > 0.0 then Budget.charge_inference budget inference_cost;
+      if
+        (* Check against the worst case the simulator could actually
+           charge (its max_duration cap), not an optimistic estimate:
+           any run that starts is then guaranteed to fit the budget. *)
+        not
+          (Budget.can_afford_run budget
+             ~sim_seconds:(max_sim_duration config))
+      then stopped := true
+      else begin
+        let outcome = run_scenario scenario in
+        Budget.charge_simulation budget ~sim_seconds:outcome.Sim.duration;
+        let verdict =
+          Avis_util.Trace.span ~cat:"campaign" "monitor.check" @@ fun () ->
+          Monitor.check profile outcome
+        in
+        let unsafe = match verdict with Monitor.Unsafe _ -> true | Monitor.Safe -> false in
+        (Avis_util.Trace.span ~cat:"search" "search.observe" @@ fun () ->
+         searcher.Search.observe scenario
+           {
+             Search.unsafe;
+             observed_transitions =
+               List.map (fun tr -> tr.Avis_hinj.Hinj.time) outcome.Sim.transitions;
+           });
+        (match verdict with
+        | Monitor.Safe -> ()
+        | Monitor.Unsafe violation ->
+          Avis_util.Trace.instant ~cat:"campaign" "finding";
+          let finding =
+            {
+              report = Report.make outcome scenario violation;
+              simulation_index = Budget.simulations_run budget;
+            }
           in
-          let b = Sim.Batch.create ~width ~motor_count in
-          batch := Some b;
-          b
-      in
-      let slot = Option.value ~default:(-1) (Sim.Batch.adopt b sim) in
-      {
-        lr_scenario = scenario;
-        lr_cost = cost;
-        lr_handle = handle;
-        lr_slot = slot;
-        lr_outcome = None;
-        lr_inference_applied = false;
-      }
-    in
-    let finish r outcome =
-      (match (!batch, r.lr_slot) with
-      | Some b, slot when slot >= 0 -> Sim.Batch.release b slot
-      | _ -> ());
-      r.lr_slot <- -1;
-      r.lr_outcome <- Some outcome;
-      decr inflight
-    in
-    let advance r =
-      match r.lr_handle with
-      | Cached_run cr -> (
-        let c = Option.get cache in
-        let now = Sim.time (Prefix_cache.run_sim cr) in
-        match Prefix_cache.continue_run c cr ~until:(now +. slice_s) with
-        | Some outcome -> finish r outcome
-        | None ->
-          if Sim.time (Prefix_cache.run_sim cr) <= now then
-            (* No progress within the slice (e.g. already finished): let
-               the run resolve in one go. *)
-            match Prefix_cache.continue_run c cr ~until:infinity with
-            | Some outcome -> finish r outcome
-            | None -> assert false)
-      | Plain_run (sim, st) -> (
-        let now = Sim.time sim in
-        match Workload.Stepper.run st sim ~until:(now +. slice_s) with
-        | Workload.Stepper.Done passed ->
-          finish r (Sim.outcome sim ~workload_passed:passed)
-        | Workload.Stepper.Running ->
-          if Sim.time sim <= now then
-            finish r
-              (match Workload.Stepper.run st sim ~until:infinity with
-              | Workload.Stepper.Done passed ->
-                Sim.outcome sim ~workload_passed:passed
-              | Workload.Stepper.Running ->
-                Sim.outcome sim ~workload_passed:false))
-    in
-    let discard_rest () =
-      Queue.iter
-        (function
-          | Lane_run r -> (
-            match (!batch, r.lr_slot) with
-            | Some b, slot when slot >= 0 ->
-              Sim.Batch.release b slot;
-              r.lr_slot <- -1;
-              decr inflight
-            | _ -> ())
-          | Lane_think _ | Lane_exhausted -> ())
-        ev_queue;
-      Queue.clear ev_queue
-    in
-    let rec apply_ready () =
-      match Queue.peek_opt ev_queue with
-      | None -> ()
-      | Some ev ->
-        if !stopped || Budget.exhausted budget || interrupted () then begin
-          stopped := true;
-          discard_rest ()
-        end
-        else (
-          match ev with
-          | Lane_think cost ->
-            ignore (Queue.pop ev_queue : lane_ev);
-            Budget.charge_inference budget cost;
-            apply_ready ()
-          | Lane_exhausted ->
-            ignore (Queue.pop ev_queue : lane_ev);
-            stopped := true;
-            discard_rest ()
-          | Lane_run r ->
-            if not r.lr_inference_applied then begin
-              r.lr_inference_applied <- true;
-              if r.lr_cost > 0.0 then
-                Budget.charge_inference budget r.lr_cost;
-              if
-                not
-                  (Budget.can_afford_run budget
-                     ~sim_seconds:(max_sim_duration config))
-              then begin
-                stopped := true;
-                discard_rest ()
-              end
-            end;
-            if not !stopped then (
-              match r.lr_outcome with
-              | None -> () (* still simulating; apply resumes next round *)
-              | Some outcome ->
-                ignore (Queue.pop ev_queue : lane_ev);
-                judge_outcome r.lr_scenario outcome;
-                apply_ready ()))
-    in
-    let fill () =
-      (* Pull ahead at most a lane-batch of runs (plus the thinks between
-         them, drained as they surface at the queue front). *)
-      let continue_fill = ref true in
-      while
-        !continue_fill && (not !stopped)
-        && (not (Budget.exhausted budget))
-        && (not (interrupted ()))
-        && (not !stream_done)
-        && !inflight < width
-        && Queue.length ev_queue < width * 8
-      do
-        match
-          Avis_util.Trace.span ~cat:"search" "search.next" searcher.Search.next
-        with
-        | Search.Exhausted ->
-          Queue.push Lane_exhausted ev_queue;
-          stream_done := true;
-          continue_fill := false
-        | Search.Think cost ->
-          Queue.push (Lane_think cost) ev_queue;
-          apply_ready ()
-        | Search.Run (scenario, inference_cost) ->
-          Queue.push (Lane_run (start_run scenario inference_cost)) ev_queue;
-          incr inflight
-      done
-    in
-    fill ();
-    while (not !stopped) && not (Queue.is_empty ev_queue) do
-      tick_deadline ();
-      Queue.iter
-        (function
-          | Lane_run r when r.lr_outcome = None -> advance r
-          | Lane_run _ | Lane_think _ | Lane_exhausted -> ())
-        ev_queue;
-      apply_ready ();
-      if not !stopped then fill ()
-    done;
-    discard_rest ()
-  in
-  let width =
-    match lanes with Some n -> max 1 n | None -> lanes_of_env ()
-  in
-  if width >= 2 then batched_loop width else sequential_loop ();
+          findings := finding :: !findings;
+          if stop_when finding then stopped := true);
+        report_progress ()
+      end
+  done;
   (* Capture before building the result: an interrupt that lands after
      this point must not suppress the journal record of a cell whose
      campaign did in fact run to completion. *)
@@ -700,7 +496,7 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
    from scratch: a completed cell's results are therefore always those of
    one uninterrupted campaign, never a splice. *)
 let run_supervised ?(supervision = default_supervision) ?stop_when ?progress
-    ?cache ?lanes ?journal ?journal_approach (config : config) ~strategy =
+    ?cache ?journal ?journal_approach (config : config) ~strategy =
   let deadline_s =
     match supervision.cell_timeout_s with
     | Some d -> d
@@ -712,8 +508,8 @@ let run_supervised ?(supervision = default_supervision) ?stop_when ?progress
       config.policy.Policy.name config.workload.Workload.name
   in
   with_retries ~supervision ~label (fun ~attempt:_ ->
-      run ?stop_when ?progress ?cache ?lanes ~deadline_s ?journal
-        ?journal_approach config ~strategy)
+      run ?stop_when ?progress ?cache ~deadline_s ?journal ?journal_approach
+        config ~strategy)
 
 (* A stable, platform-independent seed for one (policy, workload,
    approach) cell of a campaign matrix: FNV-1a over the labels, folded

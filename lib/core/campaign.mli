@@ -95,7 +95,7 @@ val make_cache : ?store_dir:string -> config -> Prefix_cache.t
 
 val run :
   ?stop_when:(finding -> bool) -> ?progress:(progress -> unit) ->
-  ?cache:Prefix_cache.t -> ?lanes:int -> ?deadline_s:float ->
+  ?cache:Prefix_cache.t -> ?deadline_s:float ->
   ?journal:Run_journal.t -> ?journal_approach:string -> config ->
   strategy:(Search.context -> Search.t) -> result
 (** Run a full campaign. [stop_when] ends the campaign early when a
@@ -107,18 +107,6 @@ val run :
     {!make_cache} for the sharing rules. The campaign never spends past
     [budget_s]: affordability is checked against the simulator's duration
     cap before each run, and the ledger saturates at the budget.
-
-    [lanes] (default the [AVIS_LANES] environment variable, else 1)
-    selects the driver: 1 keeps the classic one-scenario-at-a-time loop;
-    [n >= 2] schedules up to [n] scenarios in flight at once, each
-    physics-stepped through a lane of a shared structure-of-arrays batch
-    ({!Avis_sitl.Sim.Batch}) and advanced in interleaved slices. Budget
-    charges, affordability gates, observations and findings are applied
-    in strict schedule order, so a batched campaign's findings and budget
-    ledger are bit-identical to the unbatched driver whenever the
-    strategy's proposals don't depend on its observations (random
-    search); adaptive strategies see observations up to [n] proposals
-    late and may schedule differently (still valid searches).
 
     [deadline_s] is a cooperative wall-clock watchdog: checked at every
     scheduling boundary (never mid-simulation), raising {!Cell_deadline}
@@ -184,7 +172,7 @@ val with_retries :
 
 val run_supervised :
   ?supervision:supervision -> ?stop_when:(finding -> bool) ->
-  ?progress:(progress -> unit) -> ?cache:Prefix_cache.t -> ?lanes:int ->
+  ?progress:(progress -> unit) -> ?cache:Prefix_cache.t ->
   ?journal:Run_journal.t -> ?journal_approach:string -> config ->
   strategy:(Search.context -> Search.t) -> result supervised
 (** {!run} under {!with_retries} and a wall-clock deadline. Retried
@@ -203,7 +191,10 @@ val watchdog_counters : unit -> int * int * int
 val journal_identity : config -> approach:string -> string
 (** The cell's canonical configuration bytes: the exact test-run
     simulator config, the workload name, the budget parameters by their
-    IEEE-754 bits, and the approach label. *)
+    IEEE-754 bits, and the approach label. Every field of {!config} except
+    [prefix_cache] (which never changes a result) is keyed, and adding a
+    field to {!config} fails to compile until this function keys it or
+    says why it need not. *)
 
 val journal_key : Run_journal.t -> config -> approach:string -> string
 (** {!Run_journal.key} over the journal's binary fingerprint and
@@ -227,10 +218,6 @@ val record_of_result :
     streamed result and a journal memo of the same cell are identical.
     [elapsed_s] is the cell's measured wall-clock duration (the cost
     model's training signal); omitted, the record carries no duration. *)
-
-val lanes_of_env : unit -> int
-(** The [AVIS_LANES] width: 1 (unbatched) when unset; invalid values are
-    warned about and treated as 1. *)
 
 val cell_seed :
   ?base:int -> policy:string -> workload:string -> approach:string -> unit -> int

@@ -443,58 +443,38 @@ let store_lookup t ~scenario =
         enforce_budget t;
         Some entry))
 
-(* A scenario mid-execution: the forked (or cold) simulator and stepper
-   plus the index of the next capture target. [begin_run] performs the
-   serve/cold/bypass decision exactly as [execute] always did;
-   [continue_run] is [run_capturing] made resumable, so a batched driver
-   can advance many runs in interleaved slices. Pausing at a slice boundary
-   is bit-identical to running through it (the stepper's contract), so the
-   outcome — and every checkpoint captured along the way — is the same
-   whatever the slicing. *)
-type run = {
-  run_scenario : Scenario.t;
-  run_sim : Sim.t;
-  run_st : Workload.Stepper.stepper;
-  mutable next_target : int;  (** Index into [targets]. *)
-  run_captures : bool;  (** False for bypassing configs: never checkpoint. *)
-}
-
-let run_sim r = r.run_sim
-
-let begin_run t ~scenario =
-  if t.bypass then begin
-    (* Uncacheable config: cold-run without checkpointing, since no stored
-       entry could ever be sound to serve. *)
-    t.misses <- t.misses + 1;
-    t.bypasses <- t.bypasses + 1;
-    Avis_util.Trace.counter "cache.bypasses" (float_of_int t.bypasses);
-    let sim = t.make_sim ~scenario in
-    let st = Workload.Stepper.create t.workload in
-    {
-      run_scenario = scenario;
-      run_sim = sim;
-      run_st = st;
-      next_target = Array.length t.targets;
-      run_captures = false;
-    }
-  end
-  else begin
-    let serve e =
-      t.hits <- t.hits + 1;
-      Avis_util.Trace.counter "cache.hits" (float_of_int t.hits);
-      t.use_tick <- t.use_tick + 1;
-      e.last_used <- t.use_tick;
-      t.saved_sim_s <- t.saved_sim_s +. e.time;
-      let sim =
-        Sim.restore
-          ~plan:(Scenario.to_plan scenario)
-          ~link_outages:(Scenario.link_outages scenario)
-          e.sim_snap
+(* Run one scenario to completion, pausing at each remaining capture target
+   so the run's own fault prefixes become checkpoints for later scenarios —
+   this is what lets a search that stacks faults onto a safe scenario
+   (SABRE's sites) fork from its base run instead of re-simulating it.
+   Pausing and resuming is bit-identical to an uninterrupted run. *)
+let execute t ~scenario =
+  let sim, st, captures =
+    if t.bypass then begin
+      (* Uncacheable config: cold-run without checkpointing, since no stored
+         entry could ever be sound to serve. *)
+      t.misses <- t.misses + 1;
+      t.bypasses <- t.bypasses + 1;
+      Avis_util.Trace.counter "cache.bypasses" (float_of_int t.bypasses);
+      let sim = t.make_sim ~scenario in
+      (sim, Workload.Stepper.create t.workload, false)
+    end
+    else begin
+      let serve e =
+        t.hits <- t.hits + 1;
+        Avis_util.Trace.counter "cache.hits" (float_of_int t.hits);
+        t.use_tick <- t.use_tick + 1;
+        e.last_used <- t.use_tick;
+        t.saved_sim_s <- t.saved_sim_s +. e.time;
+        let sim =
+          Sim.restore
+            ~plan:(Scenario.to_plan scenario)
+            ~link_outages:(Scenario.link_outages scenario)
+            e.sim_snap
+        in
+        (sim, Workload.Stepper.restore e.stepper_snap, true)
       in
-      (sim, Workload.Stepper.restore e.stepper_snap)
-    in
-    advance_to t ~time:(earliest_fault scenario);
-    let sim, st =
+      advance_to t ~time:(earliest_fault scenario);
       match lookup t ~scenario with
       | Some e -> serve e
       | None -> (
@@ -514,51 +494,31 @@ let begin_run t ~scenario =
           | None -> ());
           t.misses <- t.misses + 1;
           Avis_util.Trace.counter "cache.misses" (float_of_int t.misses);
-          (t.make_sim ~scenario, Workload.Stepper.create t.workload))
-    in
-    { run_scenario = scenario; run_sim = sim; run_st = st; next_target = 0;
-      run_captures = true }
-  end
-
-let continue_run t r ~until =
-  let n = Array.length t.targets in
-  let sim = r.run_sim and st = r.run_st in
-  let rec go () =
-    (* Targets already behind the clock are skipped without capturing,
-       exactly as the uninterrupted loop skips them. *)
-    while r.next_target < n && t.targets.(r.next_target) <= Sim.time sim do
-      r.next_target <- r.next_target + 1
-    done;
-    let target =
-      if r.next_target < n then t.targets.(r.next_target) else infinity
-    in
-    let stop_at = Float.min target until in
-    match Workload.Stepper.run st sim ~until:stop_at with
-    | Workload.Stepper.Done passed ->
-      Some (Sim.outcome sim ~workload_passed:passed)
-    | Workload.Stepper.Running ->
-      if stop_at = infinity then
-        (* Nothing pauses at infinity, so a Running status here means the
-           run cannot progress; judge it as a failed workload. *)
-        Some (Sim.outcome sim ~workload_passed:false)
-      else if target <= until then begin
-        (* Paused just before a capture target. *)
-        if r.run_captures then capture t ~scenario:r.run_scenario sim st;
-        r.next_target <- r.next_target + 1;
-        go ()
-      end
-      else None
+          let sim = t.make_sim ~scenario in
+          (sim, Workload.Stepper.create t.workload, true))
+    end
   in
-  go ()
-
-let execute t ~scenario =
-  let r = begin_run t ~scenario in
-  match continue_run t r ~until:infinity with
-  | Some outcome -> outcome
-  | None ->
-    (* [continue_run ~until:infinity] always resolves: every pause either
-       captures and resumes or ends the run. *)
-    assert false
+  let n = if captures then Array.length t.targets else 0 in
+  let rec go i =
+    if i >= n then
+      match Workload.Stepper.run st sim ~until:infinity with
+      | Workload.Stepper.Done passed -> passed
+      | Workload.Stepper.Running -> false
+    else begin
+      (* Targets already behind the clock (a forked run starts mid-flight)
+         are skipped without capturing. *)
+      let target = t.targets.(i) in
+      if target <= Sim.time sim then go (i + 1)
+      else
+        match Workload.Stepper.run st sim ~until:target with
+        | Workload.Stepper.Running ->
+          capture t ~scenario sim st;
+          go (i + 1)
+        | Workload.Stepper.Done passed -> passed
+    end
+  in
+  let passed = go 0 in
+  Sim.outcome sim ~workload_passed:passed
 
 let stats (t : t) =
   let store_hits, store_misses, store_bytes =

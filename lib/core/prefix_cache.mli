@@ -73,30 +73,7 @@ val create :
 val execute : t -> scenario:Scenario.t -> Avis_sitl.Sim.outcome
 (** Run one scenario, forking from the best applicable checkpoint — clean
     or faulty-prefix — when one exists, and cold otherwise. Either way the
-    outcome is bit-identical to a cold run. Equivalent to {!begin_run}
-    followed by [continue_run ~until:infinity]. *)
-
-type run
-(** A scenario mid-execution: the forked (or cold) harness plus the
-    capture schedule still owed. Produced by {!begin_run}, advanced by
-    {!continue_run} — the incremental interface the batched campaign
-    driver interleaves lanes with. *)
-
-val begin_run : t -> scenario:Scenario.t -> run
-(** Provision a scenario exactly as {!execute} would — serve the best
-    checkpoint, fall back to the store, or run cold; bypassing configs
-    count as misses — but return before simulating anything. *)
-
-val run_sim : run -> Avis_sitl.Sim.t
-(** The run's live harness (e.g. to adopt into a lane batch). *)
-
-val continue_run : t -> run -> until:float -> Avis_sitl.Sim.outcome option
-(** Advance the run, capturing checkpoints at the cache's times as it
-    passes them, until it completes ([Some outcome]) or the simulation
-    clock is about to reach [until] ([None]; resume with a later call).
-    Slicing a run with intermediate [until]s is bit-identical to
-    [continue_run ~until:infinity] in one call — same outcome, same
-    captured checkpoints. *)
+    outcome is bit-identical to a cold run. *)
 
 val bypassing : t -> bool
 (** True when the provisioned runs carry state the cache key cannot encode

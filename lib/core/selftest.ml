@@ -121,43 +121,6 @@ let det_fp ?(optimized = World.step) () =
                (String.concat " and " (List.map air_label l))));
   }
 
-let lane_id () =
-  {
-    code = "LANE-ID";
-    name = "lane batcher vs single-world stepping: bit-equal";
-    run =
-      (fun () ->
-        let width = 4 in
-        let bad = ref [] in
-        List.iter
-          (fun windy ->
-            let reference = flight World.step ~windy in
-            let lanes = Lanes.create ~width ~motor_count:4 in
-            for i = 0 to width - 1 do
-              ignore i;
-              Lanes.adopt lanes i (flight_world ~windy)
-            done;
-            for i = 0 to flight_steps - 1 do
-              Lanes.step_all lanes ~motor_commands:(profile i) ~dt
-            done;
-            for i = 0 to width - 1 do
-              Lanes.flush lanes i;
-              match Lanes.world lanes i with
-              | Some w when fingerprint w = reference -> ()
-              | Some _ | None ->
-                bad := Printf.sprintf "lane %d (%s)" i (air_label windy) :: !bad
-            done)
-          [ false; true ];
-        match List.rev !bad with
-        | [] ->
-          Ok
-            (Printf.sprintf
-               "%d lanes, calm and windy, %d steps: every lane bit-equal to \
-                the single-world step"
-               width flight_steps)
-        | l -> Error ("lanes diverged from single-world stepping: " ^ String.concat ", " l));
-  }
-
 let sim_fingerprint sim =
   (Int64.bits_of_float (Avis_sitl.Sim.time sim), fingerprint (Avis_sitl.Sim.world sim))
 
@@ -391,7 +354,7 @@ let alloc_0 () =
 
 let checks () =
   [
-    det_fp (); lane_id (); snap_rt (); store_rw (); cache_id (); pool_sane ();
+    det_fp (); snap_rt (); store_rw (); cache_id (); pool_sane ();
     alloc_0 ();
   ]
 

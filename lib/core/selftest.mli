@@ -1,20 +1,18 @@
 (** Staged burn-in diagnostics for unattended operation.
 
-    Every optimisation PRs 2–7 layered onto the pipeline — the fused
-    physics kernel, the lane batcher, snapshot round-tripping, the
-    persistent checkpoint store, the prefix cache, the domain pool, the
-    allocation-free hot loop — carries a machine-checkable invariant.
-    This module packages those invariants as an ordered list of cheap
-    checks with {e stable string error codes}, so an operator (or the
-    future hunt-as-a-service daemon at boot) can prove on {e this}
-    machine, with {e this} binary, that the determinism assumptions a
-    long campaign rests on actually hold before burning budget:
+    Every optimisation layered onto the pipeline — the fused physics
+    kernel, snapshot round-tripping, the persistent checkpoint store, the
+    prefix cache, the domain pool, the allocation-free hot loop — carries
+    a machine-checkable invariant. This module packages those invariants
+    as an ordered list of cheap checks with {e stable string error
+    codes}, so an operator (or the future hunt-as-a-service daemon at
+    boot) can prove on {e this} machine, with {e this} binary, that the
+    determinism assumptions a long campaign rests on actually hold before
+    burning budget:
 
     - [DET-FP] — optimised {!Avis_physics.World.step} vs
       [step_reference]: bit-equal state fingerprints over a
       climb/cruise/descend profile in calm and windy air;
-    - [LANE-ID] — the structure-of-arrays lane batcher vs single-world
-      stepping: bit-equal fingerprints for every lane;
     - [SNAP-RT] — simulator snapshot → bytes → snapshot: byte-stable
       re-encoding, and the restored run steps bit-identically;
     - [STORE-RW] — checkpoint store in a temp dir: write/read round-trip,
@@ -64,8 +62,8 @@ val store_rw : ?dir:string -> unit -> check
     force the failure path. *)
 
 val checks : unit -> check list
-(** The standard staged sequence, in order: [DET-FP], [LANE-ID],
-    [SNAP-RT], [STORE-RW], [CACHE-ID], [POOL-SANE], [ALLOC-0]. *)
+(** The standard staged sequence, in order: [DET-FP], [SNAP-RT],
+    [STORE-RW], [CACHE-ID], [POOL-SANE], [ALLOC-0]. *)
 
 val run_check : check -> report
 

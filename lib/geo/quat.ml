@@ -210,95 +210,6 @@ module Mut = struct
     acos c
 end
 
-(* Structure-of-arrays storage for N attitudes, indexed by lane. Kernels
-   read a lane into locals, reproduce the [Mut] arithmetic expression for
-   expression, and write the lane back — so a batch of worlds integrated
-   column-wise stays bit-identical to the single-world stepper. Angular
-   rate comes in as a [Vec3.Cols] lane rather than loose floats so no
-   float crosses a module boundary unboxed-then-reboxed on the hot
-   path. *)
-module Cols = struct
-  type cols = {
-    ws : float array;
-    xs : float array;
-    ys : float array;
-    zs : float array;
-  }
-
-  (* Unchecked lane access for the hot kernels: the batched stepper
-     validates lane indices once at its boundary, and the primitives
-     compile to raw unboxed float loads/stores. *)
-  external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
-  external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
-
-  let create n =
-    {
-      ws = Array.make n 1.0;
-      xs = Array.make n 0.0;
-      ys = Array.make n 0.0;
-      zs = Array.make n 0.0;
-    }
-
-  let[@inline] load c i (src : Mut.quat) =
-    c.ws.(i) <- src.Mut.w;
-    c.xs.(i) <- src.Mut.x;
-    c.ys.(i) <- src.Mut.y;
-    c.zs.(i) <- src.Mut.z
-
-  let[@inline] store c i (dst : Mut.quat) =
-    dst.Mut.w <- c.ws.(i);
-    dst.Mut.x <- c.xs.(i);
-    dst.Mut.y <- c.ys.(i);
-    dst.Mut.z <- c.zs.(i)
-
-  let integrate c i (omega : Vec3.Cols.cols) dt =
-    let ox = omega.Vec3.Cols.xs.!(i)
-    and oy = omega.Vec3.Cols.ys.!(i)
-    and oz = omega.Vec3.Cols.zs.!(i) in
-    let qw = c.ws.!(i)
-    and qx = c.xs.!(i)
-    and qy = c.ys.!(i)
-    and qz = c.zs.!(i) in
-    let half_dt = dt /. 2.0 in
-    let dw = 0.0 -. (half_dt *. ((ox *. qx) +. (oy *. qy) +. (oz *. qz))) in
-    let dx = half_dt *. ((ox *. qw) +. (oz *. qy) -. (oy *. qz)) in
-    let dy = half_dt *. ((oy *. qw) +. (ox *. qz) -. (oz *. qx)) in
-    let dz = half_dt *. ((oz *. qw) +. (oy *. qx) -. (ox *. qy)) in
-    let w = qw +. dw in
-    let x = qx +. dx in
-    let y = qy +. dy in
-    let z = qz +. dz in
-    (* [Mut.normalize], applied to the lane's post-increment values. *)
-    let n = sqrt ((w *. w) +. (x *. x) +. (y *. y) +. (z *. z)) in
-    if n = 0.0 then begin
-      c.ws.!(i) <- 1.0;
-      c.xs.!(i) <- 0.0;
-      c.ys.!(i) <- 0.0;
-      c.zs.!(i) <- 0.0
-    end
-    else begin
-      c.ws.!(i) <- w /. n;
-      c.xs.!(i) <- x /. n;
-      c.ys.!(i) <- y /. n;
-      c.zs.!(i) <- z /. n
-    end
-
-  let[@inline] tilt c i =
-    let qw = c.ws.!(i)
-    and qx = c.xs.!(i)
-    and qy = c.ys.!(i)
-    and qz = c.zs.!(i) in
-    let tx = 2.0 *. ((qy *. 1.0) -. (qz *. 0.0)) in
-    let ty = 2.0 *. ((qz *. 0.0) -. (qx *. 1.0)) in
-    let tz = 2.0 *. ((qx *. 0.0) -. (qy *. 0.0)) in
-    let bx = 0.0 +. ((qw *. tx) +. ((qy *. tz) -. (qz *. ty))) in
-    let by = 0.0 +. ((qw *. ty) +. ((qz *. tx) -. (qx *. tz))) in
-    let bz = 1.0 +. ((qw *. tz) +. ((qx *. ty) -. (qy *. tx))) in
-    let d = (bx *. 0.0) +. (by *. 0.0) +. (bz *. 1.0) in
-    let c = Stdlib.max (-1.0) (Stdlib.min 1.0 d) in
-    acos c
-end
-
 let encode b q =
   Avis_util.Codec.w_f64 b q.w;
   Avis_util.Codec.w_f64 b q.x;

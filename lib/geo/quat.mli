@@ -91,31 +91,6 @@ module Mut : sig
   (** Angle between body z and world vertical, without allocating. *)
 end
 
-(** Structure-of-arrays storage for N attitudes, indexed by lane; the
-    batched stepper's column-wise counterpart of {!Mut}, bit-identical to
-    it kernel for kernel. *)
-module Cols : sig
-  type cols = {
-    ws : float array;
-    xs : float array;
-    ys : float array;
-    zs : float array;
-  }
-
-  val create : int -> cols
-  (** [create n] allocates [n] identity quaternions as four columns. *)
-
-  val load : cols -> int -> Mut.quat -> unit
-  val store : cols -> int -> Mut.quat -> unit
-
-  val integrate : cols -> int -> Vec3.Cols.cols -> float -> unit
-  (** [integrate c i omega dt] advances lane [i] by lane [i] of [omega]
-      and renormalises, matching [Mut.integrate] float for float. *)
-
-  val tilt : cols -> int -> float
-  (** Lane [i]'s angle between body z and world vertical. *)
-end
-
 val encode : Buffer.t -> t -> unit
 (** Bit-exact binary layout (four IEEE-754 doubles). *)
 

@@ -136,40 +136,3 @@ module Mut = struct
     if n <= limit || n = 0.0 then copy_into a dst
     else scale dst (limit /. n) a
 end
-
-(* Structure-of-arrays storage: N vectors as three parallel float columns,
-   indexed by lane. The batched multi-world stepper keeps every world's
-   state in columns like these so one inner loop advances all lanes through
-   contiguous memory; the kernels extend the [Mut] destination-passing
-   style with a lane index and move floats only via pointers (columns and
-   [Mut.vec] records), so nothing boxes even without cross-module
-   inlining. *)
-module Cols = struct
-  type cols = { xs : float array; ys : float array; zs : float array }
-
-  let create n = { xs = Array.make n 0.0; ys = Array.make n 0.0; zs = Array.make n 0.0 }
-
-  let[@inline] width c = Array.length c.xs
-
-  let[@inline] load c i (src : Mut.vec) =
-    c.xs.(i) <- src.Mut.x;
-    c.ys.(i) <- src.Mut.y;
-    c.zs.(i) <- src.Mut.z
-
-  let[@inline] store c i (dst : Mut.vec) =
-    dst.Mut.x <- c.xs.(i);
-    dst.Mut.y <- c.ys.(i);
-    dst.Mut.z <- c.zs.(i)
-
-  let[@inline] load_t c i (src : t) =
-    c.xs.(i) <- src.x;
-    c.ys.(i) <- src.y;
-    c.zs.(i) <- src.z
-
-  let[@inline] to_t c i : t = { x = c.xs.(i); y = c.ys.(i); z = c.zs.(i) }
-
-  let[@inline] set c i ~x ~y ~z =
-    c.xs.(i) <- x;
-    c.ys.(i) <- y;
-    c.zs.(i) <- z
-end

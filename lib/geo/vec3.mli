@@ -100,28 +100,3 @@ module Mut : sig
   val horizontal : vec -> vec -> unit
   val clamp_norm : vec -> float -> vec -> unit
 end
-
-(** Structure-of-arrays storage: N vectors held as three parallel float
-    columns indexed by lane. The batched multi-world stepper keeps every
-    world's vector state in columns like these so one inner loop advances
-    all lanes through contiguous float arrays; loads and stores move floats
-    only between unboxed homes (columns, [Mut.vec] records), so the hot
-    path allocates nothing. *)
-module Cols : sig
-  type cols = { xs : float array; ys : float array; zs : float array }
-
-  val create : int -> cols
-  (** [create n] allocates three zeroed columns of width [n]. *)
-
-  val width : cols -> int
-
-  val load : cols -> int -> Mut.vec -> unit
-  (** [load c i src] writes [src]'s components into lane [i]. *)
-
-  val store : cols -> int -> Mut.vec -> unit
-  (** [store c i dst] reads lane [i]'s components into [dst]. *)
-
-  val load_t : cols -> int -> t -> unit
-  val to_t : cols -> int -> t
-  val set : cols -> int -> x:float -> y:float -> z:float -> unit
-end

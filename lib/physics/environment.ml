@@ -31,12 +31,6 @@ let copy t =
 let obstacles t = t.obstacles
 let fence t = t.fence
 
-(* Lane hooks: the batched stepper precomputes the gust filter constants
-   from the (immutable) wind spec and updates the gust state through the
-   cell pointer, exactly as [wind_into] would. *)
-let wind_spec t = t.wind
-let gust_cell t = t.gust
-
 let encode_obstacle b o =
   Vec3.encode b o.centre;
   Vec3.encode b o.half_extents;

@@ -32,15 +32,6 @@ val copy : t -> t
 val obstacles : t -> obstacle list
 val fence : t -> fence option
 
-val wind_spec : t -> wind option
-(** The immutable wind specification, if any — the lane kernel derives its
-    per-lane gust filter constants from it. *)
-
-val gust_cell : t -> Vec3.Mut.vec
-(** The live gust state, as the cell the step kernels update in place. The
-    batched stepper advances it through this pointer so a lane's gust
-    process is the world's own. Treat as owned by the stepper. *)
-
 val encode : Buffer.t -> t -> unit
 (** Versioned binary layout: obstacles, fence, wind spec and the current
     gust state (so a decoded environment resumes the same gust process). *)

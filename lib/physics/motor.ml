@@ -89,10 +89,6 @@ let[@inline] total_thrust t = t.total_n.(0)
    cross-module inlining is off (dev builds compile with -opaque). *)
 let total_thrust_cell t = t.total_n
 
-(* The layout is immutable and shared; the lane kernel iterates it when
-   replicating [body_torque_into] column-wise. *)
-let layout t = t.layout
-
 (* Reference implementation of the torque model, kept for the hot-loop
    bench's cold baseline and the identity tests: allocates intermediate
    vectors per call, recomputing thrusts from scratch. *)

@@ -53,10 +53,6 @@ val body_torque_into :
 val mix_layout : Airframe.t -> (Vec3.t * float) array
 (** Per-motor [(position in body frame, spin direction ±1)]. *)
 
-val layout : t -> (Vec3.t * float) array
-(** This bank's layout (shared, immutable) — the lane kernel iterates it
-    when replicating {!body_torque_into} column-wise. Do not mutate. *)
-
 val float_count : t -> int
 (** Float slots this motor bank needs in a flat snapshot blob. *)
 

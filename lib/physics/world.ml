@@ -206,19 +206,6 @@ let crashed t = t.crashed
 let crash_event t = t.crash_event
 let fence_breached t = t.fence_breached
 
-(* Lane hooks: the batched stepper (Lanes) gathers a world into its columns,
-   steps it there, and scatters the result back, so it needs read/write
-   access to exactly the state [snapshot] captures — the clock cell, the
-   latched flags and event, and the collaborator pointers. *)
-let clock t = t.clock
-let rng t = t.rng
-let motors t = t.motors
-let resting t = t.resting
-let set_crashed t b = t.crashed <- b
-let set_fence_breached t b = t.fence_breached <- b
-let set_resting t b = t.resting <- b
-let set_crash_event t e = t.crash_event <- e
-
 let on_ground t =
   let b = t.body in
   let px = b.Rigid_body.position.Vec3.Mut.x

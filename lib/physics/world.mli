@@ -91,32 +91,3 @@ val fence_breached : t -> bool
 (** True once the vehicle has ever left the geofence (latched). *)
 
 val pp_contact : Format.formatter -> contact_event -> unit
-
-(** {2 Lane hooks}
-
-    Narrow access for the structure-of-arrays batched stepper
-    ({!Lanes}), which gathers a world's per-step state into columns,
-    advances it there with kernels bit-identical to [step], and scatters
-    the result back. Everything below exists for that gather/scatter pair;
-    ordinary clients should not need it. *)
-
-type clock = { mutable elapsed : float }
-(** The simulated clock in its own all-float record, so storing to it never
-    boxes (the reason [t] does not use a [mutable float] field). *)
-
-val clock : t -> clock
-val rng : t -> Avis_util.Rng.t
-val motors : t -> Motor.t
-val resting : t -> bool
-
-val set_crashed : t -> bool -> unit
-val set_fence_breached : t -> bool -> unit
-val set_resting : t -> bool -> unit
-val set_crash_event : t -> contact_event option -> unit
-
-val crash_sink_speed : float
-val crash_lateral_speed : float
-val tipover_tilt_rad : float
-val ground_friction : float
-(** The contact-model constants, exported so the lane kernel reproduces
-    [step]'s thresholds from the same definitions. *)

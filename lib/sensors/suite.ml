@@ -196,11 +196,6 @@ let tick t world ~dt =
 
 let battery_remaining t = t.charge.(0)
 
-(* Lane hooks: the batched sensor stepper shares the charge cell by pointer
-   and replicates [tick]'s drain expression from these constants. *)
-let charge_cell t = t.charge
-let capacity_j t = t.capacity_j
-
 let drain_battery_to t level =
   t.charge.(0) <- Avis_util.Stats.clamp ~lo:0.0 ~hi:1.0 level
 

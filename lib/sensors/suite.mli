@@ -63,14 +63,6 @@ val read : t -> Avis_physics.World.t -> Sensor.id -> Sensor.reading
 val battery_remaining : t -> float
 (** True state of charge in [\[0, 1\]]. *)
 
-val charge_cell : t -> float array
-(** The live single-cell state-of-charge array — the cell {!tick} updates
-    in place. The batched sensor stepper drains it through this pointer so
-    a lane's battery is the suite's own. Treat as owned by the stepper. *)
-
-val capacity_j : t -> float
-(** Battery capacity in joules (a constant of the suite). *)
-
 val drain_battery_to : t -> float -> unit
 (** Force the state of charge (used by workloads that test low-battery
     behaviour). *)

@@ -41,7 +41,6 @@ type req_state = {
   mutable owner : Unix.file_descr option;
       (** The submitting client; [None] once it disconnects (the hunt
           still runs to completion — results live in the journal). *)
-  lanes : int option;
   mutable outstanding : int;
   mutable retries : int;
   mutable quarantined : int;
@@ -371,7 +370,6 @@ let submit st (c : client) (r : Wire.hunt_request) =
       {
         id = Printf.sprintf "r%d" st.req_counter;
         owner = Some c.fd;
-        lanes = r.Wire.lanes;
         outstanding = List.length cells;
         retries = 0;
         quarantined = 0;
@@ -427,7 +425,6 @@ let submit st (c : client) (r : Wire.hunt_request) =
                   a_approach = cell.Worker.approach;
                   a_budget_s = r.Wire.budget_s;
                   a_seed = r.Wire.seed;
-                  a_lanes = r.Wire.lanes;
                 };
               pattempts = 0;
               pweight =

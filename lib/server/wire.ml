@@ -48,7 +48,6 @@ type assignment = {
   a_approach : string;
   a_budget_s : float;
   a_seed : int;
-  a_lanes : int option;
 }
 
 type directive =
@@ -260,25 +259,19 @@ let response_of_json j =
 let directive_to_json = function
   | Cell_assign a ->
     Json.Assoc
-      (List.concat
-         [
-           [
-             ("op", Json.String "cell-assign");
-             ("req", Json.String a.a_req);
-             ("firmware", Json.String a.a_firmware);
-             ("workload", Json.String a.a_workload);
-             ("approach", Json.String a.a_approach);
-             (* As with submit: the budget reaches the worker by its
-                IEEE-754 bits so the cell's journal key is bit-exact. *)
-             ( "budget_bits",
-               Json.String
-                 (Printf.sprintf "%016Lx" (Int64.bits_of_float a.a_budget_s)) );
-             ("seed", Json.int a.a_seed);
-           ];
-           (match a.a_lanes with
-           | Some n -> [ ("lanes", Json.int n) ]
-           | None -> []);
-         ])
+      [
+        ("op", Json.String "cell-assign");
+        ("req", Json.String a.a_req);
+        ("firmware", Json.String a.a_firmware);
+        ("workload", Json.String a.a_workload);
+        ("approach", Json.String a.a_approach);
+        (* As with submit: the budget reaches the worker by its IEEE-754
+           bits so the cell's journal key is bit-exact. *)
+        ( "budget_bits",
+          Json.String
+            (Printf.sprintf "%016Lx" (Int64.bits_of_float a.a_budget_s)) );
+        ("seed", Json.int a.a_seed);
+      ]
   | Drain -> Json.Assoc [ ("op", Json.String "drain") ]
 
 let directive_of_json j =
@@ -294,10 +287,9 @@ let directive_of_json j =
       Some (Int64.float_of_bits bits)
     in
     let* a_seed = num (Json.member "seed" j) in
-    let a_lanes = num (Json.member "lanes" j) in
     Some
       (Cell_assign
-         { a_req; a_firmware; a_workload; a_approach; a_budget_s; a_seed; a_lanes })
+         { a_req; a_firmware; a_workload; a_approach; a_budget_s; a_seed })
   | Some "drain" -> Some Drain
   | Some _ | None -> None
 

@@ -24,8 +24,9 @@ type hunt_request = {
   budget_s : float;  (** Modelled wall-clock budget per cell. *)
   seed : int;  (** Base seed; each cell derives its own via FNV-1a. *)
   lanes : int option;
-      (** Scenarios in flight per campaign; [None] follows the worker's
-          [AVIS_LANES]. *)
+      (** Must be [None] or [Some 1]: there is no batched stepping, and
+          {!Worker.cells_of_request} rejects any other value. Parsed so
+          that frames from clients that still send it decode. *)
   shards : int;
       (** Historical: the static-shard count of the pre-pull daemon.
           Accepted (and round-tripped) for wire compatibility, but the
@@ -84,7 +85,6 @@ type assignment = {
   a_approach : string;
   a_budget_s : float;  (** Crosses as IEEE-754 bits, like [budget_s]. *)
   a_seed : int;  (** The request's base seed (cells re-derive theirs). *)
-  a_lanes : int option;
 }
 
 (** Daemon-to-worker control frames on the assignment pipe. *)

@@ -49,6 +49,10 @@ let cells_of_request (r : Wire.hunt_request) =
       if r.approaches = [] then Error "no approach given"
       else if not (Float.is_finite r.budget_s) || r.budget_s <= 0.0 then
         Error (Printf.sprintf "budget must be finite and positive")
+      else if not (r.lanes = None || r.lanes = Some 1) then
+        (* A client asking for batched stepping, which does not exist,
+           must hear so rather than silently get an unbatched run. *)
+        Error "lanes must be absent or 1 (batched stepping is not supported)"
       else
         let rec build acc = function
           | [] -> Ok (List.rev acc)
@@ -100,7 +104,7 @@ let cell_of_assignment (a : Wire.assignment) =
         approaches = [ a.Wire.a_approach ];
         budget_s = a.Wire.a_budget_s;
         seed = a.Wire.a_seed;
-        lanes = a.Wire.a_lanes;
+        lanes = None;
         shards = 1;
       }
   with
@@ -221,9 +225,8 @@ let execute_cell ~send ~journal ~fingerprint (a : Wire.assignment) =
         end
       in
       match
-        Campaign.run_supervised ?lanes:a.Wire.a_lanes ?journal
-          ~journal_approach:cell.approach ~progress cell.config
-          ~strategy:cell.strategy
+        Campaign.run_supervised ?journal ~journal_approach:cell.approach
+          ~progress cell.config ~strategy:cell.strategy
       with
       | Campaign.Completed result ->
         let wall_s = Avis_util.Metrics.now_s () -. started in

@@ -37,14 +37,16 @@ val cells_of_request : Wire.hunt_request -> (cell list, string) result
 (** Validate and expand a request into one cell per approach. Each cell's
     config is built exactly as [avis_cli hunt] builds it — same
     {!Campaign.default_config}, budget and {!Campaign.cell_seed} — which
-    is what makes daemon results byte-comparable to in-process runs. *)
+    is what makes daemon results byte-comparable to in-process runs. A
+    request whose [lanes] field asks for batching (anything but absent or
+    1) is an [Error]. *)
 
 val shard_cells : shards:int -> 'a list -> 'a list list
 (** Round-robin the cells into [max 1 shards] non-empty groups (fewer
-    when there are fewer cells than shards). No longer on the daemon's
-    dispatch path — it pulls cells one at a time — but still the model
-    of the historical static-shard schedule, which the scheduling bench
-    simulates against and `hunt --shards` documentation refers to. *)
+    when there are fewer cells than shards). Not on the daemon's dispatch
+    path — it pulls cells one at a time — but the model of a static-shard
+    schedule, which the scheduling bench compares pull dispatch
+    against. *)
 
 val fork_budget : limit:int -> live:int -> idle_slots:int -> pending:int -> int
 (** How many additional workers pending work justifies: never more than

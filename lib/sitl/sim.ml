@@ -26,17 +26,6 @@ let default_config policy =
     airframe = Avis_physics.Airframe.iris;
   }
 
-(* While a harness is bound to a batch lane, [step] advances the physics
-   and battery through the lane kernels instead of [World.step]/[Suite.tick]
-   — bit-identical by the lane identity property, and the lane flushes every
-   step so the world object stays coherent for the firmware, monitors and
-   snapshots. *)
-type lane_binding = {
-  lb_phys : Avis_physics.Lanes.t;
-  lb_sens : Avis_sensors.Lanes.t;
-  lb_slot : int;
-}
-
 type t = {
   config : config;
   frame : Avis_geo.Geodesy.frame;
@@ -48,7 +37,6 @@ type t = {
   gcs : Gcs.t;
   trace : Trace.t;
   mutable steps : int;
-  mutable lane : lane_binding option;
 }
 
 (* The local frame is anchored at a fixed home location (the PX4 SITL
@@ -108,7 +96,7 @@ let create ?(plan = []) ?(degradations = []) ?(link_outages = []) config =
   in
   let trace = Trace.create () in
   { config; frame; world; suite; hinj; vehicle; link; gcs = Gcs.create link;
-    trace; steps = 0; lane = None }
+    trace; steps = 0 }
 
 type snapshot = {
   snap_config : config;
@@ -165,7 +153,6 @@ let restore ?plan ?link_outages s =
     gcs;
     trace = Trace.restore s.snap_trace;
     steps = s.snap_steps;
-    lane = None;
   }
 
 let config t = t.config
@@ -187,18 +174,10 @@ let step t =
     t.steps <- t.steps + 1;
     Link.step t.link;
     let motors = Vehicle.step t.vehicle t.world ~dt:t.config.dt in
-    (match t.lane with
-    | None ->
-      let (_ : Avis_physics.World.contact_event option) =
-        Avis_physics.World.step t.world ~motor_commands:motors ~dt:t.config.dt
-      in
-      Avis_sensors.Suite.tick t.suite t.world ~dt:t.config.dt
-    | Some lb ->
-      let (_ : Avis_physics.World.contact_event option) =
-        Avis_physics.Lanes.step lb.lb_phys lb.lb_slot ~motor_commands:motors
-          ~dt:t.config.dt
-      in
-      Avis_sensors.Lanes.tick lb.lb_sens lb.lb_slot ~dt:t.config.dt);
+    let (_ : Avis_physics.World.contact_event option) =
+      Avis_physics.World.step t.world ~motor_commands:motors ~dt:t.config.dt
+    in
+    Avis_sensors.Suite.tick t.suite t.world ~dt:t.config.dt;
     (* Pass steps and dt rather than a freshly computed time: [record]
        rebuilds the identical float internally, and the call site stays
        free of a boxed-float argument. *)
@@ -241,20 +220,41 @@ let outcome (t : t) ~workload_passed =
     sensor_reads = Avis_hinj.Hinj.read_count t.hinj;
   }
 
+(* The config is destructured exhaustively (warning 9 is an error here in
+   every build profile), so a field added to [config] does not compile
+   until it is encoded below or bound to [_] with the reason it cannot
+   change a run. These bytes key the checkpoint store and the run
+   journal. *)
 let encode_config b (c : config) =
+  let[@warning "+9"] {
+    policy;
+    enabled_bugs;
+    seed;
+    dt;
+    max_duration;
+    link_jitter_steps;
+    link_faults = { Link.drop; corrupt = corrupt_p; duplicate };
+    environment;
+    airframe;
+  } =
+    c
+  in
   let open Avis_util.Codec in
   w_version b 1;
-  w_u8 b (match c.policy.Policy.firmware with Bug.Ardupilot -> 0 | Bug.Px4 -> 1);
-  w_list b Bug.encode_id c.enabled_bugs;
-  w_int b c.seed;
-  w_f64 b c.dt;
-  w_f64 b c.max_duration;
-  w_int b c.link_jitter_steps;
-  w_f64 b c.link_faults.Link.drop;
-  w_f64 b c.link_faults.Link.corrupt;
-  w_f64 b c.link_faults.Link.duplicate;
-  w_option b Avis_physics.Environment.encode c.environment;
-  Avis_physics.Airframe.encode b c.airframe
+  (* The personality by its firmware tag: every policy is
+     [Policy.of_firmware] of its tag, which is how [decode_config]
+     rebuilds it. *)
+  w_u8 b (match policy.Policy.firmware with Bug.Ardupilot -> 0 | Bug.Px4 -> 1);
+  w_list b Bug.encode_id enabled_bugs;
+  w_int b seed;
+  w_f64 b dt;
+  w_f64 b max_duration;
+  w_int b link_jitter_steps;
+  w_f64 b drop;
+  w_f64 b corrupt_p;
+  w_f64 b duplicate;
+  w_option b Avis_physics.Environment.encode environment;
+  Avis_physics.Airframe.encode b airframe
 
 let decode_config r : config =
   let open Avis_util.Codec in
@@ -340,76 +340,3 @@ let decode_snapshot r : snapshot =
 
 let to_bytes s = Avis_util.Codec.to_string encode_snapshot s
 let of_bytes data = Avis_util.Codec.of_string decode_snapshot data
-
-module Batch = struct
-  type sim = t
-
-  type nonrec t = {
-    phys : Avis_physics.Lanes.t;
-    sens : Avis_sensors.Lanes.t;
-    sims : sim option array;
-    motor_count : int;
-    mutable forks : int;
-    mutable retired : int;
-  }
-
-  let create ~width ~motor_count =
-    {
-      phys = Avis_physics.Lanes.create ~width ~motor_count;
-      sens = Avis_sensors.Lanes.create ~width;
-      sims = Array.make width None;
-      motor_count;
-      forks = 0;
-      retired = 0;
-    }
-
-  let width b = Avis_physics.Lanes.width b.phys
-  let active b = Avis_physics.Lanes.active b.phys
-  let free_slot b = Avis_physics.Lanes.free_slot b.phys
-  let sim b slot = b.sims.(slot)
-
-  let[@inline] emit_active b =
-    Avis_util.Trace.counter "lanes.active" (float_of_int (active b))
-
-  let adopt b sim =
-    let frame = Avis_physics.World.airframe sim.world in
-    if frame.Avis_physics.Airframe.motor_count <> b.motor_count then None
-    else
-      match (free_slot b, sim.lane) with
-      | None, _ | _, Some _ -> None
-      | Some slot, None ->
-        Avis_physics.Lanes.adopt b.phys slot sim.world;
-        Avis_sensors.Lanes.adopt b.sens slot sim.suite sim.world;
-        b.sims.(slot) <- Some sim;
-        sim.lane <- Some { lb_phys = b.phys; lb_sens = b.sens; lb_slot = slot };
-        b.forks <- b.forks + 1;
-        Avis_util.Trace.counter "lanes.forks" (float_of_int b.forks);
-        emit_active b;
-        Some slot
-
-  let release b slot =
-    match b.sims.(slot) with
-    | None -> ()
-    | Some sim ->
-      Avis_physics.Lanes.release b.phys slot;
-      Avis_sensors.Lanes.release b.sens slot;
-      sim.lane <- None;
-      b.sims.(slot) <- None;
-      b.retired <- b.retired + 1;
-      Avis_util.Trace.counter "lanes.retired" (float_of_int b.retired);
-      emit_active b
-
-  let retire_finished b =
-    let n = ref 0 in
-    for slot = 0 to Array.length b.sims - 1 do
-      match b.sims.(slot) with
-      | Some sim when finished sim ->
-        release b slot;
-        incr n
-      | Some _ | None -> ()
-    done;
-    !n
-
-  let forks b = b.forks
-  let retired b = b.retired
-end

@@ -136,54 +136,3 @@ val to_bytes : snapshot -> string
 val of_bytes : string -> snapshot
 (** Inverse of {!to_bytes}. Raises [Avis_util.Codec.Corrupt] on malformed
     or truncated input (a decoded snapshot is usable with {!restore}). *)
-
-(** {2 Batched lane stepping}
-
-    A batch is a fixed-width set of lanes (structure-of-arrays columns in
-    {!Avis_physics.Lanes} and {!Avis_sensors.Lanes}) that harnesses are
-    adopted into. A lane-bound harness's [step] advances the physics and the
-    battery through the lane kernels — bit-identical to the unbatched path,
-    with the world flushed every step so firmware, monitors and snapshots
-    always see current state. Typical driver loop: fork a harness (create or
-    restore from a cached prefix), [adopt] it into a free slot, [step] every
-    bound harness in lock-step, then [retire_finished] to free slots for the
-    next scenarios in the queue.
-
-    Adoption, retirement and occupancy are recorded as the
-    [lanes.forks] / [lanes.retired] / [lanes.active] counter tracks in the
-    evaluation trace. *)
-module Batch : sig
-  type sim := t
-
-  type t
-
-  val create : width:int -> motor_count:int -> t
-
-  val width : t -> int
-
-  val active : t -> int
-  (** Occupied lanes. *)
-
-  val free_slot : t -> int option
-
-  val sim : t -> int -> sim option
-  (** The harness bound to a slot, if occupied. *)
-
-  val adopt : t -> sim -> int option
-  (** Bind a harness to the lowest free lane, returning the slot — or
-      [None] when the batch is full, the harness is already lane-bound, or
-      its airframe's motor count does not match the batch (the caller then
-      just steps it unbatched). *)
-
-  val release : t -> int -> unit
-  (** Unbind the harness in a slot (no-op on a free slot). The harness is
-      left coherent and steps on the unbatched path afterwards. *)
-
-  val retire_finished : t -> int
-  (** Release every slot whose harness is [finished]; returns how many were
-      retired. *)
-
-  val forks : t -> int
-  val retired : t -> int
-  (** Lifetime adoption / retirement counts. *)
-end

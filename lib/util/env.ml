@@ -3,30 +3,26 @@ let warn ~var ~value ~want ~using =
     "[avis] warning: ignoring invalid %s=%S (want %s); using %s\n%!" var value
     want using
 
-let parse_with ~of_string ~valid ?default_label ~var ~default ~want ~render ()
-    =
+let parse_with ~of_string ~valid ~var ~default ~want ~render () =
   match Sys.getenv_opt var with
   | None -> default
   | Some v -> (
     match of_string (String.trim v) with
     | Some x when valid x -> x
     | Some _ | None ->
-      let using =
-        match default_label with Some l -> l | None -> render default
-      in
-      warn ~var ~value:v ~want ~using;
+      warn ~var ~value:v ~want ~using:(render default);
       default)
 
-let positive_int ?default_label ~var ~default () =
+let positive_int ~var ~default () =
   parse_with ~of_string:int_of_string_opt
     ~valid:(fun n -> n >= 1)
-    ?default_label ~var ~default ~want:"a positive integer"
+    ~var ~default ~want:"a positive integer"
     ~render:string_of_int ()
 
-let positive_float ?default_label ~var ~default () =
+let positive_float ~var ~default () =
   parse_with ~of_string:float_of_string_opt
     ~valid:(fun f -> f > 0.0)
-    ?default_label ~var ~default ~want:"a positive number"
+    ~var ~default ~want:"a positive number"
     ~render:(Printf.sprintf "%g") ()
 
 let bool_of_string v =

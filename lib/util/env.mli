@@ -8,13 +8,10 @@
     unrecognised) warns once on stderr and falls back to the default. A
     typo must never silently disable, unbound or serialise anything. *)
 
-val positive_int : ?default_label:string -> var:string -> default:int -> unit -> int
-(** Parse [var] as a strictly positive integer. [default_label] names the
-    fallback in the warning when the default is computed (e.g. ["the
-    hardware's recommendation"]); it defaults to the rendered value. *)
+val positive_int : var:string -> default:int -> unit -> int
+(** Parse [var] as a strictly positive integer. *)
 
-val positive_float :
-  ?default_label:string -> var:string -> default:float -> unit -> float
+val positive_float : var:string -> default:float -> unit -> float
 (** Parse [var] as a strictly positive float (seconds, typically). *)
 
 val flag : ?default:bool -> var:string -> unit -> bool

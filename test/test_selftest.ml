@@ -6,8 +6,7 @@
 open Avis_core
 
 let codes =
-  [ "DET-FP"; "LANE-ID"; "SNAP-RT"; "STORE-RW"; "CACHE-ID"; "POOL-SANE";
-    "ALLOC-0" ]
+  [ "DET-FP"; "SNAP-RT"; "STORE-RW"; "CACHE-ID"; "POOL-SANE"; "ALLOC-0" ]
 
 let contains hay needle =
   let nl = String.length needle and hl = String.length hay in

@@ -41,7 +41,7 @@ let sample_request =
     (* Not representable in decimal: the bits must survive the wire. *)
     budget_s = 0.1 +. 0.2;
     seed = 42;
-    lanes = Some 4;
+    lanes = None;
     shards = 2;
   }
 
@@ -76,7 +76,9 @@ let check_response r =
 
 let test_wire_request_roundtrip () =
   check_request (Wire.Submit sample_request);
-  check_request (Wire.Submit { sample_request with Wire.lanes = None });
+  (* Frames from clients that still send the obsolete lanes field parse;
+     [Worker.cells_of_request] then rejects them. *)
+  check_request (Wire.Submit { sample_request with Wire.lanes = Some 4 });
   check_request Wire.Watch;
   check_request Wire.Status;
   check_request Wire.Ping
@@ -171,7 +173,6 @@ let sample_assignment =
     (* Not representable in decimal: the bits must survive the wire. *)
     a_budget_s = 0.1 +. 0.2;
     a_seed = 42;
-    a_lanes = Some 4;
   }
 
 let check_directive d =
@@ -181,8 +182,6 @@ let check_directive d =
 
 let test_wire_directive_roundtrip () =
   check_directive (Wire.Cell_assign sample_assignment);
-  check_directive
-    (Wire.Cell_assign { sample_assignment with Wire.a_lanes = None });
   check_directive Wire.Drain;
   (match Wire.parse_directive {|{"op":"cell-assign","req":"r1"}|} with
   | Error _ -> ()
@@ -212,7 +211,6 @@ let test_cell_of_assignment () =
          a_approach = "random";
          a_budget_s = req.Wire.budget_s;
          a_seed = req.Wire.seed;
-         a_lanes = req.Wire.lanes;
        }
    with
   | Ok cell ->
@@ -283,6 +281,9 @@ let test_metrics_layer_split () =
 (* ------------------------------------------------------------------ *)
 
 let test_cells_of_request () =
+  (match Worker.cells_of_request { sample_request with Wire.lanes = Some 1 } with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "unbatched lanes = 1 rejected: %s" e);
   match Worker.cells_of_request sample_request with
   | Error e -> Alcotest.failf "valid request rejected: %s" e
   | Ok cells ->
@@ -320,7 +321,8 @@ let test_cells_of_request_rejects () =
   expect_error "negative budget" { sample_request with Wire.budget_s = -1.0 };
   expect_error "infinite budget"
     { sample_request with Wire.budget_s = infinity };
-  expect_error "nan budget" { sample_request with Wire.budget_s = nan }
+  expect_error "nan budget" { sample_request with Wire.budget_s = nan };
+  expect_error "batched lanes" { sample_request with Wire.lanes = Some 4 }
 
 let test_shard_cells () =
   let groups = Worker.shard_cells ~shards:3 [ 1; 2; 3; 4; 5; 6; 7 ] in

@@ -302,6 +302,107 @@ let test_interrupted_run_appends_nothing () =
   Alcotest.(check bool) "no memo served" true
     (Campaign.journal_memo j2 config ~approach:"avis" = None)
 
+(* Equal keys mean equal records: every cell below runs with the prefix
+   cache off, on, and on a cache built by [make_cache] (the shareable
+   kind). Runs that agree on [journal_identity] must produce
+   byte-identical journal records, since a memo served under that key
+   stands in for any of them; distinct cells must not share a key. *)
+let test_equal_keys_equal_records () =
+  let record_bytes config ~approach result =
+    let r =
+      Campaign.record_of_result config ~approach ~fingerprint:"fp" result
+    in
+    Avis_util.Json.to_string
+      (Run_journal.record_to_json { r with Run_journal.elapsed_bits = None })
+  in
+  let cells =
+    List.concat_map
+      (fun policy ->
+        List.concat_map
+          (fun approach ->
+            List.map
+              (fun seed ->
+                ( approach,
+                  {
+                    (Campaign.default_config policy Workload.quickstart) with
+                    Campaign.budget_s = 30.0;
+                    seed;
+                    profiling_runs = 2;
+                  } ))
+              [ 3; 4 ])
+          [ "avis"; "random" ])
+      [ Policy.apm; Policy.px4 ]
+  in
+  let identities =
+    List.map
+      (fun (approach, config) ->
+        let strategy =
+          Option.get (Avis_server.Worker.strategy_of_name approach)
+        in
+        let run ?cache prefix_cache =
+          let config = { config with Campaign.prefix_cache } in
+          let result = Campaign.run ?cache config ~strategy in
+          ( Campaign.journal_identity config ~approach,
+            record_bytes config ~approach result )
+        in
+        let identity, bytes = run false in
+        let cached = run true in
+        let shared =
+          run
+            ~cache:(Campaign.make_cache { config with prefix_cache = true })
+            true
+        in
+        List.iter
+          (fun (identity', bytes') ->
+            Alcotest.(check string) "equal keys" identity identity';
+            Alcotest.(check string) "equal record bytes" bytes bytes')
+          [ cached; shared ];
+        identity)
+      cells
+  in
+  Alcotest.(check int) "distinct cells, distinct keys" (List.length cells)
+    (List.length (List.sort_uniq compare identities))
+
+(* Every keyed field of [Campaign.config] changes the identity on its own;
+   the prefix-cache toggle, which cannot change a result, does not. *)
+let test_identity_covers_keyed_fields () =
+  let base = small_config () in
+  let identity ?(approach = "avis") c = Campaign.journal_identity c ~approach in
+  let changes =
+    [
+      ("policy", { base with Campaign.policy = Policy.px4 });
+      ("workload", { base with Campaign.workload = Workload.auto_box });
+      ("enabled_bugs", { base with Campaign.enabled_bugs = [] });
+      ("budget_s", { base with Campaign.budget_s = base.Campaign.budget_s +. 1.0 });
+      ("speedup", { base with Campaign.speedup = base.Campaign.speedup +. 1.0 });
+      ("seed", { base with Campaign.seed = base.Campaign.seed + 1 });
+      ( "profiling_runs",
+        { base with Campaign.profiling_runs = base.Campaign.profiling_runs + 1 }
+      );
+      ( "link_jitter_steps",
+        {
+          base with
+          Campaign.link_jitter_steps = base.Campaign.link_jitter_steps + 1;
+        } );
+      ( "link_faults",
+        {
+          base with
+          Campaign.link_faults =
+            { Avis_mavlink.Link.no_faults with Avis_mavlink.Link.drop = 0.01 };
+        } );
+    ]
+  in
+  List.iter
+    (fun (field, changed) ->
+      Alcotest.(check bool) (field ^ " is keyed") true
+        (identity changed <> identity base))
+    changes;
+  Alcotest.(check bool) "approach is keyed" true
+    (identity ~approach:"random" base <> identity base);
+  Alcotest.(check string) "prefix_cache is not keyed" (identity base)
+    (identity
+       { base with Campaign.prefix_cache = not base.Campaign.prefix_cache })
+
 (* ------------------------------------------------------------------ *)
 (* Retry / backoff / quarantine                                         *)
 (* ------------------------------------------------------------------ *)
@@ -416,6 +517,10 @@ let () =
             test_campaign_journal_memo;
           Alcotest.test_case "interrupted run appends nothing" `Slow
             test_interrupted_run_appends_nothing;
+          Alcotest.test_case "equal keys mean equal records" `Slow
+            test_equal_keys_equal_records;
+          Alcotest.test_case "identity covers every keyed field" `Quick
+            test_identity_covers_keyed_fields;
         ] );
       ( "watchdog",
         [
