@@ -52,170 +52,14 @@ let policies = [ Policy.apm; Policy.px4 ]
 
 let workloads = [ Workload.manual_box; Workload.auto_box ]
 
-(* A matrix cell either ran live in this process or was served from the
-   resumable run journal (AVIS_JOURNAL) written by an earlier, possibly
-   killed, process. Memo records carry exactly the fields the tables
-   need (counts, the spent ledger's bits, finding descriptions/buckets/
-   bug attributions), so every table derives identically from either
-   arm; what they cannot carry is the monitor profile, which no table
-   reads. *)
-type outcome = Live of Campaign.result | Memo of Run_journal.record
-
-type cell = {
-  policy : Policy.t;
-  workload : Workload.t;
-  approach : string;
-  outcome : outcome;
-  wall_s : float;
-}
-
-let cell_simulations c =
-  match c.outcome with
-  | Live r -> r.Campaign.simulations
-  | Memo m -> m.Run_journal.simulations
-
-let cell_inferences c =
-  match c.outcome with
-  | Live r -> r.Campaign.inferences
-  | Memo m -> m.Run_journal.inferences
-
-let cell_spent_s c =
-  match c.outcome with
-  | Live r -> r.Campaign.wall_clock_spent_s
-  | Memo m -> Run_journal.spent_s m
-
-let cell_unsafe c =
-  match c.outcome with
-  | Live r -> Campaign.unsafe_count r
-  | Memo m -> List.length m.Run_journal.findings
-
-let cell_found_bug c bug =
-  match c.outcome with
-  | Live r -> Campaign.found_bug r bug
-  | Memo m ->
-    let report = (Bug.info bug).Bug.report in
-    List.exists
-      (fun (f : Run_journal.finding) -> List.mem report f.Run_journal.bugs)
-      m.Run_journal.findings
-
-let cell_bucket_count c bucket =
-  match c.outcome with
-  | Live r -> List.assoc bucket (Campaign.count_by_bucket r)
-  | Memo m ->
-    let label = Report.bucket_label bucket in
-    List.length
-      (List.filter
-         (fun (f : Run_journal.finding) -> f.Run_journal.bucket = label)
-         m.Run_journal.findings)
-
-let cell_label ~approach ~policy ~workload =
-  (* No spaces, so metrics lines stay grep-able key=value records. *)
-  String.map
-    (function ' ' -> '_' | c -> c)
-    (Printf.sprintf "%s/%s/%s" approach policy workload)
-
-let snapshot_of_cell c =
-  let store_hits, store_misses, store_bytes =
-    match c.outcome with
-    | Live { Campaign.cache_stats = Some s; _ } ->
-      Prefix_cache.(s.store_hits, s.store_misses, s.store_bytes)
-    | Live { Campaign.cache_stats = None; _ } | Memo _ -> (0, 0, 0)
-  in
-  let minor_words, major_collections =
-    match c.outcome with
-    | Live r -> (r.Campaign.minor_words, r.Campaign.major_collections)
-    | Memo _ -> (0.0, 0)
-  in
-  {
-    Metrics.cell =
-      cell_label ~approach:c.approach ~policy:c.policy.Policy.name
-        ~workload:c.workload.Workload.name;
-    simulations = cell_simulations c;
-    inferences = cell_inferences c;
-    spent_s = cell_spent_s c;
-    budget_s;
-    findings = cell_unsafe c;
-    wall_s = c.wall_s;
-    minor_words;
-    major_collections;
-    store_hits;
-    store_misses;
-    store_bytes;
-  }
-
-(* Emit a metrics line whenever the cell crosses another 10% of its
-   budget, rather than after every simulation: sixteen interleaved cells
-   stay readable. *)
-let decile_progress ~label ~started =
-  let last = ref (-1) in
-  fun (p : Campaign.progress) ->
-    let decile =
-      int_of_float (10.0 *. p.Campaign.spent_s /. Float.max 1e-9 p.Campaign.budget_s)
-    in
-    if decile > !last then begin
-      last := decile;
-      Metrics.emit ~event:"progress"
-        {
-          Metrics.cell = label;
-          simulations = p.Campaign.simulations;
-          inferences = p.Campaign.inferences;
-          spent_s = p.Campaign.spent_s;
-          budget_s = p.Campaign.budget_s;
-          findings = p.Campaign.findings;
-          wall_s = Metrics.now_s () -. started;
-          minor_words = p.Campaign.minor_words;
-          major_collections = p.Campaign.major_collections;
-          store_hits = p.Campaign.store_hits;
-          store_misses = p.Campaign.store_misses;
-          store_bytes = p.Campaign.store_bytes;
-        }
-    end
-
-let run_cell journal (policy, workload, (name, strategy)) =
-  let label =
-    cell_label ~approach:name ~policy:policy.Policy.name
-      ~workload:workload.Workload.name
-  in
-  let started = Metrics.now_s () in
-  let config =
-    {
-      (Campaign.default_config policy workload) with
-      Campaign.budget_s;
-      seed =
-        Campaign.cell_seed ~policy:policy.Policy.name
-          ~workload:workload.Workload.name ~approach:name ();
-    }
-  in
-  let memo =
-    match journal with
-    | Some j -> Campaign.journal_memo j config ~approach:name
-    | None -> None
-  in
-  match memo with
-  | Some record ->
-    let cell =
-      { policy; workload; approach = name; outcome = Memo record;
-        wall_s = Metrics.now_s () -. started }
-    in
-    Metrics.emit ~event:"memo" (snapshot_of_cell cell);
-    Some cell
-  | None -> (
-    match
-      Campaign.run_supervised ~progress:(decile_progress ~label ~started)
-        ?journal ~journal_approach:name config ~strategy
-    with
-    | Campaign.Completed result ->
-      let cell =
-        { policy; workload; approach = name; outcome = Live result;
-          wall_s = Metrics.now_s () -. started }
-      in
-      Metrics.emit ~event:"done" (snapshot_of_cell cell);
-      Some cell
-    | Campaign.Quarantined e ->
-      Printf.eprintf
-        "[bench] cell %s QUARANTINED [%s] after %d attempt(s): %s\n%!" label
-        e.Campaign.code e.Campaign.attempts e.Campaign.message;
-      None)
+(* A matrix cell keeps its journal record, whether it ran live in this
+   process or was served from the resumable run journal (AVIS_JOURNAL)
+   written by an earlier, possibly killed, process. The record carries
+   exactly what the tables need (counts, the spent ledger's bits, finding
+   descriptions/buckets/bug attributions), so every table derives
+   identically either way; what it cannot carry is the monitor profile,
+   which no table reads. *)
+type cell = { policy : Policy.t; approach : string; record : Run_journal.record }
 
 let campaign_matrix =
   lazy
@@ -244,41 +88,47 @@ let campaign_matrix =
      | None -> ());
      Printf.eprintf "[bench] campaign matrix: %d cells on %d domain(s)\n%!"
        (List.length specs) jobs;
-     (* Predicted-longest first: journal timings (when resuming) keep a
-        long cell from landing last and straggling. Weights only reorder
-        the feed — per-cell seeding keeps the tables bit-identical. *)
-     let cost =
-       match journal with
-       | Some j -> Cost_model.of_journal j
-       | None -> Cost_model.create ()
-     in
-     let weight (policy, workload, (name, _)) =
-       Cost_model.predict cost
-         ~label:
-           (cell_label ~approach:name ~policy:policy.Policy.name
-              ~workload:workload.Workload.name)
-         ~budget_s
+     let results =
+       Campaign.run_cells ?journal ~jobs
+         (List.map
+            (fun (policy, workload, (name, strategy)) ->
+              ( {
+                  (Campaign.default_config policy workload) with
+                  Campaign.budget_s;
+                  seed =
+                    Campaign.cell_seed ~policy:policy.Policy.name
+                      ~workload:workload.Workload.name ~approach:name ();
+                },
+                name,
+                strategy ))
+            specs)
      in
      let cells =
-       List.filter_map Fun.id
-         (Pool.map_lpt ~jobs ~weight (run_cell journal) specs)
+       List.filter_map
+         (fun ((policy, _, (approach, _)), (outcome, _)) ->
+           match outcome with
+           | Campaign.Live (_, record) | Campaign.Memo record ->
+             Some { policy; approach; record }
+           | Campaign.Failed _ -> None)
+         (List.combine specs results)
      in
      let dropped = List.length specs - List.length cells in
      if dropped > 0 then
        Printf.eprintf
          "[bench] %d quarantined cell(s) excluded from the tables\n%!" dropped;
-     Metrics.summary (List.map snapshot_of_cell cells);
+     Metrics.summary (List.map snd results);
      cells)
 
-let cells_for ?approach ?policy () =
-  List.filter
+(* Every finding of the matrix cells matching the filters, cell by cell. *)
+let findings_for ?approach ?policy () =
+  List.concat_map
     (fun c ->
-      (match approach with Some a -> c.approach = a | None -> true)
-      && match policy with Some p -> c.policy == p | None -> true)
+      if
+        (match approach with Some a -> c.approach = a | None -> true)
+        && match policy with Some p -> c.policy == p | None -> true
+      then c.record.Run_journal.findings
+      else [])
     (Lazy.force campaign_matrix)
-
-let total_unsafe cells =
-  List.fold_left (fun acc c -> acc + cell_unsafe c) 0 cells
 
 (* ------------------------------------------------------------------ *)
 (* Table I                                                              *)
@@ -559,10 +409,11 @@ let table2 () =
       let info = Bug.info bug in
       if not info.Bug.known then begin
         let found approach =
-          let cells =
-            cells_for ~approach ~policy:(Policy.of_firmware info.Bug.firmware) ()
-          in
-          List.exists (fun c -> cell_found_bug c bug) cells
+          List.exists
+            (fun (f : Run_journal.finding) ->
+              List.mem info.Bug.report f.Run_journal.bugs)
+            (findings_for ~approach
+               ~policy:(Policy.of_firmware info.Bug.firmware) ())
         in
         Table.add_row t
           [
@@ -594,14 +445,14 @@ let table3 () =
   in
   List.iter
     (fun (name, _) ->
-      let apm = total_unsafe (cells_for ~approach:name ~policy:Policy.apm ()) in
-      let px4 = total_unsafe (cells_for ~approach:name ~policy:Policy.px4 ()) in
+      let apm = List.length (findings_for ~approach:name ~policy:Policy.apm ()) in
+      let px4 = List.length (findings_for ~approach:name ~policy:Policy.px4 ()) in
       Table.add_row t
         [ name; string_of_int apm; string_of_int px4; string_of_int (apm + px4) ])
     approaches;
   Table.print t;
-  let avis = total_unsafe (cells_for ~approach:"Avis" ()) in
-  let strat = total_unsafe (cells_for ~approach:"Strat. BFI" ()) in
+  let avis = List.length (findings_for ~approach:"Avis" ()) in
+  let strat = List.length (findings_for ~approach:"Strat. BFI" ()) in
   if strat > 0 then
     Printf.printf "Avis found %.1fx more unsafe conditions than Stratified BFI.\n"
       (float_of_int avis /. float_of_int strat)
@@ -618,18 +469,11 @@ let table4 () =
   in
   List.iter
     (fun (name, _) ->
-      let cells = cells_for ~approach:name () in
-      let count bucket =
-        List.fold_left (fun acc c -> acc + cell_bucket_count c bucket) 0 cells
-      in
       Table.add_row t
-        [
-          name;
-          string_of_int (count Report.Takeoff_bucket);
-          string_of_int (count Report.Manual_bucket);
-          string_of_int (count Report.Waypoint_bucket);
-          string_of_int (count Report.Land_bucket);
-        ])
+        (name
+        :: List.map
+             (fun (_, n) -> string_of_int n)
+             (Campaign.count_by_bucket (findings_for ~approach:name ()))))
     approaches;
   Table.print t
 
@@ -808,6 +652,19 @@ let ablation_replay () =
       "mode-relative replay reproduced %d/%d; absolute-time replay %d/%d\n"
       relative_ok (List.length seeds) absolute_ok (List.length seeds)
 
+(* A campaign's journal-record bytes with the measured duration cleared:
+   counts, the spent ledger's bits and every finding's index,
+   description, bucket and bug attribution. Two campaigns of one config
+   are identical exactly when these bytes are. *)
+let record_bytes config result =
+  let record =
+    Campaign.record_of_result config ~approach:"" ~fingerprint:"" result
+  in
+  Json.to_string
+    (Run_journal.record_to_json { record with Run_journal.elapsed_bits = None })
+
+let same_result config a b = record_bytes config a = record_bytes config b
+
 (* ------------------------------------------------------------------ *)
 (* Prefix cache: cold vs cached campaign wall-clock                     *)
 (* ------------------------------------------------------------------ *)
@@ -854,13 +711,7 @@ let prefix_cache_bench () =
     let cache = Campaign.make_cache (config true) in
     let cached, cached_s = time ~cache true in
     let replay, replay_s = time ~cache true in
-    let same a b =
-      a.Campaign.simulations = b.Campaign.simulations
-      && Campaign.unsafe_count a = Campaign.unsafe_count b
-      && a.Campaign.wall_clock_spent_s = b.Campaign.wall_clock_spent_s
-      && List.map (fun f -> f.Campaign.simulation_index) a.Campaign.findings
-         = List.map (fun f -> f.Campaign.simulation_index) b.Campaign.findings
-    in
+    let same = same_result (config false) in
     let identical = same cold cached && same cold replay in
     (policy, workload, name, cold, cached, cold_s, cached_s, replay_s, identical)
   in
@@ -990,13 +841,7 @@ let store_bench () =
   let second, second_s =
     time ~cache:(Campaign.make_cache ~store_dir (config true)) true
   in
-  let same a b =
-    a.Campaign.simulations = b.Campaign.simulations
-    && Campaign.unsafe_count a = Campaign.unsafe_count b
-    && a.Campaign.wall_clock_spent_s = b.Campaign.wall_clock_spent_s
-    && List.map (fun f -> f.Campaign.simulation_index) a.Campaign.findings
-       = List.map (fun f -> f.Campaign.simulation_index) b.Campaign.findings
-  in
+  let same = same_result (config false) in
   let identical = same cold first && same cold second in
   let store_counters (r : Campaign.result) =
     match r.Campaign.cache_stats with
@@ -1091,15 +936,7 @@ let link_faults_bench () =
     in
     let cold, cold_s = time false in
     let cached, cached_s = time true in
-    let identical =
-      cold.Campaign.simulations = cached.Campaign.simulations
-      && Campaign.unsafe_count cold = Campaign.unsafe_count cached
-      && cold.Campaign.wall_clock_spent_s = cached.Campaign.wall_clock_spent_s
-      && List.map (fun f -> f.Campaign.simulation_index) cold.Campaign.findings
-         = List.map
-             (fun f -> f.Campaign.simulation_index)
-             cached.Campaign.findings
-    in
+    let identical = same_result (config false) cold cached in
     let found = List.filter link_finding cold.Campaign.findings in
     (policy, cold, found, cold_s, cached_s, identical)
   in
@@ -1310,13 +1147,7 @@ let hotloop_bench () =
   in
   let cold = run false in
   let cached = run true in
-  let campaign_identical =
-    cold.Campaign.simulations = cached.Campaign.simulations
-    && Campaign.unsafe_count cold = Campaign.unsafe_count cached
-    && cold.Campaign.wall_clock_spent_s = cached.Campaign.wall_clock_spent_s
-    && List.map (fun f -> f.Campaign.simulation_index) cold.Campaign.findings
-       = List.map (fun f -> f.Campaign.simulation_index) cached.Campaign.findings
-  in
+  let campaign_identical = same_result (config false) cold cached in
   let cache_resident_bytes, cache_evictions =
     match cached.Campaign.cache_stats with
     | Some s -> (s.Prefix_cache.resident_bytes, s.Prefix_cache.evictions)
@@ -1417,19 +1248,12 @@ let sched_config spec =
 let sched_label spec =
   Campaign.label_of (sched_config spec) ~approach:"random"
 
-(* The canonical journal-record bytes, elapsed normalized out (wall
-   measurements differ run to run; everything that matters — counts,
-   spent bits, findings — must not). *)
-let sched_digest spec (result : Campaign.result) =
-  let record =
-    Campaign.record_of_result (sched_config spec) ~approach:"random"
-      ~fingerprint:"sched-bench" result
-  in
-  Json.to_string
-    (Run_journal.record_to_json { record with Run_journal.elapsed_bits = None })
-
 let sched_run spec =
   Campaign.run (sched_config spec) ~strategy:(fun ctx -> Random_search.make ctx)
+
+(* A cell's result bytes ({!record_bytes}): wall measurements differ run
+   to run; everything that matters must not. *)
+let sched_digest spec = record_bytes (sched_config spec)
 
 (* Greedy list scheduling (earliest-free worker takes the next cell in
    [order]): what the pull dispatcher converges to when every cell's

@@ -4,10 +4,10 @@
 open Cmdliner
 open Avis_core
 
-let policy_of_string = function
-  | "apm" | "ardupilot" -> Ok Avis_firmware.Policy.apm
-  | "px4" -> Ok Avis_firmware.Policy.px4
-  | s -> Error (`Msg (Printf.sprintf "unknown firmware %S (apm|px4)" s))
+let policy_of_string s =
+  match Avis_server.Worker.policy_of_name s with
+  | Some p -> Ok p
+  | None -> Error (`Msg (Printf.sprintf "unknown firmware %S (apm|px4)" s))
 
 let policy_conv =
   Arg.conv
@@ -144,15 +144,6 @@ let install_interrupt_handler () =
               writing partial results (^C again to abort now)"
          end))
 
-(* Resolving the name eagerly (before any campaign starts) lets a typo in
-   a multi-approach hunt fail before budget is spent on the others. The
-   name table itself lives in {!Avis_server.Worker} so the daemon resolves
-   identically. *)
-let strategy_of_name name =
-  match Avis_server.Worker.strategy_of_name name with
-  | Some strategy -> strategy
-  | None -> invalid_arg ("unknown approach " ^ name)
-
 (* The one result renderer: live, journal-memo and daemon results all
    print from the cell's journal record, which carries the same counts,
    spent seconds (by bits) and findings however the cell was obtained, so
@@ -166,16 +157,8 @@ let print_record ~verbose name (record : Run_journal.record) =
     record.Run_journal.simulations record.Run_journal.inferences
     (Run_journal.spent_s record);
   List.iter
-    (fun bucket ->
-      let label = Report.bucket_label bucket in
-      let n =
-        List.length
-          (List.filter
-             (fun (f : Run_journal.finding) -> f.Run_journal.bucket = label)
-             record.Run_journal.findings)
-      in
-      Printf.printf "  %-8s %d\n" label n)
-    Report.all_buckets;
+    (fun (label, n) -> Printf.printf "  %-8s %d\n" label n)
+    (Campaign.count_by_bucket record.Run_journal.findings);
   if verbose then
     List.iteri
       (fun i (f : Run_journal.finding) ->
@@ -183,30 +166,41 @@ let print_record ~verbose name (record : Run_journal.record) =
           f.Run_journal.description)
       record.Run_journal.findings
 
+(* The approaches flag as `submit` sends it: comma-separated, trimmed. *)
+let approach_list approaches =
+  String.split_on_char ',' approaches
+  |> List.map String.trim
+  |> List.filter (fun s -> s <> "")
+
 let hunt policy workload seed approaches budget jobs verbose artefacts trace
     journal_path =
   (* Tracing spans every campaign, simulation, cache serve and search
      decision; the file is Chrome trace format (open in Perfetto). *)
   if trace <> None then Avis_util.Trace.set_enabled true;
   install_interrupt_handler ();
-  let journal = Option.map (fun path -> Run_journal.open_ path) journal_path in
-  let approaches =
-    String.split_on_char ',' approaches
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
+  let approaches = approach_list approaches in
+  (* The request `submit` would send, expanded exactly as the daemon
+     expands it: a typo or a bad budget fails here, as a usage error,
+     before the journal opens or any budget is spent. *)
+  let cells =
+    match
+      Avis_server.Worker.cells_of_request
+        {
+          Avis_server.Wire.firmware = policy.Avis_firmware.Policy.name;
+          workload = workload.Workload.name;
+          approaches;
+          budget_s = budget;
+          seed;
+          lanes = None;
+          shards = 1;
+        }
+    with
+    | Ok cells -> cells
+    | Error reason ->
+      Printf.eprintf "avis: %s\n" reason;
+      exit Cmd.Exit.cli_error
   in
-  (* Fail on a typo before spending any budget on the other approaches —
-     and as a usage error, not an "internal error" backtrace. *)
-  (try
-     if approaches = [] then invalid_arg "no approach given";
-     List.iter
-       (fun name ->
-         let (_ : Search.context -> Search.t) = strategy_of_name name in
-         ())
-       approaches
-   with Invalid_argument msg ->
-     Printf.eprintf "avis: %s (avis|strat-bfi|bfi|random|dfs|bfs)\n" msg;
-     exit Cmd.Exit.cli_error);
+  let journal = Option.map (fun path -> Run_journal.open_ path) journal_path in
   let jobs =
     max 1 (match jobs with Some j -> j | None -> Avis_util.Pool.jobs_of_env ())
   in
@@ -214,114 +208,21 @@ let hunt policy workload seed approaches budget jobs verbose artefacts trace
     "hunting with %s on %s / %s (budget %.0f s wall-clock each, %d domain(s))...\n%!"
     (String.concat ", " approaches)
     policy.Avis_firmware.Policy.name workload.Workload.name budget jobs;
-  let hunt_one name =
-    let label =
-      Printf.sprintf "%s/%s/%s" name policy.Avis_firmware.Policy.name
-        workload.Workload.name
-    in
-    let started = Avis_util.Metrics.now_s () in
-    let config =
-      {
-        (Campaign.default_config policy workload) with
-        Campaign.budget_s = budget;
-        seed =
-          Campaign.cell_seed ~base:seed ~policy:policy.Avis_firmware.Policy.name
-            ~workload:workload.Workload.name ~approach:name ();
-      }
-    in
-    let outcome =
-      match Option.map (fun j -> Campaign.journal_memo j config ~approach:name) journal with
-      | Some (Some record) -> `Memo record
-      | Some None | None -> (
-        match
-          Campaign.run_supervised ?journal ~journal_approach:name config
-            ~strategy:(strategy_of_name name)
-        with
-        | Campaign.Completed r ->
-          (* Rendered from its record like a memo; the renderer never
-             reads the key, so no fingerprint is needed. *)
-          `Live
-            (r, Campaign.record_of_result config ~approach:name ~fingerprint:"" r)
-        | Campaign.Quarantined e -> `Quarantine e)
-    in
-    (match (journal, outcome) with
-    | Some j, (`Live _ | `Quarantine _) when Campaign.interrupted () ->
-      Run_journal.record_interrupted j
-        ~key:(Campaign.journal_key j config ~approach:name)
-        ~label
-    | _ -> ());
-    let wall_s = Avis_util.Metrics.now_s () -. started in
-    let snapshot =
-      let zero =
-        {
-          Avis_util.Metrics.cell = label; simulations = 0; inferences = 0;
-          spent_s = 0.0; budget_s = budget; findings = 0; wall_s;
-          minor_words = 0.0; major_collections = 0; store_hits = 0;
-          store_misses = 0; store_bytes = 0;
-        }
-      in
-      match outcome with
-      | `Live (result, _) ->
-        let store_hits, store_misses, store_bytes =
-          match result.Campaign.cache_stats with
-          | Some s -> Prefix_cache.(s.store_hits, s.store_misses, s.store_bytes)
-          | None -> (0, 0, 0)
-        in
-        {
-          zero with
-          Avis_util.Metrics.simulations = result.Campaign.simulations;
-          inferences = result.Campaign.inferences;
-          spent_s = result.Campaign.wall_clock_spent_s;
-          findings = Campaign.unsafe_count result;
-          minor_words = result.Campaign.minor_words;
-          major_collections = result.Campaign.major_collections;
-          store_hits;
-          store_misses;
-          store_bytes;
-        }
-      | `Memo record ->
-        {
-          zero with
-          Avis_util.Metrics.simulations = record.Run_journal.simulations;
-          inferences = record.Run_journal.inferences;
-          spent_s = Run_journal.spent_s record;
-          findings = List.length record.Run_journal.findings;
-        }
-      | `Quarantine _ -> zero
-    in
-    let event =
-      match outcome with
-      | `Live _ -> "done"
-      | `Memo _ -> "memo"
-      | `Quarantine _ -> "quarantined"
-    in
-    Avis_util.Metrics.emit ~event snapshot;
-    (name, outcome, snapshot)
+  let results =
+    Campaign.run_cells ?journal ~jobs
+      (List.map
+         (fun (c : Avis_server.Worker.cell) ->
+           (c.Avis_server.Worker.config, c.approach, c.strategy))
+         cells)
   in
-  (* Predicted-longest cells first (LPT): the journal's recorded
-     durations, when present, keep a long cell from starting last and
-     straggling. Per-cell seeding keeps the output bytes identical to
-     arrival order. *)
-  let cost =
-    match journal with
-    | Some j -> Cost_model.of_journal j
-    | None -> Cost_model.create ()
-  in
-  let weight name =
-    Cost_model.predict cost
-      ~label:
-        (Printf.sprintf "%s/%s/%s" name policy.Avis_firmware.Policy.name
-           workload.Workload.name)
-      ~budget_s:budget
-  in
-  let results = Avis_util.Pool.map_lpt ~jobs ~weight hunt_one approaches in
-  List.iter
-    (fun (name, outcome, _) ->
+  List.iter2
+    (fun (c : Avis_server.Worker.cell) (outcome, _) ->
+      let name = c.Avis_server.Worker.approach in
       match outcome with
-      | `Quarantine (e : Campaign.cell_error) ->
+      | Campaign.Failed e ->
         Printf.printf "%s: QUARANTINED [%s] after %d attempt(s): %s\n" name
           e.Campaign.code e.Campaign.attempts e.Campaign.message
-      | `Memo record ->
+      | Campaign.Memo record ->
         print_record ~verbose name record;
         if artefacts <> None then
           Printf.eprintf
@@ -329,7 +230,7 @@ let hunt policy workload seed approaches budget jobs verbose artefacts trace
              profile; rerun without --journal to write artefacts\n\
              %!"
             name
-      | `Live (result, record) -> (
+      | Campaign.Live (result, record) -> (
         print_record ~verbose name record;
         match artefacts with
         | None -> ()
@@ -344,10 +245,10 @@ let hunt policy workload seed approaches budget jobs verbose artefacts trace
           Export.write_file ~path:(base ^ "-modes.dot")
             (Export.mode_graph_to_dot (Monitor.graph result.Campaign.profile));
           Printf.printf "artefacts written under %s\n" dir))
-    results;
+    cells results;
   (match results with
   | [] | [ _ ] -> ()
-  | _ -> Avis_util.Metrics.summary (List.map (fun (_, _, s) -> s) results));
+  | _ -> Avis_util.Metrics.summary (List.map snd results));
   (match trace with
   | None -> ()
   | Some path ->
@@ -432,11 +333,7 @@ let connect_daemon socket_path =
   (Unix.in_channel_of_descr fd, Unix.out_channel_of_descr fd)
 
 let submit policy workload seed approaches budget verbose socket =
-  let approaches =
-    String.split_on_char ',' approaches
-    |> List.map String.trim
-    |> List.filter (fun s -> s <> "")
-  in
+  let approaches = approach_list approaches in
   let ic, oc = connect_daemon socket in
   output_string oc
     (Avis_server.Wire.render_request
@@ -457,9 +354,10 @@ let submit policy workload seed approaches budget verbose socket =
     (String.concat ", " approaches)
     policy.Avis_firmware.Policy.name workload.Workload.name budget;
   (* Stream: metrics lines relay to stderr (where `hunt` emits its own),
-     cell results collect here and print in submission order on Done. *)
+     cell results collect here and print on Done in the order of the
+     labels the daemon accepted, one per approach. *)
   let results = Hashtbl.create 8 in
-  let rec loop req_id =
+  let rec loop accepted =
     match input_line ic with
     | exception End_of_file ->
       prerr_endline "[avis] submit: daemon closed the connection mid-hunt";
@@ -467,43 +365,39 @@ let submit policy workload seed approaches budget verbose socket =
     | line ->
       if Avis_server.Wire.is_metrics_line line then begin
         Printf.eprintf "%s\n%!" line;
-        loop req_id
+        loop accepted
       end
       else (
+        let ours req = Option.map fst accepted = Some req in
         match Avis_server.Wire.parse_response line with
         | Error e ->
           Printf.eprintf "[avis] submit: %s\n%!" e;
-          loop req_id
+          loop accepted
         | Ok (Avis_server.Wire.Rejected { reason }) ->
           Printf.eprintf "avis: daemon rejected the hunt: %s\n" reason;
           exit Cmd.Exit.cli_error
-        | Ok (Avis_server.Wire.Accepted { req; cells = _ }) -> loop (Some req)
-        | Ok (Avis_server.Wire.Cell { req; approach; label; status })
-          when req_id = Some req ->
-          Hashtbl.replace results label (approach, status);
-          loop req_id
+        | Ok (Avis_server.Wire.Accepted { req; cells }) ->
+          loop (Some (req, cells))
+        | Ok (Avis_server.Wire.Cell { req; label; status; _ }) when ours req ->
+          Hashtbl.replace results label status;
+          loop accepted
         | Ok (Avis_server.Wire.Done { req; retries; quarantined })
-          when req_id = Some req ->
-          (retries, quarantined)
-        | Ok _ -> loop req_id)
+          when ours req ->
+          (retries, quarantined, Option.fold ~none:[] ~some:snd accepted)
+        | Ok _ -> loop accepted)
   in
-  let retries, quarantined = loop None in
-  List.iter
-    (fun name ->
-      let label =
-        Printf.sprintf "%s/%s/%s" name policy.Avis_firmware.Policy.name
-          workload.Workload.name
-      in
+  let retries, quarantined, labels = loop None in
+  List.iter2
+    (fun name label ->
       match Hashtbl.find_opt results label with
-      | Some (_, Avis_server.Wire.Cell_done record)
-      | Some (_, Avis_server.Wire.Cell_memo record) ->
-        print_record ~verbose name record
-      | Some (_, Avis_server.Wire.Cell_quarantined { code; message; attempts })
+      | Some (Avis_server.Wire.Cell_done record | Avis_server.Wire.Cell_memo record)
         ->
+        print_record ~verbose name record
+      | Some (Avis_server.Wire.Cell_quarantined { code; message; attempts }) ->
         Printf.printf "%s: QUARANTINED [%s] after %d attempt(s): %s\n" name
           code attempts message
       | None -> Printf.printf "%s: no result reported\n" name)
-    approaches;
+    approaches labels;
   if retries > 0 || quarantined > 0 then
     Printf.eprintf
       "[avis] submit: daemon recovered from %d lost worker(s); %d cell(s) \

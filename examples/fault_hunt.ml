@@ -21,43 +21,16 @@ let approaches =
     ("Random", fun ctx -> Random_search.make ctx);
   ]
 
-let hunt (name, strategy) =
-  let started = Metrics.now_s () in
-  let config =
-    {
+let cell (name, strategy) =
+  ( {
       (Campaign.default_config policy workload) with
       Campaign.budget_s;
       seed =
         Campaign.cell_seed ~policy:policy.Avis_firmware.Policy.name
           ~workload:workload.Workload.name ~approach:name ();
-    }
-  in
-  let result = Campaign.run config ~strategy in
-  let store_hits, store_misses, store_bytes =
-    match result.Campaign.cache_stats with
-    | Some s -> Prefix_cache.(s.store_hits, s.store_misses, s.store_bytes)
-    | None -> (0, 0, 0)
-  in
-  let snapshot =
-    {
-      Metrics.cell =
-        Printf.sprintf "%s/%s/%s" name policy.Avis_firmware.Policy.name
-          workload.Workload.name;
-      simulations = result.Campaign.simulations;
-      inferences = result.Campaign.inferences;
-      spent_s = result.Campaign.wall_clock_spent_s;
-      budget_s;
-      findings = Campaign.unsafe_count result;
-      wall_s = Metrics.now_s () -. started;
-      minor_words = result.Campaign.minor_words;
-      major_collections = result.Campaign.major_collections;
-      store_hits;
-      store_misses;
-      store_bytes;
-    }
-  in
-  Metrics.emit ~event:"done" snapshot;
-  (name, result, snapshot)
+    },
+    name,
+    strategy )
 
 let () =
   let jobs = Pool.jobs_of_env () in
@@ -66,22 +39,25 @@ let () =
      (%.0f s wall-clock budget each)...\n%!"
     policy.Avis_firmware.Policy.name workload.Workload.name
     (List.length approaches) jobs budget_s;
-  let results = Pool.map ~jobs hunt approaches in
-  List.iter
-    (fun (name, result, _) ->
-      Printf.printf "\n%s: %d simulations, %d unsafe conditions found:\n" name
-        result.Campaign.simulations
-        (Campaign.unsafe_count result);
-      List.iteri
-        (fun i f ->
-          Printf.printf "%2d. (simulation #%d)\n    %s\n" (i + 1)
-            f.Campaign.simulation_index
-            (Report.describe f.Campaign.report))
-        result.Campaign.findings;
-      Printf.printf "unsafe conditions by operating mode at injection:\n";
-      List.iter
-        (fun (bucket, n) ->
-          Printf.printf "  %-8s %d\n" (Report.bucket_label bucket) n)
-        (Campaign.count_by_bucket result))
-    results;
-  Metrics.summary (List.map (fun (_, _, s) -> s) results)
+  let results = Campaign.run_cells ~jobs (List.map cell approaches) in
+  List.iter2
+    (fun (name, _) (outcome, _) ->
+      match outcome with
+      | Campaign.Failed e ->
+        Printf.printf "\n%s: QUARANTINED [%s]: %s\n" name e.Campaign.code
+          e.Campaign.message
+      | Campaign.Live (_, record) | Campaign.Memo record ->
+        let findings = record.Run_journal.findings in
+        Printf.printf "\n%s: %d simulations, %d unsafe conditions found:\n" name
+          record.Run_journal.simulations (List.length findings);
+        List.iteri
+          (fun i (f : Run_journal.finding) ->
+            Printf.printf "%2d. (simulation #%d)\n    %s\n" (i + 1)
+              f.Run_journal.simulation_index f.Run_journal.description)
+          findings;
+        Printf.printf "unsafe conditions by operating mode at injection:\n";
+        List.iter
+          (fun (label, n) -> Printf.printf "  %-8s %d\n" label n)
+          (Campaign.count_by_bucket findings))
+    approaches results;
+  Metrics.summary (List.map snd results)

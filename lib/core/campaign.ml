@@ -503,13 +503,163 @@ let run_supervised ?(supervision = default_supervision) ?stop_when ?progress
     | None -> deadline_of_budget config.budget_s
   in
   let label =
-    Printf.sprintf "%s/%s/%s"
-      (match journal_approach with Some a -> a | None -> "campaign")
-      config.policy.Policy.name config.workload.Workload.name
+    label_of config
+      ~approach:(Option.value journal_approach ~default:"campaign")
   in
   with_retries ~supervision ~label (fun ~attempt:_ ->
       run ?stop_when ?progress ?cache ~deadline_s ?journal ?journal_approach
         config ~strategy)
+
+(* ------------------------------------------------------------------ *)
+(* Matrix cells: memo, supervised run, metrics                          *)
+(* ------------------------------------------------------------------ *)
+
+type cell_outcome =
+  | Live of result * Run_journal.record
+  | Memo of Run_journal.record
+  | Failed of cell_error
+
+(* The one [Metrics.snapshot] construction site: every outcome is first
+   reduced to the progress counters it reports. *)
+let snapshot_of_progress config ~approach ~wall_s (p : progress) =
+  {
+    Avis_util.Metrics.cell = label_of config ~approach;
+    simulations = p.simulations;
+    inferences = p.inferences;
+    spent_s = p.spent_s;
+    budget_s = p.budget_s;
+    findings = p.findings;
+    wall_s;
+    minor_words = p.minor_words;
+    major_collections = p.major_collections;
+    store_hits = p.store_hits;
+    store_misses = p.store_misses;
+    store_bytes = p.store_bytes;
+  }
+
+let snapshot (config : config) ~approach ~wall_s outcome =
+  let zero : progress =
+    {
+      simulations = 0; inferences = 0; spent_s = 0.0;
+      budget_s = config.budget_s; findings = 0; minor_words = 0.0;
+      major_collections = 0; store_hits = 0; store_misses = 0;
+      store_bytes = 0;
+    }
+  in
+  snapshot_of_progress config ~approach ~wall_s
+    (match outcome with
+    | Live (r, _) ->
+      let store_hits, store_misses, store_bytes =
+        match r.cache_stats with
+        | Some s -> Prefix_cache.(s.store_hits, s.store_misses, s.store_bytes)
+        | None -> (0, 0, 0)
+      in
+      {
+        zero with
+        simulations = r.simulations;
+        inferences = r.inferences;
+        spent_s = r.wall_clock_spent_s;
+        findings = List.length r.findings;
+        minor_words = r.minor_words;
+        major_collections = r.major_collections;
+        store_hits;
+        store_misses;
+        store_bytes;
+      }
+    | Memo m ->
+      (* Nothing ran: no GC or store activity to report. *)
+      {
+        zero with
+        simulations = m.Run_journal.simulations;
+        inferences = m.Run_journal.inferences;
+        spent_s = Run_journal.spent_s m;
+        findings = List.length m.Run_journal.findings;
+      }
+    | Failed _ -> zero)
+
+let run_cell ?journal
+    ?(emit = fun ~event s -> Avis_util.Metrics.emit ~event s) config
+    ~approach ~strategy =
+  let started = Avis_util.Metrics.now_s () in
+  let wall_s () = Avis_util.Metrics.now_s () -. started in
+  let memo () = Option.bind journal (fun j -> journal_memo j config ~approach) in
+  (* An interrupted cell journals no record; a marker says it was cut. *)
+  let mark_interrupted () =
+    match journal with
+    | Some j when interrupted () ->
+      Run_journal.record_interrupted j
+        ~key:(journal_key j config ~approach)
+        ~label:(label_of config ~approach)
+    | Some _ | None -> ()
+  in
+  let outcome =
+    match memo () with
+    | Some record -> Memo record
+    | None -> (
+      (* One progress line per new tenth of the budget, however fast the
+         machine: a 16-cell matrix or a busy daemon stays readable. *)
+      let last_tenth = ref (-1) in
+      let progress (p : progress) =
+        let tenth =
+          int_of_float (10.0 *. p.spent_s /. Float.max 1e-9 p.budget_s)
+        in
+        if tenth > !last_tenth then begin
+          last_tenth := tenth;
+          emit ~event:"progress"
+            (snapshot_of_progress config ~approach ~wall_s:(wall_s ()) p)
+        end
+      in
+      match
+        run_supervised ~progress ?journal ~journal_approach:approach config
+          ~strategy
+      with
+      | Completed result -> (
+        (* Read the record back rather than rebuild it, so a live cell's
+           record is byte for byte the memo a later run will serve,
+           measured duration included. *)
+        match memo () with
+        | Some record -> Live (result, record)
+        | None ->
+          mark_interrupted ();
+          let fingerprint =
+            match journal with Some j -> Run_journal.fingerprint j | None -> ""
+          in
+          Live
+            ( result,
+              record_of_result ~elapsed_s:(wall_s ()) config ~approach
+                ~fingerprint result ))
+      | Quarantined e ->
+        mark_interrupted ();
+        Failed e)
+  in
+  let snapshot = snapshot config ~approach ~wall_s:(wall_s ()) outcome in
+  emit
+    ~event:
+      (match outcome with
+      | Live _ -> "done"
+      | Memo _ -> "memo"
+      | Failed _ -> "quarantined")
+    snapshot;
+  (outcome, snapshot)
+
+(* Longest predicted cell first (LPT): the journal's recorded durations
+   keep a long cell from starting last and straggling. Weights only
+   reorder the feed; per-cell seeding keeps every result's bytes
+   independent of the order. *)
+let run_cells ?journal ~jobs cells =
+  let cost =
+    match journal with
+    | Some j -> Cost_model.of_journal j
+    | None -> Cost_model.create ()
+  in
+  let weight ((config : config), approach, _) =
+    Cost_model.predict cost ~label:(label_of config ~approach)
+      ~budget_s:config.budget_s
+  in
+  Avis_util.Pool.map_lpt ~jobs ~weight
+    (fun (config, approach, strategy) ->
+      run_cell ?journal config ~approach ~strategy)
+    cells
 
 (* A stable, platform-independent seed for one (policy, workload,
    approach) cell of a campaign matrix: FNV-1a over the labels, folded
@@ -527,14 +677,15 @@ let cell_seed ?(base = 1) ~policy ~workload ~approach () =
 
 let unsafe_count result = List.length result.findings
 
-let count_by_bucket result =
+let count_by_bucket (findings : Run_journal.finding list) =
   List.map
     (fun bucket ->
-      ( bucket,
+      let label = Report.bucket_label bucket in
+      ( label,
         List.length
           (List.filter
-             (fun f -> Report.injection_bucket f.report = bucket)
-             result.findings) ))
+             (fun (f : Run_journal.finding) -> f.Run_journal.bucket = label)
+             findings) ))
     Report.all_buckets
 
 let found_bug result bug =

@@ -219,6 +219,55 @@ val record_of_result :
     [elapsed_s] is the cell's measured wall-clock duration (the cost
     model's training signal); omitted, the record carries no duration. *)
 
+(** {2 Matrix cells}
+
+    The one cell runner behind [avis_cli hunt], the hunt daemon's workers,
+    the bench matrix and the examples: serve the journal memo, else run
+    supervised and journal the result, reporting through {!Avis_util.Metrics}
+    snapshots all the way. *)
+
+type cell_outcome =
+  | Live of result * Run_journal.record
+      (** Ran in this call. The record is the one the journal now holds
+          (read back, so it is byte for byte the memo a later call
+          serves), or, with no journal or after an interrupt, one built
+          by {!record_of_result} under the journal's fingerprint (empty
+          without a journal). *)
+  | Memo of Run_journal.record  (** Served from the journal; nothing ran. *)
+  | Failed of cell_error  (** Quarantined by {!run_supervised}. *)
+
+val snapshot :
+  config -> approach:string -> wall_s:float -> cell_outcome ->
+  Avis_util.Metrics.snapshot
+(** The terminal metrics snapshot of a cell, labelled {!label_of}: a live
+    cell's counters, GC and store work; a memo's counters with no GC or
+    store activity; zero counters for a failed cell. *)
+
+val run_cell :
+  ?journal:Run_journal.t ->
+  ?emit:(event:string -> Avis_util.Metrics.snapshot -> unit) -> config ->
+  approach:string -> strategy:(Search.context -> Search.t) ->
+  cell_outcome * Avis_util.Metrics.snapshot
+(** Run one cell: serve [journal]'s memo when it holds the cell, else
+    {!run_supervised} journalled under [approach]. A cell cut by
+    {!request_interrupt} journals no record but an interrupted marker.
+    [emit] (default {!Avis_util.Metrics.emit} on stderr) receives one
+    [progress] snapshot per new tenth of the budget spent — at most 11
+    per cell, whatever the machine's speed — then exactly one terminal
+    [memo], [done] or [quarantined] {!snapshot}, which is also
+    returned. *)
+
+val run_cells :
+  ?journal:Run_journal.t -> jobs:int ->
+  (config * string * (Search.context -> Search.t)) list ->
+  (cell_outcome * Avis_util.Metrics.snapshot) list
+(** {!run_cell} over [(config, approach, strategy)] cells, metrics on
+    stderr, on a [jobs]-wide {!Avis_util.Pool}, longest predicted cell first: a {!Cost_model}
+    primed from [journal] weighs each cell by its label's recorded
+    durations ({!Avis_util.Pool.map_lpt}). Results come back in input
+    order and, thanks to per-cell seeding, byte-identical whatever
+    [jobs] is. *)
+
 val cell_seed :
   ?base:int -> policy:string -> workload:string -> approach:string -> unit -> int
 (** A deterministic positive seed for one cell of a campaign matrix,
@@ -229,8 +278,9 @@ val cell_seed :
 
 val unsafe_count : result -> int
 
-val count_by_bucket : result -> (Report.mode_bucket * int) list
-(** Findings per Table IV mode bucket (buckets with zero included). *)
+val count_by_bucket : Run_journal.finding list -> (string * int) list
+(** Findings per Table IV mode bucket, by {!Report.bucket_label}, in
+    {!Report.all_buckets} order (buckets with zero included). *)
 
 val found_bug : result -> Bug.id -> bool
 (** Did any finding's ground-truth attribution include this bug? *)

@@ -184,7 +184,7 @@ let spawn st =
     Sys.set_signal Sys.sigint Sys.Signal_default;
     (try
        Worker.serve_pull ~journal_path:st.cfg.journal_path ~jobs:st.cfg.jobs
-         ~input:dir_r ~out:res_w ()
+         ~input:dir_r ~out:res_w
      with e ->
        Printf.eprintf "[avis] huntd worker: uncaught %s\n%!"
          (Printexc.to_string e));
@@ -196,9 +196,17 @@ let spawn st =
       { pid; rpipe = res_r; wpipe = dir_w; wbuf = ""; slots = 0; inflight = [] };
     log "worker pid=%d forked (%d cell slot(s))" pid (max 1 st.cfg.jobs)
 
+(* A worker's idle capacity is every slot not running a cell, whether or
+   not it has asked for work yet: a just-forked worker sends its first
+   [Cell_request] only once it is up, and counting only requested slots
+   would fork again on every loop pass until it does. *)
 let maybe_spawn st =
   let live = Hashtbl.length st.workers in
-  let idle_slots = Hashtbl.fold (fun _ w acc -> acc + w.slots) st.workers 0 in
+  let idle_slots =
+    Hashtbl.fold
+      (fun _ w acc -> acc + max 1 st.cfg.jobs - List.length w.inflight)
+      st.workers 0
+  in
   let n =
     Worker.fork_budget ~limit:st.cfg.workers ~live ~idle_slots
       ~pending:(List.length st.pending)
@@ -393,9 +401,9 @@ let submit st (c : client) (r : Wire.hunt_request) =
               (Avis_util.Metrics.line
                  ~tags:[ ("req", rq.id) ]
                  ~event:"memo"
-                 (Worker.memo_snapshot
-                    ~budget_s:cell.Worker.config.Campaign.budget_s ~wall_s:0.0
-                    record));
+                 (Campaign.snapshot cell.Worker.config
+                    ~approach:cell.Worker.approach ~wall_s:0.0
+                    (Campaign.Memo record)));
             broadcast st rq
               (Wire.render_response
                  (Wire.Cell

@@ -122,73 +122,9 @@ let rec write_all fd bytes pos len =
     write_all fd bytes (pos + n) (len - n)
   end
 
-let snapshot_of_progress ~label ~started (p : Campaign.progress) =
-  {
-    Avis_util.Metrics.cell = label;
-    simulations = p.Campaign.simulations;
-    inferences = p.Campaign.inferences;
-    spent_s = p.Campaign.spent_s;
-    budget_s = p.Campaign.budget_s;
-    findings = p.Campaign.findings;
-    wall_s = Avis_util.Metrics.now_s () -. started;
-    minor_words = p.Campaign.minor_words;
-    major_collections = p.Campaign.major_collections;
-    store_hits = p.Campaign.store_hits;
-    store_misses = p.Campaign.store_misses;
-    store_bytes = p.Campaign.store_bytes;
-  }
-
-let memo_snapshot ~budget_s ~wall_s (record : Run_journal.record) =
-  {
-    Avis_util.Metrics.cell = record.Run_journal.label;
-    simulations = record.Run_journal.simulations;
-    inferences = record.Run_journal.inferences;
-    spent_s = Run_journal.spent_s record;
-    budget_s;
-    findings = List.length record.Run_journal.findings;
-    wall_s;
-    minor_words = 0.0;
-    major_collections = 0;
-    store_hits = 0;
-    store_misses = 0;
-    store_bytes = 0;
-  }
-
-let snapshot_of_result ~label ~budget_s ~wall_s (result : Campaign.result) =
-  let store_hits, store_misses, store_bytes =
-    match result.Campaign.cache_stats with
-    | Some s -> Prefix_cache.(s.store_hits, s.store_misses, s.store_bytes)
-    | None -> (0, 0, 0)
-  in
-  {
-    Avis_util.Metrics.cell = label;
-    simulations = result.Campaign.simulations;
-    inferences = result.Campaign.inferences;
-    spent_s = result.Campaign.wall_clock_spent_s;
-    budget_s;
-    findings = Campaign.unsafe_count result;
-    wall_s;
-    minor_words = result.Campaign.minor_words;
-    major_collections = result.Campaign.major_collections;
-    store_hits;
-    store_misses;
-    store_bytes;
-  }
-
-(* Progress lines are throttled per cell so a fast campaign doesn't flood
-   the pipe; terminal events (memo/done/quarantined) always go out. *)
-let progress_interval_s = 0.25
-
-(* Run one assigned cell and report its terminal [Cell_result]. A live
-   result's record is read back from the journal (which [Campaign.run]
-   just appended, elapsed seconds included), so the bytes on the wire are
-   exactly the bytes a later memo-serve of the same cell would produce. *)
-let execute_cell ~send ~journal ~fingerprint (a : Wire.assignment) =
+(* Run one assigned cell and report its terminal [Cell_result]. *)
+let execute_cell ~send ~journal (a : Wire.assignment) =
   let req = a.Wire.a_req in
-  let tags = [ ("req", req) ] in
-  let send_metrics ~event snapshot =
-    send (Avis_util.Metrics.line ~tags ~event snapshot)
-  in
   let send_result ~approach ~label status =
     send
       (Wire.render_response (Wire.Cell_result { req; approach; label; status }))
@@ -202,68 +138,27 @@ let execute_cell ~send ~journal ~fingerprint (a : Wire.assignment) =
       ~label:(Printf.sprintf "%s/?/%s" a.Wire.a_approach a.Wire.a_workload)
       (Wire.Cell_quarantined
          { code = "BAD-ASSIGNMENT"; message; attempts = 1 })
-  | Ok cell -> (
-    let started = Avis_util.Metrics.now_s () in
-    match
-      Option.bind journal (fun j ->
-          Campaign.journal_memo j cell.config ~approach:cell.approach)
-    with
-    | Some record ->
-      let wall_s = Avis_util.Metrics.now_s () -. started in
-      send_metrics ~event:"memo"
-        (memo_snapshot ~budget_s:cell.config.Campaign.budget_s ~wall_s record);
-      send_result ~approach:cell.approach ~label:cell.label
-        (Wire.Cell_memo record)
-    | None -> (
-      let last_progress = ref neg_infinity in
-      let progress p =
-        let now = Avis_util.Metrics.now_s () in
-        if now -. !last_progress >= progress_interval_s then begin
-          last_progress := now;
-          send_metrics ~event:"progress"
-            (snapshot_of_progress ~label:cell.label ~started p)
-        end
-      in
-      match
-        Campaign.run_supervised ?journal ~journal_approach:cell.approach
-          ~progress cell.config ~strategy:cell.strategy
-      with
-      | Campaign.Completed result ->
-        let wall_s = Avis_util.Metrics.now_s () -. started in
-        let record =
-          match
-            Option.bind journal (fun j ->
-                Campaign.journal_memo j cell.config ~approach:cell.approach)
-          with
-          | Some record -> record
-          | None ->
-            Campaign.record_of_result ~elapsed_s:wall_s cell.config
-              ~approach:cell.approach ~fingerprint result
-        in
-        send_metrics ~event:"done"
-          (snapshot_of_result ~label:cell.label
-             ~budget_s:cell.config.Campaign.budget_s ~wall_s result);
-        send_result ~approach:cell.approach ~label:cell.label
-          (Wire.Cell_done record)
-      | Campaign.Quarantined e ->
-        let wall_s = Avis_util.Metrics.now_s () -. started in
-        send_metrics ~event:"quarantined"
+  | Ok cell ->
+    let emit ~event snapshot =
+      send (Avis_util.Metrics.line ~tags:[ ("req", req) ] ~event snapshot)
+    in
+    let outcome, _ =
+      Campaign.run_cell ~journal ~emit cell.config ~approach:cell.approach
+        ~strategy:cell.strategy
+    in
+    send_result ~approach:cell.approach ~label:cell.label
+      (match outcome with
+      | Campaign.Live (_, record) -> Wire.Cell_done record
+      | Campaign.Memo record -> Wire.Cell_memo record
+      | Campaign.Failed e ->
+        Wire.Cell_quarantined
           {
-            Avis_util.Metrics.cell = cell.label;
-            simulations = 0; inferences = 0; spent_s = 0.0;
-            budget_s = cell.config.Campaign.budget_s; findings = 0; wall_s;
-            minor_words = 0.0; major_collections = 0; store_hits = 0;
-            store_misses = 0; store_bytes = 0;
-          };
-        send_result ~approach:cell.approach ~label:cell.label
-          (Wire.Cell_quarantined
-             {
-               code = e.Campaign.code;
-               message = e.Campaign.message;
-               attempts = e.Campaign.attempts;
-             })))
+            code = e.Campaign.code;
+            message = e.Campaign.message;
+            attempts = e.Campaign.attempts;
+          })
 
-let serve_pull ?journal_path ~jobs ~input ~out () =
+let serve_pull ~journal_path ~jobs ~input ~out =
   let write_mutex = Mutex.create () in
   let send line =
     let payload = Bytes.of_string (line ^ "\n") in
@@ -277,12 +172,7 @@ let serve_pull ?journal_path ~jobs ~input ~out () =
              records — the next daemon will memo-serve them. *)
           ())
   in
-  let journal = Option.map (fun p -> Run_journal.open_ p) journal_path in
-  let fingerprint =
-    match journal with
-    | Some j -> Run_journal.fingerprint j
-    | None -> Checkpoint_store.default_fingerprint ()
-  in
+  let journal = Run_journal.open_ journal_path in
   let pool = Avis_util.Pool.create ~jobs:(max 1 jobs) in
   let request_cell () = send (Wire.render_response Wire.Cell_request) in
   let ic = Unix.in_channel_of_descr input in
@@ -300,7 +190,7 @@ let serve_pull ?journal_path ~jobs ~input ~out () =
       match Wire.parse_directive line with
       | Ok (Wire.Cell_assign a) ->
         Avis_util.Pool.submit pool (fun () ->
-            execute_cell ~send ~journal ~fingerprint a;
+            execute_cell ~send ~journal a;
             request_cell ());
         loop ()
       | Ok Wire.Drain -> ()

@@ -5,7 +5,9 @@
     fingerprint: the journal records it appends — and the
     {!Wire.cell_status} records it streams back over its pipe — carry
     exactly the keys an in-process [avis_cli hunt] of the same request
-    would compute. Dispatch is pull-based: the executor sends one
+    would compute. It runs each cell through {!Campaign.run_cell}, the
+    runner [hunt] and the bench matrix use too, so its metrics lines and
+    results are theirs. Dispatch is pull-based: the executor sends one
     {!Wire.response.Cell_request} per idle slot on its domain
     {!Avis_util.Pool} ([jobs] wide) and the daemon answers each with a
     {!Wire.directive.Cell_assign}, so a worker never holds more than
@@ -34,12 +36,14 @@ val display_name : string -> string
     matches `hunt` output byte for byte. *)
 
 val cells_of_request : Wire.hunt_request -> (cell list, string) result
-(** Validate and expand a request into one cell per approach. Each cell's
-    config is built exactly as [avis_cli hunt] builds it — same
-    {!Campaign.default_config}, budget and {!Campaign.cell_seed} — which
-    is what makes daemon results byte-comparable to in-process runs. A
-    request whose [lanes] field asks for batching (anything but absent or
-    1) is an [Error]. *)
+(** Validate and expand a request into one cell per approach: the one
+    cell expansion; [avis_cli hunt] uses it too. Each cell's config is
+    {!Campaign.default_config} with the request's budget and a
+    {!Campaign.cell_seed} from its seed and the cell's labels, which is
+    what makes daemon results byte-comparable to in-process runs. A
+    request with no approach, an unknown name, a budget that is not
+    finite and positive, or a [lanes] field asking for batching (anything
+    but absent or 1) is an [Error]. *)
 
 val shard_cells : shards:int -> 'a list -> 'a list list
 (** Round-robin the cells into [max 1 shards] non-empty groups (fewer
@@ -51,7 +55,8 @@ val shard_cells : shards:int -> 'a list -> 'a list list
 val fork_budget : limit:int -> live:int -> idle_slots:int -> pending:int -> int
 (** How many additional workers pending work justifies: never more than
     [limit - live], and never more than the [pending] cells that the
-    [idle_slots] already waiting on existing workers could not absorb —
+    [idle_slots] of existing workers (their cell slots not in flight,
+    requested yet or not) could not absorb —
     forking a process that would only ever block on an empty queue wastes
     a fork and a journal load. Never negative; [limit] is clamped to at
     least 1. *)
@@ -61,25 +66,17 @@ val cell_of_assignment : Wire.assignment -> (cell, string) result
     approach as the sole entry), so an assigned cell's config cannot
     drift from what `submit` validated. *)
 
-val memo_snapshot :
-  budget_s:float -> wall_s:float -> Run_journal.record ->
-  Avis_util.Metrics.snapshot
-(** The metrics snapshot a memo-served cell reports: counters from the
-    record, no GC or store activity (nothing ran). Shared by the worker,
-    the daemon's parent-side memo path and the client's reconstruction,
-    so a memo-served cell's metrics line is identical wherever the memo
-    was found. *)
-
 val serve_pull :
-  ?journal_path:string -> jobs:int -> input:Unix.file_descr ->
-  out:Unix.file_descr -> unit -> unit
+  journal_path:string -> jobs:int -> input:Unix.file_descr ->
+  out:Unix.file_descr -> unit
 (** The forked child's main: request cells over [out] (one
-    {!Wire.response.Cell_request} per free slot), execute each
-    {!Wire.directive.Cell_assign} read from [input] (memo-serving from
-    the journal at [journal_path] when it already holds the cell), and
-    report terminal {!Wire.response.Cell_result} lines plus req-tagged
-    {!Avis_util.Metrics} lines. A live cell's record is read back from
-    the journal after the run, so its wire bytes equal a later memo's.
+    {!Wire.response.Cell_request} per free slot), run each
+    {!Wire.directive.Cell_assign} read from [input] through
+    {!Campaign.run_cell} against the journal at [journal_path] — the
+    daemon's own — and report terminal {!Wire.response.Cell_result}
+    lines plus req-tagged {!Avis_util.Metrics} lines (one per tenth of
+    the budget, then the terminal one). A live cell's record is read
+    back from the journal, so its wire bytes equal a later memo's.
     Each line is written whole under a mutex, so the stream stays
     line-atomic even though cells run on concurrent domains. Returns
     after [Drain] or EOF on [input], once in-flight cells finish. Never

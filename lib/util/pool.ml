@@ -151,25 +151,6 @@ let close_and_wait t =
       | None -> ()
     end
 
-let map ~jobs f items =
-  match items with
-  | [] -> []
-  | items ->
-    let arr = Array.of_list items in
-    let n = Array.length arr in
-    let results = Array.make n None in
-    let pool = create ~jobs:(min jobs n) in
-    Array.iteri
-      (fun i item -> submit pool (fun () -> results.(i) <- Some (f item)))
-      arr;
-    close_and_wait pool;
-    Array.to_list results
-    |> List.map (function
-         | Some r -> r
-         | None ->
-           (* Only reachable when a sibling job raised first. *)
-           failwith "Pool.map: job did not complete")
-
 (* LPT (longest-processing-time-first) list scheduling: feed the heaviest
    work to the pool first so a long item starts on a fresh worker instead
    of landing last on a drained queue and straggling alone. Results come
@@ -196,7 +177,12 @@ let map_lpt ~jobs ~weight f items =
     Array.to_list results
     |> List.map (function
          | Some r -> r
-         | None -> failwith "Pool.map_lpt: job did not complete")
+         | None ->
+           (* Only reachable when a sibling job raised first. *)
+           failwith "Pool.map_lpt: job did not complete")
+
+(* Constant weights tie everywhere, and ties keep input order. *)
+let map ~jobs f items = map_lpt ~jobs ~weight:(fun _ -> 0.0) f items
 
 let default_jobs () = Domain.recommended_domain_count ()
 

@@ -37,20 +37,19 @@ val queue_wait_s : t -> float
     individual wait is also emitted as the [pool.queue_wait_s] trace
     counter, so scheduling wins are readable straight off a trace. *)
 
-val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f items] applies [f] to every item on a fresh pool and
-    returns results in input order regardless of completion order.
-    Exceptions propagate as in {!close_and_wait}. *)
-
 val map_lpt :
   jobs:int -> weight:('a -> float) -> ('a -> 'b) -> 'a list -> 'b list
-(** {!map}, but items are fed to the pool heaviest-[weight]-first (LPT
-    list scheduling), so predicted-long items start early instead of
-    straggling at the tail of the queue. Ties keep arrival order — a
-    constant weight makes this exactly {!map}. Results still come back
-    in input order; with order-independent jobs (the campaign matrix's
-    per-cell seeding) the output is byte-identical to {!map}'s, only the
-    makespan changes. *)
+(** [map_lpt ~jobs ~weight f items] applies [f] to every item on a fresh
+    pool, feeding items heaviest-[weight]-first (LPT list scheduling) so
+    predicted-long items start early instead of straggling at the tail of
+    the queue; ties keep input order. Results come back in input order
+    regardless of completion order; with order-independent jobs (the
+    campaign matrix's per-cell seeding) the output does not depend on the
+    weights, only the makespan does. Exceptions propagate as in
+    {!close_and_wait}. *)
+
+val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
+(** {!map_lpt} with a constant weight: items are fed in input order. *)
 
 val default_jobs : unit -> int
 (** What the hardware suggests: [Domain.recommended_domain_count ()]. *)

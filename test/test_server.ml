@@ -490,7 +490,10 @@ let test_daemon_end_to_end () =
   send oc Wire.Status;
   match Wire.parse_response (input_line ic) with
   | Ok (Wire.Status_info s) ->
-    Alcotest.(check bool) "memo served counted" true (s.Wire.memo_served >= 1)
+    Alcotest.(check bool) "memo served counted" true (s.Wire.memo_served >= 1);
+    (* A forked worker's free slot counts as idle before it asks for
+       work, so one cell forks one worker, not one per loop pass. *)
+    Alcotest.(check int) "one cell forked one worker" 1 s.Wire.active
   | _ -> Alcotest.fail "no status"
 
 let () =

@@ -302,6 +302,134 @@ let test_interrupted_run_appends_nothing () =
   Alcotest.(check bool) "no memo served" true
     (Campaign.journal_memo j2 config ~approach:"avis" = None)
 
+(* [Campaign.run_cell]: the one cell runner. Every emitted snapshot is
+   collected so the metrics contract can be checked line by line. *)
+let collect_emits () =
+  let events = ref [] in
+  ( (fun ~event s -> events := (event, s) :: !events),
+    fun () ->
+      let all = List.rev !events in
+      events := [];
+      all )
+
+let record_json r = Avis_util.Json.to_string (Run_journal.record_to_json r)
+
+let test_run_cell_live_then_memo () =
+  with_journal_path @@ fun path ->
+  let config = small_config () in
+  let label = Campaign.label_of config ~approach:"avis" in
+  let emit, emitted = collect_emits () in
+  let run journal =
+    Campaign.run_cell ~journal ~emit config ~approach:"avis" ~strategy:sabre
+  in
+  let live, live_snapshot =
+    match run (Run_journal.open_ ~fingerprint:"fp" path) with
+    | Campaign.Live (_, record), snapshot -> (record, snapshot)
+    | (Campaign.Memo _ | Campaign.Failed _), _ ->
+      Alcotest.fail "a fresh journal must run the cell live"
+  in
+  let events = emitted () in
+  let progress, terminal =
+    match List.rev events with
+    | last :: rest -> (List.rev rest, last)
+    | [] -> Alcotest.fail "nothing emitted"
+  in
+  Alcotest.(check string) "terminal event" "done" (fst terminal);
+  Alcotest.(check bool) "returned snapshot is the last emitted" true
+    (snd terminal = live_snapshot);
+  Alcotest.(check bool) "at least one progress line" true (progress <> []);
+  Alcotest.(check bool) "at most 11 progress lines" true
+    (List.length progress <= 11);
+  let tenths =
+    List.map
+      (fun (event, (s : Avis_util.Metrics.snapshot)) ->
+        Alcotest.(check string) "progress event" "progress" event;
+        Alcotest.(check string) "progress label" label s.Avis_util.Metrics.cell;
+        int_of_float
+          (10.0 *. s.Avis_util.Metrics.spent_s /. s.Avis_util.Metrics.budget_s))
+      progress
+  in
+  Alcotest.(check bool) "strictly increasing budget tenths" true
+    (List.sort_uniq compare tenths = tenths);
+  Alcotest.(check string) "record label is label_of" label
+    live.Run_journal.label;
+  Alcotest.(check string) "snapshot cell is the record label"
+    live.Run_journal.label live_snapshot.Avis_util.Metrics.cell;
+  Alcotest.(check bool) "live record journals its duration" true
+    (live.Run_journal.elapsed_bits <> None);
+  (* A second call, from a reopened journal, serves the memo. *)
+  (match run (Run_journal.open_ ~fingerprint:"fp" path) with
+  | Campaign.Memo record, snapshot ->
+    Alcotest.(check string) "memo bytes = live bytes, elapsed included"
+      (record_json live) (record_json record);
+    (match emitted () with
+    | [ ("memo", s) ] ->
+      Alcotest.(check bool) "returned memo snapshot is the one emitted" true
+        (s = snapshot)
+    | events ->
+      Alcotest.failf "expected exactly one memo event, got %d"
+        (List.length events));
+    Alcotest.(check string) "memo snapshot cell" label
+      snapshot.Avis_util.Metrics.cell;
+    Alcotest.(check int) "memo snapshot counts the record's simulations"
+      record.Run_journal.simulations snapshot.Avis_util.Metrics.simulations
+  | (Campaign.Live _ | Campaign.Failed _), _ ->
+    Alcotest.fail "the second call must serve the memo")
+
+let test_run_cell_failure_quarantines () =
+  with_journal_path @@ fun path ->
+  let journal = Run_journal.open_ ~fingerprint:"fp" path in
+  let emit, emitted = collect_emits () in
+  let config = { (small_config ()) with Campaign.profiling_runs = 2 } in
+  (match
+     Campaign.run_cell ~journal ~emit config ~approach:"broken"
+       ~strategy:(fun _ -> failwith "strategy broke")
+   with
+  | Campaign.Failed e, snapshot ->
+    Alcotest.(check string) "stable code" "CELL-FAIL" e.Campaign.code;
+    (match emitted () with
+    | [ ("quarantined", s) ] ->
+      Alcotest.(check bool) "returned snapshot is the one emitted" true
+        (s = snapshot)
+    | events ->
+      Alcotest.failf "expected exactly one quarantined event, got %d"
+        (List.length events));
+    Alcotest.(check bool) "zero counters" true
+      ({ snapshot with Avis_util.Metrics.wall_s = 0.0 }
+      = {
+          Avis_util.Metrics.cell = Campaign.label_of config ~approach:"broken";
+          simulations = 0; inferences = 0; spent_s = 0.0;
+          budget_s = config.Campaign.budget_s; findings = 0; wall_s = 0.0;
+          minor_words = 0.0; major_collections = 0; store_hits = 0;
+          store_misses = 0; store_bytes = 0;
+        })
+  | (Campaign.Live _ | Campaign.Memo _), _ ->
+    Alcotest.fail "a raising strategy must quarantine the cell");
+  let reopened = Run_journal.open_ ~fingerprint:"fp" path in
+  Alcotest.(check int) "nothing journalled" 0
+    (Run_journal.completed_count reopened);
+  Alcotest.(check int) "no interrupted marker either" 0
+    (Run_journal.interrupted_count reopened)
+
+let test_run_cell_interrupted () =
+  with_journal_path @@ fun path ->
+  let journal = Run_journal.open_ ~fingerprint:"fp" path in
+  let emit, _ = collect_emits () in
+  let config = small_config () in
+  Campaign.request_interrupt ();
+  Fun.protect ~finally:Campaign.clear_interrupt (fun () ->
+      ignore
+        (Campaign.run_cell ~journal ~emit config ~approach:"avis"
+           ~strategy:sabre
+          : Campaign.cell_outcome * Avis_util.Metrics.snapshot));
+  let reopened = Run_journal.open_ ~fingerprint:"fp" path in
+  Alcotest.(check bool) "no memo" true
+    (Campaign.journal_memo reopened config ~approach:"avis" = None);
+  Alcotest.(check int) "no completed record" 0
+    (Run_journal.completed_count reopened);
+  Alcotest.(check int) "one interrupted marker" 1
+    (Run_journal.interrupted_count reopened)
+
 (* Equal keys mean equal records: every cell below runs with the prefix
    cache off, on, and on a cache built by [make_cache] (the shareable
    kind). Runs that agree on [journal_identity] must produce
@@ -517,6 +645,12 @@ let () =
             test_campaign_journal_memo;
           Alcotest.test_case "interrupted run appends nothing" `Slow
             test_interrupted_run_appends_nothing;
+          Alcotest.test_case "run_cell: live, then the same bytes as a memo"
+            `Slow test_run_cell_live_then_memo;
+          Alcotest.test_case "run_cell: a failing cell is quarantined" `Slow
+            test_run_cell_failure_quarantines;
+          Alcotest.test_case "run_cell: an interrupted cell is marked" `Slow
+            test_run_cell_interrupted;
           Alcotest.test_case "equal keys mean equal records" `Slow
             test_equal_keys_equal_records;
           Alcotest.test_case "identity covers every keyed field" `Quick
