@@ -1,14 +1,14 @@
-(* Schema-check a Chrome-trace JSON artefact (BENCH_*.trace.json, or the
-   output of `avis_cli hunt --trace`): parse it back with Avis_util.Json,
-   validate every event, and measure how much of each campaign cell's wall
-   time its child spans account for.
+(* Schema-check a Chrome-trace JSON artefact (BENCH_evaluation.trace.json,
+   or the output of `avis_cli hunt --trace`): parse it back with
+   Avis_util.Json, validate every event, and measure how much of each
+   campaign cell's wall time its child spans account for.
 
    Usage: trace_check [--min-coverage PCT] FILE...
 
    Exits non-zero on a parse failure, a schema violation, a spanless
    trace, or (when --min-coverage is given) a campaign cell whose child
    spans cover less of its wall time than PCT percent. CI runs this over
-   the bench smoke artefact. *)
+   the bench smoke artefact and a warm store-backed hunt's trace. *)
 
 open Avis_util
 
@@ -25,8 +25,8 @@ type span = { name : string; tid : int; ts : float; dur : float }
 let known_counters =
   [
     "cache.hits"; "cache.misses"; "cache.bypasses"; "cache.evictions";
-    "cache.resident_bytes"; "snapshot.bytes"; "pool.queue_depth";
-    "pool.queue_wait_s";
+    "cache.resident_bytes"; "snapshot.bytes"; "store.hits"; "store.misses";
+    "store.bytes"; "pool.queue_depth"; "pool.queue_wait_s";
     "budget.spent_s"; "link.dropped"; "link.corrupted"; "link.duplicated";
     "cell.retries"; "cell.quarantined"; "cell.deadline_hits";
   ]

@@ -1,8 +1,6 @@
-(* The `huntd` command: shared between `avis_cli huntd` and the thin
-   standalone `avis_huntd` executable. Prefer the subcommand when daemon
-   results must interchange with in-process `avis_cli hunt` memos — the
-   journal is fingerprinted by the binary that writes it, and the
-   standalone daemon is a different binary. *)
+(* The `avis_cli huntd` command. The daemon and in-process `avis_cli hunt`
+   runs are one binary, so they share one journal fingerprint and each
+   memo-serves the other's completed cells. *)
 
 open Cmdliner
 
@@ -57,13 +55,10 @@ let jobs_arg =
            ~doc:"Cell slots per worker process: domains in its pool, and \
                  the cells it may hold in flight at once.")
 
-let term =
-  Term.(const run $ socket_arg $ tcp_arg $ journal_arg $ store_arg
-        $ workers_arg $ jobs_arg)
-
 let cmd =
   Cmd.v
     (Cmd.info "huntd"
        ~doc:"Run the multi-tenant hunt daemon (pair with `submit` and \
              `watch`).")
-    term
+    Term.(const run $ socket_arg $ tcp_arg $ journal_arg $ store_arg
+          $ workers_arg $ jobs_arg)

@@ -26,7 +26,7 @@ let default_config policy workload =
     profiling_runs = 8;
     link_jitter_steps = 2;
     link_faults = Link.no_faults;
-    prefix_cache = Prefix_cache.enabled_by_env ();
+    prefix_cache = true;
   }
 
 type finding = { report : Report.t; simulation_index : int }
@@ -216,17 +216,6 @@ let profile_and_context config =
   in
   (profile, ctx, first)
 
-(* A cache bound to [config]'s test runs, shareable across campaigns of the
-   same config: grid checkpoints only, since the profiled transition times
-   are not known until [run] profiles. *)
-let make_cache ?store_dir config =
-  let test_seed = config.seed + 1000 in
-  let dur = max_sim_duration config in
-  Prefix_cache.create ?store_dir ~workload:config.workload
-    ~make_sim:(fun ~scenario -> sim_config config ~seed:test_seed ~scenario)
-    ~checkpoint_times:(List.init (int_of_float dur) (fun i -> float_of_int (i + 1)))
-    ()
-
 (* Canonical identity of one campaign cell, the config half of its
    journal key: the exact test-run simulator configuration (policy, bugs,
    test seed, dt, link faults, environment, airframe — everything
@@ -309,7 +298,7 @@ let record_of_result ?elapsed_s (config : config) ~approach ~fingerprint
   }
 
 let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
-    ?cache ?deadline_s ?journal ?journal_approach config ~strategy =
+    ?deadline_s ?journal ?journal_approach config ~strategy =
   (* One span per campaign: everything a cell does (profiling, search
      decisions, simulation, monitoring) nests under it, which is what lets
      a trace attribute a cell's wall time phase by phase. *)
@@ -359,26 +348,16 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
   let cache =
     if not config.prefix_cache then None
     else
-      match cache with
-      | Some _ ->
-        (* An externally shared cache (same config, earlier campaign): its
-           checkpoints already cover these runs, so a replayed campaign
-           forks every scenario from its last snapshot and simulates only
-           the tail. *)
-        cache
-      | None ->
-        let dur = max_sim_duration config in
-        let grid =
-          List.init (int_of_float dur) (fun i -> float_of_int (i + 1))
-        in
-        let checkpoint_times =
-          List.map (fun (t, _, _) -> t) ctx.Search.transitions
-          @ List.filter (fun t -> t < dur) grid
-        in
-        Some
-          (Prefix_cache.create ~workload:config.workload
-             ~make_sim:(fun ~scenario -> sim_config config ~seed:test_seed ~scenario)
-             ~checkpoint_times ())
+      let dur = max_sim_duration config in
+      let grid = List.init (int_of_float dur) (fun i -> float_of_int (i + 1)) in
+      let checkpoint_times =
+        List.map (fun (t, _, _) -> t) ctx.Search.transitions
+        @ List.filter (fun t -> t < dur) grid
+      in
+      Some
+        (Prefix_cache.create ~workload:config.workload
+           ~make_sim:(fun ~scenario -> sim_config config ~seed:test_seed ~scenario)
+           ~checkpoint_times ())
   in
   let run_scenario scenario =
     Avis_util.Trace.span ~cat:"sim" "campaign.run_scenario" @@ fun () ->
@@ -496,7 +475,7 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
    from scratch: a completed cell's results are therefore always those of
    one uninterrupted campaign, never a splice. *)
 let run_supervised ?(supervision = default_supervision) ?stop_when ?progress
-    ?cache ?journal ?journal_approach (config : config) ~strategy =
+    ?journal ?journal_approach (config : config) ~strategy =
   let deadline_s =
     match supervision.cell_timeout_s with
     | Some d -> d
@@ -507,8 +486,8 @@ let run_supervised ?(supervision = default_supervision) ?stop_when ?progress
       ~approach:(Option.value journal_approach ~default:"campaign")
   in
   with_retries ~supervision ~label (fun ~attempt:_ ->
-      run ?stop_when ?progress ?cache ~deadline_s ?journal ?journal_approach
-        config ~strategy)
+      run ?stop_when ?progress ~deadline_s ?journal ?journal_approach config
+        ~strategy)
 
 (* ------------------------------------------------------------------ *)
 (* Matrix cells: memo, supervised run, metrics                          *)

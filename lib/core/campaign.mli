@@ -34,8 +34,7 @@ type config = {
 
 val default_config : Policy.t -> Workload.t -> config
 (** 7200 s budget, 6× speed-up, 8 profiling runs, the firmware's unknown
-    bugs enabled; [prefix_cache] follows the [AVIS_PREFIX_CACHE]
-    environment variable (on unless set to an explicit off value). *)
+    bugs enabled, prefix cache on. *)
 
 type finding = { report : Report.t; simulation_index : int }
 
@@ -80,31 +79,18 @@ val profile_and_context :
     outcome (the one the search context is built from). Raises [Failure]
     if a profiling run does not complete cleanly. *)
 
-val make_cache : ?store_dir:string -> config -> Prefix_cache.t
-(** A prefix cache bound to [config]'s test runs (exact seed and sim
-    config), with a one-second checkpoint grid. Pass it to {!run} to share
-    snapshots across campaigns {e of the same config}: replaying a campaign
-    then forks every scenario from its last checkpoint and simulates only
-    the tail, which is the fast path for regression re-runs and finding
-    reproduction. A cache must never be shared across different configs —
-    its snapshots encode that config's flights. [store_dir] (default the
-    [AVIS_STORE_DIR] environment variable) additionally persists the
-    checkpoints to a content-addressed on-disk store shared across
-    processes — see {!Prefix_cache.create}; the content address keys by
-    config, so one store directory can safely serve many configs. *)
-
 val run :
   ?stop_when:(finding -> bool) -> ?progress:(progress -> unit) ->
-  ?cache:Prefix_cache.t -> ?deadline_s:float ->
-  ?journal:Run_journal.t -> ?journal_approach:string -> config ->
-  strategy:(Search.context -> Search.t) -> result
+  ?deadline_s:float -> ?journal:Run_journal.t -> ?journal_approach:string ->
+  config -> strategy:(Search.context -> Search.t) -> result
 (** Run a full campaign. [stop_when] ends the campaign early when a
     finding satisfies it (used by the Table V until-found experiments).
     [progress] is invoked after every simulated scenario and once more on
-    completion; campaign runners use it to emit live metrics. [cache]
-    (used only when [config.prefix_cache] is set) substitutes an external
-    snapshot cache from {!make_cache} for the internally built one — see
-    {!make_cache} for the sharing rules. The campaign never spends past
+    completion; campaign runners use it to emit live metrics. With
+    [config.prefix_cache] set, test runs go through a fresh
+    {!Prefix_cache} backed by the [AVIS_STORE_DIR] checkpoint store when
+    that variable is set, which is how a rerun in a later process reuses
+    an earlier campaign's checkpoints. The campaign never spends past
     [budget_s]: affordability is checked against the simulator's duration
     cap before each run, and the ledger saturates at the budget.
 
@@ -172,8 +158,8 @@ val with_retries :
 
 val run_supervised :
   ?supervision:supervision -> ?stop_when:(finding -> bool) ->
-  ?progress:(progress -> unit) -> ?cache:Prefix_cache.t ->
-  ?journal:Run_journal.t -> ?journal_approach:string -> config ->
+  ?progress:(progress -> unit) -> ?journal:Run_journal.t ->
+  ?journal_approach:string -> config ->
   strategy:(Search.context -> Search.t) -> result supervised
 (** {!run} under {!with_retries} and a wall-clock deadline. Retried
     attempts restart the campaign from scratch, so a [Completed] result

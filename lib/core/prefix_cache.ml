@@ -79,7 +79,7 @@ let budget_bytes_of ?cache_mb () =
   in
   mb * 1024 * 1024
 
-let create ?cache_mb ?store_dir ?store_mb ~workload ~make_sim
+let create ?cache_mb ?store_dir ~workload ~make_sim
     ~checkpoint_times () =
   let ts =
     List.sort_uniq compare (List.filter (fun t -> t > 0.0) checkpoint_times)
@@ -109,7 +109,7 @@ let create ?cache_mb ?store_dir ?store_mb ~workload ~make_sim
         Sim.config_to_bytes (Sim.config probe)
         ^ "\x00" ^ workload.Workload.name
       in
-      Some (Checkpoint_store.create ?store_mb ~dir ~config_key ())
+      Some (Checkpoint_store.create ~dir ~config_key ())
     | _ -> None
   in
   {
@@ -538,6 +538,3 @@ let stats (t : t) =
     store_misses;
     store_bytes;
   }
-
-let enabled_by_env () =
-  Avis_util.Env.flag ~default:true ~var:"AVIS_PREFIX_CACHE" ()

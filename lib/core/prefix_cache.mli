@@ -35,7 +35,6 @@ type t
 val create :
   ?cache_mb:int ->
   ?store_dir:string ->
-  ?store_mb:int ->
   workload:Workload.t ->
   make_sim:(scenario:Scenario.t -> Avis_sitl.Sim.t) ->
   checkpoint_times:float list ->
@@ -66,9 +65,9 @@ val create :
     before running cold, and a fresh process forks its clean builder from
     the best stored clean checkpoint instead of re-simulating it. Stored
     checkpoints are served only on bit-exact key matches, so outcomes
-    remain bit-identical to cold runs, across processes. [store_mb]
-    bounds the store directory (default [AVIS_STORE_MB], else 1024 MiB);
-    bypassing configurations never open a store. *)
+    remain bit-identical to cold runs, across processes. The
+    [AVIS_STORE_MB] environment variable bounds the store directory
+    (default 1024 MiB); bypassing configurations never open a store. *)
 
 val execute : t -> scenario:Scenario.t -> Avis_sitl.Sim.outcome
 (** Run one scenario, forking from the best applicable checkpoint — clean
@@ -96,7 +95,3 @@ type stats = {
 }
 
 val stats : t -> stats
-
-val enabled_by_env : unit -> bool
-(** The [AVIS_PREFIX_CACHE] toggle: caching is on unless the variable is
-    set to ["0"], ["false"], ["off"] or ["no"] (case-insensitive). *)

@@ -17,10 +17,9 @@ type check = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Shared flight fixtures, mirroring the hot-loop bench: a             *)
-(* climb / asymmetric-cruise / descend profile flown in calm and       *)
-(* windy air, fingerprinted by the IEEE bits of the full rigid-body    *)
-(* state.                                                              *)
+(* Shared flight fixtures: a climb / asymmetric-cruise / descend       *)
+(* profile flown in calm and windy air, fingerprinted by the IEEE bits *)
+(* of the full rigid-body state.                                       *)
 (* ------------------------------------------------------------------ *)
 
 let dt = 0.004

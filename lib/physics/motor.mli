@@ -8,8 +8,8 @@
 
     [step] refreshes a cached per-motor thrust table and its sum, so
     [total_thrust] and [body_torque_into] are allocation-free; the original
-    allocating [body_torque] is kept as the hot-loop bench's cold
-    baseline. *)
+    allocating [body_torque] is kept for [World.step_reference], the
+    identity tests' oracle. *)
 
 open Avis_geo
 

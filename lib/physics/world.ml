@@ -365,8 +365,8 @@ let step t ~motor_commands ~dt =
   end
 
 (* The pre-optimisation step, preserved verbatim in its allocating
-   pure-vector form: the hot-loop bench's cold baseline, and the oracle the
-   identity tests compare [step] against bit for bit. *)
+   pure-vector form: the oracle the identity tests compare [step] against
+   bit for bit. *)
 let step_reference t ~motor_commands ~dt =
   t.clock.elapsed <- t.clock.elapsed +. dt;
   if t.crashed then None

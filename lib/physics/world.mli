@@ -79,8 +79,8 @@ val step : t -> motor_commands:float array -> dt:float -> contact_event option
 val step_reference :
   t -> motor_commands:float array -> dt:float -> contact_event option
 (** The pre-optimisation allocating [step], preserved verbatim: same float
-    expressions, same RNG draws, bit-identical trajectory. Cold baseline for
-    the hot-loop bench and oracle for the identity tests. *)
+    expressions, same RNG draws, bit-identical trajectory. Kept as the
+    oracle the identity tests compare [step] against. *)
 
 val crashed : t -> bool
 

@@ -81,12 +81,6 @@ let cells_of_request (r : Wire.hunt_request) =
         in
         build [] r.approaches)
 
-let shard_cells ~shards cells =
-  let shards = max 1 shards in
-  let buckets = Array.make shards [] in
-  List.iteri (fun i c -> buckets.(i mod shards) <- c :: buckets.(i mod shards)) cells;
-  Array.to_list buckets |> List.map List.rev |> List.filter (fun s -> s <> [])
-
 (* How many additional workers pending work justifies: never more than the
    configured limit allows, and never more than the cells that no existing
    idle slot could absorb — forking a process that would only ever block on

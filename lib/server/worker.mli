@@ -45,13 +45,6 @@ val cells_of_request : Wire.hunt_request -> (cell list, string) result
     finite and positive, or a [lanes] field asking for batching (anything
     but absent or 1) is an [Error]. *)
 
-val shard_cells : shards:int -> 'a list -> 'a list list
-(** Round-robin the cells into [max 1 shards] non-empty groups (fewer
-    when there are fewer cells than shards). Not on the daemon's dispatch
-    path — it pulls cells one at a time — but the model of a static-shard
-    schedule, which the scheduling bench compares pull dispatch
-    against. *)
-
 val fork_budget : limit:int -> live:int -> idle_slots:int -> pending:int -> int
 (** How many additional workers pending work justifies: never more than
     [limit - live], and never more than the [pending] cells that the

@@ -31,8 +31,8 @@ let bool_of_string v =
   | "0" | "false" | "off" | "no" -> Some false
   | _ -> None
 
-let flag ?(default = false) ~var () =
+let flag ~var () =
   parse_with ~of_string:bool_of_string
     ~valid:(fun _ -> true)
-    ~var ~default ~want:"1|true|on|yes or 0|false|off|no"
+    ~var ~default:false ~want:"1|true|on|yes or 0|false|off|no"
     ~render:string_of_bool ()

@@ -14,8 +14,7 @@ val positive_int : var:string -> default:int -> unit -> int
 val positive_float : var:string -> default:float -> unit -> float
 (** Parse [var] as a strictly positive float (seconds, typically). *)
 
-val flag : ?default:bool -> var:string -> unit -> bool
+val flag : var:string -> unit -> bool
 (** Parse [var] as a boolean: ["1"/"true"/"on"/"yes"] are true,
     ["0"/"false"/"off"/"no"] are false (case-insensitive, trimmed).
-    Anything else warns and falls back to [default] (itself false by
-    default). *)
+    Unset is false; anything else warns and falls back to false. *)

@@ -324,19 +324,6 @@ let test_cells_of_request_rejects () =
   expect_error "nan budget" { sample_request with Wire.budget_s = nan };
   expect_error "batched lanes" { sample_request with Wire.lanes = Some 4 }
 
-let test_shard_cells () =
-  let groups = Worker.shard_cells ~shards:3 [ 1; 2; 3; 4; 5; 6; 7 ] in
-  Alcotest.(check (list (list int)))
-    "round robin" [ [ 1; 4; 7 ]; [ 2; 5 ]; [ 3; 6 ] ] groups;
-  Alcotest.(check (list (list int)))
-    "more shards than cells" [ [ 1 ]; [ 2 ] ]
-    (Worker.shard_cells ~shards:5 [ 1; 2 ]);
-  Alcotest.(check (list (list int)))
-    "non-positive shard count" [ [ 1; 2 ] ]
-    (Worker.shard_cells ~shards:0 [ 1; 2 ]);
-  Alcotest.(check (list (list int))) "no cells" []
-    (Worker.shard_cells ~shards:3 [])
-
 (* The client prints daemon results under the strategy's display name;
    the mapping must agree with what each strategy actually reports. *)
 let test_display_names_match () =
@@ -520,7 +507,6 @@ let () =
             test_cells_of_request;
           Alcotest.test_case "invalid requests rejected" `Quick
             test_cells_of_request_rejects;
-          Alcotest.test_case "round-robin sharding" `Quick test_shard_cells;
           Alcotest.test_case "assignments rebuild request configs" `Quick
             test_cell_of_assignment;
           Alcotest.test_case "fork budget" `Quick test_fork_budget;

@@ -372,10 +372,8 @@ let test_env_positive_float () =
     [ "0"; "-1.5"; "nan"; "soon"; "" ]
 
 let test_env_flag () =
-  Alcotest.(check bool) "unset -> default false" false
+  Alcotest.(check bool) "unset -> false" false
     (Env.flag ~var:"AVIS_TEST_ENV_UNSET_FLAG" ());
-  Alcotest.(check bool) "unset -> default true" true
-    (Env.flag ~default:true ~var:"AVIS_TEST_ENV_UNSET_FLAG2" ());
   List.iter
     (fun (v, expect) ->
       with_env "AVIS_TEST_ENV_FLAG" v (fun () ->
@@ -387,8 +385,8 @@ let test_env_flag () =
   (* A typo no longer silently counts as "on": it warns and keeps the
      default, like every other knob. *)
   with_env "AVIS_TEST_ENV_FLAG" "tru" (fun () ->
-      Alcotest.(check bool) "malformed falls back to default" true
-        (Env.flag ~default:true ~var:"AVIS_TEST_ENV_FLAG" ()))
+      Alcotest.(check bool) "malformed falls back to false" false
+        (Env.flag ~var:"AVIS_TEST_ENV_FLAG" ()))
 
 (* Metrics: the key=value line protocol and its parse_line inverse. *)
 
