@@ -24,11 +24,10 @@ type span = { name : string; tid : int; ts : float; dur : float }
    counter that was not added here (and to the docs) when introduced. *)
 let known_counters =
   [
-    "cache.hits"; "cache.misses"; "cache.bypasses"; "cache.evictions";
-    "cache.resident_bytes"; "snapshot.bytes"; "store.hits"; "store.misses";
-    "store.bytes"; "pool.queue_depth"; "pool.queue_wait_s";
-    "budget.spent_s"; "link.dropped"; "link.corrupted"; "link.duplicated";
-    "cell.retries"; "cell.quarantined"; "cell.deadline_hits";
+    "cache.hits"; "cache.misses"; "cache.evictions"; "cache.resident_bytes";
+    "snapshot.bytes"; "store.hits"; "store.misses"; "store.bytes";
+    "pool.queue_depth"; "pool.queue_wait_s"; "budget.spent_s";
+    "link.dropped"; "cell.retries"; "cell.quarantined"; "cell.deadline_hits";
   ]
 
 let check_event ~path i ev =

@@ -1,5 +1,4 @@
 open Avis_firmware
-open Avis_mavlink
 open Avis_sitl
 
 type config = {
@@ -11,7 +10,6 @@ type config = {
   seed : int;
   profiling_runs : int;
   link_jitter_steps : int;
-  link_faults : Link.fault_profile;
   prefix_cache : bool;
 }
 
@@ -25,7 +23,6 @@ let default_config policy workload =
     seed = 1;
     profiling_runs = 8;
     link_jitter_steps = 2;
-    link_faults = Link.no_faults;
     prefix_cache = true;
   }
 
@@ -179,7 +176,6 @@ let sim_cfg_of (config : config) ~seed =
     seed;
     max_duration = max_sim_duration config;
     link_jitter_steps = config.link_jitter_steps;
-    link_faults = config.link_faults;
     environment = config.workload.Workload.environment ();
   }
 
@@ -218,7 +214,7 @@ let profile_and_context config =
 
 (* Canonical identity of one campaign cell, the config half of its
    journal key: the exact test-run simulator configuration (policy, bugs,
-   test seed, dt, link faults, environment, airframe — everything
+   test seed, dt, link jitter, environment, airframe — everything
    Sim.encode_config covers), the workload, the budget parameters by
    their IEEE-754 bits, and the approach label. Two invocations agree on
    these bytes exactly when their campaigns are bit-identical, which is
@@ -232,7 +228,6 @@ let journal_identity (config : config) ~approach =
     policy = _;
     enabled_bugs = _;
     link_jitter_steps = _;
-    link_faults = _;
     workload;
     budget_s;
     speedup;

@@ -19,17 +19,10 @@ type config = {
   seed : int;
   profiling_runs : int;
   link_jitter_steps : int;
-  link_faults : Avis_mavlink.Link.fault_profile;
-      (** Probabilistic datalink degradation applied to {e every} run of
-          the campaign (profiling and test alike) — the ambient link
-          quality, distinct from the scheduled outages a {!Scenario} may
-          inject. [Link.no_faults] by default. *)
   prefix_cache : bool;
       (** Serve test runs from clean-run snapshots ({!Prefix_cache}).
           Outcomes and budget accounting are bit-identical either way;
-          caching only reduces wall-clock time. A probabilistic
-          [link_faults] profile makes runs uncacheable; the cache then
-          counts every run as a miss. *)
+          caching only reduces wall-clock time. *)
 }
 
 val default_config : Policy.t -> Workload.t -> config
@@ -72,6 +65,13 @@ type result = {
   minor_words : float;  (** Minor-heap words allocated by the cell. *)
   major_collections : int;  (** Major GC cycles during the cell. *)
 }
+
+val execute_run :
+  config -> seed:int -> scenario:Scenario.t -> Avis_sitl.Sim.outcome
+(** Fly the workload once, cold, in a simulator provisioned exactly as the
+    campaign's runs are (with [seed] and the scenario's fault schedule) —
+    the profiling runs, the uncached test runs and {!Replay} all go
+    through here. *)
 
 val profile_and_context :
   config -> Monitor.profile * Search.context * Avis_sitl.Sim.outcome

@@ -1,5 +1,4 @@
 open Avis_sitl
-open Avis_mavlink
 
 type entry = {
   time : float;
@@ -23,11 +22,7 @@ type t = {
   store : Checkpoint_store.t option;
       (** Persistent overflow/sharing tier: same keys as [entries], files on
           disk, shared with other processes. [None] when no store directory
-          is configured or the config bypasses caching. *)
-  bypass : bool;
-      (** The configured runs carry state the cache key cannot encode
-          (sensor degradations, probabilistic link faults): serve every
-          scenario cold and count it as a miss. *)
+          is configured. *)
   targets : float array;  (** Capture times, ascending. *)
   mutable clean_pending : float list;
       (** Targets the clean builder has not reached yet, ascending. *)
@@ -36,7 +31,6 @@ type t = {
       (** Active-fault-prefix key -> checkpoints, latest first. *)
   mutable hits : int;
   mutable misses : int;
-  mutable bypasses : int;
   mutable saved_sim_s : float;
   budget_bytes : int;  (** Resident-set ceiling; never exceeded. *)
   mutable resident_bytes : int;
@@ -84,16 +78,6 @@ let create ?cache_mb ?store_dir ~workload ~make_sim
   let ts =
     List.sort_uniq compare (List.filter (fun t -> t > 0.0) checkpoint_times)
   in
-  (* Probe the provisioner once: degradations persist mutable per-driver
-     state that [Sim.restore] cannot substitute, and a probabilistic link
-     profile consumes fault randomness per chunk, so a forked run would
-     diverge from a cold one. Neither appears in the cache key, so such
-     configs must bypass the cache entirely. *)
-  let probe = make_sim ~scenario:Scenario.empty in
-  let bypass =
-    Avis_hinj.Hinj.degradations (Sim.hinj probe) <> []
-    || Link.probabilistic (Link.profile (Sim.link probe))
-  in
   let store_dir =
     match store_dir with
     | Some _ -> store_dir
@@ -101,10 +85,11 @@ let create ?cache_mb ?store_dir ~workload ~make_sim
   in
   let store =
     match store_dir with
-    | Some dir when dir <> "" && not bypass ->
-      (* The store's configuration identity: the canonical config bytes
-         plus the workload name — two campaigns whose runs could ever
-         diverge must never share a key. *)
+    | Some dir when dir <> "" ->
+      (* The store's configuration identity: the canonical config bytes of
+         a probe simulator plus the workload name — two campaigns whose
+         runs could ever diverge must never share a key. *)
+      let probe = make_sim ~scenario:Scenario.empty in
       let config_key =
         Sim.config_to_bytes (Sim.config probe)
         ^ "\x00" ^ workload.Workload.name
@@ -116,22 +101,18 @@ let create ?cache_mb ?store_dir ~workload ~make_sim
     workload;
     make_sim;
     store;
-    bypass;
     targets = Array.of_list ts;
     clean_pending = ts;
     builder = Unstarted;
     entries = Hashtbl.create 64;
     hits = 0;
     misses = 0;
-    bypasses = 0;
     saved_sim_s = 0.0;
     budget_bytes = budget_bytes_of ?cache_mb ();
     resident_bytes = 0;
     use_tick = 0;
     evictions = 0;
   }
-
-let bypassing t = t.bypass
 
 (* Fault activation ([Hinj.is_failed]) is judged against the firmware's own
    accumulated clock ([Vehicle.time]), not the step-derived [Sim.time]; the
@@ -448,57 +429,45 @@ let store_lookup t ~scenario =
    this is what lets a search that stacks faults onto a safe scenario
    (SABRE's sites) fork from its base run instead of re-simulating it.
    Pausing and resuming is bit-identical to an uninterrupted run. *)
-let execute t ~scenario =
-  let sim, st, captures =
-    if t.bypass then begin
-      (* Uncacheable config: cold-run without checkpointing, since no stored
-         entry could ever be sound to serve. *)
-      t.misses <- t.misses + 1;
-      t.bypasses <- t.bypasses + 1;
-      Avis_util.Trace.counter "cache.bypasses" (float_of_int t.bypasses);
-      let sim = t.make_sim ~scenario in
-      (sim, Workload.Stepper.create t.workload, false)
-    end
-    else begin
-      let serve e =
-        t.hits <- t.hits + 1;
-        Avis_util.Trace.counter "cache.hits" (float_of_int t.hits);
-        t.use_tick <- t.use_tick + 1;
-        e.last_used <- t.use_tick;
-        t.saved_sim_s <- t.saved_sim_s +. e.time;
-        let sim =
-          Sim.restore
-            ~plan:(Scenario.to_plan scenario)
-            ~link_outages:(Scenario.link_outages scenario)
-            e.sim_snap
-        in
-        (sim, Workload.Stepper.restore e.stepper_snap, true)
-      in
-      advance_to t ~time:(earliest_fault scenario);
-      match lookup t ~scenario with
-      | Some e -> serve e
-      | None -> (
-        match store_lookup t ~scenario with
-        | Some e ->
-          (match t.store with
-          | Some s ->
-            Checkpoint_store.count_hit s;
-            note_store t
-          | None -> ());
-          serve e
-        | None ->
-          (match t.store with
-          | Some s ->
-            Checkpoint_store.count_miss s;
-            note_store t
-          | None -> ());
-          t.misses <- t.misses + 1;
-          Avis_util.Trace.counter "cache.misses" (float_of_int t.misses);
-          let sim = t.make_sim ~scenario in
-          (sim, Workload.Stepper.create t.workload, true))
-    end
+let execute (t : t) ~scenario =
+  let serve e =
+    t.hits <- t.hits + 1;
+    Avis_util.Trace.counter "cache.hits" (float_of_int t.hits);
+    t.use_tick <- t.use_tick + 1;
+    e.last_used <- t.use_tick;
+    t.saved_sim_s <- t.saved_sim_s +. e.time;
+    let sim =
+      Sim.restore
+        ~plan:(Scenario.to_plan scenario)
+        ~link_outages:(Scenario.link_outages scenario)
+        e.sim_snap
+    in
+    (sim, Workload.Stepper.restore e.stepper_snap)
   in
-  let n = if captures then Array.length t.targets else 0 in
+  advance_to t ~time:(earliest_fault scenario);
+  let sim, st =
+    match lookup t ~scenario with
+    | Some e -> serve e
+    | None -> (
+      match store_lookup t ~scenario with
+      | Some e ->
+        (match t.store with
+        | Some s ->
+          Checkpoint_store.count_hit s;
+          note_store t
+        | None -> ());
+        serve e
+      | None ->
+        (match t.store with
+        | Some s ->
+          Checkpoint_store.count_miss s;
+          note_store t
+        | None -> ());
+        t.misses <- t.misses + 1;
+        Avis_util.Trace.counter "cache.misses" (float_of_int t.misses);
+        (t.make_sim ~scenario, Workload.Stepper.create t.workload))
+  in
+  let n = Array.length t.targets in
   let rec go i =
     if i >= n then
       match Workload.Stepper.run st sim ~until:infinity with

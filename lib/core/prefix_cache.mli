@@ -23,12 +23,7 @@
     step counter, every outcome — trace, transitions, duration, sensor
     reads — is bit-identical to a cold run of the same scenario, and budget
     accounting (which charges the full virtual duration) is unchanged. The
-    win is wall-clock only.
-
-    Configurations the key cannot encode are refused wholesale: if the
-    provisioned runs carry sensor degradations or a probabilistic link
-    fault profile, every scenario is simulated cold and counted as a miss
-    (see {!bypassing}). *)
+    win is wall-clock only. *)
 
 type t
 
@@ -43,8 +38,7 @@ val create :
 (** [make_sim] must provision a simulator exactly as the campaign's test
     runs do (same seed, config and environment), differing only in the
     scenario's fault schedule. [checkpoint_times] need not be sorted or
-    unique; non-positive times are dropped. [create] probes [make_sim]
-    once (with the empty scenario) to detect uncacheable configurations.
+    unique; non-positive times are dropped.
 
     [cache_mb] bounds the resident checkpoint bytes; it defaults to the
     [AVIS_CACHE_MB] environment variable, else 1024 MiB (zero, negative
@@ -59,25 +53,21 @@ val create :
     [store_dir] (default the [AVIS_STORE_DIR] environment variable, else
     no store) adds a persistent tier behind the in-memory one: a
     {!Checkpoint_store} rooted there, keyed by the campaign's code
-    fingerprint, canonical configuration bytes, workload and fault
-    history. Captures are written through (lazily — nothing is serialised
-    when the file already exists), memory misses fall back to the store
+    fingerprint, canonical configuration bytes (read from one [make_sim]
+    probe with the empty scenario), workload and fault history. Captures
+    are written through (lazily — nothing is serialised when the file
+    already exists), memory misses fall back to the store
     before running cold, and a fresh process forks its clean builder from
     the best stored clean checkpoint instead of re-simulating it. Stored
     checkpoints are served only on bit-exact key matches, so outcomes
     remain bit-identical to cold runs, across processes. The
     [AVIS_STORE_MB] environment variable bounds the store directory
-    (default 1024 MiB); bypassing configurations never open a store. *)
+    (default 1024 MiB). *)
 
 val execute : t -> scenario:Scenario.t -> Avis_sitl.Sim.outcome
 (** Run one scenario, forking from the best applicable checkpoint — clean
     or faulty-prefix — when one exists, and cold otherwise. Either way the
     outcome is bit-identical to a cold run. *)
-
-val bypassing : t -> bool
-(** True when the provisioned runs carry state the cache key cannot encode
-    (sensor degradations, probabilistic link faults); every [execute] is
-    then a cold run counted as a miss. *)
 
 type stats = {
   hits : int;  (** Scenarios served from a checkpoint. *)

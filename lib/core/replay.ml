@@ -31,36 +31,14 @@ type outcome = {
   replay_duration : float;
 }
 
-let execute (config : Campaign.config) ~seed ~scenario =
-  let base = Sim.default_config config.Campaign.policy in
-  let sim_cfg =
-    {
-      base with
-      Sim.enabled_bugs = config.Campaign.enabled_bugs;
-      seed;
-      max_duration =
-        config.Campaign.workload.Workload.nominal_duration +. 60.0;
-      link_jitter_steps = config.Campaign.link_jitter_steps;
-      link_faults = config.Campaign.link_faults;
-      environment = config.Campaign.workload.Workload.environment ();
-    }
-  in
-  let sim =
-    Sim.create ~plan:(Scenario.to_plan scenario)
-      ~link_outages:(Scenario.link_outages scenario)
-      sim_cfg
-  in
-  let passed = Workload.execute config.Campaign.workload sim in
-  Sim.outcome sim ~workload_passed:passed
-
 let replay ~config ~profile ~seed report =
   (* Probe run: observe this seed's transition timing without faults. *)
-  let probe = execute config ~seed ~scenario:Scenario.empty in
+  let probe = Campaign.execute_run config ~seed ~scenario:Scenario.empty in
   let scenario =
     reconstruct_scenario ~reference:probe.Sim.transitions
       report.Report.relative_faults
   in
-  let outcome = execute config ~seed ~scenario in
+  let outcome = Campaign.execute_run config ~seed ~scenario in
   let verdict = Monitor.check profile outcome in
   {
     reproduced = (match verdict with Monitor.Unsafe _ -> true | Monitor.Safe -> false);

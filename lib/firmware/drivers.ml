@@ -22,7 +22,6 @@ type kind_state = {
 type t = {
   suite : Suite.t;
   hinj : Avis_hinj.Hinj.t;
-  rng : Avis_util.Rng.t;
   kinds : kind_state list;
 }
 
@@ -33,8 +32,7 @@ let period_for (params : Params.t) = function
   | Sensor.Barometer -> params.Params.baro_period
   | Sensor.Battery -> params.Params.battery_period
 
-let create ?rng ~params ~suite ~hinj () =
-  let rng = match rng with Some r -> r | None -> Avis_util.Rng.create 0 in
+let create ~params ~suite ~hinj () =
   let kinds =
     List.filter_map
       (fun kind ->
@@ -53,27 +51,17 @@ let create ?rng ~params ~suite ~hinj () =
             })
       Sensor.all_kinds
   in
-  { suite; hinj; rng; kinds }
+  { suite; hinj; kinds }
 
-type snapshot = { snap_rng : Avis_util.Rng.t; snap_kinds : kind_state list }
+type snapshot = kind_state list
 
 (* [failed] entries and readings are immutable, so copying the record's
    mutable slots is a deep copy. *)
 let copy_kind ks = { ks with next_sample = ks.next_sample }
 
-let snapshot t =
-  {
-    snap_rng = Avis_util.Rng.copy t.rng;
-    snap_kinds = List.map copy_kind t.kinds;
-  }
+let snapshot t = List.map copy_kind t.kinds
 
-let restore ~suite ~hinj s =
-  {
-    suite;
-    hinj;
-    rng = Avis_util.Rng.copy s.snap_rng;
-    kinds = List.map copy_kind s.snap_kinds;
-  }
+let restore ~suite ~hinj s = { suite; hinj; kinds = List.map copy_kind s }
 
 let instance_failed ks index = List.mem_assoc index ks.failed
 
@@ -100,36 +88,6 @@ let probe_and_read t ks world ~time =
   | None -> None
   | Some index -> Some (Suite.read t.suite world { Sensor.kind = ks.kind; index })
 
-(* Degradations keep the sensor "responding" but corrupt its readings; the
-   driver is none the wiser (the whole point of the richer fault model). *)
-let corrupt t kind ~(stale : Sensor.reading option) (reading : Sensor.reading) =
-  let open Avis_geo in
-  let perturb offset v = v +. offset () in
-  let perturb_vec offset v =
-    Vec3.make (perturb offset v.Vec3.x) (perturb offset v.Vec3.y)
-      (perturb offset v.Vec3.z)
-  in
-  let offset_of = function
-    | Avis_hinj.Hinj.Extra_noise stddev ->
-      fun () -> Avis_util.Rng.gaussian_scaled t.rng ~mean:0.0 ~stddev
-    | Avis_hinj.Hinj.Constant_bias b -> fun () -> b
-    | Avis_hinj.Hinj.Stuck_at_last -> fun () -> 0.0
-  in
-  match kind with
-  | Avis_hinj.Hinj.Stuck_at_last -> (
-    match stale with Some old -> old | None -> reading)
-  | Avis_hinj.Hinj.Extra_noise _ | Avis_hinj.Hinj.Constant_bias _ -> (
-    let offset = offset_of kind in
-    match reading with
-    | Sensor.Accel v -> Sensor.Accel (perturb_vec offset v)
-    | Sensor.Gyro v -> Sensor.Gyro (perturb_vec offset v)
-    | Sensor.Gps_fix { position; velocity; hdop } ->
-      Sensor.Gps_fix { position = perturb_vec offset position; velocity; hdop }
-    | Sensor.Heading h -> Sensor.Heading (perturb offset h)
-    | Sensor.Pressure_alt a -> Sensor.Pressure_alt (perturb offset a)
-    | Sensor.Battery_state { voltage; remaining } ->
-      Sensor.Battery_state { voltage = perturb offset voltage; remaining })
-
 let sample t world ~time =
   List.iter
     (fun ks ->
@@ -140,15 +98,6 @@ let sample t world ~time =
         if ks.next_sample <= time then ks.next_sample <- time +. ks.period;
         match probe_and_read t ks world ~time with
         | Some reading ->
-          let reading =
-            match active_instance ks with
-            | Some index -> (
-              let id = { Sensor.kind = ks.kind; index } in
-              match Avis_hinj.Hinj.degradation_of t.hinj ~time id with
-              | Some kind -> corrupt t kind ~stale:ks.stale reading
-              | None -> reading)
-            | None -> reading
-          in
           ks.fresh <- Some reading;
           ks.stale <- Some reading
         | None -> ()
@@ -217,13 +166,10 @@ let decode_kind_state r : kind_state =
 
 let encode_snapshot b (s : snapshot) =
   let open Avis_util.Codec in
-  w_version b 1;
-  w_i64 b (Avis_util.Rng.to_bits s.snap_rng);
-  w_list b encode_kind_state s.snap_kinds
+  w_version b 2;
+  w_list b encode_kind_state s
 
 let decode_snapshot r : snapshot =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:1 in
-  let snap_rng = Avis_util.Rng.of_bits (r_i64 r) in
-  let snap_kinds = r_list r decode_kind_state in
-  { snap_rng; snap_kinds }
+  let (_ : int) = r_version r ~expect:2 in
+  r_list r decode_kind_state

@@ -22,14 +22,11 @@ type kind_status = {
 type t
 
 val create :
-  ?rng:Avis_util.Rng.t ->
   params:Params.t -> suite:Suite.t -> hinj:Avis_hinj.Hinj.t -> unit -> t
-(** [rng] seeds the noise used by injected [Extra_noise] degradations
-    (default seed 0). *)
 
 type snapshot
-(** Per-kind sampling schedules, failure records, cached readings and the
-    degradation-noise RNG, frozen. *)
+(** Per-kind sampling schedules, failure records and cached readings,
+    frozen. *)
 
 val snapshot : t -> snapshot
 

@@ -4,37 +4,22 @@ type fault = { sensor : Sensor.id; at : float }
 
 type plan = fault list
 
-type degradation_kind =
-  | Stuck_at_last
-  | Extra_noise of float
-  | Constant_bias of float
-
-type degradation = {
-  target : Sensor.id;
-  from_time : float;
-  kind : degradation_kind;
-}
-
 type decision = Healthy | Failed
 
 type transition = { time : float; from_mode : string; to_mode : string }
 
 type t = {
   plan : plan;
-  degradations : degradation list;
   mutable mode : string option;
   mutable initial_mode : (float * string) option;
   mutable transitions : transition list; (* newest first *)
   mutable read_count : int;
 }
 
-let create ?(plan = []) ?(degradations = []) () =
-  { plan; degradations; mode = None; initial_mode = None; transitions = [];
-    read_count = 0 }
+let create ?(plan = []) () =
+  { plan; mode = None; initial_mode = None; transitions = []; read_count = 0 }
 
 let plan t = t.plan
-
-let degradations t = t.degradations
 
 type snapshot = t
 
@@ -43,7 +28,6 @@ let freeze ?plan t =
   let plan = match plan with Some p -> p | None -> t.plan in
   {
     plan;
-    degradations = t.degradations;
     mode = t.mode;
     initial_mode = t.initial_mode;
     transitions = t.transitions;
@@ -62,32 +46,6 @@ let decode_fault r =
   let at = Avis_util.Codec.r_f64 r in
   { sensor; at }
 
-let encode_degradation b d =
-  let open Avis_util.Codec in
-  Sensor.encode_id b d.target;
-  w_f64 b d.from_time;
-  match d.kind with
-  | Stuck_at_last -> w_u8 b 0
-  | Extra_noise s ->
-    w_u8 b 1;
-    w_f64 b s
-  | Constant_bias o ->
-    w_u8 b 2;
-    w_f64 b o
-
-let decode_degradation r =
-  let open Avis_util.Codec in
-  let target = Sensor.decode_id r in
-  let from_time = r_f64 r in
-  let kind =
-    match r_u8 r with
-    | 0 -> Stuck_at_last
-    | 1 -> Extra_noise (r_f64 r)
-    | 2 -> Constant_bias (r_f64 r)
-    | t -> corrupt "bad degradation tag %d" t
-  in
-  { target; from_time; kind }
-
 let encode_transition b tr =
   let open Avis_util.Codec in
   w_f64 b tr.time;
@@ -103,9 +61,8 @@ let decode_transition r =
 
 let encode_snapshot b (s : snapshot) =
   let open Avis_util.Codec in
-  w_version b 1;
+  w_version b 2;
   w_list b encode_fault s.plan;
-  w_list b encode_degradation s.degradations;
   w_option b w_string s.mode;
   w_option b
     (fun b (t, m) ->
@@ -117,9 +74,8 @@ let encode_snapshot b (s : snapshot) =
 
 let decode_snapshot r : snapshot =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:1 in
+  let (_ : int) = r_version r ~expect:2 in
   let plan = r_list r decode_fault in
-  let degradations = r_list r decode_degradation in
   let mode = r_option r r_string in
   let initial_mode =
     r_option r (fun r ->
@@ -129,7 +85,7 @@ let decode_snapshot r : snapshot =
   in
   let transitions = r_list r decode_transition in
   let read_count = r_int r in
-  { plan; degradations; mode; initial_mode; transitions; read_count }
+  { plan; mode; initial_mode; transitions; read_count }
 
 let to_bytes s = Avis_util.Codec.to_string encode_snapshot s
 let of_bytes data = Avis_util.Codec.of_string decode_snapshot data
@@ -168,12 +124,3 @@ let mode_at t time =
 let read_count t = t.read_count
 
 let injected_so_far t ~time = List.filter (fun f -> f.at <= time) t.plan
-
-let degradation_of t ~time id =
-  if is_failed t ~time id then None
-  else
-    List.find_map
-      (fun d ->
-        if Sensor.equal_id d.target id && d.from_time <= time then Some d.kind
-        else None)
-      t.degradations

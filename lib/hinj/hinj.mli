@@ -18,37 +18,15 @@ type fault = { sensor : Sensor.id; at : float }
 
 type plan = fault list
 
-(** Degradations — the richer fault models the paper leaves to future work.
-    Unlike clean failures, a degraded sensor keeps responding, but its
-    readings are corrupted; the driver cannot tell from the transport that
-    anything is wrong. *)
-type degradation_kind =
-  | Stuck_at_last  (** The reading freezes at its last healthy value. *)
-  | Extra_noise of float
-      (** Additional zero-mean Gaussian noise with this stddev on every
-          scalar channel. *)
-  | Constant_bias of float  (** A constant offset on every scalar channel. *)
-
-type degradation = {
-  target : Sensor.id;
-  from_time : float;
-  kind : degradation_kind;
-}
-
 type decision = Healthy | Failed
 
 type transition = { time : float; from_mode : string; to_mode : string }
 
 type t
 
-val create : ?plan:plan -> ?degradations:degradation list -> unit -> t
+val create : ?plan:plan -> unit -> t
 
 val plan : t -> plan
-
-val degradations : t -> degradation list
-(** The degradations this injector was provisioned with. Degradations
-    cannot be substituted on [restore], so forked runs must share them —
-    the prefix cache refuses to serve configurations that carry any. *)
 
 type snapshot
 (** Mode log, read counter and plan, frozen. *)
@@ -65,8 +43,8 @@ val encode_snapshot : Buffer.t -> snapshot -> unit
 val decode_snapshot : Avis_util.Codec.reader -> snapshot
 
 val to_bytes : snapshot -> string
-(** Versioned binary form of a snapshot: plan, degradations, mode log and
-    read counter. *)
+(** Versioned binary form of a snapshot: plan, mode log and read
+    counter. *)
 
 val of_bytes : string -> snapshot
 (** Inverse of {!to_bytes}; raises [Avis_util.Codec.Corrupt] on malformed
@@ -97,7 +75,3 @@ val read_count : t -> int
 
 val injected_so_far : t -> time:float -> fault list
 (** The part of the plan already active at [time]. *)
-
-val degradation_of : t -> time:float -> Sensor.id -> degradation_kind option
-(** The degradation active on an instance, if any (clean failures take
-    precedence: a failed instance does not respond at all). *)

@@ -2,37 +2,22 @@ type endpoint = Gcs_end | Vehicle_end
 
 type chunk = { deliver_at : int; data : string }
 
-type fault_profile = { drop : float; corrupt : float; duplicate : float }
-
-let no_faults = { drop = 0.0; corrupt = 0.0; duplicate = 0.0 }
-
-let probabilistic p = p.drop > 0.0 || p.corrupt > 0.0 || p.duplicate > 0.0
-
 type outage = { from_step : int; until_step : int }
 
 type t = {
   jitter : (Avis_util.Rng.t * int) option;
-  faults : (fault_profile * Avis_util.Rng.t) option;
-  mutable outages : outage list;
+  outages : outage list;
   mutable now : int;
   mutable to_vehicle : chunk list; (* newest first *)
   mutable to_gcs : chunk list;
   mutable last_to_vehicle : int;
   mutable last_to_gcs : int;
   mutable dropped : int;
-  mutable corrupted : int;
-  mutable duplicated : int;
 }
 
-let create ?jitter ?faults ?(outages = []) () =
-  let faults =
-    match faults with
-    | Some (profile, _) when not (probabilistic profile) -> None
-    | _ -> faults
-  in
-  { jitter; faults; outages; now = 0; to_vehicle = []; to_gcs = [];
-    last_to_vehicle = 0; last_to_gcs = 0; dropped = 0; corrupted = 0;
-    duplicated = 0 }
+let create ?jitter ?(outages = []) () =
+  { jitter; outages; now = 0; to_vehicle = []; to_gcs = [];
+    last_to_vehicle = 0; last_to_gcs = 0; dropped = 0 }
 
 type snapshot = t
 
@@ -44,10 +29,6 @@ let copy ?outages t =
       (match t.jitter with
       | None -> None
       | Some (rng, max_steps) -> Some (Avis_util.Rng.copy rng, max_steps));
-    faults =
-      (match t.faults with
-      | None -> None
-      | Some (profile, rng) -> Some (profile, Avis_util.Rng.copy rng));
     outages = (match outages with Some o -> o | None -> t.outages);
     now = t.now;
     to_vehicle = t.to_vehicle;
@@ -55,8 +36,6 @@ let copy ?outages t =
     last_to_vehicle = t.last_to_vehicle;
     last_to_gcs = t.last_to_gcs;
     dropped = t.dropped;
-    corrupted = t.corrupted;
-    duplicated = t.duplicated;
   }
 
 let snapshot t = copy t
@@ -73,19 +52,12 @@ let decode_chunk r =
 
 let encode_snapshot b (s : snapshot) =
   let open Avis_util.Codec in
-  w_version b 1;
+  w_version b 2;
   w_option b
     (fun b (rng, max_steps) ->
       w_i64 b (Avis_util.Rng.to_bits rng);
       w_int b max_steps)
     s.jitter;
-  w_option b
-    (fun b (p, rng) ->
-      w_f64 b p.drop;
-      w_f64 b p.corrupt;
-      w_f64 b p.duplicate;
-      w_i64 b (Avis_util.Rng.to_bits rng))
-    s.faults;
   w_list b
     (fun b o ->
       w_int b o.from_step;
@@ -96,26 +68,16 @@ let encode_snapshot b (s : snapshot) =
   w_list b encode_chunk s.to_gcs;
   w_int b s.last_to_vehicle;
   w_int b s.last_to_gcs;
-  w_int b s.dropped;
-  w_int b s.corrupted;
-  w_int b s.duplicated
+  w_int b s.dropped
 
 let decode_snapshot r : snapshot =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:1 in
+  let (_ : int) = r_version r ~expect:2 in
   let jitter =
     r_option r (fun r ->
         let rng = Avis_util.Rng.of_bits (r_i64 r) in
         let max_steps = r_int r in
         (rng, max_steps))
-  in
-  let faults =
-    r_option r (fun r ->
-        let drop = r_f64 r in
-        let corrupt = r_f64 r in
-        let duplicate = r_f64 r in
-        let rng = Avis_util.Rng.of_bits (r_i64 r) in
-        ({ drop; corrupt; duplicate }, rng))
   in
   let outages =
     r_list r (fun r ->
@@ -129,11 +91,8 @@ let decode_snapshot r : snapshot =
   let last_to_vehicle = r_int r in
   let last_to_gcs = r_int r in
   let dropped = r_int r in
-  let corrupted = r_int r in
-  let duplicated = r_int r in
   {
     jitter;
-    faults;
     outages;
     now;
     to_vehicle;
@@ -141,8 +100,6 @@ let decode_snapshot r : snapshot =
     last_to_vehicle;
     last_to_gcs;
     dropped;
-    corrupted;
-    duplicated;
   }
 
 let to_bytes s = Avis_util.Codec.to_string encode_snapshot s
@@ -156,18 +113,6 @@ let delay t =
 let in_outage t =
   List.exists (fun o -> o.from_step <= t.now && t.now < o.until_step) t.outages
 
-let corrupt_byte rng data =
-  let i = Avis_util.Rng.int rng (String.length data) in
-  let b = Bytes.of_string data in
-  let flipped = Char.code (Bytes.get b i) lxor (1 + Avis_util.Rng.int rng 255) in
-  Bytes.set b i (Char.chr flipped);
-  Bytes.to_string b
-
-let enqueue t from chunk =
-  match from with
-  | Gcs_end -> t.to_vehicle <- chunk :: t.to_vehicle
-  | Vehicle_end -> t.to_gcs <- chunk :: t.to_gcs
-
 let send t from data =
   if data <> "" then begin
     (* Scheduled outage windows silence the channel without consuming any
@@ -179,60 +124,18 @@ let send t from data =
       Avis_util.Trace.counter "link.dropped" (float_of_int t.dropped)
     end
     else begin
-      (* The probabilistic path draws a fixed number of variates per chunk
-         (three decisions, plus two more only when corrupting) so the fault
-         RNG stream is a pure function of the traffic that reaches it. *)
-      let data, duplicate =
-        match t.faults with
-        | None -> (Some data, false)
-        | Some (profile, rng) ->
-          let d = Avis_util.Rng.float rng 1.0 in
-          let c = Avis_util.Rng.float rng 1.0 in
-          let u = Avis_util.Rng.float rng 1.0 in
-          if d < profile.drop then begin
-            t.dropped <- t.dropped + 1;
-            Avis_util.Trace.counter "link.dropped" (float_of_int t.dropped);
-            (None, false)
-          end
-          else begin
-            let data =
-              if c < profile.corrupt then begin
-                t.corrupted <- t.corrupted + 1;
-                Avis_util.Trace.counter "link.corrupted"
-                  (float_of_int t.corrupted);
-                corrupt_byte rng data
-              end
-              else data
-            in
-            let duplicate = u < profile.duplicate in
-            if duplicate then begin
-              t.duplicated <- t.duplicated + 1;
-              Avis_util.Trace.counter "link.duplicated"
-                (float_of_int t.duplicated)
-            end;
-            (Some data, duplicate)
-          end
-      in
-      match data with
-      | None -> ()
-      | Some data ->
-        (* A byte stream never reorders: each chunk's delivery time is at
-           least the previous chunk's in the same direction. *)
-        let at = t.now + delay t in
-        let at =
-          match from with
-          | Gcs_end ->
-            let at = max at t.last_to_vehicle in
-            t.last_to_vehicle <- at;
-            at
-          | Vehicle_end ->
-            let at = max at t.last_to_gcs in
-            t.last_to_gcs <- at;
-            at
-        in
-        let chunk = { deliver_at = at; data } in
-        enqueue t from chunk;
-        if duplicate then enqueue t from chunk
+      (* A byte stream never reorders: each chunk's delivery time is at
+         least the previous chunk's in the same direction. *)
+      let at = t.now + delay t in
+      match from with
+      | Gcs_end ->
+        let at = max at t.last_to_vehicle in
+        t.last_to_vehicle <- at;
+        t.to_vehicle <- { deliver_at = at; data } :: t.to_vehicle
+      | Vehicle_end ->
+        let at = max at t.last_to_gcs in
+        t.last_to_gcs <- at;
+        t.to_gcs <- { deliver_at = at; data } :: t.to_gcs
     end
   end
 
@@ -253,8 +156,5 @@ let receive t at =
 
 let in_flight t = List.length t.to_vehicle + List.length t.to_gcs
 
-let profile t = match t.faults with None -> no_faults | Some (p, _) -> p
 let outages t = t.outages
 let dropped t = t.dropped
-let corrupted t = t.corrupted
-let duplicated t = t.duplicated

@@ -7,28 +7,13 @@
     optional jitter source delays each chunk by a small random number of
     simulation steps.
 
-    On top of jitter the link carries a schedulable fault plan. A
-    {!fault_profile} degrades the channel probabilistically (chunk drop,
-    single-byte corruption, duplication) from a dedicated fault RNG, and
-    {!outage} windows silence it entirely for a span of steps. Outages are
-    deterministic and consume no randomness, which is what makes them
-    substitutable on {!restore}: a forked run that schedules a different
-    outage window replays all surviving traffic bit-identically. *)
+    On top of jitter the link carries a schedule of {!outage} windows that
+    silence it entirely for a span of steps. Outages are deterministic and
+    consume no randomness, which is what makes them substitutable on
+    {!restore}: a forked run that schedules a different outage window
+    replays all surviving traffic bit-identically. *)
 
 type endpoint = Gcs_end | Vehicle_end
-
-type fault_profile = {
-  drop : float;  (** probability a sent chunk vanishes *)
-  corrupt : float;  (** probability one byte of a chunk is flipped *)
-  duplicate : float;  (** probability a chunk is delivered twice *)
-}
-
-val no_faults : fault_profile
-(** All probabilities zero: a clean channel. *)
-
-val probabilistic : fault_profile -> bool
-(** [true] iff any probability is positive, i.e. the profile consumes the
-    fault RNG. Probabilistic channels are excluded from prefix-cache forks. *)
 
 type outage = { from_step : int; until_step : int }
 (** Chunks sent at step [s] with [from_step <= s < until_step] are dropped.
@@ -37,20 +22,14 @@ type outage = { from_step : int; until_step : int }
 type t
 
 val create :
-  ?jitter:Avis_util.Rng.t * int ->
-  ?faults:fault_profile * Avis_util.Rng.t ->
-  ?outages:outage list ->
-  unit ->
-  t
+  ?jitter:Avis_util.Rng.t * int -> ?outages:outage list -> unit -> t
 (** [create ~jitter:(rng, max_steps) ()] delays each sent chunk by a uniform
     0..max_steps steps. Without [jitter], delivery happens on the next step.
-    [faults] attaches a probabilistic degradation profile with its own RNG
-    (ignored when the profile is {!no_faults}); [outages] schedules silent
-    windows. *)
+    [outages] schedules silent windows. *)
 
 type snapshot
-(** In-flight chunks, delivery clocks, fault counters and both RNGs,
-    frozen. *)
+(** In-flight chunks, delivery clocks, the drop counter and the jitter
+    RNG, frozen. *)
 
 val snapshot : t -> snapshot
 
@@ -62,16 +41,16 @@ val encode_snapshot : Buffer.t -> snapshot -> unit
 val decode_snapshot : Avis_util.Codec.reader -> snapshot
 
 val to_bytes : snapshot -> string
-(** Versioned binary form of a snapshot: both RNGs, in-flight chunks,
-    outage schedule, clocks and fault counters. *)
+(** Versioned binary form of a snapshot: the jitter RNG, outage schedule,
+    in-flight chunks, clocks and drop counter. *)
 
 val of_bytes : string -> snapshot
 (** Inverse of {!to_bytes}; raises [Avis_util.Codec.Corrupt] on malformed
     input. *)
 
 val send : t -> endpoint -> string -> unit
-(** Queue bytes from the given endpoint towards the other side, subject to
-    the fault plan. *)
+(** Queue bytes from the given endpoint towards the other side, unless an
+    outage window silences the send step. *)
 
 val step : t -> unit
 (** Advance one simulation step; due chunks become receivable. *)
@@ -82,17 +61,8 @@ val receive : t -> endpoint -> string
 val in_flight : t -> int
 (** Chunks queued in either direction, for diagnostics. *)
 
-val profile : t -> fault_profile
-(** The active fault profile ({!no_faults} when none was attached). *)
-
 val outages : t -> outage list
 (** The scheduled outage windows. *)
 
 val dropped : t -> int
-(** Chunks dropped so far (by outage windows or the drop probability). *)
-
-val corrupted : t -> int
-(** Chunks whose payload was corrupted so far. *)
-
-val duplicated : t -> int
-(** Chunks delivered twice so far. *)
+(** Chunks dropped so far by outage windows. *)

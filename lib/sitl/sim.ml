@@ -8,7 +8,6 @@ type config = {
   dt : float;
   max_duration : float;
   link_jitter_steps : int;
-  link_faults : Link.fault_profile;
   environment : Avis_physics.Environment.t option;
   airframe : Avis_physics.Airframe.t;
 }
@@ -21,7 +20,6 @@ let default_config policy =
     dt = 0.004;
     max_duration = 120.0;
     link_jitter_steps = 2;
-    link_faults = Link.no_faults;
     environment = None;
     airframe = Avis_physics.Airframe.iris;
   }
@@ -56,15 +54,12 @@ let outage_windows ~dt spans =
       })
     spans
 
-let create ?(plan = []) ?(degradations = []) ?(link_outages = []) config =
+let create ?(plan = []) ?(link_outages = []) config =
   Avis_util.Trace.span ~cat:"sim" "sim.create" @@ fun () ->
   let rng = Avis_util.Rng.create config.seed in
   let env_rng = Avis_util.Rng.split rng in
   let suite_rng = Avis_util.Rng.split rng in
   let jitter_rng = Avis_util.Rng.split rng in
-  (* Split unconditionally so the env/suite/jitter streams stay where they
-     were before channel faults existed, whatever the profile. *)
-  let link_fault_rng = Avis_util.Rng.split rng in
   (* Copy the caller's environment: it carries mutable gust state, and two
      sims built from one config must not couple through it. *)
   let environment =
@@ -77,14 +72,12 @@ let create ?(plan = []) ?(degradations = []) ?(link_outages = []) config =
       ~airframe:config.airframe ()
   in
   let suite = Avis_sensors.Suite.create ~rng:suite_rng () in
-  let hinj = Avis_hinj.Hinj.create ~plan ~degradations () in
+  let hinj = Avis_hinj.Hinj.create ~plan () in
   let link =
     let outages = outage_windows ~dt:config.dt link_outages in
-    let faults = (config.link_faults, link_fault_rng) in
     if config.link_jitter_steps > 0 then
-      Link.create ~jitter:(jitter_rng, config.link_jitter_steps) ~faults
-        ~outages ()
-    else Link.create ~faults ~outages ()
+      Link.create ~jitter:(jitter_rng, config.link_jitter_steps) ~outages ()
+    else Link.create ~outages ()
   in
   let frame = Avis_geo.Geodesy.frame_at home_geodetic in
   let bugs = Bug.registry ~enabled:config.enabled_bugs config.policy.Policy.firmware in
@@ -233,14 +226,13 @@ let encode_config b (c : config) =
     dt;
     max_duration;
     link_jitter_steps;
-    link_faults = { Link.drop; corrupt = corrupt_p; duplicate };
     environment;
     airframe;
   } =
     c
   in
   let open Avis_util.Codec in
-  w_version b 1;
+  w_version b 2;
   (* The personality by its firmware tag: every policy is
      [Policy.of_firmware] of its tag, which is how [decode_config]
      rebuilds it. *)
@@ -250,15 +242,12 @@ let encode_config b (c : config) =
   w_f64 b dt;
   w_f64 b max_duration;
   w_int b link_jitter_steps;
-  w_f64 b drop;
-  w_f64 b corrupt_p;
-  w_f64 b duplicate;
   w_option b Avis_physics.Environment.encode environment;
   Avis_physics.Airframe.encode b airframe
 
 let decode_config r : config =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:1 in
+  let (_ : int) = r_version r ~expect:2 in
   let policy =
     match r_u8 r with
     | 0 -> Policy.of_firmware Bug.Ardupilot
@@ -270,9 +259,6 @@ let decode_config r : config =
   let dt = r_f64 r in
   let max_duration = r_f64 r in
   let link_jitter_steps = r_int r in
-  let drop = r_f64 r in
-  let corrupt_p = r_f64 r in
-  let duplicate = r_f64 r in
   let environment = r_option r Avis_physics.Environment.decode in
   let airframe = Avis_physics.Airframe.decode r in
   {
@@ -282,7 +268,6 @@ let decode_config r : config =
     dt;
     max_duration;
     link_jitter_steps;
-    link_faults = { Link.drop; corrupt = corrupt_p; duplicate };
     environment;
     airframe;
   }

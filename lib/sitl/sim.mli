@@ -20,10 +20,6 @@ type config = {
   link_jitter_steps : int;
       (** Maximum extra delivery delay per message chunk, in steps —
           the scheduler nondeterminism the monitor must tolerate. *)
-  link_faults : Link.fault_profile;
-      (** Probabilistic datalink degradation (drop/corrupt/duplicate),
-          driven by a dedicated RNG split off the run seed. [no_faults] by
-          default. *)
   environment : Avis_physics.Environment.t option;
       (** Defaults to the paper's benign evaluation environment. *)
   airframe : Avis_physics.Airframe.t;
@@ -37,14 +33,10 @@ val default_config : Policy.t -> config
 type t
 
 val create :
-  ?plan:Avis_hinj.Hinj.plan ->
-  ?degradations:Avis_hinj.Hinj.degradation list ->
-  ?link_outages:(float * float) list ->
-  config ->
-  t
-(** Provision a run with the given fault-injection plan, optional sensor
-    degradations, and optional scheduled datalink outages (each
-    [(at, duration)] in simulated seconds; none by default). *)
+  ?plan:Avis_hinj.Hinj.plan -> ?link_outages:(float * float) list -> config -> t
+(** Provision a run with the given fault-injection plan and optional
+    scheduled datalink outages (each [(at, duration)] in simulated seconds;
+    none by default). *)
 
 val config : t -> config
 

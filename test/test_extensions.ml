@@ -1,10 +1,8 @@
 (* Tests for the extensions beyond the paper's core: the JSON emitter and
-   artefact export, the workload builders, the PARAM protocol, sensor
-   degradations (the future-work fault models), and the hexacopter
-   airframe. *)
+   artefact export, the workload builders, the PARAM protocol, and the
+   hexacopter airframe. *)
 
 open Avis_util
-open Avis_sensors
 open Avis_firmware
 open Avis_sitl
 open Avis_core
@@ -32,11 +30,11 @@ let test_json_structures () =
 
 (* Export *)
 
-let run_quickstart ?(plan = []) ?(degradations = []) () =
+let run_quickstart () =
   let config =
     { (Sim.default_config Policy.apm) with Sim.max_duration = 75.0 }
   in
-  let sim = Sim.create ~plan ~degradations config in
+  let sim = Sim.create config in
   let passed = Workload.execute Workload.quickstart sim in
   Sim.outcome sim ~workload_passed:passed
 
@@ -142,52 +140,6 @@ let test_param_roundtrip_over_link () =
   Alcotest.(check int) "full table" Param_registry.count
     (List.length (Avis_mavlink.Gcs.params gcs))
 
-(* Degradations *)
-
-let test_degradation_decision_layer () =
-  let gps0 = { Sensor.kind = Sensor.Gps; index = 0 } in
-  let h =
-    Avis_hinj.Hinj.create
-      ~degradations:
-        [ { Avis_hinj.Hinj.target = gps0; from_time = 5.0; kind = Avis_hinj.Hinj.Stuck_at_last } ]
-      ()
-  in
-  Alcotest.(check bool) "inactive before" true
-    (Avis_hinj.Hinj.degradation_of h ~time:1.0 gps0 = None);
-  Alcotest.(check bool) "active after" true
-    (Avis_hinj.Hinj.degradation_of h ~time:6.0 gps0 <> None);
-  Alcotest.(check bool) "still reads healthy" true
-    (Avis_hinj.Hinj.sensor_read h ~time:6.0 gps0 = Avis_hinj.Hinj.Healthy)
-
-let test_degraded_flight_stuck_baro () =
-  (* A stuck barometer mid-climb behaves like the frozen-altitude flaw:
-     the vehicle keeps climbing past its target. *)
-  let baro index = { Sensor.kind = Sensor.Barometer; index } in
-  let degradations =
-    List.init 2 (fun index ->
-        { Avis_hinj.Hinj.target = baro index; from_time = 4.0;
-          kind = Avis_hinj.Hinj.Stuck_at_last })
-  in
-  let o = run_quickstart ~degradations () in
-  Alcotest.(check bool) "mission does not pass" false o.Sim.workload_passed;
-  let max_alt =
-    Array.fold_left
-      (fun acc s -> Float.max acc s.Trace.position.Avis_geo.Vec3.z)
-      0.0
-      (Trace.samples o.Sim.trace)
-  in
-  Alcotest.(check bool) "overshoots well past 20 m" true (max_alt > 30.0)
-
-let test_degraded_flight_mild_noise_is_harmless () =
-  let gps index = { Sensor.kind = Sensor.Gps; index } in
-  let degradations =
-    List.init 2 (fun index ->
-        { Avis_hinj.Hinj.target = gps index; from_time = 4.0;
-          kind = Avis_hinj.Hinj.Extra_noise 0.2 })
-  in
-  let o = run_quickstart ~degradations () in
-  Alcotest.(check bool) "mission still passes" true o.Sim.workload_passed
-
 (* Hexacopter *)
 
 let test_hexa_layout () =
@@ -241,12 +193,6 @@ let () =
           Alcotest.test_case "registry" `Quick test_param_registry;
           Alcotest.test_case "clamping" `Quick test_param_clamping;
           Alcotest.test_case "roundtrip over link" `Quick test_param_roundtrip_over_link;
-        ] );
-      ( "degradations",
-        [
-          Alcotest.test_case "decision layer" `Quick test_degradation_decision_layer;
-          Alcotest.test_case "stuck baro overshoots" `Quick test_degraded_flight_stuck_baro;
-          Alcotest.test_case "mild gps noise harmless" `Quick test_degraded_flight_mild_noise_is_harmless;
         ] );
       ( "hexacopter",
         [

@@ -252,58 +252,6 @@ let drain_both link steps =
   done;
   Buffer.contents got
 
-let test_link_faults_deterministic () =
-  let make () =
-    Link.create
-      ~faults:({ Link.drop = 0.3; corrupt = 0.2; duplicate = 0.2 },
-               Avis_util.Rng.create 11)
-      ()
-  in
-  let run link =
-    for i = 0 to 19 do
-      Link.send link Link.Gcs_end (Printf.sprintf "chunk-%02d;" i)
-    done;
-    (drain_both link 5, Link.dropped link, Link.corrupted link,
-     Link.duplicated link)
-  in
-  let a = run (make ()) and b = run (make ()) in
-  Alcotest.(check bool) "same seed, same degraded traffic" true (a = b);
-  let _, dropped, corrupted, duplicated = a in
-  Alcotest.(check bool) "faults actually fired" true
-    (dropped > 0 && corrupted > 0 && duplicated > 0)
-
-let test_link_drop_all () =
-  let link =
-    Link.create
-      ~faults:({ Link.no_faults with Link.drop = 1.0 }, Avis_util.Rng.create 1)
-      ()
-  in
-  Link.send link Link.Gcs_end "gone";
-  Alcotest.(check string) "nothing arrives" "" (drain_both link 4);
-  Alcotest.(check int) "counted" 1 (Link.dropped link)
-
-let test_link_corrupt_same_length () =
-  let link =
-    Link.create
-      ~faults:({ Link.no_faults with Link.corrupt = 1.0 }, Avis_util.Rng.create 2)
-      ()
-  in
-  Link.send link Link.Gcs_end "payload";
-  let got = drain_both link 4 in
-  Alcotest.(check int) "same length" 7 (String.length got);
-  Alcotest.(check bool) "one byte flipped" true (got <> "payload");
-  Alcotest.(check int) "counted" 1 (Link.corrupted link)
-
-let test_link_duplicate () =
-  let link =
-    Link.create
-      ~faults:({ Link.no_faults with Link.duplicate = 1.0 }, Avis_util.Rng.create 3)
-      ()
-  in
-  Link.send link Link.Gcs_end "twice;";
-  Alcotest.(check string) "delivered twice" "twice;twice;" (drain_both link 4);
-  Alcotest.(check int) "counted" 1 (Link.duplicated link)
-
 let test_link_outage_window () =
   (* Outages are judged at send time: chunks sent inside the window vanish,
      chunks sent after it flow again. *)
@@ -321,15 +269,11 @@ let test_link_outage_window () =
   Alcotest.(check int) "outage drop counted" 1 (Link.dropped link)
 
 let test_link_snapshot_restores_fault_stream () =
-  (* A probabilistic link forked mid-run must replay the identical fault
-     decisions: both RNGs are part of the snapshot. *)
-  let link =
-    Link.create
-      ~jitter:(Avis_util.Rng.create 4, 2)
-      ~faults:({ Link.drop = 0.4; corrupt = 0.3; duplicate = 0.2 },
-               Avis_util.Rng.create 5)
-      ()
-  in
+  (* A jittered link forked mid-run must replay the identical delivery
+     delays: the jitter RNG is part of the snapshot. Drained one step at a
+     time, since jitter moves chunks between steps but never reorders
+     them. *)
+  let link = Link.create ~jitter:(Avis_util.Rng.create 4, 2) () in
   for i = 0 to 9 do
     Link.send link Link.Gcs_end (Printf.sprintf "pre-%d;" i)
   done;
@@ -340,7 +284,7 @@ let test_link_snapshot_restores_fault_stream () =
     for i = 0 to 9 do
       Link.send l Link.Gcs_end (Printf.sprintf "post-%d;" i)
     done;
-    (drain_both l 6, Link.dropped l, Link.corrupted l, Link.duplicated l)
+    List.init 6 (fun _ -> drain_both l 1)
   in
   Alcotest.(check bool) "fork replays the original's future" true
     (tail fork = tail link)
@@ -600,10 +544,6 @@ let () =
           Alcotest.test_case "delivery" `Quick test_link_delivery;
           Alcotest.test_case "direction" `Quick test_link_direction;
           Alcotest.test_case "jitter keeps order" `Quick test_link_jitter_preserves_order;
-          Alcotest.test_case "faults deterministic" `Quick test_link_faults_deterministic;
-          Alcotest.test_case "drop all" `Quick test_link_drop_all;
-          Alcotest.test_case "corrupt keeps length" `Quick test_link_corrupt_same_length;
-          Alcotest.test_case "duplicate" `Quick test_link_duplicate;
           Alcotest.test_case "outage window" `Quick test_link_outage_window;
           Alcotest.test_case "snapshot restores fault stream" `Quick
             test_link_snapshot_restores_fault_stream;

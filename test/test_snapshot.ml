@@ -116,7 +116,6 @@ let test_prefix_cache_transparent () =
   in
   let checkpoint_times = List.init 40 (fun i -> 2.0 *. float_of_int (i + 1)) in
   let cache = Prefix_cache.create ~workload ~make_sim ~checkpoint_times () in
-  Alcotest.(check bool) "cacheable config" false (Prefix_cache.bypassing cache);
   let scenarios =
     [
       Scenario.empty;
@@ -148,51 +147,6 @@ let test_prefix_cache_transparent () =
   Alcotest.(check int) "early fault misses" 1 stats.Prefix_cache.misses;
   Alcotest.(check bool) "skipped simulated time" true
     (stats.Prefix_cache.saved_sim_s > 0.0)
-
-(* Satellite regression: configurations whose runs carry state the cache
-   key cannot encode — sensor degradations, probabilistic link faults —
-   must be refused outright, every execution a cold run counted as a
-   miss, never a served hit that could silently diverge. *)
-let test_prefix_cache_bypasses_unencodable () =
-  let workload = Workload.quickstart and policy = Policy.apm in
-  let check_bypassed name make_sim =
-    let cache =
-      Prefix_cache.create ~workload ~make_sim
-        ~checkpoint_times:(List.init 30 (fun i -> float_of_int (i + 1)))
-        ()
-    in
-    Alcotest.(check bool) (name ^ " bypassing") true
-      (Prefix_cache.bypassing cache);
-    let scenario = scen_kind Sensor.Gps 25.0 in
-    let a = Prefix_cache.execute cache ~scenario in
-    let b = Prefix_cache.execute cache ~scenario in
-    check_same_outcome (name ^ " deterministic cold runs") a b;
-    let stats = Prefix_cache.stats cache in
-    Alcotest.(check int) (name ^ " no hits") 0 stats.Prefix_cache.hits;
-    Alcotest.(check int) (name ^ " all misses") 2 stats.Prefix_cache.misses
-  in
-  check_bypassed "degradations" (fun ~scenario ->
-      Sim.create
-        ~plan:(Scenario.to_plan scenario)
-        ~link_outages:(Scenario.link_outages scenario)
-        ~degradations:
-          [
-            {
-              Avis_hinj.Hinj.target = { Sensor.kind = Sensor.Barometer; index = 0 };
-              from_time = 10.0;
-              kind = Avis_hinj.Hinj.Constant_bias 0.5;
-            };
-          ]
-        (sim_config workload policy));
-  check_bypassed "probabilistic link" (fun ~scenario ->
-      Sim.create
-        ~plan:(Scenario.to_plan scenario)
-        ~link_outages:(Scenario.link_outages scenario)
-        {
-          (sim_config workload policy) with
-          Sim.link_faults =
-            { Avis_mavlink.Link.no_faults with Avis_mavlink.Link.drop = 0.05 };
-        })
 
 (* Satellite regression: the byte budget is a hard ceiling. With a tiny
    budget the cache must evict checkpoints, yet the accounted resident
@@ -334,8 +288,6 @@ let () =
       ( "prefix cache",
         [
           Alcotest.test_case "cache transparent" `Slow test_prefix_cache_transparent;
-          Alcotest.test_case "cache bypasses unencodable configs" `Slow
-            test_prefix_cache_bypasses_unencodable;
           Alcotest.test_case "eviction keeps bytes bounded" `Slow
             test_prefix_cache_eviction_bounded;
           Alcotest.test_case "campaign on/off identical" `Slow

@@ -503,12 +503,6 @@ let test_identity_covers_keyed_fields () =
           base with
           Campaign.link_jitter_steps = base.Campaign.link_jitter_steps + 1;
         } );
-      ( "link_faults",
-        {
-          base with
-          Campaign.link_faults =
-            { Avis_mavlink.Link.no_faults with Avis_mavlink.Link.drop = 0.01 };
-        } );
     ]
   in
   List.iter
