@@ -26,8 +26,8 @@ let known_counters =
   [
     "cache.hits"; "cache.misses"; "cache.evictions"; "cache.resident_bytes";
     "snapshot.bytes"; "store.hits"; "store.misses"; "store.bytes";
-    "pool.queue_depth"; "pool.queue_wait_s"; "budget.spent_s";
-    "link.dropped"; "cell.retries"; "cell.quarantined"; "cell.deadline_hits";
+    "budget.spent_s"; "link.dropped"; "cell.retries"; "cell.quarantined";
+    "cell.deadline_hits";
   ]
 
 let check_event ~path i ev =

@@ -4,7 +4,7 @@
 
 open Cmdliner
 
-let run socket tcp_port journal store_dir workers jobs =
+let run socket tcp_port journal store_dir workers =
   let base = Avis_server.Hunt_service.default_config () in
   Avis_server.Hunt_service.serve
     {
@@ -16,7 +16,7 @@ let run socket tcp_port journal store_dir workers jobs =
         (match workers with
         | Some w -> max 1 w
         | None -> base.Avis_server.Hunt_service.workers);
-      jobs = max 1 jobs;
+      jobs = 1;
     }
 
 let socket_arg =
@@ -45,15 +45,9 @@ let store_arg =
 let workers_arg =
   Arg.(value & opt (some int) None
        & info [ "workers" ] ~docv:"N"
-           ~doc:"Concurrent worker processes; each pulls cells from the \
-                 daemon's LPT-ordered queue as its slots free up. Defaults \
-                 to \\$AVIS_JOBS, then the hardware's recommendation.")
-
-let jobs_arg =
-  Arg.(value & opt int 1
-       & info [ "jobs" ] ~docv:"N"
-           ~doc:"Cell slots per worker process: domains in its pool, and \
-                 the cells it may hold in flight at once.")
+           ~doc:"Concurrent worker processes, each running one cell at a \
+                 time; pending cells start oldest first. Defaults to \
+                 \\$AVIS_JOBS, then the hardware's recommendation.")
 
 let cmd =
   Cmd.v
@@ -61,4 +55,4 @@ let cmd =
        ~doc:"Run the multi-tenant hunt daemon (pair with `submit` and \
              `watch`).")
     Term.(const run $ socket_arg $ tcp_arg $ journal_arg $ store_arg
-          $ workers_arg $ jobs_arg)
+          $ workers_arg)

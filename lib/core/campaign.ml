@@ -616,21 +616,8 @@ let run_cell ?journal
     snapshot;
   (outcome, snapshot)
 
-(* Longest predicted cell first (LPT): the journal's recorded durations
-   keep a long cell from starting last and straggling. Weights only
-   reorder the feed; per-cell seeding keeps every result's bytes
-   independent of the order. *)
 let run_cells ?journal ~jobs cells =
-  let cost =
-    match journal with
-    | Some j -> Cost_model.of_journal j
-    | None -> Cost_model.create ()
-  in
-  let weight ((config : config), approach, _) =
-    Cost_model.predict cost ~label:(label_of config ~approach)
-      ~budget_s:config.budget_s
-  in
-  Avis_util.Pool.map_lpt ~jobs ~weight
+  Avis_util.Pool.map ~jobs
     (fun (config, approach, strategy) ->
       run_cell ?journal config ~approach ~strategy)
     cells

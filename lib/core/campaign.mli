@@ -202,8 +202,8 @@ val record_of_result :
 (** The journal record {!run} would append for this result — the single
     construction site shared with the hunt daemon's wire results, so a
     streamed result and a journal memo of the same cell are identical.
-    [elapsed_s] is the cell's measured wall-clock duration (the cost
-    model's training signal); omitted, the record carries no duration. *)
+    [elapsed_s] is the cell's measured wall-clock duration; omitted, the
+    record carries no duration. *)
 
 (** {2 Matrix cells}
 
@@ -248,11 +248,9 @@ val run_cells :
   (config * string * (Search.context -> Search.t)) list ->
   (cell_outcome * Avis_util.Metrics.snapshot) list
 (** {!run_cell} over [(config, approach, strategy)] cells, metrics on
-    stderr, on a [jobs]-wide {!Avis_util.Pool}, longest predicted cell first: a {!Cost_model}
-    primed from [journal] weighs each cell by its label's recorded
-    durations ({!Avis_util.Pool.map_lpt}). Results come back in input
-    order and, thanks to per-cell seeding, byte-identical whatever
-    [jobs] is. *)
+    stderr, through {!Avis_util.Pool.map}: cells start in input order on
+    [jobs] domains. Results come back in input order and, thanks to
+    per-cell seeding, byte-identical whatever [jobs] is. *)
 
 val cell_seed :
   ?base:int -> policy:string -> workload:string -> approach:string -> unit -> int

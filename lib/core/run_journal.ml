@@ -266,12 +266,6 @@ let find t ~key =
     ~finally:(fun () -> Mutex.unlock t.mutex)
     (fun () -> Hashtbl.find_opt t.table key)
 
-let fold_records t ~init ~f =
-  Mutex.lock t.mutex;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.mutex)
-    (fun () -> Hashtbl.fold (fun _ r acc -> f acc r) t.table init)
-
 let record_complete t r =
   append_line t (Json.to_string (json_of_record r));
   Mutex.lock t.mutex;

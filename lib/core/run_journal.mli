@@ -41,13 +41,12 @@ type record = {
   inferences : int;
   spent_bits : int64;  (** IEEE-754 bits of the spent budget seconds. *)
   elapsed_bits : int64 option;
-      (** IEEE-754 bits of the cell's real wall-clock duration, feeding
-          the scheduler's {!Cost_model}. [None] for journals written
-          before the field existed — such records still memo-serve; only
-          duration prediction falls back to the budget-derived estimate.
-          Informational: the value is a measurement, not part of the
-          deterministic result, so identity checks compare records with
-          it normalised out. *)
+      (** IEEE-754 bits of the cell's real wall-clock duration, the
+          worker-side cell time a daemon client can read off a result.
+          [None] for journals written before the field existed — such
+          records still memo-serve. Informational: the value is a
+          measurement, not part of the deterministic result, so identity
+          checks compare records with it normalised out. *)
   findings : finding list;  (** Oldest first. *)
 }
 
@@ -90,11 +89,6 @@ val spent_s : record -> float
 
 val elapsed_s : record -> float option
 (** The cell's measured wall-clock duration in seconds, when recorded. *)
-
-val fold_records : t -> init:'a -> f:('a -> record -> 'a) -> 'a
-(** Fold over every complete record currently indexed (load-time records
-    plus any appended since), in unspecified order. Used to prime the
-    scheduler's cost model from journal history. *)
 
 (** {2 Record serialisation}
 

@@ -280,7 +280,7 @@ let cache_id () =
 let pool_sane () =
   {
     code = "POOL-SANE";
-    name = "domain pool: ordered map, exception propagation, close";
+    name = "domain pool: ordered map, exception propagation";
     run =
       (fun () ->
         let open Avis_util in
@@ -289,34 +289,20 @@ let pool_sane () =
         if squares <> List.map (fun i -> i * i) items then
           Error "Pool.map returned results out of input order"
         else
-          let propagated =
-            match
-              Pool.map ~jobs:2
-                (fun i -> if i = 3 then failwith "selftest-boom" else i)
-                (List.init 8 Fun.id)
-            with
-            | _ -> false
-            | exception Failure msg -> msg = "selftest-boom"
-            | exception _ -> false
-          in
-          if not propagated then
-            Error "a job's exception did not propagate out of Pool.map"
-          else begin
-            let p = Pool.create ~jobs:2 in
-            Pool.submit p (fun () -> ());
-            Pool.close_and_wait p;
-            Pool.close_and_wait p;
-            match Pool.submit p (fun () -> ()) with
-            | () -> Error "submitting to a closed pool did not raise"
-            | exception Invalid_argument _ ->
-              Ok
-                "map order, exception propagation, idempotent close and \
-                 closed-pool rejection all OK"
-            | exception e ->
-              Error
-                ("closed-pool submit raised the wrong exception: "
-                ^ Printexc.to_string e)
-          end);
+          match
+            Pool.map ~jobs:2
+              (fun i ->
+                if i = 3 || i = 6 then failwith (Printf.sprintf "boom-%d" i)
+                else i)
+              (List.init 8 Fun.id)
+          with
+          | _ -> Error "a job's exception did not propagate out of Pool.map"
+          | exception Failure msg when msg = "boom-3" ->
+            Ok "map order and first-failure propagation OK"
+          | exception e ->
+            Error
+              ("Pool.map raised other than the first failure in input \
+                order: " ^ Printexc.to_string e));
   }
 
 let alloc_0 () =

@@ -19,8 +19,8 @@
       corrupt-file detection, stale-fingerprint isolation;
     - [CACHE-ID] — a mini campaign with the prefix cache on vs off:
       identical counts, ledger bits and finding indices;
-    - [POOL-SANE] — domain pool: ordered [map], exception propagation,
-      idempotent close, closed-pool submission rejected;
+    - [POOL-SANE] — domain pool: ordered [map], and the first failure
+      in input order propagates;
     - [ALLOC-0] — the step/sense/record hot loop allocates no minor-heap
       words per step.
 

@@ -54,25 +54,21 @@ type pending = {
   pcell : Worker.cell;
   passign : Wire.assignment;
   mutable pattempts : int;  (** Dispatches consumed, including the first. *)
-  pweight : float;  (** Predicted duration (LPT sort key), fixed at submit. *)
 }
 
 type worker_proc = {
   pid : int;
   rpipe : Unix.file_descr;  (** Worker-to-daemon: results and metrics. *)
-  wpipe : Unix.file_descr;  (** Daemon-to-worker: directives. *)
+  wpipe : Unix.file_descr;  (** Daemon-to-worker: assignments. *)
   mutable wbuf : string;  (** Partial line from [rpipe]. *)
-  mutable slots : int;  (** Unanswered [Cell_request]s (idle cell slots). *)
-  mutable inflight : pending list;  (** Assigned, not yet reported. *)
+  mutable busy : pending option;
+      (** The cell assigned and not yet reported; [None] while idle,
+          which a worker is from its fork until its first assignment. *)
 }
 
 type state = {
   cfg : config;
   journal : Run_journal.t;
-  cost : Cost_model.t;
-      (** Primed from the journal at startup, trained from every live or
-          memo result a worker reports. Read when a submit computes its
-          cells' LPT weights. *)
   memos : (string, Run_journal.record) Hashtbl.t;
       (** Records journalled since startup, keyed by journal key — the
           parent's in-memory view of what workers have completed (the
@@ -80,7 +76,9 @@ type state = {
   listeners : Unix.file_descr list;
   clients : (Unix.file_descr, client) Hashtbl.t;
   workers : (Unix.file_descr, worker_proc) Hashtbl.t;  (** By [rpipe]. *)
-  mutable pending : pending list;  (** Heaviest predicted first (LPT). *)
+  mutable pending : pending list;
+      (** Oldest first: a submit appends its cells, a re-queued cell goes
+          back to the head. *)
   mutable reqs : req_state list;
   mutable req_counter : int;
   mutable memo_served : int;
@@ -149,16 +147,6 @@ let finish_req_if_done st rq =
 (* Dispatch                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* Keep [st.pending] sorted heaviest-first; equal weights keep arrival
-   order (a new cell goes after existing peers), so LPT degrades to FIFO
-   exactly when the cost model cannot tell cells apart. *)
-let insert_pending st p =
-  let rec ins = function
-    | q :: rest when q.pweight >= p.pweight -> q :: ins rest
-    | rest -> p :: rest
-  in
-  st.pending <- ins st.pending
-
 let spawn st =
   let dir_r, dir_w = Unix.pipe () in
   let res_r, res_w = Unix.pipe () in
@@ -167,7 +155,7 @@ let spawn st =
   match Unix.fork () with
   | 0 ->
     (* Worker child: drop every parent fd except its two pipe ends —
-       including other workers' directive pipes, or closing one there
+       including other workers' assignment pipes, or closing one there
        would never deliver its EOF — restore default signal
        dispositions, serve cells, and _exit without running the parent's
        at_exit handlers. *)
@@ -182,9 +170,7 @@ let spawn st =
       st.workers;
     Sys.set_signal Sys.sigterm Sys.Signal_default;
     Sys.set_signal Sys.sigint Sys.Signal_default;
-    (try
-       Worker.serve_pull ~journal_path:st.cfg.journal_path ~jobs:st.cfg.jobs
-         ~input:dir_r ~out:res_w
+    (try Worker.serve ~journal_path:st.cfg.journal_path ~input:dir_r ~out:res_w
      with e ->
        Printf.eprintf "[avis] huntd worker: uncaught %s\n%!"
          (Printexc.to_string e));
@@ -193,22 +179,18 @@ let spawn st =
     Unix.close dir_r;
     Unix.close res_w;
     Hashtbl.replace st.workers res_r
-      { pid; rpipe = res_r; wpipe = dir_w; wbuf = ""; slots = 0; inflight = [] };
-    log "worker pid=%d forked (%d cell slot(s))" pid (max 1 st.cfg.jobs)
+      { pid; rpipe = res_r; wpipe = dir_w; wbuf = ""; busy = None };
+    log "worker pid=%d forked" pid
 
-(* A worker's idle capacity is every slot not running a cell, whether or
-   not it has asked for work yet: a just-forked worker sends its first
-   [Cell_request] only once it is up, and counting only requested slots
-   would fork again on every loop pass until it does. *)
 let maybe_spawn st =
   let live = Hashtbl.length st.workers in
-  let idle_slots =
+  let idle =
     Hashtbl.fold
-      (fun _ w acc -> acc + max 1 st.cfg.jobs - List.length w.inflight)
+      (fun _ w acc -> if Option.is_none w.busy then acc + 1 else acc)
       st.workers 0
   in
   let n =
-    Worker.fork_budget ~limit:st.cfg.workers ~live ~idle_slots
+    Worker.fork_budget ~limit:st.cfg.workers ~live ~idle
       ~pending:(List.length st.pending)
   in
   for _ = 1 to n do
@@ -220,45 +202,6 @@ let rec write_all fd bytes pos len =
     let n = Unix.write fd bytes pos len in
     write_all fd bytes (pos + n) (len - n)
   end
-
-(* Writes on the directive pipe block at most briefly: a worker holds at
-   most [jobs] outstanding requests, so the pipe never carries more than
-   a few short lines. A failed write means the worker died — its in-flight
-   cells come back through [reap] when the result pipe reports EOF; here
-   we only stop offering it work. *)
-let write_directive (w : worker_proc) d =
-  let payload = Bytes.of_string (Wire.render_directive d ^ "\n") in
-  match write_all w.wpipe payload 0 (Bytes.length payload) with
-  | () -> true
-  | exception Unix.Unix_error _ -> false
-
-(* Hand the heaviest pending cells to whichever workers have idle slots.
-   Every dispatch decision goes through here, so LPT order is a property
-   of the queue, not of any particular caller. *)
-let rec assign_pending st =
-  match st.pending with
-  | [] -> ()
-  | p :: rest -> (
-    let free =
-      Hashtbl.fold
-        (fun _ w acc ->
-          match acc with Some _ -> acc | None -> if w.slots > 0 then Some w else None)
-        st.workers None
-    in
-    match free with
-    | None -> ()
-    | Some w ->
-      st.pending <- rest;
-      if write_directive w (Wire.Cell_assign p.passign) then begin
-        p.pattempts <- p.pattempts + 1;
-        w.slots <- w.slots - 1;
-        w.inflight <- p :: w.inflight
-      end
-      else begin
-        st.pending <- p :: st.pending;
-        w.slots <- 0
-      end;
-      assign_pending st)
 
 let quarantine_cell st (rq : req_state) (p : pending) ~attempts =
   rq.quarantined <- rq.quarantined + 1;
@@ -283,35 +226,69 @@ let quarantine_cell st (rq : req_state) (p : pending) ~attempts =
                 };
           }))
 
-(* EOF on a worker's result pipe: reap it, then re-queue exactly its
-   in-flight cells — everything it already reported is done, everything
-   still queued was never its problem. Each cell re-enters the LPT queue
-   at its original weight and is quarantined only once its own dispatch
-   budget is spent. *)
+(* A worker's result pipe hit EOF, or its assignment pipe refused a write:
+   reap it, then re-queue its busy cell, if any — everything it already
+   reported is done, everything still queued was never its problem. The
+   cell goes back to the head of the queue and is quarantined only once
+   its own dispatch budget is spent. *)
 let reap st (w : worker_proc) =
   Hashtbl.remove st.workers w.rpipe;
   (try Unix.close w.rpipe with Unix.Unix_error _ -> ());
   (try Unix.close w.wpipe with Unix.Unix_error _ -> ());
   (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
-  List.iter
-    (fun p ->
-      let rq = p.preq in
-      if p.pattempts < worker_attempts then begin
-        rq.retries <- rq.retries + 1;
-        st.worker_retries <- st.worker_retries + 1;
-        log
-          "worker pid=%d lost mid-cell; re-queueing cell %s (dispatch %d/%d)"
-          w.pid p.pcell.Worker.label (p.pattempts + 1) worker_attempts;
-        insert_pending st p
+  match w.busy with
+  | None -> ()
+  | Some p ->
+    w.busy <- None;
+    let rq = p.preq in
+    if p.pattempts < worker_attempts then begin
+      rq.retries <- rq.retries + 1;
+      st.worker_retries <- st.worker_retries + 1;
+      log "worker pid=%d lost mid-cell; re-queueing cell %s (dispatch %d/%d)"
+        w.pid p.pcell.Worker.label (p.pattempts + 1) worker_attempts;
+      st.pending <- p :: st.pending
+    end
+    else begin
+      log "worker pid=%d lost; quarantining cell %s after %d dispatch(es)"
+        w.pid p.pcell.Worker.label p.pattempts;
+      quarantine_cell st rq p ~attempts:p.pattempts;
+      finish_req_if_done st rq
+    end
+
+(* A worker is written one assignment only while idle, so the pipe never
+   holds more than one short line and the write cannot block for long. *)
+let write_assignment (w : worker_proc) a =
+  let payload = Bytes.of_string (Wire.render_assignment a ^ "\n") in
+  match write_all w.wpipe payload 0 (Bytes.length payload) with
+  | () -> true
+  | exception Unix.Unix_error _ -> false
+
+(* Hand the oldest pending cells to idle workers. Every dispatch decision
+   goes through here, so arrival order is a property of the queue, not of
+   any caller. A failed write means the worker died while idle: reap it
+   now (it holds no cell) and keep the cell at the head. *)
+let rec assign_pending st =
+  match st.pending with
+  | [] -> ()
+  | p :: rest -> (
+    let idle =
+      Hashtbl.fold
+        (fun _ w acc ->
+          match acc with
+          | Some _ -> acc
+          | None -> if Option.is_none w.busy then Some w else None)
+        st.workers None
+    in
+    match idle with
+    | None -> ()
+    | Some w ->
+      if write_assignment w p.passign then begin
+        st.pending <- rest;
+        p.pattempts <- p.pattempts + 1;
+        w.busy <- Some p
       end
-      else begin
-        log "worker pid=%d lost; quarantining cell %s after %d dispatch(es)"
-          w.pid p.pcell.Worker.label p.pattempts;
-        quarantine_cell st rq p ~attempts:p.pattempts;
-        finish_req_if_done st rq
-      end)
-    w.inflight;
-  w.inflight <- []
+      else reap st w;
+      assign_pending st)
 
 (* Metrics lines only know their request through the req=... tag the
    worker stamped on them; an unparsable or unknown tag still reaches
@@ -334,25 +311,25 @@ let handle_worker_line st (w : worker_proc) line =
   if Wire.is_metrics_line line then relay_metrics st line
   else
     match Wire.parse_response line with
-    | Ok Wire.Cell_request ->
-      w.slots <- w.slots + 1;
-      assign_pending st
-    | Ok (Wire.Cell_result { approach; label; status; _ }) -> (
-      match List.find_opt (fun p -> p.pcell.Worker.label = label) w.inflight with
-      | None -> log "worker pid=%d reported unknown cell %S" w.pid label
-      | Some p ->
-        w.inflight <- List.filter (fun q -> q != p) w.inflight;
+    | Ok (Wire.Cell_result { req; approach; label; status }) -> (
+      (* Two requests may share a label, so a result is the busy cell's
+         only if both its request and its label match. *)
+      match w.busy with
+      | Some p when p.preq.id = req && p.pcell.Worker.label = label ->
+        w.busy <- None;
         let rq = p.preq in
         (match status with
         | Wire.Cell_done record | Wire.Cell_memo record ->
-          Hashtbl.replace st.memos record.Run_journal.key record;
-          Cost_model.observe_record st.cost record
+          Hashtbl.replace st.memos record.Run_journal.key record
         | Wire.Cell_quarantined _ -> rq.quarantined <- rq.quarantined + 1);
         rq.outstanding <- rq.outstanding - 1;
         broadcast st rq
-          (Wire.render_response
-             (Wire.Cell { req = rq.id; approach; label; status }));
-        finish_req_if_done st rq)
+          (Wire.render_response (Wire.Cell { req; approach; label; status }));
+        finish_req_if_done st rq
+      | Some _ | None ->
+        log "worker pid=%d reported cell %s of %s, not its assigned cell; \
+             dropped"
+          w.pid label req)
     | Ok _ | Error _ ->
       log "ignoring unexpected line from worker pid=%d: %s" w.pid line
 
@@ -419,27 +396,25 @@ let submit st (c : client) (r : Wire.hunt_request) =
     in
     if fresh = [] then finish_req_if_done st rq
     else begin
-      List.iter
-        (fun (cell : Worker.cell) ->
-          insert_pending st
-            {
-              preq = rq;
-              pcell = cell;
-              passign =
-                {
-                  Wire.a_req = rq.id;
-                  a_firmware = r.Wire.firmware;
-                  a_workload = r.Wire.workload;
-                  a_approach = cell.Worker.approach;
-                  a_budget_s = r.Wire.budget_s;
-                  a_seed = r.Wire.seed;
-                };
-              pattempts = 0;
-              pweight =
-                Cost_model.predict st.cost ~label:cell.Worker.label
-                  ~budget_s:r.Wire.budget_s;
-            })
-        fresh;
+      st.pending <-
+        st.pending
+        @ List.map
+            (fun (cell : Worker.cell) ->
+              {
+                preq = rq;
+                pcell = cell;
+                passign =
+                  {
+                    Wire.a_req = rq.id;
+                    a_firmware = r.Wire.firmware;
+                    a_workload = r.Wire.workload;
+                    a_approach = cell.Worker.approach;
+                    a_budget_s = r.Wire.budget_s;
+                    a_seed = r.Wire.seed;
+                  };
+                pattempts = 0;
+              })
+            fresh;
       maybe_spawn st;
       assign_pending st
     end
@@ -522,6 +497,8 @@ let handle_readable st fd =
       | None -> ())
 
 let serve cfg =
+  if cfg.jobs <> 1 then
+    invalid_arg "Hunt_service.serve: jobs must be 1 (a worker runs one cell)";
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let stop = ref false in
   let on_stop = Sys.Signal_handle (fun _ -> stop := true) in
@@ -547,12 +524,10 @@ let serve cfg =
         s)
       cfg.tcp_port
   in
-  let cost = Cost_model.of_journal journal in
   let st =
     {
       cfg;
       journal;
-      cost;
       memos = Hashtbl.create 64;
       listeners = unix_l :: Option.to_list tcp_l;
       clients = Hashtbl.create 16;
@@ -564,15 +539,14 @@ let serve cfg =
       worker_retries = 0;
     }
   in
-  log "listening on %s%s (journal %s: %d memo(s), %d timing(s); %d worker \
-       slot(s) x %d domain(s))"
+  log "listening on %s%s (journal %s: %d memo(s); %d worker(s))"
     cfg.socket_path
     (match cfg.tcp_port with
     | Some p -> Printf.sprintf " and 127.0.0.1:%d" p
     | None -> "")
     cfg.journal_path
     (Run_journal.completed_count journal)
-    (Cost_model.observations cost) (max 1 cfg.workers) (max 1 cfg.jobs);
+    (max 1 cfg.workers);
   while not !stop do
     maybe_spawn st;
     assign_pending st;
@@ -603,7 +577,7 @@ let serve cfg =
   log "shutting down: %d worker(s) to stop" (Hashtbl.length st.workers);
   Hashtbl.iter
     (fun _ w ->
-      (* Closing the directive pipe is the drain signal; SIGTERM then
+      (* Closing the assignment pipe is the drain signal; SIGTERM then
          stops any still-running campaign rather than waiting it out. *)
       (try Unix.close w.wpipe with Unix.Unix_error _ -> ());
       (try Unix.kill w.pid Sys.sigterm with Unix.Unix_error _ -> ());

@@ -37,7 +37,6 @@ type response =
   | Done of { req : string; retries : int; quarantined : int }
   | Status_info of status_info
   | Pong
-  | Cell_request
   | Cell_result of
       { req : string; approach : string; label : string; status : cell_status }
 
@@ -49,10 +48,6 @@ type assignment = {
   a_budget_s : float;
   a_seed : int;
 }
-
-type directive =
-  | Cell_assign of assignment
-  | Drain
 
 let is_metrics_line line =
   String.length line >= 6 && String.sub line 0 6 = "[avis]"
@@ -180,7 +175,6 @@ let response_to_json = function
         ("worker_retries", Json.int s.worker_retries);
       ]
   | Pong -> Json.Assoc [ ("type", Json.String "pong") ]
-  | Cell_request -> Json.Assoc [ ("type", Json.String "cell-request") ]
   | Cell_result { req; approach; label; status } ->
     Json.Assoc
       (( ("type", Json.String "cell-result")
@@ -243,7 +237,6 @@ let response_of_json j =
     let* worker_retries = num (Json.member "worker_retries" j) in
     Some (Status_info { active; queued; workers; memo_served; worker_retries })
   | Some "pong" -> Some Pong
-  | Some "cell-request" -> Some Cell_request
   | Some "cell-result" ->
     let* req = str (Json.member "req" j) in
     let* approach = str (Json.member "approach" j) in
@@ -253,28 +246,26 @@ let response_of_json j =
   | Some _ | None -> None
 
 (* ------------------------------------------------------------------ *)
-(* Directives (daemon -> worker)                                        *)
+(* Assignments (daemon -> worker)                                       *)
 (* ------------------------------------------------------------------ *)
 
-let directive_to_json = function
-  | Cell_assign a ->
-    Json.Assoc
-      [
-        ("op", Json.String "cell-assign");
-        ("req", Json.String a.a_req);
-        ("firmware", Json.String a.a_firmware);
-        ("workload", Json.String a.a_workload);
-        ("approach", Json.String a.a_approach);
-        (* As with submit: the budget reaches the worker by its IEEE-754
-           bits so the cell's journal key is bit-exact. *)
-        ( "budget_bits",
-          Json.String
-            (Printf.sprintf "%016Lx" (Int64.bits_of_float a.a_budget_s)) );
-        ("seed", Json.int a.a_seed);
-      ]
-  | Drain -> Json.Assoc [ ("op", Json.String "drain") ]
+let assignment_to_json a =
+  Json.Assoc
+    [
+      ("op", Json.String "cell-assign");
+      ("req", Json.String a.a_req);
+      ("firmware", Json.String a.a_firmware);
+      ("workload", Json.String a.a_workload);
+      ("approach", Json.String a.a_approach);
+      (* As with submit: the budget reaches the worker by its IEEE-754
+         bits so the cell's journal key is bit-exact. *)
+      ( "budget_bits",
+        Json.String
+          (Printf.sprintf "%016Lx" (Int64.bits_of_float a.a_budget_s)) );
+      ("seed", Json.int a.a_seed);
+    ]
 
-let directive_of_json j =
+let assignment_of_json j =
   match str (Json.member "op" j) with
   | Some "cell-assign" ->
     let* a_req = str (Json.member "req" j) in
@@ -287,10 +278,7 @@ let directive_of_json j =
       Some (Int64.float_of_bits bits)
     in
     let* a_seed = num (Json.member "seed" j) in
-    Some
-      (Cell_assign
-         { a_req; a_firmware; a_workload; a_approach; a_budget_s; a_seed })
-  | Some "drain" -> Some Drain
+    Some { a_req; a_firmware; a_workload; a_approach; a_budget_s; a_seed }
   | Some _ | None -> None
 
 let parse_of of_json kind line =
@@ -305,5 +293,5 @@ let render_request r = Json.to_string (request_to_json r)
 let parse_request line = parse_of request_of_json "request" line
 let render_response r = Json.to_string (response_to_json r)
 let parse_response line = parse_of response_of_json "response" line
-let render_directive d = Json.to_string (directive_to_json d)
-let parse_directive line = parse_of directive_of_json "directive" line
+let render_assignment a = Json.to_string (assignment_to_json a)
+let parse_assignment line = parse_of assignment_of_json "assignment" line

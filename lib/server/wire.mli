@@ -28,10 +28,10 @@ type hunt_request = {
           {!Worker.cells_of_request} rejects any other value. Parsed so
           that frames from clients that still send it decode. *)
   shards : int;
-      (** Historical: the static-shard count of the pre-pull daemon.
+      (** Historical: the static-shard count of an earlier daemon.
           Accepted (and round-tripped) for wire compatibility, but the
-          pull-based dispatcher sizes workers from pending work, so the
-          value no longer influences scheduling. *)
+          dispatcher sizes workers from pending work, so the value no
+          longer influences scheduling. *)
 }
 
 type request =
@@ -49,17 +49,16 @@ type cell_status =
 
 type status_info = {
   active : int;  (** Long-lived worker processes currently alive. *)
-  queued : int;  (** Cells pending dispatch (LPT order). *)
+  queued : int;  (** Cells pending dispatch. *)
   workers : int;  (** The daemon's concurrent-worker budget. *)
   memo_served : int;  (** Cells served without forking since startup. *)
   worker_retries : int;  (** Cells re-queued after their worker died. *)
 }
 
-(** Server-to-client frames, plus the worker-to-daemon half of the
-    pull-dispatch handshake ({!Cell_request}/{!Cell_result}) which shares
-    the response layer of the worker pipe and is never forwarded to
-    clients — a client only ever sees [Cell] frames the daemon re-emits
-    from worker results. *)
+(** Server-to-client frames, plus the worker-to-daemon {!Cell_result},
+    which shares the response layer of the worker pipe and is never
+    forwarded to clients — a client only ever sees [Cell] frames the
+    daemon re-emits from worker results. *)
 type response =
   | Accepted of { req : string; cells : string list }
   | Rejected of { reason : string }
@@ -67,17 +66,17 @@ type response =
   | Done of { req : string; retries : int; quarantined : int }
   | Status_info of status_info
   | Pong
-  | Cell_request
-      (** Worker to daemon: a cell slot went idle; assign the next cell. *)
   | Cell_result of
       { req : string; approach : string; label : string; status : cell_status }
       (** Worker to daemon: the terminal outcome of one assigned cell. *)
 
-(** One cell of work, daemon to worker. Carries the originating request's
-    raw fields rather than a serialised config: the worker re-expands them
-    through {!Worker.cells_of_request} exactly as `submit` and in-process
-    `hunt` do, so an assigned cell's config — and therefore its journal
-    key and result bytes — cannot drift from the other entry points. *)
+(** One cell of work, daemon to worker: the only frame on a worker's
+    input pipe, whose EOF tells the worker to exit. Carries the
+    originating request's raw fields rather than a serialised config:
+    the worker re-expands them through {!Worker.cells_of_request} exactly
+    as `submit` and in-process `hunt` do, so an assigned cell's config —
+    and therefore its journal key and result bytes — cannot drift from
+    the other entry points. *)
 type assignment = {
   a_req : string;  (** Owning request id, echoed in {!Cell_result}. *)
   a_firmware : string;
@@ -86,11 +85,6 @@ type assignment = {
   a_budget_s : float;  (** Crosses as IEEE-754 bits, like [budget_s]. *)
   a_seed : int;  (** The request's base seed (cells re-derive theirs). *)
 }
-
-(** Daemon-to-worker control frames on the assignment pipe. *)
-type directive =
-  | Cell_assign of assignment
-  | Drain  (** No more work is coming: finish in-flight cells and exit. *)
 
 val is_metrics_line : string -> bool
 (** Does this line belong to the metrics layer (starts with ["[avis]"])? *)
@@ -104,6 +98,6 @@ val render_response : response -> string
 
 val parse_response : string -> (response, string) result
 
-val render_directive : directive -> string
+val render_assignment : assignment -> string
 
-val parse_directive : string -> (directive, string) result
+val parse_assignment : string -> (assignment, string) result

@@ -82,12 +82,12 @@ let cells_of_request (r : Wire.hunt_request) =
         build [] r.approaches)
 
 (* How many additional workers pending work justifies: never more than the
-   configured limit allows, and never more than the cells that no existing
-   idle slot could absorb — forking a process that would only ever block on
-   an empty queue wastes a fork and a journal load. *)
-let fork_budget ~limit ~live ~idle_slots ~pending =
+   configured limit allows, and never more than the cells that no idle
+   worker could take — forking a process that would only ever block on an
+   empty pipe wastes a fork and a journal load. *)
+let fork_budget ~limit ~live ~idle ~pending =
   let limit = max 1 limit in
-  max 0 (min (limit - live) (pending - idle_slots))
+  max 0 (min (limit - live) (pending - idle))
 
 let cell_of_assignment (a : Wire.assignment) =
   match
@@ -152,50 +152,24 @@ let execute_cell ~send ~journal (a : Wire.assignment) =
             attempts = e.Campaign.attempts;
           })
 
-let serve_pull ~journal_path ~jobs ~input ~out =
-  let write_mutex = Mutex.create () in
+let serve ~journal_path ~input ~out =
   let send line =
     let payload = Bytes.of_string (line ^ "\n") in
-    Mutex.lock write_mutex;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock write_mutex)
-      (fun () ->
-        try write_all out payload 0 (Bytes.length payload)
-        with Unix.Unix_error (Unix.EPIPE, _, _) ->
-          (* Daemon gone; keep running so the journal still gets the
-             records — the next daemon will memo-serve them. *)
-          ())
+    try write_all out payload 0 (Bytes.length payload)
+    with Unix.Unix_error (Unix.EPIPE, _, _) ->
+      (* Daemon gone; keep running so the journal still gets the
+         records — the next daemon will memo-serve them. *)
+      ()
   in
   let journal = Run_journal.open_ journal_path in
-  let pool = Avis_util.Pool.create ~jobs:(max 1 jobs) in
-  let request_cell () = send (Wire.render_response Wire.Cell_request) in
   let ic = Unix.in_channel_of_descr input in
-  (* One outstanding request per cell slot; each completion requests the
-     next cell, so the daemon never assigns more than the executor can
-     hold and the in-flight set it must re-queue on our death stays at
-     most [jobs] cells. *)
-  for _ = 1 to Avis_util.Pool.jobs pool do
-    request_cell ()
-  done;
   let rec loop () =
     match input_line ic with
     | exception End_of_file -> ()
-    | line -> (
-      match Wire.parse_directive line with
-      | Ok (Wire.Cell_assign a) ->
-        Avis_util.Pool.submit pool (fun () ->
-            execute_cell ~send ~journal a;
-            request_cell ());
-        loop ()
-      | Ok Wire.Drain -> ()
-      | Error e ->
-        Printf.eprintf "[avis] huntd worker: %s\n%!" e;
-        loop ())
+    | line ->
+      (match Wire.parse_assignment line with
+      | Ok a -> execute_cell ~send ~journal a
+      | Error e -> Printf.eprintf "[avis] huntd worker: %s\n%!" e);
+      loop ()
   in
-  loop ();
-  (* Finish in-flight cells before exiting: their results (and journal
-     records) are the whole point of a graceful drain. *)
-  try Avis_util.Pool.close_and_wait pool
-  with e ->
-    Printf.eprintf "[avis] huntd worker: cell failed during drain: %s\n%!"
-      (Printexc.to_string e)
+  loop ()

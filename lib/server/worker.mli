@@ -7,11 +7,9 @@
     exactly the keys an in-process [avis_cli hunt] of the same request
     would compute. It runs each cell through {!Campaign.run_cell}, the
     runner [hunt] and the bench matrix use too, so its metrics lines and
-    results are theirs. Dispatch is pull-based: the executor sends one
-    {!Wire.response.Cell_request} per idle slot on its domain
-    {!Avis_util.Pool} ([jobs] wide) and the daemon answers each with a
-    {!Wire.directive.Cell_assign}, so a worker never holds more than
-    [jobs] cells and losing one costs at most that many re-queues. *)
+    results are theirs. A worker runs one cell at a time: the daemon
+    writes it one {!Wire.assignment} only while it is idle, so losing a
+    worker costs at most one re-queue. *)
 
 open Avis_core
 
@@ -45,33 +43,28 @@ val cells_of_request : Wire.hunt_request -> (cell list, string) result
     finite and positive, or a [lanes] field asking for batching (anything
     but absent or 1) is an [Error]. *)
 
-val fork_budget : limit:int -> live:int -> idle_slots:int -> pending:int -> int
+val fork_budget : limit:int -> live:int -> idle:int -> pending:int -> int
 (** How many additional workers pending work justifies: never more than
     [limit - live], and never more than the [pending] cells that the
-    [idle_slots] of existing workers (their cell slots not in flight,
-    requested yet or not) could not absorb —
-    forking a process that would only ever block on an empty queue wastes
-    a fork and a journal load. Never negative; [limit] is clamped to at
-    least 1. *)
+    [idle] ones of the [live] workers (those not running a cell) could
+    not take — forking a process that would only ever block on an empty
+    pipe wastes a fork and a journal load. Never negative; [limit] is
+    clamped to at least 1. *)
 
 val cell_of_assignment : Wire.assignment -> (cell, string) result
 (** Expand one assignment through {!cells_of_request} (the assignment's
     approach as the sole entry), so an assigned cell's config cannot
     drift from what `submit` validated. *)
 
-val serve_pull :
-  journal_path:string -> jobs:int -> input:Unix.file_descr ->
-  out:Unix.file_descr -> unit
-(** The forked child's main: request cells over [out] (one
-    {!Wire.response.Cell_request} per free slot), run each
-    {!Wire.directive.Cell_assign} read from [input] through
-    {!Campaign.run_cell} against the journal at [journal_path] — the
-    daemon's own — and report terminal {!Wire.response.Cell_result}
-    lines plus req-tagged {!Avis_util.Metrics} lines (one per tenth of
-    the budget, then the terminal one). A live cell's record is read
-    back from the journal, so its wire bytes equal a later memo's.
-    Each line is written whole under a mutex, so the stream stays
-    line-atomic even though cells run on concurrent domains. Returns
-    after [Drain] or EOF on [input], once in-flight cells finish. Never
-    raises on a cell failure: the supervised runner reports it as
-    [Cell_quarantined]. *)
+val serve :
+  journal_path:string -> input:Unix.file_descr -> out:Unix.file_descr ->
+  unit
+(** The forked child's main: run each {!Wire.assignment} read from
+    [input], one at a time, through {!Campaign.run_cell} against the
+    journal at [journal_path] — the daemon's own — and report its
+    req-tagged {!Avis_util.Metrics} lines (one per tenth of the budget,
+    then the terminal one) and then its terminal
+    {!Wire.response.Cell_result} over [out]. A live cell's record is
+    read back from the journal, so its wire bytes equal a later memo's.
+    Returns at EOF on [input]. Never raises on a cell failure: the
+    supervised runner reports it as [Cell_quarantined]. *)

@@ -37,29 +37,6 @@ let test_pool_propagates_exception () =
            (fun x -> if x = 3 then raise Boom else x)
            (List.init 8 Fun.id)))
 
-let test_pool_submit_and_close () =
-  let pool = Pool.create ~jobs:3 in
-  Alcotest.(check int) "worker count" 3 (Pool.jobs pool);
-  let counter = Atomic.make 0 in
-  for _ = 1 to 100 do
-    Pool.submit pool (fun () -> Atomic.incr counter)
-  done;
-  Pool.close_and_wait pool;
-  Alcotest.(check int) "all jobs ran" 100 (Atomic.get counter);
-  Alcotest.check_raises "submit after close"
-    (Invalid_argument "Pool.submit: pool is closed") (fun () ->
-      Pool.submit pool (fun () -> ()))
-
-let test_pool_inline_close () =
-  let pool = Pool.create ~jobs:1 in
-  let ran = ref false in
-  Pool.submit pool (fun () -> ran := true);
-  Alcotest.(check bool) "inline job ran at submit" true !ran;
-  Pool.close_and_wait pool;
-  Alcotest.check_raises "inline submit after close"
-    (Invalid_argument "Pool.submit: pool is closed") (fun () ->
-      Pool.submit pool (fun () -> ()))
-
 let test_pool_env_defaults () =
   Alcotest.(check int) "unset variable falls back to the hardware"
     (Pool.default_jobs ())
@@ -70,133 +47,31 @@ let spin_until cond =
     Domain.cpu_relax ()
   done
 
-(* Regression for the shutdown race: a submitter blocked on a full queue
-   must be woken and refused when the pool closes, never allowed to
-   enqueue into a dead pool (which silently dropped the job and later
-   surfaced as an opaque "job did not complete"). *)
-let test_pool_close_while_submitter_blocked () =
-  let pool = Pool.create ~jobs:2 in
-  (* Park both workers on [gate] so nothing drains the queue. *)
-  let gate = Atomic.make false in
-  let running = Atomic.make 0 in
-  for _ = 1 to 2 do
-    Pool.submit pool (fun () ->
-        Atomic.incr running;
-        spin_until (fun () -> Atomic.get gate))
-  done;
-  spin_until (fun () -> Atomic.get running = 2);
-  (* Fill the queue to capacity (2 * jobs) so the next submit blocks. *)
-  let queued_ran = Atomic.make 0 in
-  for _ = 1 to 4 do
-    Pool.submit pool (fun () -> Atomic.incr queued_ran)
-  done;
-  let late_ran = Atomic.make false in
-  let entered = Atomic.make false in
-  let submitter =
-    Domain.spawn (fun () ->
-        Atomic.set entered true;
-        match Pool.submit pool (fun () -> Atomic.set late_ran true) with
-        | () -> `Accepted
-        | exception Invalid_argument _ -> `Refused)
-  in
-  spin_until (fun () -> Atomic.get entered);
-  (* Give the submitter time to block inside [not_full] before closing;
-     if the close still wins the race, the entry check refuses it too,
-     so the assertion below holds either way. *)
-  let t0 = Metrics.now_s () in
-  spin_until (fun () -> Metrics.now_s () -. t0 > 0.05);
-  let closer = Domain.spawn (fun () -> Pool.close_and_wait pool) in
-  let verdict = Domain.join submitter in
-  Atomic.set gate true;
-  Domain.join closer;
-  Alcotest.(check bool) "blocked submit refused, not dropped" true
-    (verdict = `Refused);
-  Alcotest.(check bool) "refused job never ran" false (Atomic.get late_ran);
-  Alcotest.(check int) "jobs accepted before close all ran" 4
-    (Atomic.get queued_ran)
-
-(* Inline (jobs=1) parity with Crew: a job failure is captured at submit
-   and re-raised at close, and later jobs still run. *)
-let test_pool_inline_defers_exception () =
-  let pool = Pool.create ~jobs:1 in
-  let ran_after = ref false in
-  Pool.submit pool (fun () -> raise Boom);
-  Pool.submit pool (fun () -> ran_after := true);
-  Alcotest.(check bool) "jobs after a failure still run" true !ran_after;
-  Alcotest.check_raises "failure deferred to close" Boom (fun () ->
-      Pool.close_and_wait pool);
-  (* The failure was consumed by the first close; closing again is a
-     no-op. *)
-  Pool.close_and_wait pool
-
-let test_pool_double_close_idempotent () =
-  let pool = Pool.create ~jobs:2 in
-  Pool.submit pool (fun () -> raise Boom);
-  Alcotest.check_raises "first close re-raises the job failure" Boom
-    (fun () -> Pool.close_and_wait pool);
-  (* Second close must neither re-raise nor re-join the workers. *)
-  Pool.close_and_wait pool;
-  Pool.close_and_wait pool
-
-let test_pool_concurrent_close () =
-  let pool = Pool.create ~jobs:2 in
-  Pool.submit pool (fun () -> raise Boom);
-  let close () =
-    match Pool.close_and_wait pool with () -> 0 | exception Boom -> 1
-  in
-  let d1 = Domain.spawn close in
-  let d2 = Domain.spawn close in
-  Alcotest.(check int) "exactly one closer observes the failure" 1
-    (Domain.join d1 + Domain.join d2)
-
-let test_pool_map_lpt_matches_map () =
-  let items = List.init 30 Fun.id in
-  let f x = (x * 3) + 1 in
-  Alcotest.(check (list int)) "results in input order, equal to map"
-    (Pool.map ~jobs:4 f items)
-    (Pool.map_lpt ~jobs:4 ~weight:float_of_int f items);
-  Alcotest.(check (list int)) "empty input" []
-    (Pool.map_lpt ~jobs:4 ~weight:float_of_int f [])
-
-let test_pool_map_lpt_feeds_heaviest_first () =
-  (* An inline pool (jobs=1) runs each job at submit, so the execution
-     order observed here is exactly the feed order. *)
-  let ran = ref [] in
-  let items = [ 1.0; 5.0; 3.0; 5.0; 2.0 ] in
-  let results =
-    Pool.map_lpt ~jobs:1 ~weight:Fun.id
-      (fun w ->
-        ran := w :: !ran;
-        w)
-      items
-  in
-  Alcotest.(check (list (float 0.0))) "results keep input order" items results;
-  Alcotest.(check (list (float 0.0))) "fed heaviest first, ties stable"
-    [ 5.0; 5.0; 3.0; 2.0; 1.0 ] (List.rev !ran)
-
-let test_pool_queue_wait () =
-  let inline = Pool.create ~jobs:1 in
-  Pool.submit inline (fun () -> ());
-  Alcotest.(check (float 0.0)) "inline jobs never wait" 0.0
-    (Pool.queue_wait_s inline);
-  Pool.close_and_wait inline;
-  let pool = Pool.create ~jobs:2 in
-  let gate = Atomic.make false in
-  let running = Atomic.make 0 in
-  for _ = 1 to 2 do
-    Pool.submit pool (fun () ->
-        Atomic.incr running;
-        spin_until (fun () -> Atomic.get gate))
-  done;
-  spin_until (fun () -> Atomic.get running = 2);
-  (* Both workers parked on the gate: this job must sit in the queue. *)
-  Pool.submit pool (fun () -> ());
-  let t0 = Metrics.now_s () in
-  spin_until (fun () -> Metrics.now_s () -. t0 > 0.02);
-  Atomic.set gate true;
-  Pool.close_and_wait pool;
-  Alcotest.(check bool) "queued job's wait measured" true
-    (Pool.queue_wait_s pool > 0.0)
+(* Every item runs even when some raise, inline and on domains alike, and
+   the failure re-raised is the first in input order: on domains, item 2
+   is held back so that item 5 fails first in time. *)
+let test_pool_failure_runs_every_item () =
+  List.iter
+    (fun jobs ->
+      let ran = Array.make 8 false in
+      Alcotest.check_raises
+        (Printf.sprintf "jobs=%d: first failure in input order" jobs)
+        (Failure "item 2")
+        (fun () ->
+          ignore
+            (Pool.map ~jobs
+               (fun i ->
+                 ran.(i) <- true;
+                 if i = 2 then begin
+                   let t0 = Metrics.now_s () in
+                   spin_until (fun () -> Metrics.now_s () -. t0 > 0.02)
+                 end;
+                 if i = 2 || i = 5 then failwith (Printf.sprintf "item %d" i))
+               (List.init 8 Fun.id)));
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d: every item ran" jobs)
+        true (Array.for_all Fun.id ran))
+    [ 1; 4 ]
 
 (* Metrics *)
 
@@ -448,23 +323,9 @@ let () =
           Alcotest.test_case "more workers than items" `Quick test_pool_more_jobs_than_items;
           Alcotest.test_case "empty input" `Quick test_pool_empty;
           Alcotest.test_case "exception propagates" `Quick test_pool_propagates_exception;
-          Alcotest.test_case "submit and close" `Quick test_pool_submit_and_close;
-          Alcotest.test_case "inline close" `Quick test_pool_inline_close;
           Alcotest.test_case "env fallback" `Quick test_pool_env_defaults;
-          Alcotest.test_case "close refuses blocked submitter" `Quick
-            test_pool_close_while_submitter_blocked;
-          Alcotest.test_case "inline defers exception" `Quick
-            test_pool_inline_defers_exception;
-          Alcotest.test_case "double close idempotent" `Quick
-            test_pool_double_close_idempotent;
-          Alcotest.test_case "concurrent close" `Quick
-            test_pool_concurrent_close;
-          Alcotest.test_case "map_lpt = map" `Quick
-            test_pool_map_lpt_matches_map;
-          Alcotest.test_case "map_lpt feeds heaviest first" `Quick
-            test_pool_map_lpt_feeds_heaviest_first;
-          Alcotest.test_case "queue wait measured" `Quick
-            test_pool_queue_wait;
+          Alcotest.test_case "a failure runs every item" `Quick
+            test_pool_failure_runs_every_item;
         ] );
       ( "metrics",
         [

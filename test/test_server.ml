@@ -113,9 +113,7 @@ let test_wire_response_roundtrip () =
              { code = "WORKER-LOST"; message = "worker died"; attempts = 3 };
        });
   check_response (Wire.Done { req = "r1"; retries = 1; quarantined = 0 });
-  (* The worker-to-daemon half of the pull handshake shares the response
-     layer. *)
-  check_response Wire.Cell_request;
+  (* The worker-to-daemon result shares the response layer. *)
   check_response
     (Wire.Cell_result
        {
@@ -175,20 +173,19 @@ let sample_assignment =
     a_seed = 42;
   }
 
-let check_directive d =
-  match Wire.parse_directive (Wire.render_directive d) with
-  | Ok d' -> Alcotest.(check bool) "directive round-trips" true (d = d')
-  | Error e -> Alcotest.failf "directive did not parse back: %s" e
-
 let test_wire_directive_roundtrip () =
-  check_directive (Wire.Cell_assign sample_assignment);
-  check_directive Wire.Drain;
-  (match Wire.parse_directive {|{"op":"cell-assign","req":"r1"}|} with
+  (match
+     Wire.parse_assignment (Wire.render_assignment sample_assignment)
+   with
+  | Ok a ->
+    Alcotest.(check bool) "assignment round-trips" true (a = sample_assignment)
+  | Error e -> Alcotest.failf "assignment did not parse back: %s" e);
+  (match Wire.parse_assignment {|{"op":"cell-assign","req":"r1"}|} with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted an assignment without its cell fields");
-  match Wire.parse_directive "not json" with
+  match Wire.parse_assignment "not json" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted a non-JSON directive line"
+  | Ok _ -> Alcotest.fail "accepted a non-JSON assignment line"
 
 (* An assignment expands through the same validation as a request, so a
    worker's cell config cannot drift from what submit/hunt would build. *)
@@ -231,26 +228,23 @@ let test_cell_of_assignment () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted an unknown approach"
 
+(* [idle] counts live workers not running a cell, so it is at most [live]. *)
 let test_fork_budget () =
-  let check name want ~limit ~live ~idle_slots ~pending =
-    Alcotest.(check int)
-      name want
-      (Worker.fork_budget ~limit ~live ~idle_slots ~pending)
+  let check name want ~limit ~live ~idle ~pending =
+    Alcotest.(check int) name want (Worker.fork_budget ~limit ~live ~idle ~pending)
   in
-  check "no pending work forks nothing" 0 ~limit:4 ~live:0 ~idle_slots:0
-    ~pending:0;
-  check "pending work forks up to the limit" 4 ~limit:4 ~live:0 ~idle_slots:0
+  check "no pending work forks nothing" 0 ~limit:4 ~live:0 ~idle:0 ~pending:0;
+  check "pending work forks up to the limit" 4 ~limit:4 ~live:0 ~idle:0
     ~pending:9;
-  check "live workers count against the limit" 2 ~limit:4 ~live:2
-    ~idle_slots:0 ~pending:9;
-  check "idle slots absorb pending first" 1 ~limit:4 ~live:1 ~idle_slots:2
-    ~pending:3;
-  check "fully idle crew forks nothing" 0 ~limit:4 ~live:2 ~idle_slots:5
-    ~pending:3;
-  check "at the limit forks nothing" 0 ~limit:4 ~live:4 ~idle_slots:0
+  check "live workers count against the limit" 2 ~limit:4 ~live:2 ~idle:0
     ~pending:9;
-  check "never negative" 0 ~limit:2 ~live:3 ~idle_slots:7 ~pending:1;
-  check "limit clamps to one" 1 ~limit:0 ~live:0 ~idle_slots:0 ~pending:5
+  check "idle workers take pending first" 2 ~limit:4 ~live:1 ~idle:1
+    ~pending:3;
+  check "enough idle workers fork nothing" 0 ~limit:4 ~live:3 ~idle:3
+    ~pending:3;
+  check "at the limit forks nothing" 0 ~limit:4 ~live:4 ~idle:0 ~pending:9;
+  check "never negative" 0 ~limit:2 ~live:3 ~idle:3 ~pending:1;
+  check "limit clamps to one" 1 ~limit:0 ~live:0 ~idle:0 ~pending:5
 
 let test_wire_budget_bits_lossless () =
   List.iter
@@ -381,22 +375,22 @@ let read_until ~req ic until =
   in
   go ()
 
-let submit_and_collect ic oc request =
-  send oc (Wire.Submit request);
-  let req =
-    match input_line ic with
-    | line -> (
-      match Wire.parse_response line with
-      | Ok (Wire.Accepted { req; cells }) ->
-        Alcotest.(check int) "accepted all cells"
-          (List.length request.Wire.approaches)
-          (List.length cells);
-        req
-      | Ok (Wire.Rejected { reason }) ->
-        Alcotest.failf "daemon rejected the hunt: %s" reason
-      | Ok _ -> Alcotest.fail "expected accepted/rejected first"
-      | Error e -> Alcotest.failf "bad accept line: %s" e)
-  in
+(* A submitted request's [accepted] line: its id. *)
+let accepted_req ic request =
+  match Wire.parse_response (input_line ic) with
+  | Ok (Wire.Accepted { req; cells }) ->
+    Alcotest.(check int) "accepted all cells"
+      (List.length request.Wire.approaches)
+      (List.length cells);
+    req
+  | Ok (Wire.Rejected { reason }) ->
+    Alcotest.failf "daemon rejected the hunt: %s" reason
+  | Ok _ -> Alcotest.fail "expected accepted/rejected first"
+  | Error e -> Alcotest.failf "bad accept line: %s" e
+
+(* Every control line of request [req] up to its [done]: its cells'
+   statuses. *)
+let statuses ic req =
   let responses =
     read_until ~req ic (function Wire.Done d -> d.req = req | _ -> false)
   in
@@ -405,6 +399,12 @@ let submit_and_collect ic oc request =
       | Wire.Cell { req = r; status; _ } when r = req -> Some status
       | _ -> None)
     responses
+
+let collect ic request = statuses ic (accepted_req ic request)
+
+let submit_and_collect ic oc request =
+  send oc (Wire.Submit request);
+  collect ic request
 
 let tiny_request =
   {
@@ -419,7 +419,12 @@ let tiny_request =
 
 let record_bytes r = Avis_util.Json.to_string (Run_journal.record_to_json r)
 
-let test_daemon_end_to_end () =
+(* The measured duration is not part of a cell's result. *)
+let result_bytes r = record_bytes { r with Run_journal.elapsed_bits = None }
+
+(* Fork [Hunt_service.serve] with [workers] workers on a fresh journal in
+   a temp dir, wait for its socket, run [f dir socket_path], then stop it. *)
+let with_daemon ~workers f =
   let dir = temp_dir () in
   Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
   let socket_path = Filename.concat dir "huntd.sock" in
@@ -429,7 +434,7 @@ let test_daemon_end_to_end () =
       tcp_port = None;
       journal_path = Filename.concat dir "journal.jsonl";
       store_dir = None;
-      workers = 2;
+      workers;
       jobs = 1;
     }
   in
@@ -453,6 +458,10 @@ let test_daemon_end_to_end () =
     end
   in
   await_socket 100;
+  f dir socket_path
+
+let test_daemon_end_to_end () =
+  with_daemon ~workers:2 @@ fun _ socket_path ->
   let ic, oc = connect socket_path in
   send oc Wire.Ping;
   (match Wire.parse_response (input_line ic) with
@@ -478,10 +487,95 @@ let test_daemon_end_to_end () =
   match Wire.parse_response (input_line ic) with
   | Ok (Wire.Status_info s) ->
     Alcotest.(check bool) "memo served counted" true (s.Wire.memo_served >= 1);
-    (* A forked worker's free slot counts as idle before it asks for
-       work, so one cell forks one worker, not one per loop pass. *)
+    (* A forked worker counts as idle before it reads its first
+       assignment, so one cell forks one worker, not one per loop pass. *)
     Alcotest.(check int) "one cell forked one worker" 1 s.Wire.active
   | _ -> Alcotest.fail "no status"
+
+(* A worker runs one cell at a time; [jobs] survives in the config only
+   for callers that build it literally. *)
+let test_serve_rejects_jobs () =
+  Alcotest.check_raises "jobs = 2 refused before anything is bound"
+    (Invalid_argument
+       "Hunt_service.serve: jobs must be 1 (a worker runs one cell)")
+    (fun () ->
+      Hunt_service.serve { (Hunt_service.default_config ()) with jobs = 2 })
+
+(* Two requests whose cells share a label, the second submitted while
+   the first runs: each client must receive its own request's record,
+   byte-equal to an in-process run of that request. *)
+let test_daemon_same_label_requests () =
+  with_daemon ~workers:1 @@ fun dir socket_path ->
+  let req_a = { tiny_request with Wire.budget_s = 20.0; seed = 3 } in
+  let req_b = { tiny_request with Wire.budget_s = 40.0; seed = 4 } in
+  let ic_a, oc_a = connect socket_path in
+  let ic_b, oc_b = connect socket_path in
+  send oc_a (Wire.Submit req_a);
+  let id_a = accepted_req ic_a req_a in
+  (* A's first metrics line precedes its result, so A is still running. *)
+  while not (Wire.is_metrics_line (input_line ic_a)) do
+    ()
+  done;
+  send oc_b (Wire.Submit req_b);
+  let live = function
+    | [ Wire.Cell_done record ] -> record
+    | _ -> Alcotest.fail "expected one live cell per request"
+  in
+  let got_b = live (collect ic_b req_b) in
+  let got_a = live (statuses ic_a id_a) in
+  (* Same binary, so the same journal fingerprint and keys as the daemon. *)
+  let journal = Run_journal.open_ (Filename.concat dir "in-process.jsonl") in
+  let in_process r =
+    match Worker.cells_of_request r with
+    | Ok [ cell ] -> (
+      match
+        Campaign.run_cell ~journal
+          ~emit:(fun ~event:_ _ -> ())
+          cell.Worker.config ~approach:cell.Worker.approach
+          ~strategy:cell.Worker.strategy
+      with
+      | Campaign.Live (_, record), _ -> record
+      | _ -> Alcotest.fail "in-process cell did not run live")
+    | _ -> Alcotest.fail "request did not expand to one cell"
+  in
+  Alcotest.(check string) "client A got A's record"
+    (result_bytes (in_process req_a)) (result_bytes got_a);
+  Alcotest.(check string) "client B got B's record"
+    (result_bytes (in_process req_b)) (result_bytes got_b);
+  Alcotest.(check bool) "the two records differ" true
+    (result_bytes got_a <> result_bytes got_b)
+
+(* One worker: while request A's cell runs, B (-b 60) and then C (-b 120)
+   queue behind it. Cells start in arrival order, so B's cell frame must
+   arrive before C's; a queue ordered by budget or predicted duration
+   would start C first. *)
+let test_daemon_arrival_order () =
+  with_daemon ~workers:1 @@ fun _ socket_path ->
+  let ic, oc = connect socket_path in
+  List.iter
+    (fun (approach, budget_s) ->
+      send oc
+        (Wire.Submit
+           { tiny_request with Wire.approaches = [ approach ]; budget_s }))
+    [ ("random", 600.0); ("dfs", 60.0); ("bfs", 120.0) ];
+  let rec read ~accepted ~cells ~done_ =
+    if done_ = 3 then (List.rev accepted, List.rev cells)
+    else
+      let line = input_line ic in
+      if Wire.is_metrics_line line then read ~accepted ~cells ~done_
+      else
+        match Wire.parse_response line with
+        | Ok (Wire.Accepted { req; _ }) ->
+          read ~accepted:(req :: accepted) ~cells ~done_
+        | Ok (Wire.Cell { req; status = Wire.Cell_done _; _ }) ->
+          read ~accepted ~cells:(req :: cells) ~done_
+        | Ok (Wire.Done _) -> read ~accepted ~cells ~done_:(done_ + 1)
+        | Ok _ -> Alcotest.failf "unexpected control line: %s" line
+        | Error e -> Alcotest.failf "bad control line (%s): %s" e line
+  in
+  let accepted, cells = read ~accepted:[] ~cells:[] ~done_:0 in
+  Alcotest.(check (list string)) "cells finish in submission order" accepted
+    cells
 
 let () =
   Alcotest.run "avis server"
@@ -517,5 +611,11 @@ let () =
         [
           Alcotest.test_case "end-to-end: live then memo, same bytes" `Quick
             test_daemon_end_to_end;
+          Alcotest.test_case "same-label requests get their own records"
+            `Quick test_daemon_same_label_requests;
+          Alcotest.test_case "cells start in arrival order" `Quick
+            test_daemon_arrival_order;
+          Alcotest.test_case "serve rejects jobs other than 1" `Quick
+            test_serve_rejects_jobs;
         ] );
     ]

@@ -200,46 +200,6 @@ let test_journal_old_line_tolerated () =
       (Run_journal.elapsed_s r = None)
 
 (* ------------------------------------------------------------------ *)
-(* Cost model                                                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_cost_model_predictions () =
-  let m = Cost_model.create () in
-  Alcotest.(check (float 0.0)) "empty model falls back to the budget" 30.0
-    (Cost_model.predict m ~label:"a" ~budget_s:30.0);
-  Cost_model.observe m ~label:"a" ~spent_s:10.0 ~elapsed_s:2.0;
-  Cost_model.observe m ~label:"a" ~spent_s:10.0 ~elapsed_s:4.0;
-  Alcotest.(check (float 1e-9)) "seen class predicts its mean" 3.0
-    (Cost_model.predict m ~label:"a" ~budget_s:30.0);
-  (* Unseen class: budget scaled by the global real-per-modelled ratio
-     (6 elapsed over 20 spent = 0.3). *)
-  Alcotest.(check (float 1e-9)) "unseen class scales the budget" 9.0
-    (Cost_model.predict m ~label:"b" ~budget_s:30.0);
-  Alcotest.(check int) "observations counted" 2 (Cost_model.observations m);
-  (* Garbage measurements must not poison the model. *)
-  Cost_model.observe m ~label:"a" ~elapsed_s:Float.nan;
-  Cost_model.observe m ~label:"a" ~elapsed_s:(-1.0);
-  Alcotest.(check int) "non-finite and negative ignored" 2
-    (Cost_model.observations m)
-
-let test_cost_model_of_journal () =
-  with_journal_path @@ fun path ->
-  let j = Run_journal.open_ ~fingerprint:"fp" path in
-  let key1 = Run_journal.key ~fingerprint:"fp" ~config_bytes:"one" in
-  let key2 = Run_journal.key ~fingerprint:"fp" ~config_bytes:"two" in
-  Run_journal.record_complete j
-    { (sample_record ~key:key1) with
-      Run_journal.elapsed_bits = Some (Int64.bits_of_float 5.0) };
-  (* A record without a duration (old journal) trains nothing. *)
-  Run_journal.record_complete j
-    { (sample_record ~key:key2) with Run_journal.elapsed_bits = None };
-  let m = Cost_model.of_journal j in
-  Alcotest.(check int) "only timed records train" 1
-    (Cost_model.observations m);
-  Alcotest.(check (float 1e-9)) "journal timing drives the prediction" 5.0
-    (Cost_model.predict m ~label:"avis/ArduPilot/quickstart" ~budget_s:1000.0)
-
-(* ------------------------------------------------------------------ *)
 (* Campaign memos                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -616,13 +576,6 @@ let () =
             test_journal_elapsed_roundtrip;
           Alcotest.test_case "pre-elapsed journal lines tolerated" `Quick
             test_journal_old_line_tolerated;
-        ] );
-      ( "cost model",
-        [
-          Alcotest.test_case "mean, fallback and hygiene" `Quick
-            test_cost_model_predictions;
-          Alcotest.test_case "primed from the journal" `Quick
-            test_cost_model_of_journal;
         ] );
       ( "campaign memos",
         [

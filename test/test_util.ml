@@ -261,7 +261,7 @@ let test_trace_chrome_roundtrip () =
   Trace.set_enabled true;
   Trace.span "outer" (fun () ->
       Trace.span ~cat:"sim" "inner" noop;
-      Trace.counter "pool.queue_depth" 3.0;
+      Trace.counter "cache.hits" 3.0;
       Trace.instant ~cat:"campaign" "finding");
   Trace.set_enabled false;
   Alcotest.(check int) "four events buffered" 4 (Trace.event_count ());
@@ -282,7 +282,7 @@ let test_trace_chrome_roundtrip () =
   in
   Alcotest.(check bool) "outer span" true (named "outer" "X");
   Alcotest.(check bool) "inner span" true (named "inner" "X");
-  Alcotest.(check bool) "counter" true (named "pool.queue_depth" "C");
+  Alcotest.(check bool) "counter" true (named "cache.hits" "C");
   Alcotest.(check bool) "instant" true (named "finding" "i");
   List.iter
     (fun ev ->
