@@ -351,7 +351,7 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
       in
       Some
         (Prefix_cache.create ~workload:config.workload
-           ~make_sim:(fun ~scenario -> sim_config config ~seed:test_seed ~scenario)
+           ~config:(sim_cfg_of config ~seed:test_seed)
            ~checkpoint_times ())
   in
   let run_scenario scenario =

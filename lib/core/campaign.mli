@@ -45,7 +45,10 @@ type progress = {
       (** Persistent-store restores so far; 0 when no store is active. *)
   store_misses : int;
       (** Store consultations that fell through to a cold run. *)
-  store_bytes : int;  (** Bytes on disk under the store directory. *)
+  store_bytes : int;
+      (** Checkpoint bytes under the store directory as the cell's store
+          counts them ({!Checkpoint_store.bytes}): files other writers
+          added since its last scan are not included. *)
 }
 (** A snapshot of the search loop's counters, handed to the [progress]
     callback of {!run} after every simulated scenario. The GC fields are

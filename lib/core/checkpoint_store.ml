@@ -25,14 +25,12 @@ type t = {
   fingerprint : string;
   config_key : string;
   budget_bytes : int;
-  mutable hits : int;
-  mutable misses : int;
   mutable evictions : int;
-  mutable bytes : int;  (** Directory size after the last scan. *)
+  mutable bytes : int;
+      (** Directory size at the last scan, plus this instance's own writes
+          and minus its own deletions since. *)
   mutable tmp_counter : int;
 }
-
-type stats = { hits : int; misses : int; bytes : int; evictions : int }
 
 let suffix = ".ckpt"
 
@@ -71,8 +69,6 @@ let create ?fingerprint ?store_mb ~dir ~config_key () =
       fingerprint;
       config_key;
       budget_bytes = budget_bytes_of ?store_mb ();
-      hits = 0;
-      misses = 0;
       evictions = 0;
       bytes = 0;
       tmp_counter = 0;
@@ -80,8 +76,6 @@ let create ?fingerprint ?store_mb ~dir ~config_key () =
   in
   ignore (scan_bytes t);
   t
-
-let dir t = t.dir
 
 (* The content address: everything that must be bit-identical for a stored
    snapshot to be sound. The null separators keep distinct triples from
@@ -244,14 +238,16 @@ let lookup t ~fault_key ~before =
           Some (time, payload)
         | None ->
           (* Corrupt (truncated, bit-flipped, or foreign): delete so it is
-             never tried again, and keep looking at older candidates. *)
-          (try Sys.remove path with _ -> ());
+             never tried again, and keep looking at older candidates. The
+             file may be another writer's, written after the last scan, so
+             the count is clamped rather than allowed below zero. *)
+          (try
+             Sys.remove path;
+             t.bytes <- max 0 (t.bytes - String.length data)
+           with _ -> ());
           first rest))
   in
   first (candidates t ~fault_key ~before)
 
-let count_hit (t : t) = t.hits <- t.hits + 1
-let count_miss (t : t) = t.misses <- t.misses + 1
-
-let stats (t : t) : stats =
-  { hits = t.hits; misses = t.misses; bytes = scan_bytes t; evictions = t.evictions }
+let bytes t = t.bytes
+let evictions t = t.evictions

@@ -38,12 +38,19 @@
     {2 Eviction}
 
     The store is bounded by [store_mb] (default the [AVIS_STORE_MB]
-    environment variable, else 1024 MiB). When the directory exceeds the
-    budget, files are deleted oldest-mtime-first — equal mtimes (coarse
-    filesystem timestamp granularity) are broken deterministically by path
-    order, so the surviving set does not depend on the filesystem; serving
-    a checkpoint touches its mtime, making the policy LRU across
-    processes.
+    environment variable, else 1024 MiB). Each instance tracks the
+    directory's size itself: it scans the directory when it is created,
+    then counts its own writes and deletions. When a write takes that count
+    past the budget, the instance rescans the directory and deletes files
+    oldest-mtime-first until it fits — equal mtimes (coarse filesystem
+    timestamp granularity) are broken deterministically by path order, so
+    the surviving set does not depend on the filesystem; serving a
+    checkpoint touches its mtime, making the policy LRU across processes.
+
+    A single writer never leaves the directory over budget. When several
+    instances write one directory, in one process or in many, each sees
+    the others' files only at its next scan, so together they can
+    overshoot the budget by what the others wrote since.
 
     All I/O failures degrade to cache misses; the store never raises out of
     [put]/[lookup]. *)
@@ -60,8 +67,6 @@ val create :
     non-positive or malformed values (including from [AVIS_STORE_MB]) are
     warned about and replaced by the 1024 MiB default. *)
 
-val dir : t -> string
-
 val put : t -> fault_key:string -> time:float -> payload:string Lazy.t -> unit
 (** Persist a checkpoint. The payload is not forced when a file for this
     exact key and time already exists. Failures are silently ignored (the
@@ -72,23 +77,14 @@ val lookup : t -> fault_key:string -> before:float -> (float * string) option
     [before], with its capture time. Corrupt candidates are deleted and
     skipped. Serving a file refreshes its mtime (LRU touch). *)
 
-val count_hit : t -> unit
-(** Record that a [lookup] result was actually served. *)
+val bytes : t -> int
+(** Checkpoint bytes on disk under the store directory, as of this
+    instance's last scan (at [create] and before each eviction) plus the
+    files it has written and minus the files it has deleted since. Files
+    other instances wrote or deleted after that scan are not counted. *)
 
-val count_miss : t -> unit
-(** Record that a scenario had to run cold as far as the store is
-    concerned. *)
-
-type stats = {
-  hits : int;  (** Scenarios served from a stored checkpoint. *)
-  misses : int;  (** Scenarios the store could not serve. *)
-  bytes : int;  (** Bytes currently on disk under the store directory. *)
-  evictions : int;  (** Files deleted by this instance to stay in budget. *)
-}
-
-val stats : t -> stats
-
-val default_store_mb : int
+val evictions : t -> int
+(** Files deleted by this instance to stay in budget. *)
 
 val default_fingerprint : unit -> string
 (** The code fingerprint used when [create]'s [?fingerprint] is omitted:

@@ -8,25 +8,14 @@ type entry = {
   mutable last_used : int;  (** Logical clock tick of last capture or hit. *)
 }
 
-(* The clean run being checkpointed. It is advanced lazily — only as far as
-   the scenarios actually executed need — and abandoned once the workload
-   completes (no checkpoint can lie beyond the end of the clean run). *)
-type builder =
-  | Unstarted
-  | Live of Sim.t * Workload.Stepper.stepper
-  | Finished
-
 type t = {
   workload : Workload.t;
-  make_sim : scenario:Scenario.t -> Sim.t;
+  config : Sim.config;
   store : Checkpoint_store.t option;
       (** Persistent overflow/sharing tier: same keys as [entries], files on
           disk, shared with other processes. [None] when no store directory
           is configured. *)
   targets : float array;  (** Capture times, ascending. *)
-  mutable clean_pending : float list;
-      (** Targets the clean builder has not reached yet, ascending. *)
-  mutable builder : builder;
   entries : (string, entry list) Hashtbl.t;
       (** Active-fault-prefix key -> checkpoints, latest first. *)
   mutable hits : int;
@@ -36,6 +25,8 @@ type t = {
   mutable resident_bytes : int;
   mutable use_tick : int;  (** Logical clock for LRU ordering. *)
   mutable evictions : int;
+  mutable store_hits : int;
+  mutable store_misses : int;
 }
 
 type stats = {
@@ -73,8 +64,7 @@ let budget_bytes_of ?cache_mb () =
   in
   mb * 1024 * 1024
 
-let create ?cache_mb ?store_dir ~workload ~make_sim
-    ~checkpoint_times () =
+let create ?cache_mb ?store_dir ~workload ~config ~checkpoint_times () =
   let ts =
     List.sort_uniq compare (List.filter (fun t -> t > 0.0) checkpoint_times)
   in
@@ -86,24 +76,21 @@ let create ?cache_mb ?store_dir ~workload ~make_sim
   let store =
     match store_dir with
     | Some dir when dir <> "" ->
-      (* The store's configuration identity: the canonical config bytes of
-         a probe simulator plus the workload name — two campaigns whose
-         runs could ever diverge must never share a key. *)
-      let probe = make_sim ~scenario:Scenario.empty in
+      Avis_util.Trace.span ~cat:"cache" "store.open" @@ fun () ->
+      (* The store's configuration identity: the canonical config bytes
+         plus the workload name — two campaigns whose runs could ever
+         diverge must never share a key. *)
       let config_key =
-        Sim.config_to_bytes (Sim.config probe)
-        ^ "\x00" ^ workload.Workload.name
+        Sim.config_to_bytes config ^ "\x00" ^ workload.Workload.name
       in
       Some (Checkpoint_store.create ~dir ~config_key ())
     | _ -> None
   in
   {
     workload;
-    make_sim;
+    config;
     store;
     targets = Array.of_list ts;
-    clean_pending = ts;
-    builder = Unstarted;
     entries = Hashtbl.create 64;
     hits = 0;
     misses = 0;
@@ -112,6 +99,8 @@ let create ?cache_mb ?store_dir ~workload ~make_sim
     resident_bytes = 0;
     use_tick = 0;
     evictions = 0;
+    store_hits = 0;
+    store_misses = 0;
   }
 
 (* Fault activation ([Hinj.is_failed]) is judged against the firmware's own
@@ -178,17 +167,11 @@ let snaps_of_payload payload =
       (sim_snap, stepper_snap))
     payload
 
-let note_store (t : t) =
-  match t.store with
-  | None -> ()
-  | Some s ->
-    let st = Checkpoint_store.stats s in
-    Avis_util.Trace.counter "store.hits"
-      (float_of_int st.Checkpoint_store.hits);
-    Avis_util.Trace.counter "store.misses"
-      (float_of_int st.Checkpoint_store.misses);
-    Avis_util.Trace.counter "store.bytes"
-      (float_of_int st.Checkpoint_store.bytes)
+let note_store (t : t) store =
+  Avis_util.Trace.counter "store.hits" (float_of_int t.store_hits);
+  Avis_util.Trace.counter "store.misses" (float_of_int t.store_misses);
+  Avis_util.Trace.counter "store.bytes"
+    (float_of_int (Checkpoint_store.bytes store))
 
 (* Drop the globally least-recently-used checkpoint (capture and hit both
    count as uses). Linear in the entry count, which the byte budget keeps
@@ -220,6 +203,28 @@ let enforce_budget (t : t) =
   while t.resident_bytes > t.budget_bytes && evict_lru t do () done;
   note_resident t
 
+(* File a checkpoint under [key], latest first, and charge it to the byte
+   budget. A lone checkpoint larger than the whole budget evicts itself, so
+   the resident set never exceeds the budget even transiently past this
+   point. *)
+let add_entry (t : t) ~key ~time ~sim_snap ~stepper_snap =
+  let bytes = entry_bytes ~sim_snap ~stepper_snap in
+  t.use_tick <- t.use_tick + 1;
+  let entry = { time; sim_snap; stepper_snap; bytes; last_used = t.use_tick } in
+  let rec insert = function
+    | e :: rest when e.time > time -> e :: insert rest
+    | rest -> entry :: rest
+  in
+  let existing = Option.value ~default:[] (Hashtbl.find_opt t.entries key) in
+  Hashtbl.replace t.entries key (insert existing);
+  t.resident_bytes <- t.resident_bytes + bytes;
+  enforce_budget t;
+  entry
+
+(* A scenario's captures before its first fault land under the empty key:
+   they are the clean checkpoints every later scenario forks from, so the
+   clean prefix is simulated once, by whichever scenario first reaches each
+   capture time. *)
 let capture (t : t) ~scenario sim st =
   Avis_util.Trace.span ~cat:"cache" "cache.checkpoint" @@ fun () ->
   let time = injection_clock sim in
@@ -233,173 +238,74 @@ let capture (t : t) ~scenario sim st =
     if not (List.exists (fun e -> e.time = time) existing) then begin
       let sim_snap = Sim.snapshot sim in
       let stepper_snap = Workload.Stepper.snapshot st in
-      let bytes = entry_bytes ~sim_snap ~stepper_snap in
-      Avis_util.Trace.counter "snapshot.bytes" (float_of_int bytes);
-      t.use_tick <- t.use_tick + 1;
-      let entry =
-        { time; sim_snap; stepper_snap; bytes; last_used = t.use_tick }
-      in
-      let rec insert = function
-        | e :: rest when e.time > time -> e :: insert rest
-        | rest -> entry :: rest
-      in
-      Hashtbl.replace t.entries key (insert existing);
-      t.resident_bytes <- t.resident_bytes + bytes;
+      let entry = add_entry t ~key ~time ~sim_snap ~stepper_snap in
+      Avis_util.Trace.counter "snapshot.bytes" (float_of_int entry.bytes);
       (* Write-through to the persistent tier. The payload is lazy: when a
          previous process already stored this exact key and time, nothing
          is serialised at all. *)
-      (match t.store with
+      match t.store with
       | Some store ->
         Checkpoint_store.put store ~fault_key:key ~time
           ~payload:(lazy (store_payload ~sim_snap ~stepper_snap))
-      | None -> ());
-      (* A lone checkpoint larger than the whole budget evicts itself, so
-         the resident set never exceeds the budget even transiently past
-         this point. *)
-      enforce_budget t
+      | None -> ()
     end
   end
-
-(* Start the clean builder from the latest clean checkpoint a previous
-   process left in the store, when there is one: a warm-process campaign
-   then never re-simulates the clean prefix it already paid for. A decode
-   failure just falls back to a fresh builder. *)
-let builder_from_store t =
-  match t.store with
-  | None -> None
-  | Some store -> (
-    let miss () =
-      Checkpoint_store.count_miss store;
-      note_store t;
-      None
-    in
-    match Checkpoint_store.lookup store ~fault_key:"" ~before:infinity with
-    | None -> miss ()
-    | Some (time, payload) -> (
-      match snaps_of_payload payload with
-      | exception Avis_util.Codec.Corrupt _ -> miss ()
-      | sim_snap, stepper_snap ->
-        Checkpoint_store.count_hit store;
-        t.saved_sim_s <- t.saved_sim_s +. time;
-        note_store t;
-        let sim =
-          Sim.restore
-            ~plan:(Scenario.to_plan Scenario.empty)
-            ~link_outages:(Scenario.link_outages Scenario.empty)
-            sim_snap
-        in
-        let st = Workload.Stepper.restore stepper_snap in
-        (* Targets at or before the forked time stay served by the store
-           itself; the builder only owes the later ones. *)
-        t.clean_pending <-
-          List.filter (fun target -> target > time) t.clean_pending;
-        (* The forked state is itself the freshest clean checkpoint; keep it
-           in memory so same-process lookups skip the disk. *)
-        capture t ~scenario:Scenario.empty sim st;
-        Some (sim, st)))
-
-let builder_live t =
-  match t.builder with
-  | Live (sim, st) -> Some (sim, st)
-  | Finished -> None
-  | Unstarted ->
-    let sim, st =
-      match builder_from_store t with
-      | Some live -> live
-      | None ->
-        ( t.make_sim ~scenario:Scenario.empty,
-          Workload.Stepper.create t.workload )
-    in
-    t.builder <- Live (sim, st);
-    Some (sim, st)
-
-(* Capture every pending clean checkpoint at or before [time]. The stepper
-   pauses strictly before each target, so a checkpoint captured for target T
-   sits at a simulated time < T — which keeps it valid for any fault at T
-   itself. *)
-let rec advance_to t ~time =
-  match t.clean_pending with
-  | target :: rest when target <= time -> (
-    match builder_live t with
-    | None -> t.clean_pending <- []
-    | Some (sim, st) -> (
-      match Workload.Stepper.run st sim ~until:target with
-      | Workload.Stepper.Running ->
-        capture t ~scenario:Scenario.empty sim st;
-        t.clean_pending <- rest;
-        advance_to t ~time
-      | Workload.Stepper.Done _ ->
-        t.builder <- Finished;
-        t.clean_pending <- []))
-  | _ -> ()
-
-let earliest_fault (scenario : Scenario.t) =
-  match Scenario.first_injection_time scenario with
-  | Some at -> at
-  | None -> infinity
 
 let compare_for_prefix a b =
   match compare (Scenario.fault_time a) (Scenario.fault_time b) with
   | 0 -> compare (encode_fault a) (encode_fault b)
   | c -> c
 
-(* Find the latest checkpoint this scenario can fork from. With the faults
-   sorted by activation time, each prefix of j faults is a candidate key; a
-   checkpoint under it is sound iff it was taken strictly before the
-   (j+1)-th fault activates ([Hinj.is_failed] activates at [at <= time], and
-   an outage opens at the first step of its window, so equality would
-   already differ). Entries under a key necessarily postdate every fault in
-   it, so the window below is the only check needed. *)
-let lookup t ~scenario =
-  Avis_util.Trace.span ~cat:"cache" "cache.lookup" @@ fun () ->
+(* Find the latest checkpoint this scenario can fork from, as [find ~key
+   ~before] sees them: the latest checkpoint under [key] taken strictly
+   before [before], with its time. With the faults sorted by activation
+   time, each prefix of j faults is a candidate key; a checkpoint under it
+   is sound iff it was taken strictly before the (j+1)-th fault activates
+   ([Hinj.is_failed] activates at [at <= time], and an outage opens at the
+   first step of its window, so equality would already differ). Entries
+   under a key necessarily postdate every fault in it, so the window below
+   is the only check needed. *)
+let best_prefix ~find scenario =
   let faults = Array.of_list (List.sort compare_for_prefix scenario) in
   let k = Array.length faults in
   let best = ref None in
   for j = 0 to k do
-    let next_at =
-      if j = k then infinity else Scenario.fault_time faults.(j)
-    in
+    let before = if j = k then infinity else Scenario.fault_time faults.(j) in
     let key = encode_faults (Array.to_list (Array.sub faults 0 j)) in
-    match Hashtbl.find_opt t.entries key with
+    match find ~key ~before with
     | None -> ()
-    | Some es -> (
-      (* [es] is latest-first: the first in-window entry is the best one. *)
-      match List.find_opt (fun e -> e.time < next_at) es with
-      | Some e -> (
-        match !best with
-        | Some b when b.time >= e.time -> ()
-        | _ -> best := Some e)
-      | None -> ())
+    | Some (time, found) -> (
+      match !best with
+      | Some (_, best_time, _) when best_time >= time -> ()
+      | _ -> best := Some (key, time, found))
   done;
   !best
+
+let lookup (t : t) ~scenario =
+  Avis_util.Trace.span ~cat:"cache" "cache.lookup" @@ fun () ->
+  let find ~key ~before =
+    match Hashtbl.find_opt t.entries key with
+    | None -> None
+    | Some es ->
+      (* [es] is latest-first: the first in-window entry is the best one. *)
+      List.find_opt (fun e -> e.time < before) es
+      |> Option.map (fun e -> (e.time, e))
+  in
+  Option.map (fun (_, _, e) -> e) (best_prefix ~find scenario)
 
 (* The persistent fallback to [lookup]: the same prefix-key scan, against
    files written by this or any earlier process. A served checkpoint is
    decoded and re-warmed into memory, so the disk is touched once per
    prefix, not once per scenario. *)
-let store_lookup t ~scenario =
-  match t.store with
-  | None -> None
-  | Some store ->
+let store_lookup (t : t) store ~scenario =
+  let served =
     Avis_util.Trace.span ~cat:"cache" "store.lookup" @@ fun () ->
-    let faults = Array.of_list (List.sort compare_for_prefix scenario) in
-    let k = Array.length faults in
-    let best = ref None in
-    for j = 0 to k do
-      let next_at =
-        if j = k then infinity else Scenario.fault_time faults.(j)
-      in
-      let key = encode_faults (Array.to_list (Array.sub faults 0 j)) in
-      match Checkpoint_store.lookup store ~fault_key:key ~before:next_at with
-      | Some (time, payload) -> (
-        match !best with
-        | Some (best_time, _, _) when best_time >= time -> ()
-        | _ -> best := Some (time, key, payload))
-      | None -> ()
-    done;
-    (match !best with
+    let find ~key ~before =
+      Checkpoint_store.lookup store ~fault_key:key ~before
+    in
+    match best_prefix ~find scenario with
     | None -> None
-    | Some (time, key, payload) -> (
+    | Some (key, time, payload) -> (
       match snaps_of_payload payload with
       | exception Avis_util.Codec.Corrupt _ ->
         (* The frame checksum held but the payload didn't decode (e.g. a
@@ -407,22 +313,13 @@ let store_lookup t ~scenario =
            the key makes this all but impossible for files we wrote. *)
         None
       | sim_snap, stepper_snap ->
-        let bytes = entry_bytes ~sim_snap ~stepper_snap in
-        t.use_tick <- t.use_tick + 1;
-        let entry =
-          { time; sim_snap; stepper_snap; bytes; last_used = t.use_tick }
-        in
-        let existing =
-          Option.value ~default:[] (Hashtbl.find_opt t.entries key)
-        in
-        let rec insert = function
-          | e :: rest when e.time > time -> e :: insert rest
-          | rest -> entry :: rest
-        in
-        Hashtbl.replace t.entries key (insert existing);
-        t.resident_bytes <- t.resident_bytes + bytes;
-        enforce_budget t;
-        Some entry))
+        Some (add_entry t ~key ~time ~sim_snap ~stepper_snap))
+  in
+  (match served with
+  | Some _ -> t.store_hits <- t.store_hits + 1
+  | None -> t.store_misses <- t.store_misses + 1);
+  note_store t store;
+  served
 
 (* Run one scenario to completion, pausing at each remaining capture target
    so the run's own fault prefixes become checkpoints for later scenarios —
@@ -430,42 +327,28 @@ let store_lookup t ~scenario =
    (SABRE's sites) fork from its base run instead of re-simulating it.
    Pausing and resuming is bit-identical to an uninterrupted run. *)
 let execute (t : t) ~scenario =
+  let plan = Scenario.to_plan scenario in
+  let link_outages = Scenario.link_outages scenario in
   let serve e =
     t.hits <- t.hits + 1;
     Avis_util.Trace.counter "cache.hits" (float_of_int t.hits);
     t.use_tick <- t.use_tick + 1;
     e.last_used <- t.use_tick;
     t.saved_sim_s <- t.saved_sim_s +. e.time;
-    let sim =
-      Sim.restore
-        ~plan:(Scenario.to_plan scenario)
-        ~link_outages:(Scenario.link_outages scenario)
-        e.sim_snap
-    in
-    (sim, Workload.Stepper.restore e.stepper_snap)
+    (Sim.restore ~plan ~link_outages e.sim_snap,
+     Workload.Stepper.restore e.stepper_snap)
   in
-  advance_to t ~time:(earliest_fault scenario);
   let sim, st =
     match lookup t ~scenario with
     | Some e -> serve e
     | None -> (
-      match store_lookup t ~scenario with
-      | Some e ->
-        (match t.store with
-        | Some s ->
-          Checkpoint_store.count_hit s;
-          note_store t
-        | None -> ());
-        serve e
+      match Option.bind t.store (fun s -> store_lookup t s ~scenario) with
+      | Some e -> serve e
       | None ->
-        (match t.store with
-        | Some s ->
-          Checkpoint_store.count_miss s;
-          note_store t
-        | None -> ());
         t.misses <- t.misses + 1;
         Avis_util.Trace.counter "cache.misses" (float_of_int t.misses);
-        (t.make_sim ~scenario, Workload.Stepper.create t.workload))
+        (Sim.create ~plan ~link_outages t.config,
+         Workload.Stepper.create t.workload))
   in
   let n = Array.length t.targets in
   let rec go i =
@@ -490,20 +373,13 @@ let execute (t : t) ~scenario =
   Sim.outcome sim ~workload_passed:passed
 
 let stats (t : t) =
-  let store_hits, store_misses, store_bytes =
-    match t.store with
-    | None -> (0, 0, 0)
-    | Some s ->
-      let st = Checkpoint_store.stats s in
-      Checkpoint_store.(st.hits, st.misses, st.bytes)
-  in
   {
     hits = t.hits;
     misses = t.misses;
     saved_sim_s = t.saved_sim_s;
     evictions = t.evictions;
     resident_bytes = t.resident_bytes;
-    store_hits;
-    store_misses;
-    store_bytes;
+    store_hits = t.store_hits;
+    store_misses = t.store_misses;
+    store_bytes = Option.fold ~none:0 ~some:Checkpoint_store.bytes t.store;
   }

@@ -4,15 +4,15 @@
     the clean flight — provision, arm, climb — and, for searches that stack
     faults onto a previously observed scenario (SABRE's sites), the faulty
     flight of that base scenario too. The cache checkpoints both with
-    {!Avis_sitl.Sim.snapshot} and {!Workload.Stepper.snapshot}:
-
-    - the clean run is simulated {e once} (same config and seed as the test
-      runs) and checkpointed lazily at the requested times, and
-    - every executed scenario is itself checkpointed at those times as it
-      runs, each checkpoint keyed by the exact set of faults — sensor
-      failures and link outages alike — already active when it was taken
-      (an outage stays in the key after its window closes: the traffic it
-      dropped leaves the run permanently different).
+    {!Avis_sitl.Sim.snapshot} and {!Workload.Stepper.snapshot}: every
+    executed scenario is checkpointed at the requested times as it runs,
+    each checkpoint keyed by the exact set of faults — sensor failures and
+    link outages alike — already active when it was taken (an outage stays
+    in the key after its window closes: the traffic it dropped leaves the
+    run permanently different). A scenario's checkpoints before its first
+    fault are clean checkpoints, under the empty key, so there is no
+    separate clean run: the clean prefix up to any time is simulated once,
+    by the first scenario to reach that time.
 
     A scenario is then served by restoring the latest checkpoint whose
     active-fault set is a float-for-float prefix of the scenario and whose
@@ -31,14 +31,15 @@ val create :
   ?cache_mb:int ->
   ?store_dir:string ->
   workload:Workload.t ->
-  make_sim:(scenario:Scenario.t -> Avis_sitl.Sim.t) ->
+  config:Avis_sitl.Sim.config ->
   checkpoint_times:float list ->
   unit ->
   t
-(** [make_sim] must provision a simulator exactly as the campaign's test
-    runs do (same seed, config and environment), differing only in the
-    scenario's fault schedule. [checkpoint_times] need not be sorted or
-    unique; non-positive times are dropped.
+(** A cache for the test runs of one campaign. Every run is provisioned
+    from [config] (the campaign's test seed, configuration and
+    environment) with the scenario's fault schedule, whether it runs cold
+    or is restored. [checkpoint_times] need not be sorted or unique;
+    non-positive times are dropped.
 
     [cache_mb] bounds the resident checkpoint bytes; it defaults to the
     [AVIS_CACHE_MB] environment variable, else 1024 MiB (zero, negative
@@ -53,16 +54,16 @@ val create :
     [store_dir] (default the [AVIS_STORE_DIR] environment variable, else
     no store) adds a persistent tier behind the in-memory one: a
     {!Checkpoint_store} rooted there, keyed by the campaign's code
-    fingerprint, canonical configuration bytes (read from one [make_sim]
-    probe with the empty scenario), workload and fault history. Captures
-    are written through (lazily — nothing is serialised when the file
-    already exists), memory misses fall back to the store
-    before running cold, and a fresh process forks its clean builder from
-    the best stored clean checkpoint instead of re-simulating it. Stored
-    checkpoints are served only on bit-exact key matches, so outcomes
-    remain bit-identical to cold runs, across processes. The
-    [AVIS_STORE_MB] environment variable bounds the store directory
-    (default 1024 MiB). *)
+    fingerprint, the canonical bytes of [config], the workload and the
+    fault history. Captures are written through (lazily — nothing is
+    serialised when the file already exists), and a scenario that finds
+    no checkpoint in memory looks in the store before running cold. The
+    store lookup scans the same fault prefixes, so a fresh process forks
+    even its first scenario from the best stored clean or faulty-prefix
+    checkpoint. Stored checkpoints are served only on bit-exact key
+    matches, so outcomes remain bit-identical to cold runs, across
+    processes. The [AVIS_STORE_MB] environment variable bounds the store
+    directory (default 1024 MiB). *)
 
 val execute : t -> scenario:Scenario.t -> Avis_sitl.Sim.outcome
 (** Run one scenario, forking from the best applicable checkpoint — clean
@@ -77,11 +78,13 @@ type stats = {
   evictions : int;  (** Checkpoints dropped to stay within the budget. *)
   resident_bytes : int;  (** Current accounted checkpoint bytes. *)
   store_hits : int;
-      (** Restores served from the persistent store (scenario forks and
-          clean-builder forks alike); 0 when no store is configured. *)
+      (** Scenarios that found no checkpoint in memory and were served from
+          the persistent store; 0 when no store is configured. *)
   store_misses : int;
       (** Scenarios the store was consulted for but could not serve. *)
-  store_bytes : int;  (** Bytes currently on disk under the store. *)
+  store_bytes : int;
+      (** Checkpoint bytes in the store directory, as
+          {!Checkpoint_store.bytes} counts them. *)
 }
 
 val stats : t -> stats

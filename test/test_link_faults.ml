@@ -143,14 +143,9 @@ let stacked_gcs_loss_finding policy bug ~boundary ~offset ~check_cache =
       | Report.Subject_link _ -> ())
     report.Report.relative_faults;
   if check_cache then begin
-    let make_sim ~scenario =
-      Sim.create
-        ~plan:(Scenario.to_plan scenario)
-        ~link_outages:(Scenario.link_outages scenario)
-        (sim_config ~enabled:[ bug ] Workload.auto_box policy)
-    in
     let cache =
-      Prefix_cache.create ~workload:Workload.auto_box ~make_sim
+      Prefix_cache.create ~workload:Workload.auto_box
+        ~config:(sim_config ~enabled:[ bug ] Workload.auto_box policy)
         ~checkpoint_times:(List.init 40 (fun i -> 2.0 *. float_of_int (i + 1)))
         ()
     in

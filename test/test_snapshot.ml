@@ -115,10 +115,15 @@ let test_prefix_cache_transparent () =
       (sim_config workload policy)
   in
   let checkpoint_times = List.init 40 (fun i -> 2.0 *. float_of_int (i + 1)) in
-  let cache = Prefix_cache.create ~workload ~make_sim ~checkpoint_times () in
+  let cache =
+    Prefix_cache.create ~workload ~config:(sim_config workload policy)
+      ~checkpoint_times ()
+  in
+  (* The clean flight comes last, so no clean run precedes the faults: the
+     GPS fault at 25 s runs cold, and its pre-fault checkpoints serve the
+     later scenarios, the barometer fault at 12.5 s included. *)
   let scenarios =
     [
-      Scenario.empty;
       scen_kind Sensor.Gps 25.0;
       scen_kind Sensor.Compass 40.0;
       scen_kind ~n:1 Sensor.Barometer 12.5;
@@ -132,6 +137,7 @@ let test_prefix_cache_transparent () =
         ];
       (* Earlier than every checkpoint: must fall back to a cold run. *)
       scen_kind ~n:1 Sensor.Gps 0.5;
+      Scenario.empty;
     ]
   in
   List.iter
@@ -143,8 +149,9 @@ let test_prefix_cache_transparent () =
       check_same_outcome "cached = cold" cold cached)
     scenarios;
   let stats = Prefix_cache.stats cache in
-  Alcotest.(check bool) "served hits" true (stats.Prefix_cache.hits >= 4);
-  Alcotest.(check int) "early fault misses" 1 stats.Prefix_cache.misses;
+  Alcotest.(check int) "served hits" 5 stats.Prefix_cache.hits;
+  Alcotest.(check int) "first scenario and early fault miss" 2
+    stats.Prefix_cache.misses;
   Alcotest.(check bool) "skipped simulated time" true
     (stats.Prefix_cache.saved_sim_s > 0.0)
 
@@ -162,7 +169,8 @@ let test_prefix_cache_eviction_bounded () =
   in
   let budget_mb = 1 in
   let cache =
-    Prefix_cache.create ~cache_mb:budget_mb ~workload ~make_sim
+    Prefix_cache.create ~cache_mb:budget_mb ~workload
+      ~config:(sim_config workload policy)
       ~checkpoint_times:(List.init 30 (fun i -> float_of_int (i + 1)))
       ()
   in

@@ -380,11 +380,7 @@ let test_store_stale_fingerprint_invisible () =
   put old_build ~fault_key:"" ~time:10.0 "from build a";
   let new_build = make_store ~fingerprint:"build-b" ~dir () in
   Alcotest.(check bool) "other build's checkpoints invisible" true
-    (Checkpoint_store.lookup new_build ~fault_key:"" ~before:infinity = None);
-  Checkpoint_store.count_miss new_build;
-  let s = Checkpoint_store.stats new_build in
-  Alcotest.(check int) "counted as a miss" 1 s.Checkpoint_store.misses;
-  Alcotest.(check int) "no hits" 0 s.Checkpoint_store.hits
+    (Checkpoint_store.lookup new_build ~fault_key:"" ~before:infinity = None)
 
 let test_store_eviction_bounded () =
   with_temp_dir @@ fun dir ->
@@ -392,11 +388,43 @@ let test_store_eviction_bounded () =
   let big = String.make 700_000 'x' in
   put store ~fault_key:"" ~time:10.0 big;
   put store ~fault_key:"" ~time:20.0 (String.make 700_000 'y');
-  let s = Checkpoint_store.stats store in
   Alcotest.(check bool) "bytes within budget" true
-    (s.Checkpoint_store.bytes <= 1024 * 1024);
+    (Checkpoint_store.bytes store <= 1024 * 1024);
   Alcotest.(check bool) "evicted something" true
-    (s.Checkpoint_store.evictions > 0)
+    (Checkpoint_store.evictions store > 0)
+
+(* The store counts its bytes without rescanning the directory: the count
+   must follow every put, corrupt-file deletion and eviction, and agree
+   with what a fresh instance's scan finds. *)
+let test_store_bytes_track_dir () =
+  with_temp_dir @@ fun dir ->
+  let store = make_store ~store_mb:1 ~dir () in
+  let check step =
+    let on_disk =
+      List.fold_left
+        (fun acc p -> acc + (Unix.stat p).Unix.st_size)
+        0 (ckpt_files dir)
+    in
+    Alcotest.(check int) (step ^ ": tracked") on_disk
+      (Checkpoint_store.bytes store);
+    Alcotest.(check int) (step ^ ": fresh scan") on_disk
+      (Checkpoint_store.bytes (make_store ~store_mb:1 ~dir ()))
+  in
+  put store ~fault_key:"" ~time:10.0 "kept";
+  check "put";
+  put store ~fault_key:"" ~time:20.0 "damaged";
+  let suffix = Printf.sprintf "-%016Lx.ckpt" (Int64.bits_of_float 20.0) in
+  damage_file ~at:30
+    (List.find (String.ends_with ~suffix) (ckpt_files dir));
+  (match Checkpoint_store.lookup store ~fault_key:"" ~before:infinity with
+  | Some (_, p) -> Alcotest.(check string) "older served" "kept" p
+  | None -> Alcotest.fail "expected the older checkpoint");
+  check "corrupt file deleted";
+  put store ~fault_key:"" ~time:30.0 (String.make 700_000 'a');
+  put store ~fault_key:"" ~time:40.0 (String.make 700_000 'b');
+  Alcotest.(check bool) "evicted something" true
+    (Checkpoint_store.evictions store > 0);
+  check "eviction"
 
 let test_store_eviction_mtime_tiebreak () =
   (* Filesystems with 1 s timestamp granularity make equal-mtime
@@ -450,14 +478,9 @@ let test_cache_mb_guard () =
      the default budget applies, so a repeated scenario is served from
      memory. *)
   let workload = Workload.quickstart and policy = Policy.apm in
-  let make_sim ~scenario =
-    Sim.create
-      ~plan:(Scenario.to_plan scenario)
-      ~link_outages:(Scenario.link_outages scenario)
-      (sim_config workload policy)
-  in
   let cache =
-    Prefix_cache.create ~cache_mb:0 ~workload ~make_sim
+    Prefix_cache.create ~cache_mb:0 ~workload
+      ~config:(sim_config workload policy)
       ~checkpoint_times:(List.init 30 (fun i -> float_of_int (i + 1)))
       ()
   in
@@ -485,7 +508,8 @@ let quickstart_cache ~store_dir =
       ~link_outages:(Scenario.link_outages scenario)
       (sim_config workload policy)
   in
-  ( Prefix_cache.create ~store_dir ~workload ~make_sim
+  ( Prefix_cache.create ~store_dir ~workload
+      ~config:(sim_config workload policy)
       ~checkpoint_times:(List.init 30 (fun i -> float_of_int (i + 1)))
       (),
     make_sim,
@@ -580,6 +604,8 @@ let () =
             test_store_stale_fingerprint_invisible;
           Alcotest.test_case "eviction keeps bytes bounded" `Quick
             test_store_eviction_bounded;
+          Alcotest.test_case "byte count tracks the directory" `Quick
+            test_store_bytes_track_dir;
           Alcotest.test_case "mtime-tie eviction is path-deterministic" `Quick
             test_store_eviction_mtime_tiebreak;
           Alcotest.test_case "AVIS_STORE_MB guard" `Quick test_store_mb_guard;
