@@ -18,8 +18,9 @@ type check = {
 
 (* ------------------------------------------------------------------ *)
 (* Shared flight fixtures: a climb / asymmetric-cruise / descend       *)
-(* profile flown in calm and windy air, fingerprinted by the IEEE bits *)
-(* of the full rigid-body state.                                       *)
+(* profile flown in calm and windy air, and a grounded profile whose   *)
+(* resting rates decay into the subnormal range, fingerprinted by the  *)
+(* IEEE bits of the full rigid-body state.                             *)
 (* ------------------------------------------------------------------ *)
 
 let dt = 0.004
@@ -40,6 +41,24 @@ let profile i =
   else if i < 1200 then [| hover *. 1.02; hover *. 0.98; hover; hover |]
   else Array.make 4 (hover *. 0.9)
 
+(* A short asymmetric climb, a touchdown at about 1 m/s (under the
+   2.5 m/s crash sink speed: a crash would freeze the world), then 25,500
+   steps with the motors off, so the steppers must flush the resting
+   rates' subnormals alike. *)
+let grounded_profile i =
+  if i < 150 then [| hover *. 1.21; hover *. 1.19; hover *. 1.2; hover *. 1.2 |]
+  else if i < 1500 then Array.make 4 (hover *. 0.9)
+  else Array.make 4 0.0
+
+type flight = { label : string; windy : bool; fly : int -> float array; steps : int }
+
+let flights =
+  [ { label = "calm"; windy = false; fly = profile; steps = 3000 };
+    { label = "windy"; windy = true; fly = profile; steps = 3000 };
+    { label = "grounded"; windy = false; fly = grounded_profile; steps = 27_000 } ]
+
+let labels fs = String.concat ", " (List.map (fun f -> f.label) fs)
+
 let flight_world ~windy =
   let environment =
     if windy then
@@ -54,16 +73,12 @@ let flight_world ~windy =
   World.create ~environment ~rng:(Avis_util.Rng.create 7)
     ~position:(Vec3.make 0.0 0.0 0.0) ()
 
-let flight_steps = 3000
-
-let flight stepf ~windy =
-  let w = flight_world ~windy in
-  for i = 0 to flight_steps - 1 do
-    ignore (stepf w ~motor_commands:(profile i) ~dt)
+let flight stepf f =
+  let w = flight_world ~windy:f.windy in
+  for i = 0 to f.steps - 1 do
+    ignore (stepf w ~motor_commands:(f.fly i) ~dt)
   done;
   fingerprint w
-
-let air_label windy = if windy then "windy" else "calm"
 
 (* ------------------------------------------------------------------ *)
 (* Temp-dir plumbing for STORE-RW.                                     *)
@@ -102,22 +117,22 @@ let det_fp ?(optimized = World.step) () =
       (fun () ->
         let diverged =
           List.filter
-            (fun windy ->
-              flight optimized ~windy <> flight World.step_reference ~windy)
-            [ false; true ]
+            (fun f -> flight optimized f <> flight World.step_reference f)
+            flights
         in
         match diverged with
         | [] ->
           Ok
             (Printf.sprintf
-               "calm and windy flights, %d steps each, 14-float fingerprints \
-                bit-equal"
-               flight_steps)
+               "%s flights (%s steps), 14-float fingerprints bit-equal"
+               (labels flights)
+               (String.concat "/"
+                  (List.map (fun f -> string_of_int f.steps) flights)))
         | l ->
           Error
             (Printf.sprintf
-               "optimised kernel diverges from step_reference in %s air"
-               (String.concat " and " (List.map air_label l))));
+               "optimised kernel diverges from step_reference flying %s"
+               (labels l)));
   }
 
 let sim_fingerprint sim =

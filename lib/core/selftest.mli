@@ -12,7 +12,9 @@
 
     - [DET-FP] — optimised {!Avis_physics.World.step} vs
       [step_reference]: bit-equal state fingerprints over a
-      climb/cruise/descend profile in calm and windy air;
+      climb/cruise/descend profile in calm and windy air, and over a
+      grounded profile that rests with its motors off until its rates
+      decay into the subnormal range;
     - [SNAP-RT] — simulator snapshot → bytes → snapshot: byte-stable
       re-encoding, and the restored run steps bit-identically;
     - [STORE-RW] — checkpoint store in a temp dir: write/read round-trip,

@@ -1,28 +1,22 @@
 open Avis_sensors
 
-type kind_status = {
-  healthy : bool;
-  primary_failed_at : float option;
-  kind_failed_at : float option;
-  active_instance : int option;
-  fresh : Sensor.reading option;
-  stale : Sensor.reading option;
-}
-
 type kind_state = {
   kind : Sensor.kind;
   count : int;
+  ids : Sensor.id array;  (* instance ids, built once for the probes *)
   period : float;
   mutable next_sample : float;
   mutable failed : (int * float) list;  (* instance index -> failure time *)
+  mutable lost_at : float option;  (* derived from [failed] *)
   mutable fresh : Sensor.reading option;
   mutable stale : Sensor.reading option;
 }
 
+(* Indexed by [Sensor.kind_tag]; [None] for a kind the suite lacks. *)
 type t = {
   suite : Suite.t;
   hinj : Avis_hinj.Hinj.t;
-  kinds : kind_state list;
+  kinds : kind_state option array;
 }
 
 let period_for (params : Params.t) = function
@@ -32,107 +26,116 @@ let period_for (params : Params.t) = function
   | Sensor.Barometer -> params.Params.baro_period
   | Sensor.Battery -> params.Params.battery_period
 
+let rec has_failed index = function
+  | [] -> false
+  | (i, _) :: rest -> i = index || has_failed index rest
+
+(* The lowest-indexed instance not yet failed, or -1 once all have. *)
+let rec first_healthy ks index =
+  if index >= ks.count then -1
+  else if has_failed index ks.failed then first_healthy ks (index + 1)
+  else index
+
+(* A kind is lost once every instance has failed, dated by the last
+   instance to go. *)
+let lost_at_of ks =
+  match ks.failed with
+  | _ :: _ as failed when first_healthy ks 0 < 0 ->
+    Some (List.fold_left (fun acc (_, at) -> Float.max acc at) neg_infinity failed)
+  | _ -> None
+
+let kind_state ~kind ~count ~period ~next_sample ~failed ~fresh ~stale =
+  let ks =
+    {
+      kind;
+      count;
+      ids = Array.init count (fun index -> { Sensor.kind; index });
+      period;
+      next_sample;
+      failed;
+      lost_at = None;
+      fresh;
+      stale;
+    }
+  in
+  ks.lost_at <- lost_at_of ks;
+  ks
+
+let index_kinds states =
+  let kinds = Array.make (List.length Sensor.all_kinds) None in
+  List.iter (fun ks -> kinds.(Sensor.kind_tag ks.kind) <- Some ks) states;
+  kinds
+
 let create ~params ~suite ~hinj () =
-  let kinds =
+  let states =
     List.filter_map
       (fun kind ->
         let count = Suite.count suite kind in
         if count = 0 then None
         else
           Some
-            {
-              kind;
-              count;
-              period = period_for params kind;
-              next_sample = 0.0;
-              failed = [];
-              fresh = None;
-              stale = None;
-            })
+            (kind_state ~kind ~count ~period:(period_for params kind)
+               ~next_sample:0.0 ~failed:[] ~fresh:None ~stale:None))
       Sensor.all_kinds
   in
-  { suite; hinj; kinds }
+  { suite; hinj; kinds = index_kinds states }
 
+(* The present kinds in [Sensor.all_kinds] order. *)
 type snapshot = kind_state list
 
-(* [failed] entries and readings are immutable, so copying the record's
-   mutable slots is a deep copy. *)
+(* [failed] entries, ids and readings are immutable, so copying the
+   record's mutable slots is a deep copy. *)
 let copy_kind ks = { ks with next_sample = ks.next_sample }
 
-let snapshot t = List.map copy_kind t.kinds
+let snapshot t =
+  Array.fold_right
+    (fun slot acc -> match slot with Some ks -> copy_kind ks :: acc | None -> acc)
+    t.kinds []
 
-let restore ~suite ~hinj s = { suite; hinj; kinds = List.map copy_kind s }
-
-let instance_failed ks index = List.mem_assoc index ks.failed
-
-let active_instance ks =
-  let rec first i = if i >= ks.count then None
-    else if instance_failed ks i then first (i + 1)
-    else Some i
-  in
-  first 0
+let restore ~suite ~hinj s =
+  { suite; hinj; kinds = index_kinds (List.map copy_kind s) }
 
 (* Probe every not-yet-failed instance (the health monitoring real firmware
    performs on backups too), recording clean failures, and read the
    lowest-indexed healthy instance. *)
 let probe_and_read t ks world ~time =
   for index = 0 to ks.count - 1 do
-    if not (instance_failed ks index) then begin
-      let id = { Sensor.kind = ks.kind; index } in
-      match Avis_hinj.Hinj.sensor_read t.hinj ~time id with
+    if not (has_failed index ks.failed) then
+      match Avis_hinj.Hinj.sensor_read t.hinj ~time ks.ids.(index) with
       | Avis_hinj.Hinj.Healthy -> ()
-      | Avis_hinj.Hinj.Failed -> ks.failed <- (index, time) :: ks.failed
-    end
+      | Avis_hinj.Hinj.Failed ->
+        ks.failed <- (index, time) :: ks.failed;
+        ks.lost_at <- lost_at_of ks
   done;
-  match active_instance ks with
-  | None -> None
-  | Some index -> Some (Suite.read t.suite world { Sensor.kind = ks.kind; index })
+  let active = first_healthy ks 0 in
+  if active >= 0 then begin
+    let reading = Some (Suite.read t.suite world ks.ids.(active)) in
+    ks.fresh <- reading;
+    ks.stale <- reading
+  end
 
 let sample t world ~time =
-  List.iter
-    (fun ks ->
+  for tag = 0 to Array.length t.kinds - 1 do
+    match t.kinds.(tag) with
+    | None -> ()
+    | Some ks ->
       ks.fresh <- None;
       if time >= ks.next_sample then begin
         ks.next_sample <- ks.next_sample +. ks.period;
         (* If scheduling fell far behind (it should not), resynchronise. *)
         if ks.next_sample <= time then ks.next_sample <- time +. ks.period;
-        match probe_and_read t ks world ~time with
-        | Some reading ->
-          ks.fresh <- Some reading;
-          ks.stale <- Some reading
-        | None -> ()
-      end)
-    t.kinds
+        probe_and_read t ks world ~time
+      end
+  done
 
 let state_for t kind =
-  match List.find_opt (fun ks -> ks.kind = kind) t.kinds with
+  match t.kinds.(Sensor.kind_tag kind) with
   | Some ks -> ks
   | None -> invalid_arg ("Drivers: no such kind " ^ Sensor.kind_to_string kind)
 
-let status t kind =
-  let ks = state_for t kind in
-  let active = active_instance ks in
-  {
-    healthy = active <> None;
-    primary_failed_at = List.assoc_opt 0 ks.failed;
-    kind_failed_at =
-      (if active = None then
-         match List.map snd ks.failed with
-         | [] -> None
-         | times -> Some (List.fold_left Float.max neg_infinity times)
-       else None);
-    active_instance = active;
-    fresh = ks.fresh;
-    stale = ks.stale;
-  }
-
-let kind_healthy t kind = (status t kind).healthy
-
-let failure_start t kind =
-  let ks = state_for t kind in
-  match List.map snd ks.failed with
-  | [] -> None
-  | times -> Some (List.fold_left Float.min infinity times)
+let fresh t kind = (state_for t kind).fresh
+let stale t kind = (state_for t kind).stale
+let kind_failed_at t kind = (state_for t kind).lost_at
 
 let encode_kind_state b (ks : kind_state) =
   let open Avis_util.Codec in
@@ -162,7 +165,7 @@ let decode_kind_state r : kind_state =
   in
   let fresh = r_option r Sensor.decode_reading in
   let stale = r_option r Sensor.decode_reading in
-  { kind; count; period; next_sample; failed; fresh; stale }
+  kind_state ~kind ~count ~period ~next_sample ~failed ~fresh ~stale
 
 let encode_snapshot b (s : snapshot) =
   let open Avis_util.Codec in

@@ -10,15 +10,6 @@
 
 open Avis_sensors
 
-type kind_status = {
-  healthy : bool;  (** Some instance of the kind still responds. *)
-  primary_failed_at : float option;
-  kind_failed_at : float option;  (** When the last instance was lost. *)
-  active_instance : int option;
-  fresh : Sensor.reading option;  (** Reading obtained this step, if sampled. *)
-  stale : Sensor.reading option;  (** Most recent successful reading ever. *)
-}
-
 type t
 
 val create :
@@ -35,16 +26,22 @@ val restore : suite:Suite.t -> hinj:Avis_hinj.Hinj.t -> snapshot -> t
 
 val sample : t -> Avis_physics.World.t -> time:float -> unit
 (** Run every driver whose sampling period has elapsed. Call once per
-    control cycle before reading statuses. *)
+    control cycle before the reads below. *)
 
-val status : t -> Sensor.kind -> kind_status
+(** The reads below are constant-time and allocate nothing; each raises
+    [Invalid_argument] for a kind the suite lacks. *)
 
-val kind_healthy : t -> Sensor.kind -> bool
+val fresh : t -> Sensor.kind -> Sensor.reading option
+(** The reading obtained by this control cycle's {!sample}, if the kind
+    was due and some instance still responds. *)
 
-val failure_start : t -> Sensor.kind -> float option
-(** When the kind's health was first degraded (primary or whole kind),
-    whichever came first. This is the timestamp bug trigger windows are
-    evaluated against. *)
+val stale : t -> Sensor.kind -> Sensor.reading option
+(** The most recent successful reading ever, kept after the kind is
+    lost. *)
+
+val kind_failed_at : t -> Sensor.kind -> float option
+(** [None] while some instance still responds; once every instance has
+    failed (the kind is lost), the time the last one did. *)
 
 val encode_snapshot : Buffer.t -> snapshot -> unit
 (** Versioned bit-exact binary layout of the frozen driver state. *)

@@ -84,32 +84,32 @@ let k_vel = 1.6
 let lag_tau = 2.5
 
 let accel_reading d =
-  match (Drivers.status d Sensor.Accelerometer).Drivers.fresh with
+  match Drivers.fresh d Sensor.Accelerometer with
   | Some (Sensor.Accel v) -> Some v
   | Some _ | None -> None
 
 let gyro_reading d =
-  match (Drivers.status d Sensor.Gyroscope).Drivers.fresh with
+  match Drivers.fresh d Sensor.Gyroscope with
   | Some (Sensor.Gyro v) -> Some v
   | Some _ | None -> None
 
 let compass_fresh d =
-  match (Drivers.status d Sensor.Compass).Drivers.fresh with
+  match Drivers.fresh d Sensor.Compass with
   | Some (Sensor.Heading h) -> Some h
   | Some _ | None -> None
 
 let compass_stale d =
-  match (Drivers.status d Sensor.Compass).Drivers.stale with
+  match Drivers.stale d Sensor.Compass with
   | Some (Sensor.Heading h) -> Some h
   | Some _ | None -> None
 
 let baro_fresh d =
-  match (Drivers.status d Sensor.Barometer).Drivers.fresh with
+  match Drivers.fresh d Sensor.Barometer with
   | Some (Sensor.Pressure_alt a) -> Some a
   | Some _ | None -> None
 
 let gps_fresh d =
-  match (Drivers.status d Sensor.Gps).Drivers.fresh with
+  match Drivers.fresh d Sensor.Gps with
   | Some (Sensor.Gps_fix { position; velocity; hdop = _ }) ->
     Some (position, velocity)
   | Some _ | None -> None

@@ -58,7 +58,7 @@ let bug_window_matches (info : Bug.info) ~ctx ~failed_at =
 (* A kind is "lost" once every instance has failed; bug windows are judged
    against the moment the last instance died, because that is when the
    failure-handling logic in question actually runs. *)
-let lost_at drivers kind = (Drivers.status drivers kind).Drivers.kind_failed_at
+let lost_at = Drivers.kind_failed_at
 
 let stronger a b =
   (* Land beats RTL beats altitude-hold: the safest available action wins

@@ -17,7 +17,7 @@ type flight_context = {
   phase : Phase.t;
   phase_entered_at : float;
   transitions : (float * Phase.t * Phase.t) list;
-      (** Mode-transition history, oldest first, including the initial
+      (** Mode-transition history in any order, including the initial
           entry into [Preflight] as [(0, Preflight, Preflight)]. *)
   time : float;
   gcs_lost_at : float option;

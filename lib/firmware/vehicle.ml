@@ -568,7 +568,7 @@ let run_phase t (dirs : Failsafe.directives) ~dt =
     }
 
 let battery_state t =
-  match (Drivers.status t.drivers Sensor.Battery).Drivers.stale with
+  match Drivers.stale t.drivers Sensor.Battery with
   | Some (Sensor.Battery_state { voltage; remaining }) -> (voltage, remaining)
   | Some _ | None -> (12.6, 1.0)
 
@@ -599,8 +599,9 @@ let step t world ~dt =
     {
       Failsafe.phase = t.phase;
       phase_entered_at = t.phase_entered_at;
-      transitions =
-        (0.0, Phase.Preflight, Phase.Preflight) :: List.rev t.transitions;
+      (* Newest first: [Failsafe] only asks whether any transition
+         matches, so the order does not matter. *)
+      transitions = (0.0, Phase.Preflight, Phase.Preflight) :: t.transitions;
       time = t.time;
       gcs_lost_at;
     }

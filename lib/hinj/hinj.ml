@@ -90,8 +90,14 @@ let decode_snapshot r : snapshot =
 let to_bytes s = Avis_util.Codec.to_string encode_snapshot s
 let of_bytes data = Avis_util.Codec.of_string decode_snapshot data
 
-let is_failed t ~time id =
-  List.exists (fun f -> Sensor.equal_id f.sensor id && f.at <= time) t.plan
+(* A direct scan: no closure to allocate on every sensor read. *)
+let rec plan_fails ~time (id : Sensor.id) = function
+  | [] -> false
+  | f :: rest ->
+    (f.sensor.kind = id.kind && f.sensor.index = id.index && f.at <= time)
+    || plan_fails ~time id rest
+
+let is_failed t ~time id = plan_fails ~time id t.plan
 
 let sensor_read t ~time id =
   t.read_count <- t.read_count + 1;

@@ -91,15 +91,19 @@ let parse_head d =
       end
 
 let feed d chunk =
-  d.buffer <- d.buffer ^ chunk;
-  let rec drain acc =
-    match parse_head d with
-    | `Need_more -> List.rev acc
-    | `Skip n ->
-      d.buffer <- String.sub d.buffer n (String.length d.buffer - n);
-      if n = 0 then List.rev acc else drain acc
-    | `Frame (f, consumed) ->
-      d.buffer <- String.sub d.buffer consumed (String.length d.buffer - consumed);
-      drain (f :: acc)
-  in
-  drain []
+  (* Nothing buffered and nothing new: skip the copy and the parse. *)
+  if String.length chunk = 0 && String.length d.buffer = 0 then []
+  else begin
+    d.buffer <- d.buffer ^ chunk;
+    let rec drain acc =
+      match parse_head d with
+      | `Need_more -> List.rev acc
+      | `Skip n ->
+        d.buffer <- String.sub d.buffer n (String.length d.buffer - n);
+        if n = 0 then List.rev acc else drain acc
+      | `Frame (f, consumed) ->
+        d.buffer <- String.sub d.buffer consumed (String.length d.buffer - consumed);
+        drain (f :: acc)
+    in
+    drain []
+  end

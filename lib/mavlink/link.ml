@@ -141,18 +141,26 @@ let send t from data =
 
 let step t = t.now <- t.now + 1
 
+let rec any_due now = function
+  | [] -> false
+  | c :: rest -> c.deliver_at <= now || any_due now rest
+
 let receive t at =
   let queue = match at with Gcs_end -> t.to_gcs | Vehicle_end -> t.to_vehicle in
-  let due, pending = List.partition (fun c -> c.deliver_at <= t.now) queue in
-  (match at with
-  | Gcs_end -> t.to_gcs <- pending
-  | Vehicle_end -> t.to_vehicle <- pending);
-  (* Queues are newest-first; restore send order, then stably order by
-     delivery time so jittered chunks cannot overtake within a step. *)
-  let ordered =
-    List.stable_sort (fun a b -> compare a.deliver_at b.deliver_at) (List.rev due)
-  in
-  String.concat "" (List.map (fun c -> c.data) ordered)
+  (* Most steps deliver nothing: skip the partition, sort and concat. *)
+  if not (any_due t.now queue) then ""
+  else begin
+    let due, pending = List.partition (fun c -> c.deliver_at <= t.now) queue in
+    (match at with
+    | Gcs_end -> t.to_gcs <- pending
+    | Vehicle_end -> t.to_vehicle <- pending);
+    (* Queues are newest-first; restore send order, then stably order by
+       delivery time so jittered chunks cannot overtake within a step. *)
+    let ordered =
+      List.stable_sort (fun a b -> compare a.deliver_at b.deliver_at) (List.rev due)
+    in
+    String.concat "" (List.map (fun c -> c.data) ordered)
+  end
 
 let in_flight t = List.length t.to_vehicle + List.length t.to_gcs
 

@@ -75,7 +75,11 @@ let step t dt =
   let tau = t.frame.Airframe.motor_time_constant_s in
   let alpha = if tau <= 0.0 then 1.0 else 1.0 -. exp (-.dt /. tau) in
   for i = 0 to Array.length t.actual - 1 do
-    t.actual.(i) <- t.actual.(i) +. (alpha *. (t.commanded.(i) -. t.actual.(i)))
+    let a = t.actual.(i) +. (alpha *. (t.commanded.(i) -. t.actual.(i))) in
+    (* A motor spinning down decays towards zero without reaching it; a
+       subnormal fraction is flushed to zero, as [World] flushes the
+       body's rates (it is below half an ulp of any thrust it adds to). *)
+    t.actual.(i) <- (if Float.abs a < Float.min_float then 0.0 *. a else a)
   done;
   refresh_thrust t
 

@@ -201,6 +201,7 @@ let decode_snapshot r =
 let airframe t = t.airframe
 let environment t = t.environment
 let body t = t.body
+let motors t = t.motors
 let[@inline] time t = t.clock.elapsed
 let crashed t = t.crashed
 let crash_event t = t.crash_event
@@ -225,14 +226,32 @@ let settle_on_ground t ground =
   let v = b.Rigid_body.velocity in
   v.Vec3.Mut.z <- Float.max 0.0 v.Vec3.Mut.z
 
+(* A body at rest decays its rates geometrically (ground friction, ground
+   damping, and the acceleration computed from them) but never reaches
+   zero: once the per-step decrement is below half the smallest subnormal,
+   [x + dt*a] rounds back to [x] and the component sticks a few units of
+   2^-1074 above zero, where every x86 operation on it takes a microcode
+   assist. Flushing a subnormal to a zero of the same sign ([0.0 *. x])
+   leaves exact zeros as they are and changes nothing a result reads: a
+   subnormal is below half an ulp of any normal value it is added to. *)
+let flush_subnormals (v : Vec3.Mut.vec) =
+  let open Vec3.Mut in
+  if Float.abs v.x < Float.min_float then v.x <- 0.0 *. v.x;
+  if Float.abs v.y < Float.min_float then v.y <- 0.0 *. v.y;
+  if Float.abs v.z < Float.min_float then v.z <- 0.0 *. v.z
+
 (* Contact/fence/crash resolution on the post-integration state — shared by
    the optimised and reference steps (both feed it the same ground level,
-   sampled before integration, as the original code did). Steady flight and
-   steady rest both take allocation-free paths; events allocate, but an
-   event either latches a crash or fires once per touchdown. *)
+   sampled before integration, as the original code did), so both flush
+   the same subnormals. Steady flight and steady rest both take
+   allocation-free paths; events allocate, but an event either latches a
+   crash or fires once per touchdown. *)
 let post_step t =
   let ground = t.scratch.s_ground.(0) in
   let b = t.body in
+  flush_subnormals b.Rigid_body.velocity;
+  flush_subnormals b.Rigid_body.angular_velocity;
+  flush_subnormals b.Rigid_body.acceleration;
   let open Vec3.Mut in
   let px = b.Rigid_body.position.x
   and py = b.Rigid_body.position.y

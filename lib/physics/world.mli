@@ -65,6 +65,9 @@ val airframe : t -> Airframe.t
 val environment : t -> Environment.t
 val body : t -> Rigid_body.t
 
+val motors : t -> Motor.t
+(** The live rotor bank (read it with {!Motor.blit_to_floats}). *)
+
 val time : t -> float
 (** Simulated seconds since creation. *)
 

@@ -38,6 +38,9 @@ type reading =
 
 val reading_kind : reading -> kind
 
+val kind_tag : kind -> int
+(** The kind's position in {!all_kinds}, 0 to 5; also its codec tag. *)
+
 val encode_kind : Buffer.t -> kind -> unit
 val decode_kind : Avis_util.Codec.reader -> kind
 

@@ -199,10 +199,14 @@ let battery_remaining t = t.charge.(0)
 let drain_battery_to t level =
   t.charge.(0) <- Avis_util.Stats.clamp ~lo:0.0 ~hi:1.0 level
 
-let state_for t id =
-  match List.assoc_opt id t.states with
-  | Some s -> s
-  | None -> invalid_arg ("Suite.read: unknown instance " ^ Sensor.id_to_string id)
+(* Field by field: a polymorphic compare of the ids would cost a C call
+   per instance on every sensor read. *)
+let rec find_state (id : Sensor.id) = function
+  | [] -> invalid_arg ("Suite.read: unknown instance " ^ Sensor.id_to_string id)
+  | ((sid : Sensor.id), s) :: rest ->
+    if sid.kind = id.kind && sid.index = id.index then s else find_state id rest
+
+let state_for t id = find_state id t.states
 
 let read t world id =
   let s = state_for t id in

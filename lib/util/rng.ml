@@ -1,24 +1,33 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives in 8 bytes, read and written through the
+   int64 byte primitives, so a draw stores it unboxed: a [mutable int64]
+   field would box a fresh state on every draw. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_bits state =
+  let t = Bytes.create 8 in
+  set_state t 0 state;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_bits (Int64.of_int seed)
 
-let to_bits t = t.state
+let copy = Bytes.copy
 
-let of_bits state = { state }
+let to_bits t = get_state t 0
 
 (* splitmix64 core: advance by the golden gamma, then mix. *)
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  let z = t.state in
+let[@inline] bits64 t =
+  let z = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 z;
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let split t = { state = bits64 t }
+let split t = of_bits (bits64 t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -151,20 +151,37 @@ let test_drivers_healthy () =
   sample_until drivers world 0.5;
   List.iter
     (fun kind ->
-      Alcotest.(check bool) (Sensor.kind_to_string kind ^ " healthy") true
-        (Drivers.kind_healthy drivers kind))
+      let name = Sensor.kind_to_string kind in
+      Alcotest.(check bool) (name ^ " not lost") true
+        (Drivers.kind_failed_at drivers kind = None);
+      Alcotest.(check bool) (name ^ " read") true
+        (Drivers.stale drivers kind <> None))
     Sensor.all_kinds
 
+(* With the primary failed at 0.1 s, the backup keeps serving: every GPS
+   sample after the failure still yields a fresh reading, and none of
+   them is the reading the primary gives drivers built from the same seed
+   with no fault planned. *)
 let test_drivers_failover () =
   let plan = [ { Avis_hinj.Hinj.sensor = { Sensor.kind = Sensor.Gps; index = 0 }; at = 0.1 } ] in
   let drivers, world = make_drivers plan in
-  sample_until drivers world 0.5;
-  let status = Drivers.status drivers Sensor.Gps in
-  Alcotest.(check bool) "still healthy" true status.Drivers.healthy;
-  Alcotest.(check (option int)) "failed over to backup" (Some 1)
-    status.Drivers.active_instance;
-  Alcotest.(check bool) "primary failure recorded" true
-    (status.Drivers.primary_failed_at <> None)
+  let primary, primary_world = make_drivers [] in
+  let dt = 0.004 in
+  let served = ref 0 in
+  for i = 1 to 125 do
+    let time = float_of_int i *. dt in
+    Drivers.sample drivers world ~time;
+    Drivers.sample primary primary_world ~time;
+    match Drivers.fresh drivers Sensor.Gps with
+    | Some r when time > 0.1 ->
+      incr served;
+      Alcotest.(check bool) "not the primary's reading" false
+        (Drivers.fresh primary Sensor.Gps = Some r)
+    | Some _ | None -> ()
+  done;
+  Alcotest.(check bool) "not lost" true
+    (Drivers.kind_failed_at drivers Sensor.Gps = None);
+  Alcotest.(check bool) "backup still serving" true (!served > 0)
 
 let test_drivers_kind_loss () =
   let plan =
@@ -173,10 +190,14 @@ let test_drivers_kind_loss () =
   in
   let drivers, world = make_drivers plan in
   sample_until drivers world 0.5;
-  let status = Drivers.status drivers Sensor.Gps in
-  Alcotest.(check bool) "kind lost" false status.Drivers.healthy;
-  Alcotest.(check bool) "loss time recorded" true (status.Drivers.kind_failed_at <> None);
-  Alcotest.(check bool) "stale reading kept" true (status.Drivers.stale <> None)
+  Alcotest.(check bool) "loss time recorded" true
+    (match Drivers.kind_failed_at drivers Sensor.Gps with
+     | Some at -> at >= 0.1 && at <= 0.5
+     | None -> false);
+  Alcotest.(check bool) "no fresh reading" true
+    (Drivers.fresh drivers Sensor.Gps = None);
+  Alcotest.(check bool) "stale reading kept" true
+    (Drivers.stale drivers Sensor.Gps <> None)
 
 (* Failsafe decision table *)
 

@@ -198,7 +198,9 @@ let test_fence_breach_latched () =
 
 (* The optimised step and the allocating reference step must be
    interchangeable bit for bit, over a profile that exercises ground
-   contact, climb, asymmetric thrust and descent, in calm and windy air. *)
+   contact, climb, asymmetric thrust and descent, in calm and windy air,
+   and over a grounded profile whose resting rates decay into the
+   subnormal range: both steppers must flush them alike. *)
 
 let fingerprint w =
   let b = World.body w in
@@ -215,7 +217,21 @@ let flight_profile i =
   else if i < 1200 then [| hover *. 1.02; hover *. 0.98; hover; hover |]
   else Array.make 4 (hover *. 0.9)
 
-let fly stepf ~windy =
+(* A short asymmetric climb, a touchdown at about 1 m/s (under the
+   2.5 m/s crash sink speed: a crash would freeze the world), then 25,500
+   steps with the motors off, long enough for the resting rates to reach
+   the subnormal range. *)
+let grounded_profile i =
+  if i < 150 then [| hover *. 1.21; hover *. 1.19; hover *. 1.2; hover *. 1.2 |]
+  else if i < 1500 then Array.make 4 (hover *. 0.9)
+  else Array.make 4 0.0
+
+let flights =
+  [ ("calm", false, flight_profile, 3000);
+    ("windy", true, flight_profile, 3000);
+    ("grounded", false, grounded_profile, 27_000) ]
+
+let fly stepf (_, windy, profile, steps) =
   let environment =
     if windy then
       Environment.create
@@ -227,19 +243,59 @@ let fly stepf ~windy =
     else Environment.benign ()
   in
   let w = World.create ~environment ~rng:(Avis_util.Rng.create 7) () in
-  for i = 0 to 2999 do
-    ignore (stepf w ~motor_commands:(flight_profile i) ~dt:0.004)
+  for i = 0 to steps - 1 do
+    ignore (stepf w ~motor_commands:(profile i) ~dt:0.004)
   done;
   fingerprint w
 
 let test_step_matches_reference () =
   List.iter
-    (fun windy ->
+    (fun ((name, _, _, _) as flight) ->
       Alcotest.(check bool)
-        (Printf.sprintf "bit-identical flight (windy=%b)" windy)
+        (Printf.sprintf "bit-identical %s flight" name)
         true
-        (fly World.step ~windy = fly World.step_reference ~windy))
-    [ false; true ]
+        (fly World.step flight = fly World.step_reference flight))
+    flights
+
+let is_subnormal x = x <> 0.0 && Float.abs x < Float.min_float
+
+(* A vehicle resting with its motors off must settle to exact zeros, not
+   stick at subnormals a few units of 2^-1074 above them. *)
+let test_resting_world_reaches_zero () =
+  let w = World.create () in
+  let floats = Array.make (Rigid_body.float_count + 8) 0.0 in
+  let motor_floats () =
+    Motor.blit_to_floats (World.motors w) floats ~pos:Rigid_body.float_count
+  in
+  for _ = 1 to 50 do
+    ignore (World.step w ~motor_commands:(Array.make 4 (hover *. 0.5)) ~dt:0.004)
+  done;
+  motor_floats ();
+  Alcotest.(check bool) "motors spinning" true
+    (floats.(Rigid_body.float_count + 4) > 0.0);
+  Alcotest.(check bool) "still on the ground" true (World.on_ground w);
+  let b = World.body w in
+  Rigid_body.set_velocity b (Vec3.make 0.3 0.2 0.0);
+  Rigid_body.set_angular_velocity b (Vec3.make 0.1 (-0.1) 0.05);
+  let off = Array.make 4 0.0 in
+  for i = 1 to 30_000 do
+    ignore (World.step w ~motor_commands:off ~dt:0.004);
+    Rigid_body.blit_to_floats b floats ~pos:0;
+    motor_floats ();
+    Array.iteri
+      (fun j x ->
+        if is_subnormal x then
+          Alcotest.failf "step %d: float %d is subnormal (%h)" i j x)
+      floats
+  done;
+  Alcotest.(check bool) "no crash" false (World.crashed w);
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check (list (float 0.0)))
+        (name ^ " exactly zero") [ 0.0; 0.0; 0.0 ] [ v.Vec3.x; v.y; v.z ])
+    [ ("velocity", Rigid_body.velocity_v b);
+      ("angular velocity", Rigid_body.angular_velocity_v b);
+      ("acceleration", Rigid_body.acceleration_v b) ]
 
 (* The zero-allocation contract: once warm, the full kernel — physics
    step, sensor tick, trace record — must not allocate on the minor heap
@@ -291,6 +347,8 @@ let () =
           Alcotest.test_case "gentle touchdown" `Quick test_world_gentle_touchdown;
           Alcotest.test_case "frozen after crash" `Quick test_world_frozen_after_crash;
           Alcotest.test_case "fence breach latched" `Quick test_fence_breach_latched;
+          Alcotest.test_case "resting world reaches exact zero" `Quick
+            test_resting_world_reaches_zero;
           Alcotest.test_case "step = reference step" `Quick
             test_step_matches_reference;
           Alcotest.test_case "steady step allocation-free" `Quick

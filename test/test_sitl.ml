@@ -177,6 +177,37 @@ let test_sim_crash_freezes () =
   Alcotest.(check bool) "did not pass" false o.Sim.workload_passed;
   Alcotest.(check bool) "crashed" true (o.Sim.crash <> None)
 
+(* The firmware's per-step diet, locked: in auto-box cruise (dev
+   profile) a full [Sim.step] allocated about 1,240 minor words before
+   the driver, sensor, injector, RNG and link reads stopped allocating,
+   and about 750 after. The ceiling sits between the two. *)
+let step_words_ceiling = 900.0
+
+let test_sim_step_minor_words () =
+  let sim = Sim.create (Sim.default_config Avis_firmware.Policy.apm) in
+  let stepper = Workload.Stepper.create Workload.auto_box in
+  (match Workload.Stepper.run stepper sim ~until:15.0 with
+   | Workload.Stepper.Running -> ()
+   | Workload.Stepper.Done _ -> Alcotest.fail "auto-box ended before cruise");
+  let cruising () =
+    match Avis_firmware.Vehicle.phase (Sim.vehicle sim) with
+    | Avis_firmware.Phase.Waypoint _ -> true
+    | _ -> false
+  in
+  for _ = 1 to 500 do
+    Sim.step sim
+  done;
+  Alcotest.(check bool) "cruising when measured" true (cruising ());
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    Sim.step sim
+  done;
+  let per_step = (Gc.minor_words () -. w0) /. 1000.0 in
+  Alcotest.(check bool) "still cruising" true (cruising ());
+  if per_step > step_words_ceiling then
+    Alcotest.failf "Sim.step allocated %.0f minor words per step (ceiling %.0f)"
+      per_step step_words_ceiling
+
 let test_outcome_triggered_bugs_clean () =
   let o = run_quickstart 0 in
   Alcotest.(check bool) "no flawed paths in clean flight" true
@@ -204,6 +235,8 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_sim_seed_changes_trace;
           Alcotest.test_case "sensor read rate" `Quick test_sim_sensor_read_rate;
           Alcotest.test_case "crash freezes" `Quick test_sim_crash_freezes;
+          Alcotest.test_case "step minor-words ceiling" `Quick
+            test_sim_step_minor_words;
           Alcotest.test_case "clean run triggers nothing" `Quick test_outcome_triggered_bugs_clean;
         ] );
     ]

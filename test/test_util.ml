@@ -32,6 +32,31 @@ let test_rng_split_independent () =
   Alcotest.(check bool) "split stream differs from parent" true
     (Rng.bits64 a <> Rng.bits64 b)
 
+(* The stream itself is pinned: every result digest depends on it, and
+   the tests above only compare generators with each other. The draws
+   are splitmix64 from seed 42; a snapshot round trip through [to_bits]
+   and [of_bits], fresh or mid-stream, must resume the same stream. *)
+let golden_bits64 =
+  [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L;
+    0x581CE1FF0E4AE394L ]
+
+let golden_gaussian_bits = 0x3FFBAC69CD4142BFL
+
+let test_rng_golden_stream () =
+  let check name rng ~skip =
+    Alcotest.(check (list int64)) (name ^ ": bits64")
+      (List.filteri (fun i _ -> i >= skip) golden_bits64)
+      (List.init (4 - skip) (fun _ -> Rng.bits64 rng));
+    Alcotest.(check int64) (name ^ ": gaussian bits") golden_gaussian_bits
+      (Int64.bits_of_float (Rng.gaussian rng))
+  in
+  check "fresh" (Rng.create 42) ~skip:0;
+  check "round trip" (Rng.of_bits (Rng.to_bits (Rng.create 42))) ~skip:0;
+  let mid = Rng.create 42 in
+  ignore (Rng.bits64 mid);
+  ignore (Rng.bits64 mid);
+  check "mid-stream round trip" (Rng.of_bits (Rng.to_bits mid)) ~skip:2
+
 let test_rng_int_bounds () =
   let rng = Rng.create 11 in
   for _ = 1 to 1000 do
@@ -508,6 +533,7 @@ let () =
           Alcotest.test_case "seed sensitivity" `Quick test_rng_seed_sensitivity;
           Alcotest.test_case "copy" `Quick test_rng_copy_independent;
           Alcotest.test_case "split" `Quick test_rng_split_independent;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden_stream;
           Alcotest.test_case "int bounds" `Quick test_rng_int_bounds;
           Alcotest.test_case "int rejects 0" `Quick test_rng_int_rejects_nonpositive;
           Alcotest.test_case "uniform range" `Quick test_rng_uniform_range;
