@@ -70,7 +70,7 @@ type info = {
 let window ?(pre = 1.0) ?(post = 2.0) from_phase to_phase =
   { from_phase; to_phase; pre_s = pre; post_s = post }
 
-let info = function
+let describe = function
   | Apm_16020 ->
     {
       id = Apm_16020;
@@ -332,6 +332,32 @@ let info = function
       requires_second_failure = Some Sensor.Battery;
     }
 
+(* Position in [all], which is also each bug's stable wire id. *)
+let index = function
+  | Apm_16020 -> 0
+  | Apm_16021 -> 1
+  | Apm_16027 -> 2
+  | Apm_16967 -> 3
+  | Apm_16682 -> 4
+  | Apm_16953 -> 5
+  | Px4_17046 -> 6
+  | Px4_17057 -> 7
+  | Px4_17192 -> 8
+  | Px4_17181 -> 9
+  | Apm_4455 -> 10
+  | Apm_4679 -> 11
+  | Apm_5428 -> 12
+  | Apm_9349 -> 13
+  | Px4_13291 -> 14
+
+let by_index = Array.of_list all
+
+(* Built once: the failsafe reads a bug's window every cycle a kind is
+   lost. *)
+let infos = Array.map describe by_index
+
+let info id = infos.(index id)
+
 let of_report r =
   List.find_opt (fun id -> (info id).report = r) all
 
@@ -350,27 +376,21 @@ let registry ?enabled fw =
 
 let copy_registry r = { enabled = r.enabled }
 
-let enabled r id = List.mem id r.enabled
+(* Ids are constant constructors, so physical equality is equality and
+   [memq] avoids [mem]'s polymorphic compare. *)
+let enabled r id = List.memq id r.enabled
 
-let enable r id = if not (List.mem id r.enabled) then r.enabled <- id :: r.enabled
+let enable r id = if not (List.memq id r.enabled) then r.enabled <- id :: r.enabled
 
-let disable r id = r.enabled <- List.filter (fun x -> x <> id) r.enabled
+let disable r id = r.enabled <- List.filter (fun x -> x != id) r.enabled
 
 let enabled_list r = r.enabled
 
 (* Stable wire ids for snapshots: the position in [all]. Appending new bugs
    keeps old snapshots decodable; never reorder. *)
-let encode_id b id =
-  let rec index i = function
-    | [] -> invalid_arg "Bug.encode_id: id not in Bug.all"
-    | x :: rest -> if x = id then i else index (i + 1) rest
-  in
-  Avis_util.Codec.w_u8 b (index 0 all)
+let encode_id b id = Avis_util.Codec.w_u8 b (index id)
 
 let decode_id r =
   let tag = Avis_util.Codec.r_u8 r in
-  let rec nth i = function
-    | [] -> Avis_util.Codec.corrupt "bad bug-id tag %d" tag
-    | x :: rest -> if i = 0 then x else nth (i - 1) rest
-  in
-  nth tag all
+  if tag < Array.length by_index then by_index.(tag)
+  else Avis_util.Codec.corrupt "bad bug-id tag %d" tag

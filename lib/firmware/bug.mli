@@ -68,6 +68,7 @@ type info = {
 }
 
 val info : id -> info
+(** The catalogue entry, built once: every call returns the same record. *)
 
 val of_report : string -> id option
 (** Look up by report number, e.g. ["APM-16021"]. *)

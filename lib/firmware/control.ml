@@ -16,13 +16,36 @@ let hold_demand ~yaw ~pos =
     yaw_target = yaw; idle = false; max_speed = None; level_hold = false;
     open_loop_descent = false }
 
+(* The trigonometry of a parameter set's tilt limit, for the record it
+   came from: [step] recomputes it only when handed a different one. *)
+type tilt = {
+  source : Params.t;
+  accel_limit : float;  (* gravity * tan max_tilt_rad *)
+  cos_max_tilt : float;
+}
+
+let tilt_of (params : Params.t) =
+  {
+    source = params;
+    accel_limit =
+      Avis_physics.Airframe.gravity *. tan params.Params.max_tilt_rad;
+    cos_max_tilt = cos params.Params.max_tilt_rad;
+  }
+
+(* Degraded attitude estimation tolerates only gentle manoeuvres. *)
+let accel_only_tilt = 0.15
+let accel_only_accel_limit = Avis_physics.Airframe.gravity *. tan accel_only_tilt
+
 type t = {
   params : Params.t;
+      (* The set at [create], which sets the climb gains and travels in
+         the snapshot; [step] flies the caller's live set. *)
   airframe : Avis_physics.Airframe.t;
   hover : float;
   climb_pid : Pid.t;
   layout : (Vec3.t * float) array; (* immutable mix layout, hoisted *)
   output : float array; (* reused across steps; consumers copy *)
+  mutable tilt : tilt;
 }
 
 let create ~params ~airframe () =
@@ -35,6 +58,7 @@ let create ~params ~airframe () =
         ~i_limit:2.0 ~out_limit:0.6 ();
     layout = Avis_physics.Motor.mix_layout airframe;
     output = Array.make airframe.Avis_physics.Airframe.motor_count 0.0;
+    tilt = tilt_of params;
   }
 
 let copy t =
@@ -42,8 +66,7 @@ let copy t =
 
 let reset t = Pid.reset t.climb_pid
 
-let step t est demand ~dt =
-  let p = t.params in
+let step t ~params:p est demand ~dt =
   if demand.idle then begin
     Array.fill t.output 0 (Array.length t.output) 0.0;
     t.output
@@ -66,12 +89,13 @@ let step t est demand ~dt =
         Vec3.clamp_norm speed_limit (Vec3.add ff (Vec3.scale p.Params.pos_p err))
       | None -> ff
     in
-    (* Degraded attitude estimation tolerates only gentle manoeuvres. *)
-    let tilt_limit =
+    if t.tilt.source != p then t.tilt <- tilt_of p;
+    let accel_only =
       match Estimator.att_mode est with
-      | Estimator.Att_accel_only -> 0.15
-      | Estimator.Att_normal | Estimator.Att_frozen -> p.Params.max_tilt_rad
+      | Estimator.Att_accel_only -> true
+      | Estimator.Att_normal | Estimator.Att_frozen -> false
     in
+    let tilt_limit = if accel_only then accel_only_tilt else p.Params.max_tilt_rad in
     (* Velocity loop: velocity error -> world-frame acceleration demand.
        In level-hold (no position source) the dead-reckoned velocity is
        still good enough to brake with for a few seconds, then the
@@ -86,7 +110,7 @@ let step t est demand ~dt =
       let target_vel = if demand.level_hold then Vec3.zero else vel_demand in
       let err = Vec3.sub target_vel (Vec3.horizontal vel) in
       Vec3.clamp_norm
-        (Avis_physics.Airframe.gravity *. tan tilt_limit)
+        (if accel_only then accel_only_accel_limit else t.tilt.accel_limit)
         (Vec3.scale (weight *. p.Params.vel_p) err)
     in
     (* Acceleration demand -> lean angles in the body-yaw frame. *)
@@ -94,9 +118,14 @@ let step t est demand ~dt =
     let cy = cos yaw and sy = sin yaw in
     let ax_b = (cy *. accel_demand.Vec3.x) +. (sy *. accel_demand.Vec3.y) in
     let ay_b = (-.sy *. accel_demand.Vec3.x) +. (cy *. accel_demand.Vec3.y) in
-    let clamp_tilt = Avis_util.Stats.clamp ~lo:(-.tilt_limit) ~hi:tilt_limit in
-    let pitch_demand = clamp_tilt (atan (ax_b /. g)) in
-    let roll_demand = clamp_tilt (atan (-.ay_b /. g)) in
+    (* Two full applications, not a partial one: that would build a
+       closure every step. *)
+    let pitch_demand =
+      Avis_util.Stats.clamp ~lo:(-.tilt_limit) ~hi:tilt_limit (atan (ax_b /. g))
+    in
+    let roll_demand =
+      Avis_util.Stats.clamp ~lo:(-.tilt_limit) ~hi:tilt_limit (atan (-.ay_b /. g))
+    in
     (* Vertical loop: climb-rate error -> thrust around hover. *)
     let climb_demand =
       Avis_util.Stats.clamp ~lo:(-.p.Params.max_climb_rate)
@@ -109,7 +138,7 @@ let step t est demand ~dt =
          vehicle does not firewall the throttle. *)
       let tilt_comp =
         let c = cos (Quat.tilt (Estimator.attitude est)) in
-        1.0 /. Float.max (cos p.Params.max_tilt_rad) c
+        1.0 /. Float.max t.tilt.cos_max_tilt c
       in
       if demand.open_loop_descent then
         (* Fixed collective just under hover: a steady drag-limited sink
@@ -191,8 +220,9 @@ let step t est demand ~dt =
     t.output
   end
 
-(* [hover] and [layout] are pure functions of the airframe, so only the
-   airframe and the mutable state travel in the snapshot. *)
+(* [hover] and [layout] are pure functions of the airframe and [tilt] of
+   the params, so only those and the mutable state travel in the
+   snapshot. *)
 let encode b (t : t) =
   let open Avis_util.Codec in
   w_version b 1;
@@ -218,4 +248,5 @@ let decode r : t =
     climb_pid;
     layout = Avis_physics.Motor.mix_layout airframe;
     output;
+    tilt = tilt_of params;
   }

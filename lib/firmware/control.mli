@@ -42,10 +42,12 @@ val create : params:Params.t -> airframe:Avis_physics.Airframe.t -> unit -> t
 val copy : t -> t
 (** An independent copy of the controller's state (PID integrators). *)
 
-val step : t -> Estimator.t -> demand -> dt:float -> float array
-(** Motor commands in [\[0, 1\]] for this cycle. The returned array is a
-    buffer reused on the next [step]; read or copy it before then (the
-    simulator's motor model copies it immediately). *)
+val step : t -> params:Params.t -> Estimator.t -> demand -> dt:float -> float array
+(** Motor commands in [\[0, 1\]] for this cycle. [params] is the vehicle's
+    live parameter set, so a GCS-written WPNAV_SPEED takes effect on the
+    next cycle. The returned array is a buffer reused on the next [step];
+    read or copy it before then (the simulator's motor model copies it
+    immediately). *)
 
 val reset : t -> unit
 (** Clear integrators (on arming and mode changes). *)

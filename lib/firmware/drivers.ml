@@ -26,7 +26,9 @@ let period_for (params : Params.t) = function
   | Sensor.Barometer -> params.Params.baro_period
   | Sensor.Battery -> params.Params.battery_period
 
-let rec has_failed index = function
+(* The annotation makes [=] an int compare, not a polymorphic C call per
+   failed instance on every sample. *)
+let rec has_failed (index : int) = function
   | [] -> false
   | (i, _) :: rest -> i = index || has_failed index rest
 
@@ -155,6 +157,9 @@ let decode_kind_state r : kind_state =
   let open Avis_util.Codec in
   let kind = Sensor.decode_kind r in
   let count = r_int r in
+  (* Instance indices are 0-255 (see [Sensor.decode_id]); a corrupt count
+     must not size the id array. *)
+  if count < 0 || count > 256 then corrupt "bad instance count %d" count;
   let period = r_f64 r in
   let next_sample = r_f64 r in
   let failed =

@@ -9,12 +9,19 @@ type yaw_mode = Yaw_compass | Yaw_gyro_only | Yaw_stale_compass | Yaw_flipped
 
 type pos_mode = Pos_gps | Pos_dead_reckon
 
+(* An all-float record, so storing the yaw does not box it. *)
+type yaw_cache = { mutable yaw : float }
+
 type t = {
   params : Params.t;
   mutable prev_up_body : Vec3.t option;  (* for accel-only rate estimation *)
   mutable position : Vec3.t;
   mutable velocity : Vec3.t;
-  mutable attitude : Quat.t;
+  mutable attitude : Quat.t;  (* written only through [set_attitude] *)
+  mutable yaw_valid : bool;
+  yaw_cache : yaw_cache;
+      (* The yaw of [attitude] once [yaw_valid]: derived, never encoded,
+         so invalid after [decode] as after every attitude write. *)
   mutable angular_rate : Vec3.t;
   mutable alt_mode : alt_mode;
   mutable att_mode : att_mode;
@@ -35,6 +42,8 @@ let create ~params () =
     position = Vec3.zero;
     velocity = Vec3.zero;
     attitude = Quat.identity;
+    yaw_valid = false;
+    yaw_cache = { yaw = 0.0 };
     angular_rate = Vec3.zero;
     alt_mode = Alt_fused;
     att_mode = Att_normal;
@@ -49,9 +58,20 @@ let create ~params () =
   }
 
 let copy t =
-  (* Every field is a mutable slot holding an immutable value, so a
-     field-wise record copy is a deep copy. *)
-  { t with position = t.position }
+  (* Every other field is a mutable slot holding an immutable value, so
+     a field-wise record copy is a deep copy. *)
+  { t with yaw_cache = { yaw = t.yaw_cache.yaw } }
+
+let[@inline] set_attitude t q =
+  t.attitude <- q;
+  t.yaw_valid <- false
+
+let[@inline] yaw t =
+  if not t.yaw_valid then begin
+    t.yaw_cache.yaw <- Quat.yaw t.attitude;
+    t.yaw_valid <- true
+  end;
+  t.yaw_cache.yaw
 
 let set_alt_mode t m = t.alt_mode <- m
 let set_att_mode t m = t.att_mode <- m
@@ -63,10 +83,10 @@ let yaw_mode t = t.yaw_mode
 let pos_mode t = t.pos_mode
 
 let reset_state t =
-  let _, _, yaw = Quat.to_euler t.attitude in
+  let yaw = yaw t in
   t.position <- Vec3.zero;
   t.velocity <- Vec3.zero;
-  t.attitude <- Quat.of_euler ~roll:0.0 ~pitch:0.0 ~yaw
+  set_attitude t (Quat.of_euler ~roll:0.0 ~pitch:0.0 ~yaw)
 
 let wrap_angle a =
   let twopi = 2.0 *. Float.pi in
@@ -133,7 +153,7 @@ let update_attitude t d ~dt =
       let correction = Vec3.scale (gain *. dt) err in
       let angle = Vec3.norm correction in
       if angle > 1e-9 then
-        t.attitude <- Quat.mul (Quat.of_axis_angle correction angle) t.attitude;
+        set_attitude t (Quat.mul (Quat.of_axis_angle correction angle) t.attitude);
       (match t.prev_up_body with
       | Some prev when dt > 0.0 ->
         (* up_body is fixed in the world; its apparent motion in the body
@@ -149,7 +169,7 @@ let update_attitude t d ~dt =
     (match gyro_reading d with
     | Some rate -> t.angular_rate <- rate
     | None -> ());
-    t.attitude <- Quat.integrate t.attitude t.angular_rate dt;
+    set_attitude t (Quat.integrate t.attitude t.angular_rate dt);
     (* Tilt correction: the measured specific force points along body-up
        when the vehicle is not accelerating hard. *)
     (match accel_reading d with
@@ -162,7 +182,7 @@ let update_attitude t d ~dt =
         let correction = Vec3.scale (k_tilt *. dt) err in
         let angle = Vec3.norm correction in
         if angle > 1e-9 then
-          t.attitude <- Quat.mul (Quat.of_axis_angle correction angle) t.attitude
+          set_attitude t (Quat.mul (Quat.of_axis_angle correction angle) t.attitude)
       end
     | None -> ())
 
@@ -172,10 +192,9 @@ let update_yaw t d ~dt =
      with dt. *)
   let period = t.params.Params.compass_period in
   let apply_correction target gain =
-    let _, _, yaw = Quat.to_euler t.attitude in
-    let err = wrap_angle (target -. yaw) in
+    let err = wrap_angle (target -. yaw t) in
     let step = gain *. period *. err in
-    t.attitude <- Quat.mul (Quat.of_axis_angle Vec3.unit_z step) t.attitude
+    set_attitude t (Quat.mul (Quat.of_axis_angle Vec3.unit_z step) t.attitude)
   in
   match t.yaw_mode with
   | Yaw_compass -> (
@@ -191,19 +210,17 @@ let update_yaw t d ~dt =
        stale value is available every cycle, so the step scales with dt. *)
     match compass_stale d with
     | Some h ->
-      let _, _, yaw = Quat.to_euler t.attitude in
-      let err = wrap_angle (h -. yaw) in
+      let err = wrap_angle (h -. yaw t) in
       let step = k_yaw *. dt *. err in
-      t.attitude <- Quat.mul (Quat.of_axis_angle Vec3.unit_z step) t.attitude
+      set_attitude t (Quat.mul (Quat.of_axis_angle Vec3.unit_z step) t.attitude)
     | None -> ())
   | Yaw_flipped -> (
     match compass_stale d with
     | Some h ->
-      let _, _, yaw = Quat.to_euler t.attitude in
-      let err = wrap_angle (h -. yaw) in
+      let err = wrap_angle (h -. yaw t) in
       (* Flawed sign: the "correction" drives the estimate away. *)
       let step = -.k_yaw *. dt *. err in
-      t.attitude <- Quat.mul (Quat.of_axis_angle Vec3.unit_z step) t.attitude
+      set_attitude t (Quat.mul (Quat.of_axis_angle Vec3.unit_z step) t.attitude)
     | None -> ())
 
 let predicted_accel t d =
@@ -264,7 +281,7 @@ let update_vertical t d ~dt =
        period so the filter bandwidth is independent of the control rate.
        Without an IMU prediction the innovation is the only velocity
        source, so the velocity gain must be much higher. *)
-    let have_imu = a <> Vec3.zero in
+    let have_imu = not (Vec3.is_zero a) in
     let gain, period =
       if t.alt_mode = Alt_fused then (k_alt, t.params.Params.baro_period)
       else (k_alt_gps, t.params.Params.gps_period)
@@ -300,7 +317,7 @@ let update_horizontal t d ~dt =
         (* Without the IMU prediction, the GPS innovations are the only
            information; weight them heavily or the estimate lags the
            vehicle by enough to destabilise the velocity loop. *)
-        let have_imu = a <> Vec3.zero in
+        let have_imu = not (Vec3.is_zero a) in
         let k_pos = if have_imu then k_pos else 3.0 in
         let k_vel = if have_imu then k_vel else 6.0 in
         let px = gpos.Vec3.x and py = gpos.Vec3.y in
@@ -321,7 +338,7 @@ let update t d ~dt =
   if t.att_mode <> Att_frozen then update_yaw t d ~dt;
   t.accel_world <- predicted_accel t d;
   t.vertical_degraded <-
-    (t.accel_world = Vec3.zero && t.att_mode <> Att_frozen)
+    (Vec3.is_zero t.accel_world && t.att_mode <> Att_frozen)
     || (match t.alt_mode with
        | Alt_gps_raw | Alt_lagged | Alt_frozen | Alt_none -> true
        | Alt_fused | Alt_gps_fused -> false);
@@ -336,11 +353,6 @@ let position t = t.position
 let velocity t = t.velocity
 let attitude t = t.attitude
 let angular_rate t = t.angular_rate
-
-let yaw t =
-  let _, _, y = Quat.to_euler t.attitude in
-  y
-
 let altitude t = t.position.Vec3.z
 let climb_rate t = t.velocity.Vec3.z
 
@@ -446,6 +458,8 @@ let decode r : t =
     position;
     velocity;
     attitude;
+    yaw_valid = false;
+    yaw_cache = { yaw = 0.0 };
     angular_rate;
     alt_mode;
     att_mode;

@@ -67,6 +67,11 @@ val velocity : t -> Vec3.t
 val attitude : t -> Quat.t
 val angular_rate : t -> Vec3.t
 val yaw : t -> float
+(** The yaw of {!attitude}, bit-equal to [Quat.to_euler]'s, computed once
+    per attitude change: every attitude write ({!update}, {!reset_state})
+    invalidates the cached value, which is not encoded and starts invalid
+    after {!create} and {!decode}. *)
+
 val altitude : t -> float
 val climb_rate : t -> float
 

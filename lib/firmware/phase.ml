@@ -66,7 +66,12 @@ let rec matches p phase =
   | Any -> true
   | Exactly t -> equal t phase
   | Any_waypoint -> ( match phase with Waypoint _ -> true | _ -> false)
-  | One_of ps -> List.exists (fun p -> matches p phase) ps
+  | One_of ps -> matches_any ps phase
+
+(* Not [List.exists]: the failsafe matches windows every cycle a sensor
+   kind is lost, and a closure per call would allocate. *)
+and matches_any ps phase =
+  match ps with [] -> false | p :: rest -> matches p phase || matches_any rest phase
 
 let to_code = function
   | Preflight -> 0

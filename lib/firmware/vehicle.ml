@@ -371,30 +371,30 @@ let descent_demand t ~gentle =
    metres the GPS's vertical error dominates the demand. *)
 let land_abort_safe_altitude = 5.0
 
+let idle_demand est =
+  {
+    Control.pos_target = None;
+    velocity_ff = Vec3.zero;
+    climb_demand = 0.0;
+    yaw_target = Estimator.yaw est;
+    idle = true;
+    max_speed = None;
+    level_hold = false;
+    open_loop_descent = false;
+  }
+
 (* Phase behaviour: produce this cycle's control demand and perform phase
    transitions driven by estimated state. *)
 let run_phase t (dirs : Failsafe.directives) ~dt =
   let est = t.estimator in
   let pos = Estimator.position est in
-  let idle_demand =
-    {
-      Control.pos_target = None;
-      velocity_ff = Vec3.zero;
-      climb_demand = 0.0;
-      yaw_target = Estimator.yaw est;
-      idle = true;
-      max_speed = None;
-      level_hold = false;
-      open_loop_descent = false;
-    }
-  in
   match t.phase with
-  | Phase.Preflight | Phase.Landed -> idle_demand
+  | Phase.Preflight | Phase.Landed -> idle_demand est
   | Phase.Takeoff ->
     if not dirs.Failsafe.takeoff_gate_open then
       (* Gate closed: the climb is refused every cycle; the vehicle sits
          on the ground with the motors at idle. *)
-      { idle_demand with Control.idle = true }
+      idle_demand est
     else begin
       let done_climb =
         Estimator.altitude est
@@ -572,6 +572,20 @@ let battery_state t =
   | Some (Sensor.Battery_state { voltage; remaining }) -> (voltage, remaining)
   | Some _ | None -> (12.6, 1.0)
 
+(* Direct recursions rather than [List.iter] over a closure: the step
+   runs both every cycle, nearly always on an empty list. *)
+let rec note_triggered t = function
+  | [] -> ()
+  | b :: rest ->
+    if not (List.memq b t.triggered) then t.triggered <- b :: t.triggered;
+    note_triggered t rest
+
+let rec handle_requests t = function
+  | [] -> ()
+  | req :: rest ->
+    handle_request t req;
+    handle_requests t rest
+
 let step t world ~dt =
   t.time <- t.time +. dt;
   Drivers.sample t.drivers world ~time:t.time;
@@ -610,9 +624,7 @@ let step t world ~dt =
     Failsafe.evaluate ~policy:t.policy ~params:t.params ~bugs:t.bugs
       ~drivers:t.drivers ~ctx ~battery_low
   in
-  List.iter
-    (fun b -> if not (List.mem b t.triggered) then t.triggered <- b :: t.triggered)
-    dirs.Failsafe.triggered_bugs;
+  note_triggered t dirs.Failsafe.triggered_bugs;
   Estimator.set_alt_mode t.estimator dirs.Failsafe.alt_mode;
   Estimator.set_att_mode t.estimator dirs.Failsafe.att_mode;
   Estimator.set_yaw_mode t.estimator dirs.Failsafe.yaw_mode;
@@ -631,12 +643,15 @@ let step t world ~dt =
     }
   in
   let requests = Protocol.step t.protocol ~time:t.time telemetry in
-  List.iter (handle_request t) requests;
+  handle_requests t requests;
   apply_failsafe_request t dirs;
   check_fence t;
   let demand = run_phase t dirs ~dt in
-  let demand = if t.armed then demand else { demand with Control.idle = true } in
-  Control.step t.control t.estimator demand ~dt
+  let demand =
+    if t.armed || demand.Control.idle then demand
+    else { demand with Control.idle = true }
+  in
+  Control.step t.control ~params:t.params t.estimator demand ~dt
 
 let time t = t.time
 let phase t = t.phase

@@ -28,6 +28,13 @@ let of_euler ~roll ~pitch ~yaw =
     z = (cr *. cp *. sy) -. (sr *. sp *. cy);
   }
 
+(* The yaw of a unit quaternion's components; [to_euler] and [yaw] share
+   it so the two agree bit for bit. *)
+let[@inline] yaw_of ~w ~x ~y ~z =
+  let siny = 2.0 *. ((w *. z) +. (x *. y)) in
+  let cosy = 1.0 -. (2.0 *. ((y *. y) +. (z *. z))) in
+  atan2 siny cosy
+
 let to_euler q =
   let q = normalize q in
   let sinr = 2.0 *. ((q.w *. q.x) +. (q.y *. q.z)) in
@@ -38,10 +45,14 @@ let to_euler q =
     if Float.abs sinp >= 1.0 then Float.copy_sign (Float.pi /. 2.0) sinp
     else asin sinp
   in
-  let siny = 2.0 *. ((q.w *. q.z) +. (q.x *. q.y)) in
-  let cosy = 1.0 -. (2.0 *. ((q.y *. q.y) +. (q.z *. q.z))) in
-  let yaw = atan2 siny cosy in
-  (roll, pitch, yaw)
+  (roll, pitch, yaw_of ~w:q.w ~x:q.x ~y:q.y ~z:q.z)
+
+let[@inline] yaw q =
+  (* [normalize] inlined into locals, so the result is [to_euler]'s yaw
+     bit for bit without building the unit quaternion or the tuple. *)
+  let n = norm q in
+  if n = 0.0 then yaw_of ~w:1.0 ~x:0.0 ~y:0.0 ~z:0.0
+  else yaw_of ~w:(q.w /. n) ~x:(q.x /. n) ~y:(q.y /. n) ~z:(q.z /. n)
 
 let mul a b =
   {
@@ -108,10 +119,23 @@ let angle_between a b =
   let d = Float.abs (dot (normalize a) (normalize b)) in
   2.0 *. acos (Float.min 1.0 d)
 
-let tilt q =
-  let body_up = rotate q Vec3.unit_z in
-  let c = Stdlib.max (-1.0) (Stdlib.min 1.0 (Vec3.dot body_up Vec3.unit_z)) in
-  acos c
+(* [acos] of the body-up vector's world z, [rotate q unit_z] expanded with
+   its zero terms kept so the float expression is the rotation's exactly.
+   The clamp is [Stdlib.max (-1.0) (Stdlib.min 1.0 d)] typed to floats:
+   the same IEEE comparisons (NaN passes through) without a polymorphic
+   compare's C call. *)
+let[@inline] tilt_of ~w ~x ~y ~z =
+  let tx = 2.0 *. ((y *. 1.0) -. (z *. 0.0)) in
+  let ty = 2.0 *. ((z *. 0.0) -. (x *. 1.0)) in
+  let tz = 2.0 *. ((x *. 0.0) -. (y *. 0.0)) in
+  let bx = 0.0 +. ((w *. tx) +. ((y *. tz) -. (z *. ty))) in
+  let by = 0.0 +. ((w *. ty) +. ((z *. tx) -. (x *. tz))) in
+  let bz = 1.0 +. ((w *. tz) +. ((x *. ty) -. (y *. tx))) in
+  let d = (bx *. 0.0) +. (by *. 0.0) +. (bz *. 1.0) in
+  let d = if 1.0 <= d then 1.0 else d in
+  acos (if -1.0 >= d then -1.0 else d)
+
+let tilt q = tilt_of ~w:q.w ~x:q.x ~y:q.y ~z:q.z
 
 let pp ppf q = Format.fprintf ppf "(w=%.4f x=%.4f y=%.4f z=%.4f)" q.w q.x q.y q.z
 
@@ -196,18 +220,7 @@ module Mut = struct
     q.z <- q.z +. dz;
     normalize q
 
-  let[@inline] tilt q =
-    (* [rotate q unit_z] with the zero terms kept so the float expression
-       matches the pure [tilt] exactly. *)
-    let tx = 2.0 *. ((q.y *. 1.0) -. (q.z *. 0.0)) in
-    let ty = 2.0 *. ((q.z *. 0.0) -. (q.x *. 1.0)) in
-    let tz = 2.0 *. ((q.x *. 0.0) -. (q.y *. 0.0)) in
-    let bx = 0.0 +. ((q.w *. tx) +. ((q.y *. tz) -. (q.z *. ty))) in
-    let by = 0.0 +. ((q.w *. ty) +. ((q.z *. tx) -. (q.x *. tz))) in
-    let bz = 1.0 +. ((q.w *. tz) +. ((q.x *. ty) -. (q.y *. tx))) in
-    let d = (bx *. 0.0) +. (by *. 0.0) +. (bz *. 1.0) in
-    let c = Stdlib.max (-1.0) (Stdlib.min 1.0 d) in
-    acos c
+  let[@inline] tilt q = tilt_of ~w:q.w ~x:q.x ~y:q.y ~z:q.z
 end
 
 let encode b q =

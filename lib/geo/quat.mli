@@ -20,6 +20,9 @@ val of_euler : roll:float -> pitch:float -> yaw:float -> t
 val to_euler : t -> float * float * float
 (** [(roll, pitch, yaw)] of a (near-)unit quaternion. *)
 
+val yaw : t -> float
+(** The yaw of {!to_euler}, bit for bit, without allocating. *)
+
 val mul : t -> t -> t
 (** Hamilton product; [mul a b] applies [b] first, then [a]. *)
 

@@ -35,6 +35,8 @@ let clamp_norm limit v =
   let n = norm v in
   if n <= limit || n = 0.0 then v else scale (limit /. n) v
 
+let[@inline] is_zero a = a.x = 0.0 && a.y = 0.0 && a.z = 0.0
+
 let is_finite a =
   Float.is_finite a.x && Float.is_finite a.y && Float.is_finite a.z
 

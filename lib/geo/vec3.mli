@@ -42,6 +42,10 @@ val clamp_norm : float -> t -> t
 (** [clamp_norm limit v] rescales [v] so its length does not exceed
     [limit] (which must be non-negative). *)
 
+val is_zero : t -> bool
+(** [a = zero] without the polymorphic compare's C call: component-wise
+    float [=], so [-0.0] counts as zero and NaN never does. *)
+
 val is_finite : t -> bool
 (** All three components are finite (no NaN/inf). *)
 

@@ -78,7 +78,8 @@ let decode r =
   let arm_length_m = r_f64 r in
   let inertia = Vec3.decode r in
   let motor_count = r_int r in
-  if motor_count <= 0 || motor_count > 64 then
+  (* [Motor.mix_layout]'s precondition: an even count of at least 4. *)
+  if motor_count < 4 || motor_count > 64 || motor_count mod 2 <> 0 then
     corrupt "bad motor count %d" motor_count;
   let max_thrust_per_motor_n = r_f64 r in
   let motor_time_constant_s = r_f64 r in

@@ -45,7 +45,9 @@ let decode_channel r =
   let drift = r_f64 r in
   { rng; spec = { white_stddev; bias_stddev; drift_rate }; bias; drift }
 
-let sample c ~dt ~truth =
+(* Inlined into each sensor read (see [Rng.gaussian]), so the sample is
+   stored straight into the reading without a boxed return. *)
+let[@inline] sample c ~dt ~truth =
   if c.spec.drift_rate > 0.0 then
     c.drift <-
       c.drift

@@ -245,7 +245,7 @@ let read t world id =
         hdop = 0.8;
       }
   | Sensor.Compass ->
-    let _, _, yaw = Quat.to_euler (Avis_physics.Rigid_body.attitude_q b) in
+    let yaw = Quat.yaw (Avis_physics.Rigid_body.attitude_q b) in
     Sensor.Heading (Noise.sample s.ch1 ~dt ~truth:yaw)
   | Sensor.Barometer ->
     let alt = b.Avis_physics.Rigid_body.position.Vec3.Mut.z in

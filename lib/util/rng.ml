@@ -35,23 +35,29 @@ let int t bound =
   let v = Int64.to_int (Int64.logand (bits64 t) mask) in
   v mod bound
 
-let uniform t =
+(* The top 53 bits of the next output: exact as an int and as a float. *)
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (bits64 t) 11)
+
+(* The float draws are small, closure-free and [@inline], so across
+   modules (without -opaque) a caller's arithmetic takes them unboxed. *)
+let[@inline] uniform t =
   (* 53 random bits scaled into [0, 1). *)
-  let v = Int64.shift_right_logical (bits64 t) 11 in
-  Int64.to_float v *. (1.0 /. 9007199254740992.0)
+  Float.of_int (bits53 t) *. (1.0 /. 9007199254740992.0)
 
 let float t bound = uniform t *. bound
 
-let gaussian t =
-  let rec draw () =
-    let u1 = uniform t in
-    if u1 <= 0.0 then draw () else u1
-  in
-  let u1 = draw () in
+let[@inline] gaussian t =
+  (* Box-Muller needs u1 > 0: redraw while all 53 bits are zero, the one
+     way [uniform] returns 0. *)
+  let v = ref (bits53 t) in
+  while !v = 0 do
+    v := bits53 t
+  done;
+  let u1 = Float.of_int !v *. (1.0 /. 9007199254740992.0) in
   let u2 = uniform t in
   sqrt (-2.0 *. log u1) *. cos (2.0 *. Float.pi *. u2)
 
-let gaussian_scaled t ~mean ~stddev = mean +. (stddev *. gaussian t)
+let[@inline] gaussian_scaled t ~mean ~stddev = mean +. (stddev *. gaussian t)
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 

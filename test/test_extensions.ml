@@ -140,6 +140,61 @@ let test_param_roundtrip_over_link () =
   Alcotest.(check int) "full table" Param_registry.count
     (List.length (Avis_mavlink.Gcs.params gcs))
 
+(* A PARAM_SET of WPNAV_SPEED must reach the controller, not only the
+   echoed parameter table: fly auto-box, optionally setting it to 2 m/s
+   over the link 1 s in, and return the peak true horizontal speed seen in
+   waypoint legs, the verdict and the echoed value. *)
+let auto_box_leg_speed ?wpnav_speed () =
+  let w = Workload.auto_box in
+  let config =
+    {
+      (Sim.default_config Policy.apm) with
+      Sim.max_duration = w.Workload.nominal_duration +. 60.0;
+      environment = w.Workload.environment ();
+    }
+  in
+  let sim = Sim.create config in
+  let stepper = Workload.Stepper.create w in
+  (match Workload.Stepper.run stepper sim ~until:1.0 with
+   | Workload.Stepper.Running -> ()
+   | Workload.Stepper.Done _ -> Alcotest.fail "auto-box ended before 1 s");
+  Option.iter
+    (fun value ->
+      Avis_mavlink.Gcs.set_param (Sim.gcs sim) ~name:"WPNAV_SPEED" ~value)
+    wpnav_speed;
+  let peak = ref 0.0 in
+  let rec fly until =
+    let status = Workload.Stepper.run stepper sim ~until in
+    (match Vehicle.phase (Sim.vehicle sim) with
+     | Phase.Waypoint _ ->
+       let v =
+         Avis_physics.Rigid_body.velocity_v
+           (Avis_physics.World.body (Sim.world sim))
+       in
+       peak := Float.max !peak (Avis_geo.Vec3.norm (Avis_geo.Vec3.horizontal v))
+     | _ -> ());
+    match status with
+    | Workload.Stepper.Running -> fly (until +. 0.02)
+    | Workload.Stepper.Done passed -> passed
+  in
+  let passed = fly 1.02 in
+  (!peak, passed, Avis_mavlink.Gcs.param (Sim.gcs sim) "WPNAV_SPEED")
+
+let test_param_wpnav_speed_flies () =
+  (* Peak leg speeds: about 7.6 m/s at the default 5 m/s cruise, about
+     3.0 m/s at 2 m/s; the bound sits between them. *)
+  let bound = 3.5 in
+  let default_peak, default_passed, _ = auto_box_leg_speed () in
+  Alcotest.(check bool) "default run passes" true default_passed;
+  Alcotest.(check bool)
+    (Printf.sprintf "default peak %.2f m/s above %.1f" default_peak bound)
+    true (default_peak > bound);
+  let slow_peak, _, echoed = auto_box_leg_speed ~wpnav_speed:2.0 () in
+  Alcotest.(check (option (float 1e-4))) "echoed" (Some 2.0) echoed;
+  Alcotest.(check bool)
+    (Printf.sprintf "peak %.2f m/s under %.1f" slow_peak bound)
+    true (slow_peak < bound)
+
 (* Hexacopter *)
 
 let test_hexa_layout () =
@@ -193,6 +248,8 @@ let () =
           Alcotest.test_case "registry" `Quick test_param_registry;
           Alcotest.test_case "clamping" `Quick test_param_clamping;
           Alcotest.test_case "roundtrip over link" `Quick test_param_roundtrip_over_link;
+          Alcotest.test_case "WPNAV_SPEED slows the legs" `Quick
+            test_param_wpnav_speed_flies;
         ] );
       ( "hexacopter",
         [

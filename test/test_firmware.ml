@@ -107,6 +107,39 @@ let test_bug_registry_defaults () =
   Bug.disable r Bug.Apm_4455;
   Alcotest.(check bool) "disable works" false (Bug.enabled r Bug.Apm_4455)
 
+let test_bug_info_table () =
+  List.iter
+    (fun id ->
+      let info = Bug.info id in
+      Alcotest.(check bool) (info.Bug.report ^ " id") true (info.Bug.id = id);
+      Alcotest.(check bool) (info.Bug.report ^ " built once") true
+        (Bug.info id == info))
+    Bug.all
+
+(* The registry against a model of the list-and-[List.mem] semantics it
+   has always had: membership and the enabled list (whose order is the
+   snapshot layout) must agree after every operation. *)
+let prop_bug_registry_model =
+  let op = QCheck.Gen.(pair bool (oneofl Bug.all)) in
+  QCheck.Test.make ~name:"enabled agrees with List.mem" ~count:200
+    (QCheck.make QCheck.Gen.(list_size (int_range 0 40) op))
+    (fun ops ->
+      let r = Bug.registry Bug.Ardupilot in
+      let model = ref (Bug.unknown_bugs Bug.Ardupilot) in
+      List.for_all
+        (fun (on, id) ->
+          if on then begin
+            Bug.enable r id;
+            if not (List.mem id !model) then model := id :: !model
+          end
+          else begin
+            Bug.disable r id;
+            model := List.filter (fun x -> x <> id) !model
+          end;
+          Bug.enabled_list r = !model
+          && List.for_all (fun b -> Bug.enabled r b = List.mem b !model) Bug.all)
+        ops)
+
 let ctx_with_transitions transitions time =
   { Failsafe.phase = Phase.Land; phase_entered_at = 0.0; transitions; time;
     gcs_lost_at = None }
@@ -221,6 +254,40 @@ let test_failsafe_no_failures () =
   Alcotest.(check bool) "normal alt" true (d.Failsafe.alt_mode = Estimator.Alt_fused);
   Alcotest.(check bool) "no bugs" true (d.Failsafe.triggered_bugs = [])
 
+(* With nothing lost, the link up and the battery fine, both
+   personalities answer with every directive at its default, the PX4
+   takeoff gate open, whatever the phase or the enabled bugs. *)
+let test_failsafe_nothing_lost_defaults () =
+  let expected =
+    {
+      Failsafe.alt_mode = Estimator.Alt_fused;
+      att_mode = Estimator.Att_normal;
+      yaw_mode = Estimator.Yaw_compass;
+      pos_mode = Estimator.Pos_gps;
+      phase_request = None;
+      takeoff_gate_open = true;
+      touchdown_blind = false;
+      reset_state_below = None;
+      land_abort_climb = false;
+      gentle_descent = false;
+      blind_position_hold = false;
+      degraded_position_hold = false;
+      heading_valid = true;
+      triggered_bugs = [];
+    }
+  in
+  List.iter
+    (fun (name, policy, fw) ->
+      List.iter
+        (fun phase ->
+          let bugs = Bug.registry ~enabled:Bug.all fw in
+          let d = directives_for ~bugs ~policy ~phase [] 3.0 in
+          Alcotest.(check bool)
+            (name ^ " " ^ Phase.label phase ^ " defaults")
+            true (d = expected))
+        [ Phase.Preflight; Phase.Takeoff; Phase.Waypoint 1; Phase.Land ])
+    [ ("apm", Policy.apm, Bug.Ardupilot); ("px4", Policy.px4, Bug.Px4) ]
+
 let test_failsafe_guarded_baro () =
   let d = directives_for (fail_kind Sensor.Barometer 0.1) 1.0 in
   Alcotest.(check bool) "gps fallback" true (d.Failsafe.alt_mode = Estimator.Alt_gps_fused);
@@ -333,6 +400,48 @@ let test_failsafe_gcs_loss_px4_nav_dll_act () =
   Alcotest.(check bool) "3 land" true
     ((with_code 3.0).Failsafe.phase_request = Some Failsafe.Fs_land)
 
+(* Estimator yaw cache *)
+
+let bits = Int64.bits_of_float
+
+let fresh_yaw e =
+  let _, _, yaw = Quat.to_euler (Estimator.attitude e) in
+  yaw
+
+let check_yaw label e =
+  Alcotest.(check int64) label (bits (fresh_yaw e)) (bits (Estimator.yaw e))
+
+(* The cached yaw must be the yaw of the current attitude after every
+   write: each update, a reset, a copy and a decode. The resets run on
+   copies at every step, and some of them must move the yaw's last bits
+   (a level attitude rebuilt from a tilted one's yaw), or a stale cache
+   would go unnoticed. *)
+let test_estimator_yaw_cache () =
+  let drivers, world = make_drivers [] in
+  let e = Estimator.create ~params () in
+  check_yaw "created" e;
+  let moved = ref 0 in
+  for i = 1 to 250 do
+    Drivers.sample drivers world ~time:(float_of_int i *. 0.004);
+    ignore (Estimator.yaw e);
+    Estimator.update e drivers ~dt:0.004;
+    check_yaw "updated" e;
+    let c = Estimator.copy e in
+    check_yaw "copied" c;
+    let before = Estimator.yaw c in
+    Estimator.reset_state c;
+    check_yaw "reset" c;
+    if bits before <> bits (fresh_yaw c) then incr moved;
+    check_yaw "original untouched by the copy's reset" e
+  done;
+  Alcotest.(check bool) "some reset moved the yaw bits" true (!moved > 0);
+  let b = Buffer.create 256 in
+  Estimator.encode b e;
+  let d =
+    Avis_util.Codec.of_string Estimator.decode (Buffer.contents b)
+  in
+  check_yaw "decoded" d
+
 (* Control *)
 
 let make_control () =
@@ -346,14 +455,14 @@ let test_control_idle_zeros () =
       yaw_target = 0.0; idle = true; max_speed = None; level_hold = false;
       open_loop_descent = false }
   in
-  let out = Control.step control est demand ~dt:0.004 in
+  let out = Control.step control ~params est demand ~dt:0.004 in
   Alcotest.(check bool) "all zero" true (Array.for_all (fun c -> c = 0.0) out)
 
 let test_control_hover_balance () =
   let control = make_control () in
   let est = Estimator.create ~params () in
   let demand = Control.hold_demand ~yaw:0.0 ~pos:Vec3.zero in
-  let out = Control.step control est demand ~dt:0.004 in
+  let out = Control.step control ~params est demand ~dt:0.004 in
   let hover = Avis_physics.Airframe.hover_throttle Avis_physics.Airframe.iris in
   Array.iter
     (fun c -> Alcotest.(check bool) "near hover" true (Float.abs (c -. hover) < 0.1))
@@ -366,7 +475,7 @@ let test_control_outputs_bounded () =
     { (Control.hold_demand ~yaw:2.0 ~pos:(Vec3.make 100.0 100.0 50.0)) with
       Control.climb_demand = 10.0 }
   in
-  let out = Control.step control est demand ~dt:0.004 in
+  let out = Control.step control ~params est demand ~dt:0.004 in
   Array.iter
     (fun c -> Alcotest.(check bool) "in [0,1]" true (c >= 0.0 && c <= 1.0))
     out
@@ -398,6 +507,8 @@ let () =
           Alcotest.test_case "report lookup" `Quick test_bug_report_lookup;
           Alcotest.test_case "registry" `Quick test_bug_registry_defaults;
           Alcotest.test_case "window matching" `Quick test_bug_window_matching;
+          Alcotest.test_case "info table" `Quick test_bug_info_table;
+          q prop_bug_registry_model;
         ] );
       ( "drivers",
         [
@@ -421,7 +532,11 @@ let () =
             test_failsafe_gcs_loss_without_gps_lands;
           Alcotest.test_case "gcs loss px4 nav_dll_act" `Quick
             test_failsafe_gcs_loss_px4_nav_dll_act;
+          Alcotest.test_case "nothing lost: defaults" `Quick
+            test_failsafe_nothing_lost_defaults;
         ] );
+      ( "estimator",
+        [ Alcotest.test_case "yaw cache" `Quick test_estimator_yaw_cache ] );
       ( "control",
         [
           Alcotest.test_case "idle zeros" `Quick test_control_idle_zeros;

@@ -241,6 +241,67 @@ let prop_mut_quat_bit_identical =
       let int_ok = same_quat (Quat.integrate q v dt) mq in
       rot_ok && inv_ok && alias_ok && tilt_ok && norm_ok && int_ok)
 
+(* Components drawn to hit the compare's edges: signed zeros, NaN,
+   infinities and the smallest subnormal, beside ordinary values. *)
+let edge_float =
+  QCheck.Gen.(
+    oneof
+      [
+        oneofl [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity;
+                 Float.min_float; 4.9e-324; -4.9e-324 ];
+        float_range (-1.0) 1.0;
+      ])
+
+let arb_edge_vec =
+  QCheck.make ~print:(fun v -> Printf.sprintf "(%h, %h, %h)" v.Vec3.x v.Vec3.y v.Vec3.z)
+    QCheck.Gen.(map3 Vec3.make edge_float edge_float edge_float)
+
+let prop_is_zero_matches_compare =
+  QCheck.Test.make ~name:"is_zero agrees with ( = ) zero" ~count:1000
+    arb_edge_vec (fun v ->
+      Vec3.is_zero v = (v = Vec3.zero) && not (Vec3.is_zero v) = (v <> Vec3.zero))
+
+let prop_yaw_matches_to_euler =
+  QCheck.Test.make ~name:"yaw bit-identical to to_euler's" ~count:1000
+    (QCheck.make
+       ~print:(fun q -> Format.asprintf "%a" Quat.pp q)
+       QCheck.Gen.(
+         oneof
+           [
+             map3 (fun roll pitch yaw -> Quat.of_euler ~roll ~pitch ~yaw)
+               (float_range (-3.2) 3.2) (float_range (-1.6) 1.6)
+               (float_range (-3.2) 3.2);
+             map (fun (w, x, y, z) -> Quat.make ~w ~x ~y ~z)
+               (quad edge_float edge_float edge_float edge_float);
+           ]))
+    (fun q ->
+      let _, _, yaw = Quat.to_euler q in
+      bits (Quat.yaw q) = bits yaw)
+
+(* The tilt against the rotation it expands, on any quaternion, signed
+   zeros and NaN included: the clamp must keep [Stdlib.min]/[max]'s
+   results. *)
+let prop_tilt_matches_rotation =
+  let reference q =
+    let body_up = Quat.rotate q Vec3.unit_z in
+    acos (Stdlib.max (-1.0) (Stdlib.min 1.0 (Vec3.dot body_up Vec3.unit_z)))
+  in
+  QCheck.Test.make ~name:"tilt bit-identical to the rotation" ~count:1000
+    (QCheck.make
+       ~print:(fun q -> Format.asprintf "%a" Quat.pp q)
+       QCheck.Gen.(
+         oneof
+           [
+             map (fun (w, x, y, z) -> Quat.make ~w ~x ~y ~z)
+               (quad edge_float edge_float edge_float edge_float);
+             map (fun (w, x, y, z) -> Quat.make ~w ~x ~y ~z)
+               (quad (float_range (-2.0) 2.0) (float_range (-2.0) 2.0)
+                  (float_range (-2.0) 2.0) (float_range (-2.0) 2.0));
+           ]))
+    (fun q ->
+      bits (Quat.tilt q) = bits (reference q)
+      && bits (Quat.Mut.tilt (Quat.Mut.of_t q)) = bits (reference q))
+
 let test_mut_quat_normalize_zero () =
   let z = Quat.Mut.of_t (Quat.make ~w:0.0 ~x:0.0 ~y:0.0 ~z:0.0) in
   Quat.Mut.normalize z;
@@ -320,6 +381,9 @@ let () =
           q prop_mut_vec_bit_identical;
           q prop_mut_vec_alias_safe;
           q prop_mut_quat_bit_identical;
+          q prop_is_zero_matches_compare;
+          q prop_yaw_matches_to_euler;
+          q prop_tilt_matches_rotation;
         ] );
       ( "geodesy",
         [

@@ -260,6 +260,51 @@ let qcheck_fuzz_random =
     QCheck.(string_gen_of_size (Gen.int_range 0 512) Gen.char)
     only_corrupt
 
+(* Two fields the bit-flip property once hit, whose decoders sized or
+   built an object before checking: a sensor kind's instance count (an
+   [Array.init] of the flipped count, raising Out_of_memory) and an
+   airframe's motor count ([Motor.mix_layout]'s Invalid_argument). *)
+let test_decode_counts_bounded () =
+  let open Avis_util.Codec in
+  let corrupt name decode bytes =
+    match decode (reader bytes) with
+    | _ -> Alcotest.failf "%s decoded" name
+    | exception Corrupt _ -> ()
+    | exception e -> Alcotest.failf "%s raised %s" name (Printexc.to_string e)
+  in
+  (* A drivers snapshot of one GPS kind: instance count, period, next
+     sample, no failures, no readings. *)
+  let kinds count =
+    let b = Buffer.create 64 in
+    w_version b 2;
+    w_int b 1;
+    Sensor.encode_kind b Sensor.Gps;
+    w_int b count;
+    w_f64 b 0.1;
+    w_f64 b 0.0;
+    w_int b 0;
+    w_option b Sensor.encode_reading None;
+    w_option b Sensor.encode_reading None;
+    Buffer.contents b
+  in
+  corrupt "instance count 2^40" Drivers.decode_snapshot (kinds (1 lsl 40));
+  corrupt "instance count -1" Drivers.decode_snapshot (kinds (-1));
+  (* A controller on an airframe with [motor_count] motors. *)
+  let control motor_count =
+    let b = Buffer.create 512 in
+    w_version b 1;
+    Params.encode b Params.default;
+    Avis_physics.Airframe.encode b
+      { Avis_physics.Airframe.iris with motor_count };
+    Pid.encode b (Pid.create ~kp:1.0 ());
+    w_float_array b (Array.make motor_count 0.0);
+    Buffer.contents b
+  in
+  List.iter
+    (fun n ->
+      corrupt (Printf.sprintf "motor count %d" n) Control.decode (control n))
+    [ 2; 3; 5 ]
+
 (* ------------------------------------------------------------------ *)
 (* Checkpoint store                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -590,6 +635,8 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false qcheck_fuzz_truncated;
           QCheck_alcotest.to_alcotest ~long:false qcheck_fuzz_bitflip;
           QCheck_alcotest.to_alcotest ~long:false qcheck_fuzz_random;
+          Alcotest.test_case "decoded counts bounded" `Quick
+            test_decode_counts_bounded;
         ] );
       ( "store",
         [
