@@ -16,62 +16,55 @@ let hold_demand ~yaw ~pos =
     yaw_target = yaw; idle = false; max_speed = None; level_hold = false;
     open_loop_descent = false }
 
-(* The trigonometry of a parameter set's tilt limit, for the record it
-   came from: [step] recomputes it only when handed a different one. *)
-type tilt = {
-  source : Params.t;
-  accel_limit : float;  (* gravity * tan max_tilt_rad *)
-  cos_max_tilt : float;
-}
-
-let tilt_of (params : Params.t) =
-  {
-    source = params;
-    accel_limit =
-      Avis_physics.Airframe.gravity *. tan params.Params.max_tilt_rad;
-    cos_max_tilt = cos params.Params.max_tilt_rad;
-  }
-
 (* Degraded attitude estimation tolerates only gentle manoeuvres. *)
 let accel_only_tilt = 0.15
 let accel_only_accel_limit = Avis_physics.Airframe.gravity *. tan accel_only_tilt
 
 type t = {
   params : Params.t;
-      (* The set at [create], which sets the climb gains and travels in
-         the snapshot; [step] flies the caller's live set. *)
   airframe : Avis_physics.Airframe.t;
   hover : float;
+  accel_limit : float; (* gravity * tan max_tilt_rad *)
+  cos_max_tilt : float;
   climb_pid : Pid.t;
   layout : (Vec3.t * float) array; (* immutable mix layout, hoisted *)
   output : float array; (* reused across steps; consumers copy *)
-  mutable tilt : tilt;
 }
 
-let create ~params ~airframe () =
+(* Everything but the PID state and the output buffer is derived from the
+   parameters and the airframe, here and on decode. *)
+let make ~params ~airframe ~climb_pid ~output =
   {
     params;
     airframe;
     hover = Avis_physics.Airframe.hover_throttle airframe;
-    climb_pid =
-      Pid.create ~kp:params.Params.climb_vel_p ~ki:params.Params.climb_vel_i
-        ~i_limit:2.0 ~out_limit:0.6 ();
+    accel_limit =
+      Avis_physics.Airframe.gravity *. tan params.Params.max_tilt_rad;
+    cos_max_tilt = cos params.Params.max_tilt_rad;
+    climb_pid;
     layout = Avis_physics.Motor.mix_layout airframe;
-    output = Array.make airframe.Avis_physics.Airframe.motor_count 0.0;
-    tilt = tilt_of params;
+    output;
   }
+
+let create ~params ~airframe () =
+  make ~params ~airframe
+    ~climb_pid:
+      (Pid.create ~kp:params.Params.climb_vel_p ~ki:params.Params.climb_vel_i
+         ~i_limit:2.0 ~out_limit:0.6 ())
+    ~output:(Array.make airframe.Avis_physics.Airframe.motor_count 0.0)
 
 let copy t =
   { t with climb_pid = Pid.copy t.climb_pid; output = Array.copy t.output }
 
 let reset t = Pid.reset t.climb_pid
 
-let step t ~params:p est demand ~dt =
+let step t est demand ~dt =
   if demand.idle then begin
     Array.fill t.output 0 (Array.length t.output) 0.0;
     t.output
   end
   else begin
+    let p = t.params in
     let pos = Estimator.position est in
     let vel = Estimator.velocity est in
     let yaw = Estimator.yaw est in
@@ -89,7 +82,6 @@ let step t ~params:p est demand ~dt =
         Vec3.clamp_norm speed_limit (Vec3.add ff (Vec3.scale p.Params.pos_p err))
       | None -> ff
     in
-    if t.tilt.source != p then t.tilt <- tilt_of p;
     let accel_only =
       match Estimator.att_mode est with
       | Estimator.Att_accel_only -> true
@@ -110,7 +102,7 @@ let step t ~params:p est demand ~dt =
       let target_vel = if demand.level_hold then Vec3.zero else vel_demand in
       let err = Vec3.sub target_vel (Vec3.horizontal vel) in
       Vec3.clamp_norm
-        (if accel_only then accel_only_accel_limit else t.tilt.accel_limit)
+        (if accel_only then accel_only_accel_limit else t.accel_limit)
         (Vec3.scale (weight *. p.Params.vel_p) err)
     in
     (* Acceleration demand -> lean angles in the body-yaw frame. *)
@@ -138,7 +130,7 @@ let step t ~params:p est demand ~dt =
          vehicle does not firewall the throttle. *)
       let tilt_comp =
         let c = cos (Quat.tilt (Estimator.attitude est)) in
-        1.0 /. Float.max t.tilt.cos_max_tilt c
+        1.0 /. Float.max t.cos_max_tilt c
       in
       if demand.open_loop_descent then
         (* Fixed collective just under hover: a steady drag-limited sink
@@ -220,33 +212,23 @@ let step t ~params:p est demand ~dt =
     t.output
   end
 
-(* [hover] and [layout] are pure functions of the airframe and [tilt] of
-   the params, so only those and the mutable state travel in the
+(* The params are the personality's fixed set, which the decoding caller
+   passes back, so only the airframe and the mutable state travel in the
    snapshot. *)
 let encode b (t : t) =
   let open Avis_util.Codec in
-  w_version b 1;
-  Params.encode b t.params;
+  w_version b 2;
   Avis_physics.Airframe.encode b t.airframe;
   Pid.encode b t.climb_pid;
   w_float_array b t.output
 
-let decode r : t =
+let decode ~params r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:1 in
-  let params = Params.decode r in
+  let (_ : int) = r_version r ~expect:2 in
   let airframe = Avis_physics.Airframe.decode r in
   let climb_pid = Pid.decode r in
   let output = r_float_array r in
   if Array.length output <> airframe.Avis_physics.Airframe.motor_count then
     corrupt "control output length %d does not match motor count %d"
       (Array.length output) airframe.Avis_physics.Airframe.motor_count;
-  {
-    params;
-    airframe;
-    hover = Avis_physics.Airframe.hover_throttle airframe;
-    climb_pid;
-    layout = Avis_physics.Motor.mix_layout airframe;
-    output;
-    tilt = tilt_of params;
-  }
+  make ~params ~airframe ~climb_pid ~output

@@ -42,20 +42,20 @@ val create : params:Params.t -> airframe:Avis_physics.Airframe.t -> unit -> t
 val copy : t -> t
 (** An independent copy of the controller's state (PID integrators). *)
 
-val step : t -> params:Params.t -> Estimator.t -> demand -> dt:float -> float array
-(** Motor commands in [\[0, 1\]] for this cycle. [params] is the vehicle's
-    live parameter set, so a GCS-written WPNAV_SPEED takes effect on the
-    next cycle. The returned array is a buffer reused on the next [step];
-    read or copy it before then (the simulator's motor model copies it
-    immediately). *)
+val step : t -> Estimator.t -> demand -> dt:float -> float array
+(** Motor commands in [\[0, 1\]] for this cycle, flown with the parameter
+    set given at {!create}. The returned array is a buffer reused on the
+    next [step]; read or copy it before then (the simulator's motor model
+    copies it immediately). *)
 
 val reset : t -> unit
 (** Clear integrators (on arming and mode changes). *)
 
 val encode : Buffer.t -> t -> unit
-(** Versioned bit-exact binary layout (params, airframe and mutable
-    controller state; derived fields are recomputed on decode). *)
+(** Versioned bit-exact binary layout (airframe and mutable controller
+    state). The parameter set is not written, and derived fields are
+    recomputed on decode. *)
 
-val decode : Avis_util.Codec.reader -> t
-(** Inverse of {!encode}. Raises [Avis_util.Codec.Corrupt] on malformed
-    input. *)
+val decode : params:Params.t -> Avis_util.Codec.reader -> t
+(** Inverse of {!encode}, over the parameter set the controller was created
+    with. Raises [Avis_util.Codec.Corrupt] on malformed input. *)

@@ -415,8 +415,7 @@ let pos_mode_of_tag = function
 
 let encode b (t : t) =
   let open Avis_util.Codec in
-  w_version b 1;
-  Params.encode b t.params;
+  w_version b 2;
   w_option b Vec3.encode t.prev_up_body;
   Vec3.encode b t.position;
   Vec3.encode b t.velocity;
@@ -433,10 +432,9 @@ let encode b (t : t) =
   w_bool b t.vertical_degraded;
   w_f64 b t.dead_reckon_age
 
-let decode r : t =
+let decode ~params r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:1 in
-  let params = Params.decode r in
+  let (_ : int) = r_version r ~expect:2 in
   let prev_up_body = r_option r Vec3.decode in
   let position = Vec3.decode r in
   let velocity = Vec3.decode r in

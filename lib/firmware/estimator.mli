@@ -94,8 +94,9 @@ val heading_valid : t -> bool
 val set_heading_valid : t -> bool -> unit
 
 val encode : Buffer.t -> t -> unit
-(** Versioned bit-exact binary layout of the whole estimated state. *)
+(** Versioned bit-exact binary layout of the whole estimated state. The
+    parameter set given at {!create} is not written. *)
 
-val decode : Avis_util.Codec.reader -> t
-(** Inverse of {!encode}. Raises [Avis_util.Codec.Corrupt] on malformed
-    input. *)
+val decode : params:Params.t -> Avis_util.Codec.reader -> t
+(** Inverse of {!encode}, over the parameter set the estimator was created
+    with. Raises [Avis_util.Codec.Corrupt] on malformed input. *)

@@ -76,6 +76,5 @@ val evaluate :
   ctx:flight_context ->
   battery_low:bool ->
   directives
-(** [params] is the vehicle's live parameter set (not the policy's
-    defaults), so a GCS-written NAV_DLL_ACT / FS_GCS_TIMEOUT takes effect
-    on the next control cycle. *)
+(** [params] is the vehicle's parameter set: its personality's, except in
+    the tests that vary PX4's NAV_DLL_ACT. *)

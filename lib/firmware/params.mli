@@ -56,11 +56,3 @@ type t = {
 }
 
 val default : t
-
-val encode : Buffer.t -> t -> unit
-(** Bit-exact binary layout: every field as an IEEE-754 double, in
-    declaration order. *)
-
-val decode : Avis_util.Codec.reader -> t
-(** Inverse of {!encode}. Raises [Avis_util.Codec.Corrupt] on truncated
-    input. *)

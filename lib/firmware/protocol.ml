@@ -10,8 +10,6 @@ type request =
   | Req_auto
   | Req_manual
   | Req_reposition of Vec3.t
-  | Req_param_set of string * float
-  | Req_param_list
 
 type telemetry = {
   phase_code : int;
@@ -86,9 +84,6 @@ let ack_command t ~command ~accepted = send t (Msg.Command_ack { command; accept
 
 let send_statustext t severity text = send t (Msg.Statustext { severity; text })
 
-let send_param_value t ~name ~value ~index =
-  send t (Msg.Param_value { name; value; index; count = Param_registry.count })
-
 let handle_mission_count t count =
   if count <= 0 then send t (Msg.Mission_ack { accepted = false })
   else begin
@@ -152,11 +147,9 @@ let handle_message t msg =
     if req = None then ack_command t ~command ~accepted:false;
     req
   | Msg.Set_mode { custom_mode } -> request_of_mode custom_mode
-  | Msg.Param_set { name; value } -> Some (Req_param_set (name, value))
-  | Msg.Param_request_list -> Some Req_param_list
   | Msg.Heartbeat _ | Msg.Sys_status _ | Msg.Mission_request _
   | Msg.Mission_ack _ | Msg.Mission_current _ | Msg.Command_ack _
-  | Msg.Global_position _ | Msg.Statustext _ | Msg.Param_value _ ->
+  | Msg.Global_position _ | Msg.Statustext _ ->
     None
 
 let emit_telemetry t ~time tel =
@@ -218,12 +211,12 @@ let mission t = t.mission
 let gcs_last_heartbeat t = t.last_gcs_heartbeat
 
 (* As with [Gcs], the [link] field is not serialised: the caller passes the
-   link the decoded snapshot will be restored over. *)
+   link the decoded snapshot will be restored over. Nor is [params], the
+   personality's fixed set, which the caller passes too. *)
 let encode_snapshot b (s : snapshot) =
   let open Avis_util.Codec in
-  w_version b 1;
+  w_version b 2;
   Geodesy.encode_frame b s.frame;
-  Params.encode b s.params;
   Frame.encode_decoder b s.decoder;
   w_int b s.seq;
   w_option b
@@ -238,11 +231,10 @@ let encode_snapshot b (s : snapshot) =
   w_f64 b s.next_sys_status;
   w_option b w_f64 s.last_gcs_heartbeat
 
-let decode_snapshot ~link r : snapshot =
+let decode_snapshot ~link ~params r : snapshot =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:1 in
+  let (_ : int) = r_version r ~expect:2 in
   let frame = Geodesy.decode_frame r in
-  let params = Params.decode r in
   let decoder = Frame.decode_decoder r in
   let seq = r_int r in
   let upload =

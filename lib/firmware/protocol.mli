@@ -19,8 +19,6 @@ type request =
   | Req_auto  (** Start the uploaded mission. *)
   | Req_manual
   | Req_reposition of Vec3.t  (** Local-frame target. *)
-  | Req_param_set of string * float
-  | Req_param_list
 
 (** What the mode logic must expose for telemetry. *)
 type telemetry = {
@@ -46,12 +44,14 @@ val restore : link:Link.t -> snapshot -> t
 (** Rebuild the protocol driver over the restored copy of the link. *)
 
 val encode_snapshot : Buffer.t -> snapshot -> unit
-(** Versioned bit-exact binary layout of the frozen protocol state. *)
+(** Versioned bit-exact binary layout of the frozen protocol state. The
+    parameter set given at {!create} is not written. *)
 
-val decode_snapshot : link:Link.t -> Avis_util.Codec.reader -> snapshot
-(** Inverse of {!encode_snapshot}; the decoded snapshot is attached to
-    [link] via {!restore}. Raises [Avis_util.Codec.Corrupt] on malformed
-    input. *)
+val decode_snapshot :
+  link:Link.t -> params:Params.t -> Avis_util.Codec.reader -> snapshot
+(** Inverse of {!encode_snapshot}, over the parameter set the snapshot was
+    created with; the decoded snapshot is attached to [link] via
+    {!restore}. Raises [Avis_util.Codec.Corrupt] on malformed input. *)
 
 val step : t -> time:float -> telemetry -> request list
 (** Process inbound traffic and emit due telemetry. Returns the pilot
@@ -69,6 +69,3 @@ val ack_command : t -> command:int -> accepted:bool -> unit
 (** Send a COMMAND_ACK (the mode logic decides acceptance). *)
 
 val send_statustext : t -> Msg.severity -> string -> unit
-
-val send_param_value : t -> name:string -> value:float -> index:int -> unit
-(** Emit a PARAM_VALUE (the reply to PARAM_SET and PARAM_REQUEST_LIST). *)

@@ -15,7 +15,7 @@ type rtl_stage = Rtl_climb | Rtl_return
 type t = {
   policy : Policy.t;
   fence : Avis_physics.Environment.fence option;
-  mutable params : Params.t;
+  params : Params.t; (* the policy's set *)
   bugs : Bug.registry;
   suite : Suite.t;
   hinj : Avis_hinj.Hinj.t;
@@ -104,7 +104,6 @@ type snapshot = {
 let freeze t =
   {
     t with
-    params = t.params;
     bugs = Bug.copy_registry t.bugs;
     estimator = Estimator.copy t.estimator;
     control = Control.copy t.control;
@@ -259,21 +258,6 @@ let handle_request t req =
     let ok = Phase.equal t.phase Phase.Manual in
     if ok then t.manual_target <- target;
     Protocol.ack_command t.protocol ~command:Msg.cmd_reposition ~accepted:ok
-  | Protocol.Req_param_set (name, value) -> (
-    (* Out-of-range values are clamped, unknown names answered with nothing
-       (the GCS will time out), both as real firmware behaves. *)
-    match Param_registry.apply_set t.params ~name ~value with
-    | Some (params, accepted) ->
-      t.params <- params;
-      let index = Option.value ~default:0 (Param_registry.index_of name) in
-      Protocol.send_param_value t.protocol ~name ~value:accepted ~index
-    | None -> ())
-  | Protocol.Req_param_list ->
-    List.iteri
-      (fun index entry ->
-        Protocol.send_param_value t.protocol ~name:entry.Param_registry.name
-          ~value:(entry.Param_registry.get t.params) ~index)
-      Param_registry.all
 
 (* The firmware's own geofence: return to launch before crossing it. *)
 let check_fence t =
@@ -651,7 +635,7 @@ let step t world ~dt =
     if t.armed || demand.Control.idle then demand
     else { demand with Control.idle = true }
   in
-  Control.step t.control ~params:t.params t.estimator demand ~dt
+  Control.step t.control t.estimator demand ~dt
 
 let time t = t.time
 let phase t = t.phase
@@ -725,15 +709,14 @@ let decode_fence r : Avis_physics.Environment.fence =
   { Avis_physics.Environment.centre_xy; radius_m; max_alt_m }
 
 (* The policy is one of the two fixed personalities, so its firmware tag is
-   the whole encoding; the snapshot's live parameter set travels separately
-   (PARAM_SET mutates it away from the policy's defaults). *)
+   the whole encoding, its parameter set included: decoding hands that set
+   to every layer that flies it. *)
 let encode_snapshot b (s : snapshot) =
   let open Avis_util.Codec in
   let c = s.snap_core in
-  w_version b 1;
+  w_version b 2;
   w_u8 b (match c.policy.Policy.firmware with Bug.Ardupilot -> 0 | Bug.Px4 -> 1);
   w_option b encode_fence c.fence;
-  Params.encode b c.params;
   w_list b Bug.encode_id (Bug.enabled_list c.bugs);
   Geodesy.encode_frame b c.frame;
   Estimator.encode b c.estimator;
@@ -770,19 +753,19 @@ let encode_snapshot b (s : snapshot) =
 
 let decode_snapshot ~suite ~hinj ~link r : snapshot =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:1 in
+  let (_ : int) = r_version r ~expect:2 in
   let policy =
     match r_u8 r with
     | 0 -> Policy.of_firmware Bug.Ardupilot
     | 1 -> Policy.of_firmware Bug.Px4
     | t -> corrupt "bad firmware tag %d" t
   in
+  let params = policy.Policy.params in
   let fence = r_option r decode_fence in
-  let params = Params.decode r in
   let bugs = Bug.registry ~enabled:(r_list r Bug.decode_id) policy.Policy.firmware in
   let frame = Geodesy.decode_frame r in
-  let estimator = Estimator.decode r in
-  let control = Control.decode r in
+  let estimator = Estimator.decode ~params r in
+  let control = Control.decode ~params r in
   let time = r_f64 r in
   let armed = r_bool r in
   let phase = decode_phase r in
@@ -822,7 +805,7 @@ let decode_snapshot ~suite ~hinj ~link r : snapshot =
   let triggered = r_list r Bug.decode_id in
   let home = Vec3.decode r in
   let snap_drivers = Drivers.decode_snapshot r in
-  let snap_protocol = Protocol.decode_snapshot ~link r in
+  let snap_protocol = Protocol.decode_snapshot ~link ~params r in
   let snap_core =
     {
       policy;

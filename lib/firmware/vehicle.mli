@@ -66,7 +66,8 @@ val home : t -> Vec3.t
 val encode_snapshot : Buffer.t -> snapshot -> unit
 (** Versioned bit-exact binary layout of the whole frozen firmware
     (estimator, controller, drivers, protocol, mode logic and bug
-    registry). *)
+    registry). The policy is written as its firmware tag, so decoding
+    restores {!Policy.apm} or {!Policy.px4}, parameter set included. *)
 
 val decode_snapshot :
   suite:Avis_sensors.Suite.t ->

@@ -62,7 +62,6 @@ type t = {
   mutable pending_mode : pending_mode option;
   mutable mode_timed_out : bool;
   mutable command_acks : (int * bool) list;
-  mutable params : (string * float) list;
 }
 
 let create ?(sysid = 255) ?(compid = 190) link =
@@ -92,7 +91,6 @@ let create ?(sysid = 255) ?(compid = 190) link =
     pending_mode = None;
     mode_timed_out = false;
     command_acks = [];
-    params = [];
   }
 
 type snapshot = t
@@ -150,7 +148,7 @@ let decode_upload_state r =
    so the interim record is well-typed. *)
 let encode_snapshot b (s : snapshot) =
   let open Avis_util.Codec in
-  w_version b 1;
+  w_version b 2;
   w_int b s.sysid;
   w_int b s.compid;
   Frame.encode_decoder b s.decoder;
@@ -194,16 +192,11 @@ let encode_snapshot b (s : snapshot) =
     (fun b (cmd, accepted) ->
       w_int b cmd;
       w_bool b accepted)
-    s.command_acks;
-  w_list b
-    (fun b (name, value) ->
-      w_string b name;
-      w_f64 b value)
-    s.params
+    s.command_acks
 
 let decode_snapshot ~link r : snapshot =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:1 in
+  let (_ : int) = r_version r ~expect:2 in
   let sysid = r_int r in
   let compid = r_int r in
   let decoder = Frame.decode_decoder r in
@@ -253,12 +246,6 @@ let decode_snapshot ~link r : snapshot =
         let accepted = r_bool r in
         (cmd, accepted))
   in
-  let params =
-    r_list r (fun r ->
-        let name = r_string r in
-        let value = r_f64 r in
-        (name, value))
-  in
   {
     link;
     sysid;
@@ -285,7 +272,6 @@ let decode_snapshot ~link r : snapshot =
     pending_mode;
     mode_timed_out;
     command_acks;
-    params;
   }
 
 let to_bytes s = Avis_util.Codec.to_string encode_snapshot s
@@ -351,11 +337,8 @@ let handle t (msg : Msg.t) =
     t.command_acks <- (command, accepted) :: t.command_acks;
     t.pending_commands <-
       List.filter (fun p -> p.cmd <> command) t.pending_commands
-  | Msg.Param_value { name; value; _ } ->
-    t.params <- (name, value) :: List.remove_assoc name t.params
   | Msg.Set_mode _ | Msg.Mission_count _ | Msg.Mission_item _
-  | Msg.Mission_current _ | Msg.Command_long _ | Msg.Param_request_list
-  | Msg.Param_set _ ->
+  | Msg.Mission_current _ | Msg.Command_long _ ->
     (* Vehicle-to-GCS traffic never carries these; ignore. *)
     ()
 
@@ -475,11 +458,3 @@ let request_mode t mode =
 let mode_status t =
   if t.mode_timed_out then Tx_timed_out
   else match t.pending_mode with Some _ -> Tx_pending | None -> Tx_acked true
-
-let set_param t ~name ~value = send t (Msg.Param_set { name; value })
-
-let request_param_list t = send t Msg.Param_request_list
-
-let param t name = List.assoc_opt name t.params
-
-let params t = t.params

@@ -126,14 +126,3 @@ val request_mode : t -> int -> unit
 val mode_status : t -> tx_status
 (** Resolution of the most recent [request_mode]; [Tx_acked true] when
     nothing is outstanding. *)
-
-val set_param : t -> name:string -> value:float -> unit
-(** PARAM_SET; the vehicle echoes a PARAM_VALUE observable via [param]. *)
-
-val request_param_list : t -> unit
-
-val param : t -> string -> float option
-(** Latest PARAM_VALUE received for a name. *)
-
-val params : t -> (string * float) list
-(** Every parameter seen so far. *)

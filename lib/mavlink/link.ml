@@ -129,11 +129,11 @@ let send t from data =
       let at = t.now + delay t in
       match from with
       | Gcs_end ->
-        let at = max at t.last_to_vehicle in
+        let at = Int.max at t.last_to_vehicle in
         t.last_to_vehicle <- at;
         t.to_vehicle <- { deliver_at = at; data } :: t.to_vehicle
       | Vehicle_end ->
-        let at = max at t.last_to_gcs in
+        let at = Int.max at t.last_to_gcs in
         t.last_to_gcs <- at;
         t.to_gcs <- { deliver_at = at; data } :: t.to_gcs
     end

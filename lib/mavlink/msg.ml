@@ -63,9 +63,6 @@ type t =
       heading_cdeg : int;
     }
   | Statustext of { severity : severity; text : string }
-  | Param_request_list
-  | Param_value of { name : string; value : float; index : int; count : int }
-  | Param_set of { name : string; value : float }
 
 let id_heartbeat = 0
 let id_sys_status = 1
@@ -79,10 +76,6 @@ let id_mission_ack = 47
 let id_command_long = 76
 let id_command_ack = 77
 let id_statustext = 253
-let id_param_request_list = 21
-let id_param_value = 22
-let id_param_set = 23
-let param_name_len = 16
 
 let msg_id = function
   | Heartbeat _ -> id_heartbeat
@@ -97,9 +90,6 @@ let msg_id = function
   | Command_long _ -> id_command_long
   | Command_ack _ -> id_command_ack
   | Statustext _ -> id_statustext
-  | Param_request_list -> id_param_request_list
-  | Param_value _ -> id_param_value
-  | Param_set _ -> id_param_set
 
 let severity_to_int = function
   | Emergency -> 0
@@ -163,16 +153,7 @@ let encode_payload t =
     Buf.put_u16 w g.heading_cdeg
   | Statustext { severity; text } ->
     Buf.put_u8 w (severity_to_int severity);
-    Buf.put_string w ~len:statustext_len text
-  | Param_request_list -> ()
-  | Param_value { name; value; index; count } ->
-    Buf.put_string w ~len:param_name_len name;
-    Buf.put_f32 w value;
-    Buf.put_u16 w index;
-    Buf.put_u16 w count
-  | Param_set { name; value } ->
-    Buf.put_string w ~len:param_name_len name;
-    Buf.put_f32 w value);
+    Buf.put_string w ~len:statustext_len text);
   Buf.contents w
 
 let decode_exn ~msg_id payload =
@@ -225,17 +206,6 @@ let decode_exn ~msg_id payload =
     let severity = severity_of_int (Buf.get_u8 r) in
     let text = Buf.get_string r ~len:statustext_len in
     Statustext { severity; text }
-  else if msg_id = id_param_request_list then Param_request_list
-  else if msg_id = id_param_value then
-    let name = Buf.get_string r ~len:param_name_len in
-    let value = Buf.get_f32 r in
-    let index = Buf.get_u16 r in
-    let count = Buf.get_u16 r in
-    Param_value { name; value; index; count }
-  else if msg_id = id_param_set then
-    let name = Buf.get_string r ~len:param_name_len in
-    let value = Buf.get_f32 r in
-    Param_set { name; value }
   else raise Buf.Truncated
 
 let decode_payload ~msg_id payload =
@@ -266,6 +236,3 @@ let describe = function
   | Global_position { relative_alt_mm; _ } ->
     Printf.sprintf "GLOBAL_POSITION alt=%.2fm" (float_of_int relative_alt_mm /. 1000.0)
   | Statustext { text; _ } -> Printf.sprintf "STATUSTEXT %S" text
-  | Param_request_list -> "PARAM_REQUEST_LIST"
-  | Param_value { name; value; _ } -> Printf.sprintf "PARAM_VALUE %s=%g" name value
-  | Param_set { name; value } -> Printf.sprintf "PARAM_SET %s=%g" name value

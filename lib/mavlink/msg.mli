@@ -58,9 +58,6 @@ type t =
       heading_cdeg : int;
     }
   | Statustext of { severity : severity; text : string }
-  | Param_request_list
-  | Param_value of { name : string; value : float; index : int; count : int }
-  | Param_set of { name : string; value : float }
 
 val msg_id : t -> int
 
@@ -71,7 +68,9 @@ val decode_payload : msg_id:int -> string -> t option
 
 val crc_extra : int -> int
 (** Per-message-id CRC seed byte, as in MAVLink's packet signing of message
-    layouts. Unknown ids get 0. *)
+    layouts. Every id in [0, 255] has one, so a frame whose id this dialect
+    does not know still passes the checksum and is then dropped as
+    unknown. *)
 
 val describe : t -> string
 (** One-line human-readable rendering for logs. *)

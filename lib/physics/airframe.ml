@@ -33,25 +33,6 @@ let iris =
     angular_drag = 0.02;
   }
 
-let hexa =
-  {
-    name = "Hexa 550";
-    mass_kg = 2.6;
-    arm_length_m = 0.275;
-    inertia = Vec3.make 0.052 0.052 0.096;
-    motor_count = 6;
-    max_thrust_per_motor_n = 9.5;
-    motor_time_constant_s = 0.06;
-    torque_per_thrust = 0.018;
-    flap_rate_damping = 0.16;
-    flap_back = 0.024;
-    linear_drag = 0.5;
-    angular_drag = 0.03;
-  }
-
-let by_name name =
-  List.find_opt (fun frame -> frame.name = name) [ iris; hexa ]
-
 (* The full record is serialised (not just the name) so snapshots of
    hand-constructed airframes survive too. *)
 let encode b t =

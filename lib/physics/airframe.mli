@@ -30,12 +30,6 @@ type t = {
 val iris : t
 (** 3DR Iris-class quadcopter. *)
 
-val hexa : t
-(** A heavier six-rotor craft, for testing beyond the Iris. *)
-
-val by_name : string -> t option
-(** Look up a registered airframe by [name]. *)
-
 val encode : Buffer.t -> t -> unit
 (** Versioned binary layout of the whole record (not just the name, so
     hand-constructed airframes snapshot too). *)

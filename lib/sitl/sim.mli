@@ -23,7 +23,8 @@ type config = {
   environment : Avis_physics.Environment.t option;
       (** Defaults to the paper's benign evaluation environment. *)
   airframe : Avis_physics.Airframe.t;
-      (** The evaluation uses the Iris; [Airframe.hexa] is also available. *)
+      (** Every entry point flies [Airframe.iris]. {!encode_config} and the
+          snapshots carry the whole record. *)
 }
 
 val default_config : Policy.t -> config

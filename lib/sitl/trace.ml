@@ -143,7 +143,7 @@ let nth_padded t i =
   let n = t.len in
   if n = 0 then invalid_arg "Trace.nth_padded: empty trace";
   if i < 0 then invalid_arg "Trace.nth_padded: negative index";
-  let i = min i (n - 1) in
+  let i = Int.min i (n - 1) in
   match t.cache with Some a -> a.(i) | None -> sample_at t i
 
 let altitude_series t =

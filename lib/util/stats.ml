@@ -26,7 +26,7 @@ let percentile p xs =
 
 let clamp ~lo ~hi v = Float.max lo (Float.min hi v)
 
-let clampi ~lo ~hi v = max lo (min hi v)
+let clampi ~lo ~hi v = Int.max lo (Int.min hi v)
 
 type running = {
   mutable count : int;

@@ -438,7 +438,7 @@ let test_estimator_yaw_cache () =
   let b = Buffer.create 256 in
   Estimator.encode b e;
   let d =
-    Avis_util.Codec.of_string Estimator.decode (Buffer.contents b)
+    Avis_util.Codec.of_string (Estimator.decode ~params) (Buffer.contents b)
   in
   check_yaw "decoded" d
 
@@ -455,14 +455,14 @@ let test_control_idle_zeros () =
       yaw_target = 0.0; idle = true; max_speed = None; level_hold = false;
       open_loop_descent = false }
   in
-  let out = Control.step control ~params est demand ~dt:0.004 in
+  let out = Control.step control est demand ~dt:0.004 in
   Alcotest.(check bool) "all zero" true (Array.for_all (fun c -> c = 0.0) out)
 
 let test_control_hover_balance () =
   let control = make_control () in
   let est = Estimator.create ~params () in
   let demand = Control.hold_demand ~yaw:0.0 ~pos:Vec3.zero in
-  let out = Control.step control ~params est demand ~dt:0.004 in
+  let out = Control.step control est demand ~dt:0.004 in
   let hover = Avis_physics.Airframe.hover_throttle Avis_physics.Airframe.iris in
   Array.iter
     (fun c -> Alcotest.(check bool) "near hover" true (Float.abs (c -. hover) < 0.1))
@@ -475,7 +475,7 @@ let test_control_outputs_bounded () =
     { (Control.hold_demand ~yaw:2.0 ~pos:(Vec3.make 100.0 100.0 50.0)) with
       Control.climb_demand = 10.0 }
   in
-  let out = Control.step control ~params est demand ~dt:0.004 in
+  let out = Control.step control est demand ~dt:0.004 in
   Array.iter
     (fun c -> Alcotest.(check bool) "in [0,1]" true (c >= 0.0 && c <= 1.0))
     out

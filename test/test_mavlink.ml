@@ -80,9 +80,6 @@ let sample_messages =
         relative_alt_mm = 20345; vx_cm = -120; vy_cm = 55; vz_cm = 0;
         heading_cdeg = 27000 };
     Msg.Statustext { severity = Msg.Critical; text = "failsafe: battery" };
-    Msg.Param_request_list;
-    Msg.Param_value { name = "WPNAV_SPEED"; value = 4.5; index = 0; count = 6 };
-    Msg.Param_set { name = "RTL_ALT"; value = 25.0 };
   ]
 
 let roundtrip msg =
@@ -126,6 +123,47 @@ let test_decoder_rejects_bad_crc () =
   let frames = Frame.feed decoder (Bytes.to_string corrupted) in
   Alcotest.(check int) "dropped" 0 (List.length frames);
   Alcotest.(check bool) "counted" true (Frame.dropped decoder >= 1)
+
+(* A frame built by hand from its header and payload, checksummed with
+   the id's CRC seed byte as [Frame.encode] does. *)
+let raw_frame ~msg_id payload =
+  (* Length, sequence, system id, component id, message id. *)
+  let header =
+    Printf.sprintf "%c\x05\x01\x01%c" (Char.chr (String.length payload)) (Char.chr msg_id)
+  in
+  let crc = Crc.accumulate_string (Crc.init ()) (header ^ payload) in
+  let sum = Crc.value (Crc.accumulate crc (Char.chr (Msg.crc_extra msg_id))) in
+  Printf.sprintf "%c%s%s%c%c" Frame.stx header payload
+    (Char.chr (sum land 0xFF))
+    (Char.chr (sum lsr 8))
+
+(* A frame whose id the dialect does not know (23, which was PARAM_SET)
+   passes the checksum, is counted and skipped whole, and the frame after
+   it still decodes. *)
+let test_decoder_skips_unknown_id () =
+  let heartbeat = Msg.Heartbeat { custom_mode = 4; armed = false; system_status = 3 } in
+  Alcotest.(check string) "hand-built frames check like encoded ones"
+    (Frame.encode ~seq:5 ~sysid:1 ~compid:1 heartbeat)
+    (raw_frame ~msg_id:0 (Msg.encode_payload heartbeat));
+  (* PARAM_SET's old layout, a 16-byte name and a float. The name starts
+     with a start byte, so skipping the frame byte by byte instead of
+     whole would try to parse from inside it. *)
+  let payload =
+    let w = Buf.writer () in
+    Buf.put_string w ~len:16 (String.make 1 Frame.stx ^ "RTL_ALT");
+    Buf.put_f32 w 25.0;
+    Buf.contents w
+  in
+  let decoder = Frame.decoder () in
+  match
+    Frame.feed decoder
+      (raw_frame ~msg_id:23 payload ^ Frame.encode ~seq:6 ~sysid:1 ~compid:1 heartbeat)
+  with
+  | [ frame ] ->
+    Alcotest.(check string) "the heartbeat" (Msg.describe heartbeat)
+      (Msg.describe frame.Frame.message);
+    Alcotest.(check int) "one dropped" 1 (Frame.dropped decoder)
+  | frames -> Alcotest.failf "%d frames" (List.length frames)
 
 let test_decoder_handles_partial_feeds () =
   let encoded = Frame.encode ~seq:1 ~sysid:1 ~compid:1 (Msg.Set_mode { custom_mode = 6 }) in
@@ -534,6 +572,7 @@ let () =
           Alcotest.test_case "metadata" `Quick test_frame_metadata;
           Alcotest.test_case "resync over garbage" `Quick test_decoder_resync_over_garbage;
           Alcotest.test_case "bad crc dropped" `Quick test_decoder_rejects_bad_crc;
+          Alcotest.test_case "unknown id dropped" `Quick test_decoder_skips_unknown_id;
           Alcotest.test_case "partial feeds" `Quick test_decoder_handles_partial_feeds;
           q prop_frames_concatenate;
           q prop_decoder_never_raises_and_resyncs;

@@ -292,17 +292,23 @@ let test_decode_counts_bounded () =
   (* A controller on an airframe with [motor_count] motors. *)
   let control motor_count =
     let b = Buffer.create 512 in
-    w_version b 1;
-    Params.encode b Params.default;
+    w_version b 2;
     Avis_physics.Airframe.encode b
       { Avis_physics.Airframe.iris with motor_count };
     Pid.encode b (Pid.create ~kp:1.0 ());
     w_float_array b (Array.make motor_count 0.0);
     Buffer.contents b
   in
+  (* The hand-built layout is the current one: the even counts the mixer
+     takes decode. *)
+  List.iter
+    (fun n -> ignore (of_string (Control.decode ~params:Params.default) (control n)))
+    [ 4; 6 ];
   List.iter
     (fun n ->
-      corrupt (Printf.sprintf "motor count %d" n) Control.decode (control n))
+      corrupt (Printf.sprintf "motor count %d" n)
+        (Control.decode ~params:Params.default)
+        (control n))
     [ 2; 3; 5 ]
 
 (* ------------------------------------------------------------------ *)
