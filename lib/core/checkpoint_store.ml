@@ -1,25 +1,3 @@
-let default_store_mb = 1024
-
-(* Malformed or non-positive byte budgets fall back to the default with a
-   warning, like [Pool.jobs_of_env]: a typo'd AVIS_STORE_MB must not
-   silently disable (or unbound) the store. *)
-let budget_bytes_of ?store_mb () =
-  let mb =
-    match store_mb with
-    | Some mb when mb > 0 -> mb
-    | Some mb ->
-      Printf.eprintf
-        "[avis] warning: ignoring invalid store_mb=%d (want a positive \
-         integer); using %d\n\
-         %!"
-        mb default_store_mb;
-      default_store_mb
-    | None ->
-      Avis_util.Env.positive_int ~var:"AVIS_STORE_MB" ~default:default_store_mb
-        ()
-  in
-  mb * 1024 * 1024
-
 type t = {
   dir : string;
   fingerprint : string;
@@ -68,7 +46,11 @@ let create ?fingerprint ?store_mb ~dir ~config_key () =
       dir;
       fingerprint;
       config_key;
-      budget_bytes = budget_bytes_of ?store_mb ();
+      (* A typo'd AVIS_STORE_MB must not silently disable (or unbound)
+         the store. *)
+      budget_bytes =
+        Avis_util.Env.budget_bytes ?mb:store_mb ~arg:"store_mb"
+          ~var:"AVIS_STORE_MB" ~default_mb:1024 ();
       evictions = 0;
       bytes = 0;
       tmp_counter = 0;

@@ -15,7 +15,7 @@
     - the {e code fingerprint} defaults to the digest of the running
       executable, so checkpoints written by a different build are invisible
       (stale-fingerprint entries are never served, only evicted);
-    - the {e config bytes} are {!Avis_sitl.Sim.config_to_bytes} of the
+    - the {e config bytes} are {!Avis_sitl.Sim.encode_config} of the
       campaign configuration (policy, bugs, seed, dt, faults profile,
       environment, airframe) plus the workload identity;
     - the {e fault-set key} is the prefix cache's canonical encoding of the

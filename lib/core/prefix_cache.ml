@@ -3,8 +3,10 @@ open Avis_sitl
 type entry = {
   time : float;
   sim_snap : Sim.snapshot;
-  stepper_snap : Workload.Stepper.snapshot;
-  bytes : int;  (** Accounted size of both snapshots at capture time. *)
+  stepper : string;  (** The stepper, encoded at the same moment. *)
+  bytes : int;
+      (** What the entry alone holds: its two strings and the trace tail
+          its snapshot copied. *)
   mutable last_used : int;  (** Logical clock tick of last capture or hit. *)
 }
 
@@ -40,30 +42,6 @@ type stats = {
   store_bytes : int;
 }
 
-let default_cache_mb = 1024
-
-(* The byte budget comes from [?cache_mb], else the [AVIS_CACHE_MB]
-   environment variable, else 1 GiB. Zero, negative and malformed values
-   are rejected with a warning and replaced by the default, like
-   [Pool.jobs_of_env]: a typo'd budget must not silently turn the cache
-   stateless (a zero budget makes every capture evict itself). *)
-let budget_bytes_of ?cache_mb () =
-  let mb =
-    match cache_mb with
-    | Some mb when mb > 0 -> mb
-    | Some mb ->
-      Printf.eprintf
-        "[avis] warning: ignoring invalid cache_mb=%d (want a positive \
-         integer); using %d\n\
-         %!"
-        mb default_cache_mb;
-      default_cache_mb
-    | None ->
-      Avis_util.Env.positive_int ~var:"AVIS_CACHE_MB" ~default:default_cache_mb
-        ()
-  in
-  mb * 1024 * 1024
-
 let create ?cache_mb ?store_dir ~workload ~config ~checkpoint_times () =
   let ts =
     List.sort_uniq compare (List.filter (fun t -> t > 0.0) checkpoint_times)
@@ -81,7 +59,8 @@ let create ?cache_mb ?store_dir ~workload ~config ~checkpoint_times () =
          plus the workload name — two campaigns whose runs could ever
          diverge must never share a key. *)
       let config_key =
-        Sim.config_to_bytes config ^ "\x00" ^ workload.Workload.name
+        Avis_util.Codec.to_string Sim.encode_config config
+        ^ "\x00" ^ workload.Workload.name
       in
       Some (Checkpoint_store.create ~dir ~config_key ())
     | _ -> None
@@ -95,7 +74,11 @@ let create ?cache_mb ?store_dir ~workload ~config ~checkpoint_times () =
     hits = 0;
     misses = 0;
     saved_sim_s = 0.0;
-    budget_bytes = budget_bytes_of ?cache_mb ();
+    (* A typo'd budget must not silently turn the cache stateless: a zero
+       budget would make every capture evict itself. *)
+    budget_bytes =
+      Avis_util.Env.budget_bytes ?mb:cache_mb ~arg:"cache_mb"
+        ~var:"AVIS_CACHE_MB" ~default_mb:1024 ();
     resident_bytes = 0;
     use_tick = 0;
     evictions = 0;
@@ -135,37 +118,18 @@ let active_key (scenario : Scenario.t) ~time =
   encode_faults
     (List.filter (fun f -> Scenario.fault_time f <= time) scenario)
 
-let word_bytes = Sys.word_size / 8
-
-(* Accounted size of a checkpoint: the simulator snapshot's exact byte
-   size (dominated by the world's float blob and the trace columns) plus
-   the reachable size of the stepper snapshot. *)
-let entry_bytes ~sim_snap ~stepper_snap =
-  Sim.snapshot_bytes sim_snap
-  + (Obj.reachable_words (Obj.repr stepper_snap) * word_bytes)
-
 let note_resident (t : t) =
   Avis_util.Trace.counter "cache.resident_bytes"
     (float_of_int t.resident_bytes)
 
-(* A stored checkpoint is the two snapshots as independent length-prefixed
-   blobs, so either side can grow its own format version. *)
-let store_payload ~sim_snap ~stepper_snap =
-  let open Avis_util.Codec in
-  to_string
+(* A stored checkpoint is the entry's two strings and the trace's bytes:
+   nothing is encoded a second time. *)
+let store_payload ~sim_snap ~stepper =
+  Avis_util.Codec.to_string
     (fun b () ->
-      w_bytes b (Sim.to_bytes sim_snap);
-      w_bytes b (Workload.Stepper.to_bytes stepper_snap))
+      Sim.encode_snapshot b sim_snap;
+      Avis_util.Codec.w_bytes b stepper)
     ()
-
-let snaps_of_payload payload =
-  let open Avis_util.Codec in
-  of_string
-    (fun r ->
-      let sim_snap = Sim.of_bytes (r_bytes r) in
-      let stepper_snap = Workload.Stepper.of_bytes (r_bytes r) in
-      (sim_snap, stepper_snap))
-    payload
 
 let note_store (t : t) store =
   Avis_util.Trace.counter "store.hits" (float_of_int t.store_hits);
@@ -207,10 +171,10 @@ let enforce_budget (t : t) =
    budget. A lone checkpoint larger than the whole budget evicts itself, so
    the resident set never exceeds the budget even transiently past this
    point. *)
-let add_entry (t : t) ~key ~time ~sim_snap ~stepper_snap =
-  let bytes = entry_bytes ~sim_snap ~stepper_snap in
+let add_entry (t : t) ~key ~time ~sim_snap ~stepper =
+  let bytes = Sim.snapshot_bytes sim_snap + String.length stepper in
   t.use_tick <- t.use_tick + 1;
-  let entry = { time; sim_snap; stepper_snap; bytes; last_used = t.use_tick } in
+  let entry = { time; sim_snap; stepper; bytes; last_used = t.use_tick } in
   let rec insert = function
     | e :: rest when e.time > time -> e :: insert rest
     | rest -> entry :: rest
@@ -237,8 +201,8 @@ let capture (t : t) ~scenario sim st =
        already stored; skip the snapshot entirely. *)
     if not (List.exists (fun e -> e.time = time) existing) then begin
       let sim_snap = Sim.snapshot sim in
-      let stepper_snap = Workload.Stepper.snapshot st in
-      let entry = add_entry t ~key ~time ~sim_snap ~stepper_snap in
+      let stepper = Avis_util.Codec.to_string Workload.Stepper.encode st in
+      let entry = add_entry t ~key ~time ~sim_snap ~stepper in
       Avis_util.Trace.counter "snapshot.bytes" (float_of_int entry.bytes);
       (* Write-through to the persistent tier. The payload is lazy: when a
          previous process already stored this exact key and time, nothing
@@ -246,7 +210,7 @@ let capture (t : t) ~scenario sim st =
       match t.store with
       | Some store ->
         Checkpoint_store.put store ~fault_key:key ~time
-          ~payload:(lazy (store_payload ~sim_snap ~stepper_snap))
+          ~payload:(lazy (store_payload ~sim_snap ~stepper))
       | None -> ()
     end
   end
@@ -295,9 +259,10 @@ let lookup (t : t) ~scenario =
 
 (* The persistent fallback to [lookup]: the same prefix-key scan, against
    files written by this or any earlier process. A served checkpoint is
-   decoded and re-warmed into memory, so the disk is touched once per
-   prefix, not once per scenario. *)
-let store_lookup (t : t) store ~scenario =
+   forked — which decodes it — before it is re-warmed into memory, so a
+   payload that does not decode is a counted miss and never filed; the
+   disk is touched once per prefix, not once per scenario. *)
+let store_lookup (t : t) store ~scenario ~fork =
   let served =
     Avis_util.Trace.span ~cat:"cache" "store.lookup" @@ fun () ->
     let find ~key ~before =
@@ -306,14 +271,19 @@ let store_lookup (t : t) store ~scenario =
     match best_prefix ~find scenario with
     | None -> None
     | Some (key, time, payload) -> (
-      match snaps_of_payload payload with
+      let decode r =
+        let sim_snap = Sim.decode_snapshot ~config:t.config r in
+        let stepper = Avis_util.Codec.r_bytes r in
+        (sim_snap, stepper, fork ~sim_snap ~stepper)
+      in
+      match Avis_util.Codec.of_string decode payload with
       | exception Avis_util.Codec.Corrupt _ ->
         (* The frame checksum held but the payload didn't decode (e.g. a
            foreign format revision): treat as a miss; the fingerprint in
            the key makes this all but impossible for files we wrote. *)
         None
-      | sim_snap, stepper_snap ->
-        Some (add_entry t ~key ~time ~sim_snap ~stepper_snap))
+      | sim_snap, stepper, forked ->
+        Some (add_entry t ~key ~time ~sim_snap ~stepper, forked))
   in
   (match served with
   | Some _ -> t.store_hits <- t.store_hits + 1
@@ -329,21 +299,24 @@ let store_lookup (t : t) store ~scenario =
 let execute (t : t) ~scenario =
   let plan = Scenario.to_plan scenario in
   let link_outages = Scenario.link_outages scenario in
-  let serve e =
+  let fork ~sim_snap ~stepper =
+    ( Sim.restore ~plan ~link_outages sim_snap,
+      Avis_util.Codec.of_string (Workload.Stepper.decode t.workload) stepper )
+  in
+  let serve e forked =
     t.hits <- t.hits + 1;
     Avis_util.Trace.counter "cache.hits" (float_of_int t.hits);
     t.use_tick <- t.use_tick + 1;
     e.last_used <- t.use_tick;
     t.saved_sim_s <- t.saved_sim_s +. e.time;
-    (Sim.restore ~plan ~link_outages e.sim_snap,
-     Workload.Stepper.restore e.stepper_snap)
+    forked
   in
   let sim, st =
     match lookup t ~scenario with
-    | Some e -> serve e
+    | Some e -> serve e (fork ~sim_snap:e.sim_snap ~stepper:e.stepper)
     | None -> (
-      match Option.bind t.store (fun s -> store_lookup t s ~scenario) with
-      | Some e -> serve e
+      match Option.bind t.store (fun s -> store_lookup t s ~scenario ~fork) with
+      | Some (e, forked) -> serve e forked
       | None ->
         t.misses <- t.misses + 1;
         Avis_util.Trace.counter "cache.misses" (float_of_int t.misses);

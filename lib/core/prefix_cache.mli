@@ -4,7 +4,7 @@
     the clean flight — provision, arm, climb — and, for searches that stack
     faults onto a previously observed scenario (SABRE's sites), the faulty
     flight of that base scenario too. The cache checkpoints both with
-    {!Avis_sitl.Sim.snapshot} and {!Workload.Stepper.snapshot}: every
+    {!Avis_sitl.Sim.snapshot} and {!Workload.Stepper.encode}: every
     executed scenario is checkpointed at the requested times as it runs,
     each checkpoint keyed by the exact set of faults — sensor failures and
     link outages alike — already active when it was taken (an outage stays
@@ -44,7 +44,11 @@ val create :
     [cache_mb] bounds the resident checkpoint bytes; it defaults to the
     [AVIS_CACHE_MB] environment variable, else 1024 MiB (zero, negative
     and malformed values are warned about and replaced by the default).
-    When a capture would push the resident set past the budget, whole
+    Each checkpoint is charged what it alone holds, with no heap walk: its
+    encoded simulator and stepper strings plus the trace tail its snapshot
+    copied ({!Avis_sitl.Sim.snapshot_bytes}). Frozen trace chunks, shared
+    by a run's checkpoints, are charged to none of them. When a capture
+    would push the resident set past the budget, whole
     checkpoints are evicted in global least-recently-used order (hits and
     captures both count as uses) until it fits; a lone checkpoint larger
     than the whole budget is itself evicted, so the bound holds
@@ -55,8 +59,9 @@ val create :
     no store) adds a persistent tier behind the in-memory one: a
     {!Checkpoint_store} rooted there, keyed by the campaign's code
     fingerprint, the canonical bytes of [config], the workload and the
-    fault history. Captures are written through (lazily — nothing is
-    serialised when the file already exists), and a scenario that finds
+    fault history. Captures are written through as the entry's strings
+    plus the trace's bytes (lazily — nothing is written when the file
+    already exists), and a scenario that finds
     no checkpoint in memory looks in the store before running cold. The
     store lookup scans the same fault prefixes, so a fresh process forks
     even its first scenario from the best stored clean or faulty-prefix

@@ -15,8 +15,10 @@
       climb/cruise/descend profile in calm and windy air, and over a
       grounded profile that rests with its motors off until its rates
       decay into the subnormal range;
-    - [SNAP-RT] — simulator snapshot → bytes → snapshot: byte-stable
-      re-encoding, and the restored run steps bit-identically;
+    - [SNAP-RT] — simulator snapshot → bytes → restored run: the
+      restored run re-encodes to the same bytes and steps bit-identically
+      with the original (a 5 s ArduPilot flight encodes to 7,953 bytes,
+      trace included);
     - [STORE-RW] — checkpoint store in a temp dir: write/read round-trip,
       corrupt-file detection, stale-fingerprint isolation;
     - [CACHE-ID] — a mini campaign with the prefix cache on vs off:

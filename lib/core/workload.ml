@@ -81,14 +81,6 @@ module Stepper = struct
       status = Running;
     }
 
-  type snapshot = stepper
-
-  (* The program counter is plain data — that is the whole point of the
-     script representation — so the stepper copies in O(1). *)
-  let copy st = { st with pc = st.pc }
-  let snapshot = copy
-  let restore = copy
-
   let status st = st.status
 
   (* Entry actions fire once, when the program counter first reaches the
@@ -175,122 +167,40 @@ module Stepper = struct
       else Not_yet
 
 
-  let encode_mission_step b ms =
+  (* The script is not written: the workload it comes from is part of
+     every key a checkpoint is filed under, so [decode] takes it back from
+     there. *)
+  let encode b st =
+    let[@warning "+9"] {
+      script = _;
+      pc;
+      entered;
+      until;
+      deadline;
+      seen_armed;
+      status;
+    } =
+      st
+    in
     let open Avis_util.Codec in
-    match ms with
-    | Takeoff_item alt ->
-      w_u8 b 0;
-      w_f64 b alt
-    | Waypoint_item { north; east; alt } ->
-      w_u8 b 1;
-      w_f64 b north;
-      w_f64 b east;
-      w_f64 b alt
-    | Land_item -> w_u8 b 2
-    | Rtl_item -> w_u8 b 3
-
-  let decode_mission_step r =
-    let open Avis_util.Codec in
-    match r_u8 r with
-    | 0 -> Takeoff_item (r_f64 r)
-    | 1 ->
-      let north = r_f64 r in
-      let east = r_f64 r in
-      let alt = r_f64 r in
-      Waypoint_item { north; east; alt }
-    | 2 -> Land_item
-    | 3 -> Rtl_item
-    | t -> corrupt "bad mission-step tag %d" t
-
-  let encode_step b stp =
-    let open Avis_util.Codec in
-    match stp with
-    | Wait_time s ->
-      w_u8 b 0;
-      w_f64 b s
-    | Upload_mission items ->
-      w_u8 b 1;
-      w_list b encode_mission_step items
-    | Arm -> w_u8 b 2
-    | Enter_auto -> w_u8 b 3
-    | Takeoff alt ->
-      w_u8 b 4;
-      w_f64 b alt
-    | Reposition { north; east; alt } ->
-      w_u8 b 5;
-      w_f64 b north;
-      w_f64 b east;
-      w_f64 b alt
-    | Land_now -> w_u8 b 6
-    | Return_to_launch -> w_u8 b 7
-    | Wait_altitude { alt; tolerance; timeout } ->
-      w_u8 b 8;
-      w_f64 b alt;
-      w_f64 b tolerance;
-      w_f64 b timeout
-    | Wait_mode code ->
-      w_u8 b 9;
-      w_int b code
-    | Wait_disarmed -> w_u8 b 10
-    | Wait_near { north; east; radius; timeout } ->
-      w_u8 b 11;
-      w_f64 b north;
-      w_f64 b east;
-      w_f64 b radius;
-      w_f64 b timeout
-
-  let decode_step r =
-    let open Avis_util.Codec in
-    match r_u8 r with
-    | 0 -> Wait_time (r_f64 r)
-    | 1 -> Upload_mission (r_list r decode_mission_step)
-    | 2 -> Arm
-    | 3 -> Enter_auto
-    | 4 -> Takeoff (r_f64 r)
-    | 5 ->
-      let north = r_f64 r in
-      let east = r_f64 r in
-      let alt = r_f64 r in
-      Reposition { north; east; alt }
-    | 6 -> Land_now
-    | 7 -> Return_to_launch
-    | 8 ->
-      let alt = r_f64 r in
-      let tolerance = r_f64 r in
-      let timeout = r_f64 r in
-      Wait_altitude { alt; tolerance; timeout }
-    | 9 -> Wait_mode (r_int r)
-    | 10 -> Wait_disarmed
-    | 11 ->
-      let north = r_f64 r in
-      let east = r_f64 r in
-      let radius = r_f64 r in
-      let timeout = r_f64 r in
-      Wait_near { north; east; radius; timeout }
-    | t -> corrupt "bad workload-step tag %d" t
-
-  (* The script itself travels in the snapshot, so a decoded stepper is
-     self-contained: resuming it needs no lookup of the original workload. *)
-  let encode_snapshot b (s : snapshot) =
-    let open Avis_util.Codec in
-    w_version b 1;
-    w_array b encode_step s.script;
-    w_int b s.pc;
-    w_bool b s.entered;
-    w_f64 b s.until;
-    w_f64 b s.deadline;
-    w_bool b s.seen_armed;
-    (match s.status with
+    w_version b 2;
+    w_int b pc;
+    w_bool b entered;
+    w_f64 b until;
+    w_f64 b deadline;
+    w_bool b seen_armed;
+    match status with
     | Running -> w_u8 b 0
     | Done passed ->
       w_u8 b 1;
-      w_bool b passed)
+      w_bool b passed
 
-  let decode_snapshot r : snapshot =
+  let decode (w : t) r =
     let open Avis_util.Codec in
-    let (_ : int) = r_version r ~expect:1 in
-    let script = r_array r decode_step in
+    let (_ : int) = r_version r ~expect:2 in
+    let script = Array.of_list w.script in
     let pc = r_int r in
+    if pc < 0 || pc > Array.length script then corrupt "bad stepper pc %d" pc;
     let entered = r_bool r in
     let until = r_f64 r in
     let deadline = r_f64 r in
@@ -302,9 +212,6 @@ module Stepper = struct
       | t -> corrupt "bad stepper-status tag %d" t
     in
     { script; pc; entered; until; deadline; seen_armed; status }
-
-  let to_bytes s = Avis_util.Codec.to_string encode_snapshot s
-  let of_bytes data = Avis_util.Codec.of_string decode_snapshot data
 
   (* One span per pumped segment: between two pauses, this loop is where
      the simulated world actually advances, so these spans are the "sim

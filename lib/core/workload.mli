@@ -6,8 +6,8 @@
     resumable {!Stepper} whose program counter is plain data. The stepper
     pumps the simulator step by step (the step() RPC of Fig. 7) until each
     step's condition holds, can pause at any simulated time, and can be
-    snapshotted and restored together with the simulator — the mechanism
-    the prefix cache forks clean runs with.
+    encoded and decoded together with the simulator — the mechanism the
+    prefix cache forks clean runs with.
 
     Two default workloads mirror the paper's: a *manual box* (position-hold
     mode around a 20 m × 20 m square at 20 m) and an *auto box* mission
@@ -89,29 +89,15 @@ module Stepper : sig
 
   val status : stepper -> status
 
-  type snapshot
-  (** The stepper's full execution state — program counter, step-entry
-      flags, timers — frozen in O(1). *)
+  val encode : Buffer.t -> stepper -> unit
+  (** Versioned binary layout of the stepper's execution state — program
+      counter, step-entry flag, timers, status — without the script. *)
 
-  val snapshot : stepper -> snapshot
-
-  val restore : snapshot -> stepper
-  (** Each restore yields an independent stepper; pair it with
-      {!Sim.restore} of a simulator snapshot taken at the same moment. *)
-
-  val encode_snapshot : Buffer.t -> snapshot -> unit
-  (** Versioned binary layout of the stepper's full execution state,
-      including the script itself, so a decoded stepper is
-      self-contained. *)
-
-  val decode_snapshot : Avis_util.Codec.reader -> snapshot
-  (** Inverse of {!encode_snapshot}. Raises [Avis_util.Codec.Corrupt] on
-      malformed input. *)
-
-  val to_bytes : snapshot -> string
-
-  val of_bytes : string -> snapshot
-  (** Raises [Avis_util.Codec.Corrupt] on malformed input. *)
+  val decode : t -> Avis_util.Codec.reader -> stepper
+  (** Inverse of {!encode}, resuming the script of the given workload (the
+      one the stepper was created for). Pair it with {!Sim.restore} of a
+      simulator snapshot taken at the same moment. Raises
+      [Avis_util.Codec.Corrupt] on malformed input. *)
 end
 
 val execute : t -> Sim.t -> bool

@@ -374,8 +374,6 @@ let registry ?enabled fw =
   | Some ids -> { enabled = ids }
   | None -> { enabled = unknown_bugs fw }
 
-let copy_registry r = { enabled = r.enabled }
-
 (* Ids are constant constructors, so physical equality is equality and
    [memq] avoids [mem]'s polymorphic compare. *)
 let enabled r id = List.memq id r.enabled

@@ -85,9 +85,6 @@ type registry
 val registry : ?enabled:id list -> firmware_kind -> registry
 (** By default, the firmware's unknown bugs are enabled. *)
 
-val copy_registry : registry -> registry
-(** An independent copy of the enabled set. *)
-
 val enabled : registry -> id -> bool
 val enable : registry -> id -> unit
 val disable : registry -> id -> unit

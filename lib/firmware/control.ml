@@ -53,9 +53,6 @@ let create ~params ~airframe () =
          ~i_limit:2.0 ~out_limit:0.6 ())
     ~output:(Array.make airframe.Avis_physics.Airframe.motor_count 0.0)
 
-let copy t =
-  { t with climb_pid = Pid.copy t.climb_pid; output = Array.copy t.output }
-
 let reset t = Pid.reset t.climb_pid
 
 let step t est demand ~dt =
@@ -212,15 +209,26 @@ let step t est demand ~dt =
     t.output
   end
 
-(* The params are the personality's fixed set, which the decoding caller
-   passes back, so only the airframe and the mutable state travel in the
-   snapshot. *)
+(* Destructured exhaustively, as [Estimator.encode] is: only the airframe
+   and the mutable state travel, and [make] rebuilds the rest. *)
 let encode b (t : t) =
+  let[@warning "+9"] {
+    params = _ (* the personality's fixed set, passed back to [decode] *);
+    airframe;
+    hover = _;
+    accel_limit = _;
+    cos_max_tilt = _;
+    layout = _ (* derived from the params and the airframe by [make] *);
+    climb_pid;
+    output;
+  } =
+    t
+  in
   let open Avis_util.Codec in
   w_version b 2;
-  Avis_physics.Airframe.encode b t.airframe;
-  Pid.encode b t.climb_pid;
-  w_float_array b t.output
+  Avis_physics.Airframe.encode b airframe;
+  Pid.encode b climb_pid;
+  w_float_array b output
 
 let decode ~params r : t =
   let open Avis_util.Codec in

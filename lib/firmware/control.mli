@@ -39,9 +39,6 @@ type t
 
 val create : params:Params.t -> airframe:Avis_physics.Airframe.t -> unit -> t
 
-val copy : t -> t
-(** An independent copy of the controller's state (PID integrators). *)
-
 val step : t -> Estimator.t -> demand -> dt:float -> float array
 (** Motor commands in [\[0, 1\]] for this cycle, flown with the parameter
     set given at {!create}. The returned array is a buffer reused on the

@@ -82,21 +82,6 @@ let create ~params ~suite ~hinj () =
   in
   { suite; hinj; kinds = index_kinds states }
 
-(* The present kinds in [Sensor.all_kinds] order. *)
-type snapshot = kind_state list
-
-(* [failed] entries, ids and readings are immutable, so copying the
-   record's mutable slots is a deep copy. *)
-let copy_kind ks = { ks with next_sample = ks.next_sample }
-
-let snapshot t =
-  Array.fold_right
-    (fun slot acc -> match slot with Some ks -> copy_kind ks :: acc | None -> acc)
-    t.kinds []
-
-let restore ~suite ~hinj s =
-  { suite; hinj; kinds = index_kinds (List.map copy_kind s) }
-
 (* Probe every not-yet-failed instance (the health monitoring real firmware
    performs on backups too), recording clean failures, and read the
    lowest-indexed healthy instance. *)
@@ -172,12 +157,14 @@ let decode_kind_state r : kind_state =
   let stale = r_option r Sensor.decode_reading in
   kind_state ~kind ~count ~period ~next_sample ~failed ~fresh ~stale
 
-let encode_snapshot b (s : snapshot) =
+(* The present kinds, in [Sensor.all_kinds] order; the suite and the
+   injector are the decoding caller's. *)
+let encode b t =
   let open Avis_util.Codec in
   w_version b 2;
-  w_list b encode_kind_state s
+  w_list b encode_kind_state (List.filter_map Fun.id (Array.to_list t.kinds))
 
-let decode_snapshot r : snapshot =
+let decode ~suite ~hinj r =
   let open Avis_util.Codec in
   let (_ : int) = r_version r ~expect:2 in
-  r_list r decode_kind_state
+  { suite; hinj; kinds = index_kinds (r_list r decode_kind_state) }

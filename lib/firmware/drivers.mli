@@ -15,15 +15,6 @@ type t
 val create :
   params:Params.t -> suite:Suite.t -> hinj:Avis_hinj.Hinj.t -> unit -> t
 
-type snapshot
-(** Per-kind sampling schedules, failure records and cached readings,
-    frozen. *)
-
-val snapshot : t -> snapshot
-
-val restore : suite:Suite.t -> hinj:Avis_hinj.Hinj.t -> snapshot -> t
-(** Rebuild drivers over the restored copies of the suite and injector. *)
-
 val sample : t -> Avis_physics.World.t -> time:float -> unit
 (** Run every driver whose sampling period has elapsed. Call once per
     control cycle before the reads below. *)
@@ -43,9 +34,11 @@ val kind_failed_at : t -> Sensor.kind -> float option
 (** [None] while some instance still responds; once every instance has
     failed (the kind is lost), the time the last one did. *)
 
-val encode_snapshot : Buffer.t -> snapshot -> unit
-(** Versioned bit-exact binary layout of the frozen driver state. *)
+val encode : Buffer.t -> t -> unit
+(** Versioned bit-exact binary layout of the driver state: per-kind
+    sampling schedules, failure records and cached readings. *)
 
-val decode_snapshot : Avis_util.Codec.reader -> snapshot
-(** Inverse of {!encode_snapshot}; pair with {!restore}. Raises
-    [Avis_util.Codec.Corrupt] on malformed input. *)
+val decode :
+  suite:Suite.t -> hinj:Avis_hinj.Hinj.t -> Avis_util.Codec.reader -> t
+(** Inverse of {!encode}: drivers over the decoded suite and injector.
+    Raises [Avis_util.Codec.Corrupt] on malformed input. *)

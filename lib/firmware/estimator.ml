@@ -57,11 +57,6 @@ let create ~params () =
     dead_reckon_age = 0.0;
   }
 
-let copy t =
-  (* Every other field is a mutable slot holding an immutable value, so
-     a field-wise record copy is a deep copy. *)
-  { t with yaw_cache = { yaw = t.yaw_cache.yaw } }
-
 let[@inline] set_attitude t q =
   t.attitude <- q;
   t.yaw_valid <- false
@@ -413,24 +408,50 @@ let pos_mode_of_tag = function
   | 1 -> Pos_dead_reckon
   | t -> Avis_util.Codec.corrupt "bad pos-mode tag %d" t
 
+(* The record is destructured exhaustively (warning 9 is an error here),
+   so a field added to [t] does not compile until it is encoded below or
+   bound to [_] with the reason it need not travel: every prefix-cache
+   hit decodes this layout, so a forgotten field would change results. *)
 let encode b (t : t) =
+  let[@warning "+9"] {
+    params = _ (* the personality's fixed set, passed back to [decode] *);
+    prev_up_body;
+    position;
+    velocity;
+    attitude;
+    yaw_valid = _;
+    yaw_cache = _ (* derived from [attitude]; starts invalid on decode *);
+    angular_rate;
+    alt_mode;
+    att_mode;
+    yaw_mode;
+    pos_mode;
+    heading_valid;
+    last_gps_alt;
+    raw_climb;
+    accel_world;
+    vertical_degraded;
+    dead_reckon_age;
+  } =
+    t
+  in
   let open Avis_util.Codec in
   w_version b 2;
-  w_option b Vec3.encode t.prev_up_body;
-  Vec3.encode b t.position;
-  Vec3.encode b t.velocity;
-  Quat.encode b t.attitude;
-  Vec3.encode b t.angular_rate;
-  w_u8 b (alt_mode_tag t.alt_mode);
-  w_u8 b (att_mode_tag t.att_mode);
-  w_u8 b (yaw_mode_tag t.yaw_mode);
-  w_u8 b (pos_mode_tag t.pos_mode);
-  w_bool b t.heading_valid;
-  w_option b w_f64 t.last_gps_alt;
-  w_f64 b t.raw_climb;
-  Vec3.encode b t.accel_world;
-  w_bool b t.vertical_degraded;
-  w_f64 b t.dead_reckon_age
+  w_option b Vec3.encode prev_up_body;
+  Vec3.encode b position;
+  Vec3.encode b velocity;
+  Quat.encode b attitude;
+  Vec3.encode b angular_rate;
+  w_u8 b (alt_mode_tag alt_mode);
+  w_u8 b (att_mode_tag att_mode);
+  w_u8 b (yaw_mode_tag yaw_mode);
+  w_u8 b (pos_mode_tag pos_mode);
+  w_bool b heading_valid;
+  w_option b w_f64 last_gps_alt;
+  w_f64 b raw_climb;
+  Vec3.encode b accel_world;
+  w_bool b vertical_degraded;
+  w_f64 b dead_reckon_age
 
 let decode ~params r : t =
   let open Avis_util.Codec in

@@ -42,9 +42,6 @@ type t
 
 val create : params:Params.t -> unit -> t
 
-val copy : t -> t
-(** An independent copy of the whole estimated state. *)
-
 val set_alt_mode : t -> alt_mode -> unit
 val set_att_mode : t -> att_mode -> unit
 val set_yaw_mode : t -> yaw_mode -> unit

@@ -18,8 +18,6 @@ let create ?(kp = 0.0) ?(ki = 0.0) ?(kd = 0.0) ?(i_limit = infinity)
   { kp; ki; kd; i_limit; out_limit; integral = 0.0; last_error = 0.0;
     has_last = 0.0 }
 
-let copy t = { t with integral = t.integral }
-
 let clamp limit v = Float.max (-.limit) (Float.min limit v)
 
 let finish t ~error ~derivative ~dt =

@@ -6,9 +6,6 @@ val create :
   ?kp:float -> ?ki:float -> ?kd:float -> ?i_limit:float -> ?out_limit:float -> unit -> t
 (** Gains default to zero; limits default to infinity. *)
 
-val copy : t -> t
-(** An independent copy of gains, integrator and derivative history. *)
-
 val update : t -> error:float -> dt:float -> float
 (** One controller step. The derivative term acts on the error's change. *)
 

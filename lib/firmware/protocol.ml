@@ -56,33 +56,12 @@ let create ~link ~frame ~params () =
     last_gcs_heartbeat = None;
   }
 
-type snapshot = t
-
-let copy_upload u = { u with received = u.received }
-
-let snapshot t =
-  {
-    t with
-    decoder = Frame.copy_decoder t.decoder;
-    upload = Option.map copy_upload t.upload;
-  }
-
-let restore ~link s =
-  {
-    s with
-    link;
-    decoder = Frame.copy_decoder s.decoder;
-    upload = Option.map copy_upload s.upload;
-  }
-
 let send t msg =
   let data = Frame.encode ~seq:t.seq ~sysid:1 ~compid:1 msg in
   t.seq <- (t.seq + 1) land 0xFF;
   Link.send t.link Link.Vehicle_end data
 
 let ack_command t ~command ~accepted = send t (Msg.Command_ack { command; accepted })
-
-let send_statustext t severity text = send t (Msg.Statustext { severity; text })
 
 let handle_mission_count t count =
   if count <= 0 then send t (Msg.Mission_ack { accepted = false })
@@ -210,13 +189,12 @@ let mission t = t.mission
 
 let gcs_last_heartbeat t = t.last_gcs_heartbeat
 
-(* As with [Gcs], the [link] field is not serialised: the caller passes the
-   link the decoded snapshot will be restored over. Nor is [params], the
-   personality's fixed set, which the caller passes too. *)
-let encode_snapshot b (s : snapshot) =
+(* As with [Gcs], the [link] is not serialised: the decoding caller
+   passes the decoded link, the home frame and the personality's fixed
+   parameter set. *)
+let encode b (s : t) =
   let open Avis_util.Codec in
-  w_version b 2;
-  Geodesy.encode_frame b s.frame;
+  w_version b 3;
   Frame.encode_decoder b s.decoder;
   w_int b s.seq;
   w_option b
@@ -231,10 +209,9 @@ let encode_snapshot b (s : snapshot) =
   w_f64 b s.next_sys_status;
   w_option b w_f64 s.last_gcs_heartbeat
 
-let decode_snapshot ~link ~params r : snapshot =
+let decode ~link ~frame ~params r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:2 in
-  let frame = Geodesy.decode_frame r in
+  let (_ : int) = r_version r ~expect:3 in
   let decoder = Frame.decode_decoder r in
   let seq = r_int r in
   let upload =

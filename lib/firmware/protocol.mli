@@ -35,23 +35,21 @@ type t
 
 val create : link:Link.t -> frame:Geodesy.frame -> params:Params.t -> unit -> t
 
-type snapshot
-(** Upload transaction, mission, telemetry schedules and decoder, frozen. *)
+val encode : Buffer.t -> t -> unit
+(** Versioned bit-exact binary layout of the protocol state: upload
+    transaction, mission, telemetry schedules and decoder. The link, the
+    home frame and the parameter set given at {!create} are not
+    written. *)
 
-val snapshot : t -> snapshot
-
-val restore : link:Link.t -> snapshot -> t
-(** Rebuild the protocol driver over the restored copy of the link. *)
-
-val encode_snapshot : Buffer.t -> snapshot -> unit
-(** Versioned bit-exact binary layout of the frozen protocol state. The
-    parameter set given at {!create} is not written. *)
-
-val decode_snapshot :
-  link:Link.t -> params:Params.t -> Avis_util.Codec.reader -> snapshot
-(** Inverse of {!encode_snapshot}, over the parameter set the snapshot was
-    created with; the decoded snapshot is attached to [link] via
-    {!restore}. Raises [Avis_util.Codec.Corrupt] on malformed input. *)
+val decode :
+  link:Link.t ->
+  frame:Geodesy.frame ->
+  params:Params.t ->
+  Avis_util.Codec.reader ->
+  t
+(** Inverse of {!encode}, attached to [link] (the decoded copy of the link
+    it was encoded over) and flying the [frame] and [params] it was created
+    with. Raises [Avis_util.Codec.Corrupt] on malformed input. *)
 
 val step : t -> time:float -> telemetry -> request list
 (** Process inbound traffic and emit due telemetry. Returns the pilot
@@ -67,5 +65,3 @@ val gcs_last_heartbeat : t -> float option
 
 val ack_command : t -> command:int -> accepted:bool -> unit
 (** Send a COMMAND_ACK (the mode logic decides acceptance). *)
-
-val send_statustext : t -> Msg.severity -> string -> unit

@@ -95,37 +95,6 @@ let create ?fence ?(airframe = Avis_physics.Airframe.iris) ~policy ~bugs ~suite
   Avis_hinj.Hinj.update_mode hinj ~time:0.0 (Phase.label Phase.Preflight);
   t
 
-type snapshot = {
-  snap_core : t;  (** A frozen copy; its sub-module references are unused. *)
-  snap_drivers : Drivers.snapshot;
-  snap_protocol : Protocol.snapshot;
-}
-
-let freeze t =
-  {
-    t with
-    bugs = Bug.copy_registry t.bugs;
-    estimator = Estimator.copy t.estimator;
-    control = Control.copy t.control;
-  }
-
-let snapshot t =
-  {
-    snap_core = freeze t;
-    snap_drivers = Drivers.snapshot t.drivers;
-    snap_protocol = Protocol.snapshot t.protocol;
-  }
-
-let restore ~suite ~hinj ~link s =
-  let t = freeze s.snap_core in
-  {
-    t with
-    suite;
-    hinj;
-    drivers = Drivers.restore ~suite ~hinj s.snap_drivers;
-    protocol = Protocol.restore ~link s.snap_protocol;
-  }
-
 let set_phase t phase =
   if not (Phase.equal t.phase phase) then begin
     t.transitions <- (t.time, t.phase, phase) :: t.transitions;
@@ -710,50 +679,88 @@ let decode_fence r : Avis_physics.Environment.fence =
 
 (* The policy is one of the two fixed personalities, so its firmware tag is
    the whole encoding, its parameter set included: decoding hands that set
-   to every layer that flies it. *)
-let encode_snapshot b (s : snapshot) =
+   to every layer that flies it. The record is destructured exhaustively
+   (warning 9 is an error here), so a field added to [t] does not compile
+   until it is encoded below or bound to [_] with the reason it need not
+   travel: every prefix-cache hit decodes this layout. *)
+let encode b (t : t) =
+  let[@warning "+9"] {
+    policy;
+    fence;
+    params = _ (* the policy's set *);
+    bugs;
+    suite = _;
+    hinj = _ (* collaborators, decoded by the caller and passed back *);
+    frame = _ (* the home frame, which the caller passes back *);
+    drivers;
+    estimator;
+    control;
+    protocol;
+    time;
+    armed;
+    phase;
+    phase_entered_at;
+    transitions;
+    targets;
+    target_index;
+    takeoff_target;
+    after_takeoff;
+    manual_target;
+    yaw_target;
+    land_capture;
+    rtl_stage;
+    rtl_capture;
+    touchdown_since;
+    alt_ema_fast;
+    alt_ema_slow;
+    alt_history;
+    alt_history_next;
+    did_state_reset;
+    triggered;
+    home;
+  } =
+    t
+  in
   let open Avis_util.Codec in
-  let c = s.snap_core in
-  w_version b 2;
-  w_u8 b (match c.policy.Policy.firmware with Bug.Ardupilot -> 0 | Bug.Px4 -> 1);
-  w_option b encode_fence c.fence;
-  w_list b Bug.encode_id (Bug.enabled_list c.bugs);
-  Geodesy.encode_frame b c.frame;
-  Estimator.encode b c.estimator;
-  Control.encode b c.control;
-  w_f64 b c.time;
-  w_bool b c.armed;
-  encode_phase b c.phase;
-  w_f64 b c.phase_entered_at;
+  w_version b 3;
+  w_u8 b (match policy.Policy.firmware with Bug.Ardupilot -> 0 | Bug.Px4 -> 1);
+  w_option b encode_fence fence;
+  w_list b Bug.encode_id (Bug.enabled_list bugs);
+  Estimator.encode b estimator;
+  Control.encode b control;
+  w_f64 b time;
+  w_bool b armed;
+  encode_phase b phase;
+  w_f64 b phase_entered_at;
   w_list b
     (fun b (at, from_p, to_p) ->
       w_f64 b at;
       encode_phase b from_p;
       encode_phase b to_p)
-    c.transitions;
-  w_list b encode_target c.targets;
-  w_int b c.target_index;
-  w_f64 b c.takeoff_target;
-  w_u8 b (match c.after_takeoff with Run_mission -> 0 | Hold_manual -> 1);
-  Vec3.encode b c.manual_target;
-  w_f64 b c.yaw_target;
-  Vec3.encode b c.land_capture;
-  w_u8 b (match c.rtl_stage with Rtl_climb -> 0 | Rtl_return -> 1);
-  Vec3.encode b c.rtl_capture;
-  w_option b w_f64 c.touchdown_since;
-  w_f64 b c.alt_ema_fast;
-  w_f64 b c.alt_ema_slow;
-  w_list b w_f64 c.alt_history;
-  w_f64 b c.alt_history_next;
-  w_bool b c.did_state_reset;
-  w_list b Bug.encode_id c.triggered;
-  Vec3.encode b c.home;
-  Drivers.encode_snapshot b s.snap_drivers;
-  Protocol.encode_snapshot b s.snap_protocol
+    transitions;
+  w_list b encode_target targets;
+  w_int b target_index;
+  w_f64 b takeoff_target;
+  w_u8 b (match after_takeoff with Run_mission -> 0 | Hold_manual -> 1);
+  Vec3.encode b manual_target;
+  w_f64 b yaw_target;
+  Vec3.encode b land_capture;
+  w_u8 b (match rtl_stage with Rtl_climb -> 0 | Rtl_return -> 1);
+  Vec3.encode b rtl_capture;
+  w_option b w_f64 touchdown_since;
+  w_f64 b alt_ema_fast;
+  w_f64 b alt_ema_slow;
+  w_list b w_f64 alt_history;
+  w_f64 b alt_history_next;
+  w_bool b did_state_reset;
+  w_list b Bug.encode_id triggered;
+  Vec3.encode b home;
+  Drivers.encode b drivers;
+  Protocol.encode b protocol
 
-let decode_snapshot ~suite ~hinj ~link r : snapshot =
+let decode ~suite ~hinj ~link ~frame r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:2 in
+  let (_ : int) = r_version r ~expect:3 in
   let policy =
     match r_u8 r with
     | 0 -> Policy.of_firmware Bug.Ardupilot
@@ -763,7 +770,6 @@ let decode_snapshot ~suite ~hinj ~link r : snapshot =
   let params = policy.Policy.params in
   let fence = r_option r decode_fence in
   let bugs = Bug.registry ~enabled:(r_list r Bug.decode_id) policy.Policy.firmware in
-  let frame = Geodesy.decode_frame r in
   let estimator = Estimator.decode ~params r in
   let control = Control.decode ~params r in
   let time = r_f64 r in
@@ -804,48 +810,40 @@ let decode_snapshot ~suite ~hinj ~link r : snapshot =
   let did_state_reset = r_bool r in
   let triggered = r_list r Bug.decode_id in
   let home = Vec3.decode r in
-  let snap_drivers = Drivers.decode_snapshot r in
-  let snap_protocol = Protocol.decode_snapshot ~link ~params r in
-  let snap_core =
-    {
-      policy;
-      fence;
-      params;
-      bugs;
-      suite;
-      hinj;
-      frame;
-      drivers = Drivers.restore ~suite ~hinj snap_drivers;
-      estimator;
-      control;
-      protocol = Protocol.restore ~link snap_protocol;
-      time;
-      armed;
-      phase;
-      phase_entered_at;
-      transitions;
-      targets;
-      target_index;
-      takeoff_target;
-      after_takeoff;
-      manual_target;
-      yaw_target;
-      land_capture;
-      rtl_stage;
-      rtl_capture;
-      touchdown_since;
-      alt_ema_fast;
-      alt_ema_slow;
-      alt_history;
-      alt_history_next;
-      did_state_reset;
-      triggered;
-      home;
-    }
-  in
-  { snap_core; snap_drivers; snap_protocol }
-
-let to_bytes s = Avis_util.Codec.to_string encode_snapshot s
-
-let of_bytes ~suite ~hinj ~link data =
-  Avis_util.Codec.of_string (decode_snapshot ~suite ~hinj ~link) data
+  let drivers = Drivers.decode ~suite ~hinj r in
+  let protocol = Protocol.decode ~link ~frame ~params r in
+  {
+    policy;
+    fence;
+    params;
+    bugs;
+    suite;
+    hinj;
+    frame;
+    drivers;
+    estimator;
+    control;
+    protocol;
+    time;
+    armed;
+    phase;
+    phase_entered_at;
+    transitions;
+    targets;
+    target_index;
+    takeoff_target;
+    after_takeoff;
+    manual_target;
+    yaw_target;
+    land_capture;
+    rtl_stage;
+    rtl_capture;
+    touchdown_since;
+    alt_ema_fast;
+    alt_ema_slow;
+    alt_history;
+    alt_history_next;
+    did_state_reset;
+    triggered;
+    home;
+  }

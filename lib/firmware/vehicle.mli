@@ -26,21 +26,6 @@ val create :
 (** [fence] configures the firmware's own geofence (as uploaded by a ground
     station); the vehicle returns to launch rather than cross it. *)
 
-type snapshot
-(** Every mutable layer of the firmware, frozen: estimator, controller,
-    drivers, protocol, mode logic and bug registry. *)
-
-val snapshot : t -> snapshot
-
-val restore :
-  suite:Avis_sensors.Suite.t ->
-  hinj:Avis_hinj.Hinj.t ->
-  link:Link.t ->
-  snapshot ->
-  t
-(** Rebuild the firmware over restored copies of its collaborators (the
-    sensor suite, the fault injector and the MAVLink link). *)
-
 val step : t -> Avis_physics.World.t -> dt:float -> float array
 (** Run one control cycle and return the motor commands for this step. *)
 
@@ -63,28 +48,21 @@ val triggered_bugs : t -> Bug.id list
 val home : t -> Vec3.t
 (** Launch position in the local frame. *)
 
-val encode_snapshot : Buffer.t -> snapshot -> unit
-(** Versioned bit-exact binary layout of the whole frozen firmware
-    (estimator, controller, drivers, protocol, mode logic and bug
-    registry). The policy is written as its firmware tag, so decoding
-    restores {!Policy.apm} or {!Policy.px4}, parameter set included. *)
+val encode : Buffer.t -> t -> unit
+(** Versioned bit-exact binary layout of the whole firmware (estimator,
+    controller, drivers, protocol, mode logic and bug registry). The policy
+    is written as its firmware tag, so decoding restores {!Policy.apm} or
+    {!Policy.px4}, parameter set included. The collaborators and the home
+    frame are not written. *)
 
-val decode_snapshot :
+val decode :
   suite:Avis_sensors.Suite.t ->
   hinj:Avis_hinj.Hinj.t ->
   link:Link.t ->
+  frame:Geodesy.frame ->
   Avis_util.Codec.reader ->
-  snapshot
-(** Inverse of {!encode_snapshot}; the decoded snapshot is attached to the
-    given collaborators via {!restore}. Raises [Avis_util.Codec.Corrupt] on
-    malformed input. *)
-
-val to_bytes : snapshot -> string
-
-val of_bytes :
-  suite:Avis_sensors.Suite.t ->
-  hinj:Avis_hinj.Hinj.t ->
-  link:Link.t ->
-  string ->
-  snapshot
-(** Raises [Avis_util.Codec.Corrupt] on malformed input. *)
+  t
+(** Inverse of {!encode}: firmware over the decoded copies of its
+    collaborators (the sensor suite, the fault injector and the MAVLink
+    link), flying the home [frame] it was created with. Raises
+    [Avis_util.Codec.Corrupt] on malformed input. *)

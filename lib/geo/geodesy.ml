@@ -11,26 +11,6 @@ let frame_at origin = { origin; cos_lat = cos (deg_to_rad origin.lat) }
 
 let home f = f.origin
 
-(* The cached cosine is serialised rather than recomputed so a decoded
-   frame is field-for-field bit-identical to the one snapshotted, whatever
-   the libm. *)
-let encode_frame b f =
-  let open Avis_util.Codec in
-  w_version b 1;
-  w_f64 b f.origin.lat;
-  w_f64 b f.origin.lon;
-  w_f64 b f.origin.alt;
-  w_f64 b f.cos_lat
-
-let decode_frame r =
-  let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:1 in
-  let lat = r_f64 r in
-  let lon = r_f64 r in
-  let alt = r_f64 r in
-  let cos_lat = r_f64 r in
-  { origin = { lat; lon; alt }; cos_lat }
-
 let to_local f g =
   let dlat = deg_to_rad (g.lat -. f.origin.lat) in
   let dlon = deg_to_rad (g.lon -. f.origin.lon) in

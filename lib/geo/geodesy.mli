@@ -20,14 +20,6 @@ val frame_at : geodetic -> frame
 
 val home : frame -> geodetic
 
-val encode_frame : Buffer.t -> frame -> unit
-(** Versioned binary layout (origin plus the cached latitude cosine, so
-    decoding never recomputes a transcendental). *)
-
-val decode_frame : Avis_util.Codec.reader -> frame
-(** Inverse of {!encode_frame}; raises [Avis_util.Codec.Corrupt] on
-    malformed input. *)
-
 val to_local : frame -> geodetic -> Vec3.t
 (** Geodetic point to local metres (x north, y east, z up relative to the
     home altitude). *)

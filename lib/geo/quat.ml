@@ -169,8 +169,6 @@ module Mut = struct
     dst.y <- a.y;
     dst.z <- a.z
 
-  let copy q = { w = q.w; x = q.x; y = q.y; z = q.z }
-
   let[@inline] norm q =
     sqrt ((q.w *. q.w) +. (q.x *. q.x) +. (q.y *. q.y) +. (q.z *. q.z))
 

@@ -74,7 +74,6 @@ module Mut : sig
   val of_t : t -> quat
   val to_t : quat -> t
   val blit_t : t -> quat -> unit
-  val copy : quat -> quat
   val norm : quat -> float
 
   val normalize : quat -> unit

@@ -21,22 +21,6 @@ let create ?(plan = []) () =
 
 let plan t = t.plan
 
-type snapshot = t
-
-let freeze ?plan t =
-  (* Transition entries are immutable, so sharing the list is safe. *)
-  let plan = match plan with Some p -> p | None -> t.plan in
-  {
-    plan;
-    mode = t.mode;
-    initial_mode = t.initial_mode;
-    transitions = t.transitions;
-    read_count = t.read_count;
-  }
-
-let snapshot t = freeze t
-let restore ?plan s = freeze ?plan s
-
 let encode_fault b f =
   Sensor.encode_id b f.sensor;
   Avis_util.Codec.w_f64 b f.at
@@ -59,7 +43,7 @@ let decode_transition r =
   let to_mode = r_string r in
   { time; from_mode; to_mode }
 
-let encode_snapshot b (s : snapshot) =
+let encode b (s : t) =
   let open Avis_util.Codec in
   w_version b 2;
   w_list b encode_fault s.plan;
@@ -72,10 +56,11 @@ let encode_snapshot b (s : snapshot) =
   w_list b encode_transition s.transitions;
   w_int b s.read_count
 
-let decode_snapshot r : snapshot =
+let decode ?plan r : t =
   let open Avis_util.Codec in
   let (_ : int) = r_version r ~expect:2 in
-  let plan = r_list r decode_fault in
+  let encoded_plan = r_list r decode_fault in
+  let plan = Option.value plan ~default:encoded_plan in
   let mode = r_option r r_string in
   let initial_mode =
     r_option r (fun r ->
@@ -86,9 +71,6 @@ let decode_snapshot r : snapshot =
   let transitions = r_list r decode_transition in
   let read_count = r_int r in
   { plan; mode; initial_mode; transitions; read_count }
-
-let to_bytes s = Avis_util.Codec.to_string encode_snapshot s
-let of_bytes data = Avis_util.Codec.of_string decode_snapshot data
 
 (* A direct scan: no closure to allocate on every sensor read. *)
 let rec plan_fails ~time (id : Sensor.id) = function
@@ -112,8 +94,6 @@ let update_mode t ~time mode =
   | Some current ->
     t.mode <- Some mode;
     t.transitions <- { time; from_mode = current; to_mode = mode } :: t.transitions
-
-let current_mode t = t.mode
 
 let transitions t = List.rev t.transitions
 

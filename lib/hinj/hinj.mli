@@ -28,27 +28,16 @@ val create : ?plan:plan -> unit -> t
 
 val plan : t -> plan
 
-type snapshot
-(** Mode log, read counter and plan, frozen. *)
-
-val snapshot : t -> snapshot
-
-val restore : ?plan:plan -> snapshot -> t
-(** Rebuild an injector from a snapshot. [?plan] substitutes a different
-    injection plan — the prefix cache uses this to fork a clean run into a
-    faulty scenario, which is only sound if no fault in the new plan starts
-    at or before the snapshot time. *)
-
-val encode_snapshot : Buffer.t -> snapshot -> unit
-val decode_snapshot : Avis_util.Codec.reader -> snapshot
-
-val to_bytes : snapshot -> string
-(** Versioned binary form of a snapshot: plan, mode log and read
+val encode : Buffer.t -> t -> unit
+(** Versioned binary layout of the injector: plan, mode log and read
     counter. *)
 
-val of_bytes : string -> snapshot
-(** Inverse of {!to_bytes}; raises [Avis_util.Codec.Corrupt] on malformed
-    input. *)
+val decode : ?plan:plan -> Avis_util.Codec.reader -> t
+(** Inverse of {!encode}. [?plan] substitutes a different injection plan
+    for the encoded one — the prefix cache uses this to fork a clean run
+    into a faulty scenario, which is only sound if no fault in the new plan
+    starts at or before the encoded time. Raises [Avis_util.Codec.Corrupt]
+    on malformed input. *)
 
 val sensor_read : t -> time:float -> Sensor.id -> decision
 (** The instrumented driver's question: should this read succeed? Also
@@ -61,8 +50,6 @@ val update_mode : t -> time:float -> string -> unit
 (** Called by the firmware whenever its mode changes. The first call
     records the initial mode; subsequent calls with a different mode record
     a transition. *)
-
-val current_mode : t -> string option
 
 val transitions : t -> transition list
 (** All observed transitions, oldest first. *)

@@ -34,8 +34,6 @@ type decoder = { mutable buffer : string; mutable dropped : int }
 
 let decoder () = { buffer = ""; dropped = 0 }
 
-let copy_decoder d = { buffer = d.buffer; dropped = d.dropped }
-
 let encode_decoder b d =
   Avis_util.Codec.w_string b d.buffer;
   Avis_util.Codec.w_int b d.dropped

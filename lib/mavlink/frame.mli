@@ -18,9 +18,6 @@ type decoder
 
 val decoder : unit -> decoder
 
-val copy_decoder : decoder -> decoder
-(** An independent copy of the decoder's buffered bytes and drop count. *)
-
 val encode_decoder : Buffer.t -> decoder -> unit
 (** Binary layout: buffered bytes plus the drop counter. *)
 

@@ -7,8 +7,8 @@ type upload_state =
 
 type tx_status = Tx_pending | Tx_acked of bool | Tx_timed_out
 
-(* Bounded retransmission with exponential backoff. The records are
-   immutable so snapshots stay O(1) [{t with ...}]. *)
+(* Bounded retransmission with exponential backoff; each retry replaces
+   the record before it. *)
 type retry = { next_at : float; backoff : float; left : int }
 
 let initial_backoff = 0.4
@@ -50,8 +50,6 @@ type t = {
   mutable heading_deg : float;
   mutable vehicle_mode : int option;
   mutable armed : bool;
-  mutable battery_pct : int;
-  mutable statustexts : string list; (* newest first *)
   (* transactions *)
   mutable upload : upload_state;
   mutable upload_items : Msg.mission_item array;
@@ -80,8 +78,6 @@ let create ?(sysid = 255) ?(compid = 190) link =
     heading_deg = 0.0;
     vehicle_mode = None;
     armed = false;
-    battery_pct = 100;
-    statustexts = [];
     upload = Upload_idle;
     upload_items = [||];
     upload_last_seq = None;
@@ -91,23 +87,6 @@ let create ?(sysid = 255) ?(compid = 190) link =
     pending_mode = None;
     mode_timed_out = false;
     command_acks = [];
-  }
-
-type snapshot = t
-
-let snapshot t =
-  {
-    t with
-    decoder = Frame.copy_decoder t.decoder;
-    upload_items = Array.copy t.upload_items;
-  }
-
-let restore ~link s =
-  {
-    s with
-    link;
-    decoder = Frame.copy_decoder s.decoder;
-    upload_items = Array.copy s.upload_items;
   }
 
 let encode_retry b (r : retry) =
@@ -141,14 +120,11 @@ let decode_upload_state r =
   | 4 -> Upload_timed_out
   | t -> Avis_util.Codec.corrupt "bad upload-state tag %d" t
 
-(* The snapshot's [link] field is deliberately not serialised: a decoded
-   snapshot is only usable through [restore ~link], which substitutes the
-   restored link — exactly as [Vehicle.restore] substitutes its
-   collaborators. [of_bytes] takes the link the caller will restore over
-   so the interim record is well-typed. *)
-let encode_snapshot b (s : snapshot) =
+(* The [link] field is not serialised: the decoding caller passes the
+   decoded link, as it passes [Vehicle.decode] its collaborators. *)
+let encode b (s : t) =
   let open Avis_util.Codec in
-  w_version b 2;
+  w_version b 3;
   w_int b s.sysid;
   w_int b s.compid;
   Frame.encode_decoder b s.decoder;
@@ -165,8 +141,6 @@ let encode_snapshot b (s : snapshot) =
   w_f64 b s.heading_deg;
   w_option b w_int s.vehicle_mode;
   w_bool b s.armed;
-  w_int b s.battery_pct;
-  w_list b w_string s.statustexts;
   encode_upload_state b s.upload;
   w_array b Msg.encode_mission_item s.upload_items;
   w_option b w_int s.upload_last_seq;
@@ -194,9 +168,9 @@ let encode_snapshot b (s : snapshot) =
       w_bool b accepted)
     s.command_acks
 
-let decode_snapshot ~link r : snapshot =
+let decode ~link r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:2 in
+  let (_ : int) = r_version r ~expect:3 in
   let sysid = r_int r in
   let compid = r_int r in
   let decoder = Frame.decode_decoder r in
@@ -215,8 +189,6 @@ let decode_snapshot ~link r : snapshot =
   let heading_deg = r_f64 r in
   let vehicle_mode = r_option r r_int in
   let armed = r_bool r in
-  let battery_pct = r_int r in
-  let statustexts = r_list r r_string in
   let upload = decode_upload_state r in
   let upload_items = r_array r Msg.decode_mission_item in
   let upload_last_seq = r_option r r_int in
@@ -261,8 +233,6 @@ let decode_snapshot ~link r : snapshot =
     heading_deg;
     vehicle_mode;
     armed;
-    battery_pct;
-    statustexts;
     upload;
     upload_items;
     upload_last_seq;
@@ -273,11 +243,6 @@ let decode_snapshot ~link r : snapshot =
     mode_timed_out;
     command_acks;
   }
-
-let to_bytes s = Avis_util.Codec.to_string encode_snapshot s
-
-let of_bytes ~link data =
-  Avis_util.Codec.of_string (decode_snapshot ~link) data
 
 let fresh_retry t ~retries =
   { next_at = t.now +. initial_backoff; backoff = initial_backoff;
@@ -304,7 +269,6 @@ let handle t (msg : Msg.t) =
          cached at request time also counts as confirmation. *)
       t.pending_mode <- None
     | _ -> ())
-  | Msg.Sys_status { battery_remaining; _ } -> t.battery_pct <- battery_remaining
   | Msg.Global_position g ->
     t.relative_alt <- float_of_int g.relative_alt_mm /. 1000.0;
     t.latitude <- Avis_geo.Geodesy.e7_to_deg g.lat_e7;
@@ -314,7 +278,6 @@ let handle t (msg : Msg.t) =
         float_of_int g.vy_cm /. 100.0,
         float_of_int g.vz_cm /. 100.0 );
     t.heading_deg <- float_of_int g.heading_cdeg /. 100.0
-  | Msg.Statustext { text; _ } -> t.statustexts <- text :: t.statustexts
   | Msg.Mission_request { seq } ->
     if t.upload = Upload_in_progress then
       if seq >= 0 && seq < Array.length t.upload_items then begin
@@ -337,6 +300,9 @@ let handle t (msg : Msg.t) =
     t.command_acks <- (command, accepted) :: t.command_acks;
     t.pending_commands <-
       List.filter (fun p -> p.cmd <> command) t.pending_commands
+  | Msg.Sys_status _ | Msg.Statustext _ ->
+    (* No workload reads the battery figure or status texts. *)
+    ()
   | Msg.Set_mode _ | Msg.Mission_count _ | Msg.Mission_item _
   | Msg.Mission_current _ | Msg.Command_long _ ->
     (* Vehicle-to-GCS traffic never carries these; ignore. *)
@@ -412,8 +378,6 @@ let velocity t = t.velocity
 let heading_deg t = t.heading_deg
 let vehicle_mode t = t.vehicle_mode
 let armed t = t.armed
-let battery_remaining_pct t = t.battery_pct
-let statustexts t = List.rev t.statustexts
 
 let start_mission_upload t items =
   if t.upload = Upload_in_progress then

@@ -21,28 +21,15 @@ type t
 val create : ?sysid:int -> ?compid:int -> Link.t -> t
 (** Attach to the GCS end of a link. *)
 
-type snapshot
-(** Telemetry cache, transaction state and decoder, frozen. *)
+val encode : Buffer.t -> t -> unit
+(** Versioned binary layout of the ground station (telemetry cache,
+    transaction state, decoder), floats bit-exact. The link is not
+    written. *)
 
-val snapshot : t -> snapshot
-
-val restore : link:Link.t -> snapshot -> t
-(** Rebuild a GCS attached to [link] (the restored copy of the link the
-    snapshot was taken over). *)
-
-val encode_snapshot : Buffer.t -> snapshot -> unit
-(** Versioned binary layout of the full snapshot (telemetry cache,
-    transaction state, decoder). Floats are written bit-exactly. *)
-
-val decode_snapshot : link:Link.t -> Avis_util.Codec.reader -> snapshot
-(** Inverse of {!encode_snapshot}; the decoded snapshot is attached to
-    [link] when passed to {!restore}. Raises [Avis_util.Codec.Corrupt] on
-    malformed input. *)
-
-val to_bytes : snapshot -> string
-
-val of_bytes : link:Link.t -> string -> snapshot
-(** Raises [Avis_util.Codec.Corrupt] on malformed input. *)
+val decode : link:Link.t -> Avis_util.Codec.reader -> t
+(** Inverse of {!encode}: a ground station attached to [link], the decoded
+    copy of the link it was encoded over. Raises
+    [Avis_util.Codec.Corrupt] on malformed input. *)
 
 val tick : t -> time:float -> Msg.t list
 (** Run one GCS scheduling slice at simulated [time]: ingest everything
@@ -71,9 +58,6 @@ val velocity : t -> float * float * float
 val heading_deg : t -> float
 val vehicle_mode : t -> int option
 val armed : t -> bool
-val battery_remaining_pct : t -> int
-val statustexts : t -> string list
-(** All STATUSTEXT strings received so far, oldest first. *)
 
 (** {2 Transactions} *)
 

@@ -19,28 +19,6 @@ let create ?jitter ?(outages = []) () =
   { jitter; outages; now = 0; to_vehicle = []; to_gcs = [];
     last_to_vehicle = 0; last_to_gcs = 0; dropped = 0 }
 
-type snapshot = t
-
-let copy ?outages t =
-  (* Chunk and outage records are immutable; the lists can be shared
-     structurally. *)
-  {
-    jitter =
-      (match t.jitter with
-      | None -> None
-      | Some (rng, max_steps) -> Some (Avis_util.Rng.copy rng, max_steps));
-    outages = (match outages with Some o -> o | None -> t.outages);
-    now = t.now;
-    to_vehicle = t.to_vehicle;
-    to_gcs = t.to_gcs;
-    last_to_vehicle = t.last_to_vehicle;
-    last_to_gcs = t.last_to_gcs;
-    dropped = t.dropped;
-  }
-
-let snapshot t = copy t
-let restore ?outages snap = copy ?outages snap
-
 let encode_chunk b c =
   Avis_util.Codec.w_int b c.deliver_at;
   Avis_util.Codec.w_string b c.data
@@ -50,7 +28,7 @@ let decode_chunk r =
   let data = Avis_util.Codec.r_string r in
   { deliver_at; data }
 
-let encode_snapshot b (s : snapshot) =
+let encode b (s : t) =
   let open Avis_util.Codec in
   w_version b 2;
   w_option b
@@ -70,7 +48,7 @@ let encode_snapshot b (s : snapshot) =
   w_int b s.last_to_gcs;
   w_int b s.dropped
 
-let decode_snapshot r : snapshot =
+let decode ?outages r : t =
   let open Avis_util.Codec in
   let (_ : int) = r_version r ~expect:2 in
   let jitter =
@@ -79,12 +57,13 @@ let decode_snapshot r : snapshot =
         let max_steps = r_int r in
         (rng, max_steps))
   in
-  let outages =
+  let encoded_outages =
     r_list r (fun r ->
         let from_step = r_int r in
         let until_step = r_int r in
         { from_step; until_step })
   in
+  let outages = Option.value outages ~default:encoded_outages in
   let now = r_int r in
   let to_vehicle = r_list r decode_chunk in
   let to_gcs = r_list r decode_chunk in
@@ -101,9 +80,6 @@ let decode_snapshot r : snapshot =
     last_to_gcs;
     dropped;
   }
-
-let to_bytes s = Avis_util.Codec.to_string encode_snapshot s
-let of_bytes data = Avis_util.Codec.of_string decode_snapshot data
 
 let delay t =
   match t.jitter with
@@ -161,8 +137,6 @@ let receive t at =
     in
     String.concat "" (List.map (fun c -> c.data) ordered)
   end
-
-let in_flight t = List.length t.to_vehicle + List.length t.to_gcs
 
 let outages t = t.outages
 let dropped t = t.dropped

@@ -10,7 +10,7 @@
     On top of jitter the link carries a schedule of {!outage} windows that
     silence it entirely for a span of steps. Outages are deterministic and
     consume no randomness, which is what makes them substitutable on
-    {!restore}: a forked run that schedules a different outage window
+    {!decode}: a forked run that schedules a different outage window
     replays all surviving traffic bit-identically. *)
 
 type endpoint = Gcs_end | Vehicle_end
@@ -27,26 +27,14 @@ val create :
     0..max_steps steps. Without [jitter], delivery happens on the next step.
     [outages] schedules silent windows. *)
 
-type snapshot
-(** In-flight chunks, delivery clocks, the drop counter and the jitter
-    RNG, frozen. *)
-
-val snapshot : t -> snapshot
-
-val restore : ?outages:outage list -> snapshot -> t
-(** Rebuild the link; [outages], when given, substitutes the outage
-    schedule — the link half of the simulator's fork operation. *)
-
-val encode_snapshot : Buffer.t -> snapshot -> unit
-val decode_snapshot : Avis_util.Codec.reader -> snapshot
-
-val to_bytes : snapshot -> string
-(** Versioned binary form of a snapshot: the jitter RNG, outage schedule,
+val encode : Buffer.t -> t -> unit
+(** Versioned binary layout of the link: the jitter RNG, outage schedule,
     in-flight chunks, clocks and drop counter. *)
 
-val of_bytes : string -> snapshot
-(** Inverse of {!to_bytes}; raises [Avis_util.Codec.Corrupt] on malformed
-    input. *)
+val decode : ?outages:outage list -> Avis_util.Codec.reader -> t
+(** Inverse of {!encode}; [outages], when given, substitutes the outage
+    schedule — the link half of the simulator's fork operation. Raises
+    [Avis_util.Codec.Corrupt] on malformed input. *)
 
 val send : t -> endpoint -> string -> unit
 (** Queue bytes from the given endpoint towards the other side, unless an
@@ -57,9 +45,6 @@ val step : t -> unit
 
 val receive : t -> endpoint -> string
 (** Drain all bytes that have arrived at the given endpoint. *)
-
-val in_flight : t -> int
-(** Chunks queued in either direction, for diagnostics. *)
 
 val outages : t -> outage list
 (** The scheduled outage windows. *)

@@ -19,7 +19,7 @@ type mission_item = {
 
 val encode_mission_item : Buffer.t -> mission_item -> unit
 val decode_mission_item : Avis_util.Codec.reader -> mission_item
-(** Binary layout for snapshot persistence (not the wire format). *)
+(** Binary layout for checkpoints (not the wire format). *)
 
 val cmd_waypoint : int
 val cmd_takeoff : int

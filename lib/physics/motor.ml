@@ -52,16 +52,6 @@ let create frame =
     total_n = Array.make 1 0.0;
   }
 
-let copy t =
-  (* [frame] and [layout] are immutable and safely shared. *)
-  {
-    t with
-    commanded = Array.copy t.commanded;
-    actual = Array.copy t.actual;
-    thrust_n = Array.copy t.thrust_n;
-    total_n = Array.copy t.total_n;
-  }
-
 let command t cmds =
   if Array.length cmds <> Array.length t.commanded then
     invalid_arg "Motor.command: wrong motor count";

@@ -18,9 +18,6 @@ type t
 val create : Airframe.t -> t
 (** All motors at rest. *)
 
-val copy : t -> t
-(** An independent deep copy of the rotor state. *)
-
 val command : t -> float array -> unit
 (** Set commanded throttle per motor, clamped to [\[0, 1\]]. The array length
     must equal the airframe's motor count. *)

@@ -21,15 +21,6 @@ let create ?(position = Vec3.zero) () =
     acceleration = Vec3.Mut.create ();
   }
 
-let copy t =
-  {
-    position = Vec3.Mut.copy t.position;
-    velocity = Vec3.Mut.copy t.velocity;
-    attitude = Quat.Mut.copy t.attitude;
-    angular_velocity = Vec3.Mut.copy t.angular_velocity;
-    acceleration = Vec3.Mut.copy t.acceleration;
-  }
-
 let position_v t = Vec3.Mut.to_t t.position
 let velocity_v t = Vec3.Mut.to_t t.velocity
 let attitude_q t = Quat.Mut.to_t t.attitude

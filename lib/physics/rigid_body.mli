@@ -22,9 +22,6 @@ type t = {
 val create : ?position:Vec3.t -> unit -> t
 (** At rest, level, at the given position (origin by default). *)
 
-val copy : t -> t
-(** An independent deep copy; mutating one does not affect the other. *)
-
 val position_v : t -> Vec3.t
 val velocity_v : t -> Vec3.t
 val attitude_q : t -> Quat.t

@@ -8,7 +8,7 @@ type contact_event =
 
 (* Preallocated working set for the step kernel: every intermediate vector
    of one step lives here, so steady-state stepping allocates nothing.
-   Scratch carries no state across steps and is never snapshotted. *)
+   Scratch carries no state across steps and is never encoded. *)
 type scratch = {
   s_thrust : Vec3.Mut.vec;
   s_wind : Vec3.Mut.vec;
@@ -78,73 +78,6 @@ let create ?environment ?rng ?(airframe = Airframe.iris) ?(position = Vec3.zero)
     scratch = make_scratch ();
   }
 
-let copy t =
-  {
-    airframe = t.airframe;
-    environment = Environment.copy t.environment;
-    rng = Avis_util.Rng.copy t.rng;
-    body = Rigid_body.copy t.body;
-    motors = Motor.copy t.motors;
-    clock = { elapsed = t.clock.elapsed };
-    crashed = t.crashed;
-    crash_event = t.crash_event;
-    fence_breached = t.fence_breached;
-    resting = t.resting;
-    scratch = make_scratch ();
-  }
-
-(* A snapshot flattens the numeric state into one float blob with an exact
-   byte size: time, three latched flags, the 16 body floats and the motor
-   bank. Immutable structure (airframe, environment statics, a latched
-   crash event) is shared; the RNG and gust process are copied. *)
-type snapshot = {
-  snap_airframe : Airframe.t;
-  snap_environment : Environment.t;
-  snap_rng : Avis_util.Rng.t;
-  snap_crash_event : contact_event option;
-  snap_blob : float array;
-}
-
-let flag b = if b then 1.0 else 0.0
-
-let snapshot t =
-  let blob =
-    Array.make (4 + Rigid_body.float_count + Motor.float_count t.motors) 0.0
-  in
-  blob.(0) <- t.clock.elapsed;
-  blob.(1) <- flag t.crashed;
-  blob.(2) <- flag t.fence_breached;
-  blob.(3) <- flag t.resting;
-  Rigid_body.blit_to_floats t.body blob ~pos:4;
-  Motor.blit_to_floats t.motors blob ~pos:(4 + Rigid_body.float_count);
-  {
-    snap_airframe = t.airframe;
-    snap_environment = Environment.copy t.environment;
-    snap_rng = Avis_util.Rng.copy t.rng;
-    snap_crash_event = t.crash_event;
-    snap_blob = blob;
-  }
-
-let snapshot_bytes s = Array.length s.snap_blob * 8
-
-let restore s =
-  let blob = s.snap_blob in
-  let motors = Motor.create s.snap_airframe in
-  Motor.restore_floats motors blob ~pos:(4 + Rigid_body.float_count);
-  {
-    airframe = s.snap_airframe;
-    environment = Environment.copy s.snap_environment;
-    rng = Avis_util.Rng.copy s.snap_rng;
-    body = Rigid_body.of_floats blob ~pos:4;
-    motors;
-    clock = { elapsed = blob.(0) };
-    crashed = blob.(1) <> 0.0;
-    crash_event = s.snap_crash_event;
-    fence_breached = blob.(2) <> 0.0;
-    resting = blob.(3) <> 0.0;
-    scratch = make_scratch ();
-  }
-
 let encode_contact b e =
   let open Avis_util.Codec in
   match e with
@@ -172,31 +105,55 @@ let decode_contact r =
   | 3 -> Tipover
   | t -> corrupt "bad contact-event tag %d" t
 
-let encode_snapshot b s =
-  let open Avis_util.Codec in
-  w_version b 1;
-  Airframe.encode b s.snap_airframe;
-  Environment.encode b s.snap_environment;
-  w_i64 b (Avis_util.Rng.to_bits s.snap_rng);
-  w_option b encode_contact s.snap_crash_event;
-  w_float_array b s.snap_blob
+let flag b = if b then 1.0 else 0.0
 
-let decode_snapshot r =
+(* The numeric state travels as one float blob: time, three latched flags,
+   the 16 body floats and the motor bank. Scratch carries nothing across
+   steps and is rebuilt fresh. *)
+let encode b t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:1 in
-  let snap_airframe = Airframe.decode r in
-  let snap_environment = Environment.decode r in
-  let snap_rng = Avis_util.Rng.of_bits (r_i64 r) in
-  let snap_crash_event = r_option r decode_contact in
-  let snap_blob = r_float_array r in
-  let expected =
-    4 + Rigid_body.float_count
-    + Motor.float_count (Motor.create snap_airframe)
+  let blob =
+    Array.make (4 + Rigid_body.float_count + Motor.float_count t.motors) 0.0
   in
-  if Array.length snap_blob <> expected then
-    corrupt "world blob has %d floats (want %d)" (Array.length snap_blob)
-      expected;
-  { snap_airframe; snap_environment; snap_rng; snap_crash_event; snap_blob }
+  blob.(0) <- t.clock.elapsed;
+  blob.(1) <- flag t.crashed;
+  blob.(2) <- flag t.fence_breached;
+  blob.(3) <- flag t.resting;
+  Rigid_body.blit_to_floats t.body blob ~pos:4;
+  Motor.blit_to_floats t.motors blob ~pos:(4 + Rigid_body.float_count);
+  w_version b 2;
+  Airframe.encode b t.airframe;
+  Environment.encode b t.environment;
+  w_i64 b (Avis_util.Rng.to_bits t.rng);
+  w_option b encode_contact t.crash_event;
+  w_float_array b blob
+
+let decode r =
+  let open Avis_util.Codec in
+  let (_ : int) = r_version r ~expect:2 in
+  let airframe = Airframe.decode r in
+  let environment = Environment.decode r in
+  let rng = Avis_util.Rng.of_bits (r_i64 r) in
+  let crash_event = r_option r decode_contact in
+  let blob = r_float_array r in
+  let motors = Motor.create airframe in
+  let expected = 4 + Rigid_body.float_count + Motor.float_count motors in
+  if Array.length blob <> expected then
+    corrupt "world blob has %d floats (want %d)" (Array.length blob) expected;
+  Motor.restore_floats motors blob ~pos:(4 + Rigid_body.float_count);
+  {
+    airframe;
+    environment;
+    rng;
+    body = Rigid_body.of_floats blob ~pos:4;
+    motors;
+    clock = { elapsed = blob.(0) };
+    crashed = blob.(1) <> 0.0;
+    crash_event;
+    fence_breached = blob.(2) <> 0.0;
+    resting = blob.(3) <> 0.0;
+    scratch = make_scratch ();
+  }
 
 let airframe t = t.airframe
 let environment t = t.environment

@@ -34,32 +34,17 @@ val create :
   unit ->
   t
 
-val copy : t -> t
-(** An independent deep copy: shared immutable structure, copied mutable
-    state, fresh scratch. *)
+val encode : Buffer.t -> t -> unit
+(** Versioned binary layout of the whole physical state: airframe,
+    environment (gust state included), physics RNG, latched crash event,
+    and the numeric state (clock, latched flags, body, motors) by bit
+    pattern. *)
 
-type snapshot
-(** A frozen copy of the whole physical state: the numeric state (body,
-    motors, clock, latched flags) flattened into one float blob, plus the
-    gust process and physics RNG. Immutable structure is shared with the
-    live world. *)
-
-val snapshot : t -> snapshot
-val restore : snapshot -> t
-(** [restore] yields a fresh world; one snapshot may be restored any number
-    of times, each restore independent of the others. *)
-
-val snapshot_bytes : snapshot -> int
-(** Exact size in bytes of the snapshot's numeric payload. *)
-
-val encode_snapshot : Buffer.t -> snapshot -> unit
-(** Versioned binary layout: airframe, environment, physics RNG, latched
-    crash event, and the numeric float blob by bit pattern. *)
-
-val decode_snapshot : Avis_util.Codec.reader -> snapshot
-(** Inverse of {!encode_snapshot}; raises [Avis_util.Codec.Corrupt] on
-    malformed input, including a blob whose length disagrees with the
-    airframe's motor count. *)
+val decode : Avis_util.Codec.reader -> t
+(** Inverse of {!encode}: a fresh world that steps bit-identically to the
+    encoded one. Raises [Avis_util.Codec.Corrupt] on malformed input,
+    including a numeric state whose length disagrees with the airframe's
+    motor count. *)
 
 val airframe : t -> Airframe.t
 val environment : t -> Environment.t

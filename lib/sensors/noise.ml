@@ -21,8 +21,6 @@ let channel rng spec =
   let bias = Avis_util.Rng.gaussian_scaled rng ~mean:0.0 ~stddev:spec.bias_stddev in
   { rng; spec; bias; drift = 0.0 }
 
-let copy_channel c = { c with rng = Avis_util.Rng.copy c.rng }
-
 (* The spec is serialised alongside the state: a channel must resume with
    the exact spec it was created from even if the built-in constants above
    are retuned in a later build. *)

@@ -27,10 +27,6 @@ type channel
 val channel : Avis_util.Rng.t -> spec -> channel
 (** Draw the channel's bias from the spec using the given generator. *)
 
-val copy_channel : channel -> channel
-(** An independent copy: same bias, current drift, and a copied RNG, so the
-    copy produces the same sample stream as the original would have. *)
-
 val encode_channel : Buffer.t -> channel -> unit
 (** Binary layout: RNG state, spec, bias and drift — everything needed to
     resume the exact sample stream. *)

@@ -32,8 +32,6 @@ let id_to_string id = Printf.sprintf "%s[%d]" (kind_to_string id.kind) id.index
 let compare_id a b =
   match compare a.kind b.kind with 0 -> compare a.index b.index | c -> c
 
-let equal_id a b = compare_id a b = 0
-
 type reading =
   | Accel of Vec3.t
   | Gyro of Vec3.t
@@ -123,14 +121,3 @@ let decode_reading r =
     let remaining = r_f64 r in
     Battery_state { voltage; remaining }
   | t -> corrupt "bad reading tag %d" t
-
-let pp_reading ppf = function
-  | Accel v -> Format.fprintf ppf "accel %a" Vec3.pp v
-  | Gyro v -> Format.fprintf ppf "gyro %a" Vec3.pp v
-  | Gps_fix { position; velocity; hdop } ->
-    Format.fprintf ppf "gps pos=%a vel=%a hdop=%.2f" Vec3.pp position Vec3.pp
-      velocity hdop
-  | Heading h -> Format.fprintf ppf "heading %.3f rad" h
-  | Pressure_alt a -> Format.fprintf ppf "baro alt %.2f m" a
-  | Battery_state { voltage; remaining } ->
-    Format.fprintf ppf "battery %.2f V (%.0f%%)" voltage (remaining *. 100.0)

@@ -24,7 +24,6 @@ val role_of : id -> role
 val id_to_string : id -> string
 
 val compare_id : id -> id -> int
-val equal_id : id -> id -> bool
 
 type reading =
   | Accel of Vec3.t  (** Specific force, body frame, m/s². *)
@@ -49,7 +48,5 @@ val decode_id : Avis_util.Codec.reader -> id
 
 val encode_reading : Buffer.t -> reading -> unit
 val decode_reading : Avis_util.Codec.reader -> reading
-(** Binary layouts for snapshot persistence; decoders raise
+(** Binary layouts for checkpoints; decoders raise
     [Avis_util.Codec.Corrupt] on malformed input. *)
-
-val pp_reading : Format.formatter -> reading -> unit

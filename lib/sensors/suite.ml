@@ -87,24 +87,6 @@ let create ?(complement = iris_complement) ~rng () =
     capacity_j = 180_000.0;
   }
 
-type snapshot = t
-
-let copy t =
-  let copy_state (id, s) =
-    ( id,
-      {
-        s with
-        ch1 = Noise.copy_channel s.ch1;
-        ch2 = Noise.copy_channel s.ch2;
-        ch3 = Noise.copy_channel s.ch3;
-        ch_aux = Noise.copy_channel s.ch_aux;
-      } )
-  in
-  { t with states = List.map copy_state t.states; charge = Array.copy t.charge }
-
-let snapshot = copy
-let restore = copy
-
 let encode_instance b (id, s) =
   Sensor.encode_id b id;
   Noise.encode_channel b s.ch1;
@@ -120,7 +102,7 @@ let decode_instance r =
   let ch_aux = Noise.decode_channel r in
   (id, { id; ch1; ch2; ch3; ch_aux })
 
-let encode_snapshot b (s : snapshot) =
+let encode b (s : t) =
   let open Avis_util.Codec in
   w_version b 1;
   w_int b s.complement.accelerometers;
@@ -135,7 +117,7 @@ let encode_snapshot b (s : snapshot) =
   w_f64 b s.empty_voltage;
   w_f64 b s.capacity_j
 
-let decode_snapshot r : snapshot =
+let decode r : t =
   let open Avis_util.Codec in
   let (_ : int) = r_version r ~expect:1 in
   let accelerometers = r_int r in
@@ -165,9 +147,6 @@ let decode_snapshot r : snapshot =
     empty_voltage;
     capacity_j;
   }
-
-let to_bytes s = Avis_util.Codec.to_string encode_snapshot s
-let of_bytes data = Avis_util.Codec.of_string decode_snapshot data
 
 let instances t = List.map fst t.states
 

@@ -28,25 +28,14 @@ type t
 
 val create : ?complement:complement -> rng:Avis_util.Rng.t -> unit -> t
 
-type snapshot
-(** A frozen deep copy of the suite: every noise channel's RNG, bias and
-    drift plus the battery's state of charge. *)
-
-val snapshot : t -> snapshot
-val restore : snapshot -> t
-(** Each restore yields an independent suite; a snapshot may be restored
-    any number of times. *)
-
-val encode_snapshot : Buffer.t -> snapshot -> unit
-val decode_snapshot : Avis_util.Codec.reader -> snapshot
-
-val to_bytes : snapshot -> string
-(** Versioned binary form of a snapshot — complement, every noise
+val encode : Buffer.t -> t -> unit
+(** Versioned binary layout of the whole suite — complement, every noise
     channel's RNG/spec/bias/drift and the battery state — bit-exact on
     round-trip. *)
 
-val of_bytes : string -> snapshot
-(** Inverse of {!to_bytes}; raises [Avis_util.Codec.Corrupt] on malformed
+val decode : Avis_util.Codec.reader -> t
+(** Inverse of {!encode}: a fresh suite that draws the same sample streams
+    as the encoded one. Raises [Avis_util.Codec.Corrupt] on malformed
     input. *)
 
 val instances : t -> Sensor.id list

@@ -26,7 +26,6 @@ let default_config policy =
 
 type t = {
   config : config;
-  frame : Avis_geo.Geodesy.frame;
   world : Avis_physics.World.t;
   suite : Avis_sensors.Suite.t;
   hinj : Avis_hinj.Hinj.t;
@@ -40,6 +39,7 @@ type t = {
 (* The local frame is anchored at a fixed home location (the PX4 SITL
    default near Zurich); all workloads use coordinates relative to it. *)
 let home_geodetic = { Avis_geo.Geodesy.lat = 47.397742; lon = 8.545594; alt = 0.0 }
+let home_frame = Avis_geo.Geodesy.frame_at home_geodetic
 
 (* Seconds to the step whose send window covers that instant; the small
    epsilon keeps times that land exactly on a step boundary on that step. *)
@@ -79,77 +79,71 @@ let create ?(plan = []) ?(link_outages = []) config =
       Link.create ~jitter:(jitter_rng, config.link_jitter_steps) ~outages ()
     else Link.create ~outages ()
   in
-  let frame = Avis_geo.Geodesy.frame_at home_geodetic in
   let bugs = Bug.registry ~enabled:config.enabled_bugs config.policy.Policy.firmware in
   let vehicle =
     Vehicle.create
       ?fence:(Avis_physics.Environment.fence environment)
       ~airframe:config.airframe ~policy:config.policy ~bugs ~suite ~hinj ~link
-      ~frame ()
+      ~frame:home_frame ()
   in
   let trace = Trace.create () in
-  { config; frame; world; suite; hinj; vehicle; link; gcs = Gcs.create link;
-    trace; steps = 0 }
+  { config; world; suite; hinj; vehicle; link; gcs = Gcs.create link; trace;
+    steps = 0 }
 
 type snapshot = {
   snap_config : config;
-  snap_frame : Avis_geo.Geodesy.frame;
-  snap_world : Avis_physics.World.snapshot;
-  snap_suite : Avis_sensors.Suite.snapshot;
-  snap_hinj : Avis_hinj.Hinj.snapshot;
-  snap_vehicle : Vehicle.snapshot;
-  snap_link : Link.snapshot;
-  snap_gcs : Gcs.snapshot;
+      (** Shared with the run, not encoded: every key a checkpoint is filed
+          under pins it. *)
+  state : string;
   snap_trace : Trace.snapshot;
-  snap_steps : int;
 }
 
+(* One encoding buffer per domain, cleared and reused by every capture, so
+   a capture's only lasting allocation is its string. *)
+let snapshot_buffer = Domain.DLS.new_key (fun () -> Buffer.create 8192)
+
+(* Every layer but the trace writes into one buffer, each behind its own
+   version byte. Neither the config nor the home frame is written. *)
 let snapshot t =
   Avis_util.Trace.span ~cat:"sim" "sim.snapshot" @@ fun () ->
-  {
-    snap_config = t.config;
-    snap_frame = t.frame;
-    snap_world = Avis_physics.World.snapshot t.world;
-    snap_suite = Avis_sensors.Suite.snapshot t.suite;
-    snap_hinj = Avis_hinj.Hinj.snapshot t.hinj;
-    snap_vehicle = Vehicle.snapshot t.vehicle;
-    snap_link = Link.snapshot t.link;
-    snap_gcs = Gcs.snapshot t.gcs;
-    snap_trace = Trace.snapshot t.trace;
-    snap_steps = t.steps;
-  }
+  let b = Domain.DLS.get snapshot_buffer in
+  Buffer.clear b;
+  Avis_util.Codec.w_version b 2;
+  Avis_physics.World.encode b t.world;
+  Avis_sensors.Suite.encode b t.suite;
+  Avis_hinj.Hinj.encode b t.hinj;
+  Link.encode b t.link;
+  Vehicle.encode b t.vehicle;
+  Gcs.encode b t.gcs;
+  Avis_util.Codec.w_int b t.steps;
+  { snap_config = t.config; state = Buffer.contents b;
+    snap_trace = Trace.snapshot t.trace }
 
-let snapshot_bytes s =
-  Obj.reachable_words (Obj.repr s) * (Sys.word_size / 8)
+let snapshot_bytes s = String.length s.state + Trace.snapshot_bytes s.snap_trace
 
 let restore ?plan ?link_outages s =
   (* A restore with a substituted plan or outage schedule is the fork
      operation, the span every prefix-cache hit hangs off. *)
   Avis_util.Trace.span ~cat:"sim" "sim.restore" @@ fun () ->
-  let world = Avis_physics.World.restore s.snap_world in
-  let suite = Avis_sensors.Suite.restore s.snap_suite in
-  let hinj = Avis_hinj.Hinj.restore ?plan s.snap_hinj in
-  let outages =
-    Option.map (outage_windows ~dt:s.snap_config.dt) link_outages
+  let config = s.snap_config in
+  let decode r =
+    let open Avis_util.Codec in
+    let (_ : int) = r_version r ~expect:2 in
+    let world = Avis_physics.World.decode r in
+    let suite = Avis_sensors.Suite.decode r in
+    let hinj = Avis_hinj.Hinj.decode ?plan r in
+    let outages = Option.map (outage_windows ~dt:config.dt) link_outages in
+    let link = Link.decode ?outages r in
+    let vehicle = Vehicle.decode ~suite ~hinj ~link ~frame:home_frame r in
+    let gcs = Gcs.decode ~link r in
+    let steps = r_int r in
+    { config; world; suite; hinj; vehicle; link; gcs;
+      trace = Trace.restore s.snap_trace; steps }
   in
-  let link = Link.restore ?outages s.snap_link in
-  let vehicle = Vehicle.restore ~suite ~hinj ~link s.snap_vehicle in
-  let gcs = Gcs.restore ~link s.snap_gcs in
-  {
-    config = s.snap_config;
-    frame = s.snap_frame;
-    world;
-    suite;
-    hinj;
-    vehicle;
-    link;
-    gcs;
-    trace = Trace.restore s.snap_trace;
-    steps = s.snap_steps;
-  }
+  Avis_util.Codec.of_string decode s.state
 
 let config t = t.config
-let frame t = t.frame
+let frame _ = home_frame
 let gcs t = t.gcs
 let link t = t.link
 let world t = t.world
@@ -234,8 +228,7 @@ let encode_config b (c : config) =
   let open Avis_util.Codec in
   w_version b 2;
   (* The personality by its firmware tag: every policy is
-     [Policy.of_firmware] of its tag, which is how [decode_config]
-     rebuilds it. *)
+     [Policy.of_firmware] of its tag. *)
   w_u8 b (match policy.Policy.firmware with Bug.Ardupilot -> 0 | Bug.Px4 -> 1);
   w_list b Bug.encode_id enabled_bugs;
   w_int b seed;
@@ -245,83 +238,11 @@ let encode_config b (c : config) =
   w_option b Avis_physics.Environment.encode environment;
   Avis_physics.Airframe.encode b airframe
 
-let decode_config r : config =
-  let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:2 in
-  let policy =
-    match r_u8 r with
-    | 0 -> Policy.of_firmware Bug.Ardupilot
-    | 1 -> Policy.of_firmware Bug.Px4
-    | t -> corrupt "bad firmware tag %d" t
-  in
-  let enabled_bugs = r_list r Bug.decode_id in
-  let seed = r_int r in
-  let dt = r_f64 r in
-  let max_duration = r_f64 r in
-  let link_jitter_steps = r_int r in
-  let environment = r_option r Avis_physics.Environment.decode in
-  let airframe = Avis_physics.Airframe.decode r in
-  {
-    policy;
-    enabled_bugs;
-    seed;
-    dt;
-    max_duration;
-    link_jitter_steps;
-    environment;
-    airframe;
-  }
+let encode_snapshot b s =
+  Avis_util.Codec.w_bytes b s.state;
+  Trace.encode_snapshot b s.snap_trace
 
-let config_to_bytes c = Avis_util.Codec.to_string encode_config c
-
-(* Each layer travels as a length-prefixed blob so the layers version
-   independently: bumping one codec's version invalidates only its blob's
-   decoding, and the outer layout never changes. *)
-let encode_snapshot b (s : snapshot) =
-  let open Avis_util.Codec in
-  w_version b 1;
-  encode_config b s.snap_config;
-  Avis_geo.Geodesy.encode_frame b s.snap_frame;
-  w_bytes b (to_string Avis_physics.World.encode_snapshot s.snap_world);
-  w_bytes b (Avis_sensors.Suite.to_bytes s.snap_suite);
-  w_bytes b (Avis_hinj.Hinj.to_bytes s.snap_hinj);
-  w_bytes b (Link.to_bytes s.snap_link);
-  w_bytes b (Vehicle.to_bytes s.snap_vehicle);
-  w_bytes b (Gcs.to_bytes s.snap_gcs);
-  w_bytes b (Trace.to_bytes s.snap_trace);
-  w_int b s.snap_steps
-
-let decode_snapshot r : snapshot =
-  let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:1 in
-  let snap_config = decode_config r in
-  let snap_frame = Avis_geo.Geodesy.decode_frame r in
-  let snap_world = of_string Avis_physics.World.decode_snapshot (r_bytes r) in
-  let snap_suite = Avis_sensors.Suite.of_bytes (r_bytes r) in
-  let snap_hinj = Avis_hinj.Hinj.of_bytes (r_bytes r) in
-  let snap_link = Link.of_bytes (r_bytes r) in
-  (* The vehicle and GCS decoders need live collaborators to attach to;
-     [restore] substitutes its own, so these interim instances only give
-     the decoded records well-typed fields. *)
-  let suite = Avis_sensors.Suite.restore snap_suite in
-  let hinj = Avis_hinj.Hinj.restore snap_hinj in
-  let link = Link.restore snap_link in
-  let snap_vehicle = Vehicle.of_bytes ~suite ~hinj ~link (r_bytes r) in
-  let snap_gcs = Gcs.of_bytes ~link (r_bytes r) in
-  let snap_trace = Trace.of_bytes (r_bytes r) in
-  let snap_steps = r_int r in
-  {
-    snap_config;
-    snap_frame;
-    snap_world;
-    snap_suite;
-    snap_hinj;
-    snap_vehicle;
-    snap_link;
-    snap_gcs;
-    snap_trace;
-    snap_steps;
-  }
-
-let to_bytes s = Avis_util.Codec.to_string encode_snapshot s
-let of_bytes data = Avis_util.Codec.of_string decode_snapshot data
+let decode_snapshot ~config r =
+  let state = Avis_util.Codec.r_bytes r in
+  let snap_trace = Trace.decode_snapshot r in
+  { snap_config = config; state; snap_trace }

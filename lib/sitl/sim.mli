@@ -42,27 +42,32 @@ val create :
 val config : t -> config
 
 type snapshot
-(** The whole harness frozen mid-run: physics, sensors, injector, firmware,
-    link, ground station and trace. Taking a snapshot does not disturb the
-    live run. *)
+(** The whole harness frozen mid-run: physics, sensors, injector,
+    firmware, link and ground station encoded into one string, plus the
+    trace's chunk-sharing snapshot. The run's config is kept by reference
+    and is not encoded. Taking a snapshot does not disturb the live run. *)
 
 val snapshot : t -> snapshot
 
 val snapshot_bytes : snapshot -> int
-(** Total heap footprint of a snapshot in bytes (words reachable from it,
-    including structure shared with the live run), for cache accounting. *)
+(** The bytes the snapshot alone holds: its encoded string plus the trace
+    tail it copied ({!Trace.snapshot_bytes}). Frozen trace chunks, shared
+    with the run and its other snapshots, are not counted. *)
 
 val restore :
   ?plan:Avis_hinj.Hinj.plan ->
   ?link_outages:(float * float) list ->
   snapshot ->
   t
-(** Rebuild an independent harness from a snapshot; the same snapshot can be
-    restored any number of times. [?plan] substitutes a different injection
-    plan and [?link_outages] a different outage schedule in the restored run
-    (the prefix cache's fork operation) — sound only when no fault in the
-    new plan (sensor or outage) starts at or before the snapshot time, since
-    the original run must not yet have observed any difference. *)
+(** Decode the snapshot into an independent harness; the same snapshot can
+    be restored any number of times. [?plan] substitutes a different
+    injection plan and [?link_outages] a different outage schedule in the
+    restored run (the prefix cache's fork operation) — sound only when no
+    fault in the new plan (sensor or outage) starts at or before the
+    snapshot time, since the original run must not yet have observed any
+    difference. Raises [Avis_util.Codec.Corrupt] when the snapshot came
+    from malformed bytes ({!decode_snapshot} does not check the encoded
+    layers). *)
 
 val frame : t -> Avis_geo.Geodesy.frame
 (** The local tangent frame anchored at the home location. *)
@@ -106,26 +111,19 @@ val outcome : t -> workload_passed:bool -> outcome
 
 (** {2 Binary persistence}
 
-    Snapshots serialise to a versioned, self-describing binary form: every
-    float travels as its IEEE-754 bits, so a decoded snapshot restores to a
-    run that is bit-identical to one restored from the in-memory snapshot.
-    Each layer (world, sensors, injector, link, firmware, ground station,
-    trace) is a length-prefixed blob with its own version byte. *)
+    Every float travels as its IEEE-754 bits, so a run restored from
+    decoded bytes is bit-identical to one restored from the in-memory
+    snapshot. *)
 
 val encode_config : Buffer.t -> config -> unit
 (** Canonical binary form of a run configuration — the identity half of a
-    checkpoint-store key. *)
+    checkpoint-store key, and part of the run journal's. Equal
+    configurations produce equal bytes. *)
 
-val decode_config : Avis_util.Codec.reader -> config
-(** Inverse of {!encode_config}. Raises [Avis_util.Codec.Corrupt] on
-    malformed input. *)
+val encode_snapshot : Buffer.t -> snapshot -> unit
+(** The snapshot's string as it is, then the trace's encoding. *)
 
-val config_to_bytes : config -> string
-(** [encode_config] as a standalone string. Equal configurations produce
-    equal strings. *)
-
-val to_bytes : snapshot -> string
-
-val of_bytes : string -> snapshot
-(** Inverse of {!to_bytes}. Raises [Avis_util.Codec.Corrupt] on malformed
-    or truncated input (a decoded snapshot is usable with {!restore}). *)
+val decode_snapshot : config:config -> Avis_util.Codec.reader -> snapshot
+(** Inverse of {!encode_snapshot}, for a run of [config] (which the bytes
+    do not carry). Raises [Avis_util.Codec.Corrupt] on malformed trace
+    bytes; the encoded layers are decoded, and checked, by {!restore}. *)

@@ -67,6 +67,8 @@ let period t = t.period
 
 type snapshot = t
 
+(* The derived sample array is not carried over: it is rebuilt on demand,
+   and a snapshot should hold nothing it does not own or share. *)
 let copy t =
   let chunks = Array.copy t.chunks in
   (* Full chunks are frozen and shared; only the chunk still being appended
@@ -75,16 +77,25 @@ let copy t =
     let tail = t.len lsr chunk_bits in
     chunks.(tail) <- copy_chunk chunks.(tail)
   end;
-  {
-    period = t.period;
-    chunks;
-    len = t.len;
-    sched = Array.copy t.sched;
-    cache = t.cache;
-  }
+  { period = t.period; chunks; len = t.len; sched = Array.copy t.sched;
+    cache = None }
 
 let snapshot = copy
 let restore = copy
+
+let word = Sys.word_size / 8
+
+(* Heap bytes of one chunk: seven float columns and the mode column, each
+   with its header word, and the record itself. *)
+let chunk_bytes =
+  (7 * (word + (8 * chunk_cap))) + (word * (1 + chunk_cap)) + (word * 9)
+
+(* What a snapshot alone holds: its record, schedule cell and chunk-pointer
+   array, and the detached tail chunk when the tail is partial. The frozen
+   chunks belong to no snapshot in particular. *)
+let snapshot_bytes s =
+  let tail = if s.len land chunk_mask <> 0 then chunk_bytes else 0 in
+  tail + (word * (6 + 2 + 1 + Array.length s.chunks))
 
 (* Appending a chunk copies the (tiny) chunk-pointer array; it happens once
    per [chunk_cap] samples. *)
@@ -150,12 +161,6 @@ let altitude_series t =
   Array.to_list
     (Array.map (fun s -> (s.time, s.position.Vec3.z)) (samples t))
 
-let final_mode t =
-  if t.len = 0 then None
-  else
-    let i = t.len - 1 in
-    Some t.chunks.(i lsr chunk_bits).c_mode.(i land chunk_mask)
-
 (* Only the [len] recorded samples are serialised: cells beyond the write
    cursor are still at their [fresh_chunk] defaults (writes happen exactly
    once, at monotonically increasing indices), so rebuilding from fresh
@@ -201,6 +206,3 @@ let decode_snapshot r : snapshot =
     c.c_mode.(off) <- r_string r
   done;
   { period; chunks; len; sched = [| sched0 |]; cache = None }
-
-let to_bytes s = Avis_util.Codec.to_string encode_snapshot s
-let of_bytes data = Avis_util.Codec.of_string decode_snapshot data

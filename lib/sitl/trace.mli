@@ -28,10 +28,17 @@ val period : t -> float
 
 type snapshot
 (** The recorded series and sampling schedule, frozen. Full chunks are
-    shared with the live trace; the partial tail chunk is detached. *)
+    shared with the live trace; the partial tail chunk is detached. This is
+    the one layer that is not frozen through its codec: sharing the frozen
+    chunks keeps every checkpoint of a run from copying its whole past. *)
 
 val snapshot : t -> snapshot
 val restore : snapshot -> t
+
+val snapshot_bytes : snapshot -> int
+(** Heap bytes the snapshot alone holds: the detached tail chunk (a
+    chunk is 256 samples, about 16 KB) and the chunk-pointer array. Shared
+    frozen chunks are not counted. *)
 
 val record :
   t -> steps:int -> dt:float -> Avis_physics.World.t -> mode:string -> unit
@@ -57,8 +64,6 @@ val nth_padded : t -> int -> sample
 val altitude_series : t -> (float * float) list
 (** (time, altitude) pairs, for figure reproduction. *)
 
-val final_mode : t -> string option
-
 val encode_snapshot : Buffer.t -> snapshot -> unit
 (** Versioned bit-exact binary layout of the recorded series (only the
     samples actually recorded; chunk padding is reconstructed). *)
@@ -66,8 +71,3 @@ val encode_snapshot : Buffer.t -> snapshot -> unit
 val decode_snapshot : Avis_util.Codec.reader -> snapshot
 (** Inverse of {!encode_snapshot}. Raises [Avis_util.Codec.Corrupt] on
     malformed input. *)
-
-val to_bytes : snapshot -> string
-
-val of_bytes : string -> snapshot
-(** Raises [Avis_util.Codec.Corrupt] on malformed input. *)

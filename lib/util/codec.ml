@@ -1,4 +1,4 @@
-(* Binary snapshot codecs: a Buffer-backed writer and a cursor-backed
+(* Binary state codecs: a Buffer-backed writer and a cursor-backed
    reader over the same explicit, versioned wire format. Everything
    numeric goes through Int64 bit patterns, so round-trips are exact to
    the float bit. No Marshal anywhere: every layer states its layout. *)
@@ -120,8 +120,8 @@ let r_version r ~expect =
 
 (* ---------------- framing ---------------- *)
 
-(* Length-prefixed nesting, used to compose per-layer [to_bytes] blobs
-   into one payload without the outer layer knowing inner layouts. *)
+(* Length-prefixed nesting: an encoded string travels inside another
+   payload without the outer layer knowing its layout. *)
 let w_bytes = w_string
 let r_bytes = r_string
 

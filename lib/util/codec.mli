@@ -1,4 +1,4 @@
-(** Explicit binary codecs for snapshot persistence.
+(** Explicit binary codecs for checkpoints.
 
     A [Buffer.t]-backed writer and a cursor [reader] over one wire
     format: little-endian 64-bit integers, floats by their
@@ -50,8 +50,8 @@ val r_version : reader -> expect:int -> int
 (** Read a layout version byte; {!Corrupt} unless it equals [expect]. *)
 
 val w_bytes : Buffer.t -> string -> unit
-(** Length-prefixed blob, for nesting one layer's [to_bytes] output
-    inside another payload. *)
+(** Length-prefixed blob: an already-encoded string carried whole inside
+    another payload. *)
 
 val r_bytes : reader -> string
 

@@ -19,6 +19,18 @@ let positive_int ~var ~default () =
     ~var ~default ~want:"a positive integer"
     ~render:string_of_int ()
 
+let budget_bytes ?mb ~arg ~var ~default_mb () =
+  let mb =
+    match mb with
+    | Some mb when mb > 0 -> mb
+    | Some mb ->
+      warn ~var:arg ~value:(string_of_int mb) ~want:"a positive integer"
+        ~using:(string_of_int default_mb);
+      default_mb
+    | None -> positive_int ~var ~default:default_mb ()
+  in
+  mb * 1024 * 1024
+
 let positive_float ~var ~default () =
   parse_with ~of_string:float_of_string_opt
     ~valid:(fun f -> f > 0.0)

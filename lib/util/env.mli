@@ -11,6 +11,12 @@
 val positive_int : var:string -> default:int -> unit -> int
 (** Parse [var] as a strictly positive integer. *)
 
+val budget_bytes :
+  ?mb:int -> arg:string -> var:string -> default_mb:int -> unit -> int
+(** A byte budget given in MiB: [mb] when it is positive, else [var] as
+    {!positive_int}, else [default_mb]. A non-positive [mb] warns under
+    the argument name [arg] and falls back to [default_mb]. *)
+
 val positive_float : var:string -> default:float -> unit -> float
 (** Parse [var] as a strictly positive float (seconds, typically). *)
 

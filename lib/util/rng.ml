@@ -15,8 +15,6 @@ let of_bits state =
 
 let create seed = of_bits (Int64.of_int seed)
 
-let copy = Bytes.copy
-
 let to_bits t = get_state t 0
 
 (* splitmix64 core: advance by the golden gamma, then mix. *)

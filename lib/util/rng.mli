@@ -12,11 +12,8 @@ val create : int -> t
 (** [create seed] makes a fresh generator. Two generators built from the same
     seed produce identical streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the state; the copy evolves independently. *)
-
 val to_bits : t -> int64
-(** The raw splitmix64 state, for snapshot serialisation. *)
+(** The raw splitmix64 state, for checkpoint encoding. *)
 
 val of_bits : int64 -> t
 (** Rebuild a generator from {!to_bits} output; the pair round-trips the

@@ -308,7 +308,7 @@ let test_link_outage_window () =
 
 let test_link_snapshot_restores_fault_stream () =
   (* A jittered link forked mid-run must replay the identical delivery
-     delays: the jitter RNG is part of the snapshot. Drained one step at a
+     delays: the jitter RNG is part of the encoding. Drained one step at a
      time, since jitter moves chunks between steps but never reorders
      them. *)
   let link = Link.create ~jitter:(Avis_util.Rng.create 4, 2) () in
@@ -316,8 +316,10 @@ let test_link_snapshot_restores_fault_stream () =
     Link.send link Link.Gcs_end (Printf.sprintf "pre-%d;" i)
   done;
   ignore (drain_both link 2);
-  let snap = Link.snapshot link in
-  let fork = Link.restore snap in
+  let fork =
+    Avis_util.Codec.of_string Link.decode
+      (Avis_util.Codec.to_string Link.encode link)
+  in
   let tail l =
     for i = 0 to 9 do
       Link.send l Link.Gcs_end (Printf.sprintf "post-%d;" i)
@@ -328,13 +330,14 @@ let test_link_snapshot_restores_fault_stream () =
     (tail fork = tail link)
 
 let test_link_restore_substitutes_outage () =
-  (* The fork operation: same snapshot, different outage schedule. Traffic
+  (* The fork operation: same encoded link, different outage schedule. Traffic
      already in flight still arrives; only post-fork sends are silenced. *)
   let link = Link.create () in
   Link.send link Link.Gcs_end "inflight;";
-  let snap = Link.snapshot link in
   let fork =
-    Link.restore ~outages:[ { Link.from_step = 0; until_step = 1000 } ] snap
+    Avis_util.Codec.of_string
+      (Link.decode ~outages:[ { Link.from_step = 0; until_step = 1000 } ])
+      (Avis_util.Codec.to_string Link.encode link)
   in
   Link.send fork Link.Gcs_end "suppressed;";
   Alcotest.(check string) "in-flight survives, new send dropped" "inflight;"

@@ -2,7 +2,8 @@
    original afterwards does not disturb it), a restore is an independent
    bit-identical fork, and the prefix cache built on top is
    outcome-transparent — every cached result equals the cold one, so
-   campaigns produce identical results with caching on or off. *)
+   campaigns produce identical results with caching on or off — and
+   charges its budget no more than its checkpoints really hold. *)
 
 open Avis_sensors
 open Avis_firmware
@@ -53,10 +54,11 @@ let test_same_seed_same_outcome () =
 (* Pause a clean run mid-flight, snapshot, substitute a fault plan on
    restore, and finish: the outcome must be bit-identical to simulating the
    faulty run from scratch. *)
-let restore_and_finish ~plan ~(snap : Sim.snapshot)
-    ~(stepper : Workload.Stepper.snapshot) =
+let restore_and_finish ~plan ~workload ~snap ~stepper =
   let sim = Sim.restore ~plan snap in
-  let st = Workload.Stepper.restore stepper in
+  let st =
+    Avis_util.Codec.of_string (Workload.Stepper.decode workload) stepper
+  in
   let passed =
     match Workload.Stepper.run st sim ~until:infinity with
     | Workload.Stepper.Done p -> p
@@ -79,8 +81,8 @@ let test_restore_bit_identical () =
   let sim, st = paused_clean_run workload policy ~until:15.0 in
   Alcotest.(check bool) "paused strictly before 15 s" true (Sim.time sim < 15.0);
   let snap = Sim.snapshot sim in
-  let stepper = Workload.Stepper.snapshot st in
-  let warm = restore_and_finish ~plan ~snap ~stepper in
+  let stepper = Avis_util.Codec.to_string Workload.Stepper.encode st in
+  let warm = restore_and_finish ~plan ~workload ~snap ~stepper in
   check_same_outcome "restored suffix = cold run" cold warm
 
 let test_snapshot_is_deep () =
@@ -89,17 +91,17 @@ let test_snapshot_is_deep () =
   let cold = cold_run ~plan workload policy in
   let sim, st = paused_clean_run workload policy ~until:10.0 in
   let snap = Sim.snapshot sim in
-  let stepper = Workload.Stepper.snapshot st in
+  let stepper = Avis_util.Codec.to_string Workload.Stepper.encode st in
   (* Keep running the original to completion: a shallow snapshot would be
      corrupted by the shared mutable state advancing underneath it. *)
   (match Workload.Stepper.run st sim ~until:infinity with
   | Workload.Stepper.Done passed ->
     Alcotest.(check bool) "clean original still passes" true passed
   | Workload.Stepper.Running -> Alcotest.fail "clean run did not finish");
-  let warm1 = restore_and_finish ~plan ~snap ~stepper in
+  let warm1 = restore_and_finish ~plan ~workload ~snap ~stepper in
   check_same_outcome "snapshot survives the original running on" cold warm1;
   (* And one snapshot restores any number of times. *)
-  let warm2 = restore_and_finish ~plan ~snap ~stepper in
+  let warm2 = restore_and_finish ~plan ~workload ~snap ~stepper in
   check_same_outcome "second restore of the same snapshot" cold warm2
 
 let scen_kind ?(n = 2) kind at =
@@ -167,11 +169,13 @@ let test_prefix_cache_eviction_bounded () =
       ~link_outages:(Scenario.link_outages scenario)
       (sim_config workload policy)
   in
+  (* Half-second captures: the checkpoints of one 29 s quickstart run
+     then outgrow the smallest budget. *)
   let budget_mb = 1 in
   let cache =
     Prefix_cache.create ~cache_mb:budget_mb ~workload
       ~config:(sim_config workload policy)
-      ~checkpoint_times:(List.init 30 (fun i -> float_of_int (i + 1)))
+      ~checkpoint_times:(List.init 60 (fun i -> 0.5 *. float_of_int (i + 1)))
       ()
   in
   let budget_bytes = budget_mb * 1024 * 1024 in
@@ -204,6 +208,35 @@ let test_prefix_cache_eviction_bounded () =
   let s = Prefix_cache.stats cache in
   Alcotest.(check bool) "budget forced evictions" true
     (s.Prefix_cache.evictions > 0)
+
+(* The cache charges each checkpoint what it alone holds: its encoded
+   strings and the trace tail its snapshot copied. The frozen trace chunks
+   a run's checkpoints share are charged to none of them. So the charge is
+   at most the cache's true footprint — the words reachable from it, each
+   shared block counted once — and, with the chunks a small share of it,
+   at least half of it. Charging each checkpoint everything reachable from
+   it would count every shared chunk once per checkpoint and break the
+   upper bound. *)
+let test_prefix_cache_pricing () =
+  let workload = Workload.auto_box and policy = Policy.apm in
+  let cache =
+    Prefix_cache.create ~workload ~config:(sim_config workload policy)
+      ~checkpoint_times:(List.init 60 (fun i -> float_of_int (i + 1)))
+      ()
+  in
+  List.iter
+    (fun scenario -> ignore (Prefix_cache.execute cache ~scenario))
+    [
+      Scenario.empty;
+      scen_kind Sensor.Gps 45.0;
+      scen_kind ~n:1 Sensor.Barometer 30.0;
+      Scenario.of_faults [ Scenario.link_loss ~at:50.0 ~duration:5.0 ];
+    ];
+  let charged = (Prefix_cache.stats cache).Prefix_cache.resident_bytes in
+  let footprint = Obj.reachable_words (Obj.repr cache) * (Sys.word_size / 8) in
+  if charged > footprint || 2 * charged < footprint then
+    Alcotest.failf "charged %d bytes against a footprint of %d" charged
+      footprint
 
 let test_campaign_cache_transparent () =
   let base = Campaign.default_config Policy.apm Workload.auto_box in
@@ -298,6 +331,8 @@ let () =
           Alcotest.test_case "cache transparent" `Slow test_prefix_cache_transparent;
           Alcotest.test_case "eviction keeps bytes bounded" `Slow
             test_prefix_cache_eviction_bounded;
+          Alcotest.test_case "charge within the true footprint" `Slow
+            test_prefix_cache_pricing;
           Alcotest.test_case "campaign on/off identical" `Slow
             test_campaign_cache_transparent;
           Alcotest.test_case "campaign replay identical" `Slow

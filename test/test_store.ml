@@ -1,8 +1,9 @@
 (* The persistent checkpoint store and the binary snapshot codecs under it.
 
-   Three layers, in dependency order: (1) [Sim.to_bytes]/[of_bytes] and the
-   stepper codec must round-trip float-for-float — calm, windy, and with a
-   fault already active; (2) [Checkpoint_store] must serve exactly what was
+   Three layers, in dependency order: (1) [Sim.encode_snapshot]/
+   [decode_snapshot] with [Sim.restore], and the stepper codec, must
+   round-trip float-for-float — calm, windy, and with a fault already
+   active; (2) [Checkpoint_store] must serve exactly what was
    put, treat every corruption as a miss, respect fingerprints and the byte
    budget; (3) a fresh [Prefix_cache] sharing a store directory must serve
    scenarios from disk with outcomes bit-identical to cold runs, even after
@@ -112,9 +113,20 @@ let paused_run ?environment ?(plan = []) workload policy ~until =
   | Workload.Stepper.Done _ -> Alcotest.fail "run finished before pause");
   (sim, st)
 
-let finish ~plan sim_snap stepper_snap =
+let encode_sim sim =
+  Avis_util.Codec.to_string Sim.encode_snapshot (Sim.snapshot sim)
+
+let decode_sim ~config bytes =
+  Avis_util.Codec.of_string (Sim.decode_snapshot ~config) bytes
+
+let encode_stepper st = Avis_util.Codec.to_string Workload.Stepper.encode st
+
+let decode_stepper workload bytes =
+  Avis_util.Codec.of_string (Workload.Stepper.decode workload) bytes
+
+let finish ~plan workload sim_snap stepper_bytes =
   let sim = Sim.restore ~plan sim_snap in
-  let st = Workload.Stepper.restore stepper_snap in
+  let st = decode_stepper workload stepper_bytes in
   let passed =
     match Workload.Stepper.run st sim ~until:infinity with
     | Workload.Stepper.Done p -> p
@@ -126,7 +138,7 @@ let finish ~plan sim_snap stepper_snap =
 (* Snapshot codec round-trips                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Pause mid-flight, push both snapshots through their byte codecs, and
+(* Pause mid-flight, push both states through their byte codecs, and
    finish the flight from the decoded state with the fault plan
    substituted in. The decoded run must be bit-identical to the cold
    faulty run, and the codec must be canonical (decode; re-encode yields
@@ -135,15 +147,14 @@ let roundtrip_case ?environment ~pause_at ~fault_at workload policy =
   let plan = fail_kind Sensor.Gps fault_at in
   let cold = cold_run ?environment ~plan workload policy in
   let sim, st = paused_run ?environment ~plan workload policy ~until:pause_at in
-  let sim_bytes = Sim.to_bytes (Sim.snapshot sim) in
-  let st_bytes = Workload.Stepper.to_bytes (Workload.Stepper.snapshot st) in
-  let sim_snap = Sim.of_bytes sim_bytes in
-  let st_snap = Workload.Stepper.of_bytes st_bytes in
+  let sim_bytes = encode_sim sim in
+  let st_bytes = encode_stepper st in
+  let sim_snap = decode_sim ~config:(Sim.config sim) sim_bytes in
   Alcotest.(check bool) "sim codec canonical" true
-    (String.equal (Sim.to_bytes sim_snap) sim_bytes);
+    (String.equal (encode_sim (Sim.restore sim_snap)) sim_bytes);
   Alcotest.(check bool) "stepper codec canonical" true
-    (String.equal (Workload.Stepper.to_bytes st_snap) st_bytes);
-  let decoded = finish ~plan sim_snap st_snap in
+    (String.equal (encode_stepper (decode_stepper workload st_bytes)) st_bytes);
+  let decoded = finish ~plan workload sim_snap st_bytes in
   check_same_outcome "decoded snapshot = cold run" cold decoded
 
 let test_roundtrip_calm () =
@@ -171,24 +182,40 @@ let qcheck_roundtrip =
       let plan = fail_kind ~n:1 Sensor.Barometer fault_at in
       let cold = cold_run ~plan workload policy in
       let sim, st = paused_run ~plan workload policy ~until:pause_at in
-      let sim_bytes = Sim.to_bytes (Sim.snapshot sim) in
-      let st_bytes = Workload.Stepper.to_bytes (Workload.Stepper.snapshot st) in
-      let sim_snap = Sim.of_bytes sim_bytes in
-      let st_snap = Workload.Stepper.of_bytes st_bytes in
-      String.equal (Sim.to_bytes sim_snap) sim_bytes
-      && String.equal (Workload.Stepper.to_bytes st_snap) st_bytes
-      && fingerprint (finish ~plan sim_snap st_snap) = fingerprint cold)
+      let sim_bytes = encode_sim sim in
+      let st_bytes = encode_stepper st in
+      let sim_snap = decode_sim ~config:(Sim.config sim) sim_bytes in
+      String.equal (encode_sim (Sim.restore sim_snap)) sim_bytes
+      && String.equal (encode_stepper (decode_stepper workload st_bytes)) st_bytes
+      && fingerprint (finish ~plan workload sim_snap st_bytes)
+         = fingerprint cold)
 
 let test_of_bytes_rejects_garbage () =
-  (match Sim.of_bytes "" with
+  let sim, _ = paused_run Workload.quickstart Policy.apm ~until:5.0 in
+  let config = Sim.config sim in
+  let restore bytes = Sim.restore (decode_sim ~config bytes) in
+  (match restore "" with
   | exception Avis_util.Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "empty input decoded");
-  let sim, _ = paused_run Workload.quickstart Policy.apm ~until:5.0 in
-  let bytes = Sim.to_bytes (Sim.snapshot sim) in
+  let bytes = encode_sim sim in
   let truncated = String.sub bytes 0 (String.length bytes / 2) in
-  (match Sim.of_bytes truncated with
+  (match restore truncated with
   | exception Avis_util.Codec.Corrupt _ -> ()
-  | _ -> Alcotest.fail "truncated snapshot decoded")
+  | _ -> Alcotest.fail "truncated snapshot decoded");
+  (* The layers decode at restore: a state string cut short inside, with
+     its length prefix and the trace intact, must not restore either. *)
+  let r = Avis_util.Codec.reader bytes in
+  let state = Avis_util.Codec.r_bytes r in
+  let rest = Avis_util.Codec.remaining r in
+  let trace = String.sub bytes (String.length bytes - rest) rest in
+  let cut =
+    Avis_util.Codec.to_string Avis_util.Codec.w_bytes
+      (String.sub state 0 (String.length state / 2))
+    ^ trace
+  in
+  match restore cut with
+  | exception Avis_util.Codec.Corrupt _ -> ()
+  | _ -> Alcotest.fail "truncated state restored"
 
 (* ------------------------------------------------------------------ *)
 (* Hostile snapshot bytes                                               *)
@@ -204,13 +231,17 @@ let test_of_bytes_rejects_garbage () =
 let exemplar_bytes =
   lazy
     (let sim, st = paused_run Workload.quickstart Policy.apm ~until:8.0 in
-     ( Sim.to_bytes (Sim.snapshot sim),
-       Workload.Stepper.to_bytes (Workload.Stepper.snapshot st) ))
+     (encode_sim sim, encode_stepper st))
 
+(* Snapshot bytes decode in two steps: [Sim.decode_snapshot] reads the
+   trace and takes the state string whole, and [Sim.restore] decodes the
+   layers in it. Both run here, as they do for every store hit. *)
 let decoders =
+  let config = sim_config Workload.quickstart Policy.apm in
   [
-    ("Sim.of_bytes", fun s -> ignore (Sim.of_bytes s));
-    ("Stepper.of_bytes", fun s -> ignore (Workload.Stepper.of_bytes s));
+    ( "Sim.decode_snapshot+restore",
+      fun s -> ignore (Sim.restore (decode_sim ~config s)) );
+    ("Stepper.decode", fun s -> ignore (decode_stepper Workload.quickstart s));
     ( "Codec string+floats",
       fun s ->
         let r = Avis_util.Codec.reader s in
@@ -287,8 +318,13 @@ let test_decode_counts_bounded () =
     w_option b Sensor.encode_reading None;
     Buffer.contents b
   in
-  corrupt "instance count 2^40" Drivers.decode_snapshot (kinds (1 lsl 40));
-  corrupt "instance count -1" Drivers.decode_snapshot (kinds (-1));
+  let drivers =
+    Drivers.decode
+      ~suite:(Suite.create ~rng:(Avis_util.Rng.create 0) ())
+      ~hinj:(Avis_hinj.Hinj.create ())
+  in
+  corrupt "instance count 2^40" drivers (kinds (1 lsl 40));
+  corrupt "instance count -1" drivers (kinds (-1));
   (* A controller on an airframe with [motor_count] motors. *)
   let control motor_count =
     let b = Buffer.create 512 in

@@ -19,12 +19,18 @@ let test_rng_seed_sensitivity () =
   done;
   Alcotest.(check bool) "different seeds differ" true !differs
 
+(* A generator is copied through its encoded state, as every checkpoint
+   copies one. *)
 let test_rng_copy_independent () =
   let a = Rng.create 3 in
-  let b = Rng.copy a in
+  ignore (Rng.bits64 a);
+  let b = Rng.of_bits (Rng.to_bits a) in
   let va = Rng.bits64 a in
   let vb = Rng.bits64 b in
-  Alcotest.(check int64) "copy continues identically" va vb
+  Alcotest.(check int64) "copy continues identically" va vb;
+  ignore (Rng.bits64 a);
+  Alcotest.(check bool) "copy evolves independently" true
+    (Rng.bits64 a <> Rng.bits64 b)
 
 let test_rng_split_independent () =
   let a = Rng.create 5 in
