@@ -39,6 +39,7 @@ type progress = {
   store_hits : int;
   store_misses : int;
   store_bytes : int;
+  profile_source : Avis_util.Metrics.profile_source;
 }
 
 type result = {
@@ -48,6 +49,7 @@ type result = {
   inferences : int;
   wall_clock_spent_s : float;
   profile : Monitor.profile;
+  profile_source : Avis_util.Metrics.profile_source;
   cache_stats : Prefix_cache.stats option;
   minor_words : float;
   major_collections : int;
@@ -189,11 +191,86 @@ let execute_run config ~seed ~scenario =
   let passed = Workload.execute config.workload sim in
   Sim.outcome sim ~workload_passed:passed
 
-let profile_and_context config =
+(* The profile's identity in the checkpoint store, to which the store
+   adds the code fingerprint: the profiling simulator config (run [i]
+   flies seed [seed + i]), the workload and the number of runs. The config
+   is destructured exhaustively, as in [journal_identity] below, so a
+   field added to [config] does not compile until it is keyed here or
+   bound to [_] with a reason. *)
+let profile_identity (config : config) =
+  let[@warning "+9"] {
+    (* Keyed through the profiling simulator config encoded first. *)
+    policy = _;
+    enabled_bugs = _;
+    link_jitter_steps = _;
+    workload;
+    seed;
+    profiling_runs;
+    (* Profiling runs fly before the search and charge no budget. *)
+    budget_s = _;
+    speedup = _;
+    (* Profiling runs are flown cold with the cache on or off. *)
+    prefix_cache = _;
+  } =
+    config
+  in
+  let b = Buffer.create 256 in
+  Sim.encode_config b (sim_cfg_of config ~seed);
+  Buffer.add_char b '\x00';
+  Buffer.add_string b workload.Workload.name;
+  Buffer.add_char b '\x00';
+  Buffer.add_int64_le b (Int64.of_int profiling_runs);
+  Buffer.contents b
+
+(* Process-lifetime counts of profiles the store served or could not
+   serve, kept apart from the prefix cache's checkpoint counts. *)
+let profile_hits_total = Atomic.make 0
+let profile_misses_total = Atomic.make 0
+
+let count_profile counter name =
+  Atomic.incr counter;
+  Avis_util.Trace.counter name (float_of_int (Atomic.get counter))
+
+let encode_profiling =
+  Avis_util.Codec.to_string (fun b -> Avis_util.Codec.w_list b Sim.encode_outcome)
+
+(* The stored profiling outcomes, when the file is there and decodes to
+   the keyed number of runs. A file that passed the store's checksum but
+   does not decode is a miss like a missing one, and the flown outcomes
+   replace it. *)
+let stored_profiling store ~key (config : config) =
+  let served =
+    Avis_util.Trace.span ~cat:"cache" "store.profile" @@ fun () ->
+    Option.bind (Checkpoint_store.find_profile store ~key) (fun payload ->
+        match
+          Avis_util.Codec.of_string
+            (fun r -> Avis_util.Codec.r_list r Sim.decode_outcome)
+            payload
+        with
+        | outcomes when List.length outcomes = config.profiling_runs ->
+          Some outcomes
+        | _ | (exception Avis_util.Codec.Corrupt _) -> None)
+  in
+  (match served with
+  | Some _ -> count_profile profile_hits_total "store.profile_hits"
+  | None -> count_profile profile_misses_total "store.profile_misses");
+  served
+
+(* Served or flown, the outcomes take one path: the clean-completion
+   check, [build_profile], and the search context of the first run. Flown
+   outcomes go to the store only once they pass the check. *)
+let profile_and_context ?store config =
   Avis_util.Trace.span ~cat:"campaign" "campaign.profile" @@ fun () ->
+  let key = profile_identity config in
+  let served =
+    Option.bind store (fun store -> stored_profiling store ~key config)
+  in
   let outcomes =
-    List.init config.profiling_runs (fun i ->
-        execute_run config ~seed:(config.seed + i) ~scenario:Scenario.empty)
+    match served with
+    | Some outcomes -> outcomes
+    | None ->
+      List.init config.profiling_runs (fun i ->
+          execute_run config ~seed:(config.seed + i) ~scenario:Scenario.empty)
   in
   List.iteri
     (fun i o ->
@@ -203,6 +280,11 @@ let profile_and_context config =
              "profiling run %d of %s on %s did not complete cleanly" i
              config.workload.Workload.name config.policy.Policy.name))
     outcomes;
+  (match (store, served) with
+  | Some store, None ->
+    Avis_util.Trace.span ~cat:"cache" "store.profile" @@ fun () ->
+    Checkpoint_store.put_profile store ~key ~payload:(encode_profiling outcomes)
+  | Some _, Some _ | None, _ -> ());
   let profile = Monitor.build_profile outcomes in
   let first = List.hd outcomes in
   let rng = Avis_util.Rng.create (config.seed * 7919) in
@@ -210,7 +292,23 @@ let profile_and_context config =
     Search.context_of_outcome ~rng
       ~suite_complement:Avis_sensors.Suite.iris_complement first
   in
-  (profile, ctx, first)
+  let source =
+    match served with
+    | Some _ -> Avis_util.Metrics.Profile_store
+    | None -> Avis_util.Metrics.Profile_run
+  in
+  (profile, ctx, first, source)
+
+(* The cell's checkpoint store, under [AVIS_STORE_DIR] when that is set:
+   opened once, before profiling, for the profile and the prefix cache
+   alike. A cell without the prefix cache has no store. *)
+let open_store (config : config) =
+  match Sys.getenv_opt "AVIS_STORE_DIR" with
+  | Some dir when dir <> "" && config.prefix_cache ->
+    Some
+      ( Avis_util.Trace.span ~cat:"cache" "store.open" @@ fun () ->
+        Checkpoint_store.create ~dir () )
+  | Some _ | None -> None
 
 (* Canonical identity of one campaign cell, the config half of its
    journal key: the exact test-run simulator configuration (policy, bugs,
@@ -328,7 +426,10 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
   let gc_majors () =
     (Gc.quick_stat ()).Gc.major_collections - gc0.Gc.major_collections
   in
-  let profile, ctx, _first = profile_and_context config in
+  let store = open_store config in
+  let profile, ctx, _first, profile_source =
+    profile_and_context ?store config
+  in
   let searcher = strategy ctx in
   let budget = Budget.create ~speedup:config.speedup ~total_s:config.budget_s () in
   let findings = ref [] in
@@ -350,7 +451,7 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
         @ List.filter (fun t -> t < dur) grid
       in
       Some
-        (Prefix_cache.create ~workload:config.workload
+        (Prefix_cache.create ?store ~workload:config.workload
            ~config:(sim_cfg_of config ~seed:test_seed)
            ~checkpoint_times ())
   in
@@ -380,6 +481,7 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
         store_hits;
         store_misses;
         store_bytes;
+        profile_source;
       }
   in
   while (not !stopped) && (not (Budget.exhausted budget)) && not (interrupted ()) do
@@ -442,6 +544,7 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
       inferences = Budget.inferences_run budget;
       wall_clock_spent_s = Budget.spent_s budget;
       profile;
+      profile_source;
       cache_stats = Option.map Prefix_cache.stats cache;
       minor_words = gc_minor_words ();
       major_collections = gc_majors ();
@@ -509,6 +612,7 @@ let snapshot_of_progress config ~approach ~wall_s (p : progress) =
     store_hits = p.store_hits;
     store_misses = p.store_misses;
     store_bytes = p.store_bytes;
+    profile = p.profile_source;
   }
 
 let snapshot (config : config) ~approach ~wall_s outcome =
@@ -517,7 +621,7 @@ let snapshot (config : config) ~approach ~wall_s outcome =
       simulations = 0; inferences = 0; spent_s = 0.0;
       budget_s = config.budget_s; findings = 0; minor_words = 0.0;
       major_collections = 0; store_hits = 0; store_misses = 0;
-      store_bytes = 0;
+      store_bytes = 0; profile_source = Avis_util.Metrics.No_profile;
     }
   in
   snapshot_of_progress config ~approach ~wall_s
@@ -539,6 +643,7 @@ let snapshot (config : config) ~approach ~wall_s outcome =
         store_hits;
         store_misses;
         store_bytes;
+        profile_source = r.profile_source;
       }
     | Memo m ->
       (* Nothing ran: no GC or store activity to report. *)

@@ -46,9 +46,12 @@ type progress = {
   store_misses : int;
       (** Store consultations that fell through to a cold run. *)
   store_bytes : int;
-      (** Checkpoint bytes under the store directory as the cell's store
-          counts them ({!Checkpoint_store.bytes}): files other writers
-          added since its last scan are not included. *)
+      (** Checkpoint and profile bytes under the store directory as the
+          cell's store counts them ({!Checkpoint_store.bytes}): files other
+          writers added since its last scan are not included. *)
+  profile_source : Avis_util.Metrics.profile_source;
+      (** Whether the profiling outcomes were flown or served by the
+          store; never [No_profile] for a running cell. *)
 }
 (** A snapshot of the search loop's counters, handed to the [progress]
     callback of {!run} after every simulated scenario. The GC fields are
@@ -62,6 +65,9 @@ type result = {
   inferences : int;
   wall_clock_spent_s : float;
   profile : Monitor.profile;
+  profile_source : Avis_util.Metrics.profile_source;
+      (** [Profile_store] when the cell's store served the profiling
+          outcomes, else [Profile_run]. *)
   cache_stats : Prefix_cache.stats option;
       (** Prefix-cache counters for this campaign's test runs; [None] when
           the cache was disabled. *)
@@ -77,10 +83,15 @@ val execute_run :
     through here. *)
 
 val profile_and_context :
-  config -> Monitor.profile * Search.context * Avis_sitl.Sim.outcome
+  ?store:Checkpoint_store.t -> config ->
+  Monitor.profile * Search.context * Avis_sitl.Sim.outcome
+  * Avis_util.Metrics.profile_source
 (** Run the profiling phase only; also returns the first profiling run's
-    outcome (the one the search context is built from). Raises [Failure]
-    if a profiling run does not complete cleanly. *)
+    outcome (the one the search context is built from) and where the
+    outcomes came from. With [store], the outcomes are taken from it when
+    it holds them under this configuration's profile key, and written to
+    it once flown otherwise. Raises [Failure] if a profiling run does not
+    complete cleanly. *)
 
 val run :
   ?stop_when:(finding -> bool) -> ?progress:(progress -> unit) ->
@@ -91,9 +102,15 @@ val run :
     [progress] is invoked after every simulated scenario and once more on
     completion; campaign runners use it to emit live metrics. With
     [config.prefix_cache] set, test runs go through a fresh
-    {!Prefix_cache} backed by the [AVIS_STORE_DIR] checkpoint store when
-    that variable is set, which is how a rerun in a later process reuses
-    an earlier campaign's checkpoints. The campaign never spends past
+    {!Prefix_cache}. When [AVIS_STORE_DIR] is set as well, the cell opens
+    the {!Checkpoint_store} there once, before profiling: the profiling
+    outcomes are served from it when an earlier process of the same
+    binary profiled the same configuration (and written to it once they
+    are flown and checked otherwise), and the prefix cache is backed by
+    it, which is how a rerun in a later process reuses an earlier
+    campaign's profile and checkpoints. Served or flown, the outcomes
+    build the same profile and search context, bit for bit. The campaign
+    never spends past
     [budget_s]: affordability is checked against the simulator's duration
     cap before each run, and the ledger saturates at the budget.
 

@@ -1,40 +1,139 @@
 type t = {
   dir : string;
   fingerprint : string;
-  config_key : string;
   budget_bytes : int;
   mutable evictions : int;
   mutable bytes : int;
       (** Directory size at the last scan, plus this instance's own writes
           and minus its own deletions since. *)
-  mutable tmp_counter : int;
+  checkpoints : (string, (float * int) list) Hashtbl.t;
+      (** Key hash -> (capture time, file size), in no order. *)
+  profiles : (string, int) Hashtbl.t;  (** Key hash -> file size. *)
 }
 
-let suffix = ".ckpt"
+let checkpoint_suffix = ".ckpt"
+let profile_suffix = ".prof"
+
+(* Digesting the executable costs about 2 ms per MB, so it is done once
+   per process: every store and journal a process opens runs its code.
+   Domains that race here compute the same value. *)
+let fingerprint_memo = Atomic.make None
 
 let default_fingerprint () =
-  match Digest.file Sys.executable_name with
-  | d -> Digest.to_hex d
-  | exception _ -> "unknown"
+  match Atomic.get fingerprint_memo with
+  | Some f -> f
+  | None ->
+    let f =
+      match Digest.file Sys.executable_name with
+      | d -> Digest.to_hex d
+      | exception _ -> "unknown"
+    in
+    Atomic.set fingerprint_memo (Some f);
+    f
 
-let is_checkpoint name = Filename.check_suffix name suffix
+(* The content address: the code fingerprint and everything that must be
+   bit-identical for a stored file to be sound. The null separator keeps
+   distinct pairs from colliding by concatenation. *)
+let key_hash t ~key = Digest.to_hex (Digest.string (t.fingerprint ^ "\x00" ^ key))
 
-let scan_bytes t =
-  let total = ref 0 in
+let checkpoint_name hash time =
+  Printf.sprintf "%s-%016Lx%s" hash (Int64.bits_of_float time) checkpoint_suffix
+
+let profile_name hash = hash ^ profile_suffix
+
+type file = Checkpoint of string * float | Profile of string
+
+let is_hex = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false
+
+let all_hex s ~pos ~len =
+  let rec go i = i >= pos + len || (is_hex s.[i] && go (i + 1)) in
+  go pos
+
+(* The inverse of [checkpoint_name] and [profile_name]. The time must be
+   exactly 16 hex digits: [Int64.of_string] would also accept underscores
+   and sign characters a well-formed name never has, and any 16-digit
+   value fits an [Int64] bit pattern. *)
+let parse_name name =
+  let hash_len = 32 in
+  let n = String.length name in
+  if
+    n = hash_len + 1 + 16 + String.length checkpoint_suffix
+    && Filename.check_suffix name checkpoint_suffix
+    && name.[hash_len] = '-'
+    && all_hex name ~pos:0 ~len:hash_len
+    && all_hex name ~pos:(hash_len + 1) ~len:16
+  then
+    Some
+      (Checkpoint
+         ( String.sub name 0 hash_len,
+           Int64.float_of_bits
+             (Int64.of_string ("0x" ^ String.sub name (hash_len + 1) 16)) ))
+  else if
+    n = hash_len + String.length profile_suffix
+    && Filename.check_suffix name profile_suffix
+    && all_hex name ~pos:0 ~len:hash_len
+  then Some (Profile (String.sub name 0 hash_len))
+  else None
+
+let is_store_file name =
+  Filename.check_suffix name checkpoint_suffix
+  || Filename.check_suffix name profile_suffix
+
+let index_add t name size =
+  match parse_name name with
+  | Some (Checkpoint (hash, time)) when time >= 0.0 ->
+    (* Only a non-negative time can be served ([time >= 0.0] is false for
+       NaN too). *)
+    let existing =
+      Option.value ~default:[] (Hashtbl.find_opt t.checkpoints hash)
+    in
+    Hashtbl.replace t.checkpoints hash ((time, size) :: existing)
+  | Some (Profile hash) -> Hashtbl.replace t.profiles hash size
+  | Some (Checkpoint _) | None -> ()
+
+(* Drop a file this instance no longer has on disk: out of the index, and
+   its size out of [bytes]. The file may be another writer's, written
+   after the last scan, so the count is clamped rather than allowed below
+   zero. *)
+let forget t name size =
+  t.bytes <- Int.max 0 (t.bytes - size);
+  match parse_name name with
+  | Some (Checkpoint (hash, time)) -> (
+    match Hashtbl.find_opt t.checkpoints hash with
+    | None -> ()
+    | Some entries -> (
+      match List.filter (fun (t', _) -> t' <> time) entries with
+      | [] -> Hashtbl.remove t.checkpoints hash
+      | rest -> Hashtbl.replace t.checkpoints hash rest))
+  | Some (Profile hash) -> Hashtbl.remove t.profiles hash
+  | None -> ()
+
+(* The one directory listing: every store file is stat'ed once, and
+   [bytes] and the index are rebuilt from what is found. Returns the files
+   as (mtime, name, size) for eviction. Other processes may be adding or
+   deleting concurrently; a file that vanishes between the listing and
+   its stat is simply not found. *)
+let scan t =
+  Hashtbl.reset t.checkpoints;
+  Hashtbl.reset t.profiles;
+  let files = ref [] and total = ref 0 in
   (try
      Array.iter
        (fun name ->
-         if is_checkpoint name then
-           try
-             total :=
-               !total + (Unix.stat (Filename.concat t.dir name)).Unix.st_size
-           with _ -> ())
+         if is_store_file name then
+           match Unix.stat (Filename.concat t.dir name) with
+           | st ->
+             let size = st.Unix.st_size in
+             total := !total + size;
+             files := (st.Unix.st_mtime, name, size) :: !files;
+             index_add t name size
+           | exception _ -> ())
        (Sys.readdir t.dir)
    with _ -> ());
   t.bytes <- !total;
-  !total
+  !files
 
-let create ?fingerprint ?store_mb ~dir ~config_key () =
+let create ?fingerprint ?store_mb ~dir () =
   (try
      if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
    with _ -> ());
@@ -45,7 +144,6 @@ let create ?fingerprint ?store_mb ~dir ~config_key () =
     {
       dir;
       fingerprint;
-      config_key;
       (* A typo'd AVIS_STORE_MB must not silently disable (or unbound)
          the store. *)
       budget_bytes =
@@ -53,23 +151,12 @@ let create ?fingerprint ?store_mb ~dir ~config_key () =
           ~var:"AVIS_STORE_MB" ~default_mb:1024 ();
       evictions = 0;
       bytes = 0;
-      tmp_counter = 0;
+      checkpoints = Hashtbl.create 256;
+      profiles = Hashtbl.create 8;
     }
   in
-  ignore (scan_bytes t);
+  ignore (scan t : (float * string * int) list);
   t
-
-(* The content address: everything that must be bit-identical for a stored
-   snapshot to be sound. The null separators keep distinct triples from
-   colliding by concatenation. *)
-let key_hash t ~fault_key =
-  Digest.to_hex
-    (Digest.string
-       (String.concat "\x00" [ t.fingerprint; t.config_key; fault_key ]))
-
-let file_name t ~fault_key ~time =
-  Printf.sprintf "%s-%016Lx%s" (key_hash t ~fault_key)
-    (Int64.bits_of_float time) suffix
 
 (* File layout: magic, format version, MD5 of the payload, payload length,
    payload. The digest is over the payload only; magic/version/length
@@ -102,68 +189,58 @@ let unframe data =
       if Digest.string payload <> digest then None else Some payload
 
 (* Oldest-mtime-first deletion until the directory fits the budget, with
-   mtime ties broken by path: coarse filesystem timestamps (1 s mtime
-   granularity) routinely leave whole batches of checkpoints with equal
+   mtime ties broken by name: coarse filesystem timestamps (1 s mtime
+   granularity) routinely leave whole batches of files with equal
    mtimes, and sorting those by anything else (size, inode order) would
-   make the surviving set filesystem-dependent. Other processes may be
-   adding or deleting concurrently; every step tolerates files vanishing
-   underneath it. *)
+   make the surviving set filesystem-dependent. Every step tolerates
+   files vanishing underneath it. *)
 let evict_to_budget t =
-  if scan_bytes t > t.budget_bytes then begin
-    let entries = ref [] in
-    (try
-       Array.iter
-         (fun name ->
-           if is_checkpoint name then
-             let path = Filename.concat t.dir name in
-             try
-               let st = Unix.stat path in
-               entries :=
-                 (st.Unix.st_mtime, path, st.Unix.st_size) :: !entries
-             with _ -> ())
-         (Sys.readdir t.dir)
-     with _ -> ());
-    let by_age = List.sort compare !entries in
+  let files = scan t in
+  if t.bytes > t.budget_bytes then begin
     let excess = ref (t.bytes - t.budget_bytes) in
     List.iter
-      (fun (_, path, size) ->
-        if !excess > 0 then begin
-          (try
-             Sys.remove path;
-             excess := !excess - size;
-             t.bytes <- t.bytes - size;
-             t.evictions <- t.evictions + 1
-           with _ -> ())
-        end)
-      by_age
+      (fun (_, name, size) ->
+        if !excess > 0 then
+          try
+            Sys.remove (Filename.concat t.dir name);
+            excess := !excess - size;
+            forget t name size;
+            t.evictions <- t.evictions + 1
+          with _ -> ())
+      (List.sort compare files)
   end
 
-let put t ~fault_key ~time ~payload =
-  try
-    let target = Filename.concat t.dir (file_name t ~fault_key ~time) in
-    if not (Sys.file_exists target) then begin
-      let framed = frame_payload (Lazy.force payload) in
-      t.tmp_counter <- t.tmp_counter + 1;
-      let tmp =
-        Filename.concat t.dir
-          (Printf.sprintf ".tmp-%d-%d" (Unix.getpid ()) t.tmp_counter)
-      in
-      let oc =
-        open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp
-      in
-      (try
-         output_string oc framed;
-         close_out oc;
-         (* Atomic on POSIX: a concurrent reader sees either no file or the
-            whole file, never a partial write. *)
-         Sys.rename tmp target
-       with e ->
-         (try close_out_noerr oc; Sys.remove tmp with _ -> ());
-         raise e);
-      t.bytes <- t.bytes + String.length framed;
-      if t.bytes > t.budget_bytes then evict_to_budget t
-    end
-  with _ -> ()
+(* Temp names are unique per process, across instances: two cells of one
+   process writing one directory from two domains must never share a temp
+   file, or one's complete, checksummed frame could be renamed under the
+   other's key. *)
+let tmp_counter = Atomic.make 0
+
+(* Write [payload] under [name] through a temp file and an atomic rename,
+   then count and index it. *)
+let write t ~name ~payload =
+  let framed = frame_payload payload in
+  let tmp =
+    Filename.concat t.dir
+      (Printf.sprintf ".tmp-%d-%d" (Unix.getpid ())
+         (Atomic.fetch_and_add tmp_counter 1))
+  in
+  let oc =
+    open_out_gen [ Open_wronly; Open_creat; Open_trunc; Open_binary ] 0o644 tmp
+  in
+  (try
+     output_string oc framed;
+     close_out oc;
+     (* Atomic on POSIX: a concurrent reader sees either no file or the
+        whole file, never a partial write. *)
+     Sys.rename tmp (Filename.concat t.dir name)
+   with e ->
+     (try close_out_noerr oc; Sys.remove tmp with _ -> ());
+     raise e);
+  let size = String.length framed in
+  t.bytes <- t.bytes + size;
+  index_add t name size;
+  if t.bytes > t.budget_bytes then evict_to_budget t
 
 let read_file path =
   try
@@ -173,63 +250,71 @@ let read_file path =
       (fun () -> Some (really_input_string ic (in_channel_length ic)))
   with _ -> None
 
-(* Candidates under [fault_key]: files whose name starts with the key hash,
-   their capture time decoded from the name. Newest first. *)
-let is_hex = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false
+(* The payload of an indexed file of [size] bytes. A file that cannot be
+   read (deleted behind this instance's back) is forgotten; a corrupt one
+   (truncated, bit-flipped, or foreign) is deleted as well, so neither is
+   tried again. *)
+let read t ~name ~size =
+  let path = Filename.concat t.dir name in
+  match read_file path with
+  | None ->
+    forget t name size;
+    None
+  | Some data -> (
+    match unframe data with
+    | Some payload ->
+      (* LRU touch: both timestamps to "now". *)
+      (try Unix.utimes path 0.0 0.0 with _ -> ());
+      Some payload
+    | None ->
+      (try Sys.remove path with _ -> ());
+      forget t name size;
+      None)
 
-let candidates t ~fault_key ~before =
-  let prefix = key_hash t ~fault_key ^ "-" in
-  let plen = String.length prefix in
-  let found = ref [] in
-  (try
-     Array.iter
-       (fun name ->
-         if
-           is_checkpoint name
-           && String.length name = plen + 16 + String.length suffix
-           && String.sub name 0 plen = prefix
-         then begin
-           let hex = String.sub name plen 16 in
-           (* Exactly 16 hex digits: [Int64.of_string] would also accept
-              underscores and sign characters a well-formed name never has.
-              The parse cannot overflow — any 16-digit value fits an
-              [Int64] bit pattern. *)
-           if String.for_all is_hex hex then
-             match Int64.of_string_opt ("0x" ^ hex) with
-             | Some bits ->
-               let time = Int64.float_of_bits bits in
-               if time < before && time >= 0.0 then
-                 found := (time, Filename.concat t.dir name) :: !found
-             | None -> ()
-         end)
-       (Sys.readdir t.dir)
-   with _ -> ());
-  List.sort (fun (a, _) (b, _) -> compare b a) !found
+let put t ~key ~time ~payload =
+  try
+    let hash = key_hash t ~key in
+    let indexed =
+      match Hashtbl.find_opt t.checkpoints hash with
+      | Some entries -> List.exists (fun (t', _) -> t' = time) entries
+      | None -> false
+    in
+    let name = checkpoint_name hash time in
+    if not (indexed || Sys.file_exists (Filename.concat t.dir name)) then
+      write t ~name ~payload:(Lazy.force payload)
+  with _ -> ()
 
-let lookup t ~fault_key ~before =
+let lookup t ~key ~before =
+  let hash = key_hash t ~key in
   let rec first = function
     | [] -> None
-    | (time, path) :: rest -> (
-      match read_file path with
-      | None -> first rest
-      | Some data -> (
-        match unframe data with
-        | Some payload ->
-          (* LRU touch: both timestamps to "now". *)
-          (try Unix.utimes path 0.0 0.0 with _ -> ());
-          Some (time, payload)
-        | None ->
-          (* Corrupt (truncated, bit-flipped, or foreign): delete so it is
-             never tried again, and keep looking at older candidates. The
-             file may be another writer's, written after the last scan, so
-             the count is clamped rather than allowed below zero. *)
-          (try
-             Sys.remove path;
-             t.bytes <- max 0 (t.bytes - String.length data)
-           with _ -> ());
-          first rest))
+    | (time, size) :: rest -> (
+      match read t ~name:(checkpoint_name hash time) ~size with
+      | Some payload -> Some (time, payload)
+      | None -> first rest)
   in
-  first (candidates t ~fault_key ~before)
+  (* The candidates latest first; [read] may edit the index, and [first]
+     walks the list as it was. *)
+  Option.value ~default:[] (Hashtbl.find_opt t.checkpoints hash)
+  |> List.filter (fun (time, _) -> time < before)
+  |> List.sort (fun (a, _) (b, _) -> Float.compare b a)
+  |> first
+
+let put_profile t ~key ~payload =
+  try
+    let hash = key_hash t ~key in
+    let name = profile_name hash in
+    (* A profile is written only after a miss; the file it replaces, if
+       any, did not decode. *)
+    Option.iter (forget t name) (Hashtbl.find_opt t.profiles hash);
+    write t ~name ~payload
+  with _ -> ()
+
+let find_profile t ~key =
+  let hash = key_hash t ~key in
+  match Hashtbl.find_opt t.profiles hash with
+  | None -> None
+  | Some size -> read t ~name:(profile_name hash) ~size
 
 let bytes t = t.bytes
 let evictions t = t.evictions

@@ -4,27 +4,44 @@
     die with the process. The store persists them to a directory shared
     across processes and runs: a campaign re-run with the same binary,
     configuration and seed forks from checkpoints written by an earlier
-    process instead of re-simulating its clean prefix.
+    process instead of re-simulating its clean prefix. The same directory
+    keeps each campaign's profiling outcomes, so the re-run skips
+    profiling too.
 
     {2 Key anatomy}
 
-    A checkpoint is addressed by the MD5 of
-    [(code fingerprint, canonical config bytes, canonical fault-set key)]
-    plus the capture time:
+    Every file is addressed by the MD5 of [(code fingerprint, key)]:
 
     - the {e code fingerprint} defaults to the digest of the running
-      executable, so checkpoints written by a different build are invisible
-      (stale-fingerprint entries are never served, only evicted);
-    - the {e config bytes} are {!Avis_sitl.Sim.encode_config} of the
-      campaign configuration (policy, bugs, seed, dt, faults profile,
-      environment, airframe) plus the workload identity;
-    - the {e fault-set key} is the prefix cache's canonical encoding of the
-      faults active at capture time (times by their IEEE-754 bits);
-    - the capture {e time} is the simulated time of the snapshot, encoded
-      in the filename by its bits.
+      executable, so files written by a different build are invisible
+      (stale-fingerprint files are never served, only evicted);
+    - the {e key} is the caller's canonical identity bytes.
+
+    A {e checkpoint} is [HASH-TIME.ckpt], where [TIME] is the simulated
+    time of the snapshot by its IEEE-754 bits. {!Prefix_cache} keys it by
+    {!Avis_sitl.Sim.encode_config} of the campaign's test-run
+    configuration (policy, bugs, seed, dt, environment, airframe), the
+    workload name, and the prefix cache's canonical encoding of the faults
+    active at capture time (times by their bits).
+
+    A {e profile} is [HASH.prof]: the outcomes of a campaign's fault-free
+    profiling runs. {!Campaign} keys it by [Sim.encode_config] of the
+    profiling configuration (the base seed in place of the test seed),
+    the workload name and the number of profiling runs.
 
     Runs agree on a key only when their histories are bit-identical, which
-    is exactly when serving the stored snapshot is sound.
+    is exactly when serving the stored bytes is sound.
+
+    {2 Index and visibility}
+
+    An instance lists the directory once when it is created, stats each
+    file, and keeps what it found as an index of key hash -> capture times
+    (and profiles by key hash). Lookups read that index, never the
+    directory; {!put}, {!put_profile}, corrupt-file deletions and
+    evictions update it. So an instance sees files that other writers
+    added only at its next scan (at {!create} and before each eviction). A
+    file deleted behind its back is a miss when it is looked up, and is
+    then dropped from the index.
 
     {2 Durability and corruption}
 
@@ -39,13 +56,14 @@
 
     The store is bounded by [store_mb] (default the [AVIS_STORE_MB]
     environment variable, else 1024 MiB). Each instance tracks the
-    directory's size itself: it scans the directory when it is created,
-    then counts its own writes and deletions. When a write takes that count
-    past the budget, the instance rescans the directory and deletes files
-    oldest-mtime-first until it fits — equal mtimes (coarse filesystem
-    timestamp granularity) are broken deterministically by path order, so
-    the surviving set does not depend on the filesystem; serving a
-    checkpoint touches its mtime, making the policy LRU across processes.
+    directory's size itself: the scan at creation measures it, then the
+    instance counts its own writes and deletions. When a write takes that
+    count past the budget, the instance rescans the directory and deletes
+    files, checkpoints and profiles alike, oldest-mtime-first until it
+    fits. Equal mtimes (coarse filesystem timestamp granularity) are
+    broken deterministically by name, so the surviving set does not
+    depend on the filesystem; serving a file touches its mtime, making the
+    policy LRU across processes.
 
     A single writer never leaves the directory over budget. When several
     instances write one directory, in one process or in many, each sees
@@ -53,35 +71,42 @@
     overshoot the budget by what the others wrote since.
 
     All I/O failures degrade to cache misses; the store never raises out of
-    [put]/[lookup]. *)
+    [put]/[lookup]/[put_profile]/[find_profile]. *)
 
 type t
 
-val create :
-  ?fingerprint:string -> ?store_mb:int -> dir:string -> config_key:string -> unit -> t
-(** Open (creating if needed) the store rooted at [dir]. [config_key] is
-    the canonical configuration identity shared by every checkpoint this
-    instance reads or writes. [fingerprint] overrides the code fingerprint
-    (the digest of the running executable by default) — tests use this to
-    simulate a rebuilt binary. [store_mb] bounds the directory size;
-    non-positive or malformed values (including from [AVIS_STORE_MB]) are
-    warned about and replaced by the 1024 MiB default. *)
+val create : ?fingerprint:string -> ?store_mb:int -> dir:string -> unit -> t
+(** Open (creating if needed) the store rooted at [dir], and scan it.
+    [fingerprint] overrides the code fingerprint (the digest of the
+    running executable by default) — tests use this to simulate a rebuilt
+    binary. [store_mb] bounds the directory size; non-positive or
+    malformed values (including from [AVIS_STORE_MB]) are warned about
+    and replaced by the 1024 MiB default. *)
 
-val put : t -> fault_key:string -> time:float -> payload:string Lazy.t -> unit
+val put : t -> key:string -> time:float -> payload:string Lazy.t -> unit
 (** Persist a checkpoint. The payload is not forced when a file for this
-    exact key and time already exists. Failures are silently ignored (the
-    in-memory cache is unaffected). *)
+    exact key and time is indexed or already exists. Failures are
+    silently ignored (the in-memory cache is unaffected). *)
 
-val lookup : t -> fault_key:string -> before:float -> (float * string) option
-(** The latest stored checkpoint under [fault_key] taken strictly before
+val lookup : t -> key:string -> before:float -> (float * string) option
+(** The latest indexed checkpoint under [key] taken strictly before
     [before], with its capture time. Corrupt candidates are deleted and
     skipped. Serving a file refreshes its mtime (LRU touch). *)
 
+val put_profile : t -> key:string -> payload:string -> unit
+(** Persist a profile, replacing any file under [key]. Failures are
+    silently ignored. *)
+
+val find_profile : t -> key:string -> string option
+(** The indexed profile under [key]. A corrupt file is deleted and is a
+    miss. Serving it refreshes its mtime. *)
+
 val bytes : t -> int
-(** Checkpoint bytes on disk under the store directory, as of this
-    instance's last scan (at [create] and before each eviction) plus the
-    files it has written and minus the files it has deleted since. Files
-    other instances wrote or deleted after that scan are not counted. *)
+(** Bytes of checkpoint and profile files under the store directory, as
+    of this instance's last scan (at [create] and before each eviction)
+    plus the files it has written and minus the files it has deleted or
+    found missing since. Files other instances wrote or deleted after
+    that scan are not counted. *)
 
 val evictions : t -> int
 (** Files deleted by this instance to stay in budget. *)

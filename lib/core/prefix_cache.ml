@@ -15,8 +15,12 @@ type t = {
   config : Sim.config;
   store : Checkpoint_store.t option;
       (** Persistent overflow/sharing tier: same keys as [entries], files on
-          disk, shared with other processes. [None] when no store directory
-          is configured. *)
+          disk, shared with other processes. [None] when the campaign has no
+          store. *)
+  store_key : string;
+      (** The configuration half of every store key: the canonical config
+          bytes plus the workload name — two campaigns whose runs could
+          ever diverge must never share a key. *)
   targets : float array;  (** Capture times, ascending. *)
   entries : (string, entry list) Hashtbl.t;
       (** Active-fault-prefix key -> checkpoints, latest first. *)
@@ -42,33 +46,17 @@ type stats = {
   store_bytes : int;
 }
 
-let create ?cache_mb ?store_dir ~workload ~config ~checkpoint_times () =
+let create ?cache_mb ?store ~workload ~config ~checkpoint_times () =
   let ts =
     List.sort_uniq compare (List.filter (fun t -> t > 0.0) checkpoint_times)
-  in
-  let store_dir =
-    match store_dir with
-    | Some _ -> store_dir
-    | None -> Sys.getenv_opt "AVIS_STORE_DIR"
-  in
-  let store =
-    match store_dir with
-    | Some dir when dir <> "" ->
-      Avis_util.Trace.span ~cat:"cache" "store.open" @@ fun () ->
-      (* The store's configuration identity: the canonical config bytes
-         plus the workload name — two campaigns whose runs could ever
-         diverge must never share a key. *)
-      let config_key =
-        Avis_util.Codec.to_string Sim.encode_config config
-        ^ "\x00" ^ workload.Workload.name
-      in
-      Some (Checkpoint_store.create ~dir ~config_key ())
-    | _ -> None
   in
   {
     workload;
     config;
     store;
+    store_key =
+      Avis_util.Codec.to_string Sim.encode_config config
+      ^ "\x00" ^ workload.Workload.name;
     targets = Array.of_list ts;
     entries = Hashtbl.create 64;
     hits = 0;
@@ -209,7 +197,7 @@ let capture (t : t) ~scenario sim st =
          is serialised at all. *)
       match t.store with
       | Some store ->
-        Checkpoint_store.put store ~fault_key:key ~time
+        Checkpoint_store.put store ~key:(t.store_key ^ "\x00" ^ key) ~time
           ~payload:(lazy (store_payload ~sim_snap ~stepper))
       | None -> ()
     end
@@ -266,7 +254,7 @@ let store_lookup (t : t) store ~scenario ~fork =
   let served =
     Avis_util.Trace.span ~cat:"cache" "store.lookup" @@ fun () ->
     let find ~key ~before =
-      Checkpoint_store.lookup store ~fault_key:key ~before
+      Checkpoint_store.lookup store ~key:(t.store_key ^ "\x00" ^ key) ~before
     in
     match best_prefix ~find scenario with
     | None -> None

@@ -29,7 +29,7 @@ type t
 
 val create :
   ?cache_mb:int ->
-  ?store_dir:string ->
+  ?store:Checkpoint_store.t ->
   workload:Workload.t ->
   config:Avis_sitl.Sim.config ->
   checkpoint_times:float list ->
@@ -45,9 +45,9 @@ val create :
     [AVIS_CACHE_MB] environment variable, else 1024 MiB (zero, negative
     and malformed values are warned about and replaced by the default).
     Each checkpoint is charged what it alone holds, with no heap walk: its
-    encoded simulator and stepper strings plus the trace tail its snapshot
-    copied ({!Avis_sitl.Sim.snapshot_bytes}). Frozen trace chunks, shared
-    by a run's checkpoints, are charged to none of them. When a capture
+    encoded simulator and stepper strings plus its trace snapshot's record
+    ({!Avis_sitl.Sim.snapshot_bytes}). Trace chunks, shared by a run and
+    its checkpoints, are charged to none of them. When a capture
     would push the resident set past the budget, whole
     checkpoints are evicted in global least-recently-used order (hits and
     captures both count as uses) until it fits; a lone checkpoint larger
@@ -55,20 +55,21 @@ val create :
     unconditionally. Eviction only costs future wall-clock (the evicted
     prefix re-simulates cold) — outcomes are unaffected.
 
-    [store_dir] (default the [AVIS_STORE_DIR] environment variable, else
-    no store) adds a persistent tier behind the in-memory one: a
-    {!Checkpoint_store} rooted there, keyed by the campaign's code
-    fingerprint, the canonical bytes of [config], the workload and the
-    fault history. Captures are written through as the entry's strings
-    plus the trace's bytes (lazily — nothing is written when the file
-    already exists), and a scenario that finds
+    [store] (none by default; {!Campaign.run} opens one from
+    [AVIS_STORE_DIR] before profiling and hands it here) adds a persistent
+    tier behind the in-memory one, keyed by the store's code fingerprint,
+    the canonical bytes of [config], the workload and the fault history.
+    Captures are written through as the entry's strings plus the trace's
+    bytes (lazily — nothing is written when the store has the file
+    indexed or on disk), and a scenario that finds
     no checkpoint in memory looks in the store before running cold. The
     store lookup scans the same fault prefixes, so a fresh process forks
     even its first scenario from the best stored clean or faulty-prefix
     checkpoint. Stored checkpoints are served only on bit-exact key
     matches, so outcomes remain bit-identical to cold runs, across
-    processes. The [AVIS_STORE_MB] environment variable bounds the store
-    directory (default 1024 MiB). *)
+    processes. Lookups answer from the index the store built when it was
+    opened, so a store lookup reads files but never lists the
+    directory. *)
 
 val execute : t -> scenario:Scenario.t -> Avis_sitl.Sim.outcome
 (** Run one scenario, forking from the best applicable checkpoint — clean

@@ -195,14 +195,14 @@ let store_rw ?dir () =
         @@ fun () ->
         let store =
           Checkpoint_store.create ~fingerprint:"selftest-fp" ~store_mb:8
-            ~dir:d ~config_key:"selftest-cfg" ()
+            ~dir:d ()
         in
         let payload =
           String.init 4096 (fun i -> Char.chr (((i * 131) + 7) land 0xff))
         in
-        Checkpoint_store.put store ~fault_key:"fk" ~time:1.5
+        Checkpoint_store.put store ~key:"fk" ~time:1.5
           ~payload:(lazy payload);
-        match Checkpoint_store.lookup store ~fault_key:"fk" ~before:2.0 with
+        match Checkpoint_store.lookup store ~key:"fk" ~before:2.0 with
         | None ->
           Error
             (Printf.sprintf
@@ -214,9 +214,9 @@ let store_rw ?dir () =
         | Some _ -> (
           let other =
             Checkpoint_store.create ~fingerprint:"other-fp" ~store_mb:8
-              ~dir:d ~config_key:"selftest-cfg" ()
+              ~dir:d ()
           in
-          match Checkpoint_store.lookup other ~fault_key:"fk" ~before:2.0 with
+          match Checkpoint_store.lookup other ~key:"fk" ~before:2.0 with
           | Some _ -> Error "a checkpoint keyed by another binary was served"
           | None -> (
             let files =
@@ -238,7 +238,7 @@ let store_rw ?dir () =
               output_bytes oc b;
               close_out oc;
               match
-                Checkpoint_store.lookup store ~fault_key:"fk" ~before:2.0
+                Checkpoint_store.lookup store ~key:"fk" ~before:2.0
               with
               | Some _ -> Error "a corrupted checkpoint file was served"
               | None ->

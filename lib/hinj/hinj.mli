@@ -22,6 +22,13 @@ type decision = Healthy | Failed
 
 type transition = { time : float; from_mode : string; to_mode : string }
 
+val encode_transition : Buffer.t -> transition -> unit
+(** One transition, its time by bit pattern. *)
+
+val decode_transition : Avis_util.Codec.reader -> transition
+(** Inverse of {!encode_transition}. Raises [Avis_util.Codec.Corrupt] on
+    truncated input. *)
+
 type t
 
 val create : ?plan:plan -> unit -> t

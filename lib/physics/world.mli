@@ -46,6 +46,13 @@ val decode : Avis_util.Codec.reader -> t
     including a numeric state whose length disagrees with the airframe's
     motor count. *)
 
+val encode_contact : Buffer.t -> contact_event -> unit
+(** One contact event, its speed by bit pattern. *)
+
+val decode_contact : Avis_util.Codec.reader -> contact_event
+(** Inverse of {!encode_contact}. Raises [Avis_util.Codec.Corrupt] on an
+    unknown tag or truncated input. *)
+
 val airframe : t -> Airframe.t
 val environment : t -> Environment.t
 val body : t -> Rigid_body.t

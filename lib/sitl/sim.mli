@@ -50,9 +50,10 @@ type snapshot
 val snapshot : t -> snapshot
 
 val snapshot_bytes : snapshot -> int
-(** The bytes the snapshot alone holds: its encoded string plus the trace
-    tail it copied ({!Trace.snapshot_bytes}). Frozen trace chunks, shared
-    with the run and its other snapshots, are not counted. *)
+(** The bytes the snapshot alone holds: its encoded string plus the
+    trace's record and chunk pointers ({!Trace.snapshot_bytes}). Trace
+    chunks, shared with the run and its other snapshots, are not
+    counted. *)
 
 val restore :
   ?plan:Avis_hinj.Hinj.plan ->
@@ -127,3 +128,13 @@ val decode_snapshot : config:config -> Avis_util.Codec.reader -> snapshot
 (** Inverse of {!encode_snapshot}, for a run of [config] (which the bytes
     do not carry). Raises [Avis_util.Codec.Corrupt] on malformed trace
     bytes; the encoded layers are decoded, and checked, by {!restore}. *)
+
+val encode_outcome : Buffer.t -> outcome -> unit
+(** Every field of an outcome: the trace through {!Trace.encode_snapshot},
+    the crash, transitions and triggered bugs through their layers'
+    codecs. A decoded outcome judges, profiles and seeds a search exactly
+    as the original does. *)
+
+val decode_outcome : Avis_util.Codec.reader -> outcome
+(** Inverse of {!encode_outcome}. Raises [Avis_util.Codec.Corrupt] on
+    malformed input. *)

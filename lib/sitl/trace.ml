@@ -40,17 +40,19 @@ let fresh_chunk () =
     c_mode = Array.make chunk_cap "";
   }
 
-let copy_chunk c =
-  {
-    c_time = Array.copy c.c_time;
-    c_px = Array.copy c.c_px;
-    c_py = Array.copy c.c_py;
-    c_pz = Array.copy c.c_pz;
-    c_ax = Array.copy c.c_ax;
-    c_ay = Array.copy c.c_ay;
-    c_az = Array.copy c.c_az;
-    c_mode = Array.copy c.c_mode;
-  }
+(* A fresh chunk holding the first [n] samples of [c]. *)
+let prefix_chunk c n =
+  let f = fresh_chunk () in
+  let blit src dst = Array.blit src 0 dst 0 n in
+  blit c.c_time f.c_time;
+  blit c.c_px f.c_px;
+  blit c.c_py f.c_py;
+  blit c.c_pz f.c_pz;
+  blit c.c_ax f.c_ax;
+  blit c.c_ay f.c_ay;
+  blit c.c_az f.c_az;
+  blit c.c_mode f.c_mode;
+  f
 
 type t = {
   period : float;
@@ -67,35 +69,33 @@ let period t = t.period
 
 type snapshot = t
 
-(* The derived sample array is not carried over: it is rebuilt on demand,
-   and a snapshot should hold nothing it does not own or share. *)
-let copy t =
-  let chunks = Array.copy t.chunks in
-  (* Full chunks are frozen and shared; only the chunk still being appended
-     to must be detached so the two sides' future writes don't alias. *)
-  if t.len land chunk_mask <> 0 then begin
-    let tail = t.len lsr chunk_bits in
-    chunks.(tail) <- copy_chunk chunks.(tail)
-  end;
-  { period = t.period; chunks; len = t.len; sched = Array.copy t.sched;
-    cache = None }
+(* A snapshot shares every chunk with the live trace, the partial tail
+   too: it reads only its first [len] samples, and the live run only
+   writes past them (each slot is written once, at increasing indices).
+   The derived sample array is not carried over: it is rebuilt on
+   demand, and a snapshot should hold nothing it does not own or share. *)
+let snapshot t =
+  { period = t.period; chunks = Array.copy t.chunks; len = t.len;
+    sched = Array.copy t.sched; cache = None }
 
-let snapshot = copy
-let restore = copy
+(* A restored trace records on, so it detaches the partial tail: the
+   filled prefix moves into a fresh chunk, and the run it came from (or a
+   sibling restore) can write its own samples past [len] undisturbed. *)
+let restore s =
+  let chunks = Array.copy s.chunks in
+  let fill = s.len land chunk_mask in
+  if fill <> 0 then begin
+    let tail = s.len lsr chunk_bits in
+    chunks.(tail) <- prefix_chunk chunks.(tail) fill
+  end;
+  { period = s.period; chunks; len = s.len; sched = Array.copy s.sched;
+    cache = None }
 
 let word = Sys.word_size / 8
 
-(* Heap bytes of one chunk: seven float columns and the mode column, each
-   with its header word, and the record itself. *)
-let chunk_bytes =
-  (7 * (word + (8 * chunk_cap))) + (word * (1 + chunk_cap)) + (word * 9)
-
 (* What a snapshot alone holds: its record, schedule cell and chunk-pointer
-   array, and the detached tail chunk when the tail is partial. The frozen
-   chunks belong to no snapshot in particular. *)
-let snapshot_bytes s =
-  let tail = if s.len land chunk_mask <> 0 then chunk_bytes else 0 in
-  tail + (word * (6 + 2 + 1 + Array.length s.chunks))
+   array. Every chunk, the partial tail included, is shared with the run. *)
+let snapshot_bytes s = word * (6 + 2 + 1 + Array.length s.chunks)
 
 (* Appending a chunk copies the (tiny) chunk-pointer array; it happens once
    per [chunk_cap] samples. *)

@@ -27,18 +27,24 @@ val create : ?period:float -> unit -> t
 val period : t -> float
 
 type snapshot
-(** The recorded series and sampling schedule, frozen. Full chunks are
-    shared with the live trace; the partial tail chunk is detached. This is
-    the one layer that is not frozen through its codec: sharing the frozen
-    chunks keeps every checkpoint of a run from copying its whole past. *)
+(** The recorded series and sampling schedule, frozen. Every chunk, the
+    partial tail included, is shared with the live trace: the snapshot
+    reads only the samples recorded before it, and the live run only
+    writes after them. This is the one layer that is not frozen through
+    its codec: sharing the chunks keeps every checkpoint of a run from
+    copying its past. *)
 
 val snapshot : t -> snapshot
+
 val restore : snapshot -> t
+(** An independent trace that records on from the snapshot. The partial
+    tail's filled prefix is copied into a fresh chunk (a chunk is 256
+    samples, about 16 KB), so the restored trace and the run the snapshot
+    came from never write into one chunk. *)
 
 val snapshot_bytes : snapshot -> int
-(** Heap bytes the snapshot alone holds: the detached tail chunk (a
-    chunk is 256 samples, about 16 KB) and the chunk-pointer array. Shared
-    frozen chunks are not counted. *)
+(** Heap bytes the snapshot alone holds: its record and chunk-pointer
+    array. The chunks are shared and not counted. *)
 
 val record :
   t -> steps:int -> dt:float -> Avis_physics.World.t -> mode:string -> unit

@@ -1,3 +1,10 @@
+type profile_source = Profile_run | Profile_store | No_profile
+
+let profile_label = function
+  | Profile_run -> "run"
+  | Profile_store -> "store"
+  | No_profile -> "-"
+
 type snapshot = {
   cell : string;
   simulations : int;
@@ -11,6 +18,7 @@ type snapshot = {
   store_hits : int;
   store_misses : int;
   store_bytes : int;
+  profile : profile_source;
 }
 
 let now_s () = Int64.to_float (Monotonic_clock.now ()) /. 1e9
@@ -65,13 +73,14 @@ let prefix = "[avis]"
 let line ?(tags = []) ~event s =
   let base =
     Printf.sprintf
-      "%s event=%s cell=%s sims=%d infs=%d spent_s=%.1f budget_s=%.1f findings=%d wall_s=%.1f minor_mw=%.2f majors=%d store_h=%d store_m=%d store_b=%d"
+      "%s event=%s cell=%s sims=%d infs=%d spent_s=%.1f budget_s=%.1f findings=%d wall_s=%.1f minor_mw=%.2f majors=%d store_h=%d store_m=%d store_b=%d prof=%s"
       prefix
       (escape_value event)
       (escape_value s.cell)
       s.simulations s.inferences s.spent_s s.budget_s s.findings s.wall_s
       (s.minor_words /. 1e6)
       s.major_collections s.store_hits s.store_misses s.store_bytes
+      (profile_label s.profile)
   in
   List.fold_left
     (fun acc (k, v) ->
@@ -141,9 +150,20 @@ let parse_line text =
   let* store_hits = int_field "store_h" in
   let* store_misses = int_field "store_m" in
   let* store_bytes = int_field "store_b" in
+  let* profile =
+    let* v = field "prof" in
+    match
+      List.find_opt
+        (fun p -> profile_label p = v)
+        [ Profile_run; Profile_store; No_profile ]
+    with
+    | Some p -> Ok p
+    | None -> Error (Printf.sprintf "field prof=%S is not run, store or -" v)
+  in
   let known =
     [ "event"; "cell"; "sims"; "infs"; "spent_s"; "budget_s"; "findings";
-      "wall_s"; "minor_mw"; "majors"; "store_h"; "store_m"; "store_b" ]
+      "wall_s"; "minor_mw"; "majors"; "store_h"; "store_m"; "store_b";
+      "prof" ]
   in
   let tags = List.filter (fun (k, _) -> not (List.mem k known)) pairs in
   Ok
@@ -151,7 +171,7 @@ let parse_line text =
       {
         cell; simulations; inferences; spent_s; budget_s; findings; wall_s;
         minor_words = minor_mw *. 1e6; major_collections; store_hits;
-        store_misses; store_bytes;
+        store_misses; store_bytes; profile;
       },
       tags )
 
@@ -196,7 +216,7 @@ let total snapshots =
       cell = "TOTAL (wall = max)"; simulations = 0; inferences = 0;
       spent_s = 0.0; budget_s = 0.0; findings = 0; wall_s = 0.0;
       minor_words = 0.0; major_collections = 0; store_hits = 0;
-      store_misses = 0; store_bytes = 0;
+      store_misses = 0; store_bytes = 0; profile = No_profile;
     }
     snapshots
 

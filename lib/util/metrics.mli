@@ -5,7 +5,14 @@
     stderr that are emitted atomically (one [output_string] under a
     global mutex) and are grep-able by cell label:
 
-    {v [avis] event=progress cell=Avis/apm/auto-box sims=41 infs=0 spent_s=612.0 budget_s=7200.0 findings=3 wall_s=0.8 minor_mw=12.50 majors=2 store_h=0 store_m=0 store_b=0 v} *)
+    {v [avis] event=progress cell=Avis/apm/auto-box sims=41 infs=0 spent_s=612.0 budget_s=7200.0 findings=3 wall_s=0.8 minor_mw=12.50 majors=2 store_h=0 store_m=0 store_b=0 prof=run v} *)
+
+(** Where a cell's monitor profile came from, rendered as [prof=run],
+    [prof=store] or [prof=-]. *)
+type profile_source =
+  | Profile_run  (** The profiling runs were flown. *)
+  | Profile_store  (** The checkpoint store served the profiling outcomes. *)
+  | No_profile  (** The cell built none: a journal memo or a quarantine. *)
 
 type snapshot = {
   cell : string;
@@ -26,6 +33,9 @@ type snapshot = {
           store is configured. *)
   store_misses : int;  (** Store consultations that ran cold instead. *)
   store_bytes : int;  (** Bytes on disk under the store directory. *)
+  profile : profile_source;
+      (** Counted apart from [store_hits]/[store_misses], which count
+          checkpoint restores only. *)
 }
 
 val now_s : unit -> float
@@ -61,7 +71,8 @@ val total : snapshot list -> snapshot
 (** The summary's TOTAL row: sums simulations, inferences, spend, budget,
     findings and GC work, but takes the {e max} of [wall_s] — concurrent
     cells' elapsed times overlap rather than add, while their allocation
-    and collections are real per-domain work and do add. *)
+    and collections are real per-domain work and do add. Its [profile]
+    is [No_profile]. *)
 
 val summary_table : snapshot list -> Table.t
 (** The per-cell table, with a separator and {!total} row appended when

@@ -86,7 +86,7 @@ let bug_scenario (golden : Sim.outcome) bug =
 
 let profile_for policy workload =
   let config = Campaign.default_config policy workload in
-  let profile, _, first = Campaign.profile_and_context config in
+  let profile, _, first, _ = Campaign.profile_and_context config in
   (profile, first)
 
 let apm_profile = lazy (profile_for Policy.apm Workload.auto_box)
@@ -122,7 +122,7 @@ let test_bugs_detected () = List.iter check_bug_detected auto_box_bugs
 
 let test_manual_bug_4455 () =
   let config = Campaign.default_config Policy.apm Workload.manual_box in
-  let profile, _, golden = Campaign.profile_and_context config in
+  let profile, _, golden, _ = Campaign.profile_and_context config in
   let manual_entry = transition_time golden ~to_mode:"Manual" in
   let plan = fail_kind Sensor.Gps (manual_entry +. 4.0) in
   let o =
@@ -231,7 +231,7 @@ let test_replay_reproduces () =
 
 let test_monitor_flags_takeoff_failure_symptom () =
   let config = Campaign.default_config Policy.px4 Workload.auto_box in
-  let profile, _, golden = Campaign.profile_and_context config in
+  let profile, _, golden, _ = Campaign.profile_and_context config in
   let takeoff = transition_time golden ~to_mode:"Takeoff" in
   let o =
     run_workload ~enabled:[ Bug.Px4_17181 ] ~seed:1001

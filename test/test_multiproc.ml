@@ -136,21 +136,21 @@ let test_store_racing_writers () =
   let payload i = Printf.sprintf "payload-%04d-%s" i (String.make 256 'x') in
   let child () =
     let store =
-      Checkpoint_store.create ~fingerprint:"mp-test" ~dir ~config_key:"cfg" ()
+      Checkpoint_store.create ~fingerprint:"mp-test" ~dir ()
     in
     for i = 1 to times do
-      Checkpoint_store.put store ~fault_key:"shared" ~time:(float_of_int i)
+      Checkpoint_store.put store ~key:"shared" ~time:(float_of_int i)
         ~payload:(lazy (payload i))
     done
   in
   let pids = [ in_child child; in_child child ] in
   List.iter (wait_ok "store writer") pids;
   let store =
-    Checkpoint_store.create ~fingerprint:"mp-test" ~dir ~config_key:"cfg" ()
+    Checkpoint_store.create ~fingerprint:"mp-test" ~dir ()
   in
   for i = 1 to times do
     match
-      Checkpoint_store.lookup store ~fault_key:"shared"
+      Checkpoint_store.lookup store ~key:"shared"
         ~before:(float_of_int i +. 0.5)
     with
     | None -> Alcotest.failf "no checkpoint served before t=%d.5" i

@@ -81,13 +81,13 @@ let test_metrics_line_format () =
       Metrics.cell = "Avis/apm/auto-box"; simulations = 41; inferences = 7;
       spent_s = 612.04; budget_s = 7200.0; findings = 3; wall_s = 0.84;
       minor_words = 12_500_000.0; major_collections = 2; store_hits = 5;
-      store_misses = 1; store_bytes = 4096;
+      store_misses = 1; store_bytes = 4096; profile = Metrics.Profile_store;
     }
   in
   Alcotest.(check string) "grep-able key=value record"
     "[avis] event=progress cell=Avis/apm/auto-box sims=41 infs=7 \
      spent_s=612.0 budget_s=7200.0 findings=3 wall_s=0.8 minor_mw=12.50 \
-     majors=2 store_h=5 store_m=1 store_b=4096"
+     majors=2 store_h=5 store_m=1 store_b=4096 prof=store"
     (Metrics.line ~event:"progress" s)
 
 let test_metrics_clock_monotonic () =
@@ -102,6 +102,7 @@ let snap ?(minor = 0.0) ?(majors = 0) ?(store = (0, 0, 0)) cell ~sims ~infs
     Metrics.cell; simulations = sims; inferences = infs; spent_s = spent;
     budget_s = 7200.0; findings; wall_s = wall; minor_words = minor;
     major_collections = majors; store_hits; store_misses; store_bytes;
+    profile = Metrics.Profile_run;
   }
 
 let test_metrics_total_row () =

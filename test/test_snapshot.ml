@@ -169,13 +169,14 @@ let test_prefix_cache_eviction_bounded () =
       ~link_outages:(Scenario.link_outages scenario)
       (sim_config workload policy)
   in
-  (* Half-second captures: the checkpoints of one 29 s quickstart run
-     then outgrow the smallest budget. *)
+  (* Tenth-second captures: the checkpoints of one 29 s quickstart run
+     (each about 6 KB, its trace chunks shared) then outgrow the smallest
+     budget. *)
   let budget_mb = 1 in
   let cache =
     Prefix_cache.create ~cache_mb:budget_mb ~workload
       ~config:(sim_config workload policy)
-      ~checkpoint_times:(List.init 60 (fun i -> 0.5 *. float_of_int (i + 1)))
+      ~checkpoint_times:(List.init 300 (fun i -> 0.1 *. float_of_int (i + 1)))
       ()
   in
   let budget_bytes = budget_mb * 1024 * 1024 in
@@ -210,8 +211,8 @@ let test_prefix_cache_eviction_bounded () =
     (s.Prefix_cache.evictions > 0)
 
 (* The cache charges each checkpoint what it alone holds: its encoded
-   strings and the trace tail its snapshot copied. The frozen trace chunks
-   a run's checkpoints share are charged to none of them. So the charge is
+   strings and its trace snapshot's record. The trace chunks a run and its
+   checkpoints share are charged to none of them. So the charge is
    at most the cache's true footprint — the words reachable from it, each
    shared block counted once — and, with the chunks a small share of it,
    at least half of it. Charging each checkpoint everything reachable from

@@ -217,6 +217,18 @@ let test_of_bytes_rejects_garbage () =
   | exception Avis_util.Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "truncated state restored"
 
+(* A whole outcome through its codec: the decoded outcome is the
+   original field for field, floats by their bits, and re-encodes to the
+   same bytes. *)
+let test_outcome_roundtrip () =
+  let plan = fail_kind Sensor.Gps 20.0 in
+  let o = cold_run ~plan Workload.quickstart Policy.apm in
+  let bytes = Avis_util.Codec.to_string Sim.encode_outcome o in
+  let decoded = Avis_util.Codec.of_string Sim.decode_outcome bytes in
+  check_same_outcome "decoded outcome = original" o decoded;
+  Alcotest.(check bool) "outcome codec canonical" true
+    (String.equal (Avis_util.Codec.to_string Sim.encode_outcome decoded) bytes)
+
 (* ------------------------------------------------------------------ *)
 (* Hostile snapshot bytes                                               *)
 (* ------------------------------------------------------------------ *)
@@ -228,10 +240,17 @@ let test_of_bytes_rejects_garbage () =
    damaged buffer that still decodes cleanly is fine (a flipped float bit
    is just a different float); raising anything else is the bug. *)
 
+(* A simulator, a stepper and an outcome (the paused run's, mid-flight:
+   a trace, transitions and sensor reads), encoded. *)
 let exemplar_bytes =
   lazy
     (let sim, st = paused_run Workload.quickstart Policy.apm ~until:8.0 in
-     (encode_sim sim, encode_stepper st))
+     [|
+       encode_sim sim;
+       encode_stepper st;
+       Avis_util.Codec.to_string Sim.encode_outcome
+         (Sim.outcome sim ~workload_passed:false);
+     |])
 
 (* Snapshot bytes decode in two steps: [Sim.decode_snapshot] reads the
    trace and takes the state string whole, and [Sim.restore] decodes the
@@ -242,6 +261,8 @@ let decoders =
     ( "Sim.decode_snapshot+restore",
       fun s -> ignore (Sim.restore (decode_sim ~config s)) );
     ("Stepper.decode", fun s -> ignore (decode_stepper Workload.quickstart s));
+    ( "Sim.decode_outcome",
+      fun s -> ignore (Avis_util.Codec.of_string Sim.decode_outcome s) );
     ( "Codec string+floats",
       fun s ->
         let r = Avis_util.Codec.reader s in
@@ -262,10 +283,9 @@ let only_corrupt bytes =
 
 let qcheck_fuzz_truncated =
   QCheck.Test.make ~count:60 ~name:"truncated snapshot bytes: only Corrupt"
-    QCheck.(pair (float_range 0.0 1.0) bool)
-    (fun (frac, stepper) ->
-      let sim_b, st_b = Lazy.force exemplar_bytes in
-      let bytes = if stepper then st_b else sim_b in
+    QCheck.(pair (float_range 0.0 1.0) (int_range 0 2))
+    (fun (frac, which) ->
+      let bytes = (Lazy.force exemplar_bytes).(which) in
       let cut =
         min (String.length bytes - 1)
           (int_of_float (frac *. float_of_int (String.length bytes)))
@@ -274,10 +294,9 @@ let qcheck_fuzz_truncated =
 
 let qcheck_fuzz_bitflip =
   QCheck.Test.make ~count:120 ~name:"bit-flipped snapshot bytes: only Corrupt"
-    QCheck.(triple (float_range 0.0 1.0) (int_range 0 7) bool)
-    (fun (frac, bit, stepper) ->
-      let sim_b, st_b = Lazy.force exemplar_bytes in
-      let bytes = if stepper then st_b else sim_b in
+    QCheck.(triple (float_range 0.0 1.0) (int_range 0 7) (int_range 0 2))
+    (fun (frac, bit, which) ->
+      let bytes = (Lazy.force exemplar_bytes).(which) in
       let i =
         min (String.length bytes - 1)
           (int_of_float (frac *. float_of_int (String.length bytes)))
@@ -352,47 +371,47 @@ let test_decode_counts_bounded () =
 (* ------------------------------------------------------------------ *)
 
 let make_store ?(fingerprint = "fp") ?store_mb ~dir () =
-  Checkpoint_store.create ~fingerprint ?store_mb ~dir ~config_key:"cfg" ()
+  Checkpoint_store.create ~fingerprint ?store_mb ~dir ()
 
-let put store ~fault_key ~time payload =
-  Checkpoint_store.put store ~fault_key ~time ~payload:(lazy payload)
+let put store ~key ~time payload =
+  Checkpoint_store.put store ~key ~time ~payload:(lazy payload)
 
 let test_store_put_lookup () =
   with_temp_dir @@ fun dir ->
   let store = make_store ~dir () in
-  put store ~fault_key:"" ~time:10.0 "clean@10";
-  put store ~fault_key:"" ~time:20.0 "clean@20";
-  put store ~fault_key:"gps@x" ~time:15.0 "faulty@15";
-  (match Checkpoint_store.lookup store ~fault_key:"" ~before:15.0 with
+  put store ~key:"" ~time:10.0 "clean@10";
+  put store ~key:"" ~time:20.0 "clean@20";
+  put store ~key:"gps@x" ~time:15.0 "faulty@15";
+  (match Checkpoint_store.lookup store ~key:"" ~before:15.0 with
   | Some (t, p) ->
     Alcotest.(check (float 0.0)) "time" 10.0 t;
     Alcotest.(check string) "payload" "clean@10" p
   | None -> Alcotest.fail "expected clean@10");
-  (match Checkpoint_store.lookup store ~fault_key:"" ~before:infinity with
+  (match Checkpoint_store.lookup store ~key:"" ~before:infinity with
   | Some (t, _) -> Alcotest.(check (float 0.0)) "latest first" 20.0 t
   | None -> Alcotest.fail "expected clean@20");
   (* [before] is strict: a checkpoint at exactly the injection time could
      already contain the fault's first effects. *)
   Alcotest.(check bool) "strictly before" true
-    (Checkpoint_store.lookup store ~fault_key:"" ~before:10.0 = None);
-  (match Checkpoint_store.lookup store ~fault_key:"gps@x" ~before:infinity with
+    (Checkpoint_store.lookup store ~key:"" ~before:10.0 = None);
+  (match Checkpoint_store.lookup store ~key:"gps@x" ~before:infinity with
   | Some (_, p) -> Alcotest.(check string) "keys are isolated" "faulty@15" p
   | None -> Alcotest.fail "expected faulty@15");
   Alcotest.(check bool) "unknown key" true
-    (Checkpoint_store.lookup store ~fault_key:"other" ~before:infinity = None)
+    (Checkpoint_store.lookup store ~key:"other" ~before:infinity = None)
 
 let test_store_put_is_idempotent_and_lazy () =
   with_temp_dir @@ fun dir ->
   let store = make_store ~dir () in
-  put store ~fault_key:"" ~time:10.0 "first";
+  put store ~key:"" ~time:10.0 "first";
   let forced = ref false in
-  Checkpoint_store.put store ~fault_key:"" ~time:10.0
+  Checkpoint_store.put store ~key:"" ~time:10.0
     ~payload:
       (lazy
         (forced := true;
          "second"));
   Alcotest.(check bool) "existing file skips serialisation" false !forced;
-  match Checkpoint_store.lookup store ~fault_key:"" ~before:infinity with
+  match Checkpoint_store.lookup store ~key:"" ~before:infinity with
   | Some (_, p) -> Alcotest.(check string) "first write wins" "first" p
   | None -> Alcotest.fail "expected a checkpoint"
 
@@ -424,13 +443,13 @@ let test_store_corruption_is_a_miss () =
   let check_damaged name damage =
     with_temp_dir @@ fun dir ->
     let store = make_store ~dir () in
-    put store ~fault_key:"" ~time:10.0 payload;
+    put store ~key:"" ~time:10.0 payload;
     (match ckpt_files dir with
     | [ path ] -> damage path
     | files ->
       Alcotest.fail (Printf.sprintf "expected 1 file, got %d" (List.length files)));
     Alcotest.(check bool) (name ^ " is a miss") true
-      (Checkpoint_store.lookup store ~fault_key:"" ~before:infinity = None);
+      (Checkpoint_store.lookup store ~key:"" ~before:infinity = None);
     (* The damaged file must be gone, not retried forever. *)
     Alcotest.(check int) (name ^ " deleted") 0 (List.length (ckpt_files dir))
   in
@@ -443,8 +462,8 @@ let test_store_corruption_is_a_miss () =
 let test_store_corrupt_newest_falls_back_to_older () =
   with_temp_dir @@ fun dir ->
   let store = make_store ~dir () in
-  put store ~fault_key:"" ~time:10.0 "older";
-  put store ~fault_key:"" ~time:20.0 "newer";
+  put store ~key:"" ~time:10.0 "older";
+  put store ~key:"" ~time:20.0 "newer";
   let newer =
     List.find
       (fun p ->
@@ -455,7 +474,7 @@ let test_store_corrupt_newest_falls_back_to_older () =
       (ckpt_files dir)
   in
   damage_file ~at:30 newer;
-  match Checkpoint_store.lookup store ~fault_key:"" ~before:infinity with
+  match Checkpoint_store.lookup store ~key:"" ~before:infinity with
   | Some (t, p) ->
     Alcotest.(check (float 0.0)) "older served" 10.0 t;
     Alcotest.(check string) "older payload" "older" p
@@ -464,17 +483,17 @@ let test_store_corrupt_newest_falls_back_to_older () =
 let test_store_stale_fingerprint_invisible () =
   with_temp_dir @@ fun dir ->
   let old_build = make_store ~fingerprint:"build-a" ~dir () in
-  put old_build ~fault_key:"" ~time:10.0 "from build a";
+  put old_build ~key:"" ~time:10.0 "from build a";
   let new_build = make_store ~fingerprint:"build-b" ~dir () in
   Alcotest.(check bool) "other build's checkpoints invisible" true
-    (Checkpoint_store.lookup new_build ~fault_key:"" ~before:infinity = None)
+    (Checkpoint_store.lookup new_build ~key:"" ~before:infinity = None)
 
 let test_store_eviction_bounded () =
   with_temp_dir @@ fun dir ->
   let store = make_store ~store_mb:1 ~dir () in
   let big = String.make 700_000 'x' in
-  put store ~fault_key:"" ~time:10.0 big;
-  put store ~fault_key:"" ~time:20.0 (String.make 700_000 'y');
+  put store ~key:"" ~time:10.0 big;
+  put store ~key:"" ~time:20.0 (String.make 700_000 'y');
   Alcotest.(check bool) "bytes within budget" true
     (Checkpoint_store.bytes store <= 1024 * 1024);
   Alcotest.(check bool) "evicted something" true
@@ -497,18 +516,18 @@ let test_store_bytes_track_dir () =
     Alcotest.(check int) (step ^ ": fresh scan") on_disk
       (Checkpoint_store.bytes (make_store ~store_mb:1 ~dir ()))
   in
-  put store ~fault_key:"" ~time:10.0 "kept";
+  put store ~key:"" ~time:10.0 "kept";
   check "put";
-  put store ~fault_key:"" ~time:20.0 "damaged";
+  put store ~key:"" ~time:20.0 "damaged";
   let suffix = Printf.sprintf "-%016Lx.ckpt" (Int64.bits_of_float 20.0) in
   damage_file ~at:30
     (List.find (String.ends_with ~suffix) (ckpt_files dir));
-  (match Checkpoint_store.lookup store ~fault_key:"" ~before:infinity with
+  (match Checkpoint_store.lookup store ~key:"" ~before:infinity with
   | Some (_, p) -> Alcotest.(check string) "older served" "kept" p
   | None -> Alcotest.fail "expected the older checkpoint");
   check "corrupt file deleted";
-  put store ~fault_key:"" ~time:30.0 (String.make 700_000 'a');
-  put store ~fault_key:"" ~time:40.0 (String.make 700_000 'b');
+  put store ~key:"" ~time:30.0 (String.make 700_000 'a');
+  put store ~key:"" ~time:40.0 (String.make 700_000 'b');
   Alcotest.(check bool) "evicted something" true
     (Checkpoint_store.evictions store > 0);
   check "eviction"
@@ -520,12 +539,12 @@ let test_store_eviction_mtime_tiebreak () =
      not of readdir order or sub-second timer luck. *)
   with_temp_dir @@ fun dir ->
   let store = make_store ~store_mb:1 ~dir () in
-  put store ~fault_key:"" ~time:10.0 (String.make 400_000 'a');
-  put store ~fault_key:"" ~time:20.0 (String.make 400_000 'b');
+  put store ~key:"" ~time:10.0 (String.make 400_000 'a');
+  put store ~key:"" ~time:20.0 (String.make 400_000 'b');
   let t = 1_000_000_000.0 in
   List.iter (fun p -> Unix.utimes p t t) (ckpt_files dir);
   let tied = List.sort compare (ckpt_files dir) in
-  put store ~fault_key:"" ~time:30.0 (String.make 400_000 'c');
+  put store ~key:"" ~time:30.0 (String.make 400_000 'c');
   let survivors = ckpt_files dir in
   match tied with
   | [ first; second ] ->
@@ -543,8 +562,8 @@ let test_store_mb_guard () =
      budget would evict everything on every put). *)
   with_temp_dir @@ fun dir ->
   let store = make_store ~store_mb:0 ~dir () in
-  put store ~fault_key:"" ~time:10.0 "kept";
-  (match Checkpoint_store.lookup store ~fault_key:"" ~before:infinity with
+  put store ~key:"" ~time:10.0 "kept";
+  (match Checkpoint_store.lookup store ~key:"" ~before:infinity with
   | Some (_, p) -> Alcotest.(check string) "retained under default budget" "kept" p
   | None -> Alcotest.fail "zero budget was not replaced by the default");
   Unix.putenv "AVIS_STORE_MB" "banana";
@@ -555,9 +574,9 @@ let test_store_mb_guard () =
     (fun () ->
       with_temp_dir @@ fun dir2 ->
       let store2 = make_store ~dir:dir2 () in
-      put store2 ~fault_key:"" ~time:10.0 "kept";
+      put store2 ~key:"" ~time:10.0 "kept";
       Alcotest.(check bool) "malformed env falls back" true
-        (Checkpoint_store.lookup store2 ~fault_key:"" ~before:infinity <> None))
+        (Checkpoint_store.lookup store2 ~key:"" ~before:infinity <> None))
 
 let test_cache_mb_guard () =
   (* Satellite regression: AVIS_CACHE_MB=0 (or cache_mb:0) used to be
@@ -595,7 +614,9 @@ let quickstart_cache ~store_dir =
       ~link_outages:(Scenario.link_outages scenario)
       (sim_config workload policy)
   in
-  ( Prefix_cache.create ~store_dir ~workload
+  ( Prefix_cache.create
+      ~store:(Checkpoint_store.create ~dir:store_dir ())
+      ~workload
       ~config:(sim_config workload policy)
       ~checkpoint_times:(List.init 30 (fun i -> float_of_int (i + 1)))
       (),
@@ -656,6 +677,169 @@ let test_store_vandalised_dir_still_identical () =
   Alcotest.(check int) "nothing served from disk" 0 s.Prefix_cache.store_hits;
   Alcotest.(check bool) "misses counted" true (s.Prefix_cache.store_misses > 0)
 
+(* ------------------------------------------------------------------ *)
+(* Profiles and the index                                               *)
+(* ------------------------------------------------------------------ *)
+
+let files_with suffix dir =
+  Array.to_list (Sys.readdir dir)
+  |> List.filter (fun f -> Filename.check_suffix f suffix)
+  |> List.map (Filename.concat dir)
+
+let profile_files = files_with ".prof"
+
+let test_store_profile_roundtrip () =
+  with_temp_dir @@ fun dir ->
+  let store = make_store ~dir () in
+  Alcotest.(check bool) "absent profile" true
+    (Checkpoint_store.find_profile store ~key:"p" = None);
+  Checkpoint_store.put_profile store ~key:"p" ~payload:"outcomes";
+  Alcotest.(check (option string)) "served" (Some "outcomes")
+    (Checkpoint_store.find_profile store ~key:"p");
+  Alcotest.(check bool) "keys are isolated" true
+    (Checkpoint_store.find_profile store ~key:"q" = None);
+  Alcotest.(check bool) "a profile is no checkpoint" true
+    (Checkpoint_store.lookup store ~key:"p" ~before:infinity = None);
+  Alcotest.(check (option string)) "a fresh instance finds it"
+    (Some "outcomes")
+    (Checkpoint_store.find_profile (make_store ~dir ()) ~key:"p");
+  Alcotest.(check bool) "another build's profile invisible" true
+    (Checkpoint_store.find_profile (make_store ~fingerprint:"other" ~dir ())
+       ~key:"p"
+    = None);
+  Checkpoint_store.put_profile store ~key:"p" ~payload:"replaced";
+  Alcotest.(check (option string)) "put replaces" (Some "replaced")
+    (Checkpoint_store.find_profile store ~key:"p");
+  Alcotest.(check int) "one file per key" 1 (List.length (profile_files dir))
+
+let test_store_profile_corruption () =
+  let check_damaged name damage =
+    with_temp_dir @@ fun dir ->
+    let store = make_store ~dir () in
+    Checkpoint_store.put_profile store ~key:"p" ~payload:(String.make 256 'o');
+    List.iter damage (profile_files dir);
+    Alcotest.(check bool) (name ^ " is a miss") true
+      (Checkpoint_store.find_profile store ~key:"p" = None);
+    Alcotest.(check int) (name ^ " deleted") 0 (List.length (profile_files dir));
+    Alcotest.(check int) (name ^ " uncounted") 0 (Checkpoint_store.bytes store)
+  in
+  check_damaged "truncated" (truncate_file ~len:40);
+  check_damaged "bit-flipped" (damage_file ~at:60)
+
+(* Lookups answer from the index, so a file deleted behind an open
+   instance's back is a miss (and leaves the count), never an exception;
+   and a file another instance writes is seen only at the next scan. *)
+let test_store_index_visibility () =
+  with_temp_dir @@ fun dir ->
+  let store = make_store ~dir () in
+  put store ~key:"k" ~time:10.0 "ckpt";
+  Checkpoint_store.put_profile store ~key:"p" ~payload:"prof";
+  List.iter Sys.remove (ckpt_files dir @ profile_files dir);
+  Alcotest.(check bool) "deleted checkpoint is a miss" true
+    (Checkpoint_store.lookup store ~key:"k" ~before:infinity = None);
+  Alcotest.(check bool) "deleted profile is a miss" true
+    (Checkpoint_store.find_profile store ~key:"p" = None);
+  Alcotest.(check int) "deleted files uncounted" 0 (Checkpoint_store.bytes store);
+  let other = make_store ~dir () in
+  put other ~key:"k" ~time:20.0 "other's";
+  Checkpoint_store.put_profile other ~key:"p" ~payload:"other's";
+  Alcotest.(check bool) "another writer's checkpoint unseen before a scan"
+    true
+    (Checkpoint_store.lookup store ~key:"k" ~before:infinity = None);
+  Alcotest.(check bool) "another writer's profile unseen before a scan" true
+    (Checkpoint_store.find_profile store ~key:"p" = None);
+  let rescanned = make_store ~dir () in
+  Alcotest.(check bool) "seen after a scan" true
+    (Checkpoint_store.lookup rescanned ~key:"k" ~before:infinity
+     = Some (20.0, "other's")
+    && Checkpoint_store.find_profile rescanned ~key:"p" = Some "other's")
+
+(* Profiles are priced and evicted like checkpoints: oldest mtime first. *)
+let test_store_profile_evicted () =
+  with_temp_dir @@ fun dir ->
+  let store = make_store ~store_mb:1 ~dir () in
+  Checkpoint_store.put_profile store ~key:"p"
+    ~payload:(String.make 600_000 'p');
+  Alcotest.(check int) "profile counted"
+    (List.fold_left (fun acc p -> acc + (Unix.stat p).Unix.st_size) 0
+       (profile_files dir))
+    (Checkpoint_store.bytes store);
+  List.iter (fun p -> Unix.utimes p 1e9 1e9) (profile_files dir);
+  put store ~key:"k" ~time:10.0 (String.make 600_000 'c');
+  Alcotest.(check int) "one eviction" 1 (Checkpoint_store.evictions store);
+  Alcotest.(check bool) "the older profile went" true
+    (Checkpoint_store.find_profile store ~key:"p" = None
+    && Checkpoint_store.lookup store ~key:"k" ~before:infinity <> None)
+
+(* [f] with AVIS_STORE_DIR naming [dir]; an empty value counts as unset. *)
+let with_store_env dir f =
+  let saved = Option.value (Sys.getenv_opt "AVIS_STORE_DIR") ~default:"" in
+  Unix.putenv "AVIS_STORE_DIR" dir;
+  Fun.protect ~finally:(fun () -> Unix.putenv "AVIS_STORE_DIR" saved) f
+
+let profile_cell ?(seed = 3) ?(profiling_runs = 8) () =
+  {
+    (Campaign.default_config Policy.apm Workload.quickstart) with
+    Campaign.budget_s = 60.0;
+    seed;
+    profiling_runs;
+  }
+
+let run_cell config = Campaign.run config ~strategy:(fun ctx -> Sabre.make ctx)
+
+(* What the profile decides and what the cell records, by their bits: τ,
+   the normalisers and the journal record (measured time left out). *)
+let cell_bits config (r : Campaign.result) =
+  let p = r.Campaign.profile in
+  let n = Monitor.normalisers p in
+  ( List.map Int64.bits_of_float
+      [ Monitor.tau p; Distance.p_hat n; Distance.a_hat n ],
+    Campaign.record_of_result config ~approach:"sabre" ~fingerprint:"fp" r )
+
+let check_source msg expected (r : Campaign.result) =
+  Alcotest.(check bool) msg true (r.Campaign.profile_source = expected)
+
+let test_profile_served_on_rerun () =
+  with_temp_dir @@ fun dir ->
+  with_store_env dir @@ fun () ->
+  let config = profile_cell () in
+  let first = run_cell config in
+  check_source "first run flies" Avis_util.Metrics.Profile_run first;
+  Alcotest.(check int) "one profile written" 1 (List.length (profile_files dir));
+  let second = run_cell config in
+  check_source "rerun served" Avis_util.Metrics.Profile_store second;
+  Alcotest.(check bool) "τ, normalisers and record bit-equal" true
+    (cell_bits config first = cell_bits config second)
+
+let test_profile_damage_reflown () =
+  List.iter
+    (fun (name, damage) ->
+      with_temp_dir @@ fun dir ->
+      with_store_env dir @@ fun () ->
+      let config = profile_cell () in
+      let first = run_cell config in
+      List.iter damage (profile_files dir);
+      let reflown = run_cell config in
+      check_source (name ^ ": re-flown") Avis_util.Metrics.Profile_run reflown;
+      Alcotest.(check bool) (name ^ ": identical") true
+        (cell_bits config first = cell_bits config reflown);
+      let served = run_cell config in
+      check_source (name ^ ": rewritten and served")
+        Avis_util.Metrics.Profile_store served;
+      Alcotest.(check bool) (name ^ ": served identical") true
+        (cell_bits config first = cell_bits config served))
+    [ ("truncated", truncate_file ~len:100); ("bit-flipped", damage_file ~at:300) ]
+
+let test_profile_key_misses () =
+  with_temp_dir @@ fun dir ->
+  with_store_env dir @@ fun () ->
+  check_source "base" Avis_util.Metrics.Profile_run (run_cell (profile_cell ()));
+  check_source "other profiling_runs" Avis_util.Metrics.Profile_run
+    (run_cell (profile_cell ~profiling_runs:4 ()));
+  check_source "other seed" Avis_util.Metrics.Profile_run
+    (run_cell (profile_cell ~seed:4 ()));
+  Alcotest.(check int) "three profiles" 3 (List.length (profile_files dir))
+
 let () =
   Alcotest.run "avis_store"
     [
@@ -671,6 +855,7 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false qcheck_roundtrip;
           Alcotest.test_case "garbage rejected" `Quick
             test_of_bytes_rejects_garbage;
+          Alcotest.test_case "outcome round-trips" `Quick test_outcome_roundtrip;
         ] );
       ( "hostile bytes",
         [
@@ -706,5 +891,22 @@ let () =
             test_store_shared_across_instances;
           Alcotest.test_case "vandalised store still identical" `Slow
             test_store_vandalised_dir_still_identical;
+        ] );
+      ( "profile store",
+        [
+          Alcotest.test_case "put/find round-trip" `Quick
+            test_store_profile_roundtrip;
+          Alcotest.test_case "corrupt profile deleted" `Quick
+            test_store_profile_corruption;
+          Alcotest.test_case "index visibility" `Quick
+            test_store_index_visibility;
+          Alcotest.test_case "profiles evicted like checkpoints" `Quick
+            test_store_profile_evicted;
+          Alcotest.test_case "rerun serves the profile" `Slow
+            test_profile_served_on_rerun;
+          Alcotest.test_case "damaged profile re-flown" `Slow
+            test_profile_damage_reflown;
+          Alcotest.test_case "profiling_runs or seed misses" `Slow
+            test_profile_key_misses;
         ] );
     ]

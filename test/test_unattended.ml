@@ -362,6 +362,7 @@ let test_run_cell_failure_quarantines () =
           budget_s = config.Campaign.budget_s; findings = 0; wall_s = 0.0;
           minor_words = 0.0; major_collections = 0; store_hits = 0;
           store_misses = 0; store_bytes = 0;
+          profile = Avis_util.Metrics.No_profile;
         })
   | (Campaign.Live _ | Campaign.Memo _), _ ->
     Alcotest.fail "a raising strategy must quarantine the cell");

@@ -426,7 +426,7 @@ let sample_snapshot cell =
     Metrics.cell; simulations = 41; inferences = 3; spent_s = 612.0;
     budget_s = 7200.0; findings = 2; wall_s = 0.8; minor_words = 12.5e6;
     major_collections = 2; store_hits = 5; store_misses = 1;
-    store_bytes = 123456;
+    store_bytes = 123456; profile = Metrics.Profile_run;
   }
 
 let test_metrics_line_escapes_cell () =
@@ -465,10 +465,16 @@ let test_metrics_parse_rejects () =
       "[avis] event=progress";  (* missing fields *)
       "[avis] event=progress cell=x sims=many infs=0 spent_s=0.0 \
        budget_s=0.0 findings=0 wall_s=0.0 minor_mw=0.00 majors=0 store_h=0 \
-       store_m=0 store_b=0";  (* non-numeric count *)
+       store_m=0 store_b=0 prof=run";  (* non-numeric count *)
       "[avis] event=progress cell=bad%GG sims=0 infs=0 spent_s=0.0 \
        budget_s=0.0 findings=0 wall_s=0.0 minor_mw=0.00 majors=0 store_h=0 \
-       store_m=0 store_b=0";  (* malformed escape *)
+       store_m=0 store_b=0 prof=run";  (* malformed escape *)
+      "[avis] event=progress cell=x sims=0 infs=0 spent_s=0.0 \
+       budget_s=0.0 findings=0 wall_s=0.0 minor_mw=0.00 majors=0 store_h=0 \
+       store_m=0 store_b=0";  (* no profile source *)
+      "[avis] event=progress cell=x sims=0 infs=0 spent_s=0.0 \
+       budget_s=0.0 findings=0 wall_s=0.0 minor_mw=0.00 majors=0 store_h=0 \
+       store_m=0 store_b=0 prof=disk";  (* unknown profile source *)
     ]
 
 (* Any cell label and tag value — spaces, '=', '%', newlines, whatever —
@@ -491,6 +497,9 @@ let test_metrics_roundtrip_qcheck =
       let* store_hits = int_bound 1000 in
       let* store_misses = int_bound 1000 in
       let* store_bytes = int_bound 1_000_000_000 in
+      let* profile =
+        oneofl [ Metrics.Profile_run; Metrics.Profile_store; Metrics.No_profile ]
+      in
       let* tag = string_size ~gen:(map Char.chr (int_range 0 255)) (int_bound 12) in
       return
         ( {
@@ -506,6 +515,7 @@ let test_metrics_roundtrip_qcheck =
             store_hits;
             store_misses;
             store_bytes;
+            profile;
           },
           tag ))
   in
