@@ -3,6 +3,7 @@ type t = {
   fingerprint : string;
   budget_bytes : int;
   mutable evictions : int;
+  mutable writes : int;  (** Files this instance wrote. *)
   mutable bytes : int;
       (** Directory size at the last scan, plus this instance's own writes
           and minus its own deletions since. *)
@@ -150,6 +151,7 @@ let create ?fingerprint ?store_mb ~dir () =
         Avis_util.Env.budget_bytes ?mb:store_mb ~arg:"store_mb"
           ~var:"AVIS_STORE_MB" ~default_mb:1024 ();
       evictions = 0;
+      writes = 0;
       bytes = 0;
       checkpoints = Hashtbl.create 256;
       profiles = Hashtbl.create 8;
@@ -238,6 +240,7 @@ let write t ~name ~payload =
      (try close_out_noerr oc; Sys.remove tmp with _ -> ());
      raise e);
   let size = String.length framed in
+  t.writes <- t.writes + 1;
   t.bytes <- t.bytes + size;
   index_add t name size;
   if t.bytes > t.budget_bytes then evict_to_budget t
@@ -318,3 +321,4 @@ let find_profile t ~key =
 
 let bytes t = t.bytes
 let evictions t = t.evictions
+let writes t = t.writes

@@ -1,12 +1,17 @@
 (** Persistent, content-addressed checkpoint store.
 
     The prefix cache ({!Prefix_cache}) holds checkpoints in memory, so they
-    die with the process. The store persists them to a directory shared
-    across processes and runs: a campaign re-run with the same binary,
-    configuration and seed forks from checkpoints written by an earlier
-    process instead of re-simulating its clean prefix. The same directory
-    keeps each campaign's profiling outcomes, so the re-run skips
-    profiling too.
+    die with the process. The store persists the ones a later process
+    forks from to a directory shared across processes and runs: every
+    clean checkpoint (no fault active yet) and each executed scenario's
+    final checkpoint. So a later process with the same binary,
+    configuration and seed finds the clean prefix at every capture time
+    and each scenario an earlier process ran at that scenario's last
+    capture. A re-run serves each scenario from its last capture; a
+    longer campaign over the same cell (a larger budget) also forks its
+    new scenarios from the clean prefix instead of re-simulating it. The
+    same directory keeps each campaign's profiling outcomes, so the
+    re-run skips profiling too.
 
     {2 Key anatomy}
 
@@ -110,6 +115,11 @@ val bytes : t -> int
 
 val evictions : t -> int
 (** Files deleted by this instance to stay in budget. *)
+
+val writes : t -> int
+(** Files written by this instance, checkpoints and profiles alike. A
+    [put] that found its file indexed or on disk writes nothing and is
+    not counted. *)
 
 val default_fingerprint : unit -> string
 (** The code fingerprint used when [create]'s [?fingerprint] is omitted:

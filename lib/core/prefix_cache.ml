@@ -173,11 +173,26 @@ let add_entry (t : t) ~key ~time ~sim_snap ~stepper =
   enforce_budget t;
   entry
 
+(* Write a checkpoint through to the persistent tier. The payload is lazy:
+   when a previous process already stored this exact key and time, nothing
+   is serialised at all. *)
+let write_through (t : t) ~key (e : entry) =
+  match t.store with
+  | None -> ()
+  | Some store ->
+    Avis_util.Trace.span ~cat:"cache" "store.put" @@ fun () ->
+    Checkpoint_store.put store ~key:(t.store_key ^ "\x00" ^ key) ~time:e.time
+      ~payload:(lazy (store_payload ~sim_snap:e.sim_snap ~stepper:e.stepper));
+    Avis_util.Trace.counter "store.writes"
+      (float_of_int (Checkpoint_store.writes store))
+
 (* A scenario's captures before its first fault land under the empty key:
    they are the clean checkpoints every later scenario forks from, so the
    clean prefix is simulated once, by whichever scenario first reaches each
-   capture time. *)
-let capture (t : t) ~scenario sim st =
+   capture time. Clean captures are written through as they are taken. A
+   faulty capture goes to the store only if it is its run's last: it
+   replaces [final], which [execute] commits when the run ends. *)
+let capture (t : t) ~scenario ~final sim st =
   Avis_util.Trace.span ~cat:"cache" "cache.checkpoint" @@ fun () ->
   let time = injection_clock sim in
   if time > 0.0 then begin
@@ -185,22 +200,20 @@ let capture (t : t) ~scenario sim st =
     let existing =
       Option.value ~default:[] (Hashtbl.find_opt t.entries key)
     in
-    (* Same key + same time means the frozen state is bit-identical to one
-       already stored; skip the snapshot entirely. *)
-    if not (List.exists (fun e -> e.time = time) existing) then begin
-      let sim_snap = Sim.snapshot sim in
-      let stepper = Avis_util.Codec.to_string Workload.Stepper.encode st in
-      let entry = add_entry t ~key ~time ~sim_snap ~stepper in
-      Avis_util.Trace.counter "snapshot.bytes" (float_of_int entry.bytes);
-      (* Write-through to the persistent tier. The payload is lazy: when a
-         previous process already stored this exact key and time, nothing
-         is serialised at all. *)
-      match t.store with
-      | Some store ->
-        Checkpoint_store.put store ~key:(t.store_key ^ "\x00" ^ key) ~time
-          ~payload:(lazy (store_payload ~sim_snap ~stepper))
-      | None -> ()
-    end
+    let entry =
+      (* Same key + same time means the frozen state is bit-identical to
+         one already held; skip the snapshot entirely. *)
+      match List.find_opt (fun e -> e.time = time) existing with
+      | Some e -> e
+      | None ->
+        let sim_snap = Sim.snapshot sim in
+        let stepper = Avis_util.Codec.to_string Workload.Stepper.encode st in
+        let e = add_entry t ~key ~time ~sim_snap ~stepper in
+        Avis_util.Trace.counter "snapshot.bytes" (float_of_int e.bytes);
+        if key = "" then write_through t ~key e;
+        e
+    in
+    if key <> "" then final := Some (key, entry)
   end
 
 let compare_for_prefix a b =
@@ -283,7 +296,10 @@ let store_lookup (t : t) store ~scenario ~fork =
    so the run's own fault prefixes become checkpoints for later scenarios —
    this is what lets a search that stacks faults onto a safe scenario
    (SABRE's sites) fork from its base run instead of re-simulating it.
-   Pausing and resuming is bit-identical to an uninterrupted run. *)
+   Pausing and resuming is bit-identical to an uninterrupted run. The run's
+   last faulty capture is written through once it ends: encoding it then
+   is bit-exact, because its trace snapshot shares only chunks the run
+   writes past. *)
 let execute (t : t) ~scenario =
   let plan = Scenario.to_plan scenario in
   let link_outages = Scenario.link_outages scenario in
@@ -311,6 +327,7 @@ let execute (t : t) ~scenario =
         (Sim.create ~plan ~link_outages t.config,
          Workload.Stepper.create t.workload))
   in
+  let final = ref None in
   let n = Array.length t.targets in
   let rec go i =
     if i >= n then
@@ -325,12 +342,13 @@ let execute (t : t) ~scenario =
       else
         match Workload.Stepper.run st sim ~until:target with
         | Workload.Stepper.Running ->
-          capture t ~scenario sim st;
+          capture t ~scenario ~final sim st;
           go (i + 1)
         | Workload.Stepper.Done passed -> passed
     end
   in
   let passed = go 0 in
+  Option.iter (fun (key, e) -> write_through t ~key e) !final;
   Sim.outcome sim ~workload_passed:passed
 
 let stats (t : t) =

@@ -59,13 +59,17 @@ val create :
     [AVIS_STORE_DIR] before profiling and hands it here) adds a persistent
     tier behind the in-memory one, keyed by the store's code fingerprint,
     the canonical bytes of [config], the workload and the fault history.
-    Captures are written through as the entry's strings plus the trace's
-    bytes (lazily — nothing is written when the store has the file
-    indexed or on disk), and a scenario that finds
-    no checkpoint in memory looks in the store before running cold. The
-    store lookup scans the same fault prefixes, so a fresh process forks
-    even its first scenario from the best stored clean or faulty-prefix
-    checkpoint. Stored checkpoints are served only on bit-exact key
+    The store receives only what a later process forks from: every clean
+    capture, as it is taken, and each executed scenario's final capture,
+    when {!execute} returns. Every other faulty capture stays in memory.
+    A checkpoint is written as the entry's strings plus the trace's bytes
+    (lazily — nothing is written when the store has the file indexed or
+    on disk). A scenario that finds no checkpoint in memory looks in the
+    store before running cold. The store lookup scans the same fault
+    prefixes, so a fresh process forks even its first scenario from the
+    best stored checkpoint: a scenario an earlier process ran, from that
+    run's final capture; any other, from the clean prefix or a stored
+    scenario it extends. Stored checkpoints are served only on bit-exact key
     matches, so outcomes remain bit-identical to cold runs, across
     processes. Lookups answer from the index the store built when it was
     opened, so a store lookup reads files but never lists the

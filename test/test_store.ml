@@ -7,7 +7,8 @@
    put, treat every corruption as a miss, respect fingerprints and the byte
    budget; (3) a fresh [Prefix_cache] sharing a store directory must serve
    scenarios from disk with outcomes bit-identical to cold runs, even after
-   the directory is vandalised. *)
+   the directory is vandalised, and the directory must hold only the clean
+   captures and each scenario's final capture. *)
 
 open Avis_geo
 open Avis_sensors
@@ -606,6 +607,8 @@ let test_cache_mb_guard () =
 (* Prefix cache over a shared store                                     *)
 (* ------------------------------------------------------------------ *)
 
+let quickstart_targets = List.init 30 (fun i -> float_of_int (i + 1))
+
 let quickstart_cache ~store_dir =
   let workload = Workload.quickstart and policy = Policy.apm in
   let make_sim ~scenario =
@@ -618,8 +621,7 @@ let quickstart_cache ~store_dir =
       ~store:(Checkpoint_store.create ~dir:store_dir ())
       ~workload
       ~config:(sim_config workload policy)
-      ~checkpoint_times:(List.init 30 (fun i -> float_of_int (i + 1)))
-      (),
+      ~checkpoint_times:quickstart_targets (),
     make_sim,
     workload )
 
@@ -635,7 +637,8 @@ let store_scenarios () =
       [ Scenario.sensor_fault { Sensor.kind = Sensor.Barometer; index = 0 } 12.5 ];
   ]
 
-let check_cache_against_cold ~msg cache make_sim workload =
+let check_cache_against_cold ?(scenarios = store_scenarios ()) ~msg cache
+    make_sim workload =
   List.iter
     (fun scenario ->
       let served = Prefix_cache.execute cache ~scenario in
@@ -643,7 +646,7 @@ let check_cache_against_cold ~msg cache make_sim workload =
       let passed = Workload.execute workload sim in
       let cold = Sim.outcome sim ~workload_passed:passed in
       check_same_outcome msg cold served)
-    (store_scenarios ())
+    scenarios
 
 let test_store_shared_across_instances () =
   with_temp_dir @@ fun store_dir ->
@@ -676,6 +679,114 @@ let test_store_vandalised_dir_still_identical () =
   let s = Prefix_cache.stats cache2 in
   Alcotest.(check int) "nothing served from disk" 0 s.Prefix_cache.store_hits;
   Alcotest.(check bool) "misses counted" true (s.Prefix_cache.store_misses > 0)
+
+(* The checkpoint files' capture times, grouped by the 32-hex-digit key
+   hash that opens each name. *)
+let times_by_hash dir =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun path ->
+      let name = Filename.basename path in
+      let hash = String.sub name 0 32 in
+      let time =
+        Int64.float_of_bits (Int64.of_string ("0x" ^ String.sub name 33 16))
+      in
+      Hashtbl.replace tbl hash
+        (time :: Option.value ~default:[] (Hashtbl.find_opt tbl hash)))
+    (ckpt_files dir);
+  List.of_seq (Hashtbl.to_seq_values tbl)
+
+let first_fault scenario =
+  List.fold_left Float.min infinity (List.map Scenario.fault_time scenario)
+
+(* The capture targets a cold run of [scenario] pauses at before it ends,
+   stepped as [Prefix_cache.execute] steps it. *)
+let targets_reached make_sim workload ~scenario =
+  let sim = make_sim ~scenario and st = Workload.Stepper.create workload in
+  List.fold_left
+    (fun reached until ->
+      match Workload.Stepper.run st sim ~until with
+      | Workload.Stepper.Running -> until :: reached
+      | Workload.Stepper.Done _ -> reached)
+    [] quickstart_targets
+
+(* The store holds what a later process forks from: the clean capture at
+   every target the clean run reached, and one file under the key of each
+   scenario that reached a target after its first fault: its final
+   capture. Every other faulty capture stays in memory. *)
+let test_store_keeps_final_captures () =
+  with_temp_dir @@ fun store_dir ->
+  let cache, make_sim, workload = quickstart_cache ~store_dir in
+  check_cache_against_cold ~msg:"fill = cold" cache make_sim workload;
+  let captured_faulty scenario =
+    List.exists
+      (fun t -> t > first_fault scenario)
+      (targets_reached make_sim workload ~scenario)
+  in
+  let faulty = List.filter captured_faulty (store_scenarios ()) in
+  let clean = targets_reached make_sim workload ~scenario:Scenario.empty in
+  Alcotest.(check (list int)) "files per key hash"
+    (List.map (fun _ -> 1) faulty @ [ List.length clean ])
+    (List.sort compare (List.map List.length (times_by_hash store_dir)))
+
+(* A fresh instance forks every scenario from the file its fill left: each
+   one restored at its final capture, so the simulated time it skips is the
+   sum of those captures' times. *)
+let test_store_serves_final_captures () =
+  with_temp_dir @@ fun store_dir ->
+  let cache1, make_sim, workload = quickstart_cache ~store_dir in
+  check_cache_against_cold ~msg:"fill = cold" cache1 make_sim workload;
+  let finals =
+    List.fold_left
+      (fun acc times -> acc +. List.fold_left Float.max 0.0 times)
+      0.0 (times_by_hash store_dir)
+  in
+  let cache2, make_sim, workload = quickstart_cache ~store_dir in
+  check_cache_against_cold ~msg:"served = cold" cache2 make_sim workload;
+  let s = Prefix_cache.stats cache2 in
+  let n = List.length (store_scenarios ()) in
+  Alcotest.(check int) "every scenario from the store" n
+    s.Prefix_cache.store_hits;
+  Alcotest.(check int) "none cold" 0 s.Prefix_cache.misses;
+  Alcotest.(check (float 1e-9)) "restored at the final captures" finals
+    s.Prefix_cache.saved_sim_s
+
+(* A longer campaign over the same store: scenarios stacked onto a faulty
+   scenario after a mode transition it was seen to make, then the fill's
+   scenarios. Only the base run's end is stored, not its faulty prefix, so
+   a fault stacked after the base's final capture forks from that capture,
+   and one before it from the clean prefix. Every outcome must still be
+   bit-identical to cold, and none runs cold. *)
+let test_store_extension_identical () =
+  with_temp_dir @@ fun store_dir ->
+  let cache1, make_sim, workload = quickstart_cache ~store_dir in
+  check_cache_against_cold ~msg:"fill = cold" cache1 make_sim workload;
+  let base = List.nth (store_scenarios ()) 1 in
+  let sim = make_sim ~scenario:base in
+  ignore (Workload.execute workload sim : bool);
+  let at =
+    match
+      List.find_opt
+        (fun (tr : Avis_hinj.Hinj.transition) ->
+          tr.Avis_hinj.Hinj.time > first_fault base)
+        (Sim.outcome sim ~workload_passed:false).Sim.transitions
+    with
+    | Some tr -> tr.Avis_hinj.Hinj.time
+    | None -> Alcotest.fail "the faulty base scenario made no transition"
+  in
+  let stacked =
+    List.map
+      (fun (kind, dt) ->
+        Scenario.of_faults
+          (base @ [ Scenario.sensor_fault { Sensor.kind; index = 0 } (at +. dt) ]))
+      [ (Sensor.Compass, 0.95); (Sensor.Barometer, 0.5) ]
+  in
+  let cache2, make_sim, workload = quickstart_cache ~store_dir in
+  check_cache_against_cold
+    ~scenarios:(stacked @ store_scenarios ())
+    ~msg:"extension = cold" cache2 make_sim workload;
+  Alcotest.(check int) "every scenario forked" 0
+    (Prefix_cache.stats cache2).Prefix_cache.misses
 
 (* ------------------------------------------------------------------ *)
 (* Profiles and the index                                               *)
@@ -891,6 +1002,12 @@ let () =
             test_store_shared_across_instances;
           Alcotest.test_case "vandalised store still identical" `Slow
             test_store_vandalised_dir_still_identical;
+          Alcotest.test_case "one file per faulty scenario" `Slow
+            test_store_keeps_final_captures;
+          Alcotest.test_case "fresh instance forks at final captures" `Slow
+            test_store_serves_final_captures;
+          Alcotest.test_case "stacked extension identical" `Slow
+            test_store_extension_identical;
         ] );
       ( "profile store",
         [
