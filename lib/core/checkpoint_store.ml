@@ -253,23 +253,23 @@ let read_file path =
       (fun () -> Some (really_input_string ic (in_channel_length ic)))
   with _ -> None
 
-(* The payload of an indexed file of [size] bytes. A file that cannot be
-   read (deleted behind this instance's back) is forgotten; a corrupt one
-   (truncated, bit-flipped, or foreign) is deleted as well, so neither is
-   tried again. *)
-let read t ~name ~size =
+(* The decoded payload of an indexed file of [size] bytes. A file that
+   cannot be read (deleted behind this instance's back) is forgotten; a
+   corrupt one (truncated, bit-flipped, or foreign), or one whose payload
+   [decode] rejects, is deleted as well, so neither is tried again. *)
+let read t ~name ~size ~decode =
   let path = Filename.concat t.dir name in
   match read_file path with
   | None ->
     forget t name size;
     None
   | Some data -> (
-    match unframe data with
-    | Some payload ->
+    match Option.map decode (unframe data) with
+    | Some value ->
       (* LRU touch: both timestamps to "now". *)
       (try Unix.utimes path 0.0 0.0 with _ -> ());
-      Some payload
-    | None ->
+      Some value
+    | None | (exception Avis_util.Codec.Corrupt _) ->
       (try Sys.remove path with _ -> ());
       forget t name size;
       None)
@@ -287,21 +287,35 @@ let put t ~key ~time ~payload =
       write t ~name ~payload:(Lazy.force payload)
   with _ -> ()
 
-let lookup t ~key ~before =
+let latest t ~key ~before =
+  List.fold_left
+    (fun best (time, _) ->
+      match best with
+      | Some b when b >= time -> best
+      | _ when time < before -> Some time
+      | _ -> best)
+    None
+    (Option.value ~default:[]
+       (Hashtbl.find_opt t.checkpoints (key_hash t ~key)))
+
+let load t ~key ~time ~decode =
   let hash = key_hash t ~key in
-  let rec first = function
-    | [] -> None
-    | (time, size) :: rest -> (
-      match read t ~name:(checkpoint_name hash time) ~size with
-      | Some payload -> Some (time, payload)
-      | None -> first rest)
-  in
-  (* The candidates latest first; [read] may edit the index, and [first]
-     walks the list as it was. *)
-  Option.value ~default:[] (Hashtbl.find_opt t.checkpoints hash)
-  |> List.filter (fun (time, _) -> time < before)
-  |> List.sort (fun (a, _) (b, _) -> Float.compare b a)
-  |> first
+  match Hashtbl.find_opt t.checkpoints hash with
+  | None -> None
+  | Some entries -> (
+    match List.find_opt (fun (t', _) -> t' = time) entries with
+    | None -> None
+    | Some (_, size) -> read t ~name:(checkpoint_name hash time) ~size ~decode)
+
+(* A checkpoint that fails to load is out of the index afterwards, so the
+   next pass finds the one before it. *)
+let rec lookup t ~key ~before =
+  match latest t ~key ~before with
+  | None -> None
+  | Some time -> (
+    match load t ~key ~time ~decode:Fun.id with
+    | Some payload -> Some (time, payload)
+    | None -> lookup t ~key ~before)
 
 let put_profile t ~key ~payload =
   try
@@ -317,7 +331,7 @@ let find_profile t ~key =
   let hash = key_hash t ~key in
   match Hashtbl.find_opt t.profiles hash with
   | None -> None
-  | Some size -> read t ~name:(profile_name hash) ~size
+  | Some size -> read t ~name:(profile_name hash) ~size ~decode:Fun.id
 
 let bytes t = t.bytes
 let evictions t = t.evictions

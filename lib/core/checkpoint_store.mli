@@ -93,10 +93,24 @@ val put : t -> key:string -> time:float -> payload:string Lazy.t -> unit
     exact key and time is indexed or already exists. Failures are
     silently ignored (the in-memory cache is unaffected). *)
 
+val latest : t -> key:string -> before:float -> float option
+(** The capture time of the latest indexed checkpoint under [key] taken
+    strictly before [before]. Reads no file. *)
+
+val load :
+  t -> key:string -> time:float -> decode:(string -> 'a) -> 'a option
+(** Read the indexed checkpoint under [key] at [time] and [decode] its
+    payload. [None] when none is indexed, when the file cannot be read
+    (it is forgotten), or when its frame is corrupt or [decode] raises
+    [Avis_util.Codec.Corrupt] (it is deleted). A checkpoint that fails to
+    load is out of the index, so {!latest} moves on to the one before it.
+    Serving a file refreshes its mtime (LRU touch); no other file is read
+    or touched. *)
+
 val lookup : t -> key:string -> before:float -> (float * string) option
 (** The latest indexed checkpoint under [key] taken strictly before
-    [before], with its capture time. Corrupt candidates are deleted and
-    skipped. Serving a file refreshes its mtime (LRU touch). *)
+    [before] that loads, with its capture time: {!latest}, then {!load},
+    until one loads or none is left. *)
 
 val put_profile : t -> key:string -> payload:string -> unit
 (** Persist a profile, replacing any file under [key]. Failures are

@@ -10,6 +10,20 @@ type entry = {
   mutable last_used : int;  (** Logical clock tick of last capture or hit. *)
 }
 
+(* A run's latest faulty capture. *)
+type pending =
+  | Unfiled of {
+      key : string;
+      time : float;
+      trace : Trace.snapshot;
+      stepper : string;
+      transitions : int;  (** The run's transition count when taken. *)
+    }
+      (** Not in memory: its simulator bytes wait in [pending_state]. *)
+  | Held of string * entry
+      (** In memory under that key: filed, found already held, or the
+          checkpoint the run was served from. *)
+
 type t = {
   workload : Workload.t;
   config : Sim.config;
@@ -22,6 +36,9 @@ type t = {
           bytes plus the workload name — two campaigns whose runs could
           ever diverge must never share a key. *)
   targets : float array;  (** Capture times, ascending. *)
+  pending_state : Buffer.t;
+      (** The encoded simulator of the running scenario's [Unfiled]
+          capture, overwritten by its next one. *)
   entries : (string, entry list) Hashtbl.t;
       (** Active-fault-prefix key -> checkpoints, latest first. *)
   mutable hits : int;
@@ -58,6 +75,7 @@ let create ?cache_mb ?store ~workload ~config ~checkpoint_times () =
       Avis_util.Codec.to_string Sim.encode_config config
       ^ "\x00" ^ workload.Workload.name;
     targets = Array.of_list ts;
+    pending_state = Buffer.create 8192;
     entries = Hashtbl.create 64;
     hits = 0;
     misses = 0;
@@ -186,34 +204,60 @@ let write_through (t : t) ~key (e : entry) =
     Avis_util.Trace.counter "store.writes"
       (float_of_int (Checkpoint_store.writes store))
 
+(* File a pending capture in memory: its simulator bytes become a string
+   only now. *)
+let file (t : t) pending =
+  match !pending with
+  | None | Some (Held _) -> ()
+  | Some (Unfiled p) ->
+    let sim_snap =
+      Sim.snapshot_of_state t.config
+        ~state:(Buffer.contents t.pending_state)
+        p.trace
+    in
+    let e = add_entry t ~key:p.key ~time:p.time ~sim_snap ~stepper:p.stepper in
+    Avis_util.Trace.counter "snapshot.bytes" (float_of_int e.bytes);
+    pending := Some (Held (p.key, e))
+
 (* A scenario's captures before its first fault land under the empty key:
    they are the clean checkpoints every later scenario forks from, so the
    clean prefix is simulated once, by whichever scenario first reaches each
-   capture time. Clean captures are written through as they are taken. A
-   faulty capture goes to the store only if it is its run's last: it
-   replaces [final], which [execute] commits when the run ends. *)
-let capture (t : t) ~scenario ~final sim st =
+   capture time. Clean captures are filed and written through as they are
+   taken. A faulty capture only replaces [pending]: a scenario stacked onto
+   this one forks at one of its mode transitions, from its last capture
+   before it, so the capture it replaces is filed only if the run changed
+   mode since. *)
+let capture (t : t) ~scenario ~pending sim st =
   Avis_util.Trace.span ~cat:"cache" "cache.checkpoint" @@ fun () ->
   let time = injection_clock sim in
   if time > 0.0 then begin
     let key = active_key scenario ~time in
+    let transitions = Avis_hinj.Hinj.transition_count (Sim.hinj sim) in
+    (match !pending with
+    | Some (Unfiled p) when p.transitions < transitions -> file t pending
+    | _ -> ());
     let existing =
       Option.value ~default:[] (Hashtbl.find_opt t.entries key)
     in
-    let entry =
-      (* Same key + same time means the frozen state is bit-identical to
-         one already held; skip the snapshot entirely. *)
-      match List.find_opt (fun e -> e.time = time) existing with
-      | Some e -> e
-      | None ->
-        let sim_snap = Sim.snapshot sim in
-        let stepper = Avis_util.Codec.to_string Workload.Stepper.encode st in
-        let e = add_entry t ~key ~time ~sim_snap ~stepper in
+    (* Same key + same time means the frozen state is bit-identical to
+       one already held; skip the snapshot entirely. *)
+    match List.find_opt (fun e -> e.time = time) existing with
+    | Some e -> if key <> "" then pending := Some (Held (key, e))
+    | None ->
+      let stepper = Avis_util.Codec.to_string Workload.Stepper.encode st in
+      if key = "" then begin
+        let e = add_entry t ~key ~time ~sim_snap:(Sim.snapshot sim) ~stepper in
         Avis_util.Trace.counter "snapshot.bytes" (float_of_int e.bytes);
-        if key = "" then write_through t ~key e;
-        e
-    in
-    if key <> "" then final := Some (key, entry)
+        write_through t ~key e
+      end
+      else begin
+        Sim.encode_state t.pending_state sim;
+        pending :=
+          Some
+            (Unfiled
+               { key; time; trace = Trace.snapshot (Sim.trace sim); stepper;
+                 transitions })
+      end
   end
 
 let compare_for_prefix a b =
@@ -256,35 +300,38 @@ let lookup (t : t) ~scenario =
       List.find_opt (fun e -> e.time < before) es
       |> Option.map (fun e -> (e.time, e))
   in
-  Option.map (fun (_, _, e) -> e) (best_prefix ~find scenario)
+  Option.map (fun (key, _, e) -> (key, e)) (best_prefix ~find scenario)
 
-(* The persistent fallback to [lookup]: the same prefix-key scan, against
-   files written by this or any earlier process. A served checkpoint is
-   forked — which decodes it — before it is re-warmed into memory, so a
-   payload that does not decode is a counted miss and never filed; the
-   disk is touched once per prefix, not once per scenario. *)
+(* The persistent fallback to [lookup]: the same prefix-key scan, over the
+   index of files written by this or any earlier process. Only the winner's
+   file is read. It is forked — which decodes it — before it is re-warmed
+   into memory; a file that does not read or decode drops out of the index,
+   so the next pass serves the next-best checkpoint, and a scenario with
+   none left is a counted miss. *)
 let store_lookup (t : t) store ~scenario ~fork =
   let served =
     Avis_util.Trace.span ~cat:"cache" "store.lookup" @@ fun () ->
+    let store_key key = t.store_key ^ "\x00" ^ key in
     let find ~key ~before =
-      Checkpoint_store.lookup store ~key:(t.store_key ^ "\x00" ^ key) ~before
+      Checkpoint_store.latest store ~key:(store_key key) ~before
+      |> Option.map (fun time -> (time, ()))
     in
-    match best_prefix ~find scenario with
-    | None -> None
-    | Some (key, time, payload) -> (
-      let decode r =
-        let sim_snap = Sim.decode_snapshot ~config:t.config r in
-        let stepper = Avis_util.Codec.r_bytes r in
-        (sim_snap, stepper, fork ~sim_snap ~stepper)
-      in
-      match Avis_util.Codec.of_string decode payload with
-      | exception Avis_util.Codec.Corrupt _ ->
-        (* The frame checksum held but the payload didn't decode (e.g. a
-           foreign format revision): treat as a miss; the fingerprint in
-           the key makes this all but impossible for files we wrote. *)
-        None
-      | sim_snap, stepper, forked ->
-        Some (add_entry t ~key ~time ~sim_snap ~stepper, forked))
+    let decode =
+      Avis_util.Codec.of_string (fun r ->
+          let sim_snap = Sim.decode_snapshot ~config:t.config r in
+          let stepper = Avis_util.Codec.r_bytes r in
+          (sim_snap, stepper, fork ~sim_snap ~stepper))
+    in
+    let rec serve () =
+      match best_prefix ~find scenario with
+      | None -> None
+      | Some (key, time, ()) -> (
+        match Checkpoint_store.load store ~key:(store_key key) ~time ~decode with
+        | None -> serve ()
+        | Some (sim_snap, stepper, forked) ->
+          Some (key, add_entry t ~key ~time ~sim_snap ~stepper, forked))
+    in
+    serve ()
   in
   (match served with
   | Some _ -> t.store_hits <- t.store_hits + 1
@@ -297,8 +344,8 @@ let store_lookup (t : t) store ~scenario ~fork =
    this is what lets a search that stacks faults onto a safe scenario
    (SABRE's sites) fork from its base run instead of re-simulating it.
    Pausing and resuming is bit-identical to an uninterrupted run. The run's
-   last faulty capture is written through once it ends: encoding it then
-   is bit-exact, because its trace snapshot shares only chunks the run
+   pending capture is filed once it ends, and written through: encoding it
+   then is bit-exact, because its trace snapshot shares only chunks the run
    writes past. *)
 let execute (t : t) ~scenario =
   let plan = Scenario.to_plan scenario in
@@ -307,27 +354,31 @@ let execute (t : t) ~scenario =
     ( Sim.restore ~plan ~link_outages sim_snap,
       Avis_util.Codec.of_string (Workload.Stepper.decode t.workload) stepper )
   in
-  let serve e forked =
+  let pending = ref None in
+  (* A served faulty checkpoint is the run's final capture until it takes
+     another. *)
+  let serve key e forked =
     t.hits <- t.hits + 1;
     Avis_util.Trace.counter "cache.hits" (float_of_int t.hits);
     t.use_tick <- t.use_tick + 1;
     e.last_used <- t.use_tick;
     t.saved_sim_s <- t.saved_sim_s +. e.time;
+    if key <> "" then pending := Some (Held (key, e));
     forked
   in
   let sim, st =
     match lookup t ~scenario with
-    | Some e -> serve e (fork ~sim_snap:e.sim_snap ~stepper:e.stepper)
+    | Some (key, e) ->
+      serve key e (fork ~sim_snap:e.sim_snap ~stepper:e.stepper)
     | None -> (
       match Option.bind t.store (fun s -> store_lookup t s ~scenario ~fork) with
-      | Some (e, forked) -> serve e forked
+      | Some (key, e, forked) -> serve key e forked
       | None ->
         t.misses <- t.misses + 1;
         Avis_util.Trace.counter "cache.misses" (float_of_int t.misses);
         (Sim.create ~plan ~link_outages t.config,
          Workload.Stepper.create t.workload))
   in
-  let final = ref None in
   let n = Array.length t.targets in
   let rec go i =
     if i >= n then
@@ -335,20 +386,24 @@ let execute (t : t) ~scenario =
       | Workload.Stepper.Done passed -> passed
       | Workload.Stepper.Running -> false
     else begin
-      (* Targets already behind the clock (a forked run starts mid-flight)
-         are skipped without capturing. *)
+      (* Targets the run has reached are skipped without capturing: a
+         forked run starts mid-flight, just under the target its
+         checkpoint was taken at. *)
       let target = t.targets.(i) in
-      if target <= Sim.time sim then go (i + 1)
+      if Workload.Stepper.reached sim ~until:target then go (i + 1)
       else
         match Workload.Stepper.run st sim ~until:target with
         | Workload.Stepper.Running ->
-          capture t ~scenario ~final sim st;
+          capture t ~scenario ~pending sim st;
           go (i + 1)
         | Workload.Stepper.Done passed -> passed
     end
   in
   let passed = go 0 in
-  Option.iter (fun (key, e) -> write_through t ~key e) !final;
+  file t pending;
+  (match !pending with
+  | Some (Held (key, e)) -> write_through t ~key e
+  | _ -> ());
   Sim.outcome sim ~workload_passed:passed
 
 let stats (t : t) =

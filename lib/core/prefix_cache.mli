@@ -3,16 +3,27 @@
     Every test run in a campaign replays a shared prefix before diverging:
     the clean flight — provision, arm, climb — and, for searches that stack
     faults onto a previously observed scenario (SABRE's sites), the faulty
-    flight of that base scenario too. The cache checkpoints both with
-    {!Avis_sitl.Sim.snapshot} and {!Workload.Stepper.encode}: every
-    executed scenario is checkpointed at the requested times as it runs,
-    each checkpoint keyed by the exact set of faults — sensor failures and
-    link outages alike — already active when it was taken (an outage stays
-    in the key after its window closes: the traffic it dropped leaves the
-    run permanently different). A scenario's checkpoints before its first
-    fault are clean checkpoints, under the empty key, so there is no
-    separate clean run: the clean prefix up to any time is simulated once,
-    by the first scenario to reach that time.
+    flight of that base scenario too. Every executed scenario pauses at
+    the requested times as it runs, and each pause is a capture of the
+    simulator ({!Avis_sitl.Sim.encode_state}) and the stepper
+    ({!Workload.Stepper.encode}), keyed by the exact set of faults —
+    sensor failures and link outages alike — already active when it was
+    taken (an outage stays in the key after its window closes: the
+    traffic it dropped leaves the run permanently different). A
+    scenario's captures before its first fault are clean checkpoints,
+    under the empty key, so there is no separate clean run: the clean
+    prefix up to any time is simulated once, by the first scenario to
+    reach that time.
+
+    A faulty capture is kept only where a stacked scenario can fork. SABRE
+    stacks a new fault set onto a base run at the mode transitions that
+    run made, so a child forks from its base's last capture before one of
+    them. A run therefore holds its latest faulty capture as pending, its
+    simulator bytes in a buffer the cache reuses, and files it as a
+    checkpoint only when the run records a mode transition before its
+    next capture, or when the run ends first. A faulty run files at most
+    one checkpoint per transition after its first fault, plus its final
+    capture.
 
     A scenario is then served by restoring the latest checkpoint whose
     active-fault set is a float-for-float prefix of the scenario and whose
@@ -44,10 +55,11 @@ val create :
     [cache_mb] bounds the resident checkpoint bytes; it defaults to the
     [AVIS_CACHE_MB] environment variable, else 1024 MiB (zero, negative
     and malformed values are warned about and replaced by the default).
-    Each checkpoint is charged what it alone holds, with no heap walk: its
-    encoded simulator and stepper strings plus its trace snapshot's record
-    ({!Avis_sitl.Sim.snapshot_bytes}). Trace chunks, shared by a run and
-    its checkpoints, are charged to none of them. When a capture
+    Each filed checkpoint is charged what it alone holds, with no heap
+    walk: its encoded simulator and stepper strings plus its trace
+    snapshot's record ({!Avis_sitl.Sim.snapshot_bytes}). Trace chunks,
+    shared by a run and its checkpoints, are charged to none of them, and
+    neither is a run's pending capture. When filing a checkpoint
     would push the resident set past the budget, whole
     checkpoints are evicted in global least-recently-used order (hits and
     captures both count as uses) until it fits; a lone checkpoint larger
@@ -61,24 +73,28 @@ val create :
     the canonical bytes of [config], the workload and the fault history.
     The store receives only what a later process forks from: every clean
     capture, as it is taken, and each executed scenario's final capture,
-    when {!execute} returns. Every other faulty capture stays in memory.
-    A checkpoint is written as the entry's strings plus the trace's bytes
-    (lazily — nothing is written when the store has the file indexed or
-    on disk). A scenario that finds no checkpoint in memory looks in the
-    store before running cold. The store lookup scans the same fault
-    prefixes, so a fresh process forks even its first scenario from the
-    best stored checkpoint: a scenario an earlier process ran, from that
-    run's final capture; any other, from the clean prefix or a stored
-    scenario it extends. Stored checkpoints are served only on bit-exact key
-    matches, so outcomes remain bit-identical to cold runs, across
-    processes. Lookups answer from the index the store built when it was
-    opened, so a store lookup reads files but never lists the
-    directory. *)
+    when {!execute} returns. A scenario served from a faulty checkpoint
+    that takes no capture after it ends with that checkpoint as its final
+    capture. A checkpoint is written as the entry's strings plus the
+    trace's bytes (lazily — nothing is written when the store has the
+    file indexed or on disk). A scenario that finds no checkpoint in
+    memory looks in the store before running cold. The store lookup scans
+    the same fault prefixes, so a fresh process forks even its first
+    scenario from the best stored checkpoint: a scenario an earlier
+    process ran, from that run's final capture; any other, from the clean
+    prefix or a stored scenario it extends. Stored checkpoints are served
+    only on bit-exact key matches, so outcomes remain bit-identical to
+    cold runs, across processes. The lookup picks the best checkpoint
+    from the index the store built when it was opened and reads that one
+    file; a file that does not read or decode is deleted, and the next
+    best is tried. *)
 
 val execute : t -> scenario:Scenario.t -> Avis_sitl.Sim.outcome
 (** Run one scenario, forking from the best applicable checkpoint — clean
     or faulty-prefix — when one exists, and cold otherwise. Either way the
-    outcome is bit-identical to a cold run. *)
+    outcome is bit-identical to a cold run. A forked run resumes just
+    under the capture time its checkpoint was taken at and does not
+    capture there again. *)
 
 type stats = {
   hits : int;  (** Scenarios served from a checkpoint. *)

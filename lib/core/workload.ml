@@ -213,12 +213,17 @@ module Stepper = struct
     in
     { script; pc; entered; until; deadline; seen_armed; status }
 
+  (* Computing the next step's time from the step count (not by
+     accumulation) keeps every pause point bit-identical to an
+     uninterrupted run. *)
+  let reached sim ~until =
+    float_of_int (Sim.steps sim + 1) *. (Sim.config sim).Sim.dt >= until
+
   (* One span per pumped segment: between two pauses, this loop is where
      the simulated world actually advances, so these spans are the "sim
      steps" share of a cell's wall time. *)
   let run st sim ~until =
     Avis_util.Trace.span ~cat:"sim" "sim.steps" @@ fun () ->
-    let dt = (Sim.config sim).Sim.dt in
     let rec loop () =
       match st.status with
       | Done _ -> st.status
@@ -251,11 +256,8 @@ module Stepper = struct
               st.status
             end
             else begin
-              (* Pause strictly before [until]: computing the next step's
-                 time from the step count (not by accumulation) keeps the
-                 pause point bit-identical to an uninterrupted run. *)
-              let next_time = float_of_int (Sim.steps sim + 1) *. dt in
-              if next_time >= until then st.status
+              (* Pause strictly before [until]. *)
+              if reached sim ~until then st.status
               else begin
                 Sim.step sim;
                 loop ()

@@ -87,6 +87,11 @@ module Stepper : sig
       [infinity] to run to completion). Resuming a paused stepper with a
       later [until] continues bit-identically to an uninterrupted run. *)
 
+  val reached : Sim.t -> until:float -> bool
+  (** Whether the simulation has reached [until] as {!run} counts it: its
+      next step would land at or past [until], so [run ~until] takes no
+      step. *)
+
   val status : stepper -> status
 
   val encode : Buffer.t -> stepper -> unit

@@ -13,11 +13,13 @@ type t = {
   mutable mode : string option;
   mutable initial_mode : (float * string) option;
   mutable transitions : transition list; (* newest first *)
+  mutable transition_count : int;  (* the length of [transitions] *)
   mutable read_count : int;
 }
 
 let create ?(plan = []) () =
-  { plan; mode = None; initial_mode = None; transitions = []; read_count = 0 }
+  { plan; mode = None; initial_mode = None; transitions = [];
+    transition_count = 0; read_count = 0 }
 
 let plan t = t.plan
 
@@ -69,8 +71,11 @@ let decode ?plan r : t =
         (t, m))
   in
   let transitions = r_list r decode_transition in
+  (* The count is not encoded: it is taken from the log once per
+     restore, off the per-step path. *)
+  let transition_count = List.fold_left (fun n _ -> n + 1) 0 transitions in
   let read_count = r_int r in
-  { plan; mode; initial_mode; transitions; read_count }
+  { plan; mode; initial_mode; transitions; transition_count; read_count }
 
 (* A direct scan: no closure to allocate on every sensor read. *)
 let rec plan_fails ~time (id : Sensor.id) = function
@@ -93,9 +98,12 @@ let update_mode t ~time mode =
   | Some current when current = mode -> ()
   | Some current ->
     t.mode <- Some mode;
-    t.transitions <- { time; from_mode = current; to_mode = mode } :: t.transitions
+    t.transitions <- { time; from_mode = current; to_mode = mode } :: t.transitions;
+    t.transition_count <- t.transition_count + 1
 
 let transitions t = List.rev t.transitions
+
+let transition_count t = t.transition_count
 
 let mode_at t time =
   match t.initial_mode with

@@ -61,6 +61,11 @@ val update_mode : t -> time:float -> string -> unit
 val transitions : t -> transition list
 (** All observed transitions, oldest first. *)
 
+val transition_count : t -> int
+(** How many transitions {!transitions} holds, in O(1) and without
+    allocating: a run that compares it across two moments learns whether
+    its mode changed between them. *)
+
 val mode_at : t -> float -> string option
 (** The mode the firmware was in at a given time, from the transition log. *)
 

@@ -98,15 +98,10 @@ type snapshot = {
   snap_trace : Trace.snapshot;
 }
 
-(* One encoding buffer per domain, cleared and reused by every capture, so
-   a capture's only lasting allocation is its string. *)
-let snapshot_buffer = Domain.DLS.new_key (fun () -> Buffer.create 8192)
-
-(* Every layer but the trace writes into one buffer, each behind its own
-   version byte. Neither the config nor the home frame is written. *)
-let snapshot t =
+(* Every layer but the trace writes into [b], each behind its own version
+   byte. Neither the config nor the home frame is written. *)
+let encode_state b t =
   Avis_util.Trace.span ~cat:"sim" "sim.snapshot" @@ fun () ->
-  let b = Domain.DLS.get snapshot_buffer in
   Buffer.clear b;
   Avis_util.Codec.w_version b 2;
   Avis_physics.World.encode b t.world;
@@ -115,9 +110,19 @@ let snapshot t =
   Link.encode b t.link;
   Vehicle.encode b t.vehicle;
   Gcs.encode b t.gcs;
-  Avis_util.Codec.w_int b t.steps;
-  { snap_config = t.config; state = Buffer.contents b;
-    snap_trace = Trace.snapshot t.trace }
+  Avis_util.Codec.w_int b t.steps
+
+let snapshot_of_state config ~state snap_trace =
+  { snap_config = config; state; snap_trace }
+
+(* One encoding buffer per domain, cleared and reused by every snapshot,
+   so a snapshot's only lasting allocation is its string. *)
+let snapshot_buffer = Domain.DLS.new_key (fun () -> Buffer.create 8192)
+
+let snapshot t =
+  let b = Domain.DLS.get snapshot_buffer in
+  encode_state b t;
+  snapshot_of_state t.config ~state:(Buffer.contents b) (Trace.snapshot t.trace)
 
 let snapshot_bytes s = String.length s.state + Trace.snapshot_bytes s.snap_trace
 
@@ -244,8 +249,7 @@ let encode_snapshot b s =
 
 let decode_snapshot ~config r =
   let state = Avis_util.Codec.r_bytes r in
-  let snap_trace = Trace.decode_snapshot r in
-  { snap_config = config; state; snap_trace }
+  snapshot_of_state config ~state (Trace.decode_snapshot r)
 
 (* Every field is written (warning 9 is an error here), each through its
    layer's codec, so every float travels by its bits. *)

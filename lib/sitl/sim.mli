@@ -48,6 +48,21 @@ type snapshot
     and is not encoded. Taking a snapshot does not disturb the live run. *)
 
 val snapshot : t -> snapshot
+(** {!encode_state} into a buffer of the domain's, then
+    {!snapshot_of_state} of its contents and the trace's snapshot. *)
+
+val encode_state : Buffer.t -> t -> unit
+(** Clear the buffer and write into it every layer but the trace: the
+    string a snapshot taken now would keep. A caller that may never need
+    the snapshot encodes into a buffer it reuses, keeps
+    [Trace.snapshot (trace t)] from the same moment, and builds the
+    snapshot later, if at all, with {!snapshot_of_state}. *)
+
+val snapshot_of_state : config -> state:string -> Trace.snapshot -> snapshot
+(** The snapshot of a run of [config] whose layers {!encode_state} wrote
+    as [state] and whose trace was frozen at the same moment. The run may
+    have stepped on since: a trace snapshot reads only what was recorded
+    before it. *)
 
 val snapshot_bytes : snapshot -> int
 (** The bytes the snapshot alone holds: its encoded string plus the

@@ -41,6 +41,11 @@ let test_mode_transitions () =
   Hinj.update_mode h ~time:10.0 "Waypoint 1";
   let transitions = Hinj.transitions h in
   Alcotest.(check int) "two transitions" 2 (List.length transitions);
+  Alcotest.(check int) "counted" 2 (Hinj.transition_count h);
+  Alcotest.(check int) "counted after a round trip" 2
+    (Hinj.transition_count
+       (Avis_util.Codec.of_string Hinj.decode
+          (Avis_util.Codec.to_string Hinj.encode h)));
   let first = List.hd transitions in
   Alcotest.(check string) "from" "Pre-Flight" first.Hinj.from_mode;
   Alcotest.(check string) "to" "Takeoff" first.Hinj.to_mode;

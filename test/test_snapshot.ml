@@ -2,8 +2,9 @@
    original afterwards does not disturb it), a restore is an independent
    bit-identical fork, and the prefix cache built on top is
    outcome-transparent — every cached result equals the cold one, so
-   campaigns produce identical results with caching on or off — and
-   charges its budget no more than its checkpoints really hold. *)
+   campaigns produce identical results with caching on or off — charges
+   its budget no more than its checkpoints really hold, and keeps a faulty
+   run's capture only where a stacked scenario can fork. *)
 
 open Avis_sensors
 open Avis_firmware
@@ -239,6 +240,144 @@ let test_prefix_cache_pricing () =
     Alcotest.failf "charged %d bytes against a footprint of %d" charged
       footprint
 
+(* [f ()] with tracing on, from an empty trace: its result and the events
+   it recorded. *)
+let traced f =
+  Avis_util.Trace.reset ();
+  Avis_util.Trace.set_enabled true;
+  let result =
+    Fun.protect ~finally:(fun () -> Avis_util.Trace.set_enabled false) f
+  in
+  let events =
+    match
+      Avis_util.Json.member "traceEvents" (Avis_util.Trace.to_chrome_json ())
+    with
+    | Some (Avis_util.Json.List events) -> events
+    | _ -> []
+  in
+  Avis_util.Trace.reset ();
+  (result, events)
+
+(* Events of phase [ph] named [name]: ["X"] spans, ["C"] counter samples. *)
+let count_events ~ph name events =
+  let is field value e =
+    Avis_util.Json.member field e = Some (Avis_util.Json.String value)
+  in
+  List.length (List.filter (fun e -> is "name" name e && is "ph" ph e) events)
+
+let quickstart_targets = List.init 30 (fun i -> float_of_int (i + 1))
+
+let quickstart_cache () =
+  let workload = Workload.quickstart and policy = Policy.apm in
+  Prefix_cache.create ~workload ~config:(sim_config workload policy)
+    ~checkpoint_times:quickstart_targets ()
+
+(* The injection-clock times a run of [scenario] captures at, paused at
+   each target as [Prefix_cache.execute] pauses a cold run. *)
+let capture_times workload policy ~scenario =
+  let sim =
+    Sim.create ~plan:(Scenario.to_plan scenario) (sim_config workload policy)
+  in
+  let st = Workload.Stepper.create workload in
+  List.fold_left
+    (fun acc until ->
+      if Workload.Stepper.reached sim ~until then acc
+      else
+        match Workload.Stepper.run st sim ~until with
+        | Workload.Stepper.Running -> Vehicle.time (Sim.vehicle sim) :: acc
+        | Workload.Stepper.Done _ -> acc)
+    [] quickstart_targets
+
+let compass_at at =
+  Scenario.of_faults
+    [ Scenario.sensor_fault { Sensor.kind = Sensor.Compass; index = 1 } at ]
+
+let transitions_after at (o : Sim.outcome) =
+  List.filter (fun (tr : Avis_hinj.Hinj.transition) -> tr.Avis_hinj.Hinj.time > at)
+    o.Sim.transitions
+
+(* SABRE stacks a new fault set onto a safe run at the mode transitions it
+   was seen to make. Such a child forks from its base's last capture before
+   that transition — a faulty capture, kept because the run changed mode
+   before its next one — and its outcome is still the cold run's. *)
+let test_stacked_child_forks_before_transition () =
+  let workload = Workload.quickstart and policy = Policy.apm in
+  let cache = quickstart_cache () in
+  let fault = 5.0 in
+  let base = compass_at fault in
+  let base_outcome = Prefix_cache.execute cache ~scenario:base in
+  let at =
+    match transitions_after fault base_outcome with
+    | tr :: _ -> tr.Avis_hinj.Hinj.time
+    | [] -> Alcotest.fail "the base made no transition after its fault"
+  in
+  let fork_time =
+    List.fold_left Float.max 0.0
+      (List.filter (fun c -> c < at) (capture_times workload policy ~scenario:base))
+  in
+  Alcotest.(check bool) "the base captured between its fault and the transition"
+    true (fork_time > fault);
+  let child =
+    Scenario.of_faults
+      (base
+      @ List.init 2 (fun index ->
+            Scenario.sensor_fault { Sensor.kind = Sensor.Gps; index } at))
+  in
+  let before = Prefix_cache.stats cache in
+  let served = Prefix_cache.execute cache ~scenario:child in
+  let after = Prefix_cache.stats cache in
+  Alcotest.(check int) "the child is a hit" (before.Prefix_cache.hits + 1)
+    after.Prefix_cache.hits;
+  Alcotest.(check (float 0.0)) "forked at the base's last capture before it"
+    (before.Prefix_cache.saved_sim_s +. fork_time) after.Prefix_cache.saved_sim_s;
+  check_same_outcome "child = cold"
+    (cold_run ~plan:(Scenario.to_plan child) workload policy)
+    served
+
+(* A faulty run files a capture only where a stacked scenario can fork:
+   before each of its mode transitions, and at its end. With the clean
+   prefix already filed, every checkpoint a faulty run files is faulty, and
+   each one samples the [snapshot.bytes] counter. *)
+let test_faulty_run_files_before_transitions () =
+  let workload = Workload.quickstart and policy = Policy.apm in
+  let cache = quickstart_cache () in
+  ignore (Prefix_cache.execute cache ~scenario:Scenario.empty : Sim.outcome);
+  let filed fault =
+    let outcome, events =
+      traced (fun () -> Prefix_cache.execute cache ~scenario:(compass_at fault))
+    in
+    check_same_outcome "cached = cold"
+      (cold_run ~plan:(Scenario.to_plan (compass_at fault)) workload policy)
+      outcome;
+    ( List.length (transitions_after fault outcome),
+      count_events ~ph:"C" "snapshot.bytes" events )
+  in
+  let transitions, n = filed 5.0 in
+  Alcotest.(check bool) "transitions after the fault" true (transitions > 0);
+  if n < 1 || n > transitions + 1 then
+    Alcotest.failf "filed %d faulty checkpoints over %d transitions" n
+      transitions;
+  (* After the last transition: only the final capture. *)
+  let transitions, n = filed 28.5 in
+  Alcotest.(check int) "no transition after the late fault" 0 transitions;
+  Alcotest.(check int) "the final capture alone" 1 n
+
+(* A served scenario resumes just under the target its checkpoint was taken
+   at; it does not capture there again. A scenario served from its own
+   final capture takes no capture at all. *)
+let test_served_run_skips_its_fork_point () =
+  let workload = Workload.quickstart and policy = Policy.apm in
+  let cache = quickstart_cache () in
+  let scenario = compass_at 5.0 in
+  ignore (Prefix_cache.execute cache ~scenario : Sim.outcome);
+  let hits = (Prefix_cache.stats cache).Prefix_cache.hits in
+  let served, events = traced (fun () -> Prefix_cache.execute cache ~scenario) in
+  Alcotest.(check int) "served" (hits + 1) (Prefix_cache.stats cache).Prefix_cache.hits;
+  Alcotest.(check int) "no capture" 0 (count_events ~ph:"X" "cache.checkpoint" events);
+  check_same_outcome "served = cold"
+    (cold_run ~plan:(Scenario.to_plan scenario) workload policy)
+    served
+
 let test_campaign_cache_transparent () =
   let base = Campaign.default_config Policy.apm Workload.auto_box in
   let run cached =
@@ -334,6 +473,12 @@ let () =
             test_prefix_cache_eviction_bounded;
           Alcotest.test_case "charge within the true footprint" `Slow
             test_prefix_cache_pricing;
+          Alcotest.test_case "stacked child forks before the transition" `Slow
+            test_stacked_child_forks_before_transition;
+          Alcotest.test_case "faulty run files before transitions" `Slow
+            test_faulty_run_files_before_transitions;
+          Alcotest.test_case "served run skips its fork point" `Slow
+            test_served_run_skips_its_fork_point;
           Alcotest.test_case "campaign on/off identical" `Slow
             test_campaign_cache_transparent;
           Alcotest.test_case "campaign replay identical" `Slow

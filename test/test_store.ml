@@ -7,8 +7,9 @@
    put, treat every corruption as a miss, respect fingerprints and the byte
    budget; (3) a fresh [Prefix_cache] sharing a store directory must serve
    scenarios from disk with outcomes bit-identical to cold runs, even after
-   the directory is vandalised, and the directory must hold only the clean
-   captures and each scenario's final capture. *)
+   the directory is vandalised, reading only the file each one forks from,
+   and the directory must hold only the clean captures and each scenario's
+   final capture. *)
 
 open Avis_geo
 open Avis_sensors
@@ -680,17 +681,20 @@ let test_store_vandalised_dir_still_identical () =
   Alcotest.(check int) "nothing served from disk" 0 s.Prefix_cache.store_hits;
   Alcotest.(check bool) "misses counted" true (s.Prefix_cache.store_misses > 0)
 
+(* A checkpoint file's capture time, from the bits that follow its key
+   hash. *)
+let capture_time path =
+  let name = Filename.basename path in
+  Int64.float_of_bits (Int64.of_string ("0x" ^ String.sub name 33 16))
+
 (* The checkpoint files' capture times, grouped by the 32-hex-digit key
    hash that opens each name. *)
 let times_by_hash dir =
   let tbl = Hashtbl.create 8 in
   List.iter
     (fun path ->
-      let name = Filename.basename path in
-      let hash = String.sub name 0 32 in
-      let time =
-        Int64.float_of_bits (Int64.of_string ("0x" ^ String.sub name 33 16))
-      in
+      let hash = String.sub (Filename.basename path) 0 32 in
+      let time = capture_time path in
       Hashtbl.replace tbl hash
         (time :: Option.value ~default:[] (Hashtbl.find_opt tbl hash)))
     (ckpt_files dir);
@@ -787,6 +791,89 @@ let test_store_extension_identical () =
     ~msg:"extension = cold" cache2 make_sim workload;
   Alcotest.(check int) "every scenario forked" 0
     (Prefix_cache.stats cache2).Prefix_cache.misses
+
+(* Re-frame a checkpoint file around the first half of its payload: the
+   frame's checksum holds, but the payload does not decode. *)
+let halve_payload path =
+  let ic = open_in_bin path in
+  let data = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  let payload = String.sub data 29 (String.length data - 29) in
+  let half = String.sub payload 0 (String.length payload / 2) in
+  let b = Buffer.create (29 + String.length half) in
+  Buffer.add_string b (String.sub data 0 5);
+  Buffer.add_string b (Digest.string half);
+  Buffer.add_int64_le b (Int64.of_int (String.length half));
+  Buffer.add_string b half;
+  let oc = open_out_bin path in
+  Buffer.output_buffer oc b;
+  close_out oc
+
+(* A store lookup picks its winner from the index and reads that file
+   alone: every other candidate keeps its mtime, which a read would
+   refresh. *)
+let test_store_reads_only_the_served_file () =
+  with_temp_dir @@ fun store_dir ->
+  let cache1, make_sim, workload = quickstart_cache ~store_dir in
+  check_cache_against_cold ~msg:"fill = cold" cache1 make_sim workload;
+  let files = ckpt_files store_dir and old = 1e9 in
+  List.iter (fun p -> Unix.utimes p old old) files;
+  let cache2, make_sim, workload = quickstart_cache ~store_dir in
+  check_cache_against_cold ~msg:"served = cold" cache2 make_sim workload;
+  let read = List.filter (fun p -> (Unix.stat p).Unix.st_mtime <> old) files in
+  let s = Prefix_cache.stats cache2 in
+  Alcotest.(check int) "every scenario from the store"
+    (List.length (store_scenarios ()))
+    s.Prefix_cache.store_hits;
+  Alcotest.(check int) "one file read per store hit" s.Prefix_cache.store_hits
+    (List.length read)
+
+(* A winner that does not load — a damaged frame, or a payload that does not
+   decode — is deleted, and the scenario forks from the next-best
+   checkpoint: the clean capture before its fault. With every file damaged
+   the lookup is a counted miss, and the scenario runs cold. *)
+let test_store_corrupt_winner_falls_back () =
+  let scenario = List.nth (store_scenarios ()) 1 in
+  let fill store_dir =
+    let cache, make_sim, workload = quickstart_cache ~store_dir in
+    check_cache_against_cold ~scenarios:[ scenario ] ~msg:"fill = cold" cache
+      make_sim workload;
+    List.sort
+      (fun a b -> Float.compare (capture_time b) (capture_time a))
+      (ckpt_files store_dir)
+  in
+  let serve store_dir =
+    let cache, make_sim, workload = quickstart_cache ~store_dir in
+    check_cache_against_cold ~scenarios:[ scenario ] ~msg:"served = cold" cache
+      make_sim workload;
+    Prefix_cache.stats cache
+  in
+  List.iter
+    (fun (name, damage) ->
+      (with_temp_dir @@ fun store_dir ->
+       match fill store_dir with
+       | winner :: next :: _ ->
+         Alcotest.(check bool) (name ^ ": the winner is faulty") true
+           (capture_time winner > first_fault scenario);
+         damage winner;
+         let s = serve store_dir in
+         Alcotest.(check int) (name ^ ": a store hit") 1 s.Prefix_cache.store_hits;
+         Alcotest.(check (float 0.0)) (name ^ ": forked at the next best")
+           (capture_time next) s.Prefix_cache.saved_sim_s;
+         (* The damaged file was deleted, and the served run wrote its
+            final capture there afresh. *)
+         Alcotest.(check (float 0.0)) (name ^ ": the winner rewritten")
+           (capture_time winner)
+           (serve store_dir).Prefix_cache.saved_sim_s
+       | _ -> Alcotest.fail "the fill stored fewer than two checkpoints");
+      with_temp_dir @@ fun store_dir ->
+      List.iter damage (fill store_dir);
+      let s = serve store_dir in
+      Alcotest.(check int) (name ^ " everywhere: a counted miss") 1
+        s.Prefix_cache.store_misses;
+      Alcotest.(check int) (name ^ " everywhere: cold") 1 s.Prefix_cache.misses)
+    [ ("bit-flipped frame", damage_file ~at:60);
+      ("payload that does not decode", halve_payload) ]
 
 (* ------------------------------------------------------------------ *)
 (* Profiles and the index                                               *)
@@ -1006,6 +1093,10 @@ let () =
             test_store_keeps_final_captures;
           Alcotest.test_case "fresh instance forks at final captures" `Slow
             test_store_serves_final_captures;
+          Alcotest.test_case "a lookup reads only the served file" `Slow
+            test_store_reads_only_the_served_file;
+          Alcotest.test_case "corrupt winner falls back" `Slow
+            test_store_corrupt_winner_falls_back;
           Alcotest.test_case "stacked extension identical" `Slow
             test_store_extension_identical;
         ] );
