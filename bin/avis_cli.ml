@@ -46,16 +46,7 @@ let faults_to_plan faults =
         match index with
         | Some i -> [ i ]
         | None ->
-          List.init
-            (let c = Avis_sensors.Suite.iris_complement in
-             match kind with
-             | Avis_sensors.Sensor.Accelerometer -> c.Avis_sensors.Suite.accelerometers
-             | Avis_sensors.Sensor.Gyroscope -> c.Avis_sensors.Suite.gyroscopes
-             | Avis_sensors.Sensor.Compass -> c.Avis_sensors.Suite.compasses
-             | Avis_sensors.Sensor.Gps -> c.Avis_sensors.Suite.gps_receivers
-             | Avis_sensors.Sensor.Barometer -> c.Avis_sensors.Suite.barometers
-             | Avis_sensors.Sensor.Battery -> c.Avis_sensors.Suite.batteries)
-            Fun.id
+          List.init (Avis_sensors.Suite.count kind) Fun.id
       in
       List.map
         (fun index ->

@@ -9,7 +9,6 @@ type config = {
   speedup : float;
   seed : int;
   profiling_runs : int;
-  link_jitter_steps : int;
   prefix_cache : bool;
 }
 
@@ -22,7 +21,6 @@ let default_config policy workload =
     speedup = 6.0;
     seed = 1;
     profiling_runs = 8;
-    link_jitter_steps = 2;
     prefix_cache = true;
   }
 
@@ -177,7 +175,6 @@ let sim_cfg_of (config : config) ~seed =
     Sim.enabled_bugs = config.enabled_bugs;
     seed;
     max_duration = max_sim_duration config;
-    link_jitter_steps = config.link_jitter_steps;
     environment = config.workload.Workload.environment ();
   }
 
@@ -202,7 +199,6 @@ let profile_identity (config : config) =
     (* Keyed through the profiling simulator config encoded first. *)
     policy = _;
     enabled_bugs = _;
-    link_jitter_steps = _;
     workload;
     seed;
     profiling_runs;
@@ -288,10 +284,7 @@ let profile_and_context ?store config =
   let profile = Monitor.build_profile outcomes in
   let first = List.hd outcomes in
   let rng = Avis_util.Rng.create (config.seed * 7919) in
-  let ctx =
-    Search.context_of_outcome ~rng
-      ~suite_complement:Avis_sensors.Suite.iris_complement first
-  in
+  let ctx = Search.context_of_outcome ~rng first in
   let source =
     match served with
     | Some _ -> Avis_util.Metrics.Profile_store
@@ -312,9 +305,9 @@ let open_store (config : config) =
 
 (* Canonical identity of one campaign cell, the config half of its
    journal key: the exact test-run simulator configuration (policy, bugs,
-   test seed, dt, link jitter, environment, airframe — everything
-   Sim.encode_config covers), the workload, the budget parameters by
-   their IEEE-754 bits, and the approach label. Two invocations agree on
+   test seed, duration cap, environment — everything Sim.encode_config
+   covers), the workload, the budget parameters by their IEEE-754 bits,
+   and the approach label. Two invocations agree on
    these bytes exactly when their campaigns are bit-identical, which is
    when serving a memo is sound. The config is destructured exhaustively
    (warning 9 is an error here in every build profile), so a field added
@@ -325,7 +318,6 @@ let journal_identity (config : config) ~approach =
     (* Keyed through the test-run simulator config encoded first. *)
     policy = _;
     enabled_bugs = _;
-    link_jitter_steps = _;
     workload;
     budget_s;
     speedup;
@@ -557,7 +549,7 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
     in
     (* Measured here — one campaign's wall time, profiling included — so
        every journal writer records the same notion of cell duration and
-       the cost model's history is comparable across entry points. *)
+       the durations are comparable across entry points. *)
     let elapsed_s = Avis_util.Metrics.now_s () -. wall0 in
     Run_journal.record_complete j
       (record_of_result ~elapsed_s config ~approach

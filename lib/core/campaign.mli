@@ -18,7 +18,6 @@ type config = {
   speedup : float;  (** Simulated seconds per wall-clock second. *)
   seed : int;
   profiling_runs : int;
-  link_jitter_steps : int;
   prefix_cache : bool;
       (** Serve test runs from clean-run snapshots ({!Prefix_cache}).
           Outcomes and budget accounting are bit-identical either way;

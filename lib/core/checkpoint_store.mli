@@ -25,7 +25,7 @@
     A {e checkpoint} is [HASH-TIME.ckpt], where [TIME] is the simulated
     time of the snapshot by its IEEE-754 bits. {!Prefix_cache} keys it by
     {!Avis_sitl.Sim.encode_config} of the campaign's test-run
-    configuration (policy, bugs, seed, dt, environment, airframe), the
+    configuration (policy, bugs, seed, duration cap, environment), the
     workload name, and the prefix cache's canonical encoding of the faults
     active at capture time (times by their bits).
 

@@ -71,9 +71,10 @@ let json_of_record r =
            ("infs", Json.int r.inferences);
            ("spent_bits", Json.String (Printf.sprintf "%016Lx" r.spent_bits));
          ];
-         (* Wall-clock duration of the cell, feeding the scheduler's cost
-            model. Optional: journals written before the field existed (or
-            records from paths that never measured) stay servable. *)
+         (* Wall-clock duration of the cell, the worker-side cell time a
+            daemon client reads off a result. Optional: journals written
+            before the field existed (or records from paths that never
+            measured) stay servable. *)
          (match r.elapsed_bits with
          | Some bits ->
            [ ("elapsed_bits", Json.String (Printf.sprintf "%016Lx" bits)) ]

@@ -9,16 +9,12 @@ type context = {
   rng : Avis_util.Rng.t;
 }
 
-let context_of_outcome ~rng ~suite_complement (outcome : Avis_sitl.Sim.outcome) =
+let context_of_outcome ~rng (outcome : Avis_sitl.Sim.outcome) =
   let transitions =
     List.map
       (fun tr ->
         Avis_hinj.Hinj.(tr.time, tr.from_mode, tr.to_mode))
       outcome.Avis_sitl.Sim.transitions
-  in
-  let instances = Suite.instances_of_complement suite_complement in
-  let instances_of_kind kind =
-    List.length (List.filter (fun id -> id.Sensor.kind = kind) instances)
   in
   (* The mode in force at a time, precomputed as a time-sorted array and
      answered by binary search — [mode_at] is called per candidate site by
@@ -45,8 +41,8 @@ let context_of_outcome ~rng ~suite_complement (outcome : Avis_sitl.Sim.outcome) 
   {
     transitions;
     mission_duration = outcome.Avis_sitl.Sim.duration;
-    instances;
-    instances_of_kind;
+    instances = Suite.instances;
+    instances_of_kind = Suite.count;
     mode_at;
     rng;
   }

@@ -20,9 +20,7 @@ type context = {
   rng : Avis_util.Rng.t;
 }
 
-val context_of_outcome :
-  rng:Avis_util.Rng.t -> suite_complement:Avis_sensors.Suite.complement ->
-  Avis_sitl.Sim.outcome -> context
+val context_of_outcome : rng:Avis_util.Rng.t -> Avis_sitl.Sim.outcome -> context
 (** Build the search context from a profiling run's outcome. *)
 
 type run_result = {

@@ -156,7 +156,7 @@ let snap_rt () =
         in
         let bytes = encode sim in
         match
-          Avis_sitl.Sim.restore
+          Avis_sitl.Sim.restore ~plan:[] ~link_outages:[]
             (Avis_util.Codec.of_string
                (Avis_sitl.Sim.decode_snapshot ~config:cfg)
                bytes)
@@ -331,13 +331,13 @@ let alloc_0 () =
     run =
       (fun () ->
         let w = World.create ~position:(Vec3.make 0.0 0.0 100.0) () in
-        let suite = Avis_sensors.Suite.create ~rng:(Avis_util.Rng.create 1) () in
+        let suite = Avis_sensors.Suite.create ~rng:(Avis_util.Rng.create 1) in
         let trace = Avis_sitl.Trace.create () in
         let cmds = Array.make 4 hover in
         let steps = ref 0 in
         let kernel () =
           ignore (World.step w ~motor_commands:cmds ~dt);
-          Avis_sensors.Suite.tick suite w ~dt;
+          Avis_sensors.Suite.tick suite ~dt;
           incr steps;
           Avis_sitl.Trace.record trace ~steps:!steps ~dt w ~mode:"Manual"
         in

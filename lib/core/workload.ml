@@ -217,7 +217,7 @@ module Stepper = struct
      accumulation) keeps every pause point bit-identical to an
      uninterrupted run. *)
   let reached sim ~until =
-    float_of_int (Sim.steps sim + 1) *. (Sim.config sim).Sim.dt >= until
+    float_of_int (Sim.steps sim + 1) *. Sim.dt >= until
 
   (* One span per pumped segment: between two pauses, this loop is where
      the simulated world actually advances, so these spans are the "sim

@@ -367,22 +367,13 @@ let unknown_bugs fw =
 let known_bugs fw =
   List.filter (fun id -> let i = info id in i.firmware = fw && i.known) all
 
-type registry = { mutable enabled : id list }
+type registry = { enabled : id list }
 
-let registry ?enabled fw =
-  match enabled with
-  | Some ids -> { enabled = ids }
-  | None -> { enabled = unknown_bugs fw }
+let registry ~enabled = { enabled }
 
 (* Ids are constant constructors, so physical equality is equality and
    [memq] avoids [mem]'s polymorphic compare. *)
 let enabled r id = List.memq id r.enabled
-
-let enable r id = if not (List.memq id r.enabled) then r.enabled <- id :: r.enabled
-
-let disable r id = r.enabled <- List.filter (fun x -> x != id) r.enabled
-
-let enabled_list r = r.enabled
 
 (* Stable wire ids for snapshots: the position in [all]. Appending new bugs
    keeps old snapshots decodable; never reorder. *)

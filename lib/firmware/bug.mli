@@ -79,16 +79,14 @@ val unknown_bugs : firmware_kind -> id list
 val known_bugs : firmware_kind -> id list
 (** Table V bugs for a firmware. *)
 
-(** A per-vehicle set of enabled bugs. *)
+(** A per-vehicle set of enabled bugs, fixed when it is built. *)
 type registry
 
-val registry : ?enabled:id list -> firmware_kind -> registry
-(** By default, the firmware's unknown bugs are enabled. *)
+val registry : enabled:id list -> registry
+(** The run's configured list: {!unknown_bugs} reproduces the code bases
+    the paper checked, and adding {!known_bugs} re-inserts Table V's. *)
 
 val enabled : registry -> id -> bool
-val enable : registry -> id -> unit
-val disable : registry -> id -> unit
-val enabled_list : registry -> id list
 
 val encode_id : Buffer.t -> id -> unit
 (** One stable byte per bug (its position in {!all}). *)

@@ -20,38 +20,30 @@ let hold_demand ~yaw ~pos =
 let accel_only_tilt = 0.15
 let accel_only_accel_limit = Avis_physics.Airframe.gravity *. tan accel_only_tilt
 
+(* Every controller flies [Airframe.iris]. *)
+let hover = Avis_physics.Airframe.hover_throttle Avis_physics.Airframe.iris
+let layout = Avis_physics.Motor.mix_layout Avis_physics.Airframe.iris
+let arm = Avis_physics.Airframe.iris.Avis_physics.Airframe.arm_length_m
+
 type t = {
   params : Params.t;
-  airframe : Avis_physics.Airframe.t;
-  hover : float;
   accel_limit : float; (* gravity * tan max_tilt_rad *)
   cos_max_tilt : float;
   climb_pid : Pid.t;
-  layout : (Vec3.t * float) array; (* immutable mix layout, hoisted *)
   output : float array; (* reused across steps; consumers copy *)
 }
 
-(* Everything but the PID state and the output buffer is derived from the
-   parameters and the airframe, here and on decode. *)
-let make ~params ~airframe ~climb_pid ~output =
+let create ~params () =
   {
     params;
-    airframe;
-    hover = Avis_physics.Airframe.hover_throttle airframe;
     accel_limit =
       Avis_physics.Airframe.gravity *. tan params.Params.max_tilt_rad;
     cos_max_tilt = cos params.Params.max_tilt_rad;
-    climb_pid;
-    layout = Avis_physics.Motor.mix_layout airframe;
-    output;
+    climb_pid =
+      Pid.create ~kp:params.Params.climb_vel_p ~ki:params.Params.climb_vel_i
+        ~i_limit:2.0 ~out_limit:0.6 ();
+    output = Array.make (Array.length layout) 0.0;
   }
-
-let create ~params ~airframe () =
-  make ~params ~airframe
-    ~climb_pid:
-      (Pid.create ~kp:params.Params.climb_vel_p ~ki:params.Params.climb_vel_i
-         ~i_limit:2.0 ~out_limit:0.6 ())
-    ~output:(Array.make airframe.Avis_physics.Airframe.motor_count 0.0)
 
 let reset t = Pid.reset t.climb_pid
 
@@ -132,11 +124,11 @@ let step t est demand ~dt =
       if demand.open_loop_descent then
         (* Fixed collective just under hover: a steady drag-limited sink
            with no feedback path to go unstable through. *)
-        Avis_util.Stats.clamp ~lo:0.05 ~hi:1.0 (t.hover *. 0.965 *. tilt_comp)
+        Avis_util.Stats.clamp ~lo:0.05 ~hi:1.0 (hover *. 0.965 *. tilt_comp)
       else
         let correction = Pid.update t.climb_pid ~error:climb_err ~dt in
         Avis_util.Stats.clamp ~lo:0.05 ~hi:1.0
-          ((t.hover +. correction) *. tilt_comp)
+          ((hover +. correction) *. tilt_comp)
     in
     (* Attitude loop on the full quaternion error: decomposing into
        independent Euler-angle errors goes unstable when yawing while
@@ -195,9 +187,8 @@ let step t est demand ~dt =
     in
     (* Mix thrust and torque demands onto the motors, into the reused
        output buffer (the simulator's motor model copies it). *)
-    let arm = t.airframe.Avis_physics.Airframe.arm_length_m in
-    for i = 0 to Array.length t.layout - 1 do
-      let mpos, spin = t.layout.(i) in
+    for i = 0 to Array.length layout - 1 do
+      let mpos, spin = layout.(i) in
       let open Vec3 in
       let roll_term = torque_cmd.x *. (mpos.y /. arm) in
       let pitch_term = torque_cmd.y *. (-.mpos.x /. arm) in
@@ -209,34 +200,31 @@ let step t est demand ~dt =
     t.output
   end
 
-(* Destructured exhaustively, as [Estimator.encode] is: only the airframe
-   and the mutable state travel, and [make] rebuilds the rest. *)
+(* Destructured exhaustively, as [Estimator.encode] is: only the mutable
+   state travels, and [create] rebuilds the rest. *)
 let encode b (t : t) =
   let[@warning "+9"] {
     params = _ (* the personality's fixed set, passed back to [decode] *);
-    airframe;
-    hover = _;
     accel_limit = _;
-    cos_max_tilt = _;
-    layout = _ (* derived from the params and the airframe by [make] *);
+    cos_max_tilt = _ (* derived from the params by [create] *);
     climb_pid;
     output;
   } =
     t
   in
   let open Avis_util.Codec in
-  w_version b 2;
-  Avis_physics.Airframe.encode b airframe;
+  w_version b 3;
   Pid.encode b climb_pid;
   w_float_array b output
 
 let decode ~params r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:2 in
-  let airframe = Avis_physics.Airframe.decode r in
-  let climb_pid = Pid.decode r in
+  let (_ : int) = r_version r ~expect:3 in
+  let t = create ~params () in
+  Pid.decode_into t.climb_pid r;
   let output = r_float_array r in
-  if Array.length output <> airframe.Avis_physics.Airframe.motor_count then
-    corrupt "control output length %d does not match motor count %d"
-      (Array.length output) airframe.Avis_physics.Airframe.motor_count;
-  make ~params ~airframe ~climb_pid ~output
+  if Array.length output <> Array.length t.output then
+    corrupt "control output length %d does not match the %d motors"
+      (Array.length output) (Array.length t.output);
+  Array.blit output 0 t.output 0 (Array.length output);
+  t

@@ -37,7 +37,9 @@ val hold_demand : yaw:float -> pos:Vec3.t -> demand
 
 type t
 
-val create : params:Params.t -> airframe:Avis_physics.Airframe.t -> unit -> t
+val create : params:Params.t -> unit -> t
+(** A controller for the Iris ({!Avis_physics.Airframe.iris}), flown with
+    the parameter set [params]. *)
 
 val step : t -> Estimator.t -> demand -> dt:float -> float array
 (** Motor commands in [\[0, 1\]] for this cycle, flown with the parameter
@@ -49,10 +51,12 @@ val reset : t -> unit
 (** Clear integrators (on arming and mode changes). *)
 
 val encode : Buffer.t -> t -> unit
-(** Versioned bit-exact binary layout (airframe and mutable controller
-    state). The parameter set is not written, and derived fields are
-    recomputed on decode. *)
+(** Versioned bit-exact binary layout of the mutable controller state: the
+    climb PID's integrator and history and the last motor outputs. The
+    parameter set, the PID's gains and the airframe are not written, and
+    derived fields are recomputed on decode. *)
 
 val decode : params:Params.t -> Avis_util.Codec.reader -> t
 (** Inverse of {!encode}, over the parameter set the controller was created
-    with. Raises [Avis_util.Codec.Corrupt] on malformed input. *)
+    with. Raises [Avis_util.Codec.Corrupt] on malformed input, including
+    an output whose length is not the Iris's 4 motors. *)

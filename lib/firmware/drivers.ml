@@ -1,7 +1,6 @@
 open Avis_sensors
 
 type kind_state = {
-  kind : Sensor.kind;
   count : int;
   ids : Sensor.id array;  (* instance ids, built once for the probes *)
   period : float;
@@ -12,11 +11,11 @@ type kind_state = {
   mutable stale : Sensor.reading option;
 }
 
-(* Indexed by [Sensor.kind_tag]; [None] for a kind the suite lacks. *)
+(* Indexed by [Sensor.kind_tag]. *)
 type t = {
   suite : Suite.t;
   hinj : Avis_hinj.Hinj.t;
-  kinds : kind_state option array;
+  kinds : kind_state array;
 }
 
 let period_for (params : Params.t) = function
@@ -46,41 +45,21 @@ let lost_at_of ks =
     Some (List.fold_left (fun acc (_, at) -> Float.max acc at) neg_infinity failed)
   | _ -> None
 
-let kind_state ~kind ~count ~period ~next_sample ~failed ~fresh ~stale =
-  let ks =
+let create ~params ~suite ~hinj () =
+  let kind_state kind =
+    let count = Suite.count kind in
     {
-      kind;
       count;
       ids = Array.init count (fun index -> { Sensor.kind; index });
-      period;
-      next_sample;
-      failed;
+      period = period_for params kind;
+      next_sample = 0.0;
+      failed = [];
       lost_at = None;
-      fresh;
-      stale;
+      fresh = None;
+      stale = None;
     }
   in
-  ks.lost_at <- lost_at_of ks;
-  ks
-
-let index_kinds states =
-  let kinds = Array.make (List.length Sensor.all_kinds) None in
-  List.iter (fun ks -> kinds.(Sensor.kind_tag ks.kind) <- Some ks) states;
-  kinds
-
-let create ~params ~suite ~hinj () =
-  let states =
-    List.filter_map
-      (fun kind ->
-        let count = Suite.count suite kind in
-        if count = 0 then None
-        else
-          Some
-            (kind_state ~kind ~count ~period:(period_for params kind)
-               ~next_sample:0.0 ~failed:[] ~fresh:None ~stale:None))
-      Sensor.all_kinds
-  in
-  { suite; hinj; kinds = index_kinds states }
+  { suite; hinj; kinds = Array.of_list (List.map kind_state Sensor.all_kinds) }
 
 (* Probe every not-yet-failed instance (the health monitoring real firmware
    performs on backups too), recording clean failures, and read the
@@ -103,68 +82,55 @@ let probe_and_read t ks world ~time =
 
 let sample t world ~time =
   for tag = 0 to Array.length t.kinds - 1 do
-    match t.kinds.(tag) with
-    | None -> ()
-    | Some ks ->
-      ks.fresh <- None;
-      if time >= ks.next_sample then begin
-        ks.next_sample <- ks.next_sample +. ks.period;
-        (* If scheduling fell far behind (it should not), resynchronise. *)
-        if ks.next_sample <= time then ks.next_sample <- time +. ks.period;
-        probe_and_read t ks world ~time
-      end
+    let ks = t.kinds.(tag) in
+    ks.fresh <- None;
+    if time >= ks.next_sample then begin
+      ks.next_sample <- ks.next_sample +. ks.period;
+      (* If scheduling fell far behind (it should not), resynchronise. *)
+      if ks.next_sample <= time then ks.next_sample <- time +. ks.period;
+      probe_and_read t ks world ~time
+    end
   done
 
-let state_for t kind =
-  match t.kinds.(Sensor.kind_tag kind) with
-  | Some ks -> ks
-  | None -> invalid_arg ("Drivers: no such kind " ^ Sensor.kind_to_string kind)
+let state_for t kind = t.kinds.(Sensor.kind_tag kind)
 
 let fresh t kind = (state_for t kind).fresh
 let stale t kind = (state_for t kind).stale
 let kind_failed_at t kind = (state_for t kind).lost_at
 
-let encode_kind_state b (ks : kind_state) =
-  let open Avis_util.Codec in
-  Sensor.encode_kind b ks.kind;
-  w_int b ks.count;
-  w_f64 b ks.period;
-  w_f64 b ks.next_sample;
-  w_list b
-    (fun b (index, at) ->
-      w_int b index;
-      w_f64 b at)
-    ks.failed;
-  w_option b Sensor.encode_reading ks.fresh;
-  w_option b Sensor.encode_reading ks.stale
-
-let decode_kind_state r : kind_state =
-  let open Avis_util.Codec in
-  let kind = Sensor.decode_kind r in
-  let count = r_int r in
-  (* Instance indices are 0-255 (see [Sensor.decode_id]); a corrupt count
-     must not size the id array. *)
-  if count < 0 || count > 256 then corrupt "bad instance count %d" count;
-  let period = r_f64 r in
-  let next_sample = r_f64 r in
-  let failed =
-    r_list r (fun r ->
-        let index = r_int r in
-        let at = r_f64 r in
-        (index, at))
-  in
-  let fresh = r_option r Sensor.decode_reading in
-  let stale = r_option r Sensor.decode_reading in
-  kind_state ~kind ~count ~period ~next_sample ~failed ~fresh ~stale
-
-(* The present kinds, in [Sensor.all_kinds] order; the suite and the
-   injector are the decoding caller's. *)
+(* Each kind's schedule, failures and readings, in [Sensor.all_kinds]
+   order. The instance count and the period are the suite's and the
+   parameter set's constants, and the suite and the injector are the
+   decoding caller's: none of them is written. *)
 let encode b t =
   let open Avis_util.Codec in
-  w_version b 2;
-  w_list b encode_kind_state (List.filter_map Fun.id (Array.to_list t.kinds))
+  w_version b 3;
+  Array.iter
+    (fun ks ->
+      w_f64 b ks.next_sample;
+      w_list b
+        (fun b (index, at) ->
+          w_int b index;
+          w_f64 b at)
+        ks.failed;
+      w_option b Sensor.encode_reading ks.fresh;
+      w_option b Sensor.encode_reading ks.stale)
+    t.kinds
 
-let decode ~suite ~hinj r =
+let decode ~params ~suite ~hinj r =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:2 in
-  { suite; hinj; kinds = index_kinds (r_list r decode_kind_state) }
+  let (_ : int) = r_version r ~expect:3 in
+  let t = create ~params ~suite ~hinj () in
+  Array.iter
+    (fun ks ->
+      ks.next_sample <- r_f64 r;
+      ks.failed <-
+        r_list r (fun r ->
+            let index = r_int r in
+            let at = r_f64 r in
+            (index, at));
+      ks.lost_at <- lost_at_of ks;
+      ks.fresh <- r_option r Sensor.decode_reading;
+      ks.stale <- r_option r Sensor.decode_reading)
+    t.kinds;
+  t

@@ -19,8 +19,7 @@ val sample : t -> Avis_physics.World.t -> time:float -> unit
 (** Run every driver whose sampling period has elapsed. Call once per
     control cycle before the reads below. *)
 
-(** The reads below are constant-time and allocate nothing; each raises
-    [Invalid_argument] for a kind the suite lacks. *)
+(** The reads below are constant-time and allocate nothing. *)
 
 val fresh : t -> Sensor.kind -> Sensor.reading option
 (** The reading obtained by this control cycle's {!sample}, if the kind
@@ -36,9 +35,15 @@ val kind_failed_at : t -> Sensor.kind -> float option
 
 val encode : Buffer.t -> t -> unit
 (** Versioned bit-exact binary layout of the driver state: per-kind
-    sampling schedules, failure records and cached readings. *)
+    sampling schedules, failure records and cached readings. The instance
+    counts and sampling periods are not written. *)
 
 val decode :
-  suite:Suite.t -> hinj:Avis_hinj.Hinj.t -> Avis_util.Codec.reader -> t
-(** Inverse of {!encode}: drivers over the decoded suite and injector.
-    Raises [Avis_util.Codec.Corrupt] on malformed input. *)
+  params:Params.t ->
+  suite:Suite.t ->
+  hinj:Avis_hinj.Hinj.t ->
+  Avis_util.Codec.reader ->
+  t
+(** Inverse of {!encode}: drivers over the parameter set they were created
+    with and the decoded suite and injector. Raises
+    [Avis_util.Codec.Corrupt] on malformed input. *)

@@ -44,25 +44,15 @@ let reset t =
   t.last_error <- 0.0;
   t.has_last <- 0.0
 
+(* Only the controller's state: the gains and limits are the creator's. *)
 let encode b t =
   let open Avis_util.Codec in
-  w_f64 b t.kp;
-  w_f64 b t.ki;
-  w_f64 b t.kd;
-  w_f64 b t.i_limit;
-  w_f64 b t.out_limit;
   w_f64 b t.integral;
   w_f64 b t.last_error;
   w_f64 b t.has_last
 
-let decode r =
+let decode_into t r =
   let open Avis_util.Codec in
-  let kp = r_f64 r in
-  let ki = r_f64 r in
-  let kd = r_f64 r in
-  let i_limit = r_f64 r in
-  let out_limit = r_f64 r in
-  let integral = r_f64 r in
-  let last_error = r_f64 r in
-  let has_last = r_f64 r in
-  { kp; ki; kd; i_limit; out_limit; integral; last_error; has_last }
+  t.integral <- r_f64 r;
+  t.last_error <- r_f64 r;
+  t.has_last <- r_f64 r

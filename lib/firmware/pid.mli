@@ -18,9 +18,11 @@ val reset : t -> unit
 (** Clear integrator and derivative history. *)
 
 val encode : Buffer.t -> t -> unit
-(** Bit-exact binary layout: gains, limits, integrator and derivative
-    history as IEEE-754 doubles. *)
+(** Bit-exact binary layout of the controller's state: integrator and
+    derivative history as IEEE-754 doubles. The gains and limits are not
+    written. *)
 
-val decode : Avis_util.Codec.reader -> t
-(** Inverse of {!encode}. Raises [Avis_util.Codec.Corrupt] on truncated
+val decode_into : t -> Avis_util.Codec.reader -> unit
+(** Inverse of {!encode}, into a controller created with the encoded one's
+    gains and limits. Raises [Avis_util.Codec.Corrupt] on truncated
     input. *)

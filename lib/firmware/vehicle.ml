@@ -45,15 +45,17 @@ type t = {
   mutable alt_history_next : float;
   mutable did_state_reset : bool;
   mutable triggered : Bug.id list;
-  home : Vec3.t;
 }
 
-let create ?fence ?(airframe = Avis_physics.Airframe.iris) ~policy ~bugs ~suite
-    ~hinj ~link ~frame () =
+(* Launch position in the local frame: every run takes off from the
+   origin. *)
+let home = Vec3.zero
+
+let create ?fence ~policy ~bugs ~suite ~hinj ~link ~frame () =
   let params = policy.Policy.params in
   let drivers = Drivers.create ~params ~suite ~hinj () in
   let estimator = Estimator.create ~params () in
-  let control = Control.create ~params ~airframe () in
+  let control = Control.create ~params () in
   let protocol = Protocol.create ~link ~frame ~params () in
   let t =
     {
@@ -89,7 +91,6 @@ let create ?fence ?(airframe = Avis_physics.Airframe.iris) ~policy ~bugs ~suite
       alt_history_next = 0.0;
       did_state_reset = false;
       triggered = [];
-      home = Vec3.zero;
     }
   in
   Avis_hinj.Hinj.update_mode hinj ~time:0.0 (Phase.label Phase.Preflight);
@@ -364,7 +365,7 @@ let run_phase t (dirs : Failsafe.directives) ~dt =
       end
       else
         {
-          Control.pos_target = Some { t.home with Vec3.z = pos.Vec3.z };
+          Control.pos_target = Some { home with Vec3.z = pos.Vec3.z };
           velocity_ff = Vec3.zero;
           climb_demand =
             Float.min t.params.Params.takeoff_climb_rate
@@ -442,7 +443,7 @@ let run_phase t (dirs : Failsafe.directives) ~dt =
         open_loop_descent = false;
       }
     | Rtl_return ->
-      let target = { t.home with Vec3.z = rtl_alt } in
+      let target = { home with Vec3.z = rtl_alt } in
       let open Vec3 in
       let horizontal_dist = norm (horizontal (sub target pos)) in
       let slow_enough =
@@ -614,7 +615,6 @@ let bugs t = t.bugs
 let transitions t = List.rev t.transitions
 let estimator t = t.estimator
 let triggered_bugs t = t.triggered
-let home t = t.home
 
 let encode_phase b phase =
   let open Avis_util.Codec in
@@ -666,29 +666,18 @@ let decode_target r =
   | 3 -> T_rtl
   | t -> corrupt "bad mission-target tag %d" t
 
-let encode_fence b (f : Avis_physics.Environment.fence) =
-  Vec3.encode b f.Avis_physics.Environment.centre_xy;
-  Avis_util.Codec.w_f64 b f.Avis_physics.Environment.radius_m;
-  Avis_util.Codec.w_f64 b f.Avis_physics.Environment.max_alt_m
-
-let decode_fence r : Avis_physics.Environment.fence =
-  let centre_xy = Vec3.decode r in
-  let radius_m = Avis_util.Codec.r_f64 r in
-  let max_alt_m = Avis_util.Codec.r_f64 r in
-  { Avis_physics.Environment.centre_xy; radius_m; max_alt_m }
-
-(* The policy is one of the two fixed personalities, so its firmware tag is
-   the whole encoding, its parameter set included: decoding hands that set
-   to every layer that flies it. The record is destructured exhaustively
-   (warning 9 is an error here), so a field added to [t] does not compile
-   until it is encoded below or bound to [_] with the reason it need not
-   travel: every prefix-cache hit decodes this layout. *)
+(* The policy, the fence and the bug registry are the run's config, and
+   the collaborators and the home frame are the decoding caller's: none of
+   them is written. The record is destructured exhaustively (warning 9 is
+   an error here), so a field added to [t] does not compile until it is
+   encoded below or bound to [_] with the reason it need not travel: every
+   prefix-cache hit decodes this layout. *)
 let encode b (t : t) =
   let[@warning "+9"] {
-    policy;
-    fence;
+    policy = _;
+    fence = _;
     params = _ (* the policy's set *);
-    bugs;
+    bugs = _ (* the run's config, passed back to [decode] *);
     suite = _;
     hinj = _ (* collaborators, decoded by the caller and passed back *);
     frame = _ (* the home frame, which the caller passes back *);
@@ -717,15 +706,11 @@ let encode b (t : t) =
     alt_history_next;
     did_state_reset;
     triggered;
-    home;
   } =
     t
   in
   let open Avis_util.Codec in
-  w_version b 3;
-  w_u8 b (match policy.Policy.firmware with Bug.Ardupilot -> 0 | Bug.Px4 -> 1);
-  w_option b encode_fence fence;
-  w_list b Bug.encode_id (Bug.enabled_list bugs);
+  w_version b 4;
   Estimator.encode b estimator;
   Control.encode b control;
   w_f64 b time;
@@ -754,22 +739,13 @@ let encode b (t : t) =
   w_f64 b alt_history_next;
   w_bool b did_state_reset;
   w_list b Bug.encode_id triggered;
-  Vec3.encode b home;
   Drivers.encode b drivers;
   Protocol.encode b protocol
 
-let decode ~suite ~hinj ~link ~frame r : t =
+let decode ?fence ~policy ~bugs ~suite ~hinj ~link ~frame r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:3 in
-  let policy =
-    match r_u8 r with
-    | 0 -> Policy.of_firmware Bug.Ardupilot
-    | 1 -> Policy.of_firmware Bug.Px4
-    | t -> corrupt "bad firmware tag %d" t
-  in
+  let (_ : int) = r_version r ~expect:4 in
   let params = policy.Policy.params in
-  let fence = r_option r decode_fence in
-  let bugs = Bug.registry ~enabled:(r_list r Bug.decode_id) policy.Policy.firmware in
   let estimator = Estimator.decode ~params r in
   let control = Control.decode ~params r in
   let time = r_f64 r in
@@ -809,8 +785,7 @@ let decode ~suite ~hinj ~link ~frame r : t =
   let alt_history_next = r_f64 r in
   let did_state_reset = r_bool r in
   let triggered = r_list r Bug.decode_id in
-  let home = Vec3.decode r in
-  let drivers = Drivers.decode ~suite ~hinj r in
+  let drivers = Drivers.decode ~params ~suite ~hinj r in
   let protocol = Protocol.decode ~link ~frame ~params r in
   {
     policy;
@@ -845,5 +820,4 @@ let decode ~suite ~hinj ~link ~frame r : t =
     alt_history_next;
     did_state_reset;
     triggered;
-    home;
   }

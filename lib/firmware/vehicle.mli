@@ -14,7 +14,6 @@ type t
 
 val create :
   ?fence:Avis_physics.Environment.fence ->
-  ?airframe:Avis_physics.Airframe.t ->
   policy:Policy.t ->
   bugs:Bug.registry ->
   suite:Avis_sensors.Suite.t ->
@@ -45,24 +44,23 @@ val triggered_bugs : t -> Bug.id list
 (** Every bug whose flawed path has been exercised so far in this run
     (diagnostics; the model checker does not read this). *)
 
-val home : t -> Vec3.t
-(** Launch position in the local frame. *)
-
 val encode : Buffer.t -> t -> unit
-(** Versioned bit-exact binary layout of the whole firmware (estimator,
-    controller, drivers, protocol, mode logic and bug registry). The policy
-    is written as its firmware tag, so decoding restores {!Policy.apm} or
-    {!Policy.px4}, parameter set included. The collaborators and the home
-    frame are not written. *)
+(** Versioned bit-exact binary layout of the firmware's run state
+    (estimator, controller, drivers, protocol and mode logic). The policy,
+    the fence and the bug registry come from the run's config and are not
+    written, nor are the collaborators and the home frame. *)
 
 val decode :
+  ?fence:Avis_physics.Environment.fence ->
+  policy:Policy.t ->
+  bugs:Bug.registry ->
   suite:Avis_sensors.Suite.t ->
   hinj:Avis_hinj.Hinj.t ->
   link:Link.t ->
   frame:Geodesy.frame ->
   Avis_util.Codec.reader ->
   t
-(** Inverse of {!encode}: firmware over the decoded copies of its
-    collaborators (the sensor suite, the fault injector and the MAVLink
-    link), flying the home [frame] it was created with. Raises
-    [Avis_util.Codec.Corrupt] on malformed input. *)
+(** Inverse of {!encode}: firmware flying the [policy], [fence] and [bugs]
+    it was created with, over the decoded copies of its collaborators (the
+    sensor suite, the fault injector and the MAVLink link) and the home
+    [frame]. Raises [Avis_util.Codec.Corrupt] on malformed input. *)

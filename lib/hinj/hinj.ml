@@ -23,15 +23,6 @@ let create ?(plan = []) () =
 
 let plan t = t.plan
 
-let encode_fault b f =
-  Sensor.encode_id b f.sensor;
-  Avis_util.Codec.w_f64 b f.at
-
-let decode_fault r =
-  let sensor = Sensor.decode_id r in
-  let at = Avis_util.Codec.r_f64 r in
-  { sensor; at }
-
 let encode_transition b tr =
   let open Avis_util.Codec in
   w_f64 b tr.time;
@@ -45,10 +36,11 @@ let decode_transition r =
   let to_mode = r_string r in
   { time; from_mode; to_mode }
 
+(* The plan is not written: a restore passes it back, the original or a
+   fork's. *)
 let encode b (s : t) =
   let open Avis_util.Codec in
-  w_version b 2;
-  w_list b encode_fault s.plan;
+  w_version b 3;
   w_option b w_string s.mode;
   w_option b
     (fun b (t, m) ->
@@ -58,11 +50,9 @@ let encode b (s : t) =
   w_list b encode_transition s.transitions;
   w_int b s.read_count
 
-let decode ?plan r : t =
+let decode ~plan r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:2 in
-  let encoded_plan = r_list r decode_fault in
-  let plan = Option.value plan ~default:encoded_plan in
+  let (_ : int) = r_version r ~expect:3 in
   let mode = r_option r r_string in
   let initial_mode =
     r_option r (fun r ->

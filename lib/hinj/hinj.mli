@@ -36,15 +36,15 @@ val create : ?plan:plan -> unit -> t
 val plan : t -> plan
 
 val encode : Buffer.t -> t -> unit
-(** Versioned binary layout of the injector: plan, mode log and read
-    counter. *)
+(** Versioned binary layout of the injector's run state: mode log and read
+    counter. The plan is not written. *)
 
-val decode : ?plan:plan -> Avis_util.Codec.reader -> t
-(** Inverse of {!encode}. [?plan] substitutes a different injection plan
-    for the encoded one — the prefix cache uses this to fork a clean run
-    into a faulty scenario, which is only sound if no fault in the new plan
-    starts at or before the encoded time. Raises [Avis_util.Codec.Corrupt]
-    on malformed input. *)
+val decode : plan:plan -> Avis_util.Codec.reader -> t
+(** Inverse of {!encode}, injecting [plan]: the encoded injector's own, or
+    a different one — the prefix cache's fork of a clean run into a faulty
+    scenario, which is only sound if no fault in the new plan starts at or
+    before the encoded time. Raises [Avis_util.Codec.Corrupt] on malformed
+    input. *)
 
 val sensor_read : t -> time:float -> Sensor.id -> decision
 (** The instrumented driver's question: should this read succeed? Also

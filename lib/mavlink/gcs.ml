@@ -34,10 +34,12 @@ type pending_mode = {
 
 let heartbeat_period = 1.0
 
+(* The ground station's MAVLink system and component ids. *)
+let sysid = 255
+let compid = 190
+
 type t = {
   link : Link.t;
-  sysid : int;
-  compid : int;
   decoder : Frame.decoder;
   mutable seq : int;
   mutable now : float;
@@ -62,11 +64,9 @@ type t = {
   mutable command_acks : (int * bool) list;
 }
 
-let create ?(sysid = 255) ?(compid = 190) link =
+let create link =
   {
     link;
-    sysid;
-    compid;
     decoder = Frame.decoder ();
     seq = 0;
     now = 0.0;
@@ -124,9 +124,7 @@ let decode_upload_state r =
    decoded link, as it passes [Vehicle.decode] its collaborators. *)
 let encode b (s : t) =
   let open Avis_util.Codec in
-  w_version b 3;
-  w_int b s.sysid;
-  w_int b s.compid;
+  w_version b 4;
   Frame.encode_decoder b s.decoder;
   w_int b s.seq;
   w_f64 b s.now;
@@ -170,9 +168,7 @@ let encode b (s : t) =
 
 let decode ~link r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:3 in
-  let sysid = r_int r in
-  let compid = r_int r in
+  let (_ : int) = r_version r ~expect:4 in
   let decoder = Frame.decode_decoder r in
   let seq = r_int r in
   let now = r_f64 r in
@@ -220,8 +216,6 @@ let decode ~link r : t =
   in
   {
     link;
-    sysid;
-    compid;
     decoder;
     seq;
     now;
@@ -253,7 +247,7 @@ let bumped_retry t (r : retry) =
   { next_at = t.now +. backoff; backoff; left = r.left - 1 }
 
 let send t msg =
-  let data = Frame.encode ~seq:t.seq ~sysid:t.sysid ~compid:t.compid msg in
+  let data = Frame.encode ~seq:t.seq ~sysid ~compid msg in
   t.seq <- (t.seq + 1) land 0xFF;
   Link.send t.link Link.Gcs_end data
 

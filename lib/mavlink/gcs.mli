@@ -18,13 +18,13 @@
 
 type t
 
-val create : ?sysid:int -> ?compid:int -> Link.t -> t
-(** Attach to the GCS end of a link. *)
+val create : Link.t -> t
+(** Attach to the GCS end of a link, as system 255, component 190. *)
 
 val encode : Buffer.t -> t -> unit
-(** Versioned binary layout of the ground station (telemetry cache,
-    transaction state, decoder), floats bit-exact. The link is not
-    written. *)
+(** Versioned binary layout of the ground station's run state (telemetry
+    cache, transaction state, decoder), floats bit-exact. The link and the
+    MAVLink ids are not written. *)
 
 val decode : link:Link.t -> Avis_util.Codec.reader -> t
 (** Inverse of {!encode}: a ground station attached to [link], the decoded

@@ -4,8 +4,11 @@ type chunk = { deliver_at : int; data : string }
 
 type outage = { from_step : int; until_step : int }
 
+(* The most steps a jittered chunk is held beyond the next one. *)
+let max_jitter_steps = 2
+
 type t = {
-  jitter : (Avis_util.Rng.t * int) option;
+  jitter : Avis_util.Rng.t option;
   outages : outage list;
   mutable now : int;
   mutable to_vehicle : chunk list; (* newest first *)
@@ -28,19 +31,12 @@ let decode_chunk r =
   let data = Avis_util.Codec.r_string r in
   { deliver_at; data }
 
+(* The outage schedule is not written: a restore passes it back, the
+   original or a fork's. *)
 let encode b (s : t) =
   let open Avis_util.Codec in
-  w_version b 2;
-  w_option b
-    (fun b (rng, max_steps) ->
-      w_i64 b (Avis_util.Rng.to_bits rng);
-      w_int b max_steps)
-    s.jitter;
-  w_list b
-    (fun b o ->
-      w_int b o.from_step;
-      w_int b o.until_step)
-    s.outages;
+  w_version b 3;
+  w_option b (fun b rng -> w_i64 b (Avis_util.Rng.to_bits rng)) s.jitter;
   w_int b s.now;
   w_list b encode_chunk s.to_vehicle;
   w_list b encode_chunk s.to_gcs;
@@ -48,22 +44,10 @@ let encode b (s : t) =
   w_int b s.last_to_gcs;
   w_int b s.dropped
 
-let decode ?outages r : t =
+let decode ~outages r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:2 in
-  let jitter =
-    r_option r (fun r ->
-        let rng = Avis_util.Rng.of_bits (r_i64 r) in
-        let max_steps = r_int r in
-        (rng, max_steps))
-  in
-  let encoded_outages =
-    r_list r (fun r ->
-        let from_step = r_int r in
-        let until_step = r_int r in
-        { from_step; until_step })
-  in
-  let outages = Option.value outages ~default:encoded_outages in
+  let (_ : int) = r_version r ~expect:3 in
+  let jitter = r_option r (fun r -> Avis_util.Rng.of_bits (r_i64 r)) in
   let now = r_int r in
   let to_vehicle = r_list r decode_chunk in
   let to_gcs = r_list r decode_chunk in
@@ -84,7 +68,7 @@ let decode ?outages r : t =
 let delay t =
   match t.jitter with
   | None -> 1
-  | Some (rng, max_steps) -> 1 + Avis_util.Rng.int rng (max_steps + 1)
+  | Some rng -> 1 + Avis_util.Rng.int rng (max_jitter_steps + 1)
 
 let in_outage t =
   List.exists (fun o -> o.from_step <= t.now && t.now < o.until_step) t.outages
@@ -93,7 +77,7 @@ let send t from data =
   if data <> "" then begin
     (* Scheduled outage windows silence the channel without consuming any
        randomness, so a fork that substitutes a different outage schedule
-       (Sim.restore ?link_outages) replays the surviving traffic
+       (Sim.restore ~link_outages) replays the surviving traffic
        bit-identically. *)
     if in_outage t then begin
       t.dropped <- t.dropped + 1;
@@ -138,5 +122,4 @@ let receive t at =
     String.concat "" (List.map (fun c -> c.data) ordered)
   end
 
-let outages t = t.outages
 let dropped t = t.dropped

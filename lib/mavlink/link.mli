@@ -21,20 +21,20 @@ type outage = { from_step : int; until_step : int }
 
 type t
 
-val create :
-  ?jitter:Avis_util.Rng.t * int -> ?outages:outage list -> unit -> t
-(** [create ~jitter:(rng, max_steps) ()] delays each sent chunk by a uniform
-    0..max_steps steps. Without [jitter], delivery happens on the next step.
-    [outages] schedules silent windows. *)
+val create : ?jitter:Avis_util.Rng.t -> ?outages:outage list -> unit -> t
+(** [create ~jitter:rng ()] delays each sent chunk by a uniform 0 to 2
+    extra steps drawn from [rng]. Without [jitter], delivery happens on the
+    next step. [outages] schedules silent windows. *)
 
 val encode : Buffer.t -> t -> unit
-(** Versioned binary layout of the link: the jitter RNG, outage schedule,
-    in-flight chunks, clocks and drop counter. *)
+(** Versioned binary layout of the link's run state: the jitter RNG,
+    in-flight chunks, clocks and drop counter. The outage schedule is not
+    written. *)
 
-val decode : ?outages:outage list -> Avis_util.Codec.reader -> t
-(** Inverse of {!encode}; [outages], when given, substitutes the outage
-    schedule — the link half of the simulator's fork operation. Raises
-    [Avis_util.Codec.Corrupt] on malformed input. *)
+val decode : outages:outage list -> Avis_util.Codec.reader -> t
+(** Inverse of {!encode}, over the outage schedule [outages]: the encoded
+    link's own, or a different one — the link half of the simulator's fork
+    operation. Raises [Avis_util.Codec.Corrupt] on malformed input. *)
 
 val send : t -> endpoint -> string -> unit
 (** Queue bytes from the given endpoint towards the other side, unless an
@@ -45,9 +45,6 @@ val step : t -> unit
 
 val receive : t -> endpoint -> string
 (** Drain all bytes that have arrived at the given endpoint. *)
-
-val outages : t -> outage list
-(** The scheduled outage windows. *)
 
 val dropped : t -> int
 (** Chunks dropped so far by outage windows. *)

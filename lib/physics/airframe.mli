@@ -2,9 +2,8 @@
 
     The evaluation uses the 3DR Iris quadcopter; [iris] carries parameters in
     the same regime as that airframe (1.5 kg class, ~25 cm arms, roughly
-    2:1 thrust-to-weight). The flight stack and the model checker only read
-    these through this record, so other airframes can be tested by
-    constructing a different value. *)
+    2:1 thrust-to-weight). Every run flies it: no configuration or
+    checkpoint names an airframe. *)
 
 open Avis_geo
 
@@ -29,14 +28,6 @@ type t = {
 
 val iris : t
 (** 3DR Iris-class quadcopter. *)
-
-val encode : Buffer.t -> t -> unit
-(** Versioned binary layout of the whole record (not just the name, so
-    hand-constructed airframes snapshot too). *)
-
-val decode : Avis_util.Codec.reader -> t
-(** Inverse of {!encode}; raises [Avis_util.Codec.Corrupt] on malformed
-    input. *)
 
 val hover_throttle : t -> float
 (** The per-motor throttle fraction at which total thrust balances gravity. *)

@@ -36,11 +36,11 @@ let encode_obstacle b o =
   Vec3.encode b o.half_extents;
   Avis_util.Codec.w_string b o.label
 
-let decode_obstacle r =
-  let centre = Vec3.decode r in
-  let half_extents = Vec3.decode r in
-  let label = Avis_util.Codec.r_string r in
-  { centre; half_extents; label }
+let encode_gust b t =
+  let open Avis_util.Codec in
+  w_f64 b t.gust.Vec3.Mut.x;
+  w_f64 b t.gust.Vec3.Mut.y;
+  w_f64 b t.gust.Vec3.Mut.z
 
 let encode b t =
   let open Avis_util.Codec in
@@ -58,33 +58,13 @@ let encode b t =
       w_f64 b w.gust_stddev;
       w_f64 b w.gust_correlation_s)
     t.wind;
-  w_f64 b t.gust.Vec3.Mut.x;
-  w_f64 b t.gust.Vec3.Mut.y;
-  w_f64 b t.gust.Vec3.Mut.z
+  encode_gust b t
 
-let decode r =
+let decode_gust t r =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:1 in
-  let obstacles = r_list r decode_obstacle in
-  let fence =
-    r_option r (fun r ->
-        let centre_xy = Vec3.decode r in
-        let radius_m = r_f64 r in
-        let max_alt_m = r_f64 r in
-        { centre_xy; radius_m; max_alt_m })
-  in
-  let wind =
-    r_option r (fun r ->
-        let steady = Vec3.decode r in
-        let gust_stddev = r_f64 r in
-        let gust_correlation_s = r_f64 r in
-        { steady; gust_stddev; gust_correlation_s })
-  in
-  let gust = Vec3.Mut.create () in
-  gust.Vec3.Mut.x <- r_f64 r;
-  gust.Vec3.Mut.y <- r_f64 r;
-  gust.Vec3.Mut.z <- r_f64 r;
-  { obstacles; fence; wind; gust }
+  t.gust.Vec3.Mut.x <- r_f64 r;
+  t.gust.Vec3.Mut.y <- r_f64 r;
+  t.gust.Vec3.Mut.z <- r_f64 r
 
 (* Advance the gust process and write the current wind into [dst] — the
    single implementation [wind_at] also goes through, so both paths draw

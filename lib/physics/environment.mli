@@ -33,12 +33,18 @@ val obstacles : t -> obstacle list
 val fence : t -> fence option
 
 val encode : Buffer.t -> t -> unit
-(** Versioned binary layout: obstacles, fence, wind spec and the current
-    gust state (so a decoded environment resumes the same gust process). *)
+(** Versioned binary layout of the whole environment: obstacles, fence,
+    wind spec and the current gust state. A run configuration's key is
+    written with it. *)
 
-val decode : Avis_util.Codec.reader -> t
-(** Inverse of {!encode}; raises [Avis_util.Codec.Corrupt] on malformed
-    input. *)
+val encode_gust : Buffer.t -> t -> unit
+(** The gust state alone, the only part of an environment a step
+    changes: what a checkpoint keeps of it. *)
+
+val decode_gust : t -> Avis_util.Codec.reader -> unit
+(** Inverse of {!encode_gust}, into an environment built from the same
+    spec, so it resumes the same gust process. Raises
+    [Avis_util.Codec.Corrupt] on truncated input. *)
 
 val wind_at : t -> Avis_util.Rng.t -> float -> Vec3.t
 (** [wind_at t rng dt] advances the gust process by [dt] and returns the

@@ -38,8 +38,8 @@ let make_scratch () =
    would box on every step). *)
 type clock = { mutable elapsed : float }
 
+(* Every world flies [Airframe.iris]. *)
 type t = {
-  airframe : Airframe.t;
   environment : Environment.t;
   rng : Avis_util.Rng.t;
   body : Rigid_body.t;
@@ -59,17 +59,16 @@ let crash_lateral_speed = 2.0
 let tipover_tilt_rad = Float.pi /. 4.0
 let ground_friction = 8.0
 
-let create ?environment ?rng ?(airframe = Airframe.iris) ?(position = Vec3.zero) () =
+let create ?environment ?rng ?(position = Vec3.zero) () =
   let environment =
     match environment with Some e -> e | None -> Environment.benign ()
   in
   let rng = match rng with Some r -> r | None -> Avis_util.Rng.create 0 in
   {
-    airframe;
     environment;
     rng;
     body = Rigid_body.create ~position ();
-    motors = Motor.create airframe;
+    motors = Motor.create Airframe.iris;
     clock = { elapsed = 0.0 };
     crashed = false;
     crash_event = None;
@@ -108,8 +107,10 @@ let decode_contact r =
 let flag b = if b then 1.0 else 0.0
 
 (* The numeric state travels as one float blob: time, three latched flags,
-   the 16 body floats and the motor bank. Scratch carries nothing across
-   steps and is rebuilt fresh. *)
+   the 16 body floats and the motor bank. Of the environment only the gust
+   state is written: the caller passes back an environment built from the
+   run's config. Scratch carries nothing across steps and is rebuilt
+   fresh. *)
 let encode b t =
   let open Avis_util.Codec in
   let blob =
@@ -121,28 +122,25 @@ let encode b t =
   blob.(3) <- flag t.resting;
   Rigid_body.blit_to_floats t.body blob ~pos:4;
   Motor.blit_to_floats t.motors blob ~pos:(4 + Rigid_body.float_count);
-  w_version b 2;
-  Airframe.encode b t.airframe;
-  Environment.encode b t.environment;
+  w_version b 3;
+  Environment.encode_gust b t.environment;
   w_i64 b (Avis_util.Rng.to_bits t.rng);
   w_option b encode_contact t.crash_event;
   w_float_array b blob
 
-let decode r =
+let decode ~environment r =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:2 in
-  let airframe = Airframe.decode r in
-  let environment = Environment.decode r in
+  let (_ : int) = r_version r ~expect:3 in
+  Environment.decode_gust environment r;
   let rng = Avis_util.Rng.of_bits (r_i64 r) in
   let crash_event = r_option r decode_contact in
   let blob = r_float_array r in
-  let motors = Motor.create airframe in
+  let motors = Motor.create Airframe.iris in
   let expected = 4 + Rigid_body.float_count + Motor.float_count motors in
   if Array.length blob <> expected then
     corrupt "world blob has %d floats (want %d)" (Array.length blob) expected;
   Motor.restore_floats motors blob ~pos:(4 + Rigid_body.float_count);
   {
-    airframe;
     environment;
     rng;
     body = Rigid_body.of_floats blob ~pos:4;
@@ -155,7 +153,6 @@ let decode r =
     scratch = make_scratch ();
   }
 
-let airframe t = t.airframe
 let environment t = t.environment
 let body t = t.body
 let motors t = t.motors
@@ -273,7 +270,7 @@ let step t ~motor_commands ~dt =
     Motor.command t.motors motor_commands;
     Motor.step t.motors dt;
     let b = t.body in
-    let frame = t.airframe in
+    let frame = Airframe.iris in
     let s = t.scratch in
     let open Vec3.Mut in
     (* thrust_world = attitude ⊗ (0, 0, total thrust). Direct field stores
@@ -350,7 +347,7 @@ let step_reference t ~motor_commands ~dt =
     Motor.command t.motors motor_commands;
     Motor.step t.motors dt;
     let b = t.body in
-    let frame = t.airframe in
+    let frame = Airframe.iris in
     let position0 = Rigid_body.position_v b in
     let velocity0 = Rigid_body.velocity_v b in
     let attitude0 = Rigid_body.attitude_q b in

@@ -29,22 +29,22 @@ type t
 val create :
   ?environment:Environment.t ->
   ?rng:Avis_util.Rng.t ->
-  ?airframe:Airframe.t ->
   ?position:Vec3.t ->
   unit ->
   t
 
 val encode : Buffer.t -> t -> unit
-(** Versioned binary layout of the whole physical state: airframe,
-    environment (gust state included), physics RNG, latched crash event,
-    and the numeric state (clock, latched flags, body, motors) by bit
-    pattern. *)
+(** Versioned binary layout of what a step changes: the environment's gust
+    state, the physics RNG, the latched crash event, and the numeric state
+    (clock, latched flags, body, motors) by bit pattern. The environment's
+    spec and the airframe are not written. *)
 
-val decode : Avis_util.Codec.reader -> t
-(** Inverse of {!encode}: a fresh world that steps bit-identically to the
-    encoded one. Raises [Avis_util.Codec.Corrupt] on malformed input,
-    including a numeric state whose length disagrees with the airframe's
-    motor count. *)
+val decode : environment:Environment.t -> Avis_util.Codec.reader -> t
+(** Inverse of {!encode}: a fresh world in [environment], a fresh copy
+    built from the encoded world's spec, whose gust state it restores. It
+    steps bit-identically to the encoded one. Raises
+    [Avis_util.Codec.Corrupt] on malformed input, including a numeric
+    state whose length disagrees with the Iris's motor count. *)
 
 val encode_contact : Buffer.t -> contact_event -> unit
 (** One contact event, its speed by bit pattern. *)
@@ -53,7 +53,6 @@ val decode_contact : Avis_util.Codec.reader -> contact_event
 (** Inverse of {!encode_contact}. Raises [Avis_util.Codec.Corrupt] on an
     unknown tag or truncated input. *)
 
-val airframe : t -> Airframe.t
 val environment : t -> Environment.t
 val body : t -> Rigid_body.t
 

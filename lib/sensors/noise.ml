@@ -21,27 +21,20 @@ let channel rng spec =
   let bias = Avis_util.Rng.gaussian_scaled rng ~mean:0.0 ~stddev:spec.bias_stddev in
   { rng; spec; bias; drift = 0.0 }
 
-(* The spec is serialised alongside the state: a channel must resume with
-   the exact spec it was created from even if the built-in constants above
-   are retuned in a later build. *)
+(* The spec is not written: it is the per-kind constant above, which the
+   decoding caller passes back. *)
 let encode_channel b c =
   let open Avis_util.Codec in
   w_i64 b (Avis_util.Rng.to_bits c.rng);
-  w_f64 b c.spec.white_stddev;
-  w_f64 b c.spec.bias_stddev;
-  w_f64 b c.spec.drift_rate;
   w_f64 b c.bias;
   w_f64 b c.drift
 
-let decode_channel r =
+let decode_channel spec r =
   let open Avis_util.Codec in
   let rng = Avis_util.Rng.of_bits (r_i64 r) in
-  let white_stddev = r_f64 r in
-  let bias_stddev = r_f64 r in
-  let drift_rate = r_f64 r in
   let bias = r_f64 r in
   let drift = r_f64 r in
-  { rng; spec = { white_stddev; bias_stddev; drift_rate }; bias; drift }
+  { rng; spec; bias; drift }
 
 (* Inlined into each sensor read (see [Rng.gaussian]), so the sample is
    stored straight into the reading without a boxed return. *)

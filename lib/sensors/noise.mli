@@ -28,12 +28,12 @@ val channel : Avis_util.Rng.t -> spec -> channel
 (** Draw the channel's bias from the spec using the given generator. *)
 
 val encode_channel : Buffer.t -> channel -> unit
-(** Binary layout: RNG state, spec, bias and drift — everything needed to
-    resume the exact sample stream. *)
+(** Binary layout: RNG state, bias and drift — with the spec, everything
+    needed to resume the exact sample stream. The spec is not written. *)
 
-val decode_channel : Avis_util.Codec.reader -> channel
-(** Inverse of {!encode_channel}; raises [Avis_util.Codec.Corrupt] on
-    malformed input. *)
+val decode_channel : spec -> Avis_util.Codec.reader -> channel
+(** Inverse of {!encode_channel} for a channel of [spec]; raises
+    [Avis_util.Codec.Corrupt] on malformed input. *)
 
 val sample : channel -> dt:float -> truth:float -> float
 (** Corrupt a true value; advances drift by [dt]. *)

@@ -40,9 +40,6 @@ val reading_kind : reading -> kind
 val kind_tag : kind -> int
 (** The kind's position in {!all_kinds}, 0 to 5; also its codec tag. *)
 
-val encode_kind : Buffer.t -> kind -> unit
-val decode_kind : Avis_util.Codec.reader -> kind
-
 val encode_id : Buffer.t -> id -> unit
 val decode_id : Avis_util.Codec.reader -> id
 

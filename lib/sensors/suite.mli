@@ -7,42 +7,30 @@
     its truth (state of charge) is a function of the flight so far rather
     than of the instantaneous world state. *)
 
-type complement = {
-  accelerometers : int;
-  gyroscopes : int;
-  compasses : int;
-  gps_receivers : int;
-  barometers : int;
-  batteries : int;
-}
+val count : Sensor.kind -> int
+(** Instances of a kind on the Iris: 2 accelerometers, 2 gyroscopes,
+    2 compasses, 2 GPS, 2 barometers, 1 battery monitor (a primary and one
+    backup per redundant kind). *)
 
-val iris_complement : complement
-(** 2 accelerometers, 2 gyroscopes, 2 compasses, 2 GPS, 2 barometers,
-    1 battery monitor — 11 instances (primary + one backup per redundant
-    kind). *)
-
-val instances_of_complement : complement -> Sensor.id list
-(** All instance ids, primaries first within each kind. *)
+val instances : Sensor.id list
+(** All 11 instance ids, primaries first within each kind. *)
 
 type t
 
-val create : ?complement:complement -> rng:Avis_util.Rng.t -> unit -> t
+val create : rng:Avis_util.Rng.t -> t
 
 val encode : Buffer.t -> t -> unit
-(** Versioned binary layout of the whole suite — complement, every noise
-    channel's RNG/spec/bias/drift and the battery state — bit-exact on
-    round-trip. *)
+(** Versioned binary layout of the suite's run state: every noise
+    channel's RNG, bias and drift, and the state of charge, bit-exact on
+    round-trip. The complement, the channels' specs and the battery
+    constants are constants of this module and are not written. *)
 
 val decode : Avis_util.Codec.reader -> t
 (** Inverse of {!encode}: a fresh suite that draws the same sample streams
     as the encoded one. Raises [Avis_util.Codec.Corrupt] on malformed
     input. *)
 
-val instances : t -> Sensor.id list
-
-val count : t -> Sensor.kind -> int
-
-val tick : t -> Avis_physics.World.t -> dt:float -> unit
+val tick : t -> dt:float -> unit
 (** Advance suite-internal state (battery discharge) one simulation step. *)
 
 val read : t -> Avis_physics.World.t -> Sensor.id -> Sensor.reading

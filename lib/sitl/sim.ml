@@ -5,23 +5,19 @@ type config = {
   policy : Policy.t;
   enabled_bugs : Bug.id list;
   seed : int;
-  dt : float;
   max_duration : float;
-  link_jitter_steps : int;
   environment : Avis_physics.Environment.t option;
-  airframe : Avis_physics.Airframe.t;
 }
+
+let dt = 0.004
 
 let default_config policy =
   {
     policy;
     enabled_bugs = Bug.unknown_bugs policy.Policy.firmware;
     seed = 0;
-    dt = 0.004;
     max_duration = 120.0;
-    link_jitter_steps = 2;
     environment = None;
-    airframe = Avis_physics.Airframe.iris;
   }
 
 type t = {
@@ -43,48 +39,55 @@ let home_frame = Avis_geo.Geodesy.frame_at home_geodetic
 
 (* Seconds to the step whose send window covers that instant; the small
    epsilon keeps times that land exactly on a step boundary on that step. *)
-let steps_of_time ~dt at = int_of_float (Float.ceil ((at /. dt) -. 1e-6))
+let steps_of_time at = int_of_float (Float.ceil ((at /. dt) -. 1e-6))
 
-let outage_windows ~dt spans =
-  List.map
-    (fun (at, duration) ->
-      {
-        Link.from_step = steps_of_time ~dt at;
-        until_step = steps_of_time ~dt (at +. duration);
-      })
-    spans
+(* What a run takes from its config and its fault schedule rather than
+   from a codec, derived here for [create] and [restore] alike. The
+   environment is a fresh copy: it carries mutable gust state, and two
+   runs of one config must not couple through it. *)
+type fixed = {
+  environment : Avis_physics.Environment.t;
+  fence : Avis_physics.Environment.fence option;
+  bugs : Bug.registry;
+  outages : Link.outage list;
+}
 
-let create ?(plan = []) ?(link_outages = []) config =
-  Avis_util.Trace.span ~cat:"sim" "sim.create" @@ fun () ->
-  let rng = Avis_util.Rng.create config.seed in
-  let env_rng = Avis_util.Rng.split rng in
-  let suite_rng = Avis_util.Rng.split rng in
-  let jitter_rng = Avis_util.Rng.split rng in
-  (* Copy the caller's environment: it carries mutable gust state, and two
-     sims built from one config must not couple through it. *)
+let fixed (config : config) ~link_outages =
   let environment =
     match config.environment with
     | Some e -> Avis_physics.Environment.copy e
     | None -> Avis_physics.Environment.benign ()
   in
+  {
+    environment;
+    fence = Avis_physics.Environment.fence environment;
+    bugs = Bug.registry ~enabled:config.enabled_bugs;
+    outages =
+      List.map
+        (fun (at, duration) ->
+          {
+            Link.from_step = steps_of_time at;
+            until_step = steps_of_time (at +. duration);
+          })
+        link_outages;
+  }
+
+let create ?(plan = []) ?(link_outages = []) config =
+  Avis_util.Trace.span ~cat:"sim" "sim.create" @@ fun () ->
+  let f = fixed config ~link_outages in
+  let rng = Avis_util.Rng.create config.seed in
+  let env_rng = Avis_util.Rng.split rng in
+  let suite_rng = Avis_util.Rng.split rng in
+  let jitter_rng = Avis_util.Rng.split rng in
   let world =
-    Avis_physics.World.create ~environment ~rng:env_rng
-      ~airframe:config.airframe ()
+    Avis_physics.World.create ~environment:f.environment ~rng:env_rng ()
   in
-  let suite = Avis_sensors.Suite.create ~rng:suite_rng () in
+  let suite = Avis_sensors.Suite.create ~rng:suite_rng in
   let hinj = Avis_hinj.Hinj.create ~plan () in
-  let link =
-    let outages = outage_windows ~dt:config.dt link_outages in
-    if config.link_jitter_steps > 0 then
-      Link.create ~jitter:(jitter_rng, config.link_jitter_steps) ~outages ()
-    else Link.create ~outages ()
-  in
-  let bugs = Bug.registry ~enabled:config.enabled_bugs config.policy.Policy.firmware in
+  let link = Link.create ~jitter:jitter_rng ~outages:f.outages () in
   let vehicle =
-    Vehicle.create
-      ?fence:(Avis_physics.Environment.fence environment)
-      ~airframe:config.airframe ~policy:config.policy ~bugs ~suite ~hinj ~link
-      ~frame:home_frame ()
+    Vehicle.create ?fence:f.fence ~policy:config.policy ~bugs:f.bugs ~suite
+      ~hinj ~link ~frame:home_frame ()
   in
   let trace = Trace.create () in
   { config; world; suite; hinj; vehicle; link; gcs = Gcs.create link; trace;
@@ -99,11 +102,12 @@ type snapshot = {
 }
 
 (* Every layer but the trace writes into [b], each behind its own version
-   byte. Neither the config nor the home frame is written. *)
+   byte, and each only its run state: neither the config, nor what
+   [fixed] derives from it, nor the home frame is written. *)
 let encode_state b t =
   Avis_util.Trace.span ~cat:"sim" "sim.snapshot" @@ fun () ->
   Buffer.clear b;
-  Avis_util.Codec.w_version b 2;
+  Avis_util.Codec.w_version b 3;
   Avis_physics.World.encode b t.world;
   Avis_sensors.Suite.encode b t.suite;
   Avis_hinj.Hinj.encode b t.hinj;
@@ -126,20 +130,23 @@ let snapshot t =
 
 let snapshot_bytes s = String.length s.state + Trace.snapshot_bytes s.snap_trace
 
-let restore ?plan ?link_outages s =
+let restore ~plan ~link_outages s =
   (* A restore with a substituted plan or outage schedule is the fork
      operation, the span every prefix-cache hit hangs off. *)
   Avis_util.Trace.span ~cat:"sim" "sim.restore" @@ fun () ->
   let config = s.snap_config in
+  let f = fixed config ~link_outages in
   let decode r =
     let open Avis_util.Codec in
-    let (_ : int) = r_version r ~expect:2 in
-    let world = Avis_physics.World.decode r in
+    let (_ : int) = r_version r ~expect:3 in
+    let world = Avis_physics.World.decode ~environment:f.environment r in
     let suite = Avis_sensors.Suite.decode r in
-    let hinj = Avis_hinj.Hinj.decode ?plan r in
-    let outages = Option.map (outage_windows ~dt:config.dt) link_outages in
-    let link = Link.decode ?outages r in
-    let vehicle = Vehicle.decode ~suite ~hinj ~link ~frame:home_frame r in
+    let hinj = Avis_hinj.Hinj.decode ~plan r in
+    let link = Link.decode ~outages:f.outages r in
+    let vehicle =
+      Vehicle.decode ?fence:f.fence ~policy:config.policy ~bugs:f.bugs ~suite
+        ~hinj ~link ~frame:home_frame r
+    in
     let gcs = Gcs.decode ~link r in
     let steps = r_int r in
     { config; world; suite; hinj; vehicle; link; gcs;
@@ -155,7 +162,7 @@ let world t = t.world
 let vehicle t = t.vehicle
 let hinj t = t.hinj
 let trace t = t.trace
-let time t = float_of_int t.steps *. t.config.dt
+let time t = float_of_int t.steps *. dt
 let steps t = t.steps
 
 let finished t =
@@ -165,15 +172,15 @@ let step t =
   if not (finished t) then begin
     t.steps <- t.steps + 1;
     Link.step t.link;
-    let motors = Vehicle.step t.vehicle t.world ~dt:t.config.dt in
+    let motors = Vehicle.step t.vehicle t.world ~dt in
     let (_ : Avis_physics.World.contact_event option) =
-      Avis_physics.World.step t.world ~motor_commands:motors ~dt:t.config.dt
+      Avis_physics.World.step t.world ~motor_commands:motors ~dt
     in
-    Avis_sensors.Suite.tick t.suite t.world ~dt:t.config.dt;
+    Avis_sensors.Suite.tick t.suite ~dt;
     (* Pass steps and dt rather than a freshly computed time: [record]
        rebuilds the identical float internally, and the call site stays
        free of a boxed-float argument. *)
-    Trace.record t.trace ~steps:t.steps ~dt:t.config.dt t.world
+    Trace.record t.trace ~steps:t.steps ~dt t.world
       ~mode:(Phase.label (Vehicle.phase t.vehicle));
     ignore (Gcs.tick t.gcs ~time:(time t))
   end
@@ -218,16 +225,7 @@ let outcome (t : t) ~workload_passed =
    change a run. These bytes key the checkpoint store and the run
    journal. *)
 let encode_config b (c : config) =
-  let[@warning "+9"] {
-    policy;
-    enabled_bugs;
-    seed;
-    dt;
-    max_duration;
-    link_jitter_steps;
-    environment;
-    airframe;
-  } =
+  let[@warning "+9"] { policy; enabled_bugs; seed; max_duration; environment } =
     c
   in
   let open Avis_util.Codec in
@@ -237,11 +235,8 @@ let encode_config b (c : config) =
   w_u8 b (match policy.Policy.firmware with Bug.Ardupilot -> 0 | Bug.Px4 -> 1);
   w_list b Bug.encode_id enabled_bugs;
   w_int b seed;
-  w_f64 b dt;
   w_f64 b max_duration;
-  w_int b link_jitter_steps;
-  w_option b Avis_physics.Environment.encode environment;
-  Avis_physics.Airframe.encode b airframe
+  w_option b Avis_physics.Environment.encode environment
 
 let encode_snapshot b s =
   Avis_util.Codec.w_bytes b s.state;

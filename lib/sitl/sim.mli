@@ -15,21 +15,21 @@ type config = {
   policy : Policy.t;
   enabled_bugs : Bug.id list;
   seed : int;
-  dt : float;
   max_duration : float;  (** Hard stop, simulated seconds. *)
-  link_jitter_steps : int;
-      (** Maximum extra delivery delay per message chunk, in steps —
-          the scheduler nondeterminism the monitor must tolerate. *)
   environment : Avis_physics.Environment.t option;
       (** Defaults to the paper's benign evaluation environment. *)
-  airframe : Avis_physics.Airframe.t;
-      (** Every entry point flies [Airframe.iris]. {!encode_config} and the
-          snapshots carry the whole record. *)
 }
+(** What varies between runs. Every run flies [Airframe.iris] with the
+    Iris's sensor complement, steps {!dt}, and delays each datalink chunk
+    by up to 2 extra steps (the scheduler nondeterminism the monitor must
+    tolerate); none of these is a field. *)
+
+val dt : float
+(** The simulation step, 4 ms. *)
 
 val default_config : Policy.t -> config
-(** 4 ms step, 120 s cap, seed 0, jitter 2 steps, the firmware's default
-    (unknown) bugs enabled. *)
+(** 120 s cap, seed 0, no environment, the firmware's default (unknown)
+    bugs enabled. *)
 
 type t
 
@@ -42,10 +42,13 @@ val create :
 val config : t -> config
 
 type snapshot
-(** The whole harness frozen mid-run: physics, sensors, injector,
-    firmware, link and ground station encoded into one string, plus the
-    trace's chunk-sharing snapshot. The run's config is kept by reference
-    and is not encoded. Taking a snapshot does not disturb the live run. *)
+(** The whole harness frozen mid-run: the run state of physics, sensors,
+    injector, firmware, link and ground station encoded into one string,
+    plus the trace's chunk-sharing snapshot. The run's config is kept by
+    reference and is not encoded, nor is anything a run takes from it —
+    the airframe, the environment's spec, the fence, the policy, the bug
+    registry — or from its fault schedule. Taking a snapshot does not
+    disturb the live run. *)
 
 val snapshot : t -> snapshot
 (** {!encode_state} into a buffer of the domain's, then
@@ -71,19 +74,17 @@ val snapshot_bytes : snapshot -> int
     counted. *)
 
 val restore :
-  ?plan:Avis_hinj.Hinj.plan ->
-  ?link_outages:(float * float) list ->
-  snapshot ->
-  t
+  plan:Avis_hinj.Hinj.plan -> link_outages:(float * float) list -> snapshot -> t
 (** Decode the snapshot into an independent harness; the same snapshot can
-    be restored any number of times. [?plan] substitutes a different
-    injection plan and [?link_outages] a different outage schedule in the
-    restored run (the prefix cache's fork operation) — sound only when no
-    fault in the new plan (sensor or outage) starts at or before the
-    snapshot time, since the original run must not yet have observed any
-    difference. Raises [Avis_util.Codec.Corrupt] when the snapshot came
-    from malformed bytes ({!decode_snapshot} does not check the encoded
-    layers). *)
+    be restored any number of times. The config's derived collaborators
+    (environment copy, fence, policy, bug registry) are built as {!create}
+    builds them, and the run flies [plan] and [link_outages]: the
+    snapshotted run's own, or a different schedule (the prefix cache's
+    fork operation) — sound only when no fault in the new schedule (sensor
+    or outage) starts at or before the snapshot time, since the original
+    run must not yet have observed any difference. Raises
+    [Avis_util.Codec.Corrupt] when the snapshot came from malformed bytes
+    ({!decode_snapshot} does not check the encoded layers). *)
 
 val frame : t -> Avis_geo.Geodesy.frame
 (** The local tangent frame anchored at the home location. *)

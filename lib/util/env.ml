@@ -19,22 +19,29 @@ let positive_int ~var ~default () =
     ~var ~default ~want:"a positive integer"
     ~render:string_of_int ()
 
+(* A MiB count is valid when its byte count is still an [int]. *)
 let budget_bytes ?mb ~arg ~var ~default_mb () =
+  let valid n = n >= 1 && n <= max_int / 1_048_576 in
+  let want =
+    Printf.sprintf "a positive integer up to %d" (max_int / 1_048_576)
+  in
   let mb =
     match mb with
-    | Some mb when mb > 0 -> mb
+    | Some mb when valid mb -> mb
     | Some mb ->
-      warn ~var:arg ~value:(string_of_int mb) ~want:"a positive integer"
+      warn ~var:arg ~value:(string_of_int mb) ~want
         ~using:(string_of_int default_mb);
       default_mb
-    | None -> positive_int ~var ~default:default_mb ()
+    | None ->
+      parse_with ~of_string:int_of_string_opt ~valid ~var ~default:default_mb
+        ~want ~render:string_of_int ()
   in
-  mb * 1024 * 1024
+  mb * 1_048_576
 
 let positive_float ~var ~default () =
   parse_with ~of_string:float_of_string_opt
-    ~valid:(fun f -> f > 0.0)
-    ~var ~default ~want:"a positive number"
+    ~valid:(fun f -> f > 0.0 && Float.is_finite f)
+    ~var ~default ~want:"a positive finite number"
     ~render:(Printf.sprintf "%g") ()
 
 let bool_of_string v =

@@ -14,11 +14,14 @@ val positive_int : var:string -> default:int -> unit -> int
 val budget_bytes :
   ?mb:int -> arg:string -> var:string -> default_mb:int -> unit -> int
 (** A byte budget given in MiB: [mb] when it is positive, else [var] as
-    {!positive_int}, else [default_mb]. A non-positive [mb] warns under
-    the argument name [arg] and falls back to [default_mb]. *)
+    {!positive_int}, else [default_mb]. A count whose bytes overflow an
+    [int] (above [max_int / 1_048_576]) is refused like a non-positive
+    one: a bad [mb] warns under the argument name [arg], a bad [var]
+    under its own name, and both fall back to [default_mb]. *)
 
 val positive_float : var:string -> default:float -> unit -> float
-(** Parse [var] as a strictly positive float (seconds, typically). *)
+(** Parse [var] as a strictly positive, finite float (seconds,
+    typically). *)
 
 val flag : var:string -> unit -> bool
 (** Parse [var] as a boolean: ["1"/"true"/"on"/"yes"] are true,

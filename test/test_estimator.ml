@@ -20,7 +20,7 @@ type rig = {
 
 let make_rig ?(plan = []) ?(position = Vec3.make 0.0 0.0 10.0) () =
   let world = Avis_physics.World.create ~position () in
-  let suite = Suite.create ~rng:(Avis_util.Rng.create 11) () in
+  let suite = Suite.create ~rng:(Avis_util.Rng.create 11) in
   let hinj = Avis_hinj.Hinj.create ~plan () in
   let drivers = Drivers.create ~params ~suite ~hinj () in
   { world; drivers; est = Estimator.create ~params (); time = 0.0 }

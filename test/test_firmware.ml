@@ -99,13 +99,9 @@ let test_bug_report_lookup () =
   Alcotest.(check bool) "unknown" true (Bug.of_report "APM-0" = None)
 
 let test_bug_registry_defaults () =
-  let r = Bug.registry Bug.Ardupilot in
+  let r = Bug.registry ~enabled:(Bug.unknown_bugs Bug.Ardupilot) in
   Alcotest.(check bool) "unknown enabled" true (Bug.enabled r Bug.Apm_16682);
-  Alcotest.(check bool) "known disabled" false (Bug.enabled r Bug.Apm_4455);
-  Bug.enable r Bug.Apm_4455;
-  Alcotest.(check bool) "enable works" true (Bug.enabled r Bug.Apm_4455);
-  Bug.disable r Bug.Apm_4455;
-  Alcotest.(check bool) "disable works" false (Bug.enabled r Bug.Apm_4455)
+  Alcotest.(check bool) "known disabled" false (Bug.enabled r Bug.Apm_4455)
 
 let test_bug_info_table () =
   List.iter
@@ -115,30 +111,6 @@ let test_bug_info_table () =
       Alcotest.(check bool) (info.Bug.report ^ " built once") true
         (Bug.info id == info))
     Bug.all
-
-(* The registry against a model of the list-and-[List.mem] semantics it
-   has always had: membership and the enabled list (whose order is the
-   snapshot layout) must agree after every operation. *)
-let prop_bug_registry_model =
-  let op = QCheck.Gen.(pair bool (oneofl Bug.all)) in
-  QCheck.Test.make ~name:"enabled agrees with List.mem" ~count:200
-    (QCheck.make QCheck.Gen.(list_size (int_range 0 40) op))
-    (fun ops ->
-      let r = Bug.registry Bug.Ardupilot in
-      let model = ref (Bug.unknown_bugs Bug.Ardupilot) in
-      List.for_all
-        (fun (on, id) ->
-          if on then begin
-            Bug.enable r id;
-            if not (List.mem id !model) then model := id :: !model
-          end
-          else begin
-            Bug.disable r id;
-            model := List.filter (fun x -> x <> id) !model
-          end;
-          Bug.enabled_list r = !model
-          && List.for_all (fun b -> Bug.enabled r b = List.mem b !model) Bug.all)
-        ops)
 
 let ctx_with_transitions transitions time =
   { Failsafe.phase = Phase.Land; phase_entered_at = 0.0; transitions; time;
@@ -166,7 +138,7 @@ let test_bug_window_matching () =
 
 let make_drivers plan =
   let rng = Avis_util.Rng.create 3 in
-  let suite = Suite.create ~rng () in
+  let suite = Suite.create ~rng in
   let hinj = Avis_hinj.Hinj.create ~plan () in
   let drivers = Drivers.create ~params ~suite ~hinj () in
   let world = Avis_physics.World.create ~position:(Vec3.make 0.0 0.0 10.0) () in
@@ -234,7 +206,7 @@ let test_drivers_kind_loss () =
 
 (* Failsafe decision table *)
 
-let directives_for ?(bugs = Bug.registry ~enabled:[] Bug.Ardupilot)
+let directives_for ?(bugs = Bug.registry ~enabled:[])
     ?(policy = Policy.apm) ?(transitions = [ (2.0, Phase.Preflight, Phase.Takeoff) ])
     ?(phase = Phase.Takeoff) ?gcs_lost_at ?(params = params) plan time =
   let drivers, world = make_drivers plan in
@@ -277,16 +249,16 @@ let test_failsafe_nothing_lost_defaults () =
     }
   in
   List.iter
-    (fun (name, policy, fw) ->
+    (fun (name, policy) ->
       List.iter
         (fun phase ->
-          let bugs = Bug.registry ~enabled:Bug.all fw in
+          let bugs = Bug.registry ~enabled:Bug.all in
           let d = directives_for ~bugs ~policy ~phase [] 3.0 in
           Alcotest.(check bool)
             (name ^ " " ^ Phase.label phase ^ " defaults")
             true (d = expected))
         [ Phase.Preflight; Phase.Takeoff; Phase.Waypoint 1; Phase.Land ])
-    [ ("apm", Policy.apm, Bug.Ardupilot); ("px4", Policy.px4, Bug.Px4) ]
+    [ ("apm", Policy.apm); ("px4", Policy.px4) ]
 
 let test_failsafe_guarded_baro () =
   let d = directives_for (fail_kind Sensor.Barometer 0.1) 1.0 in
@@ -294,7 +266,7 @@ let test_failsafe_guarded_baro () =
   Alcotest.(check bool) "gentle" true d.Failsafe.gentle_descent
 
 let test_failsafe_flawed_baro_16027 () =
-  let bugs = Bug.registry ~enabled:[ Bug.Apm_16027 ] Bug.Ardupilot in
+  let bugs = Bug.registry ~enabled:[ Bug.Apm_16027 ] in
   let d = directives_for ~bugs (fail_kind Sensor.Barometer 2.2) 3.0 in
   Alcotest.(check bool) "frozen alt" true (d.Failsafe.alt_mode = Estimator.Alt_frozen);
   Alcotest.(check bool) "triggered" true
@@ -303,7 +275,7 @@ let test_failsafe_flawed_baro_16027 () =
 let test_failsafe_flawed_outside_window () =
   (* Same bug enabled, failure far from the Pre-Flight -> Takeoff window:
      the guarded path must run instead. *)
-  let bugs = Bug.registry ~enabled:[ Bug.Apm_16027 ] Bug.Ardupilot in
+  let bugs = Bug.registry ~enabled:[ Bug.Apm_16027 ] in
   let d =
     directives_for ~bugs
       ~transitions:[ (2.0, Phase.Preflight, Phase.Takeoff); (10.0, Phase.Takeoff, Phase.Waypoint 1) ]
@@ -335,7 +307,7 @@ let test_failsafe_battery_and_gps_guarded () =
   Alcotest.(check bool) "land wins" true (d.Failsafe.phase_request = Some Failsafe.Fs_land)
 
 let test_failsafe_13291_flawed () =
-  let bugs = Bug.registry ~enabled:[ Bug.Px4_13291 ] Bug.Px4 in
+  let bugs = Bug.registry ~enabled:[ Bug.Px4_13291 ] in
   let transitions =
     [ (2.0, Phase.Preflight, Phase.Takeoff); (10.0, Phase.Takeoff, Phase.Waypoint 1) ]
   in
@@ -350,14 +322,14 @@ let test_failsafe_13291_flawed () =
     (List.mem Bug.Px4_13291 d.Failsafe.triggered_bugs)
 
 let test_failsafe_px4_takeoff_gates () =
-  let bugs = Bug.registry ~enabled:[ Bug.Px4_17181 ] Bug.Px4 in
+  let bugs = Bug.registry ~enabled:[ Bug.Px4_17181 ] in
   let d =
     directives_for ~bugs ~policy:Policy.px4 (fail_kind Sensor.Barometer 2.2) 3.0
   in
   Alcotest.(check bool) "no alt source" true (d.Failsafe.alt_mode = Estimator.Alt_none);
   Alcotest.(check bool) "gate closed" false d.Failsafe.takeoff_gate_open;
   (* The ArduPilot personality has no gates. *)
-  let bugs_apm = Bug.registry ~enabled:[] Bug.Ardupilot in
+  let bugs_apm = Bug.registry ~enabled:[] in
   let d' = directives_for ~bugs:bugs_apm (fail_kind Sensor.Barometer 2.2) 3.0 in
   Alcotest.(check bool) "apm gate open" true d'.Failsafe.takeoff_gate_open
 
@@ -383,14 +355,14 @@ let test_failsafe_gcs_loss_without_gps_lands () =
 let test_failsafe_gcs_loss_px4_nav_dll_act () =
   let with_code code =
     directives_for ~policy:Policy.px4
-      ~bugs:(Bug.registry ~enabled:[] Bug.Px4)
+      ~bugs:(Bug.registry ~enabled:[])
       ~gcs_lost_at:8.0
       ~params:{ params with Params.gcs_loss_action_code = code }
       [] 10.0
   in
   Alcotest.(check bool) "default (2) RTL" true
     ((directives_for ~policy:Policy.px4
-        ~bugs:(Bug.registry ~enabled:[] Bug.Px4)
+        ~bugs:(Bug.registry ~enabled:[])
         ~gcs_lost_at:8.0 [] 10.0)
        .Failsafe.phase_request = Some Failsafe.Fs_rtl);
   Alcotest.(check bool) "0 disabled" true
@@ -442,7 +414,7 @@ let test_estimator_yaw_cache () =
 (* Control *)
 
 let make_control () =
-  Control.create ~params ~airframe:Avis_physics.Airframe.iris ()
+  Control.create ~params ()
 
 let test_control_idle_zeros () =
   let control = make_control () in
@@ -505,7 +477,6 @@ let () =
           Alcotest.test_case "registry" `Quick test_bug_registry_defaults;
           Alcotest.test_case "window matching" `Quick test_bug_window_matching;
           Alcotest.test_case "info table" `Quick test_bug_info_table;
-          q prop_bug_registry_model;
         ] );
       ( "drivers",
         [

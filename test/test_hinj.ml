@@ -44,7 +44,7 @@ let test_mode_transitions () =
   Alcotest.(check int) "counted" 2 (Hinj.transition_count h);
   Alcotest.(check int) "counted after a round trip" 2
     (Hinj.transition_count
-       (Avis_util.Codec.of_string Hinj.decode
+       (Avis_util.Codec.of_string (Hinj.decode ~plan:(Hinj.plan h))
           (Avis_util.Codec.to_string Hinj.encode h)));
   let first = List.hd transitions in
   Alcotest.(check string) "from" "Pre-Flight" first.Hinj.from_mode;

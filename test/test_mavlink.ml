@@ -266,7 +266,7 @@ let test_link_direction () =
 
 let test_link_jitter_preserves_order () =
   let rng = Avis_util.Rng.create 3 in
-  let link = Link.create ~jitter:(rng, 3) () in
+  let link = Link.create ~jitter:rng () in
   for i = 0 to 9 do
     Link.send link Link.Gcs_end (Printf.sprintf "%d;" i)
   done;
@@ -311,13 +311,13 @@ let test_link_snapshot_restores_fault_stream () =
      delays: the jitter RNG is part of the encoding. Drained one step at a
      time, since jitter moves chunks between steps but never reorders
      them. *)
-  let link = Link.create ~jitter:(Avis_util.Rng.create 4, 2) () in
+  let link = Link.create ~jitter:(Avis_util.Rng.create 4) () in
   for i = 0 to 9 do
     Link.send link Link.Gcs_end (Printf.sprintf "pre-%d;" i)
   done;
   ignore (drain_both link 2);
   let fork =
-    Avis_util.Codec.of_string Link.decode
+    Avis_util.Codec.of_string (Link.decode ~outages:[])
       (Avis_util.Codec.to_string Link.encode link)
   in
   let tail l =

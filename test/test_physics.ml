@@ -304,13 +304,13 @@ let test_resting_world_reaches_zero () =
    single boxed float per step would show up as 2000 words. *)
 let test_steady_step_allocation_free () =
   let w = World.create ~position:(Vec3.make 0.0 0.0 100.0) () in
-  let suite = Avis_sensors.Suite.create ~rng:(Avis_util.Rng.create 1) () in
+  let suite = Avis_sensors.Suite.create ~rng:(Avis_util.Rng.create 1) in
   let trace = Avis_sitl.Trace.create () in
   let cmds = Array.make 4 hover in
   let steps = ref 0 in
   let kernel () =
     ignore (World.step w ~motor_commands:cmds ~dt:0.004);
-    Avis_sensors.Suite.tick suite w ~dt:0.004;
+    Avis_sensors.Suite.tick suite ~dt:0.004;
     incr steps;
     Avis_sitl.Trace.record trace ~steps:!steps ~dt:0.004 w ~mode:"Manual"
   in

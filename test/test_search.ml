@@ -5,7 +5,7 @@ open Avis_sensors
 open Avis_core
 
 let make_ctx ?(transitions = [ (2.0, "Pre-Flight", "Takeoff"); (10.0, "Takeoff", "Waypoint 1"); (30.0, "Waypoint 1", "Land") ]) () =
-  let instances = Suite.instances_of_complement Suite.iris_complement in
+  let instances = Suite.instances in
   {
     Search.transitions;
     mission_duration = 50.0;

@@ -6,7 +6,7 @@ open Avis_sensors
 
 let world = Avis_physics.World.create ~position:(Vec3.make 1.0 2.0 10.0) ()
 
-let fresh_suite seed = Suite.create ~rng:(Avis_util.Rng.create seed) ()
+let fresh_suite seed = Suite.create ~rng:(Avis_util.Rng.create seed)
 
 let test_roles () =
   Alcotest.(check bool) "index 0 primary" true
@@ -23,7 +23,7 @@ let test_kind_string_roundtrip () =
   Alcotest.(check bool) "unknown" true (Sensor.kind_of_string "radar" = None)
 
 let test_complement_instances () =
-  let ids = Suite.instances_of_complement Suite.iris_complement in
+  let ids = Suite.instances in
   Alcotest.(check int) "11 instances" 11 (List.length ids);
   let gps = List.filter (fun i -> i.Sensor.kind = Sensor.Gps) ids in
   Alcotest.(check int) "two gps" 2 (List.length gps)
@@ -36,7 +36,7 @@ let test_reading_kinds_match () =
       Alcotest.(check bool)
         (Sensor.id_to_string id ^ " kind matches") true
         (Sensor.reading_kind reading = id.Sensor.kind))
-    (Suite.instances suite)
+    Suite.instances
 
 let test_unknown_instance () =
   let suite = fresh_suite 1 in
@@ -82,7 +82,7 @@ let test_instances_have_distinct_biases () =
 
 let test_suite_determinism () =
   let read_seq seed =
-    let suite = Suite.create ~rng:(Avis_util.Rng.create seed) () in
+    let suite = Suite.create ~rng:(Avis_util.Rng.create seed) in
     List.init 10 (fun _ ->
         match Suite.read suite world { Sensor.kind = Sensor.Compass; index = 0 } with
         | Sensor.Heading h -> h
@@ -95,7 +95,7 @@ let test_battery_discharges () =
   let suite = fresh_suite 5 in
   Alcotest.(check (float 1e-9)) "full at start" 1.0 (Suite.battery_remaining suite);
   for _ = 1 to 2500 do
-    Suite.tick suite world ~dt:0.004
+    Suite.tick suite ~dt:0.004
   done;
   let remaining = Suite.battery_remaining suite in
   Alcotest.(check bool) "drained a little" true (remaining < 1.0 && remaining > 0.9)

@@ -56,7 +56,7 @@ let test_same_seed_same_outcome () =
    restore, and finish: the outcome must be bit-identical to simulating the
    faulty run from scratch. *)
 let restore_and_finish ~plan ~workload ~snap ~stepper =
-  let sim = Sim.restore ~plan snap in
+  let sim = Sim.restore ~plan ~link_outages:[] snap in
   let st =
     Avis_util.Codec.of_string (Workload.Stepper.decode workload) stepper
   in
@@ -170,14 +170,14 @@ let test_prefix_cache_eviction_bounded () =
       ~link_outages:(Scenario.link_outages scenario)
       (sim_config workload policy)
   in
-  (* Tenth-second captures: the checkpoints of one 29 s quickstart run
-     (each about 6 KB, its trace chunks shared) then outgrow the smallest
-     budget. *)
+  (* Twentieth-second captures: the checkpoints of one 29 s quickstart
+     run (each about 2.8 KB, its trace chunks shared) then outgrow the
+     smallest budget. *)
   let budget_mb = 1 in
   let cache =
     Prefix_cache.create ~cache_mb:budget_mb ~workload
       ~config:(sim_config workload policy)
-      ~checkpoint_times:(List.init 300 (fun i -> 0.1 *. float_of_int (i + 1)))
+      ~checkpoint_times:(List.init 600 (fun i -> 0.05 *. float_of_int (i + 1)))
       ()
   in
   let budget_bytes = budget_mb * 1024 * 1024 in

@@ -127,7 +127,7 @@ let decode_stepper workload bytes =
   Avis_util.Codec.of_string (Workload.Stepper.decode workload) bytes
 
 let finish ~plan workload sim_snap stepper_bytes =
-  let sim = Sim.restore ~plan sim_snap in
+  let sim = Sim.restore ~plan ~link_outages:[] sim_snap in
   let st = decode_stepper workload stepper_bytes in
   let passed =
     match Workload.Stepper.run st sim ~until:infinity with
@@ -153,7 +153,9 @@ let roundtrip_case ?environment ~pause_at ~fault_at workload policy =
   let st_bytes = encode_stepper st in
   let sim_snap = decode_sim ~config:(Sim.config sim) sim_bytes in
   Alcotest.(check bool) "sim codec canonical" true
-    (String.equal (encode_sim (Sim.restore sim_snap)) sim_bytes);
+    (String.equal
+       (encode_sim (Sim.restore ~plan ~link_outages:[] sim_snap))
+       sim_bytes);
   Alcotest.(check bool) "stepper codec canonical" true
     (String.equal (encode_stepper (decode_stepper workload st_bytes)) st_bytes);
   let decoded = finish ~plan workload sim_snap st_bytes in
@@ -175,6 +177,48 @@ let test_roundtrip_mid_fault () =
 let test_roundtrip_auto_box_px4 () =
   roundtrip_case ~pause_at:30.0 ~fault_at:45.0 Workload.auto_box Policy.px4
 
+(* A restore takes every constant from its config: the bytes carry no
+   fence, policy or bug registry. Under PX4 with its known bug re-inserted,
+   on the fenced mission, the run paused in its first leg must re-encode
+   to the same bytes and finish like the cold run of the fault plan that
+   exercises that bug and the fence. *)
+let test_roundtrip_fence_known_bug () =
+  let workload = Workload.fence_mission and policy = Policy.px4 in
+  let config =
+    {
+      (sim_config workload policy) with
+      Sim.enabled_bugs = Bug.unknown_bugs Bug.Px4 @ Bug.known_bugs Bug.Px4;
+    }
+  in
+  let plan = fail_kind Sensor.Gps 15.0 @ fail_kind ~n:1 Sensor.Battery 17.0 in
+  let cold =
+    let sim = Sim.create ~plan config in
+    let passed = Workload.execute workload sim in
+    Sim.outcome sim ~workload_passed:passed
+  in
+  Alcotest.(check bool) "the cold run breaches the fence" true
+    cold.Sim.fence_breached;
+  Alcotest.(check bool) "the cold run triggers the known bug" true
+    (List.mem Bug.Px4_13291 cold.Sim.triggered_bugs);
+  let sim = Sim.create ~plan config in
+  let st = Workload.Stepper.create workload in
+  (match Workload.Stepper.run st sim ~until:13.0 with
+  | Workload.Stepper.Running -> ()
+  | Workload.Stepper.Done _ -> Alcotest.fail "run finished before pause");
+  let sim_bytes = encode_sim sim in
+  let sim_snap = decode_sim ~config sim_bytes in
+  Alcotest.(check bool) "sim codec canonical" true
+    (String.equal
+       (encode_sim (Sim.restore ~plan ~link_outages:[] sim_snap))
+       sim_bytes);
+  let decoded = finish ~plan workload sim_snap (encode_stepper st) in
+  Alcotest.(check bool) "fence flag" cold.Sim.fence_breached
+    decoded.Sim.fence_breached;
+  Alcotest.(check bool) "triggered bugs" true
+    (cold.Sim.triggered_bugs = decoded.Sim.triggered_bugs);
+  Alcotest.(check bool) "trace" true (trace_bits cold = trace_bits decoded);
+  check_same_outcome "decoded snapshot = cold run" cold decoded
+
 let qcheck_roundtrip =
   QCheck.Test.make ~count:6 ~name:"sim+stepper codec round-trips at any pause"
     QCheck.(pair (float_range 2.0 20.0) (float_range 0.0 1.0))
@@ -187,7 +231,9 @@ let qcheck_roundtrip =
       let sim_bytes = encode_sim sim in
       let st_bytes = encode_stepper st in
       let sim_snap = decode_sim ~config:(Sim.config sim) sim_bytes in
-      String.equal (encode_sim (Sim.restore sim_snap)) sim_bytes
+      String.equal
+        (encode_sim (Sim.restore ~plan ~link_outages:[] sim_snap))
+        sim_bytes
       && String.equal (encode_stepper (decode_stepper workload st_bytes)) st_bytes
       && fingerprint (finish ~plan workload sim_snap st_bytes)
          = fingerprint cold)
@@ -195,7 +241,9 @@ let qcheck_roundtrip =
 let test_of_bytes_rejects_garbage () =
   let sim, _ = paused_run Workload.quickstart Policy.apm ~until:5.0 in
   let config = Sim.config sim in
-  let restore bytes = Sim.restore (decode_sim ~config bytes) in
+  let restore bytes =
+    Sim.restore ~plan:[] ~link_outages:[] (decode_sim ~config bytes)
+  in
   (match restore "" with
   | exception Avis_util.Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "empty input decoded");
@@ -261,7 +309,9 @@ let decoders =
   let config = sim_config Workload.quickstart Policy.apm in
   [
     ( "Sim.decode_snapshot+restore",
-      fun s -> ignore (Sim.restore (decode_sim ~config s)) );
+      fun s ->
+        ignore (Sim.restore ~plan:[] ~link_outages:[] (decode_sim ~config s))
+    );
     ("Stepper.decode", fun s -> ignore (decode_stepper Workload.quickstart s));
     ( "Sim.decode_outcome",
       fun s -> ignore (Avis_util.Codec.of_string Sim.decode_outcome s) );
@@ -312,10 +362,9 @@ let qcheck_fuzz_random =
     QCheck.(string_gen_of_size (Gen.int_range 0 512) Gen.char)
     only_corrupt
 
-(* Two fields the bit-flip property once hit, whose decoders sized or
-   built an object before checking: a sensor kind's instance count (an
-   [Array.init] of the flipped count, raising Out_of_memory) and an
-   airframe's motor count ([Motor.mix_layout]'s Invalid_argument). *)
+(* A length the bit-flip property once hit, whose decoder built an
+   object before checking: a controller's motor outputs, which must be the
+   Iris's 4 (the mixer writes one per motor). *)
 let test_decode_counts_bounded () =
   let open Avis_util.Codec in
   let corrupt name decode bytes =
@@ -324,49 +373,22 @@ let test_decode_counts_bounded () =
     | exception Corrupt _ -> ()
     | exception e -> Alcotest.failf "%s raised %s" name (Printexc.to_string e)
   in
-  (* A drivers snapshot of one GPS kind: instance count, period, next
-     sample, no failures, no readings. *)
-  let kinds count =
+  (* A controller with [n] motor outputs. *)
+  let control n =
     let b = Buffer.create 64 in
-    w_version b 2;
-    w_int b 1;
-    Sensor.encode_kind b Sensor.Gps;
-    w_int b count;
-    w_f64 b 0.1;
-    w_f64 b 0.0;
-    w_int b 0;
-    w_option b Sensor.encode_reading None;
-    w_option b Sensor.encode_reading None;
-    Buffer.contents b
-  in
-  let drivers =
-    Drivers.decode
-      ~suite:(Suite.create ~rng:(Avis_util.Rng.create 0) ())
-      ~hinj:(Avis_hinj.Hinj.create ())
-  in
-  corrupt "instance count 2^40" drivers (kinds (1 lsl 40));
-  corrupt "instance count -1" drivers (kinds (-1));
-  (* A controller on an airframe with [motor_count] motors. *)
-  let control motor_count =
-    let b = Buffer.create 512 in
-    w_version b 2;
-    Avis_physics.Airframe.encode b
-      { Avis_physics.Airframe.iris with motor_count };
+    w_version b 3;
     Pid.encode b (Pid.create ~kp:1.0 ());
-    w_float_array b (Array.make motor_count 0.0);
+    w_float_array b (Array.make n 0.0);
     Buffer.contents b
   in
-  (* The hand-built layout is the current one: the even counts the mixer
-     takes decode. *)
-  List.iter
-    (fun n -> ignore (of_string (Control.decode ~params:Params.default) (control n)))
-    [ 4; 6 ];
+  (* The hand-built layout is the current one: 4 outputs decode. *)
+  ignore (of_string (Control.decode ~params:Params.default) (control 4));
   List.iter
     (fun n ->
-      corrupt (Printf.sprintf "motor count %d" n)
+      corrupt (Printf.sprintf "%d motor outputs" n)
         (Control.decode ~params:Params.default)
         (control n))
-    [ 2; 3; 5 ]
+    [ 0; 2; 3; 5; 6 ]
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint store                                                     *)
@@ -557,52 +579,79 @@ let test_store_eviction_mtime_tiebreak () =
       (List.mem second survivors)
   | l -> Alcotest.fail (Printf.sprintf "expected 2 tied files, got %d" (List.length l))
 
+(* MiB counts whose bytes overflow an int: 2^42 MiB wraps to -2^62 bytes
+   and 2^43 MiB to 0, and either budget would evict everything. *)
+let overflowing_mb = [ 4398046511104; 8796093022208 ]
+
 let test_store_mb_guard () =
-  (* Malformed and non-positive budgets must warn and fall back to the
-     default rather than silently zeroing the store. Observable effect: a
-     store created with store_mb:0 still retains small checkpoints (a zero
-     budget would evict everything on every put). *)
-  with_temp_dir @@ fun dir ->
-  let store = make_store ~store_mb:0 ~dir () in
-  put store ~key:"" ~time:10.0 "kept";
-  (match Checkpoint_store.lookup store ~key:"" ~before:infinity with
-  | Some (_, p) -> Alcotest.(check string) "retained under default budget" "kept" p
-  | None -> Alcotest.fail "zero budget was not replaced by the default");
-  Unix.putenv "AVIS_STORE_MB" "banana";
+  (* Malformed, non-positive and overflowing budgets must warn and fall
+     back to the default rather than silently zeroing the store.
+     Observable effect: such a store still retains small checkpoints (a
+     zero budget would evict everything on every put). *)
+  let retained ?store_mb () =
+    with_temp_dir @@ fun dir ->
+    let store = make_store ?store_mb ~dir () in
+    put store ~key:"" ~time:10.0 "kept";
+    match Checkpoint_store.lookup store ~key:"" ~before:infinity with
+    | Some (_, p) -> p = "kept"
+    | None -> false
+  in
+  List.iter
+    (fun mb ->
+      Alcotest.(check bool)
+        (Printf.sprintf "store_mb:%d retained under default budget" mb)
+        true (retained ~store_mb:mb ()))
+    (0 :: overflowing_mb);
   (* putenv can't unset; park the variable on the default so later stores
      in this process neither warn nor change behaviour. *)
   Fun.protect
     ~finally:(fun () -> Unix.putenv "AVIS_STORE_MB" "1024")
     (fun () ->
-      with_temp_dir @@ fun dir2 ->
-      let store2 = make_store ~dir:dir2 () in
-      put store2 ~key:"" ~time:10.0 "kept";
-      Alcotest.(check bool) "malformed env falls back" true
-        (Checkpoint_store.lookup store2 ~key:"" ~before:infinity <> None))
+      List.iter
+        (fun value ->
+          Unix.putenv "AVIS_STORE_MB" value;
+          Alcotest.(check bool)
+            (Printf.sprintf "AVIS_STORE_MB=%s falls back" value)
+            true (retained ()))
+        ("banana" :: List.map string_of_int overflowing_mb))
 
 let test_cache_mb_guard () =
-  (* Satellite regression: AVIS_CACHE_MB=0 (or cache_mb:0) used to be
-     accepted, silently making every capture evict itself. With the guard
-     the default budget applies, so a repeated scenario is served from
-     memory. *)
+  (* AVIS_CACHE_MB=0 (or cache_mb:0) used to be accepted, silently making
+     every capture evict itself, and so did a count whose bytes overflow.
+     With the guard the default budget applies, so a repeated scenario is
+     served from memory. *)
   let workload = Workload.quickstart and policy = Policy.apm in
-  let cache =
-    Prefix_cache.create ~cache_mb:0 ~workload
-      ~config:(sim_config workload policy)
-      ~checkpoint_times:(List.init 30 (fun i -> float_of_int (i + 1)))
-      ()
+  let served label ?cache_mb () =
+    let cache =
+      Prefix_cache.create ?cache_mb ~workload
+        ~config:(sim_config workload policy)
+        ~checkpoint_times:(List.init 30 (fun i -> float_of_int (i + 1)))
+        ()
+    in
+    let scenario =
+      Scenario.of_faults
+        [ Scenario.sensor_fault { Sensor.kind = Sensor.Gps; index = 0 } 25.0 ]
+    in
+    let a = Prefix_cache.execute cache ~scenario in
+    let b = Prefix_cache.execute cache ~scenario in
+    check_same_outcome (label ^ ": deterministic") a b;
+    let s = Prefix_cache.stats cache in
+    Alcotest.(check bool) (label ^ ": default budget kept the checkpoints")
+      true (s.Prefix_cache.hits >= 1);
+    Alcotest.(check int) (label ^ ": no self-evictions") 0
+      s.Prefix_cache.evictions
   in
-  let scenario =
-    Scenario.of_faults
-      [ Scenario.sensor_fault { Sensor.kind = Sensor.Gps; index = 0 } 25.0 ]
-  in
-  let a = Prefix_cache.execute cache ~scenario in
-  let b = Prefix_cache.execute cache ~scenario in
-  check_same_outcome "deterministic" a b;
-  let s = Prefix_cache.stats cache in
-  Alcotest.(check bool) "default budget kept the checkpoints" true
-    (s.Prefix_cache.hits >= 1);
-  Alcotest.(check int) "no self-evictions" 0 s.Prefix_cache.evictions
+  List.iter
+    (fun mb -> served (Printf.sprintf "cache_mb:%d" mb) ~cache_mb:mb ())
+    (0 :: overflowing_mb);
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "AVIS_CACHE_MB" "1024")
+    (fun () ->
+      List.iter
+        (fun mb ->
+          Unix.putenv "AVIS_CACHE_MB" (string_of_int mb);
+          served (Printf.sprintf "AVIS_CACHE_MB=%d" mb) ())
+        overflowing_mb)
 
 (* ------------------------------------------------------------------ *)
 (* Prefix cache over a shared store                                     *)
@@ -1050,6 +1099,8 @@ let () =
             test_roundtrip_mid_fault;
           Alcotest.test_case "auto-box/px4 round-trips" `Slow
             test_roundtrip_auto_box_px4;
+          Alcotest.test_case "fence-mission/px4 known bug round-trips" `Quick
+            test_roundtrip_fence_known_bug;
           QCheck_alcotest.to_alcotest ~long:false qcheck_roundtrip;
           Alcotest.test_case "garbage rejected" `Quick
             test_of_bytes_rejects_garbage;

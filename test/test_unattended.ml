@@ -459,11 +459,6 @@ let test_identity_covers_keyed_fields () =
       ( "profiling_runs",
         { base with Campaign.profiling_runs = base.Campaign.profiling_runs + 1 }
       );
-      ( "link_jitter_steps",
-        {
-          base with
-          Campaign.link_jitter_steps = base.Campaign.link_jitter_steps + 1;
-        } );
     ]
   in
   List.iter

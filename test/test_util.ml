@@ -400,7 +400,7 @@ let test_env_positive_float () =
             (Printf.sprintf "%S falls back" bad)
             7200.0
             (Env.positive_float ~var:"AVIS_TEST_ENV_FLOAT" ~default:7200.0 ())))
-    [ "0"; "-1.5"; "nan"; "soon"; "" ]
+    [ "0"; "-1.5"; "nan"; "inf"; "soon"; "" ]
 
 let test_env_flag () =
   Alcotest.(check bool) "unset -> false" false
