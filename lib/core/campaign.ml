@@ -508,6 +508,10 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
              observed_transitions =
                List.map (fun tr -> tr.Avis_hinj.Hinj.time) outcome.Sim.transitions;
            });
+        (* Filing a finding and reporting progress allocate between one
+           scenario and the next: the span charges their time, and any
+           collection they trigger, to the cell's trace. *)
+        Avis_util.Trace.span ~cat:"campaign" "campaign.bookkeeping" @@ fun () ->
         (match verdict with
         | Monitor.Safe -> ()
         | Monitor.Unsafe violation ->

@@ -3,44 +3,179 @@ open Avis_sitl
 
 type metric = Full | Position_only
 
-type t = { graph : Mode_graph.t; p_hat : float; a_hat : float }
+(* The profiling runs, each padded to the longest by its final sample
+   (the rule of the trace's [nth_padded]), as flat tick-major columns:
+   run [r] at tick [k] is slot [k * runs + r], so the runs one tick is
+   compared against sit side by side. Modes are interned: every graph
+   node and every profiled label has an id below [modes], and [modes]
+   stands for any other label. [mode_dist] holds [Mode_graph.distance]
+   for each id pair, row-major with [modes] columns; its last row, the
+   unknown label, is all [diameter], as [Mode_graph.distance] says. *)
+type t = {
+  graph : Mode_graph.t;
+  p_hat : float;
+  a_hat : float;
+  scale : float; (* the graph's diameter D *)
+  runs : int;
+  ticks : int;
+  px : float array;
+  py : float array;
+  pz : float array;
+  ax : float array;
+  ay : float array;
+  az : float array;
+  mode : int array;
+  ids : (string, int) Hashtbl.t;
+  modes : int;
+  mode_dist : float array;
+  spread_full : float;
+  spread_position : float;
+}
 
-let pairwise_max traces component =
-  let n = List.length traces in
-  let arr = Array.of_list traces in
-  let len =
-    Array.fold_left (fun acc tr -> max acc (Trace.length tr)) 0 arr
+(* [Vec3.dist a b] over columns, bit for bit: the difference is [a − b]
+   and the squares add as [Vec3.dot] adds them, x and y first. *)
+let[@inline] dist3 x y z a b =
+  let dx = x.(a) -. x.(b) and dy = y.(a) -. y.(b) and dz = z.(a) -. z.(b) in
+  sqrt ((dx *. dx) +. (dy *. dy) +. (dz *. dz))
+
+let build ~graph ~profiles =
+  let traces = Array.of_list profiles in
+  let runs = Array.length traces in
+  let ticks =
+    Array.fold_left (fun acc tr -> Int.max acc (Trace.length tr)) 0 traces
   in
-  let best = ref 0.0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      for k = 0 to len - 1 do
-        let a = Trace.nth_padded arr.(i) k in
-        let b = Trace.nth_padded arr.(j) k in
-        let d = component a b in
-        if d > !best then best := d
+  let ids = Hashtbl.create 16 in
+  let intern label =
+    match Hashtbl.find_opt ids label with
+    | Some i -> i
+    | None ->
+      let i = Hashtbl.length ids in
+      Hashtbl.add ids label i;
+      i
+  in
+  List.iter (fun m -> ignore (intern m)) (Mode_graph.modes graph);
+  let column () = Array.make (runs * ticks) 0.0 in
+  let px = column () and py = column () and pz = column () in
+  let ax = column () and ay = column () and az = column () in
+  let mode = Array.make (runs * ticks) 0 in
+  Array.iteri
+    (fun r tr ->
+      let n = Trace.length tr in
+      if n = 0 then invalid_arg "Distance.build: empty profiling run";
+      let label = ref "" and id = ref 0 in
+      for k = 0 to ticks - 1 do
+        let i = Int.min k (n - 1) and j = (k * runs) + r in
+        px.(j) <- Trace.px tr i;
+        py.(j) <- Trace.py tr i;
+        pz.(j) <- Trace.pz tr i;
+        ax.(j) <- Trace.ax tr i;
+        ay.(j) <- Trace.ay tr i;
+        az.(j) <- Trace.az tr i;
+        let m = Trace.mode tr i in
+        if k = 0 || not (String.equal m !label) then begin
+          label := m;
+          id := intern m
+        end;
+        mode.(j) <- !id
+      done)
+    traces;
+  let modes = Hashtbl.length ids in
+  let labels = Array.make modes "" in
+  Hashtbl.iter (fun label i -> labels.(i) <- label) ids;
+  let diameter = Mode_graph.diameter graph in
+  let mode_dist =
+    Array.init ((modes + 1) * modes) (fun c ->
+        let a = c / modes and b = c mod modes in
+        float_of_int
+          (if a = modes then diameter
+           else Mode_graph.distance graph labels.(a) labels.(b)))
+  in
+  (* P̂ and Â: the largest pairwise position and acceleration distances.
+     A maximum taken with [>] skips NaN and does not depend on the order
+     the pairs are visited in. *)
+  let p_best = ref 0.0 and a_best = ref 0.0 in
+  for k = 0 to ticks - 1 do
+    let base = k * runs in
+    for i = 0 to runs - 1 do
+      for j = i + 1 to runs - 1 do
+        let dp = dist3 px py pz (base + i) (base + j) in
+        if dp > !p_best then p_best := dp;
+        let da = dist3 ax ay az (base + i) (base + j) in
+        if da > !a_best then a_best := da
       done
     done
   done;
-  !best
+  let nonzero v = if v <= 1e-9 then 1.0 else v in
+  let p_hat = nonzero !p_best and a_hat = nonzero !a_best in
+  let scale = float_of_int diameter in
+  (* Both metrics' largest state distance, each term computed as
+     [state_distance] computes it. *)
+  let full = ref 0.0 and position = ref 0.0 in
+  for k = 0 to ticks - 1 do
+    let base = k * runs in
+    for i = 0 to runs - 1 do
+      for j = i + 1 to runs - 1 do
+        let a = base + i and b = base + j in
+        let d_p = dist3 px py pz a b *. scale /. p_hat in
+        if d_p > !position then position := d_p;
+        let d_a = dist3 ax ay az a b *. scale /. a_hat in
+        let d_m = mode_dist.((mode.(a) * modes) + mode.(b)) in
+        let d = sqrt ((d_p *. d_p) +. (d_a *. d_a) +. (d_m *. d_m)) in
+        if d > !full then full := d
+      done
+    done
+  done;
+  {
+    graph; p_hat; a_hat; scale; runs; ticks; px; py; pz; ax; ay; az; mode;
+    ids; modes; mode_dist; spread_full = !full; spread_position = !position;
+  }
+
+let graph t = t.graph
+let p_hat t = t.p_hat
+let a_hat t = t.a_hat
+
+let spread ?(metric = Full) t =
+  match metric with
+  | Full -> t.spread_full
+  | Position_only -> t.spread_position
+
+let mode_id t label =
+  match Hashtbl.find_opt t.ids label with Some i -> i | None -> t.modes
+
+let within ~metric t ~tau trace i ~mode_id =
+  let base = Int.min i (t.ticks - 1) * t.runs in
+  let x = Trace.px trace i and y = Trace.py trace i and z = Trace.pz trace i in
+  let ax = Trace.ax trace i and ay = Trace.ay trace i in
+  let az = Trace.az trace i in
+  let row = mode_id * t.modes in
+  let found = ref false and r = ref 0 in
+  while (not !found) && !r < t.runs do
+    let j = base + !r in
+    let dx = x -. t.px.(j) and dy = y -. t.py.(j) and dz = z -. t.pz.(j) in
+    let d_p =
+      sqrt ((dx *. dx) +. (dy *. dy) +. (dz *. dz)) *. t.scale /. t.p_hat
+    in
+    let d =
+      match metric with
+      | Position_only -> d_p
+      | Full ->
+        let dx = ax -. t.ax.(j) and dy = ay -. t.ay.(j) and dz = az -. t.az.(j) in
+        let d_a =
+          sqrt ((dx *. dx) +. (dy *. dy) +. (dz *. dz)) *. t.scale /. t.a_hat
+        in
+        let d_m = t.mode_dist.(row + t.mode.(j)) in
+        sqrt ((d_p *. d_p) +. (d_a *. d_a) +. (d_m *. d_m))
+    in
+    if d <= tau then found := true;
+    incr r
+  done;
+  !found
 
 let position_component (a : Trace.sample) (b : Trace.sample) =
   Vec3.dist a.Trace.position b.Trace.position
 
 let accel_component (a : Trace.sample) (b : Trace.sample) =
   Vec3.dist a.Trace.acceleration b.Trace.acceleration
-
-let build ~graph ~profiles =
-  let nonzero v = if v <= 1e-9 then 1.0 else v in
-  {
-    graph;
-    p_hat = nonzero (pairwise_max profiles position_component);
-    a_hat = nonzero (pairwise_max profiles accel_component);
-  }
-
-let graph t = t.graph
-let p_hat t = t.p_hat
-let a_hat t = t.a_hat
 
 let state_distance ?(metric = Full) t a b =
   let scale = float_of_int (Mode_graph.diameter t.graph) in
@@ -53,21 +188,3 @@ let state_distance ?(metric = Full) t a b =
       float_of_int (Mode_graph.distance t.graph a.Trace.mode b.Trace.mode)
     in
     sqrt ((d_p *. d_p) +. (d_a *. d_a) +. (d_m *. d_m))
-
-let tau ?(metric = Full) t profiles =
-  let arr = Array.of_list profiles in
-  let n = Array.length arr in
-  let len = Array.fold_left (fun acc tr -> max acc (Trace.length tr)) 0 arr in
-  let best = ref 0.0 in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      for k = 0 to len - 1 do
-        let d =
-          state_distance ~metric t (Trace.nth_padded arr.(i) k)
-            (Trace.nth_padded arr.(j) k)
-        in
-        if d > !best then best := d
-      done
-    done
-  done;
-  !best

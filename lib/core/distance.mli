@@ -9,28 +9,50 @@
 
     [Position_only] is the paper's discussed-and-rejected alternative
     (detection takes tens of seconds instead of seconds); it is kept for
-    the ablation benchmark. *)
+    the ablation benchmark.
+
+    {!build} precomputes what the monitor compares against: the profiling
+    runs padded to the longest by their final sample into flat columns,
+    their mode labels interned with a table of mode distances, P̂, Â and
+    the largest pairwise distance under each metric. {!within} then reads
+    a test run's columns and allocates nothing. {!state_distance} is the
+    reference definition over {!Trace.sample} records: every number the
+    columns give is its result bit for bit, which the tests check. *)
 
 open Avis_sitl
 
 type metric = Full | Position_only
 
 type t
-(** Normalisers (the paper's P̂, Â and D) plus the mode graph. *)
+(** Normalisers (the paper's P̂, Â and D), the mode graph and the padded
+    profiling runs. *)
 
 val build : graph:Mode_graph.t -> profiles:Trace.t list -> t
 (** Compute P̂ and Â as the largest pairwise distances between profiling
     runs at equal time offsets (shorter runs padded with their final
     state). Degenerate zero maxima fall back to 1 so the metric stays
-    defined. *)
+    defined. Raises [Invalid_argument] on an empty profiling run. *)
 
 val graph : t -> Mode_graph.t
 val p_hat : t -> float
 val a_hat : t -> float
 
-val state_distance : ?metric:metric -> t -> Trace.sample -> Trace.sample -> float
-(** Distance between two states at the same time offset. *)
+val spread : ?metric:metric -> t -> float
+(** The largest state distance between any two profiling runs at the same
+    offset: the monitor's τ before its floor and margin. *)
 
-val tau : ?metric:metric -> t -> Trace.t list -> float
-(** The threshold τ: the largest state distance between any two profiling
-    runs at the same offset. *)
+val mode_id : t -> string -> int
+(** The interned id of a mode label, for {!within}. A label that is
+    neither a graph node nor seen in a profiling run gets the one id that
+    is at the diameter from every profiled label. *)
+
+val within :
+  metric:metric -> t -> tau:float -> Trace.t -> int -> mode_id:int -> bool
+(** [within ~metric d ~tau run i ~mode_id] is whether sample [i] of [run],
+    whose mode label has id [mode_id], has [state_distance <= tau] to some
+    profiling run at offset [i] (past the longest run, its final sample).
+    It stops at the first such run. A NaN distance is never within. *)
+
+val state_distance : ?metric:metric -> t -> Trace.sample -> Trace.sample -> float
+(** Distance between two states at the same time offset: the reference
+    definition. *)

@@ -1,15 +1,21 @@
-open Avis_geo
 open Avis_sitl
 
+(* What a test run is judged against, precomputed once per cell: the
+   padded profiling runs and normalisers ([Distance.t]), τ under each
+   metric, and the envelope the symptom classifier reads. *)
 type profile = {
-  traces : Trace.t list;
-  graph : Mode_graph.t;
   norm : Distance.t;
   tau_full : float;
   tau_position : float;
   max_alt : float;
   max_home_dist : float;
 }
+
+(* [Vec3.norm (Vec3.horizontal v)] bit for bit: the zeroed z still adds
+   its square last. *)
+let[@inline] horizontal_norm x y = sqrt ((x *. x) +. (y *. y) +. (0.0 *. 0.0))
+
+let[@inline] home_distance tr i = horizontal_norm (Trace.px tr i) (Trace.py tr i)
 
 let build_profile outcomes =
   if outcomes = [] then invalid_arg "Monitor.build_profile: no profiling runs";
@@ -24,16 +30,15 @@ let build_profile outcomes =
   in
   let graph = Mode_graph.build ~transitions in
   let norm = Distance.build ~graph ~profiles:traces in
-  let max_alt, max_home_dist =
-    List.fold_left
-      (fun (alt, dist) trace ->
-        Array.fold_left
-          (fun (alt, dist) s ->
-            ( Float.max alt s.Trace.position.Vec3.z,
-              Float.max dist (Vec3.norm (Vec3.horizontal s.Trace.position)) ))
-          (alt, dist) (Trace.samples trace))
-      (0.0, 0.0) traces
-  in
+  let max_alt = ref 0.0 and max_home_dist = ref 0.0 in
+  let runs = Array.of_list traces in
+  for r = 0 to Array.length runs - 1 do
+    let tr = runs.(r) in
+    for i = 0 to Trace.length tr - 1 do
+      max_alt := Float.max !max_alt (Trace.pz tr i);
+      max_home_dist := Float.max !max_home_dist (home_distance tr i)
+    done
+  done;
   (* A floor keeps τ meaningful when the profiling runs are near-identical,
      and a safety margin absorbs per-instance sensor biases the profiling
      runs cannot have sampled (a failover to a backup instance changes the
@@ -41,19 +46,17 @@ let build_profile outcomes =
   let tau_floor = 0.75 in
   let margin = 1.35 in
   {
-    traces;
-    graph;
     norm;
     tau_full =
-      Float.max tau_floor (margin *. Distance.tau ~metric:Distance.Full norm traces);
+      Float.max tau_floor (margin *. Distance.spread ~metric:Distance.Full norm);
     tau_position =
       Float.max tau_floor
-        (margin *. Distance.tau ~metric:Distance.Position_only norm traces);
-    max_alt;
-    max_home_dist;
+        (margin *. Distance.spread ~metric:Distance.Position_only norm);
+    max_alt = !max_alt;
+    max_home_dist = !max_home_dist;
   }
 
-let graph p = p.graph
+let graph p = Distance.graph p.norm
 let tau p = p.tau_full
 let normalisers p = p.norm
 
@@ -89,192 +92,189 @@ let mode_rtl = "Return To Launch"
 let mode_land = "Land"
 let mode_disarmed = "Disarmed"
 let mode_manual = "Manual"
+let mode_preflight = "Pre-Flight"
 
-let home_distance (s : Trace.sample) = Vec3.norm (Vec3.horizontal s.Trace.position)
+(* What the monitor does differently per mode, worked out once per label
+   change rather than by string compares at every tick. *)
+type mode_kind = Rtl | Land | Disarmed | Manual | Pre_flight | Other
+
+let mode_kind m =
+  if String.equal m mode_rtl then Rtl
+  else if String.equal m mode_land then Land
+  else if String.equal m mode_disarmed then Disarmed
+  else if String.equal m mode_manual then Manual
+  else if String.equal m mode_preflight then Pre_flight
+  else Other
+
+let is_safe_mode = function
+  | Rtl | Land | Disarmed -> true
+  | Manual | Pre_flight | Other -> false
 
 (* Safe-mode invariants, evaluated per tick once the vehicle has been in
    the safe mode for at least [invariant_window] ticks. *)
-let safe_mode_ok (samples : Trace.sample array) i ~entered_tick ~grounded_ticks =
-  let s = samples.(i) in
-  let alt = s.Trace.position.Vec3.z in
-  if s.Trace.mode = mode_rtl then
+let safe_mode_ok tr i kind ~entered_tick ~grounded_ticks =
+  let alt = Trace.pz tr i in
+  match kind with
+  | Rtl ->
     if i - entered_tick < invariant_window then true
     else begin
-      let prev = samples.(i - invariant_window) in
-      let progressing = home_distance s < home_distance prev -. 0.1 in
-      let climbing = alt > prev.Trace.position.Vec3.z +. 0.2 in
+      let prev = i - invariant_window in
+      let progressing = home_distance tr i < home_distance tr prev -. 0.1 in
+      let climbing = alt > Trace.pz tr prev +. 0.2 in
       (* Wide enough that the braking creep before the Land hand-off
          still counts as arrived. *)
-      let arrived = home_distance s < 8.0 in
+      let arrived = home_distance tr i < 8.0 in
       progressing || climbing || arrived
     end
-  else if s.Trace.mode = mode_land then
+  | Land ->
     (* Extra grace: entering Land at speed takes a few seconds of braking
        before the descent shows. *)
     if i - entered_tick < 2 * invariant_window then true
     else begin
-      let prev = samples.(i - invariant_window) in
-      let descending = alt < prev.Trace.position.Vec3.z -. 0.2 in
+      let prev = i - invariant_window in
+      let descending = alt < Trace.pz tr prev -. 0.2 in
       let freshly_grounded = alt < 0.3 && grounded_ticks <= grounded_grace in
       descending || freshly_grounded
     end
-  else if s.Trace.mode = mode_disarmed then alt < 0.5
-  else true
+  | Disarmed -> alt < 0.5
+  | Manual | Pre_flight | Other -> true
 
 (* The Manual hover excuse: liveliness in Manual is tolerated while the
    vehicle stays put (degraded GPS-loss hold), but not while it moves. *)
-let manual_hover_excuse (samples : Trace.sample array) i =
-  let s = samples.(i) in
-  if s.Trace.mode <> mode_manual then false
-  else if i = 0 then true
+let manual_hover_excuse tr i =
+  if i = 0 then true
   else begin
-    let prev = samples.(max 0 (i - 10)) in
-    let dt = Float.max 0.1 (s.Trace.time -. prev.Trace.time) in
+    let prev = Int.max 0 (i - 10) in
+    let dt = Float.max 0.1 (Trace.time tr i -. Trace.time tr prev) in
     let speed =
-      Vec3.norm
-        (Vec3.horizontal (Vec3.sub s.Trace.position prev.Trace.position))
+      horizontal_norm
+        (Trace.px tr i -. Trace.px tr prev)
+        (Trace.py tr i -. Trace.py tr prev)
       /. dt
     in
     speed < 1.5
   end
 
-let is_safe_mode mode =
-  mode = mode_rtl || mode = mode_land || mode = mode_disarmed
+let far_away profile tr i =
+  home_distance tr i > profile.max_home_dist +. 10.0
+  || Trace.pz tr i > profile.max_alt +. 10.0
 
-let classify profile ~(samples : Trace.sample array) ~violation_tick ~crashed =
-  if crashed then Crash
-  else begin
-    let max_alt_seen =
-      Array.fold_left
-        (fun acc s -> Float.max acc s.Trace.position.Vec3.z)
-        0.0 samples
-    in
-    if max_alt_seen < 1.5 && profile.max_alt > 5.0 then Takeoff_failure
-    else begin
-      let s = samples.(min violation_tick (Array.length samples - 1)) in
-      let away =
-        home_distance s > profile.max_home_dist +. 10.0
-        || s.Trace.position.Vec3.z > profile.max_alt +. 10.0
-      in
-      (* Still departing at the end of the run also reads as a fly-away. *)
-      let final = samples.(Array.length samples - 1) in
-      let final_away =
-        home_distance final > profile.max_home_dist +. 10.0
-        || final.Trace.position.Vec3.z > profile.max_alt +. 10.0
-      in
-      if away || final_away then Fly_away else Stalled
-    end
-  end
+let classify profile tr ~violation_tick =
+  let n = Trace.length tr in
+  let max_alt_seen = ref 0.0 in
+  for i = 0 to n - 1 do
+    max_alt_seen := Float.max !max_alt_seen (Trace.pz tr i)
+  done;
+  if !max_alt_seen < 1.5 && profile.max_alt > 5.0 then Takeoff_failure
+  else if
+    far_away profile tr (Int.min violation_tick (n - 1))
+    (* Still departing at the end of the run also reads as a fly-away. *)
+    || far_away profile tr (n - 1)
+  then Fly_away
+  else Stalled
 
-let first_violation ?(metric = Distance.Full) profile (outcome : Sim.outcome) =
-  let samples = Trace.samples outcome.Sim.trace in
-  let n = Array.length samples in
-  if n = 0 then None
-  else begin
-    let tau =
-      match metric with
-      | Distance.Full -> profile.tau_full
-      | Distance.Position_only -> profile.tau_position
-    in
-    let profiles = Array.of_list profile.traces in
-    let result = ref None in
-    let live_streak = ref 0 in
-    let safe_streak = ref 0 in
-    let entered_tick = ref 0 in
-    let grounded_ticks = ref 0 in
-    let i = ref 0 in
-    while !result = None && !i < n do
-      let s = samples.(!i) in
-      if !i > 0 && samples.(!i - 1).Trace.mode <> s.Trace.mode then begin
-        entered_tick := !i;
-        grounded_ticks := 0
-      end;
-      if s.Trace.position.Vec3.z < 0.3 then incr grounded_ticks
-      else grounded_ticks := 0;
-      (* Safe-mode invariants run whenever the vehicle is in a safe mode. *)
-      if is_safe_mode s.Trace.mode then begin
-        if
-          safe_mode_ok samples !i ~entered_tick:!entered_tick
-            ~grounded_ticks:!grounded_ticks
-        then safe_streak := 0
-        else begin
-          incr safe_streak;
-          if !safe_streak >= consecutive_needed then
-            result :=
-              Some
-                ( Safe_mode_invariant s.Trace.mode,
-                  s.Trace.time,
-                  s.Trace.mode,
-                  !i )
-        end
+let first_violation ~metric profile tr n =
+  let tau =
+    match metric with
+    | Distance.Full -> profile.tau_full
+    | Distance.Position_only -> profile.tau_position
+  in
+  (* The liveliness rule fires when no profiling run is within τ: [d <= τ]
+     fails for every run (a NaN distance is never within), so the scan
+     may stop at the first run that passes. With τ = +∞ no state is out
+     of τ, not even one whose distances are all NaN. *)
+  let bounded = tau < infinity in
+  let result = ref None in
+  let live_streak = ref 0 in
+  let safe_streak = ref 0 in
+  let entered_tick = ref 0 in
+  let grounded_ticks = ref 0 in
+  let label = ref (Trace.mode tr 0) in
+  let kind = ref (mode_kind !label) in
+  let id = ref (Distance.mode_id profile.norm !label) in
+  let i = ref 0 in
+  while Option.is_none !result && !i < n do
+    let t = !i in
+    let mode = Trace.mode tr t in
+    if t > 0 && not (String.equal mode !label) then begin
+      entered_tick := t;
+      grounded_ticks := 0;
+      label := mode;
+      kind := mode_kind mode;
+      id := Distance.mode_id profile.norm mode
+    end;
+    let alt = Trace.pz tr t in
+    if alt < 0.3 then incr grounded_ticks else grounded_ticks := 0;
+    let safe = is_safe_mode !kind in
+    (* Safe-mode invariants run whenever the vehicle is in a safe mode. *)
+    if safe then begin
+      if
+        safe_mode_ok tr t !kind ~entered_tick:!entered_tick
+          ~grounded_ticks:!grounded_ticks
+      then safe_streak := 0
+      else begin
+        incr safe_streak;
+        if !safe_streak >= consecutive_needed then
+          result := Some (Safe_mode_invariant mode, Trace.time tr t, mode, t)
       end
-      else safe_streak := 0;
-      (* Liveliness: the state must stay within tau of some profiling run,
-         unless a safe mode (whose invariant is already enforced above) or
-         a legitimate Manual hover explains the divergence. *)
-      if !result = None then begin
-        let d_min = ref infinity in
-        Array.iter
-          (fun p ->
-            let d =
-              Distance.state_distance ~metric profile.norm s
-                (Trace.nth_padded p !i)
-            in
-            if d < !d_min then d_min := d)
-          profiles;
-        let preflight_refusal =
-          (* A vehicle that refuses to fly after a pre-arming failure is
-             preserving safety, not violating liveliness. *)
-          s.Trace.mode = "Pre-Flight" && s.Trace.position.Vec3.z < 0.5
-        in
-        if !d_min > tau && (not (is_safe_mode s.Trace.mode))
-           && (not (manual_hover_excuse samples !i))
-           && not preflight_refusal
-        then begin
-          incr live_streak;
-          if !live_streak >= consecutive_needed then
-            result := Some (Liveliness, s.Trace.time, s.Trace.mode, !i)
-        end
-        else live_streak := 0
-      end;
-      incr i
-    done;
-    !result
-  end
+    end
+    else safe_streak := 0;
+    (* Liveliness: the state must stay within tau of some profiling run,
+       unless a safe mode (whose invariant is already enforced above), a
+       legitimate Manual hover, or a vehicle that refuses to fly after a
+       pre-arming failure (preserving safety, not violating liveliness)
+       explains the divergence. The excuses cost less than the distances,
+       so they go first. *)
+    if Option.is_none !result then begin
+      let excused =
+        safe
+        || (match !kind with
+           | Manual -> manual_hover_excuse tr t
+           | Pre_flight -> alt < 0.5
+           | Rtl | Land | Disarmed | Other -> false)
+        || (not bounded)
+        || Distance.within ~metric profile.norm ~tau tr t ~mode_id:!id
+      in
+      if excused then live_streak := 0
+      else begin
+        incr live_streak;
+        if !live_streak >= consecutive_needed then
+          result := Some (Liveliness, Trace.time tr t, mode, t)
+      end
+    end;
+    incr i
+  done;
+  !result
 
 let check ?(metric = Distance.Full) profile (outcome : Sim.outcome) =
-  let samples = Trace.samples outcome.Sim.trace in
-  let n = Array.length samples in
+  let tr = outcome.Sim.trace in
+  let n = Trace.length tr in
   if n = 0 then Safe
   else begin
     match outcome.Sim.crash with
     | Some event ->
-      let s = samples.(n - 1) in
       Unsafe
         {
           kind = Safety (Format.asprintf "%a" Avis_physics.World.pp_contact event);
           time = outcome.Sim.duration;
-          mode = s.Trace.mode;
+          mode = Trace.mode tr (n - 1);
           symptom = Crash;
         }
     | None ->
       if outcome.Sim.fence_breached then
-        let s = samples.(n - 1) in
         Unsafe
           {
             kind = Fence_breach;
             time = outcome.Sim.duration;
-            mode = s.Trace.mode;
+            mode = Trace.mode tr (n - 1);
             symptom = Fly_away;
           }
       else begin
-        match first_violation ~metric profile outcome with
+        match first_violation ~metric profile tr n with
         | None -> Safe
         | Some (kind, time, mode, tick) ->
-          let symptom =
-            classify profile ~samples ~violation_tick:tick ~crashed:false
-          in
-          Unsafe { kind; time; mode; symptom }
+          Unsafe
+            { kind; time; mode; symptom = classify profile tr ~violation_tick:tick }
       end
   end
 

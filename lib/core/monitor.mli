@@ -12,7 +12,17 @@
     Return To Launch must make progress home (or climb to its return
     altitude), Land must descend (or be freshly on the ground), Disarmed
     must be on the ground, and a Manual hover (the degraded GPS-loss hold)
-    is excused while it stays put. *)
+    is excused while it stays put.
+
+    The monitor reads a test run through the trace's column reads and
+    allocates nothing per sample. Per tick it checks the safe-mode
+    invariants, then the liveliness excuses (a safe mode, a Manual hover,
+    a Pre-Flight refusal on the ground), and only when none holds the
+    distances, up to the first profiling run within τ. It classifies the
+    mode label again only when the label changes. Its verdicts are the
+    reference monitor's bit for bit, the one that compares
+    [Trace.sample] records by {!Distance.state_distance} against every
+    profiling run; a property test holds the two equal. *)
 
 open Avis_sitl
 
@@ -20,7 +30,12 @@ type profile
 
 val build_profile : Sim.outcome list -> profile
 (** From fault-free profiling runs (the paper uses a handful with
-    scheduler jitter). Raises [Invalid_argument] on an empty list. *)
+    scheduler jitter). Precomputes everything a check compares against:
+    the mode graph, the padded profiling runs and normalisers
+    ({!Distance.build}), τ under each metric, and the highest altitude
+    and farthest horizontal distance from home the runs reached. It
+    keeps no trace. Raises [Invalid_argument] on an empty list or an
+    empty profiling run. *)
 
 val graph : profile -> Mode_graph.t
 val tau : profile -> float

@@ -59,11 +59,10 @@ type t = {
   mutable chunks : chunk array; (* exactly the chunks created so far *)
   mutable len : int; (* total recorded samples *)
   sched : float array; (* single cell: next sample due time (unboxed) *)
-  mutable cache : sample array option;
 }
 
 let create ?(period = 0.1) () =
-  { period; chunks = [||]; len = 0; sched = [| 0.0 |]; cache = None }
+  { period; chunks = [||]; len = 0; sched = [| 0.0 |] }
 
 let period t = t.period
 
@@ -71,12 +70,10 @@ type snapshot = t
 
 (* A snapshot shares every chunk with the live trace, the partial tail
    too: it reads only its first [len] samples, and the live run only
-   writes past them (each slot is written once, at increasing indices).
-   The derived sample array is not carried over: it is rebuilt on
-   demand, and a snapshot should hold nothing it does not own or share. *)
+   writes past them (each slot is written once, at increasing indices). *)
 let snapshot t =
   { period = t.period; chunks = Array.copy t.chunks; len = t.len;
-    sched = Array.copy t.sched; cache = None }
+    sched = Array.copy t.sched }
 
 (* A restored trace records on, so it detaches the partial tail: the
    filled prefix moves into a fresh chunk, and the run it came from (or a
@@ -88,14 +85,13 @@ let restore s =
     let tail = s.len lsr chunk_bits in
     chunks.(tail) <- prefix_chunk chunks.(tail) fill
   end;
-  { period = s.period; chunks; len = s.len; sched = Array.copy s.sched;
-    cache = None }
+  { period = s.period; chunks; len = s.len; sched = Array.copy s.sched }
 
 let word = Sys.word_size / 8
 
 (* What a snapshot alone holds: its record, schedule cell and chunk-pointer
    array. Every chunk, the partial tail included, is shared with the run. *)
-let snapshot_bytes s = word * (6 + 2 + 1 + Array.length s.chunks)
+let snapshot_bytes s = word * (5 + 2 + 1 + Array.length s.chunks)
 
 (* Appending a chunk copies the (tiny) chunk-pointer array; it happens once
    per [chunk_cap] samples. *)
@@ -123,43 +119,46 @@ let record t ~steps ~dt world ~mode =
     c.c_ay.(off) <- a.Vec3.Mut.y;
     c.c_az.(off) <- a.Vec3.Mut.z;
     c.c_mode.(off) <- mode;
-    t.len <- i + 1;
-    t.cache <- None
+    t.len <- i + 1
   end
 
 let[@inline] length t = t.len
 
+(* Column reads for index [i]: a checked chunk load and a slot load,
+   inlined at the call site so a float read stays unboxed. The slot
+   offset is below [chunk_cap] by construction, so only the chunk index
+   needs a bounds check. *)
+let[@inline] chunk t i = t.chunks.(i lsr chunk_bits)
+let[@inline] time t i = Array.unsafe_get (chunk t i).c_time (i land chunk_mask)
+let[@inline] px t i = Array.unsafe_get (chunk t i).c_px (i land chunk_mask)
+let[@inline] py t i = Array.unsafe_get (chunk t i).c_py (i land chunk_mask)
+let[@inline] pz t i = Array.unsafe_get (chunk t i).c_pz (i land chunk_mask)
+let[@inline] ax t i = Array.unsafe_get (chunk t i).c_ax (i land chunk_mask)
+let[@inline] ay t i = Array.unsafe_get (chunk t i).c_ay (i land chunk_mask)
+let[@inline] az t i = Array.unsafe_get (chunk t i).c_az (i land chunk_mask)
+let[@inline] mode t i = Array.unsafe_get (chunk t i).c_mode (i land chunk_mask)
+
 let sample_at t i =
-  let c = t.chunks.(i lsr chunk_bits) and off = i land chunk_mask in
   {
-    time = c.c_time.(off);
-    position = Vec3.make c.c_px.(off) c.c_py.(off) c.c_pz.(off);
-    acceleration = Vec3.make c.c_ax.(off) c.c_ay.(off) c.c_az.(off);
-    mode = c.c_mode.(off);
+    time = time t i;
+    position = Vec3.make (px t i) (py t i) (pz t i);
+    acceleration = Vec3.make (ax t i) (ay t i) (az t i);
+    mode = mode t i;
   }
 
-let samples t =
-  match t.cache with
-  | Some a -> a
-  | None ->
-    let a = Array.init t.len (fun i -> sample_at t i) in
-    t.cache <- Some a;
-    a
+let samples t = Array.init t.len (fun i -> sample_at t i)
 
 let nth t i =
   if i < 0 || i >= t.len then invalid_arg "Trace.nth: out of range";
-  match t.cache with Some a -> a.(i) | None -> sample_at t i
+  sample_at t i
 
 let nth_padded t i =
   let n = t.len in
   if n = 0 then invalid_arg "Trace.nth_padded: empty trace";
   if i < 0 then invalid_arg "Trace.nth_padded: negative index";
-  let i = Int.min i (n - 1) in
-  match t.cache with Some a -> a.(i) | None -> sample_at t i
+  sample_at t (Int.min i (n - 1))
 
-let altitude_series t =
-  Array.to_list
-    (Array.map (fun s -> (s.time, s.position.Vec3.z)) (samples t))
+let altitude_series t = List.init t.len (fun i -> (time t i, pz t i))
 
 (* Only the [len] recorded samples are serialised: cells beyond the write
    cursor are still at their [fresh_chunk] defaults (writes happen exactly
@@ -205,4 +204,4 @@ let decode_snapshot r : snapshot =
     c.c_az.(off) <- r_f64 r;
     c.c_mode.(off) <- r_string r
   done;
-  { period; chunks; len; sched = [| sched0 |]; cache = None }
+  { period; chunks; len; sched = [| sched0 |] }

@@ -7,8 +7,8 @@
 
     Samples are stored in fixed-size columnar chunks: [record] is a few
     unboxed stores (O(1) amortised, allocation-free between chunk
-    boundaries), [length]/[nth] are O(1), and snapshots share every full
-    chunk with the live trace. *)
+    boundaries), [length], the column reads and [nth] are O(1), and
+    snapshots share every chunk with the live trace. *)
 
 open Avis_geo
 
@@ -52,12 +52,39 @@ val record :
     sample time is [steps * dt] — computed here from the simulator's step
     counter so the call site passes no freshly boxed float. *)
 
-val samples : t -> sample array
-(** All samples, oldest first. The array is materialised from the columns
-    on first call and cached until the next [record]. *)
-
 val length : t -> int
 (** O(1), allocation-free. *)
+
+(** {2 Column reads}
+
+    The [i]-th sample's fields, read straight from the columns, in O(1).
+    A release build inlines them into the caller, so they allocate
+    nothing; a dev build ([-opaque]) boxes each float read. This is how
+    the monitor reads a run. They do not check [i]
+    against {!length}: an index past it but inside the last chunk reads
+    an unwritten slot (0.0 or [""]), and one past the last chunk raises
+    [Invalid_argument]. *)
+
+val time : t -> int -> float
+val px : t -> int -> float
+val py : t -> int -> float
+val pz : t -> int -> float
+(** Position, world frame (z up). *)
+
+val ax : t -> int -> float
+val ay : t -> int -> float
+val az : t -> int -> float
+(** Acceleration, world frame. *)
+
+val mode : t -> int -> string
+
+(** {2 Samples}
+
+    Records built from the columns, for export and tests. *)
+
+val samples : t -> sample array
+(** All samples, oldest first, in an array built afresh on every call:
+    three allocations per sample. *)
 
 val nth : t -> int -> sample
 (** O(1). Raises [Invalid_argument] when out of range. *)

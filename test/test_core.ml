@@ -44,6 +44,469 @@ let test_graph_merges_runs () =
   Alcotest.(check int) "three modes" 3 (List.length (Mode_graph.modes g));
   Alcotest.(check int) "across runs" 2 (Mode_graph.distance g "A" "C")
 
+(* The liveliness monitor. [Reference] is the monitor as it judged runs
+   before it read columns: every sample a [Trace.sample] record, a full
+   [Distance.state_distance] against every padded profiling run at every
+   tick, a running minimum, and pairwise loops for P̂, Â and τ. The
+   property below requires [Monitor] to give the same bits. *)
+
+module Tr = Avis_sitl.Trace
+module Sim = Avis_sitl.Sim
+module Vec3 = Avis_geo.Vec3
+
+module Reference = struct
+  let pairwise_max traces component =
+    let arr = Array.of_list traces in
+    let n = Array.length arr in
+    let len = Array.fold_left (fun acc tr -> max acc (Tr.length tr)) 0 arr in
+    let best = ref 0.0 in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        for k = 0 to len - 1 do
+          let d = component (Tr.nth_padded arr.(i) k) (Tr.nth_padded arr.(j) k) in
+          if d > !best then best := d
+        done
+      done
+    done;
+    !best
+
+  let nonzero v = if v <= 1e-9 then 1.0 else v
+
+  let p_hat traces =
+    nonzero
+      (pairwise_max traces (fun a b -> Vec3.dist a.Tr.position b.Tr.position))
+
+  let a_hat traces =
+    nonzero
+      (pairwise_max traces (fun a b ->
+           Vec3.dist a.Tr.acceleration b.Tr.acceleration))
+
+  let spread ~metric norm traces =
+    pairwise_max traces (Distance.state_distance ~metric norm)
+
+  let home_distance (s : Tr.sample) = Vec3.norm (Vec3.horizontal s.Tr.position)
+
+  let envelope traces =
+    List.fold_left
+      (fun (alt, dist) trace ->
+        Array.fold_left
+          (fun (alt, dist) s ->
+            ( Float.max alt s.Tr.position.Vec3.z,
+              Float.max dist (home_distance s) ))
+          (alt, dist) (Tr.samples trace))
+      (0.0, 0.0) traces
+
+  let is_safe_mode m = m = "Return To Launch" || m = "Land" || m = "Disarmed"
+
+  let safe_mode_ok (samples : Tr.sample array) i ~entered_tick ~grounded_ticks =
+    let s = samples.(i) in
+    let alt = s.Tr.position.Vec3.z in
+    if s.Tr.mode = "Return To Launch" then
+      if i - entered_tick < 30 then true
+      else begin
+        let prev = samples.(i - 30) in
+        home_distance s < home_distance prev -. 0.1
+        || alt > prev.Tr.position.Vec3.z +. 0.2
+        || home_distance s < 8.0
+      end
+    else if s.Tr.mode = "Land" then
+      if i - entered_tick < 60 then true
+      else begin
+        let prev = samples.(i - 30) in
+        alt < prev.Tr.position.Vec3.z -. 0.2
+        || (alt < 0.3 && grounded_ticks <= 150)
+      end
+    else if s.Tr.mode = "Disarmed" then alt < 0.5
+    else true
+
+  let manual_hover_excuse (samples : Tr.sample array) i =
+    let s = samples.(i) in
+    if s.Tr.mode <> "Manual" then false
+    else if i = 0 then true
+    else begin
+      let prev = samples.(max 0 (i - 10)) in
+      let dt = Float.max 0.1 (s.Tr.time -. prev.Tr.time) in
+      Vec3.norm (Vec3.horizontal (Vec3.sub s.Tr.position prev.Tr.position))
+      /. dt
+      < 1.5
+    end
+
+  let classify ~max_alt ~max_home_dist (samples : Tr.sample array) tick =
+    let seen =
+      Array.fold_left (fun acc s -> Float.max acc s.Tr.position.Vec3.z) 0.0 samples
+    in
+    if seen < 1.5 && max_alt > 5.0 then Monitor.Takeoff_failure
+    else begin
+      let away s =
+        home_distance s > max_home_dist +. 10.0
+        || s.Tr.position.Vec3.z > max_alt +. 10.0
+      in
+      let n = Array.length samples in
+      if away samples.(min tick (n - 1)) || away samples.(n - 1) then
+        Monitor.Fly_away
+      else Monitor.Stalled
+    end
+
+  let first_violation ~metric ~norm ~tau profiles samples =
+    let n = Array.length samples in
+    let profiles = Array.of_list profiles in
+    let result = ref None in
+    let live_streak = ref 0 and safe_streak = ref 0 in
+    let entered_tick = ref 0 and grounded_ticks = ref 0 in
+    let i = ref 0 in
+    while !result = None && !i < n do
+      let s = samples.(!i) in
+      if !i > 0 && samples.(!i - 1).Tr.mode <> s.Tr.mode then begin
+        entered_tick := !i;
+        grounded_ticks := 0
+      end;
+      if s.Tr.position.Vec3.z < 0.3 then incr grounded_ticks
+      else grounded_ticks := 0;
+      if is_safe_mode s.Tr.mode then begin
+        if
+          safe_mode_ok samples !i ~entered_tick:!entered_tick
+            ~grounded_ticks:!grounded_ticks
+        then safe_streak := 0
+        else begin
+          incr safe_streak;
+          if !safe_streak >= 5 then
+            result :=
+              Some (Monitor.Safe_mode_invariant s.Tr.mode, s.Tr.time, s.Tr.mode, !i)
+        end
+      end
+      else safe_streak := 0;
+      if !result = None then begin
+        let d_min = ref infinity in
+        Array.iter
+          (fun p ->
+            let d = Distance.state_distance ~metric norm s (Tr.nth_padded p !i) in
+            if d < !d_min then d_min := d)
+          profiles;
+        let preflight_refusal =
+          s.Tr.mode = "Pre-Flight" && s.Tr.position.Vec3.z < 0.5
+        in
+        if
+          !d_min > tau
+          && (not (is_safe_mode s.Tr.mode))
+          && (not (manual_hover_excuse samples !i))
+          && not preflight_refusal
+        then begin
+          incr live_streak;
+          if !live_streak >= 5 then
+            result := Some (Monitor.Liveliness, s.Tr.time, s.Tr.mode, !i)
+        end
+        else live_streak := 0
+      end;
+      incr i
+    done;
+    !result
+
+  let check ~metric ~norm ~tau ~max_alt ~max_home_dist profiles
+      (o : Sim.outcome) =
+    let samples = Tr.samples o.Sim.trace in
+    let n = Array.length samples in
+    if n = 0 then Monitor.Safe
+    else
+      match o.Sim.crash with
+      | Some e ->
+        Monitor.Unsafe
+          {
+            kind =
+              Monitor.Safety (Format.asprintf "%a" Avis_physics.World.pp_contact e);
+            time = o.Sim.duration;
+            mode = samples.(n - 1).Tr.mode;
+            symptom = Monitor.Crash;
+          }
+      | None when o.Sim.fence_breached ->
+        Monitor.Unsafe
+          {
+            kind = Monitor.Fence_breach;
+            time = o.Sim.duration;
+            mode = samples.(n - 1).Tr.mode;
+            symptom = Monitor.Fly_away;
+          }
+      | None -> (
+        match first_violation ~metric ~norm ~tau profiles samples with
+        | None -> Monitor.Safe
+        | Some (kind, time, mode, tick) ->
+          Monitor.Unsafe
+            {
+              kind;
+              time;
+              mode;
+              symptom = classify ~max_alt ~max_home_dist samples tick;
+            })
+end
+
+(* A generated case: profiling runs of unequal length with per-run mode
+   graph edges, and one test run. [flavour] says which verdict the case
+   is built to force, so every [Unsafe] kind is exercised. *)
+
+type flavour = Free | Edge | Crash | Fence | Live | Hover | Safe_mode
+
+let flavour_name = function
+  | Free -> "free" | Edge -> "edge" | Crash -> "crash" | Fence -> "fence"
+  | Live -> "live" | Hover -> "hover" | Safe_mode -> "safe-mode"
+
+type row = {
+  x : float; y : float; z : float;
+  ax : float; ay : float; az : float;
+  label : string;
+}
+
+type monitor_case = {
+  flavour : flavour;
+  runs : row array list;
+  edges : (string * string) list list;
+  test_run : row array;
+  crash : Avis_physics.World.contact_event option;
+  fence : bool;
+}
+
+let chain =
+  [| "Pre-Flight"; "Takeoff"; "Waypoint 1"; "Waypoint 2"; "Return To Launch";
+     "Land"; "Disarmed" |]
+
+(* Graph labels, the three safe modes, Manual (a graph node only in some
+   cases), "Mystery" (profiled but never a graph node) and "Unseen"
+   (only ever in a test run). *)
+let run_labels = Array.append chain [| "Manual"; "Mystery" |]
+let test_labels = Array.append run_labels [| "Unseen" |]
+
+let gen_monitor_case st =
+  let int n = Random.State.int st n in
+  let float f = Random.State.float st f in
+  let noise f = float (2.0 *. f) -. f in
+  let pick a = a.(int (Array.length a)) in
+  let flavour = pick [| Free; Free; Edge; Crash; Fence; Live; Hover; Safe_mode |] in
+  let nruns = 2 + int 7 in
+  let rot = int nruns in
+  let lengths = Array.init nruns (fun r -> 20 + (8 * ((r + rot) mod nruns)) + int 8) in
+  let shortest = Array.fold_left min max_int lengths in
+  let longest = Array.fold_left max 0 lengths in
+  let test_length () =
+    match int 3 with
+    | 0 -> 1 + int (shortest - 1)
+    | 1 -> longest + 1 + int 40
+    | _ -> shortest + int (longest - shortest + 1)
+  in
+  let accel () =
+    let nan_on = if int 30 = 0 then int 3 else -1 in
+    let c i = if i = nan_on then Float.nan else noise 2.0 in
+    (c 0, c 1, c 2)
+  in
+  if flavour = Edge then begin
+    (* Identical constant runs on a one-edge graph: P̂ = Â = 1, D = 1 and
+       τ is its 0.75 floor, so a test state offset by exactly 0.75 is at
+       distance τ. *)
+    let c = 0.25 *. float_of_int (int 40) in
+    let still = { x = c; y = c; z = 10.0; ax = 0.0; ay = 0.0; az = 0.0; label = "Takeoff" } in
+    let runs = Array.to_list (Array.map (fun n -> Array.make n still) lengths) in
+    let off = ref 0.0 and label = ref "Takeoff" in
+    let test_run =
+      Array.init (test_length ()) (fun _ ->
+          if int 6 = 0 then off := pick [| 0.0; 0.5; 0.75; 0.75; 0.8125 |];
+          if int 6 = 0 then label := pick [| "Takeoff"; "Takeoff"; "Pre-Flight"; "Unseen" |];
+          { still with x = c +. !off; label = !label })
+    in
+    { flavour; runs; edges = List.map (fun _ -> [ ("Takeoff", "Waypoint 1") ]) runs;
+      test_run; crash = None; fence = false }
+  end
+  else begin
+    let drift = 0.4 +. float 0.4 in
+    let seg = 8 + int 8 in
+    let scheduled k = chain.(min (k / seg) (Array.length chain - 1)) in
+    let edges_of () =
+      let es = ref [] in
+      for i = Array.length chain - 2 downto 0 do
+        if int 10 < 7 then es := (chain.(i), chain.(i + 1)) :: !es
+      done;
+      if int 2 = 0 then ("Waypoint 1", "Manual") :: !es else !es
+    in
+    let run n =
+      let ox = float 4.0 and oy = noise 1.0 in
+      Array.init n (fun k ->
+          let ax, ay, az = accel () in
+          {
+            x = (drift *. float_of_int k) +. ox +. noise 0.3;
+            y = oy +. noise 0.3;
+            z = (if k < 3 then 0.0 else 10.0 +. noise 1.0);
+            ax; ay; az;
+            label = (if int 10 = 0 then pick run_labels else scheduled k);
+          })
+    in
+    let runs = Array.to_list (Array.map run lengths) in
+    let first = List.hd runs in
+    let padded k = first.(min k (Array.length first - 1)) in
+    (* Run 0 relabelled: within τ of the profile, whatever its modes. *)
+    let follow k = { (padded k) with label = "Takeoff" } in
+    let test_run =
+      match flavour with
+      | Live ->
+        let n = longest + 10 in
+        let d = int (n - 5) in
+        Array.init n (fun k ->
+            let r = follow k in
+            if k < d then r else { r with x = r.x +. 1000.0; label = "Waypoint 2" })
+      | Hover ->
+        (* A Manual hold where run 0 was at tick [d], excused however far
+           the profile moves on, then a dash that is not. *)
+        let d = int 10 in
+        let dash = d + 25 + int 20 in
+        let hold = { (follow d) with label = "Manual" } in
+        Array.init (dash + 10 + int 10) (fun k ->
+            if k < d then follow k
+            else if k < dash then hold
+            else { hold with y = hold.y +. 1000.0 +. (3.0 *. float_of_int (k - dash)) })
+      | Safe_mode ->
+        let d = int 10 in
+        let label, needed, row =
+          match int 3 with
+          | 0 -> ("Disarmed", 5, fun k -> { (follow k) with z = 5.0 })
+          | 1 -> ("Return To Launch", 35, fun _ -> { (follow 0) with x = 60.0; y = 60.0; z = 10.0 })
+          | _ -> ("Land", 65, fun _ -> { (follow 0) with z = 10.0 })
+        in
+        Array.init (d + needed + int 20) (fun k ->
+            if k < d then follow k else { (row k) with label })
+      | Free | Crash | Fence | Edge ->
+        (* Segments of offset, label, altitude and motion: a hovering
+           segment is what the Manual excuse looks for. *)
+        let off = ref 0.0 and label = ref (scheduled 0) and alt = ref 10.0 in
+        let along = ref 0.0 and moving = ref true in
+        Array.init (test_length ()) (fun _ ->
+            if int 10 = 0 then off := noise 8.0;
+            if int 7 = 0 then label := pick test_labels;
+            if int 12 = 0 then alt := pick [| 10.0; 10.0; 2.0; 0.4; 0.2 |];
+            if int 8 = 0 then moving := not !moving;
+            if !moving then along := !along +. drift;
+            let ax, ay, az = accel () in
+            {
+              x = !along +. !off +. noise 0.3;
+              y = noise 0.5;
+              z = !alt +. noise 0.05;
+              ax; ay; az;
+              label = !label;
+            })
+    in
+    let crash =
+      if flavour = Crash then
+        Some
+          (pick
+             [| Avis_physics.World.Ground_impact { speed = 3.0 +. float 5.0 };
+                Avis_physics.World.Tipover |])
+      else None
+    in
+    { flavour; runs; edges = List.map (fun _ -> edges_of ()) runs; test_run;
+      crash; fence = flavour = Fence }
+  end
+
+let print_monitor_case c =
+  Printf.sprintf "%s: runs of %s ticks, test run of %d"
+    (flavour_name c.flavour)
+    (String.concat "/"
+       (List.map (fun r -> string_of_int (Array.length r)) c.runs))
+    (Array.length c.test_run)
+
+let trace_of rows =
+  let tr = Tr.create ~period:0.0 () in
+  let world = Avis_physics.World.create () in
+  let body = Avis_physics.World.body world in
+  Array.iteri
+    (fun k r ->
+      Avis_physics.Rigid_body.set_position body (Vec3.make r.x r.y r.z);
+      Avis_physics.Rigid_body.set_acceleration body (Vec3.make r.ax r.ay r.az);
+      Tr.record tr ~steps:k ~dt:0.1 world ~mode:r.label)
+    rows;
+  tr
+
+let outcome_of ?crash ?(fence = false) ?(edges = []) rows =
+  {
+    Sim.trace = trace_of rows;
+    crash;
+    fence_breached = fence;
+    workload_passed = true;
+    transitions =
+      List.map
+        (fun (from_mode, to_mode) -> { Avis_hinj.Hinj.time = 0.0; from_mode; to_mode })
+        edges;
+    triggered_bugs = [];
+    duration = 0.1 *. float_of_int (Array.length rows);
+    sensor_reads = 0;
+  }
+
+let verdict_to_string = function
+  | Monitor.Safe -> "Safe"
+  | Monitor.Unsafe v ->
+    Printf.sprintf "%s [time bits %Lx, %s]" (Monitor.describe v)
+      (Int64.bits_of_float v.Monitor.time)
+      (Monitor.symptom_to_string v.Monitor.symptom)
+
+let same_verdict a b =
+  match (a, b) with
+  | Monitor.Safe, Monitor.Safe -> true
+  | Monitor.Unsafe a, Monitor.Unsafe b ->
+    a.Monitor.kind = b.Monitor.kind
+    && Int64.equal (Int64.bits_of_float a.Monitor.time) (Int64.bits_of_float b.Monitor.time)
+    && String.equal a.Monitor.mode b.Monitor.mode
+    && a.Monitor.symptom = b.Monitor.symptom
+  | Monitor.Safe, Monitor.Unsafe _ | Monitor.Unsafe _, Monitor.Safe -> false
+
+let forced_kind_holds flavour verdict =
+  match (flavour, verdict) with
+  | (Free | Edge), _ -> true
+  | Crash, Monitor.Unsafe { kind = Monitor.Safety _; _ }
+  | Fence, Monitor.Unsafe { kind = Monitor.Fence_breach; _ }
+  | (Live | Hover), Monitor.Unsafe { kind = Monitor.Liveliness; _ }
+  | Safe_mode, Monitor.Unsafe { kind = Monitor.Safe_mode_invariant _; _ } -> true
+  | (Crash | Fence | Live | Hover | Safe_mode), _ -> false
+
+let prop_monitor_matches_reference =
+  QCheck.Test.make ~count:600 ~name:"columnar monitor = reference monitor"
+    (QCheck.make ~print:print_monitor_case gen_monitor_case)
+    (fun c ->
+      let profiling = List.map2 (fun rows edges -> outcome_of ~edges rows) c.runs c.edges in
+      let outcome = outcome_of ?crash:c.crash ~fence:c.fence c.test_run in
+      let profile = Monitor.build_profile profiling in
+      let norm = Monitor.normalisers profile in
+      let traces = List.map (fun o -> o.Sim.trace) profiling in
+      let bits = Int64.bits_of_float in
+      let same_bits what expected got =
+        if not (Int64.equal (bits expected) (bits got)) then
+          QCheck.Test.fail_reportf "%s: reference %h, columns %h" what expected got
+      in
+      same_bits "P̂" (Reference.p_hat traces) (Distance.p_hat norm);
+      same_bits "Â" (Reference.a_hat traces) (Distance.a_hat norm);
+      let tau_of metric =
+        let spread = Reference.spread ~metric norm traces in
+        same_bits "spread" spread (Distance.spread ~metric norm);
+        Float.max 0.75 (1.35 *. spread)
+      in
+      same_bits "τ" (tau_of Distance.Full) (Monitor.tau profile);
+      let max_alt, max_home_dist = Reference.envelope traces in
+      List.iter
+        (fun metric ->
+          let expected =
+            Reference.check ~metric ~norm ~tau:(tau_of metric) ~max_alt ~max_home_dist
+              traces outcome
+          in
+          let got = Monitor.check ~metric profile outcome in
+          if not (same_verdict expected got) then
+            QCheck.Test.fail_reportf "%s metric: reference %s, columns %s"
+              (match metric with Distance.Full -> "full" | Distance.Position_only -> "position")
+              (verdict_to_string expected) (verdict_to_string got);
+          (match
+             ( (match expected with Monitor.Safe -> None | Monitor.Unsafe v -> Some v.Monitor.time),
+               Monitor.detection_time ~metric profile outcome )
+           with
+          | None, None -> ()
+          | Some a, Some b -> same_bits "detection time" a b
+          | _ -> QCheck.Test.fail_reportf "detection time disagrees");
+          if not (forced_kind_holds c.flavour expected) then
+            QCheck.Test.fail_reportf "a %s case judged %s" (flavour_name c.flavour)
+              (verdict_to_string expected))
+        [ Distance.Full; Distance.Position_only ];
+      true)
+
 (* Scenario *)
 
 let id kind index = { Sensor.kind; index }
@@ -422,6 +885,7 @@ let () =
           Alcotest.test_case "diameter" `Quick test_graph_diameter;
           Alcotest.test_case "merges runs" `Quick test_graph_merges_runs;
         ] );
+      ("monitor", [ q prop_monitor_matches_reference ]);
       ( "scenario",
         [
           Alcotest.test_case "canonical" `Quick test_scenario_canonical;

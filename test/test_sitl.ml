@@ -42,7 +42,7 @@ let recorded_trace n =
 
 (* The columnar store freezes a chunk every 256 records; indices around
    that boundary are where an off-by-one in the chunk arithmetic would
-   land. *)
+   land, in [nth] or in the column reads. *)
 let test_trace_chunk_boundaries () =
   let n = 600 in
   let trace = recorded_trace n in
@@ -57,7 +57,14 @@ let test_trace_chunk_boundaries () =
       Alcotest.(check string)
         (Printf.sprintf "mode at %d" i)
         (if (i + 1) mod 2 = 0 then "Even" else "Odd")
-        s.Trace.mode)
+        s.Trace.mode;
+      Alcotest.(check bool)
+        (Printf.sprintf "column reads at %d" i)
+        true
+        (Trace.time trace i = s.Trace.time
+        && Trace.pz trace i = s.Trace.position.Vec3.z
+        && Trace.az trace i = s.Trace.acceleration.Vec3.z
+        && Trace.mode trace i == s.Trace.mode))
     [ 0; 1; 254; 255; 256; 257; 511; 512; n - 1 ]
 
 (* A snapshot must be isolated from the live trace in both directions:
