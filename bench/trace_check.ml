@@ -27,8 +27,7 @@ let known_counters =
     "cache.hits"; "cache.misses"; "cache.evictions"; "cache.resident_bytes";
     "snapshot.bytes"; "store.hits"; "store.misses"; "store.bytes";
     "store.writes"; "store.profile_hits"; "store.profile_misses";
-    "budget.spent_s"; "link.dropped"; "cell.retries"; "cell.quarantined";
-    "cell.deadline_hits";
+    "budget.spent_s"; "link.dropped"; "cell.quarantined";
   ]
 
 let check_event ~path i ev =

@@ -157,6 +157,12 @@ let print_record ~verbose name (record : Run_journal.record) =
           f.Run_journal.description)
       record.Run_journal.findings
 
+(* A quarantined cell, live or relayed by the daemon. [attempts] is the
+   daemon's dispatch count; an in-process cell is attempted once. *)
+let print_quarantined name ~code ~attempts ~message =
+  Printf.printf "%s: QUARANTINED [%s] after %d attempt(s): %s\n" name code
+    attempts message
+
 (* The approaches flag as `submit` sends it: comma-separated, trimmed. *)
 let approach_list approaches =
   String.split_on_char ',' approaches
@@ -211,8 +217,8 @@ let hunt policy workload seed approaches budget jobs verbose artefacts trace
       let name = c.Avis_server.Worker.approach in
       match outcome with
       | Campaign.Failed e ->
-        Printf.printf "%s: QUARANTINED [%s] after %d attempt(s): %s\n" name
-          e.Campaign.code e.Campaign.attempts e.Campaign.message
+        print_quarantined name ~code:e.Campaign.code ~attempts:1
+          ~message:e.Campaign.message
       | Campaign.Memo record ->
         print_record ~verbose name record;
         if artefacts <> None then
@@ -385,8 +391,7 @@ let submit policy workload seed approaches budget verbose socket =
         ->
         print_record ~verbose name record
       | Some (Avis_server.Wire.Cell_quarantined { code; message; attempts }) ->
-        Printf.printf "%s: QUARANTINED [%s] after %d attempt(s): %s\n" name
-          code attempts message
+        print_quarantined name ~code ~attempts ~message
       | None -> Printf.printf "%s: no result reported\n" name)
     approaches labels;
   if retries > 0 || quarantined > 0 then

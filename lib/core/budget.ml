@@ -12,8 +12,6 @@ let create ?(speedup = 5.0) ~total_s () =
   if total_s <= 0.0 then invalid_arg "Budget.create: non-positive budget";
   { total_s; speedup; spent_s = 0.0; simulations = 0; inferences = 0 }
 
-let two_hours () = create ~total_s:7200.0 ()
-
 (* The ledger never records more than the budget: once the clock would
    run past [total_s] the campaign is over, and whatever tail the last
    activity had would not have been wall-clock spent. *)

@@ -19,9 +19,6 @@ val min_inference_s : float
 val create : ?speedup:float -> total_s:float -> unit -> t
 (** [speedup] is simulated-seconds per wall-second (default 5). *)
 
-val two_hours : unit -> t
-(** The paper's 7200 s budget with the default speed-up. *)
-
 val charge_simulation : t -> sim_seconds:float -> unit
 (** Account a simulated run. The recorded spend saturates at [total_s]:
     a campaign is cut off when the budget clock runs out, so no ledger

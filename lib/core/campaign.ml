@@ -54,7 +54,7 @@ type result = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Unattended operation: interrupt, watchdog, quarantine.              *)
+(* Unattended operation: interrupt and quarantine.                    *)
 (* ------------------------------------------------------------------ *)
 
 (* Process-wide cooperative interrupt: a SIGINT handler (or test) raises
@@ -67,100 +67,34 @@ let request_interrupt () = Atomic.set interrupt_flag true
 let clear_interrupt () = Atomic.set interrupt_flag false
 let interrupted () = Atomic.get interrupt_flag
 
-exception Cell_deadline of float
-(** Raised inside {!run} when the cell's wall-clock deadline passes;
-    carries the elapsed seconds. *)
-
-(* Process-lifetime watchdog counters, mirrored onto the trace as counter
-   tracks so an unattended run's retries are visible in Perfetto. *)
-let retries_total = Atomic.make 0
-let quarantined_total = Atomic.make 0
-let deadline_hits_total = Atomic.make 0
-
-let watchdog_counters () =
-  ( Atomic.get retries_total,
-    Atomic.get quarantined_total,
-    Atomic.get deadline_hits_total )
-
-type cell_error = { code : string; message : string; attempts : int }
+type cell_error = { code : string; message : string }
 type 'a supervised = Completed of 'a | Quarantined of cell_error
 
-type supervision = {
-  cell_timeout_s : float option;
-  max_attempts : int;
-  backoff_s : float;
-  transient : exn -> bool;
-  sleep : float -> unit;
-}
+(* Process-lifetime count of quarantined cells, mirrored onto the trace
+   as a counter track so an unattended run's failures show in Perfetto. *)
+let quarantined_total = Atomic.make 0
 
-(* Deadline hits and I/O errors are environmental (machine overload, a
-   full or flaky disk) and worth retrying; anything else — Failure from a
-   profiling run, Invalid_argument, Corrupt — is deterministic and would
-   fail identically on every attempt. *)
-let default_transient = function
-  | Cell_deadline _ -> true
-  | Sys_error _ | Unix.Unix_error _ -> true
-  | _ -> false
-
-let default_supervision =
-  {
-    cell_timeout_s = None;
-    max_attempts = 3;
-    backoff_s = 0.1;
-    transient = default_transient;
-    sleep = Unix.sleepf;
-  }
-
-let error_code = function
-  | Cell_deadline _ -> "CELL-DEADLINE"
-  | Sys_error _ | Unix.Unix_error _ -> "CELL-IO"
-  | Failure _ -> "CELL-FAIL"
-  | _ -> "CELL-EXN"
-
-(* The budget is modelled wall-clock; real wall time is normally far
-   below it (the simulator outruns real time and the cache shortcuts
-   clean prefixes), so the full budget — floored at a minute for tiny
-   test budgets — is a generous yet finite default deadline: it only
-   fires on a genuinely wedged cell. *)
-let deadline_of_budget budget_s = Float.max 60.0 budget_s
-
-let with_retries ?(supervision = default_supervision) ~label f =
-  let rec attempt n =
-    match f ~attempt:n with
-    | v -> Completed v
-    | exception e ->
-      (* During an interrupt-driven shutdown nothing is retried: the cell
-         is quarantined immediately so the process can wind down. *)
-      if
-        (not (interrupted ()))
-        && supervision.transient e
-        && n < supervision.max_attempts
-      then begin
-        Atomic.incr retries_total;
-        Avis_util.Trace.counter "cell.retries"
-          (float_of_int (Atomic.get retries_total));
-        let pause = supervision.backoff_s *. (2.0 ** float_of_int (n - 1)) in
-        Printf.eprintf
-          "[avis] warning: cell %s attempt %d/%d failed (%s: %s); retrying \
-           in %.1f s\n\
-           %!"
-          label n supervision.max_attempts (error_code e)
-          (Printexc.to_string e) pause;
-        supervision.sleep pause;
-        attempt (n + 1)
-      end
-      else begin
-        Atomic.incr quarantined_total;
-        Avis_util.Trace.counter "cell.quarantined"
-          (float_of_int (Atomic.get quarantined_total));
-        Printf.eprintf
-          "[avis] warning: cell %s quarantined after %d attempt(s) (%s: %s)\n%!"
-          label n (error_code e) (Printexc.to_string e);
-        Quarantined
-          { code = error_code e; message = Printexc.to_string e; attempts = n }
-      end
-  in
-  attempt 1
+(* A cell's campaign depends only on its declared inputs, so a failure
+   replays on every attempt: a cell runs once, and whatever escapes it
+   quarantines the cell under a stable code instead of aborting the
+   caller's matrix. *)
+let supervised ~label f =
+  match f () with
+  | v -> Completed v
+  | exception e ->
+    let code =
+      match e with
+      | Sys_error _ | Unix.Unix_error _ -> "CELL-IO"
+      | Failure _ -> "CELL-FAIL"
+      | _ -> "CELL-EXN"
+    in
+    let message = Printexc.to_string e in
+    Atomic.incr quarantined_total;
+    Avis_util.Trace.counter "cell.quarantined"
+      (float_of_int (Atomic.get quarantined_total));
+    Printf.eprintf "[avis] warning: cell %s quarantined (%s: %s)\n%!" label
+      code message;
+    Quarantined { code; message }
 
 (* The simulator's hard cap on one run, and therefore the most any run
    can charge to the budget. The affordability check below uses the same
@@ -365,9 +299,9 @@ let journal_finding (f : finding) =
   }
 
 (* One construction site for the journal's view of a completed campaign:
-   [run]'s own journalling and the hunt daemon's wire results both go
-   through here, so a record streamed to a client is byte-for-byte the
-   record a journal would memo-serve. *)
+   [run_cell] builds every journalled and streamed record here, so a
+   record the hunt daemon relays to a client is byte-for-byte the record
+   a journal would memo-serve. *)
 let record_of_result ?elapsed_s (config : config) ~approach ~fingerprint
     (result : result) =
   {
@@ -383,28 +317,11 @@ let record_of_result ?elapsed_s (config : config) ~approach ~fingerprint
   }
 
 let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
-    ?deadline_s ?journal ?journal_approach config ~strategy =
+    config ~strategy =
   (* One span per campaign: everything a cell does (profiling, search
      decisions, simulation, monitoring) nests under it, which is what lets
      a trace attribute a cell's wall time phase by phase. *)
   Avis_util.Trace.span ~cat:"campaign" "campaign.cell" @@ fun () ->
-  (* Cooperative wall-clock watchdog: checked at every scheduling
-     boundary (never mid-simulation), so a deadline abort leaves no
-     half-judged state behind. *)
-  let wall0 = Avis_util.Metrics.now_s () in
-  let tick_deadline () =
-    match deadline_s with
-    | None -> ()
-    | Some d ->
-      let elapsed = Avis_util.Metrics.now_s () -. wall0 in
-      if elapsed > d then begin
-        Atomic.incr deadline_hits_total;
-        Avis_util.Trace.counter "cell.deadline_hits"
-          (float_of_int (Atomic.get deadline_hits_total));
-        Avis_util.Trace.instant ~cat:"campaign" "cell.deadline";
-        raise (Cell_deadline elapsed)
-      end
-  in
   (* GC baseline for the cell: progress and result report allocation as
      deltas from here, so cells are comparable regardless of what ran
      before them in the process. Baseline and reading must come from the
@@ -477,7 +394,6 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
       }
   in
   while (not !stopped) && (not (Budget.exhausted budget)) && not (interrupted ()) do
-    tick_deadline ();
     match
       Avis_util.Trace.span ~cat:"search" "search.next" searcher.Search.next
     with
@@ -527,64 +443,26 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
         report_progress ()
       end
   done;
-  (* Capture before building the result: an interrupt that lands after
-     this point must not suppress the journal record of a cell whose
-     campaign did in fact run to completion. *)
-  let was_interrupted = interrupted () in
   report_progress ();
-  let result =
-    {
-      approach = searcher.Search.name;
-      findings = List.rev !findings;
-      simulations = Budget.simulations_run budget;
-      inferences = Budget.inferences_run budget;
-      wall_clock_spent_s = Budget.spent_s budget;
-      profile;
-      profile_source;
-      cache_stats = Option.map Prefix_cache.stats cache;
-      minor_words = gc_minor_words ();
-      major_collections = gc_majors ();
-    }
-  in
-  (match journal with
-  | Some j when not was_interrupted ->
-    let approach =
-      match journal_approach with Some a -> a | None -> result.approach
-    in
-    (* Measured here — one campaign's wall time, profiling included — so
-       every journal writer records the same notion of cell duration and
-       the durations are comparable across entry points. *)
-    let elapsed_s = Avis_util.Metrics.now_s () -. wall0 in
-    Run_journal.record_complete j
-      (record_of_result ~elapsed_s config ~approach
-         ~fingerprint:(Run_journal.fingerprint j) result)
-  | Some _ | None -> ());
-  result
+  {
+    approach = searcher.Search.name;
+    findings = List.rev !findings;
+    simulations = Budget.simulations_run budget;
+    inferences = Budget.inferences_run budget;
+    wall_clock_spent_s = Budget.spent_s budget;
+    profile;
+    profile_source;
+    cache_stats = Option.map Prefix_cache.stats cache;
+    minor_words = gc_minor_words ();
+    major_collections = gc_majors ();
+  }
 
-(* Watchdogged cell execution: [run] under a wall-clock deadline (the
-   supervision's [cell_timeout_s], else derived from the budget) with
-   bounded exponential-backoff retry for transient failures. A cell that
-   exhausts its attempts is quarantined — the caller's matrix degrades
-   gracefully instead of aborting. Retried attempts re-run the campaign
-   from scratch: a completed cell's results are therefore always those of
-   one uninterrupted campaign, never a splice. *)
-let run_supervised ?(supervision = default_supervision) ?stop_when ?progress
-    ?journal ?journal_approach (config : config) ~strategy =
-  let deadline_s =
-    match supervision.cell_timeout_s with
-    | Some d -> d
-    | None -> deadline_of_budget config.budget_s
-  in
-  let label =
-    label_of config
-      ~approach:(Option.value journal_approach ~default:"campaign")
-  in
-  with_retries ~supervision ~label (fun ~attempt:_ ->
-      run ?stop_when ?progress ~deadline_s ?journal ?journal_approach config
-        ~strategy)
+let run_supervised ?stop_when ?progress config ~strategy =
+  supervised ~label:(label_of config ~approach:"campaign") (fun () ->
+      run ?stop_when ?progress config ~strategy)
 
 (* ------------------------------------------------------------------ *)
-(* Matrix cells: memo, supervised run, metrics                          *)
+(* Matrix cells: memo, supervised run, journal, metrics               *)
 (* ------------------------------------------------------------------ *)
 
 type cell_outcome =
@@ -657,18 +535,8 @@ let run_cell ?journal
     ~approach ~strategy =
   let started = Avis_util.Metrics.now_s () in
   let wall_s () = Avis_util.Metrics.now_s () -. started in
-  let memo () = Option.bind journal (fun j -> journal_memo j config ~approach) in
-  (* An interrupted cell journals no record; a marker says it was cut. *)
-  let mark_interrupted () =
-    match journal with
-    | Some j when interrupted () ->
-      Run_journal.record_interrupted j
-        ~key:(journal_key j config ~approach)
-        ~label:(label_of config ~approach)
-    | Some _ | None -> ()
-  in
   let outcome =
-    match memo () with
+    match Option.bind journal (fun j -> journal_memo j config ~approach) with
     | Some record -> Memo record
     | None -> (
       (* One progress line per new tenth of the budget, however fast the
@@ -684,28 +552,30 @@ let run_cell ?journal
             (snapshot_of_progress config ~approach ~wall_s:(wall_s ()) p)
         end
       in
+      let fingerprint =
+        Option.fold ~none:"" ~some:Run_journal.fingerprint journal
+      in
+      (* The journal's one writer. The record is built once, so a live
+         cell's record is byte for byte the memo a later call serves,
+         measured duration included; an interrupted cell journals no
+         record but a marker saying it was cut. *)
       match
-        run_supervised ~progress ?journal ~journal_approach:approach config
-          ~strategy
-      with
-      | Completed result -> (
-        (* Read the record back rather than rebuild it, so a live cell's
-           record is byte for byte the memo a later run will serve,
-           measured duration included. *)
-        match memo () with
-        | Some record -> Live (result, record)
-        | None ->
-          mark_interrupted ();
-          let fingerprint =
-            match journal with Some j -> Run_journal.fingerprint j | None -> ""
-          in
-          Live
-            ( result,
+        supervised ~label:(label_of config ~approach) (fun () ->
+            let result = run ~progress config ~strategy in
+            let record =
               record_of_result ~elapsed_s:(wall_s ()) config ~approach
-                ~fingerprint result ))
-      | Quarantined e ->
-        mark_interrupted ();
-        Failed e)
+                ~fingerprint result
+            in
+            (match journal with
+            | Some j when interrupted () ->
+              Run_journal.record_interrupted j ~key:record.Run_journal.key
+                ~label:record.Run_journal.label
+            | Some j -> Run_journal.record_complete j record
+            | None -> ());
+            (result, record))
+      with
+      | Completed (result, record) -> Live (result, record)
+      | Quarantined e -> Failed e)
   in
   let snapshot = snapshot config ~approach ~wall_s:(wall_s ()) outcome in
   emit

@@ -93,100 +93,60 @@ val profile_and_context :
     complete cleanly. *)
 
 val run :
-  ?stop_when:(finding -> bool) -> ?progress:(progress -> unit) ->
-  ?deadline_s:float -> ?journal:Run_journal.t -> ?journal_approach:string ->
-  config -> strategy:(Search.context -> Search.t) -> result
-(** Run a full campaign. [stop_when] ends the campaign early when a
-    finding satisfies it (used by the Table V until-found experiments).
-    [progress] is invoked after every simulated scenario and once more on
-    completion; campaign runners use it to emit live metrics. With
-    [config.prefix_cache] set, test runs go through a fresh
-    {!Prefix_cache}. When [AVIS_STORE_DIR] is set as well, the cell opens
-    the {!Checkpoint_store} there once, before profiling: the profiling
-    outcomes are served from it when an earlier process of the same
-    binary profiled the same configuration (and written to it once they
-    are flown and checked otherwise), and the prefix cache is backed by
-    it, which is how a rerun in a later process reuses an earlier
-    campaign's profile and checkpoints. Served or flown, the outcomes
-    build the same profile and search context, bit for bit. The campaign
-    never spends past
-    [budget_s]: affordability is checked against the simulator's duration
-    cap before each run, and the ledger saturates at the budget.
-
-    [deadline_s] is a cooperative wall-clock watchdog: checked at every
-    scheduling boundary (never mid-simulation), raising {!Cell_deadline}
-    when the cell has been running longer — use {!run_supervised} to get
-    the deadline, retry and quarantine policy together. [journal] appends
-    one completed-cell record on normal completion (not on an interrupt
-    or an exception), keyed by {!journal_key} under [journal_approach]
-    (default the strategy's name); see {!Run_journal}. *)
-
-exception Cell_deadline of float
-(** The cell's wall-clock deadline passed; carries the elapsed seconds. *)
+  ?stop_when:(finding -> bool) -> ?progress:(progress -> unit) -> config ->
+  strategy:(Search.context -> Search.t) -> result
+(** Run a full campaign: profile, search, simulate and judge, nothing
+    else. [stop_when] ends the campaign early when a finding satisfies it
+    (used by the Table V until-found experiments). [progress] is invoked
+    after every simulated scenario and once more on completion; campaign
+    runners use it to emit live metrics. With [config.prefix_cache] set,
+    test runs go through a fresh {!Prefix_cache}. When [AVIS_STORE_DIR]
+    is set as well, the cell opens the {!Checkpoint_store} there once,
+    before profiling: the profiling outcomes are served from it when an
+    earlier process of the same binary profiled the same configuration
+    (and written to it once they are flown and checked otherwise), and
+    the prefix cache is backed by it, which is how a rerun in a later
+    process reuses an earlier campaign's profile and checkpoints. Served
+    or flown, the outcomes build the same profile and search context, bit
+    for bit. The campaign never spends past [budget_s]: affordability is
+    checked against the simulator's duration cap before each run, and the
+    ledger saturates at the budget. Exceptions escape; {!run_supervised}
+    and {!run_cell} quarantine them. *)
 
 (** {2 Interrupt}
 
     A process-wide cooperative stop flag. {!request_interrupt} (typically
     from a SIGINT handler) makes every in-flight {!run} stop at its next
     scheduling boundary and return its partial findings and ledger;
-    interrupted cells never append a journal record. *)
+    {!run_cell} journals no record for an interrupted cell. *)
 
 val request_interrupt : unit -> unit
 val interrupted : unit -> bool
 val clear_interrupt : unit -> unit
 
-(** {2 Watchdogged execution}
+(** {2 Quarantined cells}
 
-    Retry/backoff/quarantine around {!run} for unattended matrices: a
-    transient failure (deadline hit, I/O error) is retried with
-    exponential backoff; a cell that exhausts its attempts — or fails
-    deterministically — is quarantined with a stable error code instead
-    of aborting the whole matrix. *)
+    A cell's campaign depends only on its declared inputs
+    ({!journal_identity}), so a failure replays identically on every
+    attempt: a cell runs once. Whatever escapes it quarantines the cell
+    with a stable code instead of aborting the caller's matrix; each
+    quarantine warns on stderr and bumps the [cell.quarantined] trace
+    counter. *)
 
 type cell_error = {
   code : string;
-      (** Stable code: [CELL-DEADLINE], [CELL-IO], [CELL-FAIL] or
-          [CELL-EXN]. *)
+      (** Stable code: [CELL-IO] ([Sys_error], [Unix.Unix_error]),
+          [CELL-FAIL] ([Failure]) or [CELL-EXN] (anything else). *)
   message : string;  (** The rendered exception. *)
-  attempts : int;  (** Attempts consumed, including the first. *)
 }
 
 type 'a supervised = Completed of 'a | Quarantined of cell_error
 
-type supervision = {
-  cell_timeout_s : float option;
-      (** Per-attempt wall-clock deadline; [None] derives one from the
-          cell's budget (the full modelled budget, floored at 60 s). *)
-  max_attempts : int;  (** Total attempts, including the first. *)
-  backoff_s : float;  (** First retry pause; doubles per retry. *)
-  transient : exn -> bool;  (** Which failures are worth retrying. *)
-  sleep : float -> unit;  (** Injectable for tests; [Unix.sleepf]. *)
-}
-
-val default_supervision : supervision
-(** 3 attempts, 0.1 s initial backoff, budget-derived deadline; deadline
-    hits and I/O errors ([Sys_error], [Unix.Unix_error]) are transient. *)
-
-val with_retries :
-  ?supervision:supervision -> label:string -> (attempt:int -> 'a) ->
-  'a supervised
-(** The bare retry engine: run the thunk, retrying transient failures
-    with exponential backoff up to [max_attempts], quarantining
-    otherwise. Each retry and quarantine bumps the [cell.retries] /
-    [cell.quarantined] trace counters and warns on stderr. *)
-
 val run_supervised :
-  ?supervision:supervision -> ?stop_when:(finding -> bool) ->
-  ?progress:(progress -> unit) -> ?journal:Run_journal.t ->
-  ?journal_approach:string -> config ->
+  ?stop_when:(finding -> bool) -> ?progress:(progress -> unit) -> config ->
   strategy:(Search.context -> Search.t) -> result supervised
-(** {!run} under {!with_retries} and a wall-clock deadline. Retried
-    attempts restart the campaign from scratch, so a [Completed] result
-    is always one uninterrupted campaign's. *)
-
-val watchdog_counters : unit -> int * int * int
-(** Process-lifetime [(retries, quarantined, deadline_hits)] totals —
-    the same values mirrored to the trace counter tracks. *)
+(** {!run}, with an escaping exception quarantined. Nothing is
+    journalled; {!run_cell} is the journal's one writer. *)
 
 (** {2 Journal keys}
 
@@ -209,8 +169,8 @@ val journal_memo :
   Run_journal.t -> config -> approach:string -> Run_journal.record option
 (** The completed record for this cell, if the journal holds one — the
     caller then skips the campaign and serves the memo. The [approach]
-    string must match the one passed (or defaulted) as
-    [journal_approach] when the record was written. *)
+    string must match the one {!run_cell} was given when the record was
+    written. *)
 
 val label_of : config -> approach:string -> string
 (** The cell's display label, [approach/policy/workload]. *)
@@ -218,28 +178,29 @@ val label_of : config -> approach:string -> string
 val record_of_result :
   ?elapsed_s:float -> config -> approach:string -> fingerprint:string ->
   result -> Run_journal.record
-(** The journal record {!run} would append for this result — the single
-    construction site shared with the hunt daemon's wire results, so a
-    streamed result and a journal memo of the same cell are identical.
-    [elapsed_s] is the cell's measured wall-clock duration; omitted, the
-    record carries no duration. *)
+(** The journal record of this result — the single construction site
+    behind {!run_cell}'s journal append and the hunt daemon's wire
+    results, so a streamed result and a journal memo of the same cell are
+    identical. [elapsed_s] is the cell's measured wall-clock duration;
+    omitted, the record carries no duration. *)
 
 (** {2 Matrix cells}
 
     The one cell runner behind [avis_cli hunt], the hunt daemon's workers,
     the bench matrix and the examples: serve the journal memo, else run
-    supervised and journal the result, reporting through {!Avis_util.Metrics}
-    snapshots all the way. *)
+    the cell once, quarantining a failure, and journal the result,
+    reporting through {!Avis_util.Metrics} snapshots all the way. *)
 
 type cell_outcome =
   | Live of result * Run_journal.record
-      (** Ran in this call. The record is the one the journal now holds
-          (read back, so it is byte for byte the memo a later call
-          serves), or, with no journal or after an interrupt, one built
-          by {!record_of_result} under the journal's fingerprint (empty
-          without a journal). *)
+      (** Ran in this call. The record is built once by
+          {!record_of_result} under the journal's fingerprint (empty
+          without a journal) and is the one appended, so it is byte for
+          byte the memo a later call serves; after an interrupt it is
+          not journalled. *)
   | Memo of Run_journal.record  (** Served from the journal; nothing ran. *)
-  | Failed of cell_error  (** Quarantined by {!run_supervised}. *)
+  | Failed of cell_error
+      (** Quarantined: the campaign or its journal append raised. *)
 
 val snapshot :
   config -> approach:string -> wall_s:float -> cell_outcome ->
@@ -254,8 +215,11 @@ val run_cell :
   approach:string -> strategy:(Search.context -> Search.t) ->
   cell_outcome * Avis_util.Metrics.snapshot
 (** Run one cell: serve [journal]'s memo when it holds the cell, else
-    {!run_supervised} journalled under [approach]. A cell cut by
-    {!request_interrupt} journals no record but an interrupted marker.
+    {!run} it once and append its record under [approach]. This is the
+    journal's one writer: the campaign and the append run inside one
+    quarantine, so a failing append fails the cell ([CELL-IO]) without
+    running the campaign again. A cell cut by {!request_interrupt}
+    journals no record but an interrupted marker.
     [emit] (default {!Avis_util.Metrics.emit} on stderr) receives one
     [progress] snapshot per new tenth of the budget spent — at most 11
     per cell, whatever the machine's speed — then exactly one terminal

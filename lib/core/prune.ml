@@ -4,7 +4,6 @@ type t = {
   seen_keys : (string, unit) Hashtbl.t;
   seen_role_keys : (string, unit) Hashtbl.t;
   mutable bug_scenarios : Scenario.t list;
-  mutable runs : int;
 }
 
 let create ?(symmetry = true) ?(found_bug = true) () =
@@ -14,7 +13,6 @@ let create ?(symmetry = true) ?(found_bug = true) () =
     seen_keys = Hashtbl.create 256;
     seen_role_keys = Hashtbl.create 256;
     bug_scenarios = [];
-    runs = 0;
   }
 
 let should_prune t scenario =
@@ -26,15 +24,11 @@ let should_prune t scenario =
           t.bug_scenarios)
 
 let note_run t scenario =
-  t.runs <- t.runs + 1;
   Hashtbl.replace t.seen_keys (Scenario.key scenario) ();
   if t.symmetry then
     Hashtbl.replace t.seen_role_keys (Scenario.role_key scenario) ()
 
 let note_bug t scenario = t.bug_scenarios <- scenario :: t.bug_scenarios
-
-let runs_recorded t = t.runs
-let bugs_recorded t = List.length t.bug_scenarios
 
 let symmetry_scenarios ~instances = (2 * instances) - 1
 

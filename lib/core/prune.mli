@@ -30,9 +30,6 @@ val should_prune : t -> Scenario.t -> bool
 val note_run : t -> Scenario.t -> unit
 val note_bug : t -> Scenario.t -> unit
 
-val runs_recorded : t -> int
-val bugs_recorded : t -> int
-
 val symmetry_scenarios : instances:int -> int
 (** [2N − 1]: distinct per-site scenarios for one sensor kind with [N]
     instances under the symmetry policy. *)

@@ -34,8 +34,6 @@ let of_faults faults =
   let sorted = List.sort_uniq compare_fault faults in
   sorted
 
-let add t fault = of_faults (fault :: t)
-
 let union a b = of_faults (a @ b)
 
 let to_plan t =

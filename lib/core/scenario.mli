@@ -29,8 +29,6 @@ val fault_time : fault -> float
 val of_faults : fault list -> t
 (** Sort into canonical form and drop exact duplicates. *)
 
-val add : t -> fault -> t
-
 val union : t -> t -> t
 
 val to_plan : t -> Avis_hinj.Hinj.plan

@@ -380,8 +380,6 @@ let fence_mission =
       ];
   }
 
-let defaults = [ manual_box; auto_box ]
-
 let all = [ quickstart; manual_box; auto_box; fence_mission ]
 
 let by_name name = List.find_opt (fun w -> w.name = name) all

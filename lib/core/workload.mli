@@ -123,9 +123,6 @@ val fence_mission : t
 (** The fenced variant: one leg crosses restricted airspace the firmware
     must refuse to enter. *)
 
-val defaults : t list
-(** The two default workloads used in the evaluation. *)
-
 val all : t list
 
 val by_name : string -> t option

@@ -9,8 +9,6 @@ let rad_to_deg r = r *. 180.0 /. Float.pi
 
 let frame_at origin = { origin; cos_lat = cos (deg_to_rad origin.lat) }
 
-let home f = f.origin
-
 let to_local f g =
   let dlat = deg_to_rad (g.lat -. f.origin.lat) in
   let dlon = deg_to_rad (g.lon -. f.origin.lon) in

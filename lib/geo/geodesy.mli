@@ -18,8 +18,6 @@ val earth_radius_m : float
 val frame_at : geodetic -> frame
 (** Local frame anchored at the given home point. *)
 
-val home : frame -> geodetic
-
 val to_local : frame -> geodetic -> Vec3.t
 (** Geodetic point to local metres (x north, y east, z up relative to the
     home altitude). *)

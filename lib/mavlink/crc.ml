@@ -8,11 +8,6 @@ let accumulate acc byte =
   let tmp = (tmp lxor (tmp lsl 4)) land 0xFF in
   ((acc lsr 8) lxor (tmp lsl 8) lxor (tmp lsl 3) lxor (tmp lsr 4)) land 0xFFFF
 
-let accumulate_bytes acc b =
-  let acc = ref acc in
-  Bytes.iter (fun c -> acc := accumulate !acc c) b;
-  !acc
-
 let accumulate_string acc s =
   let acc = ref acc in
   String.iter (fun c -> acc := accumulate !acc c) s;

@@ -9,7 +9,6 @@ val init : unit -> t
 val accumulate : t -> char -> t
 (** Fold one byte into the accumulator. *)
 
-val accumulate_bytes : t -> Bytes.t -> t
 val accumulate_string : t -> string -> t
 
 val value : t -> int

@@ -120,5 +120,3 @@ let[@inline] horizontal_speed t =
   let open Vec3.Mut in
   let v = t.velocity in
   sqrt ((v.x *. v.x) +. (v.y *. v.y) +. (0.0 *. 0.0))
-
-let[@inline] climb_rate t = t.velocity.Vec3.Mut.z

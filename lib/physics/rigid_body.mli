@@ -62,4 +62,3 @@ val specific_force_body : t -> Vec3.t
 
 val speed : t -> float
 val horizontal_speed : t -> float
-val climb_rate : t -> float

@@ -56,29 +56,6 @@ let kind_tag = function
   | Barometer -> 4
   | Battery -> 5
 
-let kind_of_tag = function
-  | 0 -> Accelerometer
-  | 1 -> Gyroscope
-  | 2 -> Gps
-  | 3 -> Compass
-  | 4 -> Barometer
-  | 5 -> Battery
-  | t -> Avis_util.Codec.corrupt "bad sensor-kind tag %d" t
-
-let encode_kind b k = Avis_util.Codec.w_u8 b (kind_tag k)
-let decode_kind r = kind_of_tag (Avis_util.Codec.r_u8 r)
-
-let encode_id b id =
-  encode_kind b id.kind;
-  Avis_util.Codec.w_int b id.index
-
-let decode_id r =
-  let kind = decode_kind r in
-  let index = Avis_util.Codec.r_int r in
-  if index < 0 || index > 255 then
-    Avis_util.Codec.corrupt "bad sensor index %d" index;
-  { kind; index }
-
 let encode_reading b reading =
   let open Avis_util.Codec in
   match reading with

@@ -40,9 +40,6 @@ val reading_kind : reading -> kind
 val kind_tag : kind -> int
 (** The kind's position in {!all_kinds}, 0 to 5; also its codec tag. *)
 
-val encode_id : Buffer.t -> id -> unit
-val decode_id : Avis_util.Codec.reader -> id
-
 val encode_reading : Buffer.t -> reading -> unit
 val decode_reading : Avis_util.Codec.reader -> reading
 (** Binary layouts for checkpoints; decoders raise

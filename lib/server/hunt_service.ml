@@ -290,25 +290,18 @@ let rec assign_pending st =
       else reap st w;
       assign_pending st)
 
-(* Metrics lines only know their request through the req=... tag the
-   worker stamped on them; an unparsable or unknown tag still reaches
-   watchers (it is diagnostic output, not protocol state). *)
-let relay_metrics st line =
-  let rq =
-    match Avis_util.Metrics.parse_line line with
-    | Ok (_, _, tags) -> (
-      match List.assoc_opt "req" tags with
-      | Some id -> List.find_opt (fun rq -> rq.id = id) st.reqs
-      | None -> None)
-    | Error _ -> None
-  in
-  match rq with
-  | Some rq -> broadcast st rq line
+(* A worker runs one cell at a time, and its pipe delivers that cell's
+   metrics lines before its result, so a line belongs to the busy cell's
+   request. A line from an idle worker still reaches watchers (it is
+   diagnostic output, not protocol state). *)
+let relay_metrics st (w : worker_proc) line =
+  match w.busy with
+  | Some p -> broadcast st p.preq line
   | None ->
     Hashtbl.iter (fun _ c -> if c.watching then enqueue st c line) st.clients
 
 let handle_worker_line st (w : worker_proc) line =
-  if Wire.is_metrics_line line then relay_metrics st line
+  if Wire.is_metrics_line line then relay_metrics st w line
   else
     match Wire.parse_response line with
     | Ok (Wire.Cell_result { req; approach; label; status }) -> (

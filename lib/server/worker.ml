@@ -145,12 +145,10 @@ let execute_cell ~send ~journal (a : Wire.assignment) =
       | Campaign.Live (_, record) -> Wire.Cell_done record
       | Campaign.Memo record -> Wire.Cell_memo record
       | Campaign.Failed e ->
+        (* A cell runs once; the wire's [attempts] counts the daemon's
+           dispatches, which only [WORKER-LOST] ever raises above one. *)
         Wire.Cell_quarantined
-          {
-            code = e.Campaign.code;
-            message = e.Campaign.message;
-            attempts = e.Campaign.attempts;
-          })
+          { code = e.Campaign.code; message = e.Campaign.message; attempts = 1 })
 
 let serve ~journal_path ~input ~out =
   let send line =

@@ -57,8 +57,6 @@ let[@inline] gaussian t =
 
 let[@inline] gaussian_scaled t ~mean ~stddev = mean +. (stddev *. gaussian t)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do
     let j = int t (i + 1) in

@@ -41,9 +41,6 @@ val gaussian : t -> float
 val gaussian_scaled : t -> mean:float -> stddev:float -> float
 (** Normal deviate with the given mean and standard deviation. *)
 
-val bool : t -> bool
-(** Fair coin. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

@@ -27,27 +27,3 @@ let percentile p xs =
 let clamp ~lo ~hi v = Float.max lo (Float.min hi v)
 
 let clampi ~lo ~hi v = Int.max lo (Int.min hi v)
-
-type running = {
-  mutable count : int;
-  mutable mean : float;
-  mutable m2 : float;
-  mutable max : float;
-}
-
-let running_create () = { count = 0; mean = 0.0; m2 = 0.0; max = neg_infinity }
-
-let running_add r x =
-  r.count <- r.count + 1;
-  let delta = x -. r.mean in
-  r.mean <- r.mean +. (delta /. float_of_int r.count);
-  r.m2 <- r.m2 +. (delta *. (x -. r.mean));
-  if x > r.max then r.max <- x
-
-let running_count r = r.count
-let running_mean r = if r.count = 0 then 0.0 else r.mean
-
-let running_stddev r =
-  if r.count < 2 then 0.0 else sqrt (r.m2 /. float_of_int r.count)
-
-let running_max r = r.max

@@ -18,14 +18,3 @@ val clamp : lo:float -> hi:float -> float -> float
 
 val clampi : lo:int -> hi:int -> int -> int
 (** Integer [clamp]. *)
-
-type running
-(** Online mean/variance accumulator (Welford). *)
-
-val running_create : unit -> running
-val running_add : running -> float -> unit
-val running_count : running -> int
-val running_mean : running -> float
-val running_stddev : running -> float
-val running_max : running -> float
-(** Largest sample seen; [neg_infinity] when empty. *)

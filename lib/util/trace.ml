@@ -238,8 +238,3 @@ let summary_table () =
         ])
     (summary ());
   t
-
-let print_summary ?(oc = stderr) () =
-  output_string oc (Table.render (summary_table ()));
-  output_char oc '\n';
-  flush oc

@@ -90,6 +90,3 @@ val wall_s : unit -> float
 val summary_table : unit -> Table.t
 (** {!summary} rendered as a table with count, total/mean/min/max
     milliseconds and each span's share of {!wall_s}. *)
-
-val print_summary : ?oc:out_channel -> unit -> unit
-(** Write {!summary_table} to [oc] (default stderr). *)

@@ -277,13 +277,14 @@ let perm_run order =
       (fun i ->
         let ((name, strategy, _) as spec) = List.nth perm_specs i in
         let config = perm_config spec in
-        let result =
-          Campaign.run ~journal ~journal_approach:name config ~strategy
-        in
-        ( i,
-          perm_record_bytes
-            (Campaign.record_of_result config ~approach:name
-               ~fingerprint:"perm" result) ))
+        match
+          Campaign.run_cell ~journal
+            ~emit:(fun ~event:_ _ -> ())
+            config ~approach:name ~strategy
+        with
+        | Campaign.Live (_, record), _ -> (i, perm_record_bytes record)
+        | (Campaign.Memo _ | Campaign.Failed _), _ ->
+          failwith "a fresh journal must run every cell live")
       order
   in
   (* Reopen the journal as a reader: the records it serves back must be

@@ -492,6 +492,65 @@ let test_daemon_end_to_end () =
     Alcotest.(check int) "one cell forked one worker" 1 s.Wire.active
   | _ -> Alcotest.fail "no status"
 
+(* A worker killed between its journal append and its result frame
+   leaves a record that the daemon's own memo table never saw; the
+   re-dispatched cell must be served from the journal by a worker. Here
+   the record is written in-process before the daemon has forked any
+   worker, so the daemon, whose journal was loaded at startup, dispatches
+   the cell and a freshly forked worker finds the memo. *)
+let test_worker_serves_foreign_memo () =
+  with_daemon ~workers:1 @@ fun dir socket_path ->
+  let cell =
+    match Worker.cells_of_request tiny_request with
+    | Ok [ cell ] -> cell
+    | _ -> Alcotest.fail "request did not expand to one cell"
+  in
+  let written =
+    match
+      Campaign.run_cell
+        ~journal:(Run_journal.open_ (Filename.concat dir "journal.jsonl"))
+        ~emit:(fun ~event:_ _ -> ())
+        cell.Worker.config ~approach:cell.Worker.approach
+        ~strategy:cell.Worker.strategy
+    with
+    | Campaign.Live (_, record), _ -> record
+    | _ -> Alcotest.fail "in-process cell did not run live"
+  in
+  let ic, oc = connect socket_path in
+  send oc (Wire.Submit tiny_request);
+  let req = accepted_req ic tiny_request in
+  let rec read events =
+    let line = input_line ic in
+    if Wire.is_metrics_line line then
+      match Avis_util.Metrics.parse_line line with
+      | Ok (event, _, _) -> read (event :: events)
+      | Error e -> Alcotest.failf "bad metrics line (%s): %s" e line
+    else
+      match Wire.parse_response line with
+      | Ok (Wire.Cell { req = r; status; _ }) when r = req ->
+        (status, List.rev events)
+      | Ok _ -> read events
+      | Error e -> Alcotest.failf "bad control line (%s): %s" e line
+  in
+  let status, events = read [] in
+  (match status with
+  | Wire.Cell_memo record ->
+    Alcotest.(check string) "memo bytes = in-process bytes, elapsed included"
+      (record_bytes written) (record_bytes record)
+  | Wire.Cell_done _ -> Alcotest.fail "the worker re-ran a journalled cell"
+  | Wire.Cell_quarantined { code; _ } ->
+    Alcotest.failf "the cell was quarantined (%s)" code);
+  Alcotest.(check int) "exactly one relayed memo line" 1
+    (List.length (List.filter (( = ) "memo") events));
+  Alcotest.(check bool) "no done line" false (List.mem "done" events);
+  ignore (statuses ic req : Wire.cell_status list);
+  send oc Wire.Status;
+  match Wire.parse_response (input_line ic) with
+  | Ok (Wire.Status_info s) ->
+    Alcotest.(check int) "served by the worker, not the daemon" 0
+      s.Wire.memo_served
+  | _ -> Alcotest.fail "no status"
+
 (* A worker runs one cell at a time; [jobs] survives in the config only
    for callers that build it literally. *)
 let test_serve_rejects_jobs () =
@@ -615,6 +674,8 @@ let () =
             `Quick test_daemon_same_label_requests;
           Alcotest.test_case "cells start in arrival order" `Quick
             test_daemon_arrival_order;
+          Alcotest.test_case "a worker serves a memo it did not write" `Quick
+            test_worker_serves_foreign_memo;
           Alcotest.test_case "serve rejects jobs other than 1" `Quick
             test_serve_rejects_jobs;
         ] );

@@ -1,7 +1,6 @@
 (* Unattended operation: the resumable run journal (crash-safe JSONL,
    torn-line recovery, stale-fingerprint invalidation, campaign memos),
-   the watchdogged retry/quarantine engine, and the cooperative
-   interrupt flag. *)
+   cell quarantine, and the cooperative interrupt flag. *)
 
 open Avis_firmware
 open Avis_core
@@ -203,13 +202,25 @@ let test_journal_old_line_tolerated () =
 (* Campaign memos                                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* [Campaign.run_cell] with its metrics lines discarded. *)
+let run_cell_quietly ~journal config ~approach ~strategy =
+  fst
+    (Campaign.run_cell ~journal
+       ~emit:(fun ~event:_ _ -> ())
+       config ~approach ~strategy)
+
 let test_campaign_journal_memo () =
   with_journal_path @@ fun path ->
   let j = Run_journal.open_ ~fingerprint:"fp" path in
   let config = small_config () in
   Alcotest.(check bool) "no memo before the run" true
     (Campaign.journal_memo j config ~approach:"avis" = None);
-  let live = Campaign.run ~journal:j ~journal_approach:"avis" config ~strategy:sabre in
+  let live =
+    match run_cell_quietly ~journal:j config ~approach:"avis" ~strategy:sabre with
+    | Campaign.Live (result, _) -> result
+    | Campaign.Memo _ | Campaign.Failed _ ->
+      Alcotest.fail "a fresh journal must run the cell live"
+  in
   let j2 = Run_journal.open_ ~fingerprint:"fp" path in
   (match Campaign.journal_memo j2 config ~approach:"avis" with
   | None -> Alcotest.fail "completed cell not memoised"
@@ -252,7 +263,10 @@ let test_interrupted_run_appends_nothing () =
   Campaign.request_interrupt ();
   Fun.protect ~finally:Campaign.clear_interrupt @@ fun () ->
   let partial =
-    Campaign.run ~journal:j ~journal_approach:"avis" config ~strategy:sabre
+    match run_cell_quietly ~journal:j config ~approach:"avis" ~strategy:sabre with
+    | Campaign.Live (result, _) -> result
+    | Campaign.Memo _ | Campaign.Failed _ ->
+      Alcotest.fail "an interrupted cell still returns its partial result"
   in
   Alcotest.(check int) "interrupted before any test simulation" 0
     partial.Campaign.simulations;
@@ -472,84 +486,35 @@ let test_identity_covers_keyed_fields () =
     (identity
        { base with Campaign.prefix_cache = not base.Campaign.prefix_cache })
 
-(* ------------------------------------------------------------------ *)
-(* Retry / backoff / quarantine                                         *)
-(* ------------------------------------------------------------------ *)
-
-let capture_sleeps () =
-  let sleeps = ref [] in
-  ( (fun s -> sleeps := !sleeps @ [ s ]),
-    fun () -> !sleeps )
-
-let test_retry_transient_then_success () =
-  let sleep, sleeps = capture_sleeps () in
-  let sup = { Campaign.default_supervision with Campaign.sleep } in
-  let calls = ref 0 in
-  match
-    Campaign.with_retries ~supervision:sup ~label:"flaky-disk"
-      (fun ~attempt ->
-        incr calls;
-        if attempt < 3 then raise (Sys_error "disk momentarily full");
-        "ok")
-  with
-  | Campaign.Quarantined _ ->
-    Alcotest.fail "transient failure should have been retried to success"
-  | Campaign.Completed v ->
-    Alcotest.(check string) "value from the succeeding attempt" "ok" v;
-    Alcotest.(check int) "three attempts" 3 !calls;
-    Alcotest.(check (list (float 1e-9))) "exponential backoff" [ 0.1; 0.2 ]
-      (sleeps ())
-
-let test_retry_exhaustion_quarantines () =
-  let sleep, sleeps = capture_sleeps () in
-  let sup = { Campaign.default_supervision with Campaign.sleep } in
-  let retries0, quarantined0, _ = Campaign.watchdog_counters () in
-  match
-    Campaign.with_retries ~supervision:sup ~label:"always-flaky"
-      (fun ~attempt:_ -> raise (Sys_error "flaky"))
-  with
-  | Campaign.Completed _ -> Alcotest.fail "cannot complete"
-  | Campaign.Quarantined e ->
-    Alcotest.(check string) "stable code" "CELL-IO" e.Campaign.code;
-    Alcotest.(check int) "all attempts consumed" 3 e.Campaign.attempts;
-    Alcotest.(check (list (float 1e-9))) "backoff before each retry"
-      [ 0.1; 0.2 ] (sleeps ());
-    let retries1, quarantined1, _ = Campaign.watchdog_counters () in
-    Alcotest.(check int) "retries counted" 2 (retries1 - retries0);
-    Alcotest.(check int) "quarantine counted" 1 (quarantined1 - quarantined0)
-
-let test_non_transient_fails_immediately () =
-  let sleep, sleeps = capture_sleeps () in
-  let sup = { Campaign.default_supervision with Campaign.sleep } in
-  match
-    (Campaign.with_retries ~supervision:sup ~label:"deterministic" (fun ~attempt:_ ->
-         failwith "profiling run crashed")
-      : unit Campaign.supervised)
-  with
-  | Campaign.Completed _ -> Alcotest.fail "cannot complete"
-  | Campaign.Quarantined e ->
-    Alcotest.(check string) "stable code" "CELL-FAIL" e.Campaign.code;
-    Alcotest.(check int) "no retry for deterministic failures" 1
-      e.Campaign.attempts;
-    Alcotest.(check (list (float 1e-9))) "no backoff" [] (sleeps ())
-
-let test_deadline_quarantines () =
-  let sleep, _ = capture_sleeps () in
-  let sup =
-    { Campaign.default_supervision with
-      Campaign.cell_timeout_s = Some 0.0; sleep }
+(* A failed journal append quarantines the cell as an I/O failure after
+   one campaign: a cell's inputs fix its campaign, so flying it again
+   would replay the same run into the same broken journal. *)
+let test_failed_append_quarantines_once () =
+  with_journal_path @@ fun path ->
+  let journal = Run_journal.open_ ~fingerprint:"fp" path in
+  (* The journal is open; its file then becomes a directory, which no
+     append can open. *)
+  Sys.remove path;
+  Unix.mkdir path 0o755;
+  Fun.protect ~finally:(fun () -> Unix.rmdir path) @@ fun () ->
+  let emit, emitted = collect_emits () in
+  let instantiations = ref 0 in
+  let strategy ctx =
+    incr instantiations;
+    sabre ctx
   in
-  let _, _, deadline0 = Campaign.watchdog_counters () in
-  match Campaign.run_supervised ~supervision:sup (small_config ()) ~strategy:sabre with
-  | Campaign.Completed _ ->
-    Alcotest.fail "a zero-second deadline cannot complete"
-  | Campaign.Quarantined e ->
-    Alcotest.(check string) "stable code" "CELL-DEADLINE" e.Campaign.code;
-    Alcotest.(check int) "retried as transient, then quarantined" 3
-      e.Campaign.attempts;
-    let _, _, deadline1 = Campaign.watchdog_counters () in
-    Alcotest.(check bool) "deadline hits counted" true
-      (deadline1 - deadline0 >= 3)
+  (match
+     Campaign.run_cell ~journal ~emit (small_config ()) ~approach:"avis"
+       ~strategy
+   with
+  | Campaign.Failed e, _ ->
+    Alcotest.(check string) "stable code" "CELL-IO" e.Campaign.code
+  | (Campaign.Live _ | Campaign.Memo _), _ ->
+    Alcotest.fail "an append into a directory must quarantine the cell");
+  Alcotest.(check (list string)) "one terminal quarantined event"
+    [ "quarantined" ]
+    (List.filter (fun e -> e <> "progress") (List.map fst (emitted ())));
+  Alcotest.(check int) "the campaign ran once" 1 !instantiations
 
 (* ------------------------------------------------------------------ *)
 
@@ -585,20 +550,12 @@ let () =
             test_run_cell_failure_quarantines;
           Alcotest.test_case "run_cell: an interrupted cell is marked" `Slow
             test_run_cell_interrupted;
+          Alcotest.test_case
+            "run_cell: a failed append quarantines after one campaign" `Slow
+            test_failed_append_quarantines_once;
           Alcotest.test_case "equal keys mean equal records" `Slow
             test_equal_keys_equal_records;
           Alcotest.test_case "identity covers every keyed field" `Quick
             test_identity_covers_keyed_fields;
-        ] );
-      ( "watchdog",
-        [
-          Alcotest.test_case "transient failure retried to success" `Quick
-            test_retry_transient_then_success;
-          Alcotest.test_case "exhausted retries quarantine" `Quick
-            test_retry_exhaustion_quarantines;
-          Alcotest.test_case "deterministic failure quarantines at once" `Quick
-            test_non_transient_fails_immediately;
-          Alcotest.test_case "deadline hits quarantine the cell" `Slow
-            test_deadline_quarantines;
         ] );
     ]

@@ -148,14 +148,6 @@ let test_stats_clamp () =
   check_float "inside" 0.5 (Stats.clamp ~lo:0.0 ~hi:1.0 0.5);
   Alcotest.(check int) "clampi" 3 (Stats.clampi ~lo:0 ~hi:3 9)
 
-let test_stats_running () =
-  let r = Stats.running_create () in
-  List.iter (Stats.running_add r) [ 1.0; 2.0; 3.0; 4.0 ];
-  Alcotest.(check int) "count" 4 (Stats.running_count r);
-  check_float "mean" 2.5 (Stats.running_mean r);
-  check_float "max" 4.0 (Stats.running_max r);
-  Alcotest.(check bool) "stddev positive" true (Stats.running_stddev r > 1.0)
-
 let test_table_render () =
   let t = Table.create ~header:[ "a"; "bb" ] in
   Table.add_row t [ "1"; "2" ];
@@ -565,7 +557,6 @@ let () =
           Alcotest.test_case "min_max" `Quick test_stats_min_max;
           Alcotest.test_case "percentile" `Quick test_stats_percentile;
           Alcotest.test_case "clamp" `Quick test_stats_clamp;
-          Alcotest.test_case "running" `Quick test_stats_running;
         ] );
       ( "table",
         [
