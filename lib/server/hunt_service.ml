@@ -46,22 +46,31 @@ type req_state = {
   mutable quarantined : int;
 }
 
-(* One cell awaiting (or re-awaiting) dispatch. The assignment is built
-   once at submit time from the request's raw fields; re-dispatch after a
-   worker loss re-sends the identical frame. *)
-type pending = {
-  preq : req_state;
-  pcell : Worker.cell;
-  passign : Wire.assignment;
-  mutable pattempts : int;  (** Dispatches consumed, including the first. *)
+(* One cell from the submit that dispatched it until a worker answers
+   or it is quarantined. The assignment is built once, so a re-dispatch
+   after a worker loss re-sends the identical frame. *)
+type job = {
+  key : string;  (** The cell's {!Campaign.journal_key}. *)
+  cell : Worker.cell;
+  req : req_state;
+      (** The request that dispatched it: it gets the worker's metrics
+          lines and the worker's own [cell] frame. *)
+  assignment : Wire.assignment;
+  mutable dispatches : int;  (** Including the first. *)
+  mutable waiters : req_state list;
+      (** Later requests for the same key, newest first. *)
 }
+
+(* A cell since startup: its record once done, its job while queued or
+   running. The on-disk journal covers everything before startup. *)
+type entry = Completed of Run_journal.record | Open of job
 
 type worker_proc = {
   pid : int;
   rpipe : Unix.file_descr;  (** Worker-to-daemon: results and metrics. *)
   wpipe : Unix.file_descr;  (** Daemon-to-worker: assignments. *)
   mutable wbuf : string;  (** Partial line from [rpipe]. *)
-  mutable busy : pending option;
+  mutable busy : job option;
       (** The cell assigned and not yet reported; [None] while idle,
           which a worker is from its fork until its first assignment. *)
 }
@@ -69,15 +78,12 @@ type worker_proc = {
 type state = {
   cfg : config;
   journal : Run_journal.t;
-  memos : (string, Run_journal.record) Hashtbl.t;
-      (** Records journalled since startup, keyed by journal key — the
-          parent's in-memory view of what workers have completed (the
-          on-disk journal covers everything before startup). *)
+  cells : (string, entry) Hashtbl.t;  (** By journal key. *)
   listeners : Unix.file_descr list;
   clients : (Unix.file_descr, client) Hashtbl.t;
   workers : (Unix.file_descr, worker_proc) Hashtbl.t;  (** By [rpipe]. *)
-  mutable pending : pending list;
-      (** Oldest first: a submit appends its cells, a re-queued cell goes
+  mutable queue : job list;
+      (** Oldest first: a submit appends its jobs, a re-queued job goes
           back to the head. *)
   mutable reqs : req_state list;
   mutable req_counter : int;
@@ -191,46 +197,67 @@ let maybe_spawn st =
   in
   let n =
     Worker.fork_budget ~limit:st.cfg.workers ~live ~idle
-      ~pending:(List.length st.pending)
+      ~pending:(List.length st.queue)
   in
   for _ = 1 to n do
     spawn st
   done
 
-let rec write_all fd bytes pos len =
-  if len > 0 then begin
-    let n = Unix.write fd bytes pos len in
-    write_all fd bytes (pos + n) (len - n)
-  end
+let cell_frame (rq : req_state) (cell : Worker.cell) status =
+  Wire.render_response
+    (Wire.Cell
+       {
+         req = rq.id;
+         approach = cell.Worker.approach;
+         label = cell.Worker.label;
+         status;
+       })
 
-let quarantine_cell st (rq : req_state) (p : pending) ~attempts =
-  rq.quarantined <- rq.quarantined + 1;
+(* Answer one of [rq]'s cells with [line], its rendered [cell] frame. *)
+let answer st rq status line =
   rq.outstanding <- rq.outstanding - 1;
+  (match status with
+  | Wire.Cell_quarantined _ -> rq.quarantined <- rq.quarantined + 1
+  | Wire.Cell_done _ | Wire.Cell_memo _ -> ());
+  broadcast st rq line;
+  finish_req_if_done st rq
+
+(* Answer [rq]'s [cell] with a completed record, without dispatching. *)
+let serve_memo st rq (cell : Worker.cell) record =
+  st.memo_served <- st.memo_served + 1;
   broadcast st rq
-    (Wire.render_response
-       (Wire.Cell
-          {
-            req = rq.id;
-            approach = p.pcell.Worker.approach;
-            label = p.pcell.Worker.label;
-            status =
-              Wire.Cell_quarantined
-                {
-                  code = "WORKER-LOST";
-                  message =
-                    Printf.sprintf
-                      "worker process died before reporting this cell (%d \
-                       dispatch(es))"
-                      attempts;
-                  attempts;
-                };
-          }))
+    (Avis_util.Metrics.line
+       ~tags:[ ("req", rq.id) ]
+       ~event:"memo"
+       (Campaign.snapshot cell.Worker.config ~approach:cell.Worker.approach
+          ~wall_s:0.0 (Campaign.Memo record)));
+  let status = Wire.Cell_memo record in
+  answer st rq status (cell_frame rq cell status)
+
+(* A job ended with [status]: its request gets [line] (the worker's own
+   frame, or the daemon's quarantine), and each waiter a memo of the
+   same record or the same quarantine. *)
+let end_job st job status line =
+  (match status with
+  | Wire.Cell_done record | Wire.Cell_memo record ->
+    Hashtbl.replace st.cells job.key (Completed record)
+  | Wire.Cell_quarantined _ -> Hashtbl.remove st.cells job.key);
+  answer st job.req status line;
+  List.iter
+    (fun rq ->
+      match status with
+      | Wire.Cell_done record | Wire.Cell_memo record ->
+        serve_memo st rq job.cell record
+      | Wire.Cell_quarantined _ ->
+        answer st rq status (cell_frame rq job.cell status))
+    (List.rev job.waiters)
 
 (* A worker's result pipe hit EOF, or its assignment pipe refused a write:
-   reap it, then re-queue its busy cell, if any — everything it already
-   reported is done, everything still queued was never its problem. The
-   cell goes back to the head of the queue and is quarantined only once
-   its own dispatch budget is spent. *)
+   reap it, then re-queue its busy job, if any, with its waiters (each
+   request on the job counts the retry) —
+   everything it already reported is done, everything still queued was
+   never its problem. The job goes back to the head of the queue and is
+   quarantined only once its own dispatch budget is spent. *)
 let reap st (w : worker_proc) =
   Hashtbl.remove st.workers w.rpipe;
   (try Unix.close w.rpipe with Unix.Unix_error _ -> ());
@@ -238,39 +265,44 @@ let reap st (w : worker_proc) =
   (try ignore (Unix.waitpid [] w.pid) with Unix.Unix_error _ -> ());
   match w.busy with
   | None -> ()
-  | Some p ->
-    w.busy <- None;
-    let rq = p.preq in
-    if p.pattempts < worker_attempts then begin
-      rq.retries <- rq.retries + 1;
-      st.worker_retries <- st.worker_retries + 1;
-      log "worker pid=%d lost mid-cell; re-queueing cell %s (dispatch %d/%d)"
-        w.pid p.pcell.Worker.label (p.pattempts + 1) worker_attempts;
-      st.pending <- p :: st.pending
-    end
-    else begin
-      log "worker pid=%d lost; quarantining cell %s after %d dispatch(es)"
-        w.pid p.pcell.Worker.label p.pattempts;
-      quarantine_cell st rq p ~attempts:p.pattempts;
-      finish_req_if_done st rq
-    end
+  | Some job when job.dispatches < worker_attempts ->
+    List.iter (fun rq -> rq.retries <- rq.retries + 1) (job.req :: job.waiters);
+    st.worker_retries <- st.worker_retries + 1;
+    log "worker pid=%d lost mid-cell; re-queueing cell %s (dispatch %d/%d)"
+      w.pid job.cell.Worker.label (job.dispatches + 1) worker_attempts;
+    st.queue <- job :: st.queue
+  | Some job ->
+    log "worker pid=%d lost; quarantining cell %s after %d dispatch(es)" w.pid
+      job.cell.Worker.label job.dispatches;
+    let status =
+      Wire.Cell_quarantined
+        {
+          code = "WORKER-LOST";
+          message =
+            Printf.sprintf
+              "worker process died before reporting this cell (%d \
+               dispatch(es))"
+              job.dispatches;
+          attempts = job.dispatches;
+        }
+    in
+    end_job st job status (cell_frame job.req job.cell status)
 
 (* A worker is written one assignment only while idle, so the pipe never
    holds more than one short line and the write cannot block for long. *)
 let write_assignment (w : worker_proc) a =
-  let payload = Bytes.of_string (Wire.render_assignment a ^ "\n") in
-  match write_all w.wpipe payload 0 (Bytes.length payload) with
+  match Worker.write_line w.wpipe (Wire.render_assignment a) with
   | () -> true
   | exception Unix.Unix_error _ -> false
 
-(* Hand the oldest pending cells to idle workers. Every dispatch decision
+(* Hand the oldest queued jobs to idle workers. Every dispatch decision
    goes through here, so arrival order is a property of the queue, not of
    any caller. A failed write means the worker died while idle: reap it
-   now (it holds no cell) and keep the cell at the head. *)
+   now (it holds no job) and keep the job at the head. *)
 let rec assign_pending st =
-  match st.pending with
+  match st.queue with
   | [] -> ()
-  | p :: rest -> (
+  | job :: rest -> (
     let idle =
       Hashtbl.fold
         (fun _ w acc ->
@@ -282,63 +314,42 @@ let rec assign_pending st =
     match idle with
     | None -> ()
     | Some w ->
-      if write_assignment w p.passign then begin
-        st.pending <- rest;
-        p.pattempts <- p.pattempts + 1;
-        w.busy <- Some p
+      if write_assignment w job.assignment then begin
+        st.queue <- rest;
+        job.dispatches <- job.dispatches + 1;
+        w.busy <- Some job
       end
       else reap st w;
       assign_pending st)
 
 (* A worker runs one cell at a time, and its pipe delivers that cell's
-   metrics lines before its result, so a line belongs to the busy cell's
-   request. A line from an idle worker still reaches watchers (it is
-   diagnostic output, not protocol state). *)
+   metrics lines before its result, so a line belongs to the request
+   that dispatched its job. A line from an idle worker still reaches
+   watchers (it is diagnostic output, not protocol state). *)
 let relay_metrics st (w : worker_proc) line =
   match w.busy with
-  | Some p -> broadcast st p.preq line
+  | Some job -> broadcast st job.req line
   | None ->
     Hashtbl.iter (fun _ c -> if c.watching then enqueue st c line) st.clients
 
+(* A worker answers its job with the [cell] frame the job's request
+   receives, forwarded unchanged. *)
 let handle_worker_line st (w : worker_proc) line =
   if Wire.is_metrics_line line then relay_metrics st w line
   else
-    match Wire.parse_response line with
-    | Ok (Wire.Cell_result { req; approach; label; status }) -> (
-      (* Two requests may share a label, so a result is the busy cell's
-         only if both its request and its label match. *)
-      match w.busy with
-      | Some p when p.preq.id = req && p.pcell.Worker.label = label ->
-        w.busy <- None;
-        let rq = p.preq in
-        (match status with
-        | Wire.Cell_done record | Wire.Cell_memo record ->
-          Hashtbl.replace st.memos record.Run_journal.key record
-        | Wire.Cell_quarantined _ -> rq.quarantined <- rq.quarantined + 1);
-        rq.outstanding <- rq.outstanding - 1;
-        broadcast st rq
-          (Wire.render_response (Wire.Cell { req; approach; label; status }));
-        finish_req_if_done st rq
-      | Some _ | None ->
-        log "worker pid=%d reported cell %s of %s, not its assigned cell; \
-             dropped"
-          w.pid label req)
-    | Ok _ | Error _ ->
-      log "ignoring unexpected line from worker pid=%d: %s" w.pid line
+    match (w.busy, Wire.parse_response line) with
+    | Some job, Ok (Wire.Cell { req; status; _ }) when req = job.req.id ->
+      w.busy <- None;
+      end_job st job status line
+    | _ -> log "ignoring unexpected line from worker pid=%d: %s" w.pid line
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let memo_for st (cell : Worker.cell) =
-  let key =
-    Campaign.journal_key st.journal cell.Worker.config
-      ~approach:cell.Worker.approach
-  in
-  match Hashtbl.find_opt st.memos key with
-  | Some record -> Some record
-  | None -> Run_journal.find st.journal ~key
-
+(* Each cell is served from a completed record, attached to the open
+   job of its key, or queued as a new job: one dispatch per key however
+   many requests ask for it. *)
 let submit st (c : client) (r : Wire.hunt_request) =
   match Worker.cells_of_request r with
   | Error reason -> enqueue st c (Wire.render_response (Wire.Rejected { reason }))
@@ -359,58 +370,37 @@ let submit st (c : client) (r : Wire.hunt_request) =
          (Wire.Accepted
             { req = rq.id; cells = List.map (fun cl -> cl.Worker.label) cells }));
     log "%s accepted from client: %d cell(s)" rq.id (List.length cells);
-    (* Serve memoised cells without dispatching at all. *)
-    let fresh =
-      List.filter_map
-        (fun (cell : Worker.cell) ->
-          match memo_for st cell with
-          | Some record ->
-            st.memo_served <- st.memo_served + 1;
-            rq.outstanding <- rq.outstanding - 1;
-            broadcast st rq
-              (Avis_util.Metrics.line
-                 ~tags:[ ("req", rq.id) ]
-                 ~event:"memo"
-                 (Campaign.snapshot cell.Worker.config
-                    ~approach:cell.Worker.approach ~wall_s:0.0
-                    (Campaign.Memo record)));
-            broadcast st rq
-              (Wire.render_response
-                 (Wire.Cell
-                    {
-                      req = rq.id;
-                      approach = cell.Worker.approach;
-                      label = cell.Worker.label;
-                      status = Wire.Cell_memo record;
-                    }));
-            None
-          | None -> Some cell)
-        cells
-    in
-    if fresh = [] then finish_req_if_done st rq
-    else begin
-      st.pending <-
-        st.pending
-        @ List.map
-            (fun (cell : Worker.cell) ->
+    List.iter
+      (fun (cell : Worker.cell) ->
+        let key =
+          Campaign.journal_key st.journal cell.Worker.config
+            ~approach:cell.Worker.approach
+        in
+        match Hashtbl.find_opt st.cells key with
+        | Some (Completed record) -> serve_memo st rq cell record
+        | Some (Open job) -> job.waiters <- rq :: job.waiters
+        | None -> (
+          match Run_journal.find st.journal ~key with
+          | Some record -> serve_memo st rq cell record
+          | None ->
+            let request =
+              { r with Wire.approaches = [ cell.Worker.approach ] }
+            in
+            let job =
               {
-                preq = rq;
-                pcell = cell;
-                passign =
-                  {
-                    Wire.a_req = rq.id;
-                    a_firmware = r.Wire.firmware;
-                    a_workload = r.Wire.workload;
-                    a_approach = cell.Worker.approach;
-                    a_budget_s = r.Wire.budget_s;
-                    a_seed = r.Wire.seed;
-                  };
-                pattempts = 0;
-              })
-            fresh;
-      maybe_spawn st;
-      assign_pending st
-    end
+                key;
+                cell;
+                req = rq;
+                assignment = { Wire.req = rq.id; request };
+                dispatches = 0;
+                waiters = [];
+              }
+            in
+            Hashtbl.replace st.cells key (Open job);
+            st.queue <- st.queue @ [ job ]))
+      cells;
+    maybe_spawn st;
+    assign_pending st
 
 let handle_request st (c : client) line =
   match Wire.parse_request line with
@@ -423,7 +413,7 @@ let handle_request st (c : client) line =
          (Wire.Status_info
             {
               active = Hashtbl.length st.workers;
-              queued = List.length st.pending;
+              queued = List.length st.queue;
               workers = st.cfg.workers;
               memo_served = st.memo_served;
               worker_retries = st.worker_retries;
@@ -521,11 +511,11 @@ let serve cfg =
     {
       cfg;
       journal;
-      memos = Hashtbl.create 64;
+      cells = Hashtbl.create 64;
       listeners = unix_l :: Option.to_list tcp_l;
       clients = Hashtbl.create 16;
       workers = Hashtbl.create 16;
-      pending = [];
+      queue = [];
       reqs = [];
       req_counter = 0;
       memo_served = 0;

@@ -8,20 +8,25 @@
     submitting client (and to [watch] subscribers) as request-tagged
     {!Avis_util.Metrics} lines; results arrive as journal records.
     Dispatch only decides when a cell starts: per-cell seeding keeps
-    every result's bytes identical whatever the order.
+    every result's bytes identical whatever the order. A cell is
+    dispatched once per journal key: a request for a cell already queued
+    or running waits for it and is answered with a memo of the same
+    record.
 
     {2 Crash behaviour}
 
     Every completed cell is appended to the daemon's {!Avis_core.Run_journal}
     by the worker that ran it, before it is reported. A worker that dies
     mid-cell (crash, OOM-kill, [SIGKILL]) costs exactly the one cell it
-    was running: that cell goes back to the head of the queue and is
-    re-dispatched to any live worker, up to {!worker_attempts}
-    dispatches, after which it is quarantined with code [WORKER-LOST]
-    instead of wedging the daemon. Cells the dead worker already
-    reported are done; cells still queued were never its problem. A
-    killed {e daemon} resumes the same way: restart it on the same
-    journal and resubmit.
+    was running: that cell goes back to the head of the queue, with the
+    requests waiting on it still attached, and is re-dispatched to any
+    live worker, up to {!worker_attempts} dispatches; each of those
+    requests counts the re-dispatch in its [Done] retries. After that, one
+    [WORKER-LOST] quarantine answers the dispatching request and every
+    waiter alike instead of wedging the daemon. Cells the dead worker
+    already reported are done; cells still queued were never its
+    problem. A killed {e daemon} resumes the same way: restart it on the
+    same journal and resubmit.
 
     The parent process stays single-domain (a [select] loop, no {!Pool}),
     which is what makes the [fork] per worker safe under OCaml 5. *)

@@ -37,17 +37,8 @@ type response =
   | Done of { req : string; retries : int; quarantined : int }
   | Status_info of status_info
   | Pong
-  | Cell_result of
-      { req : string; approach : string; label : string; status : cell_status }
 
-type assignment = {
-  a_req : string;
-  a_firmware : string;
-  a_workload : string;
-  a_approach : string;
-  a_budget_s : float;
-  a_seed : int;
-}
+type assignment = { req : string; request : hunt_request }
 
 let is_metrics_line line =
   String.length line >= 6 && String.sub line 0 6 = "[avis]"
@@ -56,29 +47,24 @@ let is_metrics_line line =
 (* Requests                                                             *)
 (* ------------------------------------------------------------------ *)
 
+(* The submit fields, shared by [submit] and [cell-assign] frames. The
+   budget participates in the journal key by its IEEE-754 bits, so it
+   crosses the wire losslessly — as bits, not as a decimal rendering. *)
+let hunt_request_fields r =
+  [
+    ("firmware", Json.String r.firmware);
+    ("workload", Json.String r.workload);
+    ("approaches", Json.List (List.map (fun a -> Json.String a) r.approaches));
+    ( "budget_bits",
+      Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float r.budget_s)) );
+    ("seed", Json.int r.seed);
+    ("shards", Json.int r.shards);
+  ]
+  @ match r.lanes with Some n -> [ ("lanes", Json.int n) ] | None -> []
+
 let request_to_json = function
   | Submit r ->
-    Json.Assoc
-      (List.concat
-         [
-           [
-             ("op", Json.String "submit");
-             ("firmware", Json.String r.firmware);
-             ("workload", Json.String r.workload);
-             ( "approaches",
-               Json.List (List.map (fun a -> Json.String a) r.approaches) );
-             (* The budget participates in the journal key by its IEEE-754
-                bits, so it must cross the wire losslessly — as bits, not
-                as a decimal rendering. *)
-             ( "budget_bits",
-               Json.String (Printf.sprintf "%016Lx" (Int64.bits_of_float r.budget_s)) );
-             ("seed", Json.int r.seed);
-             ("shards", Json.int r.shards);
-           ];
-           (match r.lanes with
-           | Some n -> [ ("lanes", Json.int n) ]
-           | None -> []);
-         ])
+    Json.Assoc (("op", Json.String "submit") :: hunt_request_fields r)
   | Watch -> Json.Assoc [ ("op", Json.String "watch") ]
   | Status -> Json.Assoc [ ("op", Json.String "status") ]
   | Ping -> Json.Assoc [ ("op", Json.String "ping") ]
@@ -175,13 +161,6 @@ let response_to_json = function
         ("worker_retries", Json.int s.worker_retries);
       ]
   | Pong -> Json.Assoc [ ("type", Json.String "pong") ]
-  | Cell_result { req; approach; label; status } ->
-    Json.Assoc
-      (( ("type", Json.String "cell-result")
-       :: ("req", Json.String req)
-       :: ("approach", Json.String approach)
-       :: ("label", Json.String label)
-       :: status_to_json status ))
 
 let status_of_json j =
   match str (Json.member "status" j) with
@@ -237,48 +216,6 @@ let response_of_json j =
     let* worker_retries = num (Json.member "worker_retries" j) in
     Some (Status_info { active; queued; workers; memo_served; worker_retries })
   | Some "pong" -> Some Pong
-  | Some "cell-result" ->
-    let* req = str (Json.member "req" j) in
-    let* approach = str (Json.member "approach" j) in
-    let* label = str (Json.member "label" j) in
-    let* status = status_of_json j in
-    Some (Cell_result { req; approach; label; status })
-  | Some _ | None -> None
-
-(* ------------------------------------------------------------------ *)
-(* Assignments (daemon -> worker)                                       *)
-(* ------------------------------------------------------------------ *)
-
-let assignment_to_json a =
-  Json.Assoc
-    [
-      ("op", Json.String "cell-assign");
-      ("req", Json.String a.a_req);
-      ("firmware", Json.String a.a_firmware);
-      ("workload", Json.String a.a_workload);
-      ("approach", Json.String a.a_approach);
-      (* As with submit: the budget reaches the worker by its IEEE-754
-         bits so the cell's journal key is bit-exact. *)
-      ( "budget_bits",
-        Json.String
-          (Printf.sprintf "%016Lx" (Int64.bits_of_float a.a_budget_s)) );
-      ("seed", Json.int a.a_seed);
-    ]
-
-let assignment_of_json j =
-  match str (Json.member "op" j) with
-  | Some "cell-assign" ->
-    let* a_req = str (Json.member "req" j) in
-    let* a_firmware = str (Json.member "firmware" j) in
-    let* a_workload = str (Json.member "workload" j) in
-    let* a_approach = str (Json.member "approach" j) in
-    let* a_budget_s =
-      let* hex = str (Json.member "budget_bits" j) in
-      let* bits = Int64.of_string_opt ("0x" ^ hex) in
-      Some (Int64.float_of_bits bits)
-    in
-    let* a_seed = num (Json.member "seed" j) in
-    Some { a_req; a_firmware; a_workload; a_approach; a_budget_s; a_seed }
   | Some _ | None -> None
 
 let parse_of of_json kind line =
@@ -293,5 +230,22 @@ let render_request r = Json.to_string (request_to_json r)
 let parse_request line = parse_of request_of_json "request" line
 let render_response r = Json.to_string (response_to_json r)
 let parse_response line = parse_of response_of_json "response" line
-let render_assignment a = Json.to_string (assignment_to_json a)
-let parse_assignment line = parse_of assignment_of_json "assignment" line
+
+(* A cell assignment is a one-approach submit plus the owning request. *)
+let render_assignment { req; request } =
+  Json.to_string
+    (Json.Assoc
+       (("op", Json.String "cell-assign")
+       :: ("req", Json.String req)
+       :: hunt_request_fields request))
+
+let parse_assignment line =
+  parse_of
+    (fun j ->
+      match str (Json.member "op" j) with
+      | Some "cell-assign" ->
+        let* req = str (Json.member "req" j) in
+        let* request = hunt_request_of_json j in
+        Some { req; request }
+      | Some _ | None -> None)
+    "assignment" line

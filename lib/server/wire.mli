@@ -43,22 +43,24 @@ type request =
 type cell_status =
   | Cell_done of Run_journal.record  (** Ran live in a worker. *)
   | Cell_memo of Run_journal.record
-      (** Served from the daemon's journal or a completed worker, without
-          re-running. Bit-identical to [Cell_done] of the same cell. *)
+      (** Served from a journal or from the run of another request that
+          asked for the same cell, without re-running. Bit-identical to
+          [Cell_done] of the same cell. *)
   | Cell_quarantined of { code : string; message : string; attempts : int }
 
 type status_info = {
   active : int;  (** Long-lived worker processes currently alive. *)
   queued : int;  (** Cells pending dispatch. *)
   workers : int;  (** The daemon's concurrent-worker budget. *)
-  memo_served : int;  (** Cells served without forking since startup. *)
+  memo_served : int;
+      (** Cells answered with a memo without a dispatch of their own,
+          since startup: journal records, and waiters on another
+          request's run. *)
   worker_retries : int;  (** Cells re-queued after their worker died. *)
 }
 
-(** Server-to-client frames, plus the worker-to-daemon {!Cell_result},
-    which shares the response layer of the worker pipe and is never
-    forwarded to clients — a client only ever sees [Cell] frames the
-    daemon re-emits from worker results. *)
+(** Server-to-client frames. A worker answers its assignment with the
+    [Cell] frame the owning request's client receives. *)
 type response =
   | Accepted of { req : string; cells : string list }
   | Rejected of { reason : string }
@@ -66,24 +68,17 @@ type response =
   | Done of { req : string; retries : int; quarantined : int }
   | Status_info of status_info
   | Pong
-  | Cell_result of
-      { req : string; approach : string; label : string; status : cell_status }
-      (** Worker to daemon: the terminal outcome of one assigned cell. *)
 
 (** One cell of work, daemon to worker: the only frame on a worker's
-    input pipe, whose EOF tells the worker to exit. Carries the
-    originating request's raw fields rather than a serialised config:
-    the worker re-expands them through {!Worker.cells_of_request} exactly
-    as `submit` and in-process `hunt` do, so an assigned cell's config —
-    and therefore its journal key and result bytes — cannot drift from
-    the other entry points. *)
+    input pipe, whose EOF tells the worker to exit. A [cell-assign] frame
+    carries the submit fields of a one-approach request rather than a
+    serialised config: the worker expands them through
+    {!Worker.cells_of_request} exactly as `submit` and in-process `hunt`
+    do, so an assigned cell's config — and therefore its journal key and
+    result bytes — cannot drift from the other entry points. *)
 type assignment = {
-  a_req : string;  (** Owning request id, echoed in {!Cell_result}. *)
-  a_firmware : string;
-  a_workload : string;
-  a_approach : string;
-  a_budget_s : float;  (** Crosses as IEEE-754 bits, like [budget_s]. *)
-  a_seed : int;  (** The request's base seed (cells re-derive theirs). *)
+  req : string;  (** The request that dispatched the cell. *)
+  request : hunt_request;  (** Exactly one approach. *)
 }
 
 val is_metrics_line : string -> bool

@@ -47,6 +47,10 @@ let cells_of_request (r : Wire.hunt_request) =
            r.workload)
     | Some workload ->
       if r.approaches = [] then Error "no approach given"
+      else if
+        List.length (List.sort_uniq String.compare r.approaches)
+        < List.length r.approaches
+      then Error "an approach is named twice (one cell each)"
       else if not (Float.is_finite r.budget_s) || r.budget_s <= 0.0 then
         Error (Printf.sprintf "budget must be finite and positive")
       else if not (r.lanes = None || r.lanes = Some 1) then
@@ -89,50 +93,26 @@ let fork_budget ~limit ~live ~idle ~pending =
   let limit = max 1 limit in
   max 0 (min (limit - live) (pending - idle))
 
-let cell_of_assignment (a : Wire.assignment) =
-  match
-    cells_of_request
-      {
-        Wire.firmware = a.Wire.a_firmware;
-        workload = a.Wire.a_workload;
-        approaches = [ a.Wire.a_approach ];
-        budget_s = a.Wire.a_budget_s;
-        seed = a.Wire.a_seed;
-        lanes = None;
-        shards = 1;
-      }
-  with
-  | Ok [ cell ] -> Ok cell
-  | Ok _ -> Error "assignment expanded to more than one cell"
-  | Error e -> Error e
-
 (* ------------------------------------------------------------------ *)
 (* Cell execution (forked child)                                        *)
 (* ------------------------------------------------------------------ *)
 
-let rec write_all fd bytes pos len =
-  if len > 0 then begin
-    let n = Unix.write fd bytes pos len in
-    write_all fd bytes (pos + n) (len - n)
-  end
-
-(* Run one assigned cell and report its terminal [Cell_result]. *)
-let execute_cell ~send ~journal (a : Wire.assignment) =
-  let req = a.Wire.a_req in
-  let send_result ~approach ~label status =
-    send
-      (Wire.render_response (Wire.Cell_result { req; approach; label; status }))
+let write_line fd line =
+  let bytes = Bytes.of_string (line ^ "\n") in
+  let rec go pos =
+    if pos < Bytes.length bytes then
+      go (pos + Unix.write fd bytes pos (Bytes.length bytes - pos))
   in
-  match cell_of_assignment a with
-  | Error message ->
-    (* Unreachable from a well-behaved daemon: assignments are expanded
-       from requests the daemon already validated. Reported rather than
-       crashed so one malformed frame cannot kill a whole executor. *)
-    send_result ~approach:a.Wire.a_approach
-      ~label:(Printf.sprintf "%s/?/%s" a.Wire.a_approach a.Wire.a_workload)
-      (Wire.Cell_quarantined
-         { code = "BAD-ASSIGNMENT"; message; attempts = 1 })
-  | Ok cell ->
+  go 0
+
+(* Run one assigned cell and answer with the [Cell] frame its owning
+   request's client receives. *)
+let execute_cell ~send ~journal { Wire.req; request } =
+  let answer ~approach ~label status =
+    send (Wire.render_response (Wire.Cell { req; approach; label; status }))
+  in
+  match cells_of_request request with
+  | Ok [ cell ] ->
     let emit ~event snapshot =
       send (Avis_util.Metrics.line ~tags:[ ("req", req) ] ~event snapshot)
     in
@@ -140,7 +120,7 @@ let execute_cell ~send ~journal (a : Wire.assignment) =
       Campaign.run_cell ~journal ~emit cell.config ~approach:cell.approach
         ~strategy:cell.strategy
     in
-    send_result ~approach:cell.approach ~label:cell.label
+    answer ~approach:cell.approach ~label:cell.label
       (match outcome with
       | Campaign.Live (_, record) -> Wire.Cell_done record
       | Campaign.Memo record -> Wire.Cell_memo record
@@ -149,11 +129,22 @@ let execute_cell ~send ~journal (a : Wire.assignment) =
            dispatches, which only [WORKER-LOST] ever raises above one. *)
         Wire.Cell_quarantined
           { code = e.Campaign.code; message = e.Campaign.message; attempts = 1 })
+  | Ok _ | Error _ ->
+    (* Unreachable from a well-behaved daemon, which assigns one
+       validated approach. Answered rather than crashed so one malformed
+       frame cannot kill a whole executor. *)
+    let approach = String.concat "," request.Wire.approaches in
+    answer ~approach ~label:approach
+      (Wire.Cell_quarantined
+         {
+           code = "BAD-ASSIGNMENT";
+           message = "not a valid one-approach request";
+           attempts = 1;
+         })
 
 let serve ~journal_path ~input ~out =
   let send line =
-    let payload = Bytes.of_string (line ^ "\n") in
-    try write_all out payload 0 (Bytes.length payload)
+    try write_line out line
     with Unix.Unix_error (Unix.EPIPE, _, _) ->
       (* Daemon gone; keep running so the journal still gets the
          records — the next daemon will memo-serve them. *)

@@ -41,7 +41,8 @@ val cells_of_request : Wire.hunt_request -> (cell list, string) result
     what makes daemon results byte-comparable to in-process runs. A
     request with no approach, an unknown name, a budget that is not
     finite and positive, or a [lanes] field asking for batching (anything
-    but absent or 1) is an [Error]. *)
+    but absent or 1) is an [Error], as is an approach named twice (both
+    would be one cell under one journal key). *)
 
 val fork_budget : limit:int -> live:int -> idle:int -> pending:int -> int
 (** How many additional workers pending work justifies: never more than
@@ -51,10 +52,9 @@ val fork_budget : limit:int -> live:int -> idle:int -> pending:int -> int
     pipe wastes a fork and a journal load. Never negative; [limit] is
     clamped to at least 1. *)
 
-val cell_of_assignment : Wire.assignment -> (cell, string) result
-(** Expand one assignment through {!cells_of_request} (the assignment's
-    approach as the sole entry), so an assigned cell's config cannot
-    drift from what `submit` validated. *)
+val write_line : Unix.file_descr -> string -> unit
+(** Write the line and a newline to the descriptor, looping over short
+    writes. Raises [Unix.Unix_error] as [Unix.write] does. *)
 
 val serve :
   journal_path:string -> input:Unix.file_descr -> out:Unix.file_descr ->
@@ -63,8 +63,7 @@ val serve :
     [input], one at a time, through {!Campaign.run_cell} against the
     journal at [journal_path] — the daemon's own — and report its
     req-tagged {!Avis_util.Metrics} lines (one per tenth of the budget,
-    then the terminal one) and then its terminal
-    {!Wire.response.Cell_result} over [out]. A live cell's record is
-    read back from the journal, so its wire bytes equal a later memo's.
-    Returns at EOF on [input]. Never raises on a cell failure: the
-    supervised runner reports it as [Cell_quarantined]. *)
+    then the terminal one) and then the {!Wire.response.Cell} frame the
+    owning request's client receives, over [out]. Returns at EOF on
+    [input]. Never raises on a cell failure: the supervised runner
+    reports it as [Cell_quarantined]. *)

@@ -113,25 +113,6 @@ let test_wire_response_roundtrip () =
              { code = "WORKER-LOST"; message = "worker died"; attempts = 3 };
        });
   check_response (Wire.Done { req = "r1"; retries = 1; quarantined = 0 });
-  (* The worker-to-daemon result shares the response layer. *)
-  check_response
-    (Wire.Cell_result
-       {
-         req = "r1";
-         approach = "random";
-         label = "random/ArduPilot/quickstart";
-         status = Wire.Cell_done sample_record;
-       });
-  check_response
-    (Wire.Cell_result
-       {
-         req = "r1";
-         approach = "random";
-         label = "random/ArduPilot/quickstart";
-         status =
-           Wire.Cell_quarantined
-             { code = "BAD-ASSIGNMENT"; message = "no"; attempts = 1 };
-       });
   check_response
     (Wire.Status_info
        {
@@ -164,13 +145,8 @@ let test_wire_rejects () =
 
 let sample_assignment =
   {
-    Wire.a_req = "r7";
-    a_firmware = "apm";
-    a_workload = "quickstart";
-    a_approach = "random";
-    (* Not representable in decimal: the bits must survive the wire. *)
-    a_budget_s = 0.1 +. 0.2;
-    a_seed = 42;
+    Wire.req = "r7";
+    request = { sample_request with Wire.approaches = [ "avis" ] };
   }
 
 let test_wire_directive_roundtrip () =
@@ -180,50 +156,46 @@ let test_wire_directive_roundtrip () =
   | Ok a ->
     Alcotest.(check bool) "assignment round-trips" true (a = sample_assignment)
   | Error e -> Alcotest.failf "assignment did not parse back: %s" e);
-  (match Wire.parse_assignment {|{"op":"cell-assign","req":"r1"}|} with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted an assignment without its cell fields");
-  match Wire.parse_assignment "not json" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "accepted a non-JSON assignment line"
+  List.iter
+    (fun line ->
+      match Wire.parse_assignment line with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "accepted bad assignment line: %s" line)
+    [
+      "not json";
+      {|{"op":"cell-assign","req":"r1"}|};
+      {|{"op":"cell-assign","firmware":"apm","workload":"quickstart","approaches":["random"],"budget_bits":"4034000000000000","seed":1,"shards":1}|};
+      Wire.render_request (Wire.Submit sample_request);
+    ]
 
-(* An assignment expands through the same validation as a request, so a
-   worker's cell config cannot drift from what submit/hunt would build. *)
-let test_cell_of_assignment () =
-  let req =
-    { sample_request with Wire.approaches = [ "random" ]; shards = 1 }
-  in
-  let from_request =
-    match Worker.cells_of_request req with
-    | Ok [ cell ] -> cell
-    | Ok _ -> Alcotest.fail "request expanded to more than one cell"
-    | Error e -> Alcotest.failf "request rejected: %s" e
+(* The worker expands an assignment's request through the same
+   validation as a submit, so its cell config cannot drift from what
+   submit/hunt would build. *)
+let test_assignment_rebuilds_config () =
+  let assigned =
+    match
+      Wire.parse_assignment (Wire.render_assignment sample_assignment)
+    with
+    | Ok a -> a
+    | Error e -> Alcotest.failf "assignment did not parse back: %s" e
   in
   (match
-     Worker.cell_of_assignment
-       {
-         Wire.a_req = "r1";
-         a_firmware = req.Wire.firmware;
-         a_workload = req.Wire.workload;
-         a_approach = "random";
-         a_budget_s = req.Wire.budget_s;
-         a_seed = req.Wire.seed;
-       }
+     ( Worker.cells_of_request sample_request,
+       Worker.cells_of_request assigned.Wire.request )
    with
-  | Ok cell ->
+  | Ok [ _; submitted ], Ok [ cell ] ->
     (* Configs carry closures (workload scenarios), so compare their
        canonical journal-identity bytes instead of the values. *)
     Alcotest.(check string) "assignment rebuilds the request's config"
-      (Avis_core.Campaign.journal_identity from_request.Worker.config
-         ~approach:"random")
-      (Avis_core.Campaign.journal_identity cell.Worker.config
-         ~approach:"random");
-    Alcotest.(check string) "same label" from_request.Worker.label
+      (Campaign.journal_identity submitted.Worker.config ~approach:"avis")
+      (Campaign.journal_identity cell.Worker.config ~approach:"avis");
+    Alcotest.(check string) "same label" submitted.Worker.label
       cell.Worker.label
-  | Error e -> Alcotest.failf "assignment rejected: %s" e);
+  | Ok _, Ok _ -> Alcotest.fail "request or assignment expanded wrongly"
+  | Error e, _ | _, Error e -> Alcotest.failf "expansion rejected: %s" e);
   match
-    Worker.cell_of_assignment
-      { sample_assignment with Wire.a_approach = "teleport" }
+    Worker.cells_of_request
+      { sample_assignment.Wire.request with Wire.approaches = [ "teleport" ] }
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted an unknown approach"
@@ -278,6 +250,14 @@ let test_cells_of_request () =
   (match Worker.cells_of_request { sample_request with Wire.lanes = Some 1 } with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "unbatched lanes = 1 rejected: %s" e);
+  (* Two names of one strategy are two cells with their own keys. *)
+  (match
+     Worker.cells_of_request
+       { sample_request with Wire.approaches = [ "avis"; "sabre" ] }
+   with
+  | Ok [ _; _ ] -> ()
+  | Ok _ -> Alcotest.fail "avis,sabre did not expand to two cells"
+  | Error e -> Alcotest.failf "avis,sabre rejected: %s" e);
   match Worker.cells_of_request sample_request with
   | Error e -> Alcotest.failf "valid request rejected: %s" e
   | Ok cells ->
@@ -316,7 +296,9 @@ let test_cells_of_request_rejects () =
   expect_error "infinite budget"
     { sample_request with Wire.budget_s = infinity };
   expect_error "nan budget" { sample_request with Wire.budget_s = nan };
-  expect_error "batched lanes" { sample_request with Wire.lanes = Some 4 }
+  expect_error "batched lanes" { sample_request with Wire.lanes = Some 4 };
+  expect_error "approach named twice"
+    { sample_request with Wire.approaches = [ "random"; "avis"; "random" ] }
 
 (* The client prints daemon results under the strategy's display name;
    the mapping must agree with what each strategy actually reports. *)
@@ -604,6 +586,53 @@ let test_daemon_same_label_requests () =
   Alcotest.(check bool) "the two records differ" true
     (result_bytes got_a <> result_bytes got_b)
 
+(* Two workers, and request B submitted while request A's identical cell
+   runs: the cell is dispatched once, and B is answered with a memo of
+   A's record, elapsed time included. The cell's budget keeps it running
+   well past its first metrics line (a tiny cell's lines and result
+   arrive together). *)
+let test_daemon_in_flight_runs_once () =
+  let request = { tiny_request with Wire.budget_s = 300.0 } in
+  with_daemon ~workers:2 @@ fun dir socket_path ->
+  let ic_a, oc_a = connect socket_path in
+  let ic_b, oc_b = connect socket_path in
+  send oc_a (Wire.Submit request);
+  let id_a = accepted_req ic_a request in
+  (* A's first metrics line precedes its result, so A is still running. *)
+  while not (Wire.is_metrics_line (input_line ic_a)) do
+    ()
+  done;
+  send oc_b (Wire.Submit request);
+  let got_b = collect ic_b request in
+  let live =
+    match statuses ic_a id_a with
+    | [ Wire.Cell_done record ] -> record
+    | _ -> Alcotest.fail "A's cell did not run live"
+  in
+  (match got_b with
+  | [ Wire.Cell_memo record ] ->
+    Alcotest.(check string) "B's memo = A's record, elapsed included"
+      (record_bytes live) (record_bytes record)
+  | _ -> Alcotest.fail "B's only cell frame is not a memo");
+  send oc_b Wire.Status;
+  (match Wire.parse_response (input_line ic_b) with
+  | Ok (Wire.Status_info s) ->
+    Alcotest.(check int) "one worker forked" 1 s.Wire.active
+  | _ -> Alcotest.fail "no status");
+  let complete_for_key line =
+    match Avis_util.Json.of_string line with
+    | Ok j ->
+      Avis_util.Json.member "key" j
+      = Some (Avis_util.Json.String live.Run_journal.key)
+      && Avis_util.Json.member "complete" j = Some (Avis_util.Json.Bool true)
+    | Error _ -> false
+  in
+  Alcotest.(check int) "one complete record for the key" 1
+    (List.length
+       (List.filter complete_for_key
+          (In_channel.with_open_text (Filename.concat dir "journal.jsonl")
+             In_channel.input_lines)))
+
 (* One worker: while request A's cell runs, B (-b 60) and then C (-b 120)
    queue behind it. Cells start in arrival order, so B's cell frame must
    arrive before C's; a queue ordered by budget or predicted duration
@@ -661,7 +690,7 @@ let () =
           Alcotest.test_case "invalid requests rejected" `Quick
             test_cells_of_request_rejects;
           Alcotest.test_case "assignments rebuild request configs" `Quick
-            test_cell_of_assignment;
+            test_assignment_rebuilds_config;
           Alcotest.test_case "fork budget" `Quick test_fork_budget;
           Alcotest.test_case "display names match strategies" `Quick
             test_display_names_match;
@@ -672,6 +701,8 @@ let () =
             test_daemon_end_to_end;
           Alcotest.test_case "same-label requests get their own records"
             `Quick test_daemon_same_label_requests;
+          Alcotest.test_case "a cell in flight is dispatched once" `Quick
+            test_daemon_in_flight_runs_once;
           Alcotest.test_case "cells start in arrival order" `Quick
             test_daemon_arrival_order;
           Alcotest.test_case "a worker serves a memo it did not write" `Quick
