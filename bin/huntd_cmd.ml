@@ -1,6 +1,6 @@
-(* The `avis_cli huntd` command. The daemon and in-process `avis_cli hunt`
-   runs are one binary, so they share one journal fingerprint and each
-   memo-serves the other's completed cells. *)
+(* The `avis_cli huntd` command. The daemon, in-process `avis_cli hunt`
+   runs and the bench harness come from one build, so they share one
+   journal fingerprint and each memo-serves the others' completed cells. *)
 
 open Cmdliner
 

@@ -103,7 +103,7 @@ val run :
     test runs go through a fresh {!Prefix_cache}. When [AVIS_STORE_DIR]
     is set as well, the cell opens the {!Checkpoint_store} there once,
     before profiling: the profiling outcomes are served from it when an
-    earlier process of the same binary profiled the same configuration
+    earlier process of the same build profiled the same configuration
     (and written to it once they are flown and checked otherwise), and
     the prefix cache is backed by it, which is how a rerun in a later
     process reuses an earlier campaign's profile and checkpoints. Served
@@ -162,7 +162,7 @@ val journal_identity : config -> approach:string -> string
     says why it need not. *)
 
 val journal_key : Run_journal.t -> config -> approach:string -> string
-(** {!Run_journal.key} over the journal's binary fingerprint and
+(** {!Run_journal.key} over the journal's code fingerprint and
     {!journal_identity}. *)
 
 val journal_memo :
@@ -220,6 +220,11 @@ val run_cell :
     quarantine, so a failing append fails the cell ([CELL-IO]) without
     running the campaign again. A cell cut by {!request_interrupt}
     journals no record but an interrupted marker.
+    The journal keys the cell by [approach], not by [strategy], and every
+    executable of one build keys its journals with the same fingerprint
+    ({!Avis_fingerprint.hex}), so they share journals: an approach label
+    must name one strategy across every executable of a build ([avis_cli],
+    the daemon's workers, the bench harness, perfbench and the examples).
     [emit] (default {!Avis_util.Metrics.emit} on stderr) receives one
     [progress] snapshot per new tenth of the budget spent — at most 11
     per cell, whatever the machine's speed — then exactly one terminal

@@ -15,23 +15,6 @@ type t = {
 let checkpoint_suffix = ".ckpt"
 let profile_suffix = ".prof"
 
-(* Digesting the executable costs about 2 ms per MB, so it is done once
-   per process: every store and journal a process opens runs its code.
-   Domains that race here compute the same value. *)
-let fingerprint_memo = Atomic.make None
-
-let default_fingerprint () =
-  match Atomic.get fingerprint_memo with
-  | Some f -> f
-  | None ->
-    let f =
-      match Digest.file Sys.executable_name with
-      | d -> Digest.to_hex d
-      | exception _ -> "unknown"
-    in
-    Atomic.set fingerprint_memo (Some f);
-    f
-
 (* The content address: the code fingerprint and everything that must be
    bit-identical for a stored file to be sound. The null separator keeps
    distinct pairs from colliding by concatenation. *)
@@ -134,13 +117,10 @@ let scan t =
   t.bytes <- !total;
   !files
 
-let create ?fingerprint ?store_mb ~dir () =
+let create ?(fingerprint = Avis_fingerprint.hex) ?store_mb ~dir () =
   (try
      if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
    with _ -> ());
-  let fingerprint =
-    match fingerprint with Some f -> f | None -> default_fingerprint ()
-  in
   let t =
     {
       dir;

@@ -4,7 +4,7 @@
     die with the process. The store persists the ones a later process
     forks from to a directory shared across processes and runs: every
     clean checkpoint (no fault active yet) and each executed scenario's
-    final checkpoint. So a later process with the same binary,
+    final checkpoint. So a later process of the same build,
     configuration and seed finds the clean prefix at every capture time
     and each scenario an earlier process ran at that scenario's last
     capture. A re-run serves each scenario from its last capture; a
@@ -17,9 +17,13 @@
 
     Every file is addressed by the MD5 of [(code fingerprint, key)]:
 
-    - the {e code fingerprint} defaults to the digest of the running
-      executable, so files written by a different build are invisible
-      (stale-fingerprint files are never served, only evicted);
+    - the {e code fingerprint} defaults to {!Avis_fingerprint.hex}, the
+      digest of the project's sources that the build computes once, so
+      every executable of one build shares its files, and files written
+      by a different build are invisible (stale-fingerprint files are
+      never served, only evicted). {!Run_journal} keys its records with
+      the same value, so a rebuild invalidates stores and journals
+      alike;
     - the {e key} is the caller's canonical identity bytes.
 
     A {e checkpoint} is [HASH-TIME.ckpt], where [TIME] is the simulated
@@ -82,11 +86,11 @@ type t
 
 val create : ?fingerprint:string -> ?store_mb:int -> dir:string -> unit -> t
 (** Open (creating if needed) the store rooted at [dir], and scan it.
-    [fingerprint] overrides the code fingerprint (the digest of the
-    running executable by default) — tests use this to simulate a rebuilt
-    binary. [store_mb] bounds the directory size; non-positive or
-    malformed values (including from [AVIS_STORE_MB]) are warned about
-    and replaced by the 1024 MiB default. *)
+    [fingerprint] overrides the code fingerprint ({!Avis_fingerprint.hex}
+    by default) — tests use this to simulate another build. [store_mb]
+    bounds the directory size; non-positive or malformed values
+    (including from [AVIS_STORE_MB]) are warned about and replaced by the
+    1024 MiB default. *)
 
 val put : t -> key:string -> time:float -> payload:string Lazy.t -> unit
 (** Persist a checkpoint. The payload is not forced when a file for this
@@ -134,10 +138,3 @@ val writes : t -> int
 (** Files written by this instance, checkpoints and profiles alike. A
     [put] that found its file indexed or on disk writes nothing and is
     not counted. *)
-
-val default_fingerprint : unit -> string
-(** The code fingerprint used when [create]'s [?fingerprint] is omitted:
-    the hex digest of the running executable ([Sys.executable_name]), or
-    ["unknown"] when it cannot be read. {!Run_journal} keys its memos with
-    the same fingerprint, so a rebuilt binary invalidates both stores and
-    journals consistently. *)

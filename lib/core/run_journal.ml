@@ -171,7 +171,7 @@ let read_text path =
       (fun () -> Some (really_input_string ic (in_channel_length ic)))
   with _ -> None
 
-(* A header written by a different binary: every memo in the file would be
+(* A header written by a different build: every memo in the file would be
    unsound to serve. Invalidate loudly — rename aside rather than delete,
    so the operator can inspect what was lost — and start fresh. *)
 let invalidate t ~reason =
@@ -218,7 +218,7 @@ let load t text =
       invalidate t
         ~reason:
           (Printf.sprintf
-             "written by a different binary (fingerprint %s, ours %s) — its \
+             "written by a different build (fingerprint %s, ours %s) — its \
               memos cannot be reused"
              fp t.fingerprint)
     | Some _ ->
@@ -239,12 +239,7 @@ let load t text =
                   warn "%s: skipping malformed record on line %d" t.path (i + 2))))
         records)
 
-let open_ ?fingerprint path =
-  let fingerprint =
-    match fingerprint with
-    | Some f -> f
-    | None -> Checkpoint_store.default_fingerprint ()
-  in
+let open_ ?(fingerprint = Avis_fingerprint.hex) path =
   let t =
     {
       path;

@@ -3,12 +3,12 @@
     A long campaign matrix killed mid-run (crash, OOM-kill, pre-emption)
     loses every completed cell: the next invocation re-simulates them all.
     The journal fixes that: each completed cell is appended as one JSONL
-    record keyed by the MD5 of [(binary fingerprint, canonical cell
-    configuration bytes)], so a re-run with the same binary and
-    configuration serves the finished cells from the journal and only
-    simulates the rest — with counts, budget charges and finding indices
-    bit-identical to an uninterrupted run (the record stores the spent
-    seconds by their IEEE-754 bits).
+    record keyed by the MD5 of [(code fingerprint, canonical cell
+    configuration bytes)], so a re-run by any executable of the same
+    build with the same configuration serves the finished cells from the
+    journal and only simulates the rest — with counts, budget charges and
+    finding indices bit-identical to an uninterrupted run (the record
+    stores the spent seconds by their IEEE-754 bits).
 
     {2 Durability}
 
@@ -20,12 +20,15 @@
 
     {2 Staleness}
 
-    The first line is a header carrying the binary fingerprint (the digest
-    of the running executable, {!Checkpoint_store.default_fingerprint}). A
-    journal written by a different build is invalidated {e loudly}: the
-    stale file is renamed to [PATH.stale] with a warning, and a fresh
-    journal is started — memos from another binary are never served
-    silently. *)
+    The first line is a header carrying the code fingerprint
+    ({!Avis_fingerprint.hex}, the digest of the project's sources that the
+    build computes once, which {!Checkpoint_store} keys its files with
+    too). Every executable of one build writes and reads the same
+    fingerprint, so [avis_cli hunt], the hunt daemon's workers and the
+    bench harness share one journal. A journal written by a different
+    build is invalidated {e loudly}: the stale file is renamed to
+    [PATH.stale] with a warning, and a fresh journal is started — memos
+    from another build are never served silently. *)
 
 type finding = {
   simulation_index : int;
@@ -54,10 +57,11 @@ type t
 
 val open_ : ?fingerprint:string -> string -> t
 (** Open (creating if needed) the journal at the given path and load every
-    complete record. [fingerprint] overrides the binary fingerprint (tests
-    use this to simulate a rebuilt binary). A header mismatch renames the
-    file to [PATH.stale] and starts fresh; unparseable interior lines are
-    warned about and skipped. *)
+    complete record. [fingerprint] overrides the code fingerprint
+    ({!Avis_fingerprint.hex} by default; tests use this to simulate
+    another build). A header mismatch renames the file to [PATH.stale]
+    and starts fresh; unparseable interior lines are warned about and
+    skipped. *)
 
 val path : t -> string
 val fingerprint : t -> string

@@ -1,7 +1,7 @@
 (** The hunt daemon's worker side: a long-lived cell executor forked from
     the daemon.
 
-    A worker is a fork of the daemon, so it shares the daemon's binary
+    A worker is a fork of the daemon, so it shares the daemon's code
     fingerprint: the journal records it appends — and the
     {!Wire.cell_status} records it streams back over its pipe — carry
     exactly the keys an in-process [avis_cli hunt] of the same request

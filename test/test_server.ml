@@ -543,28 +543,67 @@ let test_serve_rejects_jobs () =
       Hunt_service.serve { (Hunt_service.default_config ()) with jobs = 2 })
 
 (* Two requests whose cells share a label, the second submitted while
-   the first runs: each client must receive its own request's record,
-   byte-equal to an in-process run of that request. *)
+   the first runs: each must be answered with its own record, byte-equal
+   to an in-process run of that request. Both go over one connection, so
+   their frames arrive in the order the daemon sent them, and B's
+   [accepted] must come before A's [cell] frame: otherwise A had ended
+   before B arrived. A's budget keeps it running well past its first
+   metrics line (a tiny cell's lines and result arrive together). *)
 let test_daemon_same_label_requests () =
   with_daemon ~workers:1 @@ fun dir socket_path ->
-  let req_a = { tiny_request with Wire.budget_s = 20.0; seed = 3 } in
+  let req_a = { tiny_request with Wire.budget_s = 300.0; seed = 3 } in
   let req_b = { tiny_request with Wire.budget_s = 40.0; seed = 4 } in
-  let ic_a, oc_a = connect socket_path in
-  let ic_b, oc_b = connect socket_path in
-  send oc_a (Wire.Submit req_a);
-  let id_a = accepted_req ic_a req_a in
+  let ic, oc = connect socket_path in
+  send oc (Wire.Submit req_a);
+  let id_a = accepted_req ic req_a in
   (* A's first metrics line precedes its result, so A is still running. *)
-  while not (Wire.is_metrics_line (input_line ic_a)) do
+  while not (Wire.is_metrics_line (input_line ic)) do
     ()
   done;
-  send oc_b (Wire.Submit req_b);
-  let live = function
+  send oc (Wire.Submit req_b);
+  (* Every control frame up to both requests' [done], in arrival order. *)
+  let rec read frames dones =
+    if dones = 2 then List.rev frames
+    else
+      let line = input_line ic in
+      if Wire.is_metrics_line line then read frames dones
+      else
+        match Wire.parse_response line with
+        | Ok (Wire.Done _ as frame) -> read (frame :: frames) (dones + 1)
+        | Ok frame -> read (frame :: frames) dones
+        | Error e -> Alcotest.failf "bad control line (%s): %s" e line
+  in
+  let frames = read [] 0 in
+  let rec accepted_before_a = function
+    | Wire.Accepted _ :: _ -> true
+    | Wire.Cell { req; _ } :: _ when req = id_a -> false
+    | _ :: rest -> accepted_before_a rest
+    | [] -> false
+  in
+  Alcotest.(check bool) "B accepted before A's cell frame" true
+    (accepted_before_a frames);
+  let live id =
+    match
+      List.filter_map
+        (function
+          | Wire.Cell { req; status; _ } when req = id -> Some status
+          | _ -> None)
+        frames
+    with
     | [ Wire.Cell_done record ] -> record
     | _ -> Alcotest.fail "expected one live cell per request"
   in
-  let got_b = live (collect ic_b req_b) in
-  let got_a = live (statuses ic_a id_a) in
-  (* Same binary, so the same journal fingerprint and keys as the daemon. *)
+  let got_a = live id_a in
+  let got_b =
+    match
+      List.find_map
+        (function Wire.Accepted { req; _ } -> Some req | _ -> None)
+        frames
+    with
+    | Some id_b -> live id_b
+    | None -> Alcotest.fail "B was not accepted"
+  in
+  (* Same build, so the same journal fingerprint and keys as the daemon. *)
   let journal = Run_journal.open_ (Filename.concat dir "in-process.jsonl") in
   let in_process r =
     match Worker.cells_of_request r with
@@ -579,9 +618,9 @@ let test_daemon_same_label_requests () =
       | _ -> Alcotest.fail "in-process cell did not run live")
     | _ -> Alcotest.fail "request did not expand to one cell"
   in
-  Alcotest.(check string) "client A got A's record"
+  Alcotest.(check string) "request A got A's record"
     (result_bytes (in_process req_a)) (result_bytes got_a);
-  Alcotest.(check string) "client B got B's record"
+  Alcotest.(check string) "request B got B's record"
     (result_bytes (in_process req_b)) (result_bytes got_b);
   Alcotest.(check bool) "the two records differ" true
     (result_bytes got_a <> result_bytes got_b)

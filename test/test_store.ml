@@ -512,6 +512,43 @@ let test_store_stale_fingerprint_invisible () =
   Alcotest.(check bool) "other build's checkpoints invisible" true
     (Checkpoint_store.lookup new_build ~key:"" ~before:infinity = None)
 
+(* Opened without [?fingerprint], a store and a journal key with the
+   build's fingerprint: the journal's header carries it, a store names its
+   files by it, and another default instance (another executable of the
+   build) is served what the first wrote. *)
+let test_default_fingerprint_is_the_build () =
+  with_temp_dir @@ fun dir ->
+  with_temp_dir @@ fun store_dir ->
+  let hex = Avis_fingerprint.hex in
+  Alcotest.(check bool) "32 lowercase hex digits" true
+    (String.length hex = 32
+    && String.for_all
+         (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false)
+         hex);
+  let path = Filename.concat dir "journal.jsonl" in
+  Alcotest.(check string) "journal keys with it" hex
+    (Run_journal.fingerprint (Run_journal.open_ path));
+  let header = In_channel.with_open_text path input_line in
+  Alcotest.(check bool) "journal header carries it" true
+    (match Avis_util.Json.of_string header with
+    | Ok j ->
+      Avis_util.Json.member "fingerprint" j = Some (Avis_util.Json.String hex)
+    | Error _ -> false);
+  Checkpoint_store.put_profile (Checkpoint_store.create ~dir:store_dir ())
+    ~key:"p" ~payload:"outcomes";
+  Alcotest.(check bool) "store names its file by it" true
+    (Sys.file_exists
+       (Filename.concat store_dir
+          (Digest.to_hex (Digest.string (hex ^ "\x00p")) ^ ".prof")));
+  Alcotest.(check (option string)) "another default instance is served"
+    (Some "outcomes")
+    (Checkpoint_store.find_profile (Checkpoint_store.create ~dir:store_dir ())
+       ~key:"p");
+  Alcotest.(check (option string)) "another fingerprint is not" None
+    (Checkpoint_store.find_profile
+       (Checkpoint_store.create ~fingerprint:"other" ~dir:store_dir ())
+       ~key:"p")
+
 let test_store_eviction_bounded () =
   with_temp_dir @@ fun dir ->
   let store = make_store ~store_mb:1 ~dir () in
@@ -1125,6 +1162,8 @@ let () =
             test_store_corrupt_newest_falls_back_to_older;
           Alcotest.test_case "stale fingerprint invisible" `Quick
             test_store_stale_fingerprint_invisible;
+          Alcotest.test_case "default fingerprint is the build's" `Quick
+            test_default_fingerprint_is_the_build;
           Alcotest.test_case "eviction keeps bytes bounded" `Quick
             test_store_eviction_bounded;
           Alcotest.test_case "byte count tracks the directory" `Quick

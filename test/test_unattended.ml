@@ -112,7 +112,7 @@ let test_journal_stale_fingerprint () =
   let j = Run_journal.open_ ~fingerprint:"build-a" path in
   let key = Run_journal.key ~fingerprint:"build-a" ~config_bytes:"cfg" in
   Run_journal.record_complete j (sample_record ~key);
-  (* A rebuilt binary must not serve the old build's memos. *)
+  (* Another build must not serve the old build's memos. *)
   let j2 = Run_journal.open_ ~fingerprint:"build-b" path in
   Alcotest.(check int) "no stale memos loaded" 0
     (Run_journal.completed_count j2);
