@@ -10,10 +10,12 @@ type t = {
   checkpoints : (string, (float * int) list) Hashtbl.t;
       (** Key hash -> (capture time, file size), in no order. *)
   profiles : (string, int) Hashtbl.t;  (** Key hash -> file size. *)
+  chunks : (string, int) Hashtbl.t;  (** Key hash -> file size. *)
 }
 
 let checkpoint_suffix = ".ckpt"
 let profile_suffix = ".prof"
+let chunk_suffix = ".chunk"
 
 (* The content address: the code fingerprint and everything that must be
    bit-identical for a stored file to be sound. The null separator keeps
@@ -24,8 +26,9 @@ let checkpoint_name hash time =
   Printf.sprintf "%s-%016Lx%s" hash (Int64.bits_of_float time) checkpoint_suffix
 
 let profile_name hash = hash ^ profile_suffix
+let chunk_name hash = hash ^ chunk_suffix
 
-type file = Checkpoint of string * float | Profile of string
+type file = Checkpoint of string * float | Profile of string | Chunk of string
 
 let is_hex = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false
 
@@ -33,10 +36,10 @@ let all_hex s ~pos ~len =
   let rec go i = i >= pos + len || (is_hex s.[i] && go (i + 1)) in
   go pos
 
-(* The inverse of [checkpoint_name] and [profile_name]. The time must be
-   exactly 16 hex digits: [Int64.of_string] would also accept underscores
-   and sign characters a well-formed name never has, and any 16-digit
-   value fits an [Int64] bit pattern. *)
+(* The inverse of [checkpoint_name], [profile_name] and [chunk_name]. The
+   time must be exactly 16 hex digits: [Int64.of_string] would also accept
+   underscores and sign characters a well-formed name never has, and any
+   16-digit value fits an [Int64] bit pattern. *)
 let parse_name name =
   let hash_len = 32 in
   let n = String.length name in
@@ -52,16 +55,20 @@ let parse_name name =
          ( String.sub name 0 hash_len,
            Int64.float_of_bits
              (Int64.of_string ("0x" ^ String.sub name (hash_len + 1) 16)) ))
-  else if
-    n = hash_len + String.length profile_suffix
-    && Filename.check_suffix name profile_suffix
-    && all_hex name ~pos:0 ~len:hash_len
-  then Some (Profile (String.sub name 0 hash_len))
-  else None
+  else
+    let hashed suffix =
+      n = hash_len + String.length suffix
+      && Filename.check_suffix name suffix
+      && all_hex name ~pos:0 ~len:hash_len
+    in
+    if hashed profile_suffix then Some (Profile (String.sub name 0 hash_len))
+    else if hashed chunk_suffix then Some (Chunk (String.sub name 0 hash_len))
+    else None
 
 let is_store_file name =
   Filename.check_suffix name checkpoint_suffix
   || Filename.check_suffix name profile_suffix
+  || Filename.check_suffix name chunk_suffix
 
 let index_add t name size =
   match parse_name name with
@@ -73,6 +80,7 @@ let index_add t name size =
     in
     Hashtbl.replace t.checkpoints hash ((time, size) :: existing)
   | Some (Profile hash) -> Hashtbl.replace t.profiles hash size
+  | Some (Chunk hash) -> Hashtbl.replace t.chunks hash size
   | Some (Checkpoint _) | None -> ()
 
 (* Drop a file this instance no longer has on disk: out of the index, and
@@ -90,6 +98,7 @@ let forget t name size =
       | [] -> Hashtbl.remove t.checkpoints hash
       | rest -> Hashtbl.replace t.checkpoints hash rest))
   | Some (Profile hash) -> Hashtbl.remove t.profiles hash
+  | Some (Chunk hash) -> Hashtbl.remove t.chunks hash
   | None -> ()
 
 (* The one directory listing: every store file is stat'ed once, and
@@ -100,6 +109,7 @@ let forget t name size =
 let scan t =
   Hashtbl.reset t.checkpoints;
   Hashtbl.reset t.profiles;
+  Hashtbl.reset t.chunks;
   let files = ref [] and total = ref 0 in
   (try
      Array.iter
@@ -135,6 +145,7 @@ let create ?(fingerprint = Avis_fingerprint.hex) ?store_mb ~dir () =
       bytes = 0;
       checkpoints = Hashtbl.create 256;
       profiles = Hashtbl.create 8;
+      chunks = Hashtbl.create 64;
     }
   in
   ignore (scan t : (float * string * int) list);
@@ -157,18 +168,42 @@ let frame_payload payload =
 
 let header_len = 4 + 1 + 16 + 8
 
-let unframe data =
-  let n = String.length data in
-  if n < header_len then None
-  else if String.sub data 0 4 <> magic then None
-  else if data.[4] <> format_version then None
-  else
-    let digest = String.sub data 5 16 in
-    let len = Int64.to_int (String.get_int64_le data 21) in
-    if len < 0 || len <> n - header_len then None
-    else
-      let payload = String.sub data header_len len in
-      if Digest.string payload <> digest then None else Some payload
+type framed = Missing | Damaged | Payload of string
+
+(* Read a file's header, check it against the file's size, then read the
+   payload into a string of its own and check its digest: the payload is
+   the read's one large allocation. A file that cannot be opened or read
+   is [Missing]. *)
+let read_framed path =
+  match Unix.openfile path [ Unix.O_RDONLY; Unix.O_CLOEXEC ] 0 with
+  | exception _ -> Missing
+  | fd -> (
+    let rec fill buf pos len =
+      len = 0
+      ||
+      match Unix.read fd buf pos len with
+      | 0 -> false
+      | n -> fill buf (pos + n) (len - n)
+    in
+    try
+      Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+      let len = (Unix.fstat fd).Unix.st_size - header_len in
+      let header = Bytes.create header_len in
+      if len < 0 || not (fill header 0 header_len) then Damaged
+      else
+        let h = Bytes.unsafe_to_string header in
+        if
+          String.sub h 0 4 <> magic
+          || h.[4] <> format_version
+          || Int64.to_int (String.get_int64_le h 21) <> len
+        then Damaged
+        else
+          let payload = Bytes.create len in
+          if not (fill payload 0 len) then Damaged
+          else
+            let p = Bytes.unsafe_to_string payload in
+            if Digest.string p = String.sub h 5 16 then Payload p else Damaged
+    with _ -> Missing)
 
 (* Oldest-mtime-first deletion until the directory fits the budget, with
    mtime ties broken by name: coarse filesystem timestamps (1 s mtime
@@ -225,34 +260,29 @@ let write t ~name ~payload =
   index_add t name size;
   if t.bytes > t.budget_bytes then evict_to_budget t
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
-  with _ -> None
-
 (* The decoded payload of an indexed file of [size] bytes. A file that
    cannot be read (deleted behind this instance's back) is forgotten; a
    corrupt one (truncated, bit-flipped, or foreign), or one whose payload
    [decode] rejects, is deleted as well, so neither is tried again. *)
 let read t ~name ~size ~decode =
   let path = Filename.concat t.dir name in
-  match read_file path with
-  | None ->
+  let delete () =
+    (try Sys.remove path with _ -> ());
     forget t name size;
     None
-  | Some data -> (
-    match Option.map decode (unframe data) with
-    | Some value ->
+  in
+  match read_framed path with
+  | Missing ->
+    forget t name size;
+    None
+  | Damaged -> delete ()
+  | Payload payload -> (
+    match decode payload with
+    | value ->
       (* LRU touch: both timestamps to "now". *)
       (try Unix.utimes path 0.0 0.0 with _ -> ());
       Some value
-    | None | (exception Avis_util.Codec.Corrupt _) ->
-      (try Sys.remove path with _ -> ());
-      forget t name size;
-      None)
+    | exception Avis_util.Codec.Corrupt _ -> delete ())
 
 let put t ~key ~time ~payload =
   try
@@ -296,6 +326,29 @@ let rec lookup t ~key ~before =
     match load t ~key ~time ~decode:Fun.id with
     | Some payload -> Some (time, payload)
     | None -> lookup t ~key ~before)
+
+(* A chunk is addressed by its own bytes, so a file under its name holds
+   exactly them, whoever wrote it. *)
+let put_chunk t payload =
+  let digest = Digest.string payload in
+  (try
+     let hash = key_hash t ~key:digest in
+     let name = chunk_name hash in
+     if
+       not
+         (Hashtbl.mem t.chunks hash
+         || Sys.file_exists (Filename.concat t.dir name))
+     then write t ~name ~payload
+   with _ -> ());
+  digest
+
+(* An unindexed chunk is read all the same: another writer may have filed
+   it after this instance's scan. *)
+let load_chunk t name ~decode =
+  let hash = key_hash t ~key:name in
+  read t ~name:(chunk_name hash)
+    ~size:(Option.value ~default:0 (Hashtbl.find_opt t.chunks hash))
+    ~decode
 
 let put_profile t ~key ~payload =
   try

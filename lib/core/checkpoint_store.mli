@@ -33,6 +33,11 @@
     workload name, and the prefix cache's canonical encoding of the faults
     active at capture time (times by their bits).
 
+    A {e chunk} is [HASH.chunk]: bytes addressed by their own MD5, which
+    is the key. {!Prefix_cache} files each full trace chunk of a
+    checkpoint as one, and the checkpoint names it instead of holding its
+    samples, so checkpoints that share a run's past store it once.
+
     A {e profile} is [HASH.prof]: the outcomes of a campaign's fault-free
     profiling runs. {!Campaign} keys it by [Sim.encode_config] of the
     profiling configuration (the base seed in place of the test seed),
@@ -45,12 +50,12 @@
 
     An instance lists the directory once when it is created, stats each
     file, and keeps what it found as an index of key hash -> capture times
-    (and profiles by key hash). Lookups read that index, never the
-    directory; {!put}, {!put_profile}, corrupt-file deletions and
-    evictions update it. So an instance sees files that other writers
-    added only at its next scan (at {!create} and before each eviction). A
-    file deleted behind its back is a miss when it is looked up, and is
-    then dropped from the index.
+    (and profiles and chunks by key hash). Lookups read that index, never
+    the directory; {!put}, {!put_chunk}, {!put_profile}, corrupt-file
+    deletions and evictions update it. So an instance sees files that
+    other writers added only at its next scan (at {!create} and before
+    each eviction). A file deleted behind its back is a miss when it is
+    looked up, and is then dropped from the index.
 
     {2 Durability and corruption}
 
@@ -59,7 +64,9 @@
     under a valid key. Every file carries a checksum header; a truncated,
     bit-flipped or otherwise malformed file is detected at read time,
     deleted, and reported as [None] — a corrupt store can cost wall-clock,
-    never a wrong outcome.
+    never a wrong outcome. A checkpoint that names a chunk the store
+    cannot serve is corrupt in the same way, when its caller's decoder
+    raises [Avis_util.Codec.Corrupt] for it.
 
     {2 Eviction}
 
@@ -68,9 +75,9 @@
     directory's size itself: the scan at creation measures it, then the
     instance counts its own writes and deletions. When a write takes that
     count past the budget, the instance rescans the directory and deletes
-    files, checkpoints and profiles alike, oldest-mtime-first until it
-    fits. Equal mtimes (coarse filesystem timestamp granularity) are
-    broken deterministically by name, so the surviving set does not
+    files, checkpoints, chunks and profiles alike, oldest-mtime-first
+    until it fits. Equal mtimes (coarse filesystem timestamp granularity)
+    are broken deterministically by name, so the surviving set does not
     depend on the filesystem; serving a file touches its mtime, making the
     policy LRU across processes.
 
@@ -80,7 +87,7 @@
     overshoot the budget by what the others wrote since.
 
     All I/O failures degrade to cache misses; the store never raises out of
-    [put]/[lookup]/[put_profile]/[find_profile]. *)
+    [put]/[lookup]/[put_chunk]/[put_profile]/[find_profile]. *)
 
 type t
 
@@ -116,6 +123,21 @@ val lookup : t -> key:string -> before:float -> (float * string) option
     [before] that loads, with its capture time: {!latest}, then {!load},
     until one loads or none is left. *)
 
+val put_chunk : t -> string -> string
+(** Persist a content-addressed chunk, unless a file with these bytes is
+    indexed or on disk, and return its name: the bytes' MD5. Checkpoints
+    that share a run's past name its chunks instead of repeating them.
+    Failures are silently ignored; the name is returned all the same, and
+    a checkpoint that names a chunk the store does not hold fails to
+    load. *)
+
+val load_chunk : t -> string -> decode:(string -> 'a) -> 'a option
+(** Read the chunk {!put_chunk} named and [decode] its bytes, as {!load}
+    does: [None] when the file is missing (it is forgotten) or damaged,
+    or [decode] raises [Avis_util.Codec.Corrupt] (it is deleted). A
+    chunk another writer filed after this instance's scan is read too.
+    Serving a file refreshes its mtime. *)
+
 val put_profile : t -> key:string -> payload:string -> unit
 (** Persist a profile, replacing any file under [key]. Failures are
     silently ignored. *)
@@ -125,8 +147,8 @@ val find_profile : t -> key:string -> string option
     miss. Serving it refreshes its mtime. *)
 
 val bytes : t -> int
-(** Bytes of checkpoint and profile files under the store directory, as
-    of this instance's last scan (at [create] and before each eviction)
+(** Bytes of checkpoint, chunk and profile files under the store
+    directory, as of this instance's last scan (at [create] and before each eviction)
     plus the files it has written and minus the files it has deleted or
     found missing since. Files other instances wrote or deleted after
     that scan are not counted. *)
@@ -135,6 +157,6 @@ val evictions : t -> int
 (** Files deleted by this instance to stay in budget. *)
 
 val writes : t -> int
-(** Files written by this instance, checkpoints and profiles alike. A
-    [put] that found its file indexed or on disk writes nothing and is
-    not counted. *)
+(** Files written by this instance, checkpoints, chunks and profiles
+    alike. A [put] or [put_chunk] that found its file indexed or on disk
+    writes nothing and is not counted. *)

@@ -41,6 +41,10 @@ type t = {
           capture, overwritten by its next one. *)
   entries : (string, entry list) Hashtbl.t;
       (** Active-fault-prefix key -> checkpoints, latest first. *)
+  trace_chunks : (string, Trace.chunk) Hashtbl.t;
+      (** Store chunk name -> the chunk, decoded once for every checkpoint
+          this cache reads from the store that names it. A full chunk is
+          never written again, so every trace restored from it shares it. *)
   mutable hits : int;
   mutable misses : int;
   mutable saved_sim_s : float;
@@ -77,6 +81,7 @@ let create ?cache_mb ?store ~workload ~config ~checkpoint_times () =
     targets = Array.of_list ts;
     pending_state = Buffer.create 8192;
     entries = Hashtbl.create 64;
+    trace_chunks = Hashtbl.create 16;
     hits = 0;
     misses = 0;
     saved_sim_s = 0.0;
@@ -128,12 +133,15 @@ let note_resident (t : t) =
   Avis_util.Trace.counter "cache.resident_bytes"
     (float_of_int t.resident_bytes)
 
-(* A stored checkpoint is the entry's two strings and the trace's bytes:
-   nothing is encoded a second time. *)
-let store_payload ~sim_snap ~stepper =
+(* A stored checkpoint is the entry's two strings and the trace's bytes,
+   with each full trace chunk filed apart under its content's name: the
+   checkpoints of a run, and of every run forked from it, share their
+   past instead of repeating it. *)
+let store_payload store ~sim_snap ~stepper =
   Avis_util.Codec.to_string
     (fun b () ->
-      Sim.encode_snapshot b sim_snap;
+      Sim.encode_snapshot ~put_chunk:(Checkpoint_store.put_chunk store) b
+        sim_snap;
       Avis_util.Codec.w_bytes b stepper)
     ()
 
@@ -200,7 +208,8 @@ let write_through (t : t) ~key (e : entry) =
   | Some store ->
     Avis_util.Trace.span ~cat:"cache" "store.put" @@ fun () ->
     Checkpoint_store.put store ~key:(t.store_key ^ "\x00" ^ key) ~time:e.time
-      ~payload:(lazy (store_payload ~sim_snap:e.sim_snap ~stepper:e.stepper));
+      ~payload:
+        (lazy (store_payload store ~sim_snap:e.sim_snap ~stepper:e.stepper));
     Avis_util.Trace.counter "store.writes"
       (float_of_int (Checkpoint_store.writes store))
 
@@ -302,12 +311,26 @@ let lookup (t : t) ~scenario =
   in
   Option.map (fun (key, _, e) -> (key, e)) (best_prefix ~find scenario)
 
+(* The trace chunk a stored checkpoint names: decoded once per cache, from
+   the store on first use. A chunk the store cannot serve makes the
+   checkpoint that names it corrupt. *)
+let trace_chunk (t : t) store name =
+  match Hashtbl.find_opt t.trace_chunks name with
+  | Some c -> c
+  | None -> (
+    match Checkpoint_store.load_chunk store name ~decode:Trace.decode_chunk with
+    | Some c ->
+      Hashtbl.add t.trace_chunks name c;
+      c
+    | None -> Avis_util.Codec.corrupt "trace chunk missing or damaged")
+
 (* The persistent fallback to [lookup]: the same prefix-key scan, over the
    index of files written by this or any earlier process. Only the winner's
-   file is read. It is forked — which decodes it — before it is re-warmed
-   into memory; a file that does not read or decode drops out of the index,
-   so the next pass serves the next-best checkpoint, and a scenario with
-   none left is a counted miss. *)
+   file is read, with the chunks it names that no earlier read decoded. It
+   is forked — which decodes it — before it is re-warmed into memory; a
+   file that does not read or decode, or names a chunk that does not,
+   drops out of the index, so the next pass serves the next-best
+   checkpoint, and a scenario with none left is a counted miss. *)
 let store_lookup (t : t) store ~scenario ~fork =
   let served =
     Avis_util.Trace.span ~cat:"cache" "store.lookup" @@ fun () ->
@@ -318,7 +341,10 @@ let store_lookup (t : t) store ~scenario ~fork =
     in
     let decode =
       Avis_util.Codec.of_string (fun r ->
-          let sim_snap = Sim.decode_snapshot ~config:t.config r in
+          let sim_snap =
+            Sim.decode_snapshot ~get_chunk:(trace_chunk t store)
+              ~config:t.config r
+          in
           let stepper = Avis_util.Codec.r_bytes r in
           (sim_snap, stepper, fork ~sim_snap ~stepper))
     in

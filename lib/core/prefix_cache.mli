@@ -76,8 +76,11 @@ val create :
     when {!execute} returns. A scenario served from a faulty checkpoint
     that takes no capture after it ends with that checkpoint as its final
     capture. A checkpoint is written as the entry's strings plus the
-    trace's bytes (lazily — nothing is written when the store has the
-    file indexed or on disk). A scenario that finds no checkpoint in
+    trace (lazily — nothing is written when the store has the file
+    indexed or on disk), with each full 256-sample trace chunk handed to
+    {!Checkpoint_store.put_chunk} and named in its place, so the
+    checkpoints of a run, and of every run forked from it, store its past
+    once. A scenario that finds no checkpoint in
     memory looks in the store before running cold. The store lookup scans
     the same fault prefixes, so a fresh process forks even its first
     scenario from the best stored checkpoint: a scenario an earlier
@@ -86,8 +89,11 @@ val create :
     only on bit-exact key matches, so outcomes remain bit-identical to
     cold runs, across processes. The lookup picks the best checkpoint
     from the index the store built when it was opened and reads that one
-    file; a file that does not read or decode is deleted, and the next
-    best is tried. *)
+    file, and each chunk it names that the cache has not decoded yet:
+    the cache decodes a chunk once and every trace restored from it
+    shares it, which is sound because a full chunk is never written
+    again. A file that does not read or decode, or that names a chunk the
+    store cannot serve, is deleted, and the next best is tried. *)
 
 val execute : t -> scenario:Scenario.t -> Avis_sitl.Sim.outcome
 (** Run one scenario, forking from the best applicable checkpoint — clean

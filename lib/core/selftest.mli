@@ -17,7 +17,7 @@
       decay into the subnormal range;
     - [SNAP-RT] — simulator snapshot → bytes → restored run: the
       restored run re-encodes to the same bytes and steps bit-identically
-      with the original (a 5 s ArduPilot flight encodes to 6,235 bytes,
+      with the original (a 5 s ArduPilot flight encodes to 5,351 bytes,
       trace included: the layers' run state only, nothing the config
       pins);
     - [STORE-RW] — checkpoint store in a temp dir: write/read round-trip,

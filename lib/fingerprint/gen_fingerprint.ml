@@ -1,7 +1,10 @@
 (* Writes the build's code fingerprint as [let hex = "..."] to OUT: the MD5
-   of every .ml, .mli, dune and dune-project file under ROOT, by relative
-   path and content, and of the compiler version, architecture, system and
-   build profile.
+   of every .ml, .mli, dune and dune-project file under ROOT outside its
+   test/ directory, by relative path and content, and of the compiler
+   version, architecture, system and build profile. No executable outside
+   test/ links a test file, so a test's code cannot change what another
+   executable stores or serves; leaving test/ out, an edit to a test
+   relinks and reruns only its own suite.
 
    Usage: ocaml gen_fingerprint.ml OUT ROOT VERSION ARCH SYSTEM PROFILE *)
 
@@ -15,7 +18,8 @@ let rec walk root rel acc =
   Array.fold_left
     (fun acc name ->
       let rel = if rel = "" then name else rel ^ "/" ^ name in
-      if Sys.is_directory (Filename.concat root rel) then walk root rel acc
+      if rel = "test" then acc
+      else if Sys.is_directory (Filename.concat root rel) then walk root rel acc
       else if digested name then rel :: acc
       else acc)
     acc

@@ -238,13 +238,13 @@ let encode_config b (c : config) =
   w_f64 b max_duration;
   w_option b Avis_physics.Environment.encode environment
 
-let encode_snapshot b s =
+let encode_snapshot ?put_chunk b s =
   Avis_util.Codec.w_bytes b s.state;
-  Trace.encode_snapshot b s.snap_trace
+  Trace.encode_snapshot ?put_chunk b s.snap_trace
 
-let decode_snapshot ~config r =
+let decode_snapshot ?get_chunk ~config r =
   let state = Avis_util.Codec.r_bytes r in
-  snapshot_of_state config ~state (Trace.decode_snapshot r)
+  snapshot_of_state config ~state (Trace.decode_snapshot ?get_chunk r)
 
 (* Every field is written (warning 9 is an error here), each through its
    layer's codec, so every float travels by its bits. *)

@@ -137,13 +137,22 @@ val encode_config : Buffer.t -> config -> unit
     checkpoint-store key, and part of the run journal's. Equal
     configurations produce equal bytes. *)
 
-val encode_snapshot : Buffer.t -> snapshot -> unit
-(** The snapshot's string as it is, then the trace's encoding. *)
+val encode_snapshot :
+  ?put_chunk:(string -> string) -> Buffer.t -> snapshot -> unit
+(** The snapshot's string as it is, then the trace's encoding, with its
+    full chunks handed to [put_chunk] if given
+    ({!Trace.encode_snapshot}). *)
 
-val decode_snapshot : config:config -> Avis_util.Codec.reader -> snapshot
+val decode_snapshot :
+  ?get_chunk:(string -> Trace.chunk) ->
+  config:config ->
+  Avis_util.Codec.reader ->
+  snapshot
 (** Inverse of {!encode_snapshot}, for a run of [config] (which the bytes
-    do not carry). Raises [Avis_util.Codec.Corrupt] on malformed trace
-    bytes; the encoded layers are decoded, and checked, by {!restore}. *)
+    do not carry), with named trace chunks resolved by [get_chunk]
+    ({!Trace.decode_snapshot}). Raises [Avis_util.Codec.Corrupt] on
+    malformed trace bytes; the encoded layers are decoded, and checked, by
+    {!restore}. *)
 
 val encode_outcome : Buffer.t -> outcome -> unit
 (** Every field of an outcome: the trace through {!Trace.encode_snapshot},

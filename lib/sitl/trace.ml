@@ -160,48 +160,113 @@ let nth_padded t i =
 
 let altitude_series t = List.init t.len (fun i -> (time t i, pz t i))
 
-(* Only the [len] recorded samples are serialised: cells beyond the write
-   cursor are still at their [fresh_chunk] defaults (writes happen exactly
-   once, at monotonically increasing indices), so rebuilding from fresh
-   chunks reproduces the trace bit-for-bit. *)
-let encode_snapshot b (s : snapshot) =
+(* The codec writes only the [len] recorded samples: slots beyond the
+   write cursor are still at their [fresh_chunk] defaults (writes happen
+   exactly once, at monotonically increasing indices), so rebuilding from
+   fresh chunks reproduces the trace bit-for-bit.
+
+   A chunk's first [n] samples are a segment: each float column as [n]
+   bit patterns, then the mode labels as runs of equal labels, (count,
+   label) each, counts positive and summing to [n]. A mode lasts seconds
+   at 10 Hz, so a run stands for dozens of samples. *)
+let encode_segment b c n =
   let open Avis_util.Codec in
-  w_version b 1;
+  w_floats b c.c_time ~len:n;
+  w_floats b c.c_px ~len:n;
+  w_floats b c.c_py ~len:n;
+  w_floats b c.c_pz ~len:n;
+  w_floats b c.c_ax ~len:n;
+  w_floats b c.c_ay ~len:n;
+  w_floats b c.c_az ~len:n;
+  let i = ref 0 in
+  while !i < n do
+    let label = c.c_mode.(!i) in
+    let j = ref (!i + 1) in
+    while !j < n && String.equal c.c_mode.(!j) label do incr j done;
+    w_int b (!j - !i);
+    w_string b label;
+    i := !j
+  done
+
+(* Every sample of a run shares the run's one decoded label. *)
+let decode_segment r c n =
+  let open Avis_util.Codec in
+  r_floats_into r c.c_time ~len:n;
+  r_floats_into r c.c_px ~len:n;
+  r_floats_into r c.c_py ~len:n;
+  r_floats_into r c.c_pz ~len:n;
+  r_floats_into r c.c_ax ~len:n;
+  r_floats_into r c.c_ay ~len:n;
+  r_floats_into r c.c_az ~len:n;
+  let filled = ref 0 in
+  while !filled < n do
+    let count = r_int r in
+    if count < 1 || count > n - !filled then corrupt "bad mode run of %d" count;
+    Array.fill c.c_mode !filled count (r_string r);
+    filled := !filled + count
+  done
+
+(* Sized for the floats and a few mode runs, so the buffer seldom grows. *)
+let encode_chunk c =
+  let b = Buffer.create ((chunk_cap * 56) + 256) in
+  encode_segment b c chunk_cap;
+  Buffer.contents b
+
+let decode_chunk s =
+  Avis_util.Codec.of_string
+    (fun r ->
+      let c = fresh_chunk () in
+      decode_segment r c chunk_cap;
+      c)
+    s
+
+(* The layout: period, length, schedule, the names of the leading full
+   chunks (none without [put_chunk]), then every other chunk's segment. *)
+let encode_snapshot ?put_chunk b (s : snapshot) =
+  let open Avis_util.Codec in
+  w_version b 2;
   w_f64 b s.period;
   w_int b s.len;
   w_f64 b s.sched.(0);
-  for i = 0 to s.len - 1 do
-    let c = s.chunks.(i lsr chunk_bits) and off = i land chunk_mask in
-    w_f64 b c.c_time.(off);
-    w_f64 b c.c_px.(off);
-    w_f64 b c.c_py.(off);
-    w_f64 b c.c_pz.(off);
-    w_f64 b c.c_ax.(off);
-    w_f64 b c.c_ay.(off);
-    w_f64 b c.c_az.(off);
-    w_string b c.c_mode.(off)
+  let names =
+    match put_chunk with
+    | None -> [||]
+    | Some put ->
+      Array.init (s.len lsr chunk_bits) (fun ci ->
+          put (encode_chunk s.chunks.(ci)))
+  in
+  w_array b w_string names;
+  for ci = Array.length names to ((s.len + chunk_cap - 1) lsr chunk_bits) - 1 do
+    encode_segment b s.chunks.(ci)
+      (Int.min chunk_cap (s.len - (ci lsl chunk_bits)))
   done
 
-let decode_snapshot r : snapshot =
+let no_chunk_store _ =
+  Avis_util.Codec.corrupt "a trace chunk is named, but no chunk store is given"
+
+let decode_snapshot ?(get_chunk = no_chunk_store) r : snapshot =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:1 in
+  let (_ : int) = r_version r ~expect:2 in
   let period = r_f64 r in
   let len = r_int r in
   let sched0 = r_f64 r in
-  (* Each sample needs at least 57 bytes; bound [len] before allocating. *)
-  if len < 0 || (len > 0 && len > remaining r / 57) then
-    corrupt "bad trace length %d" len;
-  let nchunks = (len + chunk_cap - 1) lsr chunk_bits in
-  let chunks = Array.init nchunks (fun _ -> fresh_chunk ()) in
-  for i = 0 to len - 1 do
-    let c = chunks.(i lsr chunk_bits) and off = i land chunk_mask in
-    c.c_time.(off) <- r_f64 r;
-    c.c_px.(off) <- r_f64 r;
-    c.c_py.(off) <- r_f64 r;
-    c.c_pz.(off) <- r_f64 r;
-    c.c_ax.(off) <- r_f64 r;
-    c.c_ay.(off) <- r_f64 r;
-    c.c_az.(off) <- r_f64 r;
-    c.c_mode.(off) <- r_string r
-  done;
+  let names = r_array r r_string in
+  let named = Array.length names in
+  if len < 0 || named > len lsr chunk_bits then
+    corrupt "bad trace length %d (%d chunks named)" len named;
+  let shared = Array.map get_chunk names in
+  (* Each other sample needs at least its 56 bytes of floats. *)
+  let inline = len - (named lsl chunk_bits) in
+  if inline > remaining r / 56 then corrupt "bad trace length %d" len;
+  let chunks =
+    Array.init
+      ((len + chunk_cap - 1) lsr chunk_bits)
+      (fun ci ->
+        if ci < named then shared.(ci)
+        else begin
+          let c = fresh_chunk () in
+          decode_segment r c (Int.min chunk_cap (len - (ci lsl chunk_bits)));
+          c
+        end)
+  in
   { period; chunks; len; sched = [| sched0 |] }

@@ -97,10 +97,33 @@ val nth_padded : t -> int -> sample
 val altitude_series : t -> (float * float) list
 (** (time, altitude) pairs, for figure reproduction. *)
 
-val encode_snapshot : Buffer.t -> snapshot -> unit
-(** Versioned bit-exact binary layout of the recorded series (only the
-    samples actually recorded; chunk padding is reconstructed). *)
+(** {2 Codec}
 
-val decode_snapshot : Avis_util.Codec.reader -> snapshot
-(** Inverse of {!encode_snapshot}. Raises [Avis_util.Codec.Corrupt] on
-    malformed input. *)
+    A snapshot's bytes hold only the samples actually recorded (chunk
+    padding is reconstructed), floats by their bits, each float column of
+    a chunk as one run, and the mode labels as runs of equal labels, one
+    (count, label) pair per run. *)
+
+type chunk
+(** A full chunk: 256 samples, never written again. Decoded chunks can be
+    shared by any number of snapshots and restored traces. *)
+
+val encode_snapshot :
+  ?put_chunk:(string -> string) -> Buffer.t -> snapshot -> unit
+(** The recorded series. With [put_chunk], each full chunk's bytes are
+    handed to it, and the name it returns is written in their place: a
+    caller that files chunks by content writes each one once, however
+    many snapshots share it. The partial tail, and every chunk without
+    [put_chunk], is written inline. *)
+
+val decode_snapshot :
+  ?get_chunk:(string -> chunk) -> Avis_util.Codec.reader -> snapshot
+(** Inverse of {!encode_snapshot}. [get_chunk] resolves a chunk name to
+    the chunk whose bytes [put_chunk] was handed, decoded by
+    {!decode_chunk}; it must raise [Avis_util.Codec.Corrupt] when it
+    cannot, and without it a named chunk is corrupt. Raises
+    [Avis_util.Codec.Corrupt] on malformed input. *)
+
+val decode_chunk : string -> chunk
+(** The chunk whose bytes [encode_snapshot ~put_chunk] handed out. Raises
+    [Avis_util.Codec.Corrupt] on anything else. *)

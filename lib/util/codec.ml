@@ -45,9 +45,17 @@ let w_array b f xs =
   w_int b (Array.length xs);
   Array.iter (fun x -> f b x) xs
 
+(* The first [len] floats of [a], with no count: the reader knows it. One
+   loop, so no float or int64 is boxed. *)
+let w_floats b a ~len =
+  if len < 0 || len > Array.length a then invalid_arg "Codec.w_floats";
+  for i = 0 to len - 1 do
+    Buffer.add_int64_le b (Int64.bits_of_float (Array.unsafe_get a i))
+  done
+
 let w_float_array b xs =
   w_int b (Array.length xs);
-  Array.iter (fun x -> w_f64 b x) xs
+  w_floats b xs ~len:(Array.length xs)
 
 let w_version b v = w_u8 b v
 
@@ -108,10 +116,23 @@ let r_array r f =
   let n = r_count r in
   Array.init n (fun _ -> f r)
 
+(* One bounds check for the whole run, then unboxed loads. *)
+let r_floats_into r a ~len =
+  if len < 0 || len > Array.length a || len > remaining r / 8 then
+    corrupt "bad float run of %d" len;
+  let base = r.pos in
+  for i = 0 to len - 1 do
+    Array.unsafe_set a i
+      (Int64.float_of_bits (String.get_int64_le r.data (base + (8 * i))))
+  done;
+  r.pos <- base + (8 * len)
+
 let r_float_array r =
   let n = r_count r in
   if n > remaining r / 8 then corrupt "bad float-array length %d" n;
-  Array.init n (fun _ -> r_f64 r)
+  let a = Array.make n 0.0 in
+  r_floats_into r a ~len:n;
+  a
 
 let r_version r ~expect =
   let v = r_u8 r in

@@ -35,6 +35,11 @@ val w_float_array : Buffer.t -> float array -> unit
 val w_version : Buffer.t -> int -> unit
 (** Write a one-byte layout version. *)
 
+val w_floats : Buffer.t -> float array -> len:int -> unit
+(** The first [len] floats of the array, by their bits, with no count:
+    the reader must know [len]. Raises [Invalid_argument] when the array
+    is shorter than [len]. *)
+
 val r_u8 : reader -> int
 val r_i64 : reader -> int64
 val r_int : reader -> int
@@ -45,6 +50,11 @@ val r_option : reader -> (reader -> 'a) -> 'a option
 val r_list : reader -> (reader -> 'a) -> 'a list
 val r_array : reader -> (reader -> 'a) -> 'a array
 val r_float_array : reader -> float array
+
+val r_floats_into : reader -> float array -> len:int -> unit
+(** Read [len] floats written by {!w_floats} into the array's first [len]
+    slots; {!Corrupt} when fewer than [8 * len] bytes remain or the array
+    is shorter than [len]. *)
 
 val r_version : reader -> expect:int -> int
 (** Read a layout version byte; {!Corrupt} unless it equals [expect]. *)

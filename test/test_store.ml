@@ -280,6 +280,149 @@ let test_outcome_roundtrip () =
     (String.equal (Avis_util.Codec.to_string Sim.encode_outcome decoded) bytes)
 
 (* ------------------------------------------------------------------ *)
+(* Chunked trace codec                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* A chunk store in memory: each chunk's bytes under their MD5, as
+   [Checkpoint_store.put_chunk] names them, and each chunk decoded once,
+   as the prefix cache decodes it, so every trace decoded through one
+   store shares its chunks. *)
+let memory_chunks () =
+  let bytes = Hashtbl.create 8 and decoded = Hashtbl.create 8 in
+  let put_chunk b =
+    let name = Digest.string b in
+    Hashtbl.replace bytes name b;
+    name
+  in
+  let get_chunk name =
+    match Hashtbl.find_opt decoded name with
+    | Some c -> c
+    | None -> (
+      match Hashtbl.find_opt bytes name with
+      | Some b ->
+        let c = Trace.decode_chunk b in
+        Hashtbl.add decoded name c;
+        c
+      | None -> Avis_util.Codec.corrupt "no such chunk")
+  in
+  (bytes, put_chunk, get_chunk)
+
+(* A sample: six floats of any bits (NaNs and signed zeros included) and
+   a mode label. Labels are built afresh, so equal labels are never one
+   string. *)
+type row = { floats : float array; label : string }
+
+let record_rows tr ~from rows =
+  let world = Avis_physics.World.create () in
+  let body = Avis_physics.World.body world in
+  List.iteri
+    (fun k r ->
+      let f = r.floats in
+      Avis_physics.Rigid_body.set_position body (Vec3.make f.(0) f.(1) f.(2));
+      Avis_physics.Rigid_body.set_acceleration body (Vec3.make f.(3) f.(4) f.(5));
+      Trace.record tr ~steps:(from + k) ~dt:0.1 world ~mode:r.label)
+    rows
+
+let live_trace rows =
+  let tr = Trace.create ~period:0.0 () in
+  record_rows tr ~from:0 rows;
+  tr
+
+(* Every column of a trace by its bits, and every label by its content. *)
+let columns tr =
+  List.init (Trace.length tr) (fun i ->
+      ( List.map Int64.bits_of_float
+          [ Trace.time tr i; Trace.px tr i; Trace.py tr i; Trace.pz tr i;
+            Trace.ax tr i; Trace.ay tr i; Trace.az tr i ],
+        Trace.mode tr i ))
+
+let labels = [| "Auto"; "Land"; "RTL"; ""; String.make 40 'x' |]
+
+(* [len] samples in runs of one label: many runs of one sample, and some
+   long enough to cross a chunk boundary. *)
+let gen_rows len =
+  let open QCheck.Gen in
+  let row label =
+    let+ bits = array_size (return 6) ui64 in
+    { floats = Array.map Int64.float_of_bits bits;
+      label = Bytes.to_string (Bytes.of_string label) }
+  in
+  let rec runs left =
+    if left = 0 then return []
+    else
+      let* n =
+        frequency
+          [ (3, return 1); (2, int_range 1 20); (1, int_range 1 400) ]
+      in
+      let n = Int.min n left in
+      let* label = oneofa labels in
+      let* run = list_repeat n (row label) in
+      let+ rest = runs (left - n) in
+      run @ rest
+  in
+  runs len
+
+let arb_trace_case =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (rows, a, b) ->
+      Printf.sprintf "%d samples, continued by %d and %d" (List.length rows)
+        (List.length a) (List.length b))
+    (let* len = oneofl [ 0; 1; 255; 256; 257; 512; 513 ] in
+     let* rows = gen_rows len in
+     let* a = int_range 0 300 >>= gen_rows in
+     let+ b = int_range 0 300 >>= gen_rows in
+     (rows, a, b))
+
+(* With its full chunks filed apart, a snapshot decodes to the trace the
+   inline codec gives and to the live one, bit for bit, and re-encodes to
+   the same bytes. Traces restored from it through one chunk store (two
+   from one decoded snapshot, one from another decode) share their full
+   chunks, and each records on exactly as a trace that recorded
+   everything itself. *)
+let qcheck_chunked_trace =
+  QCheck.Test.make ~count:150 ~name:"chunked trace codec = inline = live"
+    arb_trace_case (fun (rows, a, b) ->
+      let live = live_trace rows in
+      let snap = Trace.snapshot live in
+      let chunks, put_chunk, get_chunk = memory_chunks () in
+      let inline = Avis_util.Codec.to_string Trace.encode_snapshot snap in
+      let chunked =
+        Avis_util.Codec.to_string (Trace.encode_snapshot ~put_chunk) snap
+      in
+      let decode ?get_chunk bytes =
+        Trace.restore
+          (Avis_util.Codec.of_string (Trace.decode_snapshot ?get_chunk) bytes)
+      in
+      let from_inline = decode inline in
+      let shared =
+        Avis_util.Codec.of_string (Trace.decode_snapshot ~get_chunk) chunked
+      in
+      let first = Trace.restore shared and second = Trace.restore shared in
+      let third = decode ~get_chunk chunked in
+      let n = List.length rows in
+      let reencoded =
+        Avis_util.Codec.to_string (Trace.encode_snapshot ~put_chunk)
+          (Trace.snapshot first)
+      in
+      let same = columns live in
+      Hashtbl.length chunks = n / 256
+      && columns from_inline = same
+      && columns first = same
+      && columns second = same
+      && columns third = same
+      && String.equal reencoded chunked
+      && begin
+           record_rows first ~from:n a;
+           record_rows second ~from:n b;
+           record_rows third ~from:n a;
+           columns first = columns (live_trace (rows @ a))
+           && columns second = columns (live_trace (rows @ b))
+           && columns third = columns first
+           && columns live = same
+         end)
+
+(* ------------------------------------------------------------------ *)
 (* Hostile snapshot bytes                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -290,17 +433,35 @@ let test_outcome_roundtrip () =
    damaged buffer that still decodes cleanly is fine (a flipped float bit
    is just a different float); raising anything else is the bug. *)
 
+(* The exemplars' chunk store: a checkpoint payload names its chunks in
+   it. *)
+let exemplar_chunks = memory_chunks ()
+
 (* A simulator, a stepper and an outcome (the paused run's, mid-flight:
-   a trace, transitions and sensor reads), encoded. *)
+   a trace, transitions and sensor reads), encoded; then a checkpoint file's
+   payload, as the prefix cache stores it, of a run past its first full
+   trace chunk, and that chunk's bytes. *)
 let exemplar_bytes =
   lazy
     (let sim, st = paused_run Workload.quickstart Policy.apm ~until:8.0 in
-     [|
-       encode_sim sim;
-       encode_stepper st;
-       Avis_util.Codec.to_string Sim.encode_outcome
-         (Sim.outcome sim ~workload_passed:false);
-     |])
+     let chunks, put_chunk, _ = exemplar_chunks in
+     let long, long_st = paused_run Workload.auto_box Policy.apm ~until:30.0 in
+     let payload =
+       Avis_util.Codec.to_string
+         (fun b () ->
+           Sim.encode_snapshot ~put_chunk b (Sim.snapshot long);
+           Avis_util.Codec.w_bytes b (encode_stepper long_st))
+         ()
+     in
+     Array.of_list
+       ([
+          encode_sim sim;
+          encode_stepper st;
+          Avis_util.Codec.to_string Sim.encode_outcome
+            (Sim.outcome sim ~workload_passed:false);
+          payload;
+        ]
+       @ List.of_seq (Hashtbl.to_seq_values chunks)))
 
 (* Snapshot bytes decode in two steps: [Sim.decode_snapshot] reads the
    trace and takes the state string whole, and [Sim.restore] decodes the
@@ -315,6 +476,17 @@ let decoders =
     ("Stepper.decode", fun s -> ignore (decode_stepper Workload.quickstart s));
     ( "Sim.decode_outcome",
       fun s -> ignore (Avis_util.Codec.of_string Sim.decode_outcome s) );
+    ( "checkpoint payload with chunks",
+      fun s ->
+        let _, _, get_chunk = exemplar_chunks in
+        let config = sim_config Workload.auto_box Policy.apm in
+        Avis_util.Codec.of_string
+          (fun r ->
+            let snap = Sim.decode_snapshot ~get_chunk ~config r in
+            ignore (decode_stepper Workload.auto_box (Avis_util.Codec.r_bytes r));
+            ignore (Sim.restore ~plan:[] ~link_outages:[] snap))
+          s );
+    ("Trace.decode_chunk", fun s -> ignore (Trace.decode_chunk s));
     ( "Codec string+floats",
       fun s ->
         let r = Avis_util.Codec.reader s in
@@ -335,7 +507,7 @@ let only_corrupt bytes =
 
 let qcheck_fuzz_truncated =
   QCheck.Test.make ~count:60 ~name:"truncated snapshot bytes: only Corrupt"
-    QCheck.(pair (float_range 0.0 1.0) (int_range 0 2))
+    QCheck.(pair (float_range 0.0 1.0) (int_range 0 4))
     (fun (frac, which) ->
       let bytes = (Lazy.force exemplar_bytes).(which) in
       let cut =
@@ -346,7 +518,7 @@ let qcheck_fuzz_truncated =
 
 let qcheck_fuzz_bitflip =
   QCheck.Test.make ~count:120 ~name:"bit-flipped snapshot bytes: only Corrupt"
-    QCheck.(triple (float_range 0.0 1.0) (int_range 0 7) (int_range 0 2))
+    QCheck.(triple (float_range 0.0 1.0) (int_range 0 7) (int_range 0 4))
     (fun (frac, bit, which) ->
       let bytes = (Lazy.force exemplar_bytes).(which) in
       let i =
@@ -696,8 +868,9 @@ let test_cache_mb_guard () =
 
 let quickstart_targets = List.init 30 (fun i -> float_of_int (i + 1))
 
-let quickstart_cache ~store_dir =
-  let workload = Workload.quickstart and policy = Policy.apm in
+let store_cache ?(workload = Workload.quickstart) ?(targets = quickstart_targets)
+    ~store_dir () =
+  let policy = Policy.apm in
   let make_sim ~scenario =
     Sim.create
       ~plan:(Scenario.to_plan scenario)
@@ -708,7 +881,7 @@ let quickstart_cache ~store_dir =
       ~store:(Checkpoint_store.create ~dir:store_dir ())
       ~workload
       ~config:(sim_config workload policy)
-      ~checkpoint_times:quickstart_targets (),
+      ~checkpoint_times:targets (),
     make_sim,
     workload )
 
@@ -737,14 +910,14 @@ let check_cache_against_cold ?(scenarios = store_scenarios ()) ~msg cache
 
 let test_store_shared_across_instances () =
   with_temp_dir @@ fun store_dir ->
-  let cache1, make_sim, workload = quickstart_cache ~store_dir in
+  let cache1, make_sim, workload = store_cache ~store_dir () in
   check_cache_against_cold ~msg:"first instance = cold" cache1 make_sim workload;
   let s1 = Prefix_cache.stats cache1 in
   Alcotest.(check bool) "first instance wrote checkpoints" true
     (s1.Prefix_cache.store_bytes > 0);
   (* A fresh instance — empty memory, same dir — is the warm-process path:
      everything it restores comes off disk. *)
-  let cache2, make_sim, workload = quickstart_cache ~store_dir in
+  let cache2, make_sim, workload = store_cache ~store_dir () in
   check_cache_against_cold ~msg:"second instance = cold" cache2 make_sim
     workload;
   let s2 = Prefix_cache.stats cache2 in
@@ -755,12 +928,12 @@ let test_store_shared_across_instances () =
 
 let test_store_vandalised_dir_still_identical () =
   with_temp_dir @@ fun store_dir ->
-  let cache1, make_sim1, workload1 = quickstart_cache ~store_dir in
+  let cache1, make_sim1, workload1 = store_cache ~store_dir () in
   check_cache_against_cold ~msg:"populate" cache1 make_sim1 workload1;
   (* Truncate every checkpoint: the next instance must detect each one,
      count misses, and run cold with bit-identical outcomes. *)
   List.iter (fun p -> truncate_file ~len:40 p) (ckpt_files store_dir);
-  let cache2, make_sim, workload = quickstart_cache ~store_dir in
+  let cache2, make_sim, workload = store_cache ~store_dir () in
   check_cache_against_cold ~msg:"vandalised store = cold" cache2 make_sim
     workload;
   let s = Prefix_cache.stats cache2 in
@@ -806,7 +979,7 @@ let targets_reached make_sim workload ~scenario =
    capture. Every other faulty capture stays in memory. *)
 let test_store_keeps_final_captures () =
   with_temp_dir @@ fun store_dir ->
-  let cache, make_sim, workload = quickstart_cache ~store_dir in
+  let cache, make_sim, workload = store_cache ~store_dir () in
   check_cache_against_cold ~msg:"fill = cold" cache make_sim workload;
   let captured_faulty scenario =
     List.exists
@@ -824,14 +997,14 @@ let test_store_keeps_final_captures () =
    sum of those captures' times. *)
 let test_store_serves_final_captures () =
   with_temp_dir @@ fun store_dir ->
-  let cache1, make_sim, workload = quickstart_cache ~store_dir in
+  let cache1, make_sim, workload = store_cache ~store_dir () in
   check_cache_against_cold ~msg:"fill = cold" cache1 make_sim workload;
   let finals =
     List.fold_left
       (fun acc times -> acc +. List.fold_left Float.max 0.0 times)
       0.0 (times_by_hash store_dir)
   in
-  let cache2, make_sim, workload = quickstart_cache ~store_dir in
+  let cache2, make_sim, workload = store_cache ~store_dir () in
   check_cache_against_cold ~msg:"served = cold" cache2 make_sim workload;
   let s = Prefix_cache.stats cache2 in
   let n = List.length (store_scenarios ()) in
@@ -849,7 +1022,7 @@ let test_store_serves_final_captures () =
    bit-identical to cold, and none runs cold. *)
 let test_store_extension_identical () =
   with_temp_dir @@ fun store_dir ->
-  let cache1, make_sim, workload = quickstart_cache ~store_dir in
+  let cache1, make_sim, workload = store_cache ~store_dir () in
   check_cache_against_cold ~msg:"fill = cold" cache1 make_sim workload;
   let base = List.nth (store_scenarios ()) 1 in
   let sim = make_sim ~scenario:base in
@@ -871,7 +1044,7 @@ let test_store_extension_identical () =
           (base @ [ Scenario.sensor_fault { Sensor.kind; index = 0 } (at +. dt) ]))
       [ (Sensor.Compass, 0.95); (Sensor.Barometer, 0.5) ]
   in
-  let cache2, make_sim, workload = quickstart_cache ~store_dir in
+  let cache2, make_sim, workload = store_cache ~store_dir () in
   check_cache_against_cold
     ~scenarios:(stacked @ store_scenarios ())
     ~msg:"extension = cold" cache2 make_sim workload;
@@ -900,11 +1073,11 @@ let halve_payload path =
    refresh. *)
 let test_store_reads_only_the_served_file () =
   with_temp_dir @@ fun store_dir ->
-  let cache1, make_sim, workload = quickstart_cache ~store_dir in
+  let cache1, make_sim, workload = store_cache ~store_dir () in
   check_cache_against_cold ~msg:"fill = cold" cache1 make_sim workload;
   let files = ckpt_files store_dir and old = 1e9 in
   List.iter (fun p -> Unix.utimes p old old) files;
-  let cache2, make_sim, workload = quickstart_cache ~store_dir in
+  let cache2, make_sim, workload = store_cache ~store_dir () in
   check_cache_against_cold ~msg:"served = cold" cache2 make_sim workload;
   let read = List.filter (fun p -> (Unix.stat p).Unix.st_mtime <> old) files in
   let s = Prefix_cache.stats cache2 in
@@ -921,7 +1094,7 @@ let test_store_reads_only_the_served_file () =
 let test_store_corrupt_winner_falls_back () =
   let scenario = List.nth (store_scenarios ()) 1 in
   let fill store_dir =
-    let cache, make_sim, workload = quickstart_cache ~store_dir in
+    let cache, make_sim, workload = store_cache ~store_dir () in
     check_cache_against_cold ~scenarios:[ scenario ] ~msg:"fill = cold" cache
       make_sim workload;
     List.sort
@@ -929,7 +1102,7 @@ let test_store_corrupt_winner_falls_back () =
       (ckpt_files store_dir)
   in
   let serve store_dir =
-    let cache, make_sim, workload = quickstart_cache ~store_dir in
+    let cache, make_sim, workload = store_cache ~store_dir () in
     check_cache_against_cold ~scenarios:[ scenario ] ~msg:"served = cold" cache
       make_sim workload;
     Prefix_cache.stats cache
@@ -1061,10 +1234,11 @@ let with_store_env dir f =
   Unix.putenv "AVIS_STORE_DIR" dir;
   Fun.protect ~finally:(fun () -> Unix.putenv "AVIS_STORE_DIR" saved) f
 
-let profile_cell ?(seed = 3) ?(profiling_runs = 8) () =
+let profile_cell ?(workload = Workload.quickstart) ?(budget_s = 60.0) ?(seed = 3)
+    ?(profiling_runs = 8) () =
   {
-    (Campaign.default_config Policy.apm Workload.quickstart) with
-    Campaign.budget_s = 60.0;
+    (Campaign.default_config Policy.apm workload) with
+    Campaign.budget_s;
     seed;
     profiling_runs;
   }
@@ -1124,6 +1298,137 @@ let test_profile_key_misses () =
     (run_cell (profile_cell ~seed:4 ()));
   Alcotest.(check int) "three profiles" 3 (List.length (profile_files dir))
 
+(* ------------------------------------------------------------------ *)
+(* Trace chunk files                                                    *)
+(* ------------------------------------------------------------------ *)
+
+let chunk_files = files_with ".chunk"
+
+(* Auto-box runs outlast a trace chunk (256 samples, 25.6 s). *)
+let auto_box_targets = List.init 40 (fun i -> float_of_int (i + 1))
+
+let chunk_damage =
+  [
+    ("missing", Sys.remove);
+    ("truncated", truncate_file ~len:40);
+    ("bit-flipped", damage_file ~at:100);
+  ]
+
+(* A checkpoint that names a missing or damaged chunk file is a miss like a
+   damaged checkpoint: deleted and out of the index. With every chunk
+   damaged, the scenario forks from the latest checkpoint whose trace holds
+   no full chunk, and its run files the damaged chunks and its final
+   capture afresh. *)
+let test_store_broken_chunk_falls_back () =
+  let scenario =
+    Scenario.of_faults
+      [
+        Scenario.sensor_fault { Sensor.kind = Sensor.Gps; index = 0 } 30.0;
+        Scenario.sensor_fault { Sensor.kind = Sensor.Gps; index = 1 } 30.0;
+      ]
+  in
+  List.iter
+    (fun (name, damage) ->
+      with_temp_dir @@ fun store_dir ->
+      let serve () =
+        let cache, make_sim, workload =
+          store_cache ~workload:Workload.auto_box ~targets:auto_box_targets
+            ~store_dir ()
+        in
+        check_cache_against_cold ~scenarios:[ scenario ]
+          ~msg:(name ^ ": served = cold") cache make_sim workload;
+        Prefix_cache.stats cache
+      in
+      ignore (serve () : Prefix_cache.stats);
+      let by_time =
+        List.sort
+          (fun a b -> Float.compare (capture_time b) (capture_time a))
+          (ckpt_files store_dir)
+      in
+      let winner = List.hd by_time in
+      (* The 256th sample is taken at 25.5 s. *)
+      let next = List.find (fun p -> capture_time p < 25.5) by_time in
+      Alcotest.(check bool) (name ^ ": the winner names a chunk") true
+        (capture_time winner > 26.0 && chunk_files store_dir <> []);
+      List.iter damage (chunk_files store_dir);
+      Unix.utimes winner 1e9 1e9;
+      let s = serve () in
+      Alcotest.(check int) (name ^ ": a store hit") 1 s.Prefix_cache.store_hits;
+      Alcotest.(check (float 0.0)) (name ^ ": forked at the next best")
+        (capture_time next) s.Prefix_cache.saved_sim_s;
+      (* A put skips a file that is there, so a fresh mtime means the
+         winner was deleted and then written again. *)
+      Alcotest.(check bool) (name ^ ": the winner deleted and rewritten") true
+        ((Unix.stat winner).Unix.st_mtime <> 1e9);
+      Alcotest.(check (float 0.0)) (name ^ ": chunks rewritten")
+        (capture_time winner) (serve ()).Prefix_cache.saved_sim_s)
+    chunk_damage
+
+(* What a cell decides and records does not depend on the chunk files: a
+   cell over a store whose chunks are missing or damaged records a cold
+   cell's findings and spent budget, bit for bit, and so does a cell whose
+   store evicts chunk files as it writes. *)
+let chunk_cell ?budget_s () =
+  profile_cell ~workload:Workload.auto_box ?budget_s ()
+
+let cold_bits ?budget_s () =
+  let config = chunk_cell ?budget_s () in
+  with_store_env "" @@ fun () -> cell_bits config (run_cell config)
+
+let test_broken_chunks_cell_identical () =
+  let cold = cold_bits () in
+  List.iter
+    (fun (name, damage) ->
+      with_temp_dir @@ fun dir ->
+      with_store_env dir @@ fun () ->
+      let config = chunk_cell () in
+      Alcotest.(check bool) (name ^ ": the fill = cold") true
+        (cell_bits config (run_cell config) = cold);
+      Alcotest.(check bool) (name ^ ": the store holds chunks") true
+        (chunk_files dir <> []);
+      List.iter damage (chunk_files dir);
+      Alcotest.(check bool) (name ^ ": = cold") true
+        (cell_bits config (run_cell config) = cold))
+    chunk_damage
+
+let file_size p = (Unix.stat p).Unix.st_size
+
+(* A rerun whose profile file is gone flies it and writes it first. With the
+   store at its 1 MiB bound less the profile and half the chunk bytes, that
+   write evicts chunk files, which are the oldest files: about half of
+   them, and nothing else. The cell then forks from checkpoints whose
+   chunks are gone, and writes on under the bound. *)
+let test_evicted_chunks_cell_identical () =
+  with_temp_dir @@ fun dir ->
+  let cold = cold_bits () in
+  with_store_env dir @@ fun () ->
+  let config = chunk_cell () in
+  ignore (run_cell config : Campaign.result);
+  let chunks = chunk_files dir and checkpoints = ckpt_files dir in
+  let profile = List.fold_left (fun acc p -> acc + file_size p) 0 (profile_files dir) in
+  List.iter Sys.remove (profile_files dir);
+  List.iter (fun p -> Unix.utimes p 1e9 1e9) chunks;
+  List.iter (fun p -> Unix.utimes p 2e9 2e9) checkpoints;
+  let sum = List.fold_left (fun acc p -> acc + file_size p) 0 in
+  let filler = Filename.concat dir (String.make 32 'f' ^ ".prof") in
+  Out_channel.with_open_bin filler (fun oc ->
+      output_string oc
+        (String.make
+           ((1 lsl 20) - sum checkpoints - sum chunks - profile
+           + (sum chunks / 2))
+           'f'));
+  Unix.utimes filler 4e9 4e9;
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "AVIS_STORE_MB" "1024")
+    (fun () ->
+      Unix.putenv "AVIS_STORE_MB" "1";
+      let evicting = cell_bits config (run_cell config) in
+      Alcotest.(check bool) "chunk files evicted" true
+        (List.exists (fun p -> not (Sys.file_exists p)) chunks);
+      Alcotest.(check bool) "evicting = cold" true (evicting = cold);
+      Alcotest.(check bool) "served over evicted chunks = cold" true
+        (cell_bits config (run_cell config) = cold))
+
 let () =
   Alcotest.run "avis_store"
     [
@@ -1142,6 +1447,7 @@ let () =
           Alcotest.test_case "garbage rejected" `Quick
             test_of_bytes_rejects_garbage;
           Alcotest.test_case "outcome round-trips" `Quick test_outcome_roundtrip;
+          QCheck_alcotest.to_alcotest ~long:false qcheck_chunked_trace;
         ] );
       ( "hostile bytes",
         [
@@ -1206,5 +1512,14 @@ let () =
             test_profile_damage_reflown;
           Alcotest.test_case "profiling_runs or seed misses" `Slow
             test_profile_key_misses;
+        ] );
+      ( "chunk files",
+        [
+          Alcotest.test_case "broken chunk falls back" `Slow
+            test_store_broken_chunk_falls_back;
+          Alcotest.test_case "broken chunks: cell identical" `Slow
+            test_broken_chunks_cell_identical;
+          Alcotest.test_case "evicted chunks: cell identical" `Slow
+            test_evicted_chunks_cell_identical;
         ] );
     ]
