@@ -24,7 +24,7 @@ type span = { name : string; tid : int; ts : float; dur : float }
    counter that was not added here (and to the docs) when introduced. *)
 let known_counters =
   [
-    "cache.hits"; "cache.misses"; "cache.evictions"; "cache.resident_bytes";
+    "cache.hits"; "cache.misses"; "cache.resident_bytes";
     "snapshot.bytes"; "store.hits"; "store.misses"; "store.bytes";
     "store.writes"; "store.profile_hits"; "store.profile_misses";
     "budget.spent_s"; "link.dropped"; "cell.quarantined";

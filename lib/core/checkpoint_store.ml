@@ -151,22 +151,21 @@ let create ?(fingerprint = Avis_fingerprint.hex) ?store_mb ~dir () =
   ignore (scan t : (float * string * int) list);
   t
 
-(* File layout: magic, format version, MD5 of the payload, payload length,
-   payload. The digest is over the payload only; magic/version/length
-   mismatches are detected structurally. *)
+(* File layout: magic, MD5 of the payload, payload length, payload. The
+   digest is over the payload only; magic and length mismatches are
+   detected structurally. No byte carries a layout version: a file's name
+   holds the build's fingerprint, so no other build reads it. *)
 let magic = "AVCK"
-let format_version = '\001'
+
+let header_len = 4 + 16 + 8
 
 let frame_payload payload =
-  let b = Buffer.create (String.length payload + 29) in
+  let b = Buffer.create (header_len + String.length payload) in
   Buffer.add_string b magic;
-  Buffer.add_char b format_version;
   Buffer.add_string b (Digest.string payload);
   Buffer.add_int64_le b (Int64.of_int (String.length payload));
   Buffer.add_string b payload;
   Buffer.contents b
-
-let header_len = 4 + 1 + 16 + 8
 
 type framed = Missing | Damaged | Payload of string
 
@@ -194,15 +193,14 @@ let read_framed path =
         let h = Bytes.unsafe_to_string header in
         if
           String.sub h 0 4 <> magic
-          || h.[4] <> format_version
-          || Int64.to_int (String.get_int64_le h 21) <> len
+          || Int64.to_int (String.get_int64_le h 20) <> len
         then Damaged
         else
           let payload = Bytes.create len in
           if not (fill payload 0 len) then Damaged
           else
             let p = Bytes.unsafe_to_string payload in
-            if Digest.string p = String.sub h 5 16 then Payload p else Damaged
+            if Digest.string p = String.sub h 4 16 then Payload p else Damaged
     with _ -> Missing)
 
 (* Oldest-mtime-first deletion until the directory fits the budget, with
@@ -317,28 +315,28 @@ let load t ~key ~time ~decode =
     | None -> None
     | Some (_, size) -> read t ~name:(checkpoint_name hash time) ~size ~decode)
 
-(* A checkpoint that fails to load is out of the index afterwards, so the
-   next pass finds the one before it. *)
-let rec lookup t ~key ~before =
-  match latest t ~key ~before with
-  | None -> None
-  | Some time -> (
-    match load t ~key ~time ~decode:Fun.id with
-    | Some payload -> Some (time, payload)
-    | None -> lookup t ~key ~before)
-
-(* A chunk is addressed by its own bytes, so a file under its name holds
-   exactly them, whoever wrote it. *)
+(* A chunk is addressed by its own bytes, so a file under its name that
+   is the size of their frame holds exactly them, whoever wrote it. A file
+   of any other size is damaged and is written again; a same-size
+   bit flip is caught when the chunk is loaded, which deletes it. *)
 let put_chunk t payload =
   let digest = Digest.string payload in
   (try
      let hash = key_hash t ~key:digest in
      let name = chunk_name hash in
-     if
-       not
-         (Hashtbl.mem t.chunks hash
-         || Sys.file_exists (Filename.concat t.dir name))
-     then write t ~name ~payload
+     let indexed = Hashtbl.find_opt t.chunks hash in
+     let size =
+       match indexed with
+       | Some _ -> indexed
+       | None -> (
+         match Unix.stat (Filename.concat t.dir name) with
+         | st -> Some st.Unix.st_size
+         | exception Unix.Unix_error _ -> None)
+     in
+     if size <> Some (header_len + String.length payload) then begin
+       Option.iter (forget t name) indexed;
+       write t ~name ~payload
+     end
    with _ -> ());
   digest
 

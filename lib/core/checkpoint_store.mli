@@ -87,7 +87,9 @@
     overshoot the budget by what the others wrote since.
 
     All I/O failures degrade to cache misses; the store never raises out of
-    [put]/[lookup]/[put_chunk]/[put_profile]/[find_profile]. *)
+    [put]/[latest]/[put_chunk]/[put_profile]/[find_profile], nor out of
+    [load]/[load_chunk] unless [decode] raises something other than
+    [Avis_util.Codec.Corrupt]. *)
 
 type t
 
@@ -118,18 +120,15 @@ val load :
     Serving a file refreshes its mtime (LRU touch); no other file is read
     or touched. *)
 
-val lookup : t -> key:string -> before:float -> (float * string) option
-(** The latest indexed checkpoint under [key] taken strictly before
-    [before] that loads, with its capture time: {!latest}, then {!load},
-    until one loads or none is left. *)
-
 val put_chunk : t -> string -> string
 (** Persist a content-addressed chunk, unless a file with these bytes is
-    indexed or on disk, and return its name: the bytes' MD5. Checkpoints
-    that share a run's past name its chunks instead of repeating them.
-    Failures are silently ignored; the name is returned all the same, and
-    a checkpoint that names a chunk the store does not hold fails to
-    load. *)
+    indexed or on disk, and return its name: the bytes' MD5. A file under
+    that name whose size (as indexed, else on disk) is not the size these
+    bytes frame to is damaged: it is forgotten and written again.
+    Checkpoints that share a run's past name its chunks instead of
+    repeating them. Failures are silently ignored; the name is returned
+    all the same, and a checkpoint that names a chunk the store does not
+    hold fails to load. *)
 
 val load_chunk : t -> string -> decode:(string -> 'a) -> 'a option
 (** Read the chunk {!put_chunk} named and [decode] its bytes, as {!load}

@@ -7,7 +7,6 @@ type entry = {
   bytes : int;
       (** What the entry alone holds: its two strings and the trace tail
           its snapshot copied. *)
-  mutable last_used : int;  (** Logical clock tick of last capture or hit. *)
 }
 
 (* A run's latest faulty capture. *)
@@ -48,10 +47,7 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable saved_sim_s : float;
-  budget_bytes : int;  (** Resident-set ceiling; never exceeded. *)
   mutable resident_bytes : int;
-  mutable use_tick : int;  (** Logical clock for LRU ordering. *)
-  mutable evictions : int;
   mutable store_hits : int;
   mutable store_misses : int;
 }
@@ -67,7 +63,7 @@ type stats = {
   store_bytes : int;
 }
 
-let create ?cache_mb ?store ~workload ~config ~checkpoint_times () =
+let create ?store ~workload ~config ~checkpoint_times () =
   let ts =
     List.sort_uniq compare (List.filter (fun t -> t > 0.0) checkpoint_times)
   in
@@ -85,14 +81,7 @@ let create ?cache_mb ?store ~workload ~config ~checkpoint_times () =
     hits = 0;
     misses = 0;
     saved_sim_s = 0.0;
-    (* A typo'd budget must not silently turn the cache stateless: a zero
-       budget would make every capture evict itself. *)
-    budget_bytes =
-      Avis_util.Env.budget_bytes ?mb:cache_mb ~arg:"cache_mb"
-        ~var:"AVIS_CACHE_MB" ~default_mb:1024 ();
     resident_bytes = 0;
-    use_tick = 0;
-    evictions = 0;
     store_hits = 0;
     store_misses = 0;
   }
@@ -129,10 +118,6 @@ let active_key (scenario : Scenario.t) ~time =
   encode_faults
     (List.filter (fun f -> Scenario.fault_time f <= time) scenario)
 
-let note_resident (t : t) =
-  Avis_util.Trace.counter "cache.resident_bytes"
-    (float_of_int t.resident_bytes)
-
 (* A stored checkpoint is the entry's two strings and the trace's bytes,
    with each full trace chunk filed apart under its content's name: the
    checkpoints of a run, and of every run forked from it, share their
@@ -151,44 +136,10 @@ let note_store (t : t) store =
   Avis_util.Trace.counter "store.bytes"
     (float_of_int (Checkpoint_store.bytes store))
 
-(* Drop the globally least-recently-used checkpoint (capture and hit both
-   count as uses). Linear in the entry count, which the byte budget keeps
-   small relative to snapshot cost. *)
-let evict_lru (t : t) =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun key es ->
-      List.iter
-        (fun e ->
-          match !victim with
-          | Some (_, v) when v.last_used <= e.last_used -> ()
-          | _ -> victim := Some (key, e))
-        es)
-    t.entries;
-  match !victim with
-  | None -> false
-  | Some (key, v) ->
-    let es = Option.value ~default:[] (Hashtbl.find_opt t.entries key) in
-    (match List.filter (fun e -> e != v) es with
-    | [] -> Hashtbl.remove t.entries key
-    | remaining -> Hashtbl.replace t.entries key remaining);
-    t.resident_bytes <- t.resident_bytes - v.bytes;
-    t.evictions <- t.evictions + 1;
-    Avis_util.Trace.counter "cache.evictions" (float_of_int t.evictions);
-    true
-
-let enforce_budget (t : t) =
-  while t.resident_bytes > t.budget_bytes && evict_lru t do () done;
-  note_resident t
-
-(* File a checkpoint under [key], latest first, and charge it to the byte
-   budget. A lone checkpoint larger than the whole budget evicts itself, so
-   the resident set never exceeds the budget even transiently past this
-   point. *)
+(* File a checkpoint under [key], latest first, and count its bytes. *)
 let add_entry (t : t) ~key ~time ~sim_snap ~stepper =
   let bytes = Sim.snapshot_bytes sim_snap + String.length stepper in
-  t.use_tick <- t.use_tick + 1;
-  let entry = { time; sim_snap; stepper; bytes; last_used = t.use_tick } in
+  let entry = { time; sim_snap; stepper; bytes } in
   let rec insert = function
     | e :: rest when e.time > time -> e :: insert rest
     | rest -> entry :: rest
@@ -196,7 +147,8 @@ let add_entry (t : t) ~key ~time ~sim_snap ~stepper =
   let existing = Option.value ~default:[] (Hashtbl.find_opt t.entries key) in
   Hashtbl.replace t.entries key (insert existing);
   t.resident_bytes <- t.resident_bytes + bytes;
-  enforce_budget t;
+  Avis_util.Trace.counter "cache.resident_bytes"
+    (float_of_int t.resident_bytes);
   entry
 
 (* Write a checkpoint through to the persistent tier. The payload is lazy:
@@ -386,8 +338,6 @@ let execute (t : t) ~scenario =
   let serve key e forked =
     t.hits <- t.hits + 1;
     Avis_util.Trace.counter "cache.hits" (float_of_int t.hits);
-    t.use_tick <- t.use_tick + 1;
-    e.last_used <- t.use_tick;
     t.saved_sim_s <- t.saved_sim_s +. e.time;
     if key <> "" then pending := Some (Held (key, e));
     forked
@@ -437,7 +387,7 @@ let stats (t : t) =
     hits = t.hits;
     misses = t.misses;
     saved_sim_s = t.saved_sim_s;
-    evictions = t.evictions;
+    evictions = 0;
     resident_bytes = t.resident_bytes;
     store_hits = t.store_hits;
     store_misses = t.store_misses;

@@ -39,7 +39,6 @@
 type t
 
 val create :
-  ?cache_mb:int ->
   ?store:Checkpoint_store.t ->
   workload:Workload.t ->
   config:Avis_sitl.Sim.config ->
@@ -52,20 +51,13 @@ val create :
     or is restored. [checkpoint_times] need not be sorted or unique;
     non-positive times are dropped.
 
-    [cache_mb] bounds the resident checkpoint bytes; it defaults to the
-    [AVIS_CACHE_MB] environment variable, else 1024 MiB (zero, negative
-    and malformed values are warned about and replaced by the default).
-    Each filed checkpoint is charged what it alone holds, with no heap
+    The cache keeps every checkpoint it files for as long as it lives
+    (one campaign), and counts each by what it alone holds, with no heap
     walk: its encoded simulator and stepper strings plus its trace
     snapshot's record ({!Avis_sitl.Sim.snapshot_bytes}). Trace chunks,
-    shared by a run and its checkpoints, are charged to none of them, and
-    neither is a run's pending capture. When filing a checkpoint
-    would push the resident set past the budget, whole
-    checkpoints are evicted in global least-recently-used order (hits and
-    captures both count as uses) until it fits; a lone checkpoint larger
-    than the whole budget is itself evicted, so the bound holds
-    unconditionally. Eviction only costs future wall-clock (the evicted
-    prefix re-simulates cold) — outcomes are unaffected.
+    shared by a run and its checkpoints, are counted for none of them, and
+    neither is a run's pending capture, so the count is less than what
+    the checkpoints keep alive.
 
     [store] (none by default; {!Campaign.run} opens one from
     [AVIS_STORE_DIR] before profiling and hands it here) adds a persistent
@@ -107,8 +99,12 @@ type stats = {
   misses : int;  (** Scenarios simulated cold. *)
   saved_sim_s : float;
       (** Simulated seconds skipped by restoring instead of replaying. *)
-  evictions : int;  (** Checkpoints dropped to stay within the budget. *)
-  resident_bytes : int;  (** Current accounted checkpoint bytes. *)
+  evictions : int;
+      (** Always 0: the cache drops no checkpoint. The field stays because
+          [perfbench/avisbench.ml] builds this record literally. *)
+  resident_bytes : int;
+      (** What the filed checkpoints alone hold, as {!create} counts it:
+          trace chunks and the pending capture are not counted. *)
   store_hits : int;
       (** Scenarios that found no checkpoint in memory and were served from
           the persistent store; 0 when no store is configured. *)

@@ -46,7 +46,6 @@ let header_json fingerprint =
   Json.Assoc
     [
       ("journal", Json.String "avis-run-journal");
-      ("version", Json.int 1);
       ("fingerprint", Json.String fingerprint);
     ]
 
@@ -72,9 +71,9 @@ let json_of_record r =
            ("spent_bits", Json.String (Printf.sprintf "%016Lx" r.spent_bits));
          ];
          (* Wall-clock duration of the cell, the worker-side cell time a
-            daemon client reads off a result. Optional: journals written
-            before the field existed (or records from paths that never
-            measured) stay servable. *)
+            daemon client reads off a result. [Campaign.run_cell], the
+            journal's one writer, always sets it; a record built without
+            it is never read back, only compared. *)
          (match r.elapsed_bits with
          | Some bits ->
            [ ("elapsed_bits", Json.String (Printf.sprintf "%016Lx" bits)) ]
@@ -115,14 +114,9 @@ let record_of_json j =
     let* hex = str (Json.member "spent_bits" j) in
     Int64.of_string_opt ("0x" ^ hex)
   in
-  (* Tolerant: a missing field (old journal line) is [None]; a present but
-     malformed one rejects the record like any other ill-typed field. *)
   let* elapsed_bits =
-    match Json.member "elapsed_bits" j with
-    | None -> Some None
-    | Some (Json.String hex) ->
-      Option.map Option.some (Int64.of_string_opt ("0x" ^ hex))
-    | Some _ -> None
+    let* hex = str (Json.member "elapsed_bits" j) in
+    Option.map Option.some (Int64.of_string_opt ("0x" ^ hex))
   in
   let* findings =
     match Json.member "findings" j with

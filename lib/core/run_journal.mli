@@ -46,10 +46,13 @@ type record = {
   elapsed_bits : int64 option;
       (** IEEE-754 bits of the cell's real wall-clock duration, the
           worker-side cell time a daemon client can read off a result.
-          [None] for journals written before the field existed — such
-          records still memo-serve. Informational: the value is a
-          measurement, not part of the deterministic result, so identity
-          checks compare records with it normalised out. *)
+          Every record read back has it: {!record_of_json} rejects a
+          record without it. [None] only in a record built without a
+          measurement ([Campaign.record_of_result] without
+          [~elapsed_s]), which is compared, never journalled.
+          Informational: the value is a measurement, not part of the
+          deterministic result, so identity checks compare records with
+          it normalised out. *)
   findings : finding list;  (** Oldest first. *)
 }
 

@@ -202,7 +202,16 @@ let store_rw ?dir () =
         in
         Checkpoint_store.put store ~key:"fk" ~time:1.5
           ~payload:(lazy payload);
-        match Checkpoint_store.lookup store ~key:"fk" ~before:2.0 with
+        (* What a prefix-cache lookup calls: the latest checkpoint before
+           the injection, then its file. *)
+        let served store =
+          Option.bind (Checkpoint_store.latest store ~key:"fk" ~before:2.0)
+            (fun time ->
+              Option.map
+                (fun p -> (time, p))
+                (Checkpoint_store.load store ~key:"fk" ~time ~decode:Fun.id))
+        in
+        match served store with
         | None ->
           Error
             (Printf.sprintf
@@ -216,7 +225,7 @@ let store_rw ?dir () =
             Checkpoint_store.create ~fingerprint:"other-fp" ~store_mb:8
               ~dir:d ()
           in
-          match Checkpoint_store.lookup other ~key:"fk" ~before:2.0 with
+          match served other with
           | Some _ -> Error "a checkpoint keyed by another binary was served"
           | None -> (
             let files =
@@ -237,9 +246,7 @@ let store_rw ?dir () =
               let oc = open_out_bin path in
               output_bytes oc b;
               close_out oc;
-              match
-                Checkpoint_store.lookup store ~key:"fk" ~before:2.0
-              with
+              match served store with
               | Some _ -> Error "a corrupted checkpoint file was served"
               | None ->
                 Ok

@@ -183,7 +183,6 @@ module Stepper = struct
       st
     in
     let open Avis_util.Codec in
-    w_version b 2;
     w_int b pc;
     w_bool b entered;
     w_f64 b until;
@@ -197,7 +196,6 @@ module Stepper = struct
 
   let decode (w : t) r =
     let open Avis_util.Codec in
-    let (_ : int) = r_version r ~expect:2 in
     let script = Array.of_list w.script in
     let pc = r_int r in
     if pc < 0 || pc > Array.length script then corrupt "bad stepper pc %d" pc;

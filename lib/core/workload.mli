@@ -95,7 +95,7 @@ module Stepper : sig
   val status : stepper -> status
 
   val encode : Buffer.t -> stepper -> unit
-  (** Versioned binary layout of the stepper's execution state — program
+  (** Binary layout of the stepper's execution state — program
       counter, step-entry flag, timers, status — without the script. *)
 
   val decode : t -> Avis_util.Codec.reader -> stepper

@@ -213,13 +213,11 @@ let encode b (t : t) =
     t
   in
   let open Avis_util.Codec in
-  w_version b 3;
   Pid.encode b climb_pid;
   w_float_array b output
 
 let decode ~params r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:3 in
   let t = create ~params () in
   Pid.decode_into t.climb_pid r;
   let output = r_float_array r in

@@ -51,7 +51,7 @@ val reset : t -> unit
 (** Clear integrators (on arming and mode changes). *)
 
 val encode : Buffer.t -> t -> unit
-(** Versioned bit-exact binary layout of the mutable controller state: the
+(** Bit-exact binary layout of the mutable controller state: the
     climb PID's integrator and history and the last motor outputs. The
     parameter set, the PID's gains and the airframe are not written, and
     derived fields are recomputed on decode. *)

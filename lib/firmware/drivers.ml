@@ -104,7 +104,6 @@ let kind_failed_at t kind = (state_for t kind).lost_at
    decoding caller's: none of them is written. *)
 let encode b t =
   let open Avis_util.Codec in
-  w_version b 3;
   Array.iter
     (fun ks ->
       w_f64 b ks.next_sample;
@@ -119,7 +118,6 @@ let encode b t =
 
 let decode ~params ~suite ~hinj r =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:3 in
   let t = create ~params ~suite ~hinj () in
   Array.iter
     (fun ks ->

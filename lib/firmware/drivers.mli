@@ -34,7 +34,7 @@ val kind_failed_at : t -> Sensor.kind -> float option
     failed (the kind is lost), the time the last one did. *)
 
 val encode : Buffer.t -> t -> unit
-(** Versioned bit-exact binary layout of the driver state: per-kind
+(** Bit-exact binary layout of the driver state: per-kind
     sampling schedules, failure records and cached readings. The instance
     counts and sampling periods are not written. *)
 

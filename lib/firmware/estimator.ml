@@ -436,7 +436,6 @@ let encode b (t : t) =
     t
   in
   let open Avis_util.Codec in
-  w_version b 2;
   w_option b Vec3.encode prev_up_body;
   Vec3.encode b position;
   Vec3.encode b velocity;
@@ -455,7 +454,6 @@ let encode b (t : t) =
 
 let decode ~params r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:2 in
   let prev_up_body = r_option r Vec3.decode in
   let position = Vec3.decode r in
   let velocity = Vec3.decode r in

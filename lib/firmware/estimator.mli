@@ -91,7 +91,7 @@ val heading_valid : t -> bool
 val set_heading_valid : t -> bool -> unit
 
 val encode : Buffer.t -> t -> unit
-(** Versioned bit-exact binary layout of the whole estimated state. The
+(** Bit-exact binary layout of the whole estimated state. The
     parameter set given at {!create} is not written. *)
 
 val decode : params:Params.t -> Avis_util.Codec.reader -> t

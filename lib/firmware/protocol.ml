@@ -194,7 +194,6 @@ let gcs_last_heartbeat t = t.last_gcs_heartbeat
    parameter set. *)
 let encode b (s : t) =
   let open Avis_util.Codec in
-  w_version b 3;
   Frame.encode_decoder b s.decoder;
   w_int b s.seq;
   w_option b
@@ -211,7 +210,6 @@ let encode b (s : t) =
 
 let decode ~link ~frame ~params r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:3 in
   let decoder = Frame.decode_decoder r in
   let seq = r_int r in
   let upload =

@@ -36,7 +36,7 @@ type t
 val create : link:Link.t -> frame:Geodesy.frame -> params:Params.t -> unit -> t
 
 val encode : Buffer.t -> t -> unit
-(** Versioned bit-exact binary layout of the protocol state: upload
+(** Bit-exact binary layout of the protocol state: upload
     transaction, mission, telemetry schedules and decoder. The link, the
     home frame and the parameter set given at {!create} are not
     written. *)

@@ -710,7 +710,6 @@ let encode b (t : t) =
     t
   in
   let open Avis_util.Codec in
-  w_version b 4;
   Estimator.encode b estimator;
   Control.encode b control;
   w_f64 b time;
@@ -744,7 +743,6 @@ let encode b (t : t) =
 
 let decode ?fence ~policy ~bugs ~suite ~hinj ~link ~frame r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:4 in
   let params = policy.Policy.params in
   let estimator = Estimator.decode ~params r in
   let control = Control.decode ~params r in

@@ -45,7 +45,7 @@ val triggered_bugs : t -> Bug.id list
     (diagnostics; the model checker does not read this). *)
 
 val encode : Buffer.t -> t -> unit
-(** Versioned bit-exact binary layout of the firmware's run state
+(** Bit-exact binary layout of the firmware's run state
     (estimator, controller, drivers, protocol and mode logic). The policy,
     the fence and the bug registry come from the run's config and are not
     written, nor are the collaborators and the home frame. *)

@@ -40,7 +40,6 @@ let decode_transition r =
    fork's. *)
 let encode b (s : t) =
   let open Avis_util.Codec in
-  w_version b 3;
   w_option b w_string s.mode;
   w_option b
     (fun b (t, m) ->
@@ -52,7 +51,6 @@ let encode b (s : t) =
 
 let decode ~plan r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:3 in
   let mode = r_option r r_string in
   let initial_mode =
     r_option r (fun r ->

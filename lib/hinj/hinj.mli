@@ -36,7 +36,7 @@ val create : ?plan:plan -> unit -> t
 val plan : t -> plan
 
 val encode : Buffer.t -> t -> unit
-(** Versioned binary layout of the injector's run state: mode log and read
+(** Binary layout of the injector's run state: mode log and read
     counter. The plan is not written. *)
 
 val decode : plan:plan -> Avis_util.Codec.reader -> t

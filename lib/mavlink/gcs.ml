@@ -124,7 +124,6 @@ let decode_upload_state r =
    decoded link, as it passes [Vehicle.decode] its collaborators. *)
 let encode b (s : t) =
   let open Avis_util.Codec in
-  w_version b 4;
   Frame.encode_decoder b s.decoder;
   w_int b s.seq;
   w_f64 b s.now;
@@ -168,7 +167,6 @@ let encode b (s : t) =
 
 let decode ~link r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:4 in
   let decoder = Frame.decode_decoder r in
   let seq = r_int r in
   let now = r_f64 r in

@@ -22,7 +22,7 @@ val create : Link.t -> t
 (** Attach to the GCS end of a link, as system 255, component 190. *)
 
 val encode : Buffer.t -> t -> unit
-(** Versioned binary layout of the ground station's run state (telemetry
+(** Binary layout of the ground station's run state (telemetry
     cache, transaction state, decoder), floats bit-exact. The link and the
     MAVLink ids are not written. *)
 

@@ -35,7 +35,6 @@ let decode_chunk r =
    original or a fork's. *)
 let encode b (s : t) =
   let open Avis_util.Codec in
-  w_version b 3;
   w_option b (fun b rng -> w_i64 b (Avis_util.Rng.to_bits rng)) s.jitter;
   w_int b s.now;
   w_list b encode_chunk s.to_vehicle;
@@ -46,7 +45,6 @@ let encode b (s : t) =
 
 let decode ~outages r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:3 in
   let jitter = r_option r (fun r -> Avis_util.Rng.of_bits (r_i64 r)) in
   let now = r_int r in
   let to_vehicle = r_list r decode_chunk in

@@ -27,7 +27,7 @@ val create : ?jitter:Avis_util.Rng.t -> ?outages:outage list -> unit -> t
     next step. [outages] schedules silent windows. *)
 
 val encode : Buffer.t -> t -> unit
-(** Versioned binary layout of the link's run state: the jitter RNG,
+(** Binary layout of the link's run state: the jitter RNG,
     in-flight chunks, clocks and drop counter. The outage schedule is not
     written. *)
 

@@ -44,7 +44,6 @@ let encode_gust b t =
 
 let encode b t =
   let open Avis_util.Codec in
-  w_version b 1;
   w_list b encode_obstacle t.obstacles;
   w_option b
     (fun b f ->

@@ -33,7 +33,7 @@ val obstacles : t -> obstacle list
 val fence : t -> fence option
 
 val encode : Buffer.t -> t -> unit
-(** Versioned binary layout of the whole environment: obstacles, fence,
+(** Binary layout of the whole environment: obstacles, fence,
     wind spec and the current gust state. A run configuration's key is
     written with it. *)
 

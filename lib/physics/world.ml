@@ -122,7 +122,6 @@ let encode b t =
   blob.(3) <- flag t.resting;
   Rigid_body.blit_to_floats t.body blob ~pos:4;
   Motor.blit_to_floats t.motors blob ~pos:(4 + Rigid_body.float_count);
-  w_version b 3;
   Environment.encode_gust b t.environment;
   w_i64 b (Avis_util.Rng.to_bits t.rng);
   w_option b encode_contact t.crash_event;
@@ -130,7 +129,6 @@ let encode b t =
 
 let decode ~environment r =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:3 in
   Environment.decode_gust environment r;
   let rng = Avis_util.Rng.of_bits (r_i64 r) in
   let crash_event = r_option r decode_contact in

@@ -34,7 +34,7 @@ val create :
   t
 
 val encode : Buffer.t -> t -> unit
-(** Versioned binary layout of what a step changes: the environment's gust
+(** Binary layout of what a step changes: the environment's gust
     state, the physics RNG, the latched crash event, and the numeric state
     (clock, latched flags, body, motors) by bit pattern. The environment's
     spec and the airframe are not written. *)

@@ -63,7 +63,6 @@ let create ~rng =
    module's constants and are not written. *)
 let encode b (s : t) =
   let open Avis_util.Codec in
-  w_version b 2;
   List.iter
     (fun (_, st) ->
       Noise.encode_channel b st.ch1;
@@ -75,7 +74,6 @@ let encode b (s : t) =
 
 let decode r : t =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:2 in
   let decode_state id =
     let spec, spec_v, aux_spec = specs_for id in
     let ch1 = Noise.decode_channel spec r in

@@ -20,7 +20,7 @@ type t
 val create : rng:Avis_util.Rng.t -> t
 
 val encode : Buffer.t -> t -> unit
-(** Versioned binary layout of the suite's run state: every noise
+(** Binary layout of the suite's run state: every noise
     channel's RNG, bias and drift, and the state of charge, bit-exact on
     round-trip. The complement, the channels' specs and the battery
     constants are constants of this module and are not written. *)

@@ -101,13 +101,12 @@ type snapshot = {
   snap_trace : Trace.snapshot;
 }
 
-(* Every layer but the trace writes into [b], each behind its own version
-   byte, and each only its run state: neither the config, nor what
-   [fixed] derives from it, nor the home frame is written. *)
+(* Every layer but the trace writes into [b], each only its run state:
+   neither the config, nor what [fixed] derives from it, nor the home
+   frame is written. *)
 let encode_state b t =
   Avis_util.Trace.span ~cat:"sim" "sim.snapshot" @@ fun () ->
   Buffer.clear b;
-  Avis_util.Codec.w_version b 3;
   Avis_physics.World.encode b t.world;
   Avis_sensors.Suite.encode b t.suite;
   Avis_hinj.Hinj.encode b t.hinj;
@@ -138,7 +137,6 @@ let restore ~plan ~link_outages s =
   let f = fixed config ~link_outages in
   let decode r =
     let open Avis_util.Codec in
-    let (_ : int) = r_version r ~expect:3 in
     let world = Avis_physics.World.decode ~environment:f.environment r in
     let suite = Avis_sensors.Suite.decode r in
     let hinj = Avis_hinj.Hinj.decode ~plan r in
@@ -229,7 +227,6 @@ let encode_config b (c : config) =
     c
   in
   let open Avis_util.Codec in
-  w_version b 2;
   (* The personality by its firmware tag: every policy is
      [Policy.of_firmware] of its tag. *)
   w_u8 b (match policy.Policy.firmware with Bug.Ardupilot -> 0 | Bug.Px4 -> 1);
@@ -262,7 +259,6 @@ let encode_outcome b (o : outcome) =
     o
   in
   let open Avis_util.Codec in
-  w_version b 1;
   Trace.encode_snapshot b (Trace.snapshot trace);
   w_option b Avis_physics.World.encode_contact crash;
   w_bool b fence_breached;
@@ -274,7 +270,6 @@ let encode_outcome b (o : outcome) =
 
 let decode_outcome r =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:1 in
   let trace = Trace.restore (Trace.decode_snapshot r) in
   let crash = r_option r Avis_physics.World.decode_contact in
   let fence_breached = r_bool r in

@@ -224,7 +224,6 @@ let decode_chunk s =
    chunks (none without [put_chunk]), then every other chunk's segment. *)
 let encode_snapshot ?put_chunk b (s : snapshot) =
   let open Avis_util.Codec in
-  w_version b 2;
   w_f64 b s.period;
   w_int b s.len;
   w_f64 b s.sched.(0);
@@ -246,7 +245,6 @@ let no_chunk_store _ =
 
 let decode_snapshot ?(get_chunk = no_chunk_store) r : snapshot =
   let open Avis_util.Codec in
-  let (_ : int) = r_version r ~expect:2 in
   let period = r_f64 r in
   let len = r_int r in
   let sched0 = r_f64 r in

@@ -1,5 +1,5 @@
 (* Binary state codecs: a Buffer-backed writer and a cursor-backed
-   reader over the same explicit, versioned wire format. Everything
+   reader over the same explicit wire format. Everything
    numeric goes through Int64 bit patterns, so round-trips are exact to
    the float bit. No Marshal anywhere: every layer states its layout. *)
 
@@ -56,8 +56,6 @@ let w_floats b a ~len =
 let w_float_array b xs =
   w_int b (Array.length xs);
   w_floats b xs ~len:(Array.length xs)
-
-let w_version b v = w_u8 b v
 
 (* ---------------- readers ---------------- *)
 
@@ -133,11 +131,6 @@ let r_float_array r =
   let a = Array.make n 0.0 in
   r_floats_into r a ~len:n;
   a
-
-let r_version r ~expect =
-  let v = r_u8 r in
-  if v <> expect then corrupt "unsupported codec version %d (want %d)" v expect;
-  v
 
 (* ---------------- framing ---------------- *)
 

@@ -3,12 +3,13 @@
     A [Buffer.t]-backed writer and a cursor [reader] over one wire
     format: little-endian 64-bit integers, floats by their
     [Int64.bits_of_float] pattern (round-trips are bit-exact), counted
-    sequences, tagged options, and per-layer version bytes. Any
-    malformed input — truncation, bad tag, impossible length — raises
-    {!Corrupt}; callers that read untrusted bytes (the on-disk
-    checkpoint store) catch it and treat the entry as a miss. [Marshal]
-    is deliberately not used anywhere: layouts stay versioned and
-    explicit. *)
+    sequences and tagged options. Any malformed input — truncation, bad
+    tag, impossible length — raises {!Corrupt}; callers that read
+    untrusted bytes (the on-disk checkpoint store) catch it and treat the
+    entry as a miss. [Marshal] is deliberately not used anywhere: every
+    layout is explicit. No layout carries a version: encoded bytes never
+    cross builds, because the store names its files under the build's
+    code fingerprint. *)
 
 exception Corrupt of string
 
@@ -32,9 +33,6 @@ val w_list : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a list -> unit
 val w_array : Buffer.t -> (Buffer.t -> 'a -> unit) -> 'a array -> unit
 val w_float_array : Buffer.t -> float array -> unit
 
-val w_version : Buffer.t -> int -> unit
-(** Write a one-byte layout version. *)
-
 val w_floats : Buffer.t -> float array -> len:int -> unit
 (** The first [len] floats of the array, by their bits, with no count:
     the reader must know [len]. Raises [Invalid_argument] when the array
@@ -55,9 +53,6 @@ val r_floats_into : reader -> float array -> len:int -> unit
 (** Read [len] floats written by {!w_floats} into the array's first [len]
     slots; {!Corrupt} when fewer than [8 * len] bytes remain or the array
     is shorter than [len]. *)
-
-val r_version : reader -> expect:int -> int
-(** Read a layout version byte; {!Corrupt} unless it equals [expect]. *)
 
 val w_bytes : Buffer.t -> string -> unit
 (** Length-prefixed blob: an already-encoded string carried whole inside

@@ -150,13 +150,14 @@ let test_store_racing_writers () =
   in
   for i = 1 to times do
     match
-      Checkpoint_store.lookup store ~key:"shared"
+      Checkpoint_store.latest store ~key:"shared"
         ~before:(float_of_int i +. 0.5)
     with
     | None -> Alcotest.failf "no checkpoint served before t=%d.5" i
-    | Some (t, data) ->
+    | Some t ->
       Alcotest.(check (float 0.0)) "latest time" (float_of_int i) t;
-      Alcotest.(check string) "payload intact" (payload i) data
+      Alcotest.(check (option string)) "payload intact" (Some (payload i))
+        (Checkpoint_store.load store ~key:"shared" ~time:t ~decode:Fun.id)
   done
 
 let () =

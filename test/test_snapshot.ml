@@ -158,59 +158,6 @@ let test_prefix_cache_transparent () =
   Alcotest.(check bool) "skipped simulated time" true
     (stats.Prefix_cache.saved_sim_s > 0.0)
 
-(* Satellite regression: the byte budget is a hard ceiling. With a tiny
-   budget the cache must evict checkpoints, yet the accounted resident
-   bytes may never exceed the budget and every outcome must still equal
-   the cold run — eviction costs wall-clock, never correctness. *)
-let test_prefix_cache_eviction_bounded () =
-  let workload = Workload.quickstart and policy = Policy.apm in
-  let make_sim ~scenario =
-    Sim.create
-      ~plan:(Scenario.to_plan scenario)
-      ~link_outages:(Scenario.link_outages scenario)
-      (sim_config workload policy)
-  in
-  (* Twentieth-second captures: the checkpoints of one 29 s quickstart
-     run (each about 2.8 KB, its trace chunks shared) then outgrow the
-     smallest budget. *)
-  let budget_mb = 1 in
-  let cache =
-    Prefix_cache.create ~cache_mb:budget_mb ~workload
-      ~config:(sim_config workload policy)
-      ~checkpoint_times:(List.init 600 (fun i -> 0.05 *. float_of_int (i + 1)))
-      ()
-  in
-  let budget_bytes = budget_mb * 1024 * 1024 in
-  let check_resident () =
-    let s = Prefix_cache.stats cache in
-    Alcotest.(check bool) "resident within budget" true
-      (s.Prefix_cache.resident_bytes <= budget_bytes
-      && s.Prefix_cache.resident_bytes >= 0)
-  in
-  check_resident ();
-  let scenarios =
-    [
-      Scenario.empty;
-      scen_kind Sensor.Gps 25.0;
-      scen_kind Sensor.Compass 40.0;
-      scen_kind ~n:1 Sensor.Barometer 12.5;
-      (* Repeat: either a hit or a re-simulated cold run post-eviction. *)
-      scen_kind Sensor.Gps 25.0;
-    ]
-  in
-  List.iter
-    (fun scenario ->
-      let cached = Prefix_cache.execute cache ~scenario in
-      check_resident ();
-      let sim = make_sim ~scenario in
-      let passed = Workload.execute workload sim in
-      let cold = Sim.outcome sim ~workload_passed:passed in
-      check_same_outcome "evicting cache = cold" cold cached)
-    scenarios;
-  let s = Prefix_cache.stats cache in
-  Alcotest.(check bool) "budget forced evictions" true
-    (s.Prefix_cache.evictions > 0)
-
 (* The cache charges each checkpoint what it alone holds: its encoded
    strings and its trace snapshot's record. The trace chunks a run and its
    checkpoints share are charged to none of them. So the charge is
@@ -469,8 +416,6 @@ let () =
       ( "prefix cache",
         [
           Alcotest.test_case "cache transparent" `Slow test_prefix_cache_transparent;
-          Alcotest.test_case "eviction keeps bytes bounded" `Slow
-            test_prefix_cache_eviction_bounded;
           Alcotest.test_case "charge within the true footprint" `Slow
             test_prefix_cache_pricing;
           Alcotest.test_case "stacked child forks before the transition" `Slow

@@ -548,7 +548,6 @@ let test_decode_counts_bounded () =
   (* A controller with [n] motor outputs. *)
   let control n =
     let b = Buffer.create 64 in
-    w_version b 3;
     Pid.encode b (Pid.create ~kp:1.0 ());
     w_float_array b (Array.make n 0.0);
     Buffer.contents b
@@ -572,29 +571,37 @@ let make_store ?(fingerprint = "fp") ?store_mb ~dir () =
 let put store ~key ~time payload =
   Checkpoint_store.put store ~key ~time ~payload:(lazy payload)
 
+(* What a prefix-cache lookup calls: the latest indexed checkpoint before
+   [before], then its file. *)
+let served store ~key ~before =
+  Option.bind (Checkpoint_store.latest store ~key ~before) (fun time ->
+      Option.map
+        (fun payload -> (time, payload))
+        (Checkpoint_store.load store ~key ~time ~decode:Fun.id))
+
 let test_store_put_lookup () =
   with_temp_dir @@ fun dir ->
   let store = make_store ~dir () in
   put store ~key:"" ~time:10.0 "clean@10";
   put store ~key:"" ~time:20.0 "clean@20";
   put store ~key:"gps@x" ~time:15.0 "faulty@15";
-  (match Checkpoint_store.lookup store ~key:"" ~before:15.0 with
+  (match served store ~key:"" ~before:15.0 with
   | Some (t, p) ->
     Alcotest.(check (float 0.0)) "time" 10.0 t;
     Alcotest.(check string) "payload" "clean@10" p
   | None -> Alcotest.fail "expected clean@10");
-  (match Checkpoint_store.lookup store ~key:"" ~before:infinity with
+  (match served store ~key:"" ~before:infinity with
   | Some (t, _) -> Alcotest.(check (float 0.0)) "latest first" 20.0 t
   | None -> Alcotest.fail "expected clean@20");
   (* [before] is strict: a checkpoint at exactly the injection time could
      already contain the fault's first effects. *)
   Alcotest.(check bool) "strictly before" true
-    (Checkpoint_store.lookup store ~key:"" ~before:10.0 = None);
-  (match Checkpoint_store.lookup store ~key:"gps@x" ~before:infinity with
+    (served store ~key:"" ~before:10.0 = None);
+  (match served store ~key:"gps@x" ~before:infinity with
   | Some (_, p) -> Alcotest.(check string) "keys are isolated" "faulty@15" p
   | None -> Alcotest.fail "expected faulty@15");
   Alcotest.(check bool) "unknown key" true
-    (Checkpoint_store.lookup store ~key:"other" ~before:infinity = None)
+    (served store ~key:"other" ~before:infinity = None)
 
 let test_store_put_is_idempotent_and_lazy () =
   with_temp_dir @@ fun dir ->
@@ -607,7 +614,7 @@ let test_store_put_is_idempotent_and_lazy () =
         (forced := true;
          "second"));
   Alcotest.(check bool) "existing file skips serialisation" false !forced;
-  match Checkpoint_store.lookup store ~key:"" ~before:infinity with
+  match served store ~key:"" ~before:infinity with
   | Some (_, p) -> Alcotest.(check string) "first write wins" "first" p
   | None -> Alcotest.fail "expected a checkpoint"
 
@@ -645,7 +652,7 @@ let test_store_corruption_is_a_miss () =
     | files ->
       Alcotest.fail (Printf.sprintf "expected 1 file, got %d" (List.length files)));
     Alcotest.(check bool) (name ^ " is a miss") true
-      (Checkpoint_store.lookup store ~key:"" ~before:infinity = None);
+      (served store ~key:"" ~before:infinity = None);
     (* The damaged file must be gone, not retried forever. *)
     Alcotest.(check int) (name ^ " deleted") 0 (List.length (ckpt_files dir))
   in
@@ -666,15 +673,18 @@ let test_store_corrupt_newest_falls_back_to_older () =
         let ic = open_in_bin p in
         let d = really_input_string ic (in_channel_length ic) in
         close_in ic;
-        String.length d > 29 && String.sub d 29 (String.length d - 29) = "newer")
+        String.length d > 28 && String.sub d 28 (String.length d - 28) = "newer")
       (ckpt_files dir)
   in
   damage_file ~at:30 newer;
-  match Checkpoint_store.lookup store ~key:"" ~before:infinity with
-  | Some (t, p) ->
-    Alcotest.(check (float 0.0)) "older served" 10.0 t;
-    Alcotest.(check string) "older payload" "older" p
-  | None -> Alcotest.fail "expected the older checkpoint"
+  (* The newest fails to load and leaves the index, so the next [latest]
+     names the older one. *)
+  let latest () = Checkpoint_store.latest store ~key:"" ~before:infinity in
+  let load time = Checkpoint_store.load store ~key:"" ~time ~decode:Fun.id in
+  Alcotest.(check (option (float 0.0))) "newest named" (Some 20.0) (latest ());
+  Alcotest.(check (option string)) "damaged newest is a miss" None (load 20.0);
+  Alcotest.(check (option (float 0.0))) "older served" (Some 10.0) (latest ());
+  Alcotest.(check (option string)) "older payload" (Some "older") (load 10.0)
 
 let test_store_stale_fingerprint_invisible () =
   with_temp_dir @@ fun dir ->
@@ -682,7 +692,7 @@ let test_store_stale_fingerprint_invisible () =
   put old_build ~key:"" ~time:10.0 "from build a";
   let new_build = make_store ~fingerprint:"build-b" ~dir () in
   Alcotest.(check bool) "other build's checkpoints invisible" true
-    (Checkpoint_store.lookup new_build ~key:"" ~before:infinity = None)
+    (served new_build ~key:"" ~before:infinity = None)
 
 (* Opened without [?fingerprint], a store and a journal key with the
    build's fingerprint: the journal's header carries it, a store names its
@@ -755,7 +765,9 @@ let test_store_bytes_track_dir () =
   let suffix = Printf.sprintf "-%016Lx.ckpt" (Int64.bits_of_float 20.0) in
   damage_file ~at:30
     (List.find (String.ends_with ~suffix) (ckpt_files dir));
-  (match Checkpoint_store.lookup store ~key:"" ~before:infinity with
+  Alcotest.(check (option string)) "damaged newest is a miss" None
+    (Checkpoint_store.load store ~key:"" ~time:20.0 ~decode:Fun.id);
+  (match served store ~key:"" ~before:infinity with
   | Some (_, p) -> Alcotest.(check string) "older served" "kept" p
   | None -> Alcotest.fail "expected the older checkpoint");
   check "corrupt file deleted";
@@ -801,7 +813,7 @@ let test_store_mb_guard () =
     with_temp_dir @@ fun dir ->
     let store = make_store ?store_mb ~dir () in
     put store ~key:"" ~time:10.0 "kept";
-    match Checkpoint_store.lookup store ~key:"" ~before:infinity with
+    match served store ~key:"" ~before:infinity with
     | Some (_, p) -> p = "kept"
     | None -> false
   in
@@ -823,44 +835,6 @@ let test_store_mb_guard () =
             (Printf.sprintf "AVIS_STORE_MB=%s falls back" value)
             true (retained ()))
         ("banana" :: List.map string_of_int overflowing_mb))
-
-let test_cache_mb_guard () =
-  (* AVIS_CACHE_MB=0 (or cache_mb:0) used to be accepted, silently making
-     every capture evict itself, and so did a count whose bytes overflow.
-     With the guard the default budget applies, so a repeated scenario is
-     served from memory. *)
-  let workload = Workload.quickstart and policy = Policy.apm in
-  let served label ?cache_mb () =
-    let cache =
-      Prefix_cache.create ?cache_mb ~workload
-        ~config:(sim_config workload policy)
-        ~checkpoint_times:(List.init 30 (fun i -> float_of_int (i + 1)))
-        ()
-    in
-    let scenario =
-      Scenario.of_faults
-        [ Scenario.sensor_fault { Sensor.kind = Sensor.Gps; index = 0 } 25.0 ]
-    in
-    let a = Prefix_cache.execute cache ~scenario in
-    let b = Prefix_cache.execute cache ~scenario in
-    check_same_outcome (label ^ ": deterministic") a b;
-    let s = Prefix_cache.stats cache in
-    Alcotest.(check bool) (label ^ ": default budget kept the checkpoints")
-      true (s.Prefix_cache.hits >= 1);
-    Alcotest.(check int) (label ^ ": no self-evictions") 0
-      s.Prefix_cache.evictions
-  in
-  List.iter
-    (fun mb -> served (Printf.sprintf "cache_mb:%d" mb) ~cache_mb:mb ())
-    (0 :: overflowing_mb);
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "AVIS_CACHE_MB" "1024")
-    (fun () ->
-      List.iter
-        (fun mb ->
-          Unix.putenv "AVIS_CACHE_MB" (string_of_int mb);
-          served (Printf.sprintf "AVIS_CACHE_MB=%d" mb) ())
-        overflowing_mb)
 
 (* ------------------------------------------------------------------ *)
 (* Prefix cache over a shared store                                     *)
@@ -1057,10 +1031,10 @@ let halve_payload path =
   let ic = open_in_bin path in
   let data = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  let payload = String.sub data 29 (String.length data - 29) in
+  let payload = String.sub data 28 (String.length data - 28) in
   let half = String.sub payload 0 (String.length payload / 2) in
-  let b = Buffer.create (29 + String.length half) in
-  Buffer.add_string b (String.sub data 0 5);
+  let b = Buffer.create (28 + String.length half) in
+  Buffer.add_string b (String.sub data 0 4);
   Buffer.add_string b (Digest.string half);
   Buffer.add_int64_le b (Int64.of_int (String.length half));
   Buffer.add_string b half;
@@ -1156,7 +1130,7 @@ let test_store_profile_roundtrip () =
   Alcotest.(check bool) "keys are isolated" true
     (Checkpoint_store.find_profile store ~key:"q" = None);
   Alcotest.(check bool) "a profile is no checkpoint" true
-    (Checkpoint_store.lookup store ~key:"p" ~before:infinity = None);
+    (served store ~key:"p" ~before:infinity = None);
   Alcotest.(check (option string)) "a fresh instance finds it"
     (Some "outcomes")
     (Checkpoint_store.find_profile (make_store ~dir ()) ~key:"p");
@@ -1193,7 +1167,7 @@ let test_store_index_visibility () =
   Checkpoint_store.put_profile store ~key:"p" ~payload:"prof";
   List.iter Sys.remove (ckpt_files dir @ profile_files dir);
   Alcotest.(check bool) "deleted checkpoint is a miss" true
-    (Checkpoint_store.lookup store ~key:"k" ~before:infinity = None);
+    (served store ~key:"k" ~before:infinity = None);
   Alcotest.(check bool) "deleted profile is a miss" true
     (Checkpoint_store.find_profile store ~key:"p" = None);
   Alcotest.(check int) "deleted files uncounted" 0 (Checkpoint_store.bytes store);
@@ -1202,12 +1176,12 @@ let test_store_index_visibility () =
   Checkpoint_store.put_profile other ~key:"p" ~payload:"other's";
   Alcotest.(check bool) "another writer's checkpoint unseen before a scan"
     true
-    (Checkpoint_store.lookup store ~key:"k" ~before:infinity = None);
+    (served store ~key:"k" ~before:infinity = None);
   Alcotest.(check bool) "another writer's profile unseen before a scan" true
     (Checkpoint_store.find_profile store ~key:"p" = None);
   let rescanned = make_store ~dir () in
   Alcotest.(check bool) "seen after a scan" true
-    (Checkpoint_store.lookup rescanned ~key:"k" ~before:infinity
+    (served rescanned ~key:"k" ~before:infinity
      = Some (20.0, "other's")
     && Checkpoint_store.find_profile rescanned ~key:"p" = Some "other's")
 
@@ -1226,7 +1200,7 @@ let test_store_profile_evicted () =
   Alcotest.(check int) "one eviction" 1 (Checkpoint_store.evictions store);
   Alcotest.(check bool) "the older profile went" true
     (Checkpoint_store.find_profile store ~key:"p" = None
-    && Checkpoint_store.lookup store ~key:"k" ~before:infinity <> None)
+    && served store ~key:"k" ~before:infinity <> None)
 
 (* [f] with AVIS_STORE_DIR naming [dir]; an empty value counts as unset. *)
 let with_store_env dir f =
@@ -1429,6 +1403,33 @@ let test_evicted_chunks_cell_identical () =
       Alcotest.(check bool) "served over evicted chunks = cold" true
         (cell_bits config (run_cell config) = cold))
 
+(* A put judges a chunk file by its size: a file that is not the size the
+   bytes frame to is damaged, and the put forgets it and writes it again,
+   so the checkpoints written after it do not name a chunk that can only
+   miss. An instance that indexed the file at its scan reads the size from
+   its index; one that did not stats the file. *)
+let test_store_put_rewrites_damaged_chunk () =
+  with_temp_dir @@ fun dir ->
+  let chunk = String.init 300 (fun i -> Char.chr (i land 0xFF)) in
+  let unindexed = make_store ~dir () in
+  let name = Checkpoint_store.put_chunk (make_store ~dir ()) chunk in
+  let path = List.hd (chunk_files dir) in
+  let loaded () =
+    Checkpoint_store.load_chunk (make_store ~dir ()) name ~decode:Fun.id
+  in
+  truncate_file ~len:12 path;
+  let rescanned = make_store ~dir () in
+  Alcotest.(check string) "the same name" name
+    (Checkpoint_store.put_chunk rescanned chunk);
+  Alcotest.(check int) "the count holds the rewritten file" (file_size path)
+    (Checkpoint_store.bytes rescanned);
+  Alcotest.(check (option string)) "indexed damage rewritten" (Some chunk)
+    (loaded ());
+  truncate_file ~len:12 path;
+  ignore (Checkpoint_store.put_chunk unindexed chunk : string);
+  Alcotest.(check (option string)) "damage on disk rewritten" (Some chunk)
+    (loaded ())
+
 let () =
   Alcotest.run "avis_store"
     [
@@ -1477,7 +1478,6 @@ let () =
           Alcotest.test_case "mtime-tie eviction is path-deterministic" `Quick
             test_store_eviction_mtime_tiebreak;
           Alcotest.test_case "AVIS_STORE_MB guard" `Quick test_store_mb_guard;
-          Alcotest.test_case "AVIS_CACHE_MB guard" `Slow test_cache_mb_guard;
         ] );
       ( "shared store",
         [
@@ -1521,5 +1521,7 @@ let () =
             test_broken_chunks_cell_identical;
           Alcotest.test_case "evicted chunks: cell identical" `Slow
             test_evicted_chunks_cell_identical;
+          Alcotest.test_case "a damaged chunk is put again" `Quick
+            test_store_put_rewrites_damaged_chunk;
         ] );
     ]

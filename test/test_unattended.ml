@@ -154,28 +154,21 @@ let test_journal_elapsed_roundtrip () =
   with_journal_path @@ fun path ->
   let j = Run_journal.open_ ~fingerprint:"fp" path in
   let key_with = Run_journal.key ~fingerprint:"fp" ~config_bytes:"with" in
-  let key_without = Run_journal.key ~fingerprint:"fp" ~config_bytes:"without" in
   (* Not representable in decimal: the duration must survive by bits. *)
   let elapsed = 0.1 +. 0.2 in
   Run_journal.record_complete j
     { (sample_record ~key:key_with) with
       Run_journal.elapsed_bits = Some (Int64.bits_of_float elapsed) };
-  Run_journal.record_complete j
-    { (sample_record ~key:key_without) with Run_journal.elapsed_bits = None };
   let j2 = Run_journal.open_ ~fingerprint:"fp" path in
-  (match Run_journal.find j2 ~key:key_with with
+  match Run_journal.find j2 ~key:key_with with
   | None -> Alcotest.fail "record with elapsed lost across reopen"
   | Some r ->
     Alcotest.(check (float 0.0)) "elapsed decodes by bits" elapsed
-      (Option.get (Run_journal.elapsed_s r)));
-  match Run_journal.find j2 ~key:key_without with
-  | None -> Alcotest.fail "record without elapsed lost across reopen"
-  | Some r ->
-    Alcotest.(check bool) "absent elapsed stays absent" true
-      (Run_journal.elapsed_s r = None)
+      (Option.get (Run_journal.elapsed_s r))
 
-(* A journal written before the elapsed_bits field existed must still
-   parse and memo-serve; its records simply carry no duration. *)
+(* [Campaign.run_cell], the journal's one writer, always records the
+   cell's duration. A line without it is malformed: the journal opens,
+   warns and skips it, and serves nothing for its key. *)
 let test_journal_old_line_tolerated () =
   with_journal_path @@ fun path ->
   let j = Run_journal.open_ ~fingerprint:"fp" path in
@@ -188,15 +181,10 @@ let test_journal_old_line_tolerated () =
     key;
   close_out oc;
   let j2 = Run_journal.open_ ~fingerprint:"fp" path in
-  Alcotest.(check int) "pre-elapsed line still loads" 1
+  Alcotest.(check int) "pre-elapsed line not loaded" 0
     (Run_journal.completed_count j2);
-  match Run_journal.find j2 ~key with
-  | None -> Alcotest.fail "pre-elapsed record not served"
-  | Some r ->
-    Alcotest.(check (float 0.0)) "spent bits intact" 123.456
-      (Run_journal.spent_s r);
-    Alcotest.(check bool) "no duration invented" true
-      (Run_journal.elapsed_s r = None)
+  Alcotest.(check bool) "pre-elapsed record not served" true
+    (Run_journal.find j2 ~key = None)
 
 (* ------------------------------------------------------------------ *)
 (* Campaign memos                                                       *)
