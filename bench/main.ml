@@ -568,7 +568,11 @@ let ablation_search_order () =
 let ablation_liveliness_metric () =
   section "Ablation: liveliness metric (position-only vs full state tuple)";
   let config = Campaign.default_config Policy.apm Workload.auto_box in
-  let profile, _, golden, _ = Campaign.profile_and_context config in
+  let profile, _, _ = Campaign.profile_and_context config in
+  let golden =
+    Campaign.execute_run config ~seed:config.Campaign.seed
+      ~scenario:Scenario.empty
+  in
   let takeoff =
     match transition_into golden "Takeoff" with Some t -> t | None -> 2.0 in
   let wp1 =

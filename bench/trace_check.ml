@@ -3,12 +3,15 @@
    Avis_util.Json, validate every event, and measure how much of each
    campaign cell's wall time its child spans account for.
 
-   Usage: trace_check [--min-coverage PCT] FILE...
+   Usage: trace_check [--min-coverage PCT] [--max-share SPAN=PCT]... FILE...
 
    Exits non-zero on a parse failure, a schema violation, a spanless
-   trace, or (when --min-coverage is given) a campaign cell whose child
-   spans cover less of its wall time than PCT percent. CI runs this over
-   the bench smoke artefact and a warm store-backed hunt's trace. *)
+   trace, (when --min-coverage is given) a campaign cell whose child
+   spans cover less of its wall time than PCT percent, or (for each
+   --max-share) spans named SPAN inside the campaign cells whose
+   durations add up to more than PCT percent of the cells' time. CI runs
+   this over the bench smoke artefact and a warm store-backed hunt's
+   trace. *)
 
 open Avis_util
 
@@ -99,7 +102,15 @@ let cell_coverage cell spans =
   in
   if cell.dur <= 0.0 then 1.0 else covered /. cell.dur
 
-let check_file ~min_coverage path =
+(* The spans named [name] that lie inside [cell] on its thread. *)
+let spans_inside cell spans ~name =
+  List.filter
+    (fun s ->
+      s.tid = cell.tid && s.name = name && s.ts >= cell.ts
+      && s.ts +. s.dur <= cell.ts +. cell.dur)
+    spans
+
+let check_file ~min_coverage ~max_shares path =
   let text =
     try In_channel.with_open_text path In_channel.input_all
     with Sys_error e -> fail "%s: %s" path e
@@ -128,15 +139,32 @@ let check_file ~min_coverage path =
     (List.length events) (List.length spans) (List.length cells)
     (if cells = [] then ""
      else Printf.sprintf ", worst cell span coverage %.1f%%" (100.0 *. worst));
-  match min_coverage with
+  (match min_coverage with
   | Some pct when cells <> [] && 100.0 *. worst < pct ->
     fail "%s: a campaign cell's child spans cover only %.1f%% of its wall \
           time (< %.1f%%)"
       path (100.0 *. worst) pct
-  | _ -> ()
+  | _ -> ());
+  let sum = List.fold_left (fun acc s -> acc +. s.dur) 0.0 in
+  let cell_time = sum cells in
+  List.iter
+    (fun (name, pct) ->
+      let inside =
+        List.concat_map (fun c -> spans_inside c spans ~name) cells
+      in
+      let share =
+        if cell_time <= 0.0 then 0.0 else 100.0 *. sum inside /. cell_time
+      in
+      Printf.printf "%s: %d %s span(s), %.1f%% of the campaign cells' time\n"
+        path (List.length inside) name share;
+      if share > pct then
+        fail "%s: %s takes %.1f%% of the campaign cells' time (> %.1f%%)" path
+          name share pct)
+    max_shares
 
 let () =
   let min_coverage = ref None in
+  let max_shares = ref [] in
   let files = ref [] in
   let rec parse = function
     | [] -> ()
@@ -145,11 +173,26 @@ let () =
       | Some pct -> min_coverage := Some pct
       | None -> fail "bad --min-coverage %S" v);
       parse rest
+    | "--max-share" :: v :: rest ->
+      (match String.rindex_opt v '=' with
+      | Some i -> (
+        let name = String.sub v 0 i in
+        match float_of_string_opt (String.sub v (i + 1) (String.length v - i - 1)) with
+        | Some pct when name <> "" -> max_shares := (name, pct) :: !max_shares
+        | _ -> fail "bad --max-share %S (want SPAN=PCT)" v)
+      | None -> fail "bad --max-share %S (want SPAN=PCT)" v);
+      parse rest
+    | opt :: _ when String.length opt > 1 && opt.[0] = '-' ->
+      fail "unknown option %S" opt
     | f :: rest ->
       files := f :: !files;
       parse rest
   in
   parse (List.tl (Array.to_list Sys.argv));
   match List.rev !files with
-  | [] -> fail "usage: trace_check [--min-coverage PCT] FILE..."
-  | files -> List.iter (check_file ~min_coverage:!min_coverage) files
+  | [] ->
+    fail "usage: trace_check [--min-coverage PCT] [--max-share SPAN=PCT]... FILE..."
+  | files ->
+    List.iter
+      (check_file ~min_coverage:!min_coverage ~max_shares:(List.rev !max_shares))
+      files

@@ -161,24 +161,42 @@ let count_profile counter name =
   Atomic.incr counter;
   Avis_util.Trace.counter name (float_of_int (Atomic.get counter))
 
-let encode_profiling =
-  Avis_util.Codec.to_string (fun b -> Avis_util.Codec.w_list b Sim.encode_outcome)
+(* What a cell takes from its profiling runs: the monitor's profile, and
+   the first run's transitions and duration, which are all that its search
+   context reads. A [.prof] file holds exactly this. *)
+type built_profile = {
+  profile : Monitor.profile;
+  transitions : Avis_hinj.Hinj.transition list;
+  duration : float;
+}
 
-(* The stored profiling outcomes, when the file is there and decodes to
+let encode_built_profile =
+  Avis_util.Codec.to_string (fun b built ->
+      let[@warning "+9"] { profile; transitions; duration } = built in
+      Monitor.encode b profile;
+      Avis_util.Codec.w_list b Avis_hinj.Hinj.encode_transition transitions;
+      Avis_util.Codec.w_f64 b duration)
+
+let decode_built_profile =
+  Avis_util.Codec.of_string (fun r ->
+      let profile = Monitor.decode r in
+      let transitions = Avis_util.Codec.r_list r Avis_hinj.Hinj.decode_transition in
+      let duration = Avis_util.Codec.r_f64 r in
+      { profile; transitions; duration })
+
+(* The stored profile, when the file is there, decodes, and was built from
    the keyed number of runs. A file that passed the store's checksum but
-   does not decode is a miss like a missing one, and the flown outcomes
-   replace it. *)
-let stored_profiling store ~key (config : config) =
+   does not decode is a miss like a missing one, and the profile flown
+   again replaces it. *)
+let stored_profile store ~key (config : config) =
   let served =
     Avis_util.Trace.span ~cat:"cache" "store.profile" @@ fun () ->
     Option.bind (Checkpoint_store.find_profile store ~key) (fun payload ->
-        match
-          Avis_util.Codec.of_string
-            (fun r -> Avis_util.Codec.r_list r Sim.decode_outcome)
-            payload
-        with
-        | outcomes when List.length outcomes = config.profiling_runs ->
-          Some outcomes
+        match decode_built_profile payload with
+        | built
+          when Distance.runs (Monitor.normalisers built.profile)
+               = config.profiling_runs ->
+          Some built
         | _ | (exception Avis_util.Codec.Corrupt _) -> None)
   in
   (match served with
@@ -186,21 +204,12 @@ let stored_profiling store ~key (config : config) =
   | None -> count_profile profile_misses_total "store.profile_misses");
   served
 
-(* Served or flown, the outcomes take one path: the clean-completion
-   check, [build_profile], and the search context of the first run. Flown
-   outcomes go to the store only once they pass the check. *)
-let profile_and_context ?store config =
-  Avis_util.Trace.span ~cat:"campaign" "campaign.profile" @@ fun () ->
-  let key = profile_identity config in
-  let served =
-    Option.bind store (fun store -> stored_profiling store ~key config)
-  in
+(* Fly the profiling runs, check that each completed cleanly, and build
+   the profile. *)
+let fly_profile (config : config) =
   let outcomes =
-    match served with
-    | Some outcomes -> outcomes
-    | None ->
-      List.init config.profiling_runs (fun i ->
-          execute_run config ~seed:(config.seed + i) ~scenario:Scenario.empty)
+    List.init config.profiling_runs (fun i ->
+        execute_run config ~seed:(config.seed + i) ~scenario:Scenario.empty)
   in
   List.iteri
     (fun i o ->
@@ -210,21 +219,40 @@ let profile_and_context ?store config =
              "profiling run %d of %s on %s did not complete cleanly" i
              config.workload.Workload.name config.policy.Policy.name))
     outcomes;
-  (match (store, served) with
-  | Some store, None ->
-    Avis_util.Trace.span ~cat:"cache" "store.profile" @@ fun () ->
-    Checkpoint_store.put_profile store ~key ~payload:(encode_profiling outcomes)
-  | Some _, Some _ | None, _ -> ());
-  let profile = Monitor.build_profile outcomes in
   let first = List.hd outcomes in
-  let rng = Avis_util.Rng.create (config.seed * 7919) in
-  let ctx = Search.context_of_outcome ~rng first in
-  let source =
-    match served with
-    | Some _ -> Avis_util.Metrics.Profile_store
-    | None -> Avis_util.Metrics.Profile_run
+  {
+    profile = Monitor.build_profile outcomes;
+    transitions = first.Sim.transitions;
+    duration = first.Sim.duration;
+  }
+
+(* Served or flown, a cell gets one profile and one search context. A
+   flown profile goes to the store once its runs pass the check. *)
+let profile_and_context ?store config =
+  Avis_util.Trace.span ~cat:"campaign" "campaign.profile" @@ fun () ->
+  let key = profile_identity config in
+  let served =
+    Option.bind store (fun store -> stored_profile store ~key config)
   in
-  (profile, ctx, first, source)
+  let built, source =
+    match served with
+    | Some built -> (built, Avis_util.Metrics.Profile_store)
+    | None ->
+      let built = fly_profile config in
+      Option.iter
+        (fun store ->
+          Avis_util.Trace.span ~cat:"cache" "store.profile" @@ fun () ->
+          Checkpoint_store.put_profile store ~key
+            ~payload:(encode_built_profile built))
+        store;
+      (built, Avis_util.Metrics.Profile_run)
+  in
+  let rng = Avis_util.Rng.create (config.seed * 7919) in
+  let ctx =
+    Search.context_of_run ~rng ~transitions:built.transitions
+      ~duration:built.duration
+  in
+  (built.profile, ctx, source)
 
 (* The cell's checkpoint store, under [AVIS_STORE_DIR] when that is set:
    opened once, before profiling, for the profile and the prefix cache
@@ -336,9 +364,7 @@ let run ?(stop_when = fun _ -> false) ?(progress = fun (_ : progress) -> ())
     (Gc.quick_stat ()).Gc.major_collections - gc0.Gc.major_collections
   in
   let store = open_store config in
-  let profile, ctx, _first, profile_source =
-    profile_and_context ?store config
-  in
+  let profile, ctx, profile_source = profile_and_context ?store config in
   let searcher = strategy ctx in
   let budget = Budget.create ~speedup:config.speedup ~total_s:config.budget_s () in
   let findings = ref [] in

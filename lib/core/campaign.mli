@@ -49,8 +49,8 @@ type progress = {
           cell's store counts them ({!Checkpoint_store.bytes}): files other
           writers added since its last scan are not included. *)
   profile_source : Avis_util.Metrics.profile_source;
-      (** Whether the profiling outcomes were flown or served by the
-          store; never [No_profile] for a running cell. *)
+      (** Whether the profile was flown or served by the store; never
+          [No_profile] for a running cell. *)
 }
 (** A snapshot of the search loop's counters, handed to the [progress]
     callback of {!run} after every simulated scenario. The GC fields are
@@ -65,8 +65,8 @@ type result = {
   wall_clock_spent_s : float;
   profile : Monitor.profile;
   profile_source : Avis_util.Metrics.profile_source;
-      (** [Profile_store] when the cell's store served the profiling
-          outcomes, else [Profile_run]. *)
+      (** [Profile_store] when the cell's store served the built profile,
+          else [Profile_run]. *)
   cache_stats : Prefix_cache.stats option;
       (** Prefix-cache counters for this campaign's test runs; [None] when
           the cache was disabled. *)
@@ -81,16 +81,41 @@ val execute_run :
     the profiling runs, the uncached test runs and {!Replay} all go
     through here. *)
 
+(** What a cell takes from its profiling runs, and what a store's profile
+    file holds. *)
+type built_profile = {
+  profile : Monitor.profile;
+  transitions : Avis_hinj.Hinj.transition list;
+      (** The first profiling run's mode transitions. *)
+  duration : float;  (** The first profiling run's duration. *)
+}
+
+val fly_profile : config -> built_profile
+(** Fly the [profiling_runs] clean missions at seeds [config.seed + i],
+    check that each completed cleanly, and build the profile from them.
+    Raises [Failure] if a run did not. *)
+
+val encode_built_profile : built_profile -> string
+(** A profile file's payload: {!Monitor.encode} of the profile, then the
+    transitions and the duration. *)
+
+val decode_built_profile : string -> built_profile
+(** Inverse of {!encode_built_profile}, bit for bit. Raises
+    [Avis_util.Codec.Corrupt] on malformed input. *)
+
 val profile_and_context :
   ?store:Checkpoint_store.t -> config ->
-  Monitor.profile * Search.context * Avis_sitl.Sim.outcome
-  * Avis_util.Metrics.profile_source
-(** Run the profiling phase only; also returns the first profiling run's
-    outcome (the one the search context is built from) and where the
-    outcomes came from. With [store], the outcomes are taken from it when
-    it holds them under this configuration's profile key, and written to
-    it once flown otherwise. Raises [Failure] if a profiling run does not
-    complete cleanly. *)
+  Monitor.profile * Search.context * Avis_util.Metrics.profile_source
+(** Run the profiling phase only, and say where the profile came from.
+    With [store], the built profile is taken from it when it holds one
+    under this configuration's profile key: the monitor's profile
+    ({!Monitor.encode}) and the first profiling run's transitions and
+    duration, from which the search context is built. A file that does
+    not decode, or was built from another number of runs, is a miss.
+    Otherwise the runs are flown, and once each has completed cleanly the
+    built profile is written to the store. Served or flown, the profile
+    and context are the same, bit for bit. Raises [Failure] if a
+    profiling run does not complete cleanly. *)
 
 val run :
   ?stop_when:(finding -> bool) -> ?progress:(progress -> unit) -> config ->
@@ -102,13 +127,13 @@ val run :
     runners use it to emit live metrics. With [config.prefix_cache] set,
     test runs go through a fresh {!Prefix_cache}. When [AVIS_STORE_DIR]
     is set as well, the cell opens the {!Checkpoint_store} there once,
-    before profiling: the profiling outcomes are served from it when an
+    before profiling: the built profile is served from it when an
     earlier process of the same build profiled the same configuration
-    (and written to it once they are flown and checked otherwise), and
-    the prefix cache is backed by it, which is how a rerun in a later
-    process reuses an earlier campaign's profile and checkpoints. Served
-    or flown, the outcomes build the same profile and search context, bit
-    for bit. The campaign never spends past [budget_s]: affordability is
+    (and written to it once flown and checked otherwise), and the prefix
+    cache is backed by it, which is how a rerun in a later process reuses
+    an earlier campaign's profile and checkpoints, and builds nothing.
+    Served or flown, the profile and search context are the same, bit for
+    bit. The campaign never spends past [budget_s]: affordability is
     checked against the simulator's duration cap before each run, and the
     ledger saturates at the budget. Exceptions escape; {!run_supervised}
     and {!run_cell} quarantine them. *)

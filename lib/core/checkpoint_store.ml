@@ -319,26 +319,31 @@ let load t ~key ~time ~decode =
    is the size of their frame holds exactly them, whoever wrote it. A file
    of any other size is damaged and is written again; a same-size
    bit flip is caught when the chunk is loaded, which deletes it. *)
+let chunk_held t ~hash ~length =
+  let size =
+    match Hashtbl.find_opt t.chunks hash with
+    | Some _ as indexed -> indexed
+    | None -> (
+      match Unix.stat (Filename.concat t.dir (chunk_name hash)) with
+      | st -> Some st.Unix.st_size
+      | exception Unix.Unix_error _ -> None)
+  in
+  size = Some (header_len + length)
+
 let put_chunk t payload =
   let digest = Digest.string payload in
   (try
      let hash = key_hash t ~key:digest in
-     let name = chunk_name hash in
-     let indexed = Hashtbl.find_opt t.chunks hash in
-     let size =
-       match indexed with
-       | Some _ -> indexed
-       | None -> (
-         match Unix.stat (Filename.concat t.dir name) with
-         | st -> Some st.Unix.st_size
-         | exception Unix.Unix_error _ -> None)
-     in
-     if size <> Some (header_len + String.length payload) then begin
-       Option.iter (forget t name) indexed;
+     if not (chunk_held t ~hash ~length:(String.length payload)) then begin
+       let name = chunk_name hash in
+       Option.iter (forget t name) (Hashtbl.find_opt t.chunks hash);
        write t ~name ~payload
      end
    with _ -> ());
   digest
+
+let has_chunk t name ~length =
+  try chunk_held t ~hash:(key_hash t ~key:name) ~length with _ -> false
 
 (* An unindexed chunk is read all the same: another writer may have filed
    it after this instance's scan. *)

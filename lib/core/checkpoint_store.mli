@@ -4,14 +4,14 @@
     die with the process. The store persists the ones a later process
     forks from to a directory shared across processes and runs: every
     clean checkpoint (no fault active yet) and each executed scenario's
-    final checkpoint. So a later process of the same build,
-    configuration and seed finds the clean prefix at every capture time
-    and each scenario an earlier process ran at that scenario's last
-    capture. A re-run serves each scenario from its last capture; a
-    longer campaign over the same cell (a larger budget) also forks its
-    new scenarios from the clean prefix instead of re-simulating it. The
-    same directory keeps each campaign's profiling outcomes, so the
-    re-run skips profiling too.
+    end. So a later process of the same build, configuration and seed
+    finds the clean prefix at every capture time and each scenario an
+    earlier process ran at that scenario's end. A re-run serves each
+    scenario from its end and takes no step; a longer campaign over the
+    same cell (a larger budget) also forks its new scenarios from the
+    clean prefix instead of re-simulating it. The same directory keeps
+    each campaign's built monitor profile, so the re-run skips profiling
+    too, and builds nothing.
 
     {2 Key anatomy}
 
@@ -38,8 +38,8 @@
     checkpoint as one, and the checkpoint names it instead of holding its
     samples, so checkpoints that share a run's past store it once.
 
-    A {e profile} is [HASH.prof]: the outcomes of a campaign's fault-free
-    profiling runs. {!Campaign} keys it by [Sim.encode_config] of the
+    A {e profile} is [HASH.prof]: what a campaign built from its fault-free
+    profiling runs ({!Campaign.encode_built_profile}). {!Campaign} keys it by [Sim.encode_config] of the
     profiling configuration (the base seed in place of the test seed),
     the workload name and the number of profiling runs.
 
@@ -129,6 +129,12 @@ val put_chunk : t -> string -> string
     repeating them. Failures are silently ignored; the name is returned
     all the same, and a checkpoint that names a chunk the store does not
     hold fails to load. *)
+
+val has_chunk : t -> string -> length:int -> bool
+(** Whether the chunk {!put_chunk} named, of [length] bytes, is held: its
+    file is indexed, else on disk, at the size those bytes frame to. A
+    caller that remembers a chunk's name and length asks this instead of
+    putting the chunk again, and puts it again only when it is [false]. *)
 
 val load_chunk : t -> string -> decode:(string -> 'a) -> 'a option
 (** Read the chunk {!put_chunk} named and [decode] its bytes, as {!load}

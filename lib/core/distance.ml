@@ -133,6 +133,7 @@ let build ~graph ~profiles =
 let graph t = t.graph
 let p_hat t = t.p_hat
 let a_hat t = t.a_hat
+let runs t = t.runs
 
 let spread ?(metric = Full) t =
   match metric with
@@ -188,3 +189,113 @@ let state_distance ?(metric = Full) t a b =
       float_of_int (Mode_graph.distance t.graph a.Trace.mode b.Trace.mode)
     in
     sqrt ((d_p *. d_p) +. (d_a *. d_a) +. (d_m *. d_m))
+
+(* The layout: the graph, the labels in id order, the run and tick
+   counts, the six padded columns by their bits, the mode-id column as
+   runs of equal ids (a tick's runs and consecutive ticks mostly share a
+   mode), the mode distances, P̂, Â and both spreads. *)
+let encode b t =
+  let[@warning "+9"] {
+    graph;
+    (* Written as the labels in id order. *)
+    ids;
+    modes;
+    (* The graph's diameter. *)
+    scale = _;
+    runs;
+    ticks;
+    px;
+    py;
+    pz;
+    ax;
+    ay;
+    az;
+    mode;
+    mode_dist;
+    p_hat;
+    a_hat;
+    spread_full;
+    spread_position;
+  } =
+    t
+  in
+  let open Avis_util.Codec in
+  Mode_graph.encode b graph;
+  let labels = Array.make modes "" in
+  Hashtbl.iter (fun label i -> labels.(i) <- label) ids;
+  w_array b w_string labels;
+  w_int b runs;
+  w_int b ticks;
+  let n = runs * ticks in
+  List.iter (fun c -> w_floats b c ~len:n) [ px; py; pz; ax; ay; az ];
+  let i = ref 0 in
+  while !i < n do
+    let id = mode.(!i) in
+    let j = ref (!i + 1) in
+    while !j < n && mode.(!j) = id do incr j done;
+    w_int b (!j - !i);
+    w_int b id;
+    i := !j
+  done;
+  w_floats b mode_dist ~len:(Array.length mode_dist);
+  w_f64 b p_hat;
+  w_f64 b a_hat;
+  w_f64 b spread_full;
+  w_f64 b spread_position
+
+let decode r =
+  let open Avis_util.Codec in
+  let graph = Mode_graph.decode r in
+  let labels = r_array r r_string in
+  let modes = Array.length labels in
+  let ids = Hashtbl.create 16 in
+  Array.iteri
+    (fun i label ->
+      if Hashtbl.mem ids label then corrupt "mode label %S twice" label;
+      Hashtbl.add ids label i)
+    labels;
+  List.iteri
+    (fun i m ->
+      if not (i < modes && String.equal labels.(i) m) then
+        corrupt "graph mode %S is not label %d" m i)
+    (Mode_graph.modes graph);
+  let runs = r_int r in
+  let ticks = r_int r in
+  (* Each slot holds six floats. *)
+  if runs < 1 || ticks < 1 || ticks > remaining r / 48 / runs then
+    corrupt "bad profile of %d runs by %d ticks" runs ticks;
+  let n = runs * ticks in
+  let column () =
+    let c = Array.make n 0.0 in
+    r_floats_into r c ~len:n;
+    c
+  in
+  let px = column () in
+  let py = column () in
+  let pz = column () in
+  let ax = column () in
+  let ay = column () in
+  let az = column () in
+  let mode = Array.make n 0 in
+  let filled = ref 0 in
+  while !filled < n do
+    let count = r_int r in
+    if count < 1 || count > n - !filled then corrupt "bad mode-id run of %d" count;
+    let id = r_int r in
+    if id < 0 || id >= modes then corrupt "bad mode id %d" id;
+    Array.fill mode !filled count id;
+    filled := !filled + count
+  done;
+  if modes > remaining r / 8 / (modes + 1) then
+    corrupt "bad mode distances for %d modes" modes;
+  let mode_dist = Array.make ((modes + 1) * modes) 0.0 in
+  r_floats_into r mode_dist ~len:(Array.length mode_dist);
+  let p_hat = r_f64 r in
+  let a_hat = r_f64 r in
+  let spread_full = r_f64 r in
+  let spread_position = r_f64 r in
+  {
+    graph; p_hat; a_hat; scale = float_of_int (Mode_graph.diameter graph);
+    runs; ticks; px; py; pz; ax; ay; az; mode; ids; modes; mode_dist;
+    spread_full; spread_position;
+  }

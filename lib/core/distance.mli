@@ -37,6 +37,9 @@ val graph : t -> Mode_graph.t
 val p_hat : t -> float
 val a_hat : t -> float
 
+val runs : t -> int
+(** The number of profiling runs. *)
+
 val spread : ?metric:metric -> t -> float
 (** The largest state distance between any two profiling runs at the same
     offset: the monitor's τ before its floor and margin. *)
@@ -56,3 +59,14 @@ val within :
 val state_distance : ?metric:metric -> t -> Trace.sample -> Trace.sample -> float
 (** Distance between two states at the same time offset: the reference
     definition. *)
+
+val encode : Buffer.t -> t -> unit
+(** Every field {!build} computed, floats by their bits: the graph
+    ({!Mode_graph.encode}), the mode labels in id order, the padded
+    columns, the mode-id column, the mode distances, P̂, Â and both
+    spreads. *)
+
+val decode : Avis_util.Codec.reader -> t
+(** Inverse of {!encode}: equal to what {!build} returned, field for field.
+    Raises [Avis_util.Codec.Corrupt] on malformed input, including a mode
+    id out of range or a repeated label. *)

@@ -1,4 +1,6 @@
 type t = {
+  transitions : (string * string) list list;
+      (** What the graph was built from: its codec writes only this. *)
   nodes : string array;
   index : (string, int) Hashtbl.t;
   dist : int array array;  (* symmetrised shortest paths; max_int = infinite *)
@@ -62,7 +64,7 @@ let build ~transitions =
   let edges =
     Hashtbl.fold (fun (a, b) () acc -> (nodes.(a), nodes.(b)) :: acc) edge_set []
   in
-  { nodes; index; dist; diameter = !diameter; edges }
+  { transitions; nodes; index; dist; diameter = !diameter; edges }
 
 let modes t = Array.to_list t.nodes
 
@@ -80,3 +82,39 @@ let distance t a b =
     | None, _ | _, None -> t.diameter
 
 let edges t = t.edges
+
+(* A graph is rebuilt from the transitions it was built from: the same
+   inserts in the same order give the same nodes, distances and edge
+   order. *)
+let encode b t =
+  let open Avis_util.Codec in
+  w_list b
+    (fun b run ->
+      w_list b
+        (fun b (from_mode, to_mode) ->
+          w_string b from_mode;
+          w_string b to_mode)
+        run)
+    t.transitions
+
+(* Real graphs have about a dozen modes; a bound keeps hostile bytes from
+   asking [build] for a huge distance matrix. *)
+let max_decoded_modes = 256
+
+let decode r =
+  let open Avis_util.Codec in
+  let transitions =
+    r_list r (fun r ->
+        r_list r (fun r ->
+            let from_mode = r_string r in
+            (from_mode, r_string r)))
+  in
+  let labels = Hashtbl.create 16 in
+  List.iter
+    (List.iter (fun (a, b) ->
+         Hashtbl.replace labels a ();
+         Hashtbl.replace labels b ()))
+    transitions;
+  if Hashtbl.length labels > max_decoded_modes then
+    corrupt "mode graph of %d modes" (Hashtbl.length labels);
+  build ~transitions

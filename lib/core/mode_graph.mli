@@ -30,3 +30,12 @@ val diameter : t -> int
 
 val edges : t -> (string * string) list
 (** Distinct observed edges. *)
+
+val encode : Buffer.t -> t -> unit
+(** The transition lists the graph was built from. *)
+
+val decode : Avis_util.Codec.reader -> t
+(** Inverse of {!encode}: {!build} over the decoded transitions, so the
+    nodes, distances and {!edges} come out in the order they were built
+    in. Raises [Avis_util.Codec.Corrupt] on malformed input or on more
+    than 256 mode labels. *)

@@ -60,6 +60,26 @@ let graph p = Distance.graph p.norm
 let tau p = p.tau_full
 let normalisers p = p.norm
 
+let encode b p =
+  let[@warning "+9"] { norm; tau_full; tau_position; max_alt; max_home_dist } =
+    p
+  in
+  let open Avis_util.Codec in
+  Distance.encode b norm;
+  w_f64 b tau_full;
+  w_f64 b tau_position;
+  w_f64 b max_alt;
+  w_f64 b max_home_dist
+
+let decode r =
+  let open Avis_util.Codec in
+  let norm = Distance.decode r in
+  let tau_full = r_f64 r in
+  let tau_position = r_f64 r in
+  let max_alt = r_f64 r in
+  let max_home_dist = r_f64 r in
+  { norm; tau_full; tau_position; max_alt; max_home_dist }
+
 type symptom = Crash | Fly_away | Takeoff_failure | Stalled
 
 let symptom_to_string = function

@@ -41,6 +41,16 @@ val graph : profile -> Mode_graph.t
 val tau : profile -> float
 val normalisers : profile -> Distance.t
 
+val encode : Buffer.t -> profile -> unit
+(** Every field {!build_profile} computed, floats by their bits: the
+    normalisers and padded runs ({!Distance.encode}), τ under each metric
+    and the altitude and home-distance envelope. *)
+
+val decode : Avis_util.Codec.reader -> profile
+(** Inverse of {!encode}: a profile that judges every run as the one
+    {!build_profile} returned does. Raises [Avis_util.Codec.Corrupt] on
+    malformed input. *)
+
 type symptom = Crash | Fly_away | Takeoff_failure | Stalled
 
 val symptom_to_string : symptom -> string

@@ -1,5 +1,15 @@
 open Avis_sitl
 
+(* A run's latest faulty capture that is not in memory: its simulator
+   bytes wait in [pending_state]. *)
+type pending = {
+  key : string;
+  time : float;
+  trace : Trace.snapshot;
+  stepper : string;
+  transitions : int;  (** The run's transition count when taken. *)
+}
+
 type entry = {
   time : float;
   sim_snap : Sim.snapshot;
@@ -9,19 +19,16 @@ type entry = {
           its snapshot copied. *)
 }
 
-(* A run's latest faulty capture. *)
-type pending =
-  | Unfiled of {
-      key : string;
-      time : float;
-      trace : Trace.snapshot;
-      stepper : string;
-      transitions : int;  (** The run's transition count when taken. *)
-    }
-      (** Not in memory: its simulator bytes wait in [pending_state]. *)
-  | Held of string * entry
-      (** In memory under that key: filed, found already held, or the
-          checkpoint the run was served from. *)
+(* Full trace chunks by identity. Chunks at one index of different runs
+   hold the same sample times, which is what [Hashtbl.hash] reads of a
+   chunk, so they share a bucket; a bucket holds only the chunks this
+   cache named. *)
+module Chunks = Hashtbl.Make (struct
+  type t = Trace.chunk
+
+  let equal = ( == )
+  let hash = Hashtbl.hash
+end)
 
 type t = {
   workload : Workload.t;
@@ -36,7 +43,7 @@ type t = {
           ever diverge must never share a key. *)
   targets : float array;  (** Capture times, ascending. *)
   pending_state : Buffer.t;
-      (** The encoded simulator of the running scenario's [Unfiled]
+      (** The encoded simulator of the running scenario's pending
           capture, overwritten by its next one. *)
   entries : (string, entry list) Hashtbl.t;
       (** Active-fault-prefix key -> checkpoints, latest first. *)
@@ -44,6 +51,10 @@ type t = {
       (** Store chunk name -> the chunk, decoded once for every checkpoint
           this cache reads from the store that names it. A full chunk is
           never written again, so every trace restored from it shares it. *)
+  chunk_names : (string * int) Chunks.t;
+      (** A full chunk this cache put or loaded -> its store name and the
+          length of its bytes. A full chunk never changes, so its name is
+          its name for good. *)
   mutable hits : int;
   mutable misses : int;
   mutable saved_sim_s : float;
@@ -78,6 +89,7 @@ let create ?store ~workload ~config ~checkpoint_times () =
     pending_state = Buffer.create 8192;
     entries = Hashtbl.create 64;
     trace_chunks = Hashtbl.create 16;
+    chunk_names = Chunks.create 16;
     hits = 0;
     misses = 0;
     saved_sim_s = 0.0;
@@ -118,15 +130,29 @@ let active_key (scenario : Scenario.t) ~time =
   encode_faults
     (List.filter (fun f -> Scenario.fault_time f <= time) scenario)
 
+(* The store name of a full trace chunk. The checkpoints of a run, and
+   now its end, share all but their tail, so a chunk is encoded and hashed
+   only the first time this cache puts it; after that, and after a load,
+   its remembered name stands, unless its file is no longer held, when it
+   is put again. *)
+let name_chunk (t : t) store chunk =
+  match Chunks.find_opt t.chunk_names chunk with
+  | Some (name, length) when Checkpoint_store.has_chunk store name ~length ->
+    name
+  | Some _ | None ->
+    let bytes = Trace.encode_chunk chunk in
+    let name = Checkpoint_store.put_chunk store bytes in
+    Chunks.replace t.chunk_names chunk (name, String.length bytes);
+    name
+
 (* A stored checkpoint is the entry's two strings and the trace's bytes,
    with each full trace chunk filed apart under its content's name: the
    checkpoints of a run, and of every run forked from it, share their
    past instead of repeating it. *)
-let store_payload store ~sim_snap ~stepper =
+let store_payload (t : t) store ~sim_snap ~stepper =
   Avis_util.Codec.to_string
     (fun b () ->
-      Sim.encode_snapshot ~put_chunk:(Checkpoint_store.put_chunk store) b
-        sim_snap;
+      Sim.encode_snapshot ~put_chunk:(name_chunk t store) b sim_snap;
       Avis_util.Codec.w_bytes b stepper)
     ()
 
@@ -161,16 +187,18 @@ let write_through (t : t) ~key (e : entry) =
     Avis_util.Trace.span ~cat:"cache" "store.put" @@ fun () ->
     Checkpoint_store.put store ~key:(t.store_key ^ "\x00" ^ key) ~time:e.time
       ~payload:
-        (lazy (store_payload store ~sim_snap:e.sim_snap ~stepper:e.stepper));
+        (lazy (store_payload t store ~sim_snap:e.sim_snap ~stepper:e.stepper));
     Avis_util.Trace.counter "store.writes"
       (float_of_int (Checkpoint_store.writes store))
 
-(* File a pending capture in memory: its simulator bytes become a string
-   only now. *)
-let file (t : t) pending =
+(* File the run's pending capture in memory if the run changed mode since
+   it was taken: a scenario stacked onto this one forks at one of its mode
+   transitions, from its last capture before it. Its simulator bytes
+   become a string only now. *)
+let file_pending (t : t) pending ~transitions =
   match !pending with
-  | None | Some (Held _) -> ()
-  | Some (Unfiled p) ->
+  | Some p when p.transitions < transitions ->
+    Avis_util.Trace.span ~cat:"cache" "cache.checkpoint" @@ fun () ->
     let sim_snap =
       Sim.snapshot_of_state t.config
         ~state:(Buffer.contents t.pending_state)
@@ -178,35 +206,40 @@ let file (t : t) pending =
     in
     let e = add_entry t ~key:p.key ~time:p.time ~sim_snap ~stepper:p.stepper in
     Avis_util.Trace.counter "snapshot.bytes" (float_of_int e.bytes);
-    pending := Some (Held (p.key, e))
+    pending := None
+  | Some _ | None -> ()
 
 (* A scenario's captures before its first fault land under the empty key:
    they are the clean checkpoints every later scenario forks from, so the
    clean prefix is simulated once, by whichever scenario first reaches each
    capture time. Clean captures are filed and written through as they are
-   taken. A faulty capture only replaces [pending]: a scenario stacked onto
-   this one forks at one of its mode transitions, from its last capture
-   before it, so the capture it replaces is filed only if the run changed
-   mode since. *)
-let capture (t : t) ~scenario ~pending sim st =
-  Avis_util.Trace.span ~cat:"cache" "cache.checkpoint" @@ fun () ->
+   taken. A faulty capture only replaces [pending], after [file_pending]
+   has kept the one it replaces if the run changed mode since.
+
+   The run's end is its [final] capture, filed and written through
+   whatever its key: a later scenario with the same faults, or with more
+   that all lie after that end, stops at the same step, so it is served
+   from there and takes no step. *)
+let capture (t : t) ~scenario ~pending ~final sim st =
   let time = injection_clock sim in
   if time > 0.0 then begin
     let key = active_key scenario ~time in
     let transitions = Avis_hinj.Hinj.transition_count (Sim.hinj sim) in
-    (match !pending with
-    | Some (Unfiled p) when p.transitions < transitions -> file t pending
-    | _ -> ());
+    file_pending t pending ~transitions;
     let existing =
       Option.value ~default:[] (Hashtbl.find_opt t.entries key)
     in
     (* Same key + same time means the frozen state is bit-identical to
-       one already held; skip the snapshot entirely. *)
+       one already held; skip the snapshot entirely. A run that stopped
+       without stepping after a pause ends in the state of that pause. *)
     match List.find_opt (fun e -> e.time = time) existing with
-    | Some e -> if key <> "" then pending := Some (Held (key, e))
+    | Some e ->
+      pending := None;
+      if final then write_through t ~key e
     | None ->
+      Avis_util.Trace.span ~cat:"cache" "cache.checkpoint" @@ fun () ->
       let stepper = Avis_util.Codec.to_string Workload.Stepper.encode st in
-      if key = "" then begin
+      if key = "" || final then begin
         let e = add_entry t ~key ~time ~sim_snap:(Sim.snapshot sim) ~stepper in
         Avis_util.Trace.counter "snapshot.bytes" (float_of_int e.bytes);
         write_through t ~key e
@@ -215,9 +248,8 @@ let capture (t : t) ~scenario ~pending sim st =
         Sim.encode_state t.pending_state sim;
         pending :=
           Some
-            (Unfiled
-               { key; time; trace = Trace.snapshot (Sim.trace sim); stepper;
-                 transitions })
+            { key; time; trace = Trace.snapshot (Sim.trace sim); stepper;
+              transitions }
       end
   end
 
@@ -261,18 +293,20 @@ let lookup (t : t) ~scenario =
       List.find_opt (fun e -> e.time < before) es
       |> Option.map (fun e -> (e.time, e))
   in
-  Option.map (fun (key, _, e) -> (key, e)) (best_prefix ~find scenario)
+  Option.map (fun (_, _, e) -> e) (best_prefix ~find scenario)
 
 (* The trace chunk a stored checkpoint names: decoded once per cache, from
-   the store on first use. A chunk the store cannot serve makes the
-   checkpoint that names it corrupt. *)
+   the store on first use, and named by it from then on. A chunk the store
+   cannot serve makes the checkpoint that names it corrupt. *)
 let trace_chunk (t : t) store name =
   match Hashtbl.find_opt t.trace_chunks name with
   | Some c -> c
   | None -> (
-    match Checkpoint_store.load_chunk store name ~decode:Trace.decode_chunk with
-    | Some c ->
+    let decode bytes = (Trace.decode_chunk bytes, String.length bytes) in
+    match Checkpoint_store.load_chunk store name ~decode with
+    | Some (c, length) ->
       Hashtbl.add t.trace_chunks name c;
+      Chunks.replace t.chunk_names c (name, length);
       c
     | None -> Avis_util.Codec.corrupt "trace chunk missing or damaged")
 
@@ -307,7 +341,7 @@ let store_lookup (t : t) store ~scenario ~fork =
         match Checkpoint_store.load store ~key:(store_key key) ~time ~decode with
         | None -> serve ()
         | Some (sim_snap, stepper, forked) ->
-          Some (key, add_entry t ~key ~time ~sim_snap ~stepper, forked))
+          Some (add_entry t ~key ~time ~sim_snap ~stepper, forked))
     in
     serve ()
   in
@@ -322,9 +356,9 @@ let store_lookup (t : t) store ~scenario ~fork =
    this is what lets a search that stacks faults onto a safe scenario
    (SABRE's sites) fork from its base run instead of re-simulating it.
    Pausing and resuming is bit-identical to an uninterrupted run. The run's
-   pending capture is filed once it ends, and written through: encoding it
-   then is bit-exact, because its trace snapshot shares only chunks the run
-   writes past. *)
+   end is its final capture: a scenario served from an end has a finished
+   stepper, so [go] returns at once and the outcome is read from the
+   restored layers. *)
 let execute (t : t) ~scenario =
   let plan = Scenario.to_plan scenario in
   let link_outages = Scenario.link_outages scenario in
@@ -332,29 +366,25 @@ let execute (t : t) ~scenario =
     ( Sim.restore ~plan ~link_outages sim_snap,
       Avis_util.Codec.of_string (Workload.Stepper.decode t.workload) stepper )
   in
-  let pending = ref None in
-  (* A served faulty checkpoint is the run's final capture until it takes
-     another. *)
-  let serve key e forked =
+  let serve (e : entry) forked =
     t.hits <- t.hits + 1;
     Avis_util.Trace.counter "cache.hits" (float_of_int t.hits);
     t.saved_sim_s <- t.saved_sim_s +. e.time;
-    if key <> "" then pending := Some (Held (key, e));
     forked
   in
   let sim, st =
     match lookup t ~scenario with
-    | Some (key, e) ->
-      serve key e (fork ~sim_snap:e.sim_snap ~stepper:e.stepper)
+    | Some e -> serve e (fork ~sim_snap:e.sim_snap ~stepper:e.stepper)
     | None -> (
       match Option.bind t.store (fun s -> store_lookup t s ~scenario ~fork) with
-      | Some (key, e, forked) -> serve key e forked
+      | Some (e, forked) -> serve e forked
       | None ->
         t.misses <- t.misses + 1;
         Avis_util.Trace.counter "cache.misses" (float_of_int t.misses);
         (Sim.create ~plan ~link_outages t.config,
          Workload.Stepper.create t.workload))
   in
+  let pending = ref None in
   let n = Array.length t.targets in
   let rec go i =
     if i >= n then
@@ -370,16 +400,13 @@ let execute (t : t) ~scenario =
       else
         match Workload.Stepper.run st sim ~until:target with
         | Workload.Stepper.Running ->
-          capture t ~scenario ~pending sim st;
+          capture t ~scenario ~pending ~final:false sim st;
           go (i + 1)
         | Workload.Stepper.Done passed -> passed
     end
   in
   let passed = go 0 in
-  file t pending;
-  (match !pending with
-  | Some (Held (key, e)) -> write_through t ~key e
-  | _ -> ());
+  capture t ~scenario ~pending ~final:true sim st;
   Sim.outcome sim ~workload_passed:passed
 
 let stats (t : t) =

@@ -21,9 +21,20 @@
     them. A run therefore holds its latest faulty capture as pending, its
     simulator bytes in a buffer the cache reuses, and files it as a
     checkpoint only when the run records a mode transition before its
-    next capture, or when the run ends first. A faulty run files at most
-    one checkpoint per transition after its first fault, plus its final
-    capture.
+    next capture or its end.
+
+    The end of every run is its final checkpoint, keyed by the faults
+    active at its injection clock: the simulator, the trace and the
+    finished stepper. A run served from it takes no step, and its outcome
+    is read from the restored layers. It serves the same scenario again,
+    and any scenario whose further faults all lie after that end: such a
+    run stops at the same step whatever comes later, so the lookup window
+    below already admits exactly the sound cases. A faulty run files at
+    most one checkpoint per transition after its first fault, plus its
+    end; the end costs one {!Avis_sitl.Sim.encode_state} per scenario,
+    and none when a checkpoint with its key and time is already held (a
+    run that stopped without stepping after a pause ends in that pause's
+    state).
 
     A scenario is then served by restoring the latest checkpoint whose
     active-fault set is a float-for-float prefix of the scenario and whose
@@ -64,20 +75,22 @@ val create :
     tier behind the in-memory one, keyed by the store's code fingerprint,
     the canonical bytes of [config], the workload and the fault history.
     The store receives only what a later process forks from: every clean
-    capture, as it is taken, and each executed scenario's final capture,
-    when {!execute} returns. A scenario served from a faulty checkpoint
-    that takes no capture after it ends with that checkpoint as its final
-    capture. A checkpoint is written as the entry's strings plus the
-    trace (lazily — nothing is written when the store has the file
-    indexed or on disk), with each full 256-sample trace chunk handed to
-    {!Checkpoint_store.put_chunk} and named in its place, so the
-    checkpoints of a run, and of every run forked from it, store its past
-    once. A scenario that finds no checkpoint in
-    memory looks in the store before running cold. The store lookup scans
-    the same fault prefixes, so a fresh process forks even its first
-    scenario from the best stored checkpoint: a scenario an earlier
-    process ran, from that run's final capture; any other, from the clean
-    prefix or a stored scenario it extends. Stored checkpoints are served
+    capture, as it is taken, and each executed scenario's end, when
+    {!execute} returns. A checkpoint is written as the entry's strings
+    plus the trace (lazily — nothing is written when the store has the
+    file indexed or on disk), with each full 256-sample trace chunk named
+    in its place: the cache encodes a chunk and hands it to
+    {!Checkpoint_store.put_chunk} the first time, and afterwards reuses
+    the name it got (or the one it loaded the chunk under) while
+    {!Checkpoint_store.has_chunk} says the file is held, since a full
+    chunk never changes. So the checkpoints of a run, and of every run
+    forked from it, store its past once, and a write hashes only the
+    chunks the cache has not named yet. A scenario that finds no
+    checkpoint in memory looks in the store before running cold. The
+    store lookup scans the same fault prefixes, so a fresh process forks
+    even its first scenario from the best stored checkpoint: a scenario
+    an earlier process ran, from that run's end, taking no step; any
+    other, from the clean prefix or a stored scenario it extends. Stored checkpoints are served
     only on bit-exact key matches, so outcomes remain bit-identical to
     cold runs, across processes. The lookup picks the best checkpoint
     from the index the store built when it was opened and reads that one
@@ -88,17 +101,19 @@ val create :
     store cannot serve, is deleted, and the next best is tried. *)
 
 val execute : t -> scenario:Scenario.t -> Avis_sitl.Sim.outcome
-(** Run one scenario, forking from the best applicable checkpoint — clean
-    or faulty-prefix — when one exists, and cold otherwise. Either way the
-    outcome is bit-identical to a cold run. A forked run resumes just
-    under the capture time its checkpoint was taken at and does not
-    capture there again. *)
+(** Run one scenario, forking from the best applicable checkpoint — clean,
+    faulty-prefix or a run's end — when one exists, and cold otherwise.
+    Either way the outcome is bit-identical to a cold run. A forked run
+    resumes just under the capture time its checkpoint was taken at and
+    does not capture there again; one forked from a run's end takes no
+    step. *)
 
 type stats = {
   hits : int;  (** Scenarios served from a checkpoint. *)
   misses : int;  (** Scenarios simulated cold. *)
   saved_sim_s : float;
-      (** Simulated seconds skipped by restoring instead of replaying. *)
+      (** Simulated seconds skipped by restoring instead of replaying: a
+          scenario served from its run's end skips its whole duration. *)
   evictions : int;
       (** Always 0: the cache drops no checkpoint. The field stays because
           [perfbench/avisbench.ml] builds this record literally. *)

@@ -9,12 +9,12 @@ type context = {
   rng : Avis_util.Rng.t;
 }
 
-let context_of_outcome ~rng (outcome : Avis_sitl.Sim.outcome) =
+let context_of_run ~rng ~transitions ~duration =
   let transitions =
     List.map
       (fun tr ->
         Avis_hinj.Hinj.(tr.time, tr.from_mode, tr.to_mode))
-      outcome.Avis_sitl.Sim.transitions
+      transitions
   in
   (* The mode in force at a time, precomputed as a time-sorted array and
      answered by binary search — [mode_at] is called per candidate site by
@@ -40,7 +40,7 @@ let context_of_outcome ~rng (outcome : Avis_sitl.Sim.outcome) =
   in
   {
     transitions;
-    mission_duration = outcome.Avis_sitl.Sim.duration;
+    mission_duration = duration;
     instances = Suite.instances;
     instances_of_kind = Suite.count;
     mode_at;

@@ -20,8 +20,11 @@ type context = {
   rng : Avis_util.Rng.t;
 }
 
-val context_of_outcome : rng:Avis_util.Rng.t -> Avis_sitl.Sim.outcome -> context
-(** Build the search context from a profiling run's outcome. *)
+val context_of_run :
+  rng:Avis_util.Rng.t -> transitions:Avis_hinj.Hinj.transition list ->
+  duration:float -> context
+(** Build the search context from a profiling run's mode transitions and
+    duration, the only parts of its outcome a context reads. *)
 
 type run_result = {
   unsafe : bool;

@@ -15,18 +15,24 @@ type t = {
   fence : fence option;
   wind : wind option;
   gust : Vec3.Mut.vec; (* updated in place by the step kernel *)
+  gust_gain : float array;
+      (* [| dt; alpha; sigma |]: the gust filter's decay and noise scale
+         for the last step size, constants of [wind] and [dt]. Derived,
+         never encoded. *)
 }
 
+let fresh_gain () = [| Float.nan; 0.0; 0.0 |]
+
 let create ?(obstacles = []) ?(fence = None) ?(wind = None) () =
-  { obstacles; fence; wind; gust = Vec3.Mut.create () }
+  { obstacles; fence; wind; gust = Vec3.Mut.create (); gust_gain = fresh_gain () }
 
 let benign () = create ()
 
 let copy t =
-  (* Obstacles, fence and wind spec are immutable; only the gust state is
-     mutable. *)
+  (* Obstacles, fence and wind spec are immutable; the gust state is
+     copied, and the copy works its gust gain out afresh. *)
   { obstacles = t.obstacles; fence = t.fence; wind = t.wind;
-    gust = Vec3.Mut.copy t.gust }
+    gust = Vec3.Mut.copy t.gust; gust_gain = fresh_gain () }
 
 let obstacles t = t.obstacles
 let fence t = t.fence
@@ -78,9 +84,17 @@ let wind_into t rng dt (dst : Vec3.Mut.vec) =
   | Some w ->
     (* Ornstein-Uhlenbeck gusts: exponentially correlated noise around the
        steady component. *)
-    let tau = Float.max 1e-3 w.gust_correlation_s in
-    let alpha = exp (-.dt /. tau) in
-    let sigma = w.gust_stddev *. sqrt (1.0 -. (alpha *. alpha)) in
+    let gain = t.gust_gain in
+    if not (dt = gain.(0)) then begin
+      (* Worked out once per step size, by the same expressions, so the
+         bits do not change. *)
+      let tau = Float.max 1e-3 w.gust_correlation_s in
+      let alpha = exp (-.dt /. tau) in
+      gain.(0) <- dt;
+      gain.(1) <- alpha;
+      gain.(2) <- w.gust_stddev *. sqrt (1.0 -. (alpha *. alpha))
+    end;
+    let alpha = gain.(1) and sigma = gain.(2) in
     (* The original built the noise vector with [Vec3.make g g g'], whose
        arguments evaluate right to left — so the z draw comes first. Keep
        that order or every windy run's randomness shifts. *)

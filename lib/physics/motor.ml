@@ -7,6 +7,9 @@ type t = {
   actual : float array; (* thrust fraction actually produced *)
   thrust_n : float array; (* newtons per motor, refreshed by [step] *)
   total_n : float array; (* single cell: cached sum of [thrust_n] *)
+  lag : float array;
+      (* [| dt; alpha |]: the lag filter's gain for the last step size, a
+         constant of the airframe and [dt]. Derived, never encoded. *)
 }
 
 (* Motors evenly spaced around the airframe starting 45 degrees off the
@@ -50,6 +53,7 @@ let create frame =
     actual = Array.make n 0.0;
     thrust_n = Array.make n 0.0;
     total_n = Array.make 1 0.0;
+    lag = [| Float.nan; 0.0 |];
   }
 
 let command t cmds =
@@ -62,8 +66,14 @@ let command t cmds =
   done
 
 let step t dt =
-  let tau = t.frame.Airframe.motor_time_constant_s in
-  let alpha = if tau <= 0.0 then 1.0 else 1.0 -. exp (-.dt /. tau) in
+  if not (dt = t.lag.(0)) then begin
+    (* Worked out once per step size, by the same expression, so the bits
+       do not change. *)
+    let tau = t.frame.Airframe.motor_time_constant_s in
+    t.lag.(0) <- dt;
+    t.lag.(1) <- (if tau <= 0.0 then 1.0 else 1.0 -. exp (-.dt /. tau))
+  end;
+  let alpha = t.lag.(1) in
   for i = 0 to Array.length t.actual - 1 do
     let a = t.actual.(i) +. (alpha *. (t.commanded.(i) -. t.actual.(i))) in
     (* A motor spinning down decays towards zero without reaching it; a

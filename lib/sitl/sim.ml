@@ -242,41 +242,3 @@ let encode_snapshot ?put_chunk b s =
 let decode_snapshot ?get_chunk ~config r =
   let state = Avis_util.Codec.r_bytes r in
   snapshot_of_state config ~state (Trace.decode_snapshot ?get_chunk r)
-
-(* Every field is written (warning 9 is an error here), each through its
-   layer's codec, so every float travels by its bits. *)
-let encode_outcome b (o : outcome) =
-  let[@warning "+9"] {
-    trace;
-    crash;
-    fence_breached;
-    workload_passed;
-    transitions;
-    triggered_bugs;
-    duration;
-    sensor_reads;
-  } =
-    o
-  in
-  let open Avis_util.Codec in
-  Trace.encode_snapshot b (Trace.snapshot trace);
-  w_option b Avis_physics.World.encode_contact crash;
-  w_bool b fence_breached;
-  w_bool b workload_passed;
-  w_list b Avis_hinj.Hinj.encode_transition transitions;
-  w_list b Bug.encode_id triggered_bugs;
-  w_f64 b duration;
-  w_int b sensor_reads
-
-let decode_outcome r =
-  let open Avis_util.Codec in
-  let trace = Trace.restore (Trace.decode_snapshot r) in
-  let crash = r_option r Avis_physics.World.decode_contact in
-  let fence_breached = r_bool r in
-  let workload_passed = r_bool r in
-  let transitions = r_list r Avis_hinj.Hinj.decode_transition in
-  let triggered_bugs = r_list r Bug.decode_id in
-  let duration = r_f64 r in
-  let sensor_reads = r_int r in
-  { trace; crash; fence_breached; workload_passed; transitions;
-    triggered_bugs; duration; sensor_reads }

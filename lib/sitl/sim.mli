@@ -138,7 +138,7 @@ val encode_config : Buffer.t -> config -> unit
     configurations produce equal bytes. *)
 
 val encode_snapshot :
-  ?put_chunk:(string -> string) -> Buffer.t -> snapshot -> unit
+  ?put_chunk:(Trace.chunk -> string) -> Buffer.t -> snapshot -> unit
 (** The snapshot's string as it is, then the trace's encoding, with its
     full chunks handed to [put_chunk] if given
     ({!Trace.encode_snapshot}). *)
@@ -153,13 +153,3 @@ val decode_snapshot :
     ({!Trace.decode_snapshot}). Raises [Avis_util.Codec.Corrupt] on
     malformed trace bytes; the encoded layers are decoded, and checked, by
     {!restore}. *)
-
-val encode_outcome : Buffer.t -> outcome -> unit
-(** Every field of an outcome: the trace through {!Trace.encode_snapshot},
-    the crash, transitions and triggered bugs through their layers'
-    codecs. A decoded outcome judges, profiles and seeds a search exactly
-    as the original does. *)
-
-val decode_outcome : Avis_util.Codec.reader -> outcome
-(** Inverse of {!encode_outcome}. Raises [Avis_util.Codec.Corrupt] on
-    malformed input. *)

@@ -230,9 +230,7 @@ let encode_snapshot ?put_chunk b (s : snapshot) =
   let names =
     match put_chunk with
     | None -> [||]
-    | Some put ->
-      Array.init (s.len lsr chunk_bits) (fun ci ->
-          put (encode_chunk s.chunks.(ci)))
+    | Some put -> Array.init (s.len lsr chunk_bits) (fun ci -> put s.chunks.(ci))
   in
   w_array b w_string names;
   for ci = Array.length names to ((s.len + chunk_cap - 1) lsr chunk_bits) - 1 do

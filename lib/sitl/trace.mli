@@ -109,21 +109,27 @@ type chunk
     shared by any number of snapshots and restored traces. *)
 
 val encode_snapshot :
-  ?put_chunk:(string -> string) -> Buffer.t -> snapshot -> unit
-(** The recorded series. With [put_chunk], each full chunk's bytes are
-    handed to it, and the name it returns is written in their place: a
-    caller that files chunks by content writes each one once, however
-    many snapshots share it. The partial tail, and every chunk without
+  ?put_chunk:(chunk -> string) -> Buffer.t -> snapshot -> unit
+(** The recorded series. With [put_chunk], each full chunk is handed to
+    it, and the name it returns is written in its place: a caller that
+    files chunks by the content {!encode_chunk} gives writes each one
+    once, however many snapshots share it, and as a full chunk never
+    changes, it can remember the name it gave a chunk instead of encoding
+    the chunk again. The partial tail, and every chunk without
     [put_chunk], is written inline. *)
+
+val encode_chunk : chunk -> string
+(** A full chunk's bytes: its 256 samples, as {!encode_snapshot} writes
+    a segment. *)
 
 val decode_snapshot :
   ?get_chunk:(string -> chunk) -> Avis_util.Codec.reader -> snapshot
 (** Inverse of {!encode_snapshot}. [get_chunk] resolves a chunk name to
-    the chunk whose bytes [put_chunk] was handed, decoded by
-    {!decode_chunk}; it must raise [Avis_util.Codec.Corrupt] when it
+    the chunk [put_chunk] was handed, decoded from its {!encode_chunk}
+    bytes by {!decode_chunk}; it must raise [Avis_util.Codec.Corrupt] when it
     cannot, and without it a named chunk is corrupt. Raises
     [Avis_util.Codec.Corrupt] on malformed input. *)
 
 val decode_chunk : string -> chunk
-(** The chunk whose bytes [encode_snapshot ~put_chunk] handed out. Raises
+(** The chunk whose bytes {!encode_chunk} gave. Raises
     [Avis_util.Codec.Corrupt] on anything else. *)

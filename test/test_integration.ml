@@ -84,10 +84,16 @@ let bug_scenario (golden : Sim.outcome) bug =
     | None -> plan)
   | None -> Alcotest.fail ("no window site for " ^ info.Bug.report)
 
+(* The first profiling run, the one a cell's search context is built
+   from. *)
+let golden_of config =
+  Campaign.execute_run config ~seed:config.Campaign.seed
+    ~scenario:Scenario.empty
+
 let profile_for policy workload =
   let config = Campaign.default_config policy workload in
-  let profile, _, first, _ = Campaign.profile_and_context config in
-  (profile, first)
+  let profile, _, _ = Campaign.profile_and_context config in
+  (profile, golden_of config)
 
 let apm_profile = lazy (profile_for Policy.apm Workload.auto_box)
 let px4_profile = lazy (profile_for Policy.px4 Workload.auto_box)
@@ -122,7 +128,8 @@ let test_bugs_detected () = List.iter check_bug_detected auto_box_bugs
 
 let test_manual_bug_4455 () =
   let config = Campaign.default_config Policy.apm Workload.manual_box in
-  let profile, _, golden, _ = Campaign.profile_and_context config in
+  let profile, _, _ = Campaign.profile_and_context config in
+  let golden = golden_of config in
   let manual_entry = transition_time golden ~to_mode:"Manual" in
   let plan = fail_kind Sensor.Gps (manual_entry +. 4.0) in
   let o =
@@ -231,7 +238,8 @@ let test_replay_reproduces () =
 
 let test_monitor_flags_takeoff_failure_symptom () =
   let config = Campaign.default_config Policy.px4 Workload.auto_box in
-  let profile, _, golden, _ = Campaign.profile_and_context config in
+  let profile, _, _ = Campaign.profile_and_context config in
+  let golden = golden_of config in
   let takeoff = transition_time golden ~to_mode:"Takeoff" in
   let o =
     run_workload ~enabled:[ Bug.Px4_17181 ] ~seed:1001

@@ -55,7 +55,7 @@ let fingerprint (o : Sim.outcome) =
     o.Sim.sensor_reads )
 
 let profile_for policy workload =
-  let profile, _, _, _ =
+  let profile, _, _ =
     Campaign.profile_and_context (Campaign.default_config policy workload)
   in
   profile

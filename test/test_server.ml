@@ -309,7 +309,7 @@ let test_display_names_match () =
       Campaign.budget_s = 1.0;
     }
   in
-  let _, ctx, _, _ = Campaign.profile_and_context config in
+  let _, ctx, _ = Campaign.profile_and_context config in
   List.iter
     (fun name ->
       match Worker.strategy_of_name name with

@@ -9,7 +9,8 @@
    scenarios from disk with outcomes bit-identical to cold runs, even after
    the directory is vandalised, reading only the file each one forks from,
    and the directory must hold only the clean captures and each scenario's
-   final capture. *)
+   end, from which a rerun takes no step; the stored monitor profile must
+   be the built one. *)
 
 open Avis_geo
 open Avis_sensors
@@ -267,29 +268,19 @@ let test_of_bytes_rejects_garbage () =
   | exception Avis_util.Codec.Corrupt _ -> ()
   | _ -> Alcotest.fail "truncated state restored"
 
-(* A whole outcome through its codec: the decoded outcome is the
-   original field for field, floats by their bits, and re-encodes to the
-   same bytes. *)
-let test_outcome_roundtrip () =
-  let plan = fail_kind Sensor.Gps 20.0 in
-  let o = cold_run ~plan Workload.quickstart Policy.apm in
-  let bytes = Avis_util.Codec.to_string Sim.encode_outcome o in
-  let decoded = Avis_util.Codec.of_string Sim.decode_outcome bytes in
-  check_same_outcome "decoded outcome = original" o decoded;
-  Alcotest.(check bool) "outcome codec canonical" true
-    (String.equal (Avis_util.Codec.to_string Sim.encode_outcome decoded) bytes)
-
 (* ------------------------------------------------------------------ *)
 (* Chunked trace codec                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* A chunk store in memory: each chunk's bytes under their MD5, as
-   [Checkpoint_store.put_chunk] names them, and each chunk decoded once,
+(* A chunk store in memory: each chunk's bytes ([Trace.encode_chunk])
+   under their MD5, as [Checkpoint_store.put_chunk] names them, and each
+   chunk decoded once,
    as the prefix cache decodes it, so every trace decoded through one
    store shares its chunks. *)
 let memory_chunks () =
   let bytes = Hashtbl.create 8 and decoded = Hashtbl.create 8 in
-  let put_chunk b =
+  let put_chunk c =
+    let b = Trace.encode_chunk c in
     let name = Digest.string b in
     Hashtbl.replace bytes name b;
     name
@@ -437,10 +428,10 @@ let qcheck_chunked_trace =
    it. *)
 let exemplar_chunks = memory_chunks ()
 
-(* A simulator, a stepper and an outcome (the paused run's, mid-flight:
-   a trace, transitions and sensor reads), encoded; then a checkpoint file's
-   payload, as the prefix cache stores it, of a run past its first full
-   trace chunk, and that chunk's bytes. *)
+(* A simulator and a stepper, paused mid-flight, encoded; then a
+   checkpoint file's payload, as the prefix cache stores it, of a run past
+   its first full trace chunk; a profile file's payload, of two
+   quickstart runs; and that chunk's bytes. *)
 let exemplar_bytes =
   lazy
     (let sim, st = paused_run Workload.quickstart Policy.apm ~until:8.0 in
@@ -457,9 +448,13 @@ let exemplar_bytes =
        ([
           encode_sim sim;
           encode_stepper st;
-          Avis_util.Codec.to_string Sim.encode_outcome
-            (Sim.outcome sim ~workload_passed:false);
           payload;
+          Campaign.encode_built_profile
+            (Campaign.fly_profile
+               {
+                 (Campaign.default_config Policy.apm Workload.quickstart) with
+                 Campaign.profiling_runs = 2;
+               });
         ]
        @ List.of_seq (Hashtbl.to_seq_values chunks)))
 
@@ -474,8 +469,6 @@ let decoders =
         ignore (Sim.restore ~plan:[] ~link_outages:[] (decode_sim ~config s))
     );
     ("Stepper.decode", fun s -> ignore (decode_stepper Workload.quickstart s));
-    ( "Sim.decode_outcome",
-      fun s -> ignore (Avis_util.Codec.of_string Sim.decode_outcome s) );
     ( "checkpoint payload with chunks",
       fun s ->
         let _, _, get_chunk = exemplar_chunks in
@@ -487,6 +480,8 @@ let decoders =
             ignore (Sim.restore ~plan:[] ~link_outages:[] snap))
           s );
     ("Trace.decode_chunk", fun s -> ignore (Trace.decode_chunk s));
+    ( "Campaign.decode_built_profile",
+      fun s -> ignore (Campaign.decode_built_profile s) );
     ( "Codec string+floats",
       fun s ->
         let r = Avis_util.Codec.reader s in
@@ -948,22 +943,23 @@ let targets_reached make_sim workload ~scenario =
     [] quickstart_targets
 
 (* The store holds what a later process forks from: the clean capture at
-   every target the clean run reached, and one file under the key of each
-   scenario that reached a target after its first fault: its final
-   capture. Every other faulty capture stays in memory. *)
+   every target the clean run reached, and each scenario's end, under the
+   key of the faults active there: the clean run's beside its captures,
+   and one file for each scenario whose first fault came before its end.
+   Every other faulty capture stays in memory. *)
 let test_store_keeps_final_captures () =
   with_temp_dir @@ fun store_dir ->
   let cache, make_sim, workload = store_cache ~store_dir () in
   check_cache_against_cold ~msg:"fill = cold" cache make_sim workload;
-  let captured_faulty scenario =
-    List.exists
-      (fun t -> t > first_fault scenario)
-      (targets_reached make_sim workload ~scenario)
+  let faulty_at_end scenario =
+    let sim = make_sim ~scenario in
+    ignore (Workload.execute workload sim : bool);
+    first_fault scenario <= Sim.time sim
   in
-  let faulty = List.filter captured_faulty (store_scenarios ()) in
+  let faulty = List.filter faulty_at_end (store_scenarios ()) in
   let clean = targets_reached make_sim workload ~scenario:Scenario.empty in
   Alcotest.(check (list int)) "files per key hash"
-    (List.map (fun _ -> 1) faulty @ [ List.length clean ])
+    (List.map (fun _ -> 1) faulty @ [ List.length clean + 1 ])
     (List.sort compare (List.map List.length (times_by_hash store_dir)))
 
 (* A fresh instance forks every scenario from the file its fill left: each
@@ -1027,6 +1023,34 @@ let test_store_extension_identical () =
 
 (* Re-frame a checkpoint file around the first half of its payload: the
    frame's checksum holds, but the payload does not decode. *)
+(* A run's end is its last checkpoint. A fresh instance serves a scenario
+   that adds a fault after a stored run's end from that end: the run stops
+   at the same step whatever comes later, so it takes no step, and its
+   outcome is a cold run's, bit for bit. *)
+let test_store_fault_after_end_served () =
+  with_temp_dir @@ fun store_dir ->
+  let baro = { Sensor.kind = Sensor.Barometer; index = 0 } in
+  let base = Scenario.of_faults [ Scenario.sensor_fault baro 12.5 ] in
+  let cache1, make_sim, workload = store_cache ~store_dir () in
+  check_cache_against_cold ~scenarios:[ base ] ~msg:"fill = cold" cache1
+    make_sim workload;
+  let sim = make_sim ~scenario:base in
+  ignore (Workload.execute workload sim : bool);
+  let gps = { Sensor.kind = Sensor.Gps; index = 0 } in
+  let later =
+    Scenario.of_faults
+      [ Scenario.sensor_fault baro 12.5; Scenario.sensor_fault gps (Sim.time sim +. 5.0) ]
+  in
+  let cache2, _, _ = store_cache ~store_dir () in
+  check_cache_against_cold ~scenarios:[ later ] ~msg:"served = cold" cache2
+    make_sim workload;
+  let s = Prefix_cache.stats cache2 in
+  Alcotest.(check int) "from the store" 1 s.Prefix_cache.store_hits;
+  Alcotest.(check int) "none cold" 0 s.Prefix_cache.misses;
+  Alcotest.(check (float 0.0)) "restored at the base run's end"
+    (Vehicle.time (Sim.vehicle sim))
+    s.Prefix_cache.saved_sim_s
+
 let halve_payload path =
   let ic = open_in_bin path in
   let data = really_input_string ic (in_channel_length ic) in
@@ -1272,6 +1296,111 @@ let test_profile_key_misses () =
     (run_cell (profile_cell ~seed:4 ()));
   Alcotest.(check int) "three profiles" 3 (List.length (profile_files dir))
 
+(* The bits of everything a stored profile holds or is rebuilt from on
+   decode: the encoded monitor profile (the padded columns, mode ids and
+   labels, mode distances, P̂, Â, both spreads, τ under each metric and
+   the altitude and home envelope), the mode graph's nodes, edges in
+   order and distances, the label ids, and the search context's
+   transitions and duration. *)
+let profile_bits ((p : Monitor.profile), (ctx : Search.context)) =
+  let g = Monitor.graph p and n = Monitor.normalisers p in
+  let modes = Mode_graph.modes g in
+  ( Avis_util.Codec.to_string Monitor.encode p,
+    ( modes,
+      Mode_graph.edges g,
+      Mode_graph.diameter g,
+      List.concat_map
+        (fun a -> List.map (fun b -> Mode_graph.distance g a b) modes)
+        modes,
+      List.map (Distance.mode_id n) ("no such mode" :: modes) ),
+    List.map Int64.bits_of_float
+      [
+        Monitor.tau p;
+        Distance.p_hat n;
+        Distance.a_hat n;
+        Distance.spread ~metric:Distance.Full n;
+        Distance.spread ~metric:Distance.Position_only n;
+      ],
+    (ctx.Search.transitions, Int64.bits_of_float ctx.Search.mission_duration) )
+
+(* A profile flown into a store directory, then served from it by a fresh
+   instance. *)
+let flown_and_served config =
+  with_temp_dir @@ fun dir ->
+  let flown, fctx, fsource =
+    Campaign.profile_and_context ~store:(Checkpoint_store.create ~dir ()) config
+  in
+  let served, sctx, ssource =
+    Campaign.profile_and_context ~store:(Checkpoint_store.create ~dir ()) config
+  in
+  Alcotest.(check bool) "flown" true (fsource = Avis_util.Metrics.Profile_run);
+  Alcotest.(check bool) "served" true (ssource = Avis_util.Metrics.Profile_store);
+  ((flown, fctx), (served, sctx))
+
+let test_stored_profile_is_built () =
+  List.iter
+    (fun policy ->
+      List.iter
+        (fun workload ->
+          List.iter
+            (fun seed ->
+              let config =
+                {
+                  (Campaign.default_config policy workload) with
+                  Campaign.seed;
+                  profiling_runs = 3;
+                }
+              in
+              let built, stored = flown_and_served config in
+              if profile_bits built <> profile_bits stored then
+                Alcotest.failf "%s seed %d: the stored profile is not the built one"
+                  (Campaign.label_of config ~approach:"profile")
+                  seed)
+            [ 1; 7 ])
+        [ Workload.quickstart; Workload.auto_box; Workload.manual_box ])
+    [ Policy.apm; Policy.px4 ]
+
+(* Faulty runs judged against the stored profile get the built one's
+   verdicts, under both metrics. *)
+let test_stored_profile_judges_as_built () =
+  let kind k = List.init 2 (fun index -> { Sensor.kind = k; index }) in
+  let at t ids = Scenario.of_faults (List.map (fun id -> Scenario.sensor_fault id t) ids) in
+  let scenarios =
+    [
+      at 15.0 (kind Sensor.Gps);
+      at 8.0 (kind Sensor.Barometer);
+      at 20.0 (kind Sensor.Compass);
+      at 25.0 [ { Sensor.kind = Sensor.Gyroscope; index = 0 } ];
+      Scenario.of_faults [ Scenario.link_loss ~at:12.0 ~duration:120.0 ];
+    ]
+  in
+  List.iter
+    (fun policy ->
+      let config =
+        {
+          (Campaign.default_config policy Workload.auto_box) with
+          Campaign.profiling_runs = 3;
+        }
+      in
+      let (built, _), (stored, _) = flown_and_served config in
+      let outcomes =
+        List.map
+          (fun scenario ->
+            Campaign.execute_run config ~seed:(config.Campaign.seed + 1000)
+              ~scenario)
+          scenarios
+      in
+      let verdicts p =
+        List.concat_map
+          (fun o ->
+            [ Monitor.check p o; Monitor.check ~metric:Distance.Position_only p o ])
+          outcomes
+      in
+      Alcotest.(check bool) "some run unsafe" true
+        (List.exists (fun v -> v <> Monitor.Safe) (verdicts built));
+      Alcotest.(check bool) "same verdicts" true (verdicts built = verdicts stored))
+    [ Policy.apm; Policy.px4 ]
+
 (* ------------------------------------------------------------------ *)
 (* Trace chunk files                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -1348,6 +1477,31 @@ let chunk_cell ?budget_s () =
 let cold_bits ?budget_s () =
   let config = chunk_cell ?budget_s () in
   with_store_env "" @@ fun () -> cell_bits config (run_cell config)
+
+(* A warm rerun of a SABRE cell over a filled store is served from its
+   runs' ends: every scenario is a store hit and takes no step, so the
+   simulated time it skips is the sum of the scenarios' durations, which
+   the ledger charged (SABRE charges no inference). It records the cold
+   cell's τ, normalisers, findings and spent budget, bit for bit. *)
+let test_warm_cell_served_from_ends () =
+  let budget_s = 150.0 in
+  let cold = cold_bits ~budget_s () in
+  with_temp_dir @@ fun dir ->
+  with_store_env dir @@ fun () ->
+  let config = chunk_cell ~budget_s () in
+  Alcotest.(check bool) "the fill = cold" true
+    (cell_bits config (run_cell config) = cold);
+  let warm = run_cell config in
+  Alcotest.(check bool) "warm = cold" true (cell_bits config warm = cold);
+  let s = Option.get warm.Campaign.cache_stats in
+  Alcotest.(check int) "no inference" 0 warm.Campaign.inferences;
+  Alcotest.(check bool) "several scenarios" true (warm.Campaign.simulations > 2);
+  Alcotest.(check int) "every scenario from the store"
+    warm.Campaign.simulations s.Prefix_cache.store_hits;
+  Alcotest.(check int) "none cold" 0 s.Prefix_cache.misses;
+  Alcotest.(check (float 1e-6)) "each restored at its end"
+    (warm.Campaign.wall_clock_spent_s *. config.Campaign.speedup)
+    s.Prefix_cache.saved_sim_s
 
 let test_broken_chunks_cell_identical () =
   let cold = cold_bits () in
@@ -1447,7 +1601,6 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false qcheck_roundtrip;
           Alcotest.test_case "garbage rejected" `Quick
             test_of_bytes_rejects_garbage;
-          Alcotest.test_case "outcome round-trips" `Quick test_outcome_roundtrip;
           QCheck_alcotest.to_alcotest ~long:false qcheck_chunked_trace;
         ] );
       ( "hostile bytes",
@@ -1495,6 +1648,10 @@ let () =
             test_store_corrupt_winner_falls_back;
           Alcotest.test_case "stacked extension identical" `Slow
             test_store_extension_identical;
+          Alcotest.test_case "a fault after a stored end is served from it"
+            `Slow test_store_fault_after_end_served;
+          Alcotest.test_case "a warm cell is served from its runs' ends" `Slow
+            test_warm_cell_served_from_ends;
         ] );
       ( "profile store",
         [
@@ -1512,6 +1669,10 @@ let () =
             test_profile_damage_reflown;
           Alcotest.test_case "profiling_runs or seed misses" `Slow
             test_profile_key_misses;
+          Alcotest.test_case "the stored profile is the built one" `Slow
+            test_stored_profile_is_built;
+          Alcotest.test_case "the stored profile judges as built" `Slow
+            test_stored_profile_judges_as_built;
         ] );
       ( "chunk files",
         [
