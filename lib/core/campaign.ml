@@ -185,19 +185,19 @@ let decode_built_profile =
       { profile; transitions; duration })
 
 (* The stored profile, when the file is there, decodes, and was built from
-   the keyed number of runs. A file that passed the store's checksum but
-   does not decode is a miss like a missing one, and the profile flown
-   again replaces it. *)
+   the keyed number of runs. A file that does not decode, or was built
+   from another number of runs, is corrupt: the store deletes it, and the
+   profile flown again takes its place. *)
 let stored_profile store ~key (config : config) =
+  let decode payload =
+    let built = decode_built_profile payload in
+    if Distance.runs (Monitor.normalisers built.profile) <> config.profiling_runs
+    then Avis_util.Codec.corrupt "profile built from another number of runs";
+    built
+  in
   let served =
     Avis_util.Trace.span ~cat:"cache" "store.profile" @@ fun () ->
-    Option.bind (Checkpoint_store.find_profile store ~key) (fun payload ->
-        match decode_built_profile payload with
-        | built
-          when Distance.runs (Monitor.normalisers built.profile)
-               = config.profiling_runs ->
-          Some built
-        | _ | (exception Avis_util.Codec.Corrupt _) -> None)
+    Checkpoint_store.find_profile store ~key ~decode
   in
   (match served with
   | Some _ -> count_profile profile_hits_total "store.profile_hits"
@@ -243,7 +243,7 @@ let profile_and_context ?store config =
         (fun store ->
           Avis_util.Trace.span ~cat:"cache" "store.profile" @@ fun () ->
           Checkpoint_store.put_profile store ~key
-            ~payload:(encode_built_profile built))
+            ~payload:(lazy (encode_built_profile built)))
         store;
       (built, Avis_util.Metrics.Profile_run)
   in

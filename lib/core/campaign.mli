@@ -107,15 +107,17 @@ val profile_and_context :
   ?store:Checkpoint_store.t -> config ->
   Monitor.profile * Search.context * Avis_util.Metrics.profile_source
 (** Run the profiling phase only, and say where the profile came from.
-    With [store], the built profile is taken from it when it holds one
-    under this configuration's profile key: the monitor's profile
-    ({!Monitor.encode}) and the first profiling run's transitions and
-    duration, from which the search context is built. A file that does
-    not decode, or was built from another number of runs, is a miss.
-    Otherwise the runs are flown, and once each has completed cleanly the
-    built profile is written to the store. Served or flown, the profile
-    and context are the same, bit for bit. Raises [Failure] if a
-    profiling run does not complete cleanly. *)
+    With [store], the built profile is read from it
+    ({!Checkpoint_store.find_profile}) when it holds one under this
+    configuration's profile key: the monitor's profile ({!Monitor.encode})
+    and the first profiling run's transitions and duration, from which the
+    search context is built. A file that does not decode, or was built
+    from another number of runs, is corrupt: the read deletes it and
+    misses. On a miss the runs are flown, and once each has completed
+    cleanly the built profile is written to the store, whose first write
+    under a key wins. Served or flown, the profile and context are the
+    same, bit for bit. Raises [Failure] if a profiling run does not
+    complete cleanly. *)
 
 val run :
   ?stop_when:(finding -> bool) -> ?progress:(progress -> unit) -> config ->

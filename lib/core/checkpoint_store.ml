@@ -2,15 +2,14 @@ type t = {
   dir : string;
   fingerprint : string;
   budget_bytes : int;
-  mutable evictions : int;
   mutable writes : int;  (** Files this instance wrote. *)
-  mutable bytes : int;
-      (** Directory size at the last scan, plus this instance's own writes
-          and minus its own deletions since. *)
-  checkpoints : (string, (float * int) list) Hashtbl.t;
-      (** Key hash -> (capture time, file size), in no order. *)
-  profiles : (string, int) Hashtbl.t;  (** Key hash -> file size. *)
-  chunks : (string, int) Hashtbl.t;  (** Key hash -> file size. *)
+  mutable bytes : int;  (** The sum of the sizes in [files]. *)
+  files : (string, int) Hashtbl.t;
+      (** Every store file this instance holds, checkpoints, chunks and
+          profiles alike: name -> size. *)
+  times : (string, float list) Hashtbl.t;
+      (** Checkpoint key hash -> the capture times of its files, in no
+          order. *)
 }
 
 let checkpoint_suffix = ".ckpt"
@@ -28,109 +27,112 @@ let checkpoint_name hash time =
 let profile_name hash = hash ^ profile_suffix
 let chunk_name hash = hash ^ chunk_suffix
 
-type file = Checkpoint of string * float | Profile of string | Chunk of string
-
 let is_hex = function '0' .. '9' | 'a' .. 'f' -> true | _ -> false
 
 let all_hex s ~pos ~len =
   let rec go i = i >= pos + len || (is_hex s.[i] && go (i + 1)) in
   go pos
 
-(* The inverse of [checkpoint_name], [profile_name] and [chunk_name]. The
-   time must be exactly 16 hex digits: [Int64.of_string] would also accept
-   underscores and sign characters a well-formed name never has, and any
-   16-digit value fits an [Int64] bit pattern. *)
+(* The key hash and capture time of a checkpoint name, the inverse of
+   [checkpoint_name]; no other name parses. The time must be exactly 16
+   hex digits: [Int64.of_string] would also accept underscores and sign
+   characters a well-formed name never has, and any 16-digit value fits
+   an [Int64] bit pattern. *)
 let parse_name name =
   let hash_len = 32 in
-  let n = String.length name in
   if
-    n = hash_len + 1 + 16 + String.length checkpoint_suffix
+    String.length name = hash_len + 1 + 16 + String.length checkpoint_suffix
     && Filename.check_suffix name checkpoint_suffix
     && name.[hash_len] = '-'
     && all_hex name ~pos:0 ~len:hash_len
     && all_hex name ~pos:(hash_len + 1) ~len:16
   then
     Some
-      (Checkpoint
-         ( String.sub name 0 hash_len,
-           Int64.float_of_bits
-             (Int64.of_string ("0x" ^ String.sub name (hash_len + 1) 16)) ))
-  else
-    let hashed suffix =
-      n = hash_len + String.length suffix
-      && Filename.check_suffix name suffix
-      && all_hex name ~pos:0 ~len:hash_len
-    in
-    if hashed profile_suffix then Some (Profile (String.sub name 0 hash_len))
-    else if hashed chunk_suffix then Some (Chunk (String.sub name 0 hash_len))
-    else None
+      ( String.sub name 0 hash_len,
+        Int64.float_of_bits
+          (Int64.of_string ("0x" ^ String.sub name (hash_len + 1) 16)) )
+  else None
 
 let is_store_file name =
   Filename.check_suffix name checkpoint_suffix
   || Filename.check_suffix name profile_suffix
   || Filename.check_suffix name chunk_suffix
 
-let index_add t name size =
-  match parse_name name with
-  | Some (Checkpoint (hash, time)) when time >= 0.0 ->
-    (* Only a non-negative time can be served ([time >= 0.0] is false for
-       NaN too). *)
-    let existing =
-      Option.value ~default:[] (Hashtbl.find_opt t.checkpoints hash)
-    in
-    Hashtbl.replace t.checkpoints hash ((time, size) :: existing)
-  | Some (Profile hash) -> Hashtbl.replace t.profiles hash size
-  | Some (Chunk hash) -> Hashtbl.replace t.chunks hash size
-  | Some (Checkpoint _) | None -> ()
+let times_of t hash = Option.value ~default:[] (Hashtbl.find_opt t.times hash)
 
-(* Drop a file this instance no longer has on disk: out of the index, and
-   its size out of [bytes]. The file may be another writer's, written
-   after the last scan, so the count is clamped rather than allowed below
-   zero. *)
-let forget t name size =
-  t.bytes <- Int.max 0 (t.bytes - size);
-  match parse_name name with
-  | Some (Checkpoint (hash, time)) -> (
-    match Hashtbl.find_opt t.checkpoints hash with
-    | None -> ()
-    | Some entries -> (
-      match List.filter (fun (t', _) -> t' <> time) entries with
-      | [] -> Hashtbl.remove t.checkpoints hash
-      | rest -> Hashtbl.replace t.checkpoints hash rest))
-  | Some (Profile hash) -> Hashtbl.remove t.profiles hash
-  | Some (Chunk hash) -> Hashtbl.remove t.chunks hash
+(* Hold [name] at [size]. A checkpoint's time goes into [times] the first
+   time its name is held; only a non-negative time can be served
+   ([time >= 0.0] is false for NaN too). *)
+let index t name size =
+  (match Hashtbl.find_opt t.files name with
+  | Some old -> t.bytes <- t.bytes - old
+  | None -> (
+    match parse_name name with
+    | Some (hash, time) when time >= 0.0 ->
+      Hashtbl.replace t.times hash (time :: times_of t hash)
+    | Some _ | None -> ()));
+  Hashtbl.replace t.files name size;
+  t.bytes <- t.bytes + size
+
+(* Drop a file this instance no longer has on disk. *)
+let forget t name =
+  match Hashtbl.find_opt t.files name with
   | None -> ()
+  | Some size -> (
+    Hashtbl.remove t.files name;
+    t.bytes <- t.bytes - size;
+    match parse_name name with
+    | None -> ()
+    | Some (hash, time) -> (
+      match List.filter (fun t' -> t' <> time) (times_of t hash) with
+      | [] -> Hashtbl.remove t.times hash
+      | rest -> Hashtbl.replace t.times hash rest))
 
-(* The one directory listing: every store file is stat'ed once, and
-   [bytes] and the index are rebuilt from what is found. Returns the files
-   as (mtime, name, size) for eviction. Other processes may be adding or
-   deleting concurrently; a file that vanishes between the listing and
-   its stat is simply not found. *)
+(* A store whose directory cannot be listed serves nothing it did not
+   write, and says so once per process. *)
+let unlisted_warned = Atomic.make false
+
+(* The one directory listing: every store file is stat'ed once, and the
+   index is rebuilt from what is found. Returns the files as (mtime,
+   name) for eviction. Other processes may be adding or deleting
+   concurrently; a file that vanishes between the listing and its stat is
+   simply not found. *)
 let scan t =
-  Hashtbl.reset t.checkpoints;
-  Hashtbl.reset t.profiles;
-  Hashtbl.reset t.chunks;
-  let files = ref [] and total = ref 0 in
-  (try
-     Array.iter
-       (fun name ->
-         if is_store_file name then
-           match Unix.stat (Filename.concat t.dir name) with
-           | st ->
-             let size = st.Unix.st_size in
-             total := !total + size;
-             files := (st.Unix.st_mtime, name, size) :: !files;
-             index_add t name size
-           | exception _ -> ())
-       (Sys.readdir t.dir)
-   with _ -> ());
-  t.bytes <- !total;
-  !files
+  Hashtbl.reset t.files;
+  Hashtbl.reset t.times;
+  t.bytes <- 0;
+  match Sys.readdir t.dir with
+  | exception Sys_error e ->
+    if not (Atomic.exchange unlisted_warned true) then
+      (* [e] names the path and the error. *)
+      Printf.eprintf
+        "[avis] warning: cannot list the checkpoint store (%s); running on \
+         without its files\n%!"
+        e;
+    []
+  | names ->
+    Array.fold_left
+      (fun files name ->
+        if not (is_store_file name) then files
+        else
+          match Unix.stat (Filename.concat t.dir name) with
+          | st ->
+            index t name st.Unix.st_size;
+            (st.Unix.st_mtime, name) :: files
+          | exception Unix.Unix_error _ -> files)
+      [] names
+
+(* Make [dir] and each missing parent. *)
+let rec mkdir_p dir =
+  if not (Sys.file_exists dir) then begin
+    let parent = Filename.dirname dir in
+    if parent <> dir then mkdir_p parent;
+    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+  end
 
 let create ?(fingerprint = Avis_fingerprint.hex) ?store_mb ~dir () =
-  (try
-     if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-   with _ -> ());
+  (* A failure shows at the scan, which warns. *)
+  (try mkdir_p dir with Unix.Unix_error _ | Sys_error _ -> ());
   let t =
     {
       dir;
@@ -140,15 +142,13 @@ let create ?(fingerprint = Avis_fingerprint.hex) ?store_mb ~dir () =
       budget_bytes =
         Avis_util.Env.budget_bytes ?mb:store_mb ~arg:"store_mb"
           ~var:"AVIS_STORE_MB" ~default_mb:1024 ();
-      evictions = 0;
       writes = 0;
       bytes = 0;
-      checkpoints = Hashtbl.create 256;
-      profiles = Hashtbl.create 8;
-      chunks = Hashtbl.create 64;
+      files = Hashtbl.create 256;
+      times = Hashtbl.create 128;
     }
   in
-  ignore (scan t : (float * string * int) list);
+  ignore (scan t : (float * string) list);
   t
 
 (* File layout: magic, MD5 of the payload, payload length, payload. The
@@ -211,19 +211,15 @@ let read_framed path =
    files vanishing underneath it. *)
 let evict_to_budget t =
   let files = scan t in
-  if t.bytes > t.budget_bytes then begin
-    let excess = ref (t.bytes - t.budget_bytes) in
+  if t.bytes > t.budget_bytes then
     List.iter
-      (fun (_, name, size) ->
-        if !excess > 0 then
+      (fun (_, name) ->
+        if t.bytes > t.budget_bytes then
           try
             Sys.remove (Filename.concat t.dir name);
-            excess := !excess - size;
-            forget t name size;
-            t.evictions <- t.evictions + 1
-          with _ -> ())
+            forget t name
+          with Sys_error _ -> ())
       (List.sort compare files)
-  end
 
 (* Temp names are unique per process, across instances: two cells of one
    process writing one directory from two domains must never share a temp
@@ -252,123 +248,98 @@ let write t ~name ~payload =
    with e ->
      (try close_out_noerr oc; Sys.remove tmp with _ -> ());
      raise e);
-  let size = String.length framed in
   t.writes <- t.writes + 1;
-  t.bytes <- t.bytes + size;
-  index_add t name size;
+  index t name (String.length framed);
   if t.bytes > t.budget_bytes then evict_to_budget t
 
-(* The decoded payload of an indexed file of [size] bytes. A file that
-   cannot be read (deleted behind this instance's back) is forgotten; a
-   corrupt one (truncated, bit-flipped, or foreign), or one whose payload
-   [decode] rejects, is deleted as well, so neither is tried again. *)
-let read t ~name ~size ~decode =
+(* Whether a file under [name] is held at a size [accept] takes: its
+   indexed size, else its size on disk. *)
+let holds t ~name ~accept =
+  match Hashtbl.find_opt t.files name with
+  | Some size -> accept size
+  | None -> (
+    match Unix.stat (Filename.concat t.dir name) with
+    | st -> accept st.Unix.st_size
+    | exception Unix.Unix_error _ -> false)
+
+(* The one write rule: [payload] goes under [name] unless a file is held
+   there at a size [accept] takes, and it is forced only when it is
+   written. A failure is ignored: the file is then not held. *)
+let put_file t ~name ~accept payload =
+  try
+    if not (holds t ~name ~accept) then
+      write t ~name ~payload:(Lazy.force payload)
+  with _ -> ()
+
+(* The one read rule: open the file under [name], indexed or not, check
+   its frame, [decode] its payload and touch its mtime (LRU: both
+   timestamps to "now"). A file that cannot be opened (deleted behind this
+   instance's back, or never there) is forgotten; a corrupt one
+   (truncated, bit-flipped, or foreign), or one whose payload [decode]
+   rejects, is deleted as well, so neither is tried again. *)
+let read t ~name ~decode =
   let path = Filename.concat t.dir name in
   let delete () =
-    (try Sys.remove path with _ -> ());
-    forget t name size;
+    (try Sys.remove path with Sys_error _ -> ());
+    forget t name;
     None
   in
   match read_framed path with
   | Missing ->
-    forget t name size;
+    forget t name;
     None
   | Damaged -> delete ()
   | Payload payload -> (
     match decode payload with
     | value ->
-      (* LRU touch: both timestamps to "now". *)
-      (try Unix.utimes path 0.0 0.0 with _ -> ());
+      (try Unix.utimes path 0.0 0.0 with Unix.Unix_error _ -> ());
       Some value
     | exception Avis_util.Codec.Corrupt _ -> delete ())
 
+let any_size (_ : int) = true
+
 let put t ~key ~time ~payload =
-  try
-    let hash = key_hash t ~key in
-    let indexed =
-      match Hashtbl.find_opt t.checkpoints hash with
-      | Some entries -> List.exists (fun (t', _) -> t' = time) entries
-      | None -> false
-    in
-    let name = checkpoint_name hash time in
-    if not (indexed || Sys.file_exists (Filename.concat t.dir name)) then
-      write t ~name ~payload:(Lazy.force payload)
-  with _ -> ()
+  put_file t ~name:(checkpoint_name (key_hash t ~key) time) ~accept:any_size
+    payload
 
 let latest t ~key ~before =
   List.fold_left
-    (fun best (time, _) ->
+    (fun best time ->
       match best with
       | Some b when b >= time -> best
       | _ when time < before -> Some time
       | _ -> best)
     None
-    (Option.value ~default:[]
-       (Hashtbl.find_opt t.checkpoints (key_hash t ~key)))
+    (times_of t (key_hash t ~key))
 
 let load t ~key ~time ~decode =
-  let hash = key_hash t ~key in
-  match Hashtbl.find_opt t.checkpoints hash with
-  | None -> None
-  | Some entries -> (
-    match List.find_opt (fun (t', _) -> t' = time) entries with
-    | None -> None
-    | Some (_, size) -> read t ~name:(checkpoint_name hash time) ~size ~decode)
+  read t ~name:(checkpoint_name (key_hash t ~key) time) ~decode
 
 (* A chunk is addressed by its own bytes, so a file under its name that
    is the size of their frame holds exactly them, whoever wrote it. A file
-   of any other size is damaged and is written again; a same-size
-   bit flip is caught when the chunk is loaded, which deletes it. *)
-let chunk_held t ~hash ~length =
-  let size =
-    match Hashtbl.find_opt t.chunks hash with
-    | Some _ as indexed -> indexed
-    | None -> (
-      match Unix.stat (Filename.concat t.dir (chunk_name hash)) with
-      | st -> Some st.Unix.st_size
-      | exception Unix.Unix_error _ -> None)
-  in
-  size = Some (header_len + length)
+   of any other size is damaged and is written again; a same-size bit
+   flip is caught when the chunk is loaded, which deletes it. *)
+let framed_size length = Int.equal (header_len + length)
 
 let put_chunk t payload =
   let digest = Digest.string payload in
-  (try
-     let hash = key_hash t ~key:digest in
-     if not (chunk_held t ~hash ~length:(String.length payload)) then begin
-       let name = chunk_name hash in
-       Option.iter (forget t name) (Hashtbl.find_opt t.chunks hash);
-       write t ~name ~payload
-     end
-   with _ -> ());
+  put_file t
+    ~name:(chunk_name (key_hash t ~key:digest))
+    ~accept:(framed_size (String.length payload))
+    (Lazy.from_val payload);
   digest
 
 let has_chunk t name ~length =
-  try chunk_held t ~hash:(key_hash t ~key:name) ~length with _ -> false
+  holds t ~name:(chunk_name (key_hash t ~key:name)) ~accept:(framed_size length)
 
-(* An unindexed chunk is read all the same: another writer may have filed
-   it after this instance's scan. *)
 let load_chunk t name ~decode =
-  let hash = key_hash t ~key:name in
-  read t ~name:(chunk_name hash)
-    ~size:(Option.value ~default:0 (Hashtbl.find_opt t.chunks hash))
-    ~decode
+  read t ~name:(chunk_name (key_hash t ~key:name)) ~decode
 
 let put_profile t ~key ~payload =
-  try
-    let hash = key_hash t ~key in
-    let name = profile_name hash in
-    (* A profile is written only after a miss; the file it replaces, if
-       any, did not decode. *)
-    Option.iter (forget t name) (Hashtbl.find_opt t.profiles hash);
-    write t ~name ~payload
-  with _ -> ()
+  put_file t ~name:(profile_name (key_hash t ~key)) ~accept:any_size payload
 
-let find_profile t ~key =
-  let hash = key_hash t ~key in
-  match Hashtbl.find_opt t.profiles hash with
-  | None -> None
-  | Some size -> read t ~name:(profile_name hash) ~size ~decode:Fun.id
+let find_profile t ~key ~decode =
+  read t ~name:(profile_name (key_hash t ~key)) ~decode
 
 let bytes t = t.bytes
-let evictions t = t.evictions
 let writes t = t.writes

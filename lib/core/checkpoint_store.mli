@@ -49,13 +49,25 @@
     {2 Index and visibility}
 
     An instance lists the directory once when it is created, stats each
-    file, and keeps what it found as an index of key hash -> capture times
-    (and profiles and chunks by key hash). Lookups read that index, never
-    the directory; {!put}, {!put_chunk}, {!put_profile}, corrupt-file
-    deletions and evictions update it. So an instance sees files that
-    other writers added only at its next scan (at {!create} and before
-    each eviction). A file deleted behind its back is a miss when it is
-    looked up, and is then dropped from the index.
+    file, and keeps what it found as an index: every file's name and size,
+    and each checkpoint key hash's capture times. The index answers
+    {!latest} and whether a file is held, never the directory; its writes,
+    corrupt-file deletions and evictions update it. So an instance sees
+    checkpoints that other writers added only at its next scan (at
+    {!create} and before each eviction). Every read opens its file,
+    indexed or not, so a chunk or a profile another writer filed since the
+    scan is read all the same. A file deleted behind an instance's back is
+    a miss when it is read, and is then dropped from the index.
+
+    {2 One write rule and one read rule}
+
+    Every put writes its file unless a file under that name is held —
+    indexed, or else on disk — at a size the put accepts: a checkpoint or
+    a profile accepts any size, a chunk only the size its bytes frame to.
+    The payload is forced only when it is written. Every read opens the
+    named file, checks its frame, decodes its payload and touches its
+    mtime; it deletes the file when the frame check or the decoder fails
+    ([Avis_util.Codec.Corrupt]).
 
     {2 Durability and corruption}
 
@@ -72,14 +84,15 @@
 
     The store is bounded by [store_mb] (default the [AVIS_STORE_MB]
     environment variable, else 1024 MiB). Each instance tracks the
-    directory's size itself: the scan at creation measures it, then the
-    instance counts its own writes and deletions. When a write takes that
-    count past the budget, the instance rescans the directory and deletes
-    files, checkpoints, chunks and profiles alike, oldest-mtime-first
-    until it fits. Equal mtimes (coarse filesystem timestamp granularity)
-    are broken deterministically by name, so the surviving set does not
-    depend on the filesystem; serving a file touches its mtime, making the
-    policy LRU across processes.
+    directory's size itself, as the sizes its index holds: the scan at
+    creation measures them, then the instance counts its own writes and
+    deletions. When a write takes that count past the budget, the
+    instance rescans the directory and deletes files, checkpoints, chunks
+    and profiles alike, oldest-mtime-first until it fits. Equal mtimes
+    (coarse filesystem timestamp granularity) are broken deterministically
+    by name, so the surviving set does not depend on the filesystem;
+    serving a file touches its mtime, making the policy LRU across
+    processes.
 
     A single writer never leaves the directory over budget. When several
     instances write one directory, in one process or in many, each sees
@@ -87,14 +100,17 @@
     overshoot the budget by what the others wrote since.
 
     All I/O failures degrade to cache misses; the store never raises out of
-    [put]/[latest]/[put_chunk]/[put_profile]/[find_profile], nor out of
-    [load]/[load_chunk] unless [decode] raises something other than
-    [Avis_util.Codec.Corrupt]. *)
+    [put]/[latest]/[put_chunk]/[has_chunk]/[put_profile], nor out of
+    [load]/[load_chunk]/[find_profile] unless [decode] raises something
+    other than [Avis_util.Codec.Corrupt]. *)
 
 type t
 
 val create : ?fingerprint:string -> ?store_mb:int -> dir:string -> unit -> t
-(** Open (creating if needed) the store rooted at [dir], and scan it.
+(** Open the store rooted at [dir], creating it and any missing parent,
+    and scan it. When the directory still cannot be listed, the first
+    such store of the process warns on stderr with the path and the
+    error, and the store runs on without the files it cannot see.
     [fingerprint] overrides the code fingerprint ({!Avis_fingerprint.hex}
     by default) — tests use this to simulate another build. [store_mb]
     bounds the directory size; non-positive or malformed values
@@ -102,9 +118,10 @@ val create : ?fingerprint:string -> ?store_mb:int -> dir:string -> unit -> t
     1024 MiB default. *)
 
 val put : t -> key:string -> time:float -> payload:string Lazy.t -> unit
-(** Persist a checkpoint. The payload is not forced when a file for this
-    exact key and time is indexed or already exists. Failures are
-    silently ignored (the in-memory cache is unaffected). *)
+(** Persist a checkpoint, unless a file for this exact key and time is
+    indexed or already exists: the first write wins, and the payload is
+    then not forced. Failures are silently ignored (the in-memory cache is
+    unaffected). *)
 
 val latest : t -> key:string -> before:float -> float option
 (** The capture time of the latest indexed checkpoint under [key] taken
@@ -112,19 +129,18 @@ val latest : t -> key:string -> before:float -> float option
 
 val load :
   t -> key:string -> time:float -> decode:(string -> 'a) -> 'a option
-(** Read the indexed checkpoint under [key] at [time] and [decode] its
-    payload. [None] when none is indexed, when the file cannot be read
-    (it is forgotten), or when its frame is corrupt or [decode] raises
-    [Avis_util.Codec.Corrupt] (it is deleted). A checkpoint that fails to
-    load is out of the index, so {!latest} moves on to the one before it.
-    Serving a file refreshes its mtime (LRU touch); no other file is read
-    or touched. *)
+(** Read the checkpoint under [key] at [time] and [decode] its payload.
+    [None] when the file cannot be read (it is forgotten), or when its
+    frame is corrupt or [decode] raises [Avis_util.Codec.Corrupt] (it is
+    deleted). A checkpoint that fails to load is out of the index, so
+    {!latest} moves on to the one before it. Serving a file refreshes its
+    mtime (LRU touch); no other file is read or touched. *)
 
 val put_chunk : t -> string -> string
 (** Persist a content-addressed chunk, unless a file with these bytes is
     indexed or on disk, and return its name: the bytes' MD5. A file under
     that name whose size (as indexed, else on disk) is not the size these
-    bytes frame to is damaged: it is forgotten and written again.
+    bytes frame to is damaged, and is written again.
     Checkpoints that share a run's past name its chunks instead of
     repeating them. Failures are silently ignored; the name is returned
     all the same, and a checkpoint that names a chunk the store does not
@@ -139,27 +155,28 @@ val has_chunk : t -> string -> length:int -> bool
 val load_chunk : t -> string -> decode:(string -> 'a) -> 'a option
 (** Read the chunk {!put_chunk} named and [decode] its bytes, as {!load}
     does: [None] when the file is missing (it is forgotten) or damaged,
-    or [decode] raises [Avis_util.Codec.Corrupt] (it is deleted). A
-    chunk another writer filed after this instance's scan is read too.
-    Serving a file refreshes its mtime. *)
+    or [decode] raises [Avis_util.Codec.Corrupt] (it is deleted). Serving
+    a file refreshes its mtime. *)
 
-val put_profile : t -> key:string -> payload:string -> unit
-(** Persist a profile, replacing any file under [key]. Failures are
-    silently ignored. *)
+val put_profile : t -> key:string -> payload:string Lazy.t -> unit
+(** Persist a profile, unless a file under [key] is indexed or already
+    exists: like {!put}, the first write wins, and the payload is then not
+    forced. A caller writes a profile after a {!find_profile} miss, which
+    has deleted a file that did not decode. Failures are silently
+    ignored. *)
 
-val find_profile : t -> key:string -> string option
-(** The indexed profile under [key]. A corrupt file is deleted and is a
-    miss. Serving it refreshes its mtime. *)
+val find_profile : t -> key:string -> decode:(string -> 'a) -> 'a option
+(** Read the profile under [key] and [decode] it, as {!load} does: a
+    missing file is a miss, and a corrupt one, or one [decode] rejects
+    with [Avis_util.Codec.Corrupt], is deleted and is a miss. Serving it
+    refreshes its mtime. *)
 
 val bytes : t -> int
-(** Bytes of checkpoint, chunk and profile files under the store
-    directory, as of this instance's last scan (at [create] and before each eviction)
-    plus the files it has written and minus the files it has deleted or
-    found missing since. Files other instances wrote or deleted after
-    that scan are not counted. *)
-
-val evictions : t -> int
-(** Files deleted by this instance to stay in budget. *)
+(** The sizes of the files in the index summed: the checkpoint, chunk and
+    profile files this instance found at its last scan (at [create] and
+    before each eviction), plus the files it has written and minus the
+    files it has deleted or found missing since. Files other instances
+    wrote after that scan are not counted. *)
 
 val writes : t -> int
 (** Files written by this instance, checkpoints, chunks and profiles

@@ -156,6 +156,8 @@ let store_payload (t : t) store ~sim_snap ~stepper =
       Avis_util.Codec.w_bytes b stepper)
     ()
 
+let store_key (t : t) key = t.store_key ^ "\x00" ^ key
+
 let note_store (t : t) store =
   Avis_util.Trace.counter "store.hits" (float_of_int t.store_hits);
   Avis_util.Trace.counter "store.misses" (float_of_int t.store_misses);
@@ -185,7 +187,7 @@ let write_through (t : t) ~key (e : entry) =
   | None -> ()
   | Some store ->
     Avis_util.Trace.span ~cat:"cache" "store.put" @@ fun () ->
-    Checkpoint_store.put store ~key:(t.store_key ^ "\x00" ^ key) ~time:e.time
+    Checkpoint_store.put store ~key:(store_key t key) ~time:e.time
       ~payload:
         (lazy (store_payload t store ~sim_snap:e.sim_snap ~stepper:e.stepper));
     Avis_util.Trace.counter "store.writes"
@@ -283,18 +285,6 @@ let best_prefix ~find scenario =
   done;
   !best
 
-let lookup (t : t) ~scenario =
-  Avis_util.Trace.span ~cat:"cache" "cache.lookup" @@ fun () ->
-  let find ~key ~before =
-    match Hashtbl.find_opt t.entries key with
-    | None -> None
-    | Some es ->
-      (* [es] is latest-first: the first in-window entry is the best one. *)
-      List.find_opt (fun e -> e.time < before) es
-      |> Option.map (fun e -> (e.time, e))
-  in
-  Option.map (fun (_, _, e) -> e) (best_prefix ~find scenario)
-
 (* The trace chunk a stored checkpoint names: decoded once per cache, from
    the store on first use, and named by it from then on. A chunk the store
    cannot serve makes the checkpoint that names it corrupt. *)
@@ -310,45 +300,68 @@ let trace_chunk (t : t) store name =
       c
     | None -> Avis_util.Codec.corrupt "trace chunk missing or damaged")
 
-(* The persistent fallback to [lookup]: the same prefix-key scan, over the
-   index of files written by this or any earlier process. Only the winner's
-   file is read, with the chunks it names that no earlier read decoded. It
-   is forked — which decodes it — before it is re-warmed into memory; a
-   file that does not read or decode, or names a chunk that does not,
-   drops out of the index, so the next pass serves the next-best
-   checkpoint, and a scenario with none left is a counted miss. *)
-let store_lookup (t : t) store ~scenario ~fork =
-  let served =
-    Avis_util.Trace.span ~cat:"cache" "store.lookup" @@ fun () ->
-    let store_key key = t.store_key ^ "\x00" ^ key in
-    let find ~key ~before =
-      Checkpoint_store.latest store ~key:(store_key key) ~before
-      |> Option.map (fun time -> (time, ()))
+(* Where a lookup's winner is held: in memory, or only in the store. *)
+type held = Memory of entry | Stored of Checkpoint_store.t
+
+(* The one lookup, over memory and the store: the latest checkpoint this
+   scenario can fork from, forked. For each fault prefix, [find] takes the
+   later of memory's latest entry in the window and the store's latest
+   indexed checkpoint, and on a tie memory's, which reads no file. A
+   stored winner's file is read, with the chunks it names that no earlier
+   read decoded, and forked — which decodes it — before it is re-warmed
+   into memory. A file that does not read or decode, or names a chunk
+   that does not, has then left the store's index, so the scan runs
+   again. With a store, a scenario that finds nothing is a store miss. *)
+let lookup (t : t) ~scenario ~fork =
+  Avis_util.Trace.span ~cat:"cache" "cache.lookup" @@ fun () ->
+  let find ~key ~before =
+    (* Entries are latest-first: the first in the window is the best. *)
+    let memory =
+      Option.bind (Hashtbl.find_opt t.entries key)
+        (List.find_opt (fun (e : entry) -> e.time < before))
     in
-    let decode =
-      Avis_util.Codec.of_string (fun r ->
-          let sim_snap =
-            Sim.decode_snapshot ~get_chunk:(trace_chunk t store)
-              ~config:t.config r
-          in
-          let stepper = Avis_util.Codec.r_bytes r in
-          (sim_snap, stepper, fork ~sim_snap ~stepper))
+    let stored =
+      Option.bind t.store (fun store ->
+          Option.map
+            (fun time -> (time, Stored store))
+            (Checkpoint_store.latest store ~key:(store_key t key) ~before))
     in
-    let rec serve () =
-      match best_prefix ~find scenario with
-      | None -> None
-      | Some (key, time, ()) -> (
-        match Checkpoint_store.load store ~key:(store_key key) ~time ~decode with
-        | None -> serve ()
-        | Some (sim_snap, stepper, forked) ->
-          Some (add_entry t ~key ~time ~sim_snap ~stepper, forked))
-    in
-    serve ()
+    match (memory, stored) with
+    | Some e, Some (time, _) when time > e.time -> stored
+    | Some e, _ -> Some (e.time, Memory e)
+    | None, stored -> stored
   in
-  (match served with
-  | Some _ -> t.store_hits <- t.store_hits + 1
-  | None -> t.store_misses <- t.store_misses + 1);
-  note_store t store;
+  let decode store =
+    Avis_util.Codec.of_string (fun r ->
+        let sim_snap =
+          Sim.decode_snapshot ~get_chunk:(trace_chunk t store) ~config:t.config
+            r
+        in
+        let stepper = Avis_util.Codec.r_bytes r in
+        (sim_snap, stepper, fork ~sim_snap ~stepper))
+  in
+  let rec serve () =
+    match best_prefix ~find scenario with
+    | None -> None
+    | Some (_, _, Memory e) ->
+      Some (e, fork ~sim_snap:e.sim_snap ~stepper:e.stepper)
+    | Some (key, time, Stored store) -> (
+      match
+        Avis_util.Trace.span ~cat:"cache" "store.lookup" (fun () ->
+            Checkpoint_store.load store ~key:(store_key t key) ~time
+              ~decode:(decode store))
+      with
+      | None -> serve ()
+      | Some (sim_snap, stepper, forked) ->
+        t.store_hits <- t.store_hits + 1;
+        Some (add_entry t ~key ~time ~sim_snap ~stepper, forked))
+  in
+  let served = serve () in
+  Option.iter
+    (fun store ->
+      if Option.is_none served then t.store_misses <- t.store_misses + 1;
+      note_store t store)
+    t.store;
   served
 
 (* Run one scenario to completion, pausing at each remaining capture target
@@ -366,23 +379,18 @@ let execute (t : t) ~scenario =
     ( Sim.restore ~plan ~link_outages sim_snap,
       Avis_util.Codec.of_string (Workload.Stepper.decode t.workload) stepper )
   in
-  let serve (e : entry) forked =
-    t.hits <- t.hits + 1;
-    Avis_util.Trace.counter "cache.hits" (float_of_int t.hits);
-    t.saved_sim_s <- t.saved_sim_s +. e.time;
-    forked
-  in
   let sim, st =
-    match lookup t ~scenario with
-    | Some e -> serve e (fork ~sim_snap:e.sim_snap ~stepper:e.stepper)
-    | None -> (
-      match Option.bind t.store (fun s -> store_lookup t s ~scenario ~fork) with
-      | Some (e, forked) -> serve e forked
-      | None ->
-        t.misses <- t.misses + 1;
-        Avis_util.Trace.counter "cache.misses" (float_of_int t.misses);
-        (Sim.create ~plan ~link_outages t.config,
-         Workload.Stepper.create t.workload))
+    match lookup t ~scenario ~fork with
+    | Some (e, forked) ->
+      t.hits <- t.hits + 1;
+      Avis_util.Trace.counter "cache.hits" (float_of_int t.hits);
+      t.saved_sim_s <- t.saved_sim_s +. e.time;
+      forked
+    | None ->
+      t.misses <- t.misses + 1;
+      Avis_util.Trace.counter "cache.misses" (float_of_int t.misses);
+      (Sim.create ~plan ~link_outages t.config,
+       Workload.Stepper.create t.workload)
   in
   let pending = ref None in
   let n = Array.length t.targets in

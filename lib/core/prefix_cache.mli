@@ -85,20 +85,26 @@ val create :
     {!Checkpoint_store.has_chunk} says the file is held, since a full
     chunk never changes. So the checkpoints of a run, and of every run
     forked from it, store its past once, and a write hashes only the
-    chunks the cache has not named yet. A scenario that finds no
-    checkpoint in memory looks in the store before running cold. The
-    store lookup scans the same fault prefixes, so a fresh process forks
-    even its first scenario from the best stored checkpoint: a scenario
-    an earlier process ran, from that run's end, taking no step; any
-    other, from the clean prefix or a stored scenario it extends. Stored checkpoints are served
-    only on bit-exact key matches, so outcomes remain bit-identical to
-    cold runs, across processes. The lookup picks the best checkpoint
-    from the index the store built when it was opened and reads that one
-    file, and each chunk it names that the cache has not decoded yet:
-    the cache decodes a chunk once and every trace restored from it
+    chunks the cache has not named yet.
+
+    There is one lookup, over memory and the store together. For each
+    fault prefix of the scenario it takes the later of two checkpoints:
+    memory's latest in the window, and the store's latest
+    ({!Checkpoint_store.latest}, from the index the store built when it
+    was opened); on a tie, memory's, which reads no file. The latest over
+    all prefixes wins. So a fresh process forks even its first scenario
+    from the best stored checkpoint — a scenario an earlier process ran,
+    from that run's end, taking no step; any other, from the clean prefix
+    or a stored scenario it extends — and a later scenario forks from a
+    stored checkpoint later than any memory holds. A stored winner's one
+    file is read, with each chunk it names that the cache has not decoded
+    yet (the cache decodes a chunk once and every trace restored from it
     shares it, which is sound because a full chunk is never written
-    again. A file that does not read or decode, or that names a chunk the
-    store cannot serve, is deleted, and the next best is tried. *)
+    again), forked, and filed in memory. A file that does not read or
+    decode, or that names a chunk the store cannot serve, is deleted, and
+    the lookup runs again. Stored checkpoints are served only on
+    bit-exact key matches, so outcomes remain bit-identical to cold runs,
+    across processes. *)
 
 val execute : t -> scenario:Scenario.t -> Avis_sitl.Sim.outcome
 (** Run one scenario, forking from the best applicable checkpoint — clean,
@@ -121,13 +127,14 @@ type stats = {
       (** What the filed checkpoints alone hold, as {!create} counts it:
           trace chunks and the pending capture are not counted. *)
   store_hits : int;
-      (** Scenarios that found no checkpoint in memory and were served from
-          the persistent store; 0 when no store is configured. *)
+      (** Scenarios served from a store file: the lookup's winner was a
+          stored checkpoint, later than memory's. 0 when no store is
+          configured. *)
   store_misses : int;
-      (** Scenarios the store was consulted for but could not serve. *)
+      (** Scenarios run cold while a store was configured. *)
   store_bytes : int;
-      (** Checkpoint bytes in the store directory, as
-          {!Checkpoint_store.bytes} counts them. *)
+      (** Bytes of the store's files, as {!Checkpoint_store.bytes} counts
+          them. *)
 }
 
 val stats : t -> stats

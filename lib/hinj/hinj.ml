@@ -93,16 +93,4 @@ let transitions t = List.rev t.transitions
 
 let transition_count t = t.transition_count
 
-let mode_at t time =
-  match t.initial_mode with
-  | None -> None
-  | Some (t0, first) ->
-    if time < t0 then None
-    else
-      List.fold_left
-        (fun acc tr -> if tr.time <= time then Some tr.to_mode else acc)
-        (Some first) (transitions t)
-
 let read_count t = t.read_count
-
-let injected_so_far t ~time = List.filter (fun f -> f.at <= time) t.plan

@@ -66,11 +66,5 @@ val transition_count : t -> int
     allocating: a run that compares it across two moments learns whether
     its mode changed between them. *)
 
-val mode_at : t -> float -> string option
-(** The mode the firmware was in at a given time, from the transition log. *)
-
 val read_count : t -> int
 (** Total sensor reads intercepted. *)
-
-val injected_so_far : t -> time:float -> fault list
-(** The part of the plan already active at [time]. *)

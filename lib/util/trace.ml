@@ -62,18 +62,6 @@ let span ?(cat = "avis") name f =
       Printexc.raise_with_backtrace e bt
   end
 
-(* [No_span] is an immediate: a disabled [begin_span] allocates nothing. *)
-type started = No_span | Started of { name : string; cat : string; ts : int64 }
-
-let begin_span ?(cat = "avis") name =
-  if not (Atomic.get enabled_flag) then No_span
-  else Started { name; cat; ts = now () }
-
-let end_span = function
-  | No_span -> ()
-  | Started { name; cat; ts } ->
-    record (Span { name; cat; ts; dur = Int64.sub (now ()) ts })
-
 let counter name value =
   if Atomic.get enabled_flag then record (Count { name; ts = now (); value })
 

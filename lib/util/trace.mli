@@ -37,16 +37,6 @@ val span : ?cat:string -> string -> (unit -> 'a) -> 'a
     recorded before the exception is re-raised with its backtrace. When
     disabled this is just [f ()]. *)
 
-type started
-(** An open span from {!begin_span}, to be closed with {!end_span}. *)
-
-val begin_span : ?cat:string -> string -> started
-(** For call sites where wrapping a closure is awkward. When tracing is
-    disabled the returned token is an immediate (no allocation). *)
-
-val end_span : started -> unit
-(** Record the span opened by {!begin_span}. No-op on a disabled token. *)
-
 val counter : string -> float -> unit
 (** Record one sample of a named counter (cache hits, pool queue depth,
     budget spend, ...). Samples render as a stepped counter track in the

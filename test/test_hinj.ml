@@ -51,25 +51,6 @@ let test_mode_transitions () =
   Alcotest.(check string) "to" "Takeoff" first.Hinj.to_mode;
   Alcotest.(check (float 1e-9)) "time" 2.0 first.Hinj.time
 
-let test_mode_at () =
-  let h = Hinj.create () in
-  Hinj.update_mode h ~time:0.0 "Pre-Flight";
-  Hinj.update_mode h ~time:2.0 "Takeoff";
-  Hinj.update_mode h ~time:10.0 "Waypoint 1";
-  Alcotest.(check (option string)) "initial" (Some "Pre-Flight") (Hinj.mode_at h 1.0);
-  Alcotest.(check (option string)) "mid" (Some "Takeoff") (Hinj.mode_at h 5.0);
-  Alcotest.(check (option string)) "late" (Some "Waypoint 1") (Hinj.mode_at h 99.0)
-
-let test_injected_so_far () =
-  let h =
-    Hinj.create
-      ~plan:[ { Hinj.sensor = gps0; at = 5.0 }; { Hinj.sensor = gps1; at = 9.0 } ]
-      ()
-  in
-  Alcotest.(check int) "none yet" 0 (List.length (Hinj.injected_so_far h ~time:1.0));
-  Alcotest.(check int) "one" 1 (List.length (Hinj.injected_so_far h ~time:6.0));
-  Alcotest.(check int) "both" 2 (List.length (Hinj.injected_so_far h ~time:20.0))
-
 let () =
   Alcotest.run "avis_hinj"
     [
@@ -79,11 +60,9 @@ let () =
           Alcotest.test_case "failure timing" `Quick test_failure_starts_at_time;
           Alcotest.test_case "per instance" `Quick test_failure_is_per_instance;
           Alcotest.test_case "read count" `Quick test_read_count;
-          Alcotest.test_case "injected so far" `Quick test_injected_so_far;
         ] );
       ( "modes",
         [
           Alcotest.test_case "transitions" `Quick test_mode_transitions;
-          Alcotest.test_case "mode_at" `Quick test_mode_at;
         ] );
     ]

@@ -574,6 +574,12 @@ let served store ~key ~before =
         (fun payload -> (time, payload))
         (Checkpoint_store.load store ~key ~time ~decode:Fun.id))
 
+let put_profile store ~key payload =
+  Checkpoint_store.put_profile store ~key ~payload:(lazy payload)
+
+let find_profile store ~key =
+  Checkpoint_store.find_profile store ~key ~decode:Fun.id
+
 let test_store_put_lookup () =
   with_temp_dir @@ fun dir ->
   let store = make_store ~dir () in
@@ -681,6 +687,16 @@ let test_store_corrupt_newest_falls_back_to_older () =
   Alcotest.(check (option (float 0.0))) "older served" (Some 10.0) (latest ());
   Alcotest.(check (option string)) "older payload" (Some "older") (load 10.0)
 
+(* A store directory whose parents are missing is made with them, and a
+   fresh instance is served what the first one wrote. *)
+let test_store_missing_parents_made () =
+  with_temp_dir @@ fun root ->
+  let dir = Filename.concat (Filename.concat root "a") "b" in
+  put (make_store ~dir ()) ~key:"" ~time:10.0 "kept";
+  Alcotest.(check (option (pair (float 0.0) string)))
+    "served" (Some (10.0, "kept"))
+    (served (make_store ~dir ()) ~key:"" ~before:infinity)
+
 let test_store_stale_fingerprint_invisible () =
   with_temp_dir @@ fun dir ->
   let old_build = make_store ~fingerprint:"build-a" ~dir () in
@@ -711,18 +727,16 @@ let test_default_fingerprint_is_the_build () =
     | Ok j ->
       Avis_util.Json.member "fingerprint" j = Some (Avis_util.Json.String hex)
     | Error _ -> false);
-  Checkpoint_store.put_profile (Checkpoint_store.create ~dir:store_dir ())
-    ~key:"p" ~payload:"outcomes";
+  put_profile (Checkpoint_store.create ~dir:store_dir ()) ~key:"p" "outcomes";
   Alcotest.(check bool) "store names its file by it" true
     (Sys.file_exists
        (Filename.concat store_dir
           (Digest.to_hex (Digest.string (hex ^ "\x00p")) ^ ".prof")));
   Alcotest.(check (option string)) "another default instance is served"
     (Some "outcomes")
-    (Checkpoint_store.find_profile (Checkpoint_store.create ~dir:store_dir ())
-       ~key:"p");
+    (find_profile (Checkpoint_store.create ~dir:store_dir ()) ~key:"p");
   Alcotest.(check (option string)) "another fingerprint is not" None
-    (Checkpoint_store.find_profile
+    (find_profile
        (Checkpoint_store.create ~fingerprint:"other" ~dir:store_dir ())
        ~key:"p")
 
@@ -734,8 +748,8 @@ let test_store_eviction_bounded () =
   put store ~key:"" ~time:20.0 (String.make 700_000 'y');
   Alcotest.(check bool) "bytes within budget" true
     (Checkpoint_store.bytes store <= 1024 * 1024);
-  Alcotest.(check bool) "evicted something" true
-    (Checkpoint_store.evictions store > 0)
+  Alcotest.(check int) "evicted the older file" 1
+    (List.length (ckpt_files dir))
 
 (* The store counts its bytes without rescanning the directory: the count
    must follow every put, corrupt-file deletion and eviction, and agree
@@ -769,7 +783,7 @@ let test_store_bytes_track_dir () =
   put store ~key:"" ~time:30.0 (String.make 700_000 'a');
   put store ~key:"" ~time:40.0 (String.make 700_000 'b');
   Alcotest.(check bool) "evicted something" true
-    (Checkpoint_store.evictions store > 0);
+    (List.length (ckpt_files dir) < 3);
   check "eviction"
 
 let test_store_eviction_mtime_tiebreak () =
@@ -894,6 +908,34 @@ let test_store_shared_across_instances () =
     (s2.Prefix_cache.store_hits > 0);
   Alcotest.(check bool) "second instance skipped simulated time" true
     (s2.Prefix_cache.saved_sim_s > 0.0)
+
+(* With one lookup over memory and the store, the later checkpoint wins
+   whichever tier holds it. A fresh instance serves an early fault from
+   the stored clean capture before it, which memory then holds too; a
+   later fault must still fork from the stored clean capture just before
+   it, not from that early one in memory. *)
+let test_store_later_tier_wins () =
+  with_temp_dir @@ fun store_dir ->
+  let cache1, make_sim, workload = store_cache ~store_dir () in
+  check_cache_against_cold ~scenarios:[ Scenario.empty ] ~msg:"fill = cold"
+    cache1 make_sim workload;
+  let baro at =
+    Scenario.of_faults
+      [ Scenario.sensor_fault { Sensor.kind = Sensor.Barometer; index = 0 } at ]
+  in
+  let cache2, make_sim, workload = store_cache ~store_dir () in
+  check_cache_against_cold ~scenarios:[ baro 3.5 ] ~msg:"early = cold" cache2
+    make_sim workload;
+  let early = Prefix_cache.stats cache2 in
+  Alcotest.(check int) "the early fault from the store" 1
+    early.Prefix_cache.store_hits;
+  check_cache_against_cold ~scenarios:[ baro 20.5 ] ~msg:"late = cold" cache2
+    make_sim workload;
+  let late = Prefix_cache.stats cache2 in
+  Alcotest.(check int) "the late fault from the store" 2
+    late.Prefix_cache.store_hits;
+  Alcotest.(check bool) "forked just before the late fault" true
+    (late.Prefix_cache.saved_sim_s -. early.Prefix_cache.saved_sim_s > 19.0)
 
 let test_store_vandalised_dir_still_identical () =
   with_temp_dir @@ fun store_dir ->
@@ -1147,83 +1189,83 @@ let test_store_profile_roundtrip () =
   with_temp_dir @@ fun dir ->
   let store = make_store ~dir () in
   Alcotest.(check bool) "absent profile" true
-    (Checkpoint_store.find_profile store ~key:"p" = None);
-  Checkpoint_store.put_profile store ~key:"p" ~payload:"outcomes";
+    (find_profile store ~key:"p" = None);
+  put_profile store ~key:"p" "outcomes";
   Alcotest.(check (option string)) "served" (Some "outcomes")
-    (Checkpoint_store.find_profile store ~key:"p");
+    (find_profile store ~key:"p");
   Alcotest.(check bool) "keys are isolated" true
-    (Checkpoint_store.find_profile store ~key:"q" = None);
+    (find_profile store ~key:"q" = None);
   Alcotest.(check bool) "a profile is no checkpoint" true
     (served store ~key:"p" ~before:infinity = None);
   Alcotest.(check (option string)) "a fresh instance finds it"
     (Some "outcomes")
-    (Checkpoint_store.find_profile (make_store ~dir ()) ~key:"p");
+    (find_profile (make_store ~dir ()) ~key:"p");
   Alcotest.(check bool) "another build's profile invisible" true
-    (Checkpoint_store.find_profile (make_store ~fingerprint:"other" ~dir ())
-       ~key:"p"
-    = None);
-  Checkpoint_store.put_profile store ~key:"p" ~payload:"replaced";
-  Alcotest.(check (option string)) "put replaces" (Some "replaced")
-    (Checkpoint_store.find_profile store ~key:"p");
+    (find_profile (make_store ~fingerprint:"other" ~dir ()) ~key:"p" = None);
+  put_profile store ~key:"p" "replaced";
+  Alcotest.(check (option string)) "first write wins" (Some "outcomes")
+    (find_profile store ~key:"p");
   Alcotest.(check int) "one file per key" 1 (List.length (profile_files dir))
 
 let test_store_profile_corruption () =
   let check_damaged name damage =
     with_temp_dir @@ fun dir ->
     let store = make_store ~dir () in
-    Checkpoint_store.put_profile store ~key:"p" ~payload:(String.make 256 'o');
+    put_profile store ~key:"p" (String.make 256 'o');
     List.iter damage (profile_files dir);
     Alcotest.(check bool) (name ^ " is a miss") true
-      (Checkpoint_store.find_profile store ~key:"p" = None);
+      (find_profile store ~key:"p" = None);
     Alcotest.(check int) (name ^ " deleted") 0 (List.length (profile_files dir));
     Alcotest.(check int) (name ^ " uncounted") 0 (Checkpoint_store.bytes store)
   in
   check_damaged "truncated" (truncate_file ~len:40);
   check_damaged "bit-flipped" (damage_file ~at:60)
 
-(* Lookups answer from the index, so a file deleted behind an open
-   instance's back is a miss (and leaves the count), never an exception;
-   and a file another instance writes is seen only at the next scan. *)
+(* [latest] answers from the index, so a file deleted behind an open
+   instance's back is a miss (and leaves the count), never an exception,
+   and a checkpoint another instance writes is seen only at the next scan.
+   Every read opens its file, so a profile another instance writes is read
+   at once. *)
 let test_store_index_visibility () =
   with_temp_dir @@ fun dir ->
   let store = make_store ~dir () in
   put store ~key:"k" ~time:10.0 "ckpt";
-  Checkpoint_store.put_profile store ~key:"p" ~payload:"prof";
+  put_profile store ~key:"p" "prof";
   List.iter Sys.remove (ckpt_files dir @ profile_files dir);
   Alcotest.(check bool) "deleted checkpoint is a miss" true
     (served store ~key:"k" ~before:infinity = None);
   Alcotest.(check bool) "deleted profile is a miss" true
-    (Checkpoint_store.find_profile store ~key:"p" = None);
+    (find_profile store ~key:"p" = None);
   Alcotest.(check int) "deleted files uncounted" 0 (Checkpoint_store.bytes store);
   let other = make_store ~dir () in
   put other ~key:"k" ~time:20.0 "other's";
-  Checkpoint_store.put_profile other ~key:"p" ~payload:"other's";
+  put_profile other ~key:"p" "other's";
   Alcotest.(check bool) "another writer's checkpoint unseen before a scan"
     true
     (served store ~key:"k" ~before:infinity = None);
-  Alcotest.(check bool) "another writer's profile unseen before a scan" true
-    (Checkpoint_store.find_profile store ~key:"p" = None);
+  Alcotest.(check (option string)) "another writer's profile read at once"
+    (Some "other's") (find_profile store ~key:"p");
   let rescanned = make_store ~dir () in
   Alcotest.(check bool) "seen after a scan" true
     (served rescanned ~key:"k" ~before:infinity
      = Some (20.0, "other's")
-    && Checkpoint_store.find_profile rescanned ~key:"p" = Some "other's")
+    && find_profile rescanned ~key:"p" = Some "other's")
 
 (* Profiles are priced and evicted like checkpoints: oldest mtime first. *)
 let test_store_profile_evicted () =
   with_temp_dir @@ fun dir ->
   let store = make_store ~store_mb:1 ~dir () in
-  Checkpoint_store.put_profile store ~key:"p"
-    ~payload:(String.make 600_000 'p');
+  put_profile store ~key:"p" (String.make 600_000 'p');
   Alcotest.(check int) "profile counted"
     (List.fold_left (fun acc p -> acc + (Unix.stat p).Unix.st_size) 0
        (profile_files dir))
     (Checkpoint_store.bytes store);
   List.iter (fun p -> Unix.utimes p 1e9 1e9) (profile_files dir);
   put store ~key:"k" ~time:10.0 (String.make 600_000 'c');
-  Alcotest.(check int) "one eviction" 1 (Checkpoint_store.evictions store);
+  Alcotest.(check int) "one file left" 1
+    (List.length (profile_files dir @ ckpt_files dir));
   Alcotest.(check bool) "the older profile went" true
-    (Checkpoint_store.find_profile store ~key:"p" = None
+    (find_profile store ~key:"p" = None
     && served store ~key:"k" ~before:infinity <> None)
 
 (* [f] with AVIS_STORE_DIR naming [dir]; an empty value counts as unset. *)
@@ -1521,11 +1563,13 @@ let test_broken_chunks_cell_identical () =
 
 let file_size p = (Unix.stat p).Unix.st_size
 
-(* A rerun whose profile file is gone flies it and writes it first. With the
-   store at its 1 MiB bound less the profile and half the chunk bytes, that
-   write evicts chunk files, which are the oldest files: about half of
-   them, and nothing else. The cell then forks from checkpoints whose
-   chunks are gone, and writes on under the bound. *)
+(* With the profile file gone, profiling flies it again and writes it. With
+   the store at its 1 MiB bound less the profile and half the chunk bytes,
+   that write evicts chunk files, which are the oldest files: about half
+   of them, and nothing else; no scenario has run yet. A cell over the
+   store then finds checkpoints whose chunks are gone: each is deleted,
+   the run re-flies past it and writes its chunks again, and the cell
+   writes on under the bound. *)
 let test_evicted_chunks_cell_identical () =
   with_temp_dir @@ fun dir ->
   let cold = cold_bits () in
@@ -1550,9 +1594,15 @@ let test_evicted_chunks_cell_identical () =
     ~finally:(fun () -> Unix.putenv "AVIS_STORE_MB" "1024")
     (fun () ->
       Unix.putenv "AVIS_STORE_MB" "1";
-      let evicting = cell_bits config (run_cell config) in
+      let _, _, source =
+        Campaign.profile_and_context ~store:(Checkpoint_store.create ~dir ())
+          config
+      in
+      Alcotest.(check bool) "the profile flown" true
+        (source = Avis_util.Metrics.Profile_run);
       Alcotest.(check bool) "chunk files evicted" true
         (List.exists (fun p -> not (Sys.file_exists p)) chunks);
+      let evicting = cell_bits config (run_cell config) in
       Alcotest.(check bool) "evicting = cold" true (evicting = cold);
       Alcotest.(check bool) "served over evicted chunks = cold" true
         (cell_bits config (run_cell config) = cold))
@@ -1622,6 +1672,8 @@ let () =
             test_store_corrupt_newest_falls_back_to_older;
           Alcotest.test_case "stale fingerprint invisible" `Quick
             test_store_stale_fingerprint_invisible;
+          Alcotest.test_case "missing parent directories are made" `Quick
+            test_store_missing_parents_made;
           Alcotest.test_case "default fingerprint is the build's" `Quick
             test_default_fingerprint_is_the_build;
           Alcotest.test_case "eviction keeps bytes bounded" `Quick
@@ -1652,6 +1704,8 @@ let () =
             `Slow test_store_fault_after_end_served;
           Alcotest.test_case "a warm cell is served from its runs' ends" `Slow
             test_warm_cell_served_from_ends;
+          Alcotest.test_case "the later tier wins" `Slow
+            test_store_later_tier_wins;
         ] );
       ( "profile store",
         [
