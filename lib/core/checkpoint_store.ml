@@ -203,14 +203,19 @@ let read_framed path =
             if Digest.string p = String.sub h 4 16 then Payload p else Damaged
     with _ -> Missing)
 
-(* Oldest-mtime-first deletion until the directory fits the budget, with
-   mtime ties broken by name: coarse filesystem timestamps (1 s mtime
-   granularity) routinely leave whole batches of files with equal
-   mtimes, and sorting those by anything else (size, inode order) would
-   make the surviving set filesystem-dependent. Every step tolerates
-   files vanishing underneath it. *)
+(* Oldest-mtime-first deletion until the directory fits the budget. At
+   equal mtimes chunks go last, so a checkpoint goes before the chunks
+   written or kept with it (see [put_new]); other ties are broken by name:
+   coarse filesystem timestamps (1 s mtime granularity) routinely leave
+   whole batches of files with equal mtimes, and sorting those by anything
+   else (size, inode order) would make the surviving set
+   filesystem-dependent. Every step tolerates files vanishing underneath
+   it. *)
 let evict_to_budget t =
   let files = scan t in
+  let order (mtime, name) =
+    (mtime, Filename.check_suffix name chunk_suffix, name)
+  in
   if t.bytes > t.budget_bytes then
     List.iter
       (fun (_, name) ->
@@ -219,7 +224,7 @@ let evict_to_budget t =
             Sys.remove (Filename.concat t.dir name);
             forget t name
           with Sys_error _ -> ())
-      (List.sort compare files)
+      (List.sort (fun a b -> compare (order a) (order b)) files)
 
 (* Temp names are unique per process, across instances: two cells of one
    process writing one directory from two domains must never share a temp
@@ -227,9 +232,15 @@ let evict_to_budget t =
    other's key. *)
 let tmp_counter = Atomic.make 0
 
+(* Give the file at [path] the mtime [time]; false if it is gone. *)
+let set_mtime path time =
+  match Unix.utimes path time time with
+  | () -> true
+  | exception Unix.Unix_error _ -> false
+
 (* Write [payload] under [name] through a temp file and an atomic rename,
-   then count and index it. *)
-let write t ~name ~payload =
+   give it [mtime], then count and index it. Nothing is evicted here. *)
+let write t ~name ~payload ~mtime =
   let framed = frame_payload payload in
   let tmp =
     Filename.concat t.dir
@@ -248,9 +259,9 @@ let write t ~name ~payload =
    with e ->
      (try close_out_noerr oc; Sys.remove tmp with _ -> ());
      raise e);
+  ignore (set_mtime (Filename.concat t.dir name) mtime : bool);
   t.writes <- t.writes + 1;
-  index t name (String.length framed);
-  if t.bytes > t.budget_bytes then evict_to_budget t
+  index t name (String.length framed)
 
 (* Whether a file under [name] is held at a size [accept] takes: its
    indexed size, else its size on disk. *)
@@ -262,14 +273,30 @@ let holds t ~name ~accept =
     | st -> accept st.Unix.st_size
     | exception Unix.Unix_error _ -> false)
 
-(* The one write rule: [payload] goes under [name] unless a file is held
-   there at a size [accept] takes, and it is forced only when it is
-   written. A failure is ignored: the file is then not held. *)
-let put_file t ~name ~accept payload =
+(* Write [payload] under [name], its mtime the moment before it is
+   forced. A checkpoint's payload names its chunks as it is forced, and
+   each chunk it names is written or kept ([keep_chunk]) after that
+   moment: so a chunk is never older than a checkpoint written naming it,
+   and eviction takes the checkpoint first. A failure is ignored: the file
+   is then not held. *)
+let put_new t ~name payload =
   try
-    if not (holds t ~name ~accept) then
-      write t ~name ~payload:(Lazy.force payload)
+    let mtime = Unix.gettimeofday () in
+    write t ~name ~payload:(Lazy.force payload) ~mtime
   with _ -> ()
+
+let any_size (_ : int) = true
+
+(* A checkpoint or a profile goes under [name] unless a file of any size
+   is held there, and its payload is forced only when it is written; the
+   directory is then brought within budget. A chunk write does not evict:
+   the checkpoint that names it does, once it is written, so eviction
+   never takes the chunks of the checkpoint being written before it. *)
+let put_file t ~name payload =
+  if not (holds t ~name ~accept:any_size) then begin
+    put_new t ~name payload;
+    if t.bytes > t.budget_bytes then evict_to_budget t
+  end
 
 (* The one read rule: open the file under [name], indexed or not, check
    its frame, [decode] its payload and touch its mtime (LRU: both
@@ -296,11 +323,8 @@ let read t ~name ~decode =
       Some value
     | exception Avis_util.Codec.Corrupt _ -> delete ())
 
-let any_size (_ : int) = true
-
 let put t ~key ~time ~payload =
-  put_file t ~name:(checkpoint_name (key_hash t ~key) time) ~accept:any_size
-    payload
+  put_file t ~name:(checkpoint_name (key_hash t ~key) time) payload
 
 let latest t ~key ~before =
   List.fold_left
@@ -318,25 +342,31 @@ let load t ~key ~time ~decode =
 (* A chunk is addressed by its own bytes, so a file under its name that
    is the size of their frame holds exactly them, whoever wrote it. A file
    of any other size is damaged and is written again; a same-size bit
-   flip is caught when the chunk is loaded, which deletes it. *)
+   flip is caught when the chunk is loaded, which deletes it. A chunk that
+   is held is kept: its mtime is refreshed, as a write would set it. One
+   that another process deleted since this instance indexed it cannot be
+   refreshed, and is forgotten and written again. *)
 let framed_size length = Int.equal (header_len + length)
+
+let keep_chunk t name ~length =
+  let name = chunk_name (key_hash t ~key:name) in
+  holds t ~name ~accept:(framed_size length)
+  && (set_mtime (Filename.concat t.dir name) (Unix.gettimeofday ())
+     || (forget t name; false))
 
 let put_chunk t payload =
   let digest = Digest.string payload in
-  put_file t
-    ~name:(chunk_name (key_hash t ~key:digest))
-    ~accept:(framed_size (String.length payload))
-    (Lazy.from_val payload);
+  if not (keep_chunk t digest ~length:(String.length payload)) then
+    put_new t
+      ~name:(chunk_name (key_hash t ~key:digest))
+      (Lazy.from_val payload);
   digest
-
-let has_chunk t name ~length =
-  holds t ~name:(chunk_name (key_hash t ~key:name)) ~accept:(framed_size length)
 
 let load_chunk t name ~decode =
   read t ~name:(chunk_name (key_hash t ~key:name)) ~decode
 
 let put_profile t ~key ~payload =
-  put_file t ~name:(profile_name (key_hash t ~key)) ~accept:any_size payload
+  put_file t ~name:(profile_name (key_hash t ~key)) payload
 
 let find_profile t ~key ~decode =
   read t ~name:(profile_name (key_hash t ~key)) ~decode

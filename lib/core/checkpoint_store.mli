@@ -64,7 +64,9 @@
     Every put writes its file unless a file under that name is held —
     indexed, or else on disk — at a size the put accepts: a checkpoint or
     a profile accepts any size, a chunk only the size its bytes frame to.
-    The payload is forced only when it is written. Every read opens the
+    The payload is forced only when it is written, and the file's mtime is
+    the moment before it was forced. A chunk that is held is kept instead:
+    its mtime is refreshed. Every read opens the
     named file, checks its frame, decodes its payload and touches its
     mtime; it deletes the file when the frame check or the decoder fails
     ([Avis_util.Codec.Corrupt]).
@@ -88,11 +90,19 @@
     creation measures them, then the instance counts its own writes and
     deletions. When a write takes that count past the budget, the
     instance rescans the directory and deletes files, checkpoints, chunks
-    and profiles alike, oldest-mtime-first until it fits. Equal mtimes
-    (coarse filesystem timestamp granularity) are broken deterministically
-    by name, so the surviving set does not depend on the filesystem;
-    serving a file touches its mtime, making the policy LRU across
-    processes.
+    and profiles alike, oldest-mtime-first until it fits. At equal mtimes
+    chunks go last; other ties (coarse filesystem timestamp granularity)
+    are broken deterministically by name, so the surviving set does not
+    depend on the filesystem. Serving a file touches its mtime, making the
+    policy LRU across processes.
+
+    A checkpoint's payload names its chunks while it is forced, through
+    {!put_chunk} or {!keep_chunk}, so each chunk it names is at least as
+    new as the checkpoint: eviction deletes a checkpoint before any chunk
+    it was written naming. Only a read can leave a checkpoint newer than
+    its chunks — it touches the checkpoint, and only the chunks it
+    decodes — and a checkpoint that then outlives a chunk fails to load
+    at its next read, which deletes it.
 
     A single writer never leaves the directory over budget. When several
     instances write one directory, in one process or in many, each sees
@@ -100,7 +110,7 @@
     overshoot the budget by what the others wrote since.
 
     All I/O failures degrade to cache misses; the store never raises out of
-    [put]/[latest]/[put_chunk]/[has_chunk]/[put_profile], nor out of
+    [put]/[latest]/[put_chunk]/[keep_chunk]/[put_profile], nor out of
     [load]/[load_chunk]/[find_profile] unless [decode] raises something
     other than [Avis_util.Codec.Corrupt]. *)
 
@@ -138,7 +148,8 @@ val load :
 
 val put_chunk : t -> string -> string
 (** Persist a content-addressed chunk, unless a file with these bytes is
-    indexed or on disk, and return its name: the bytes' MD5. A file under
+    indexed or on disk (its mtime is then refreshed), and return its name:
+    the bytes' MD5. A file under
     that name whose size (as indexed, else on disk) is not the size these
     bytes frame to is damaged, and is written again.
     Checkpoints that share a run's past name its chunks instead of
@@ -146,11 +157,13 @@ val put_chunk : t -> string -> string
     all the same, and a checkpoint that names a chunk the store does not
     hold fails to load. *)
 
-val has_chunk : t -> string -> length:int -> bool
+val keep_chunk : t -> string -> length:int -> bool
 (** Whether the chunk {!put_chunk} named, of [length] bytes, is held: its
-    file is indexed, else on disk, at the size those bytes frame to. A
-    caller that remembers a chunk's name and length asks this instead of
-    putting the chunk again, and puts it again only when it is [false]. *)
+    file is indexed, else on disk, at the size those bytes frame to, and
+    its mtime can be refreshed, as {!put_chunk} refreshes it; an indexed
+    file another process has deleted since is forgotten. A caller that
+    remembers a chunk's name and length asks this instead of putting the
+    chunk again, and puts it again only when it is [false]. *)
 
 val load_chunk : t -> string -> decode:(string -> 'a) -> 'a option
 (** Read the chunk {!put_chunk} named and [decode] its bytes, as {!load}

@@ -134,10 +134,12 @@ let active_key (scenario : Scenario.t) ~time =
    now its end, share all but their tail, so a chunk is encoded and hashed
    only the first time this cache puts it; after that, and after a load,
    its remembered name stands, unless its file is no longer held, when it
-   is put again. *)
+   is put again. Either way the checkpoint being written keeps the file:
+   its mtime is refreshed, so eviction does not take it before that
+   checkpoint. *)
 let name_chunk (t : t) store chunk =
   match Chunks.find_opt t.chunk_names chunk with
-  | Some (name, length) when Checkpoint_store.has_chunk store name ~length ->
+  | Some (name, length) when Checkpoint_store.keep_chunk store name ~length ->
     name
   | Some _ | None ->
     let bytes = Trace.encode_chunk chunk in

@@ -82,10 +82,11 @@ val create :
     in its place: the cache encodes a chunk and hands it to
     {!Checkpoint_store.put_chunk} the first time, and afterwards reuses
     the name it got (or the one it loaded the chunk under) while
-    {!Checkpoint_store.has_chunk} says the file is held, since a full
-    chunk never changes. So the checkpoints of a run, and of every run
-    forked from it, store its past once, and a write hashes only the
-    chunks the cache has not named yet.
+    {!Checkpoint_store.keep_chunk} says the file is held, since a full
+    chunk never changes; either call refreshes the chunk file's mtime, so
+    eviction takes a checkpoint before the chunks it names. So the
+    checkpoints of a run, and of every run forked from it, store its past
+    once, and a write hashes only the chunks the cache has not named yet.
 
     There is one lookup, over memory and the store together. For each
     fault prefix of the scenario it takes the later of two checkpoints:

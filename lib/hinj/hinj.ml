@@ -11,15 +11,13 @@ type transition = { time : float; from_mode : string; to_mode : string }
 type t = {
   plan : plan;
   mutable mode : string option;
-  mutable initial_mode : (float * string) option;
   mutable transitions : transition list; (* newest first *)
   mutable transition_count : int;  (* the length of [transitions] *)
   mutable read_count : int;
 }
 
 let create ?(plan = []) () =
-  { plan; mode = None; initial_mode = None; transitions = [];
-    transition_count = 0; read_count = 0 }
+  { plan; mode = None; transitions = []; transition_count = 0; read_count = 0 }
 
 let plan t = t.plan
 
@@ -41,29 +39,18 @@ let decode_transition r =
 let encode b (s : t) =
   let open Avis_util.Codec in
   w_option b w_string s.mode;
-  w_option b
-    (fun b (t, m) ->
-      w_f64 b t;
-      w_string b m)
-    s.initial_mode;
   w_list b encode_transition s.transitions;
   w_int b s.read_count
 
 let decode ~plan r : t =
   let open Avis_util.Codec in
   let mode = r_option r r_string in
-  let initial_mode =
-    r_option r (fun r ->
-        let t = r_f64 r in
-        let m = r_string r in
-        (t, m))
-  in
   let transitions = r_list r decode_transition in
   (* The count is not encoded: it is taken from the log once per
      restore, off the per-step path. *)
   let transition_count = List.fold_left (fun n _ -> n + 1) 0 transitions in
   let read_count = r_int r in
-  { plan; mode; initial_mode; transitions; transition_count; read_count }
+  { plan; mode; transitions; transition_count; read_count }
 
 (* A direct scan: no closure to allocate on every sensor read. *)
 let rec plan_fails ~time (id : Sensor.id) = function
@@ -80,9 +67,7 @@ let sensor_read t ~time id =
 
 let update_mode t ~time mode =
   match t.mode with
-  | None ->
-    t.mode <- Some mode;
-    t.initial_mode <- Some (time, mode)
+  | None -> t.mode <- Some mode
   | Some current when current = mode -> ()
   | Some current ->
     t.mode <- Some mode;

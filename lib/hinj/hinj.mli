@@ -55,7 +55,7 @@ val is_failed : t -> time:float -> Sensor.id -> bool
 
 val update_mode : t -> time:float -> string -> unit
 (** Called by the firmware whenever its mode changes. The first call
-    records the initial mode; subsequent calls with a different mode record
+    sets the current mode; subsequent calls with a different mode record
     a transition. *)
 
 val transitions : t -> transition list

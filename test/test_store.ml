@@ -1563,55 +1563,85 @@ let test_broken_chunks_cell_identical () =
 
 let file_size p = (Unix.stat p).Unix.st_size
 
-(* With the profile file gone, profiling flies it again and writes it. With
-   the store at its 1 MiB bound less the profile and half the chunk bytes,
-   that write evicts chunk files, which are the oldest files: about half
-   of them, and nothing else; no scenario has run yet. A cell over the
-   store then finds checkpoints whose chunks are gone: each is deleted,
-   the run re-flies past it and writes its chunks again, and the cell
-   writes on under the bound. *)
+(* Whether every checkpoint in [dir] loads: each trace chunk it names is
+   served by the store. *)
+let every_checkpoint_loads dir =
+  let store = Checkpoint_store.create ~dir () in
+  let get_chunk name =
+    match Checkpoint_store.load_chunk store name ~decode:Trace.decode_chunk with
+    | Some c -> c
+    | None -> Avis_util.Codec.corrupt "chunk missing"
+  in
+  let config = Sim.default_config Policy.apm in
+  List.for_all
+    (fun path ->
+      let data = In_channel.with_open_bin path In_channel.input_all in
+      match
+        Avis_util.Codec.of_string
+          (fun r ->
+            ignore (Sim.decode_snapshot ~get_chunk ~config r : Sim.snapshot);
+            ignore (Avis_util.Codec.r_bytes r : string))
+          (String.sub data 28 (String.length data - 28))
+      with
+      | () -> true
+      | exception Avis_util.Codec.Corrupt _ -> false)
+    (ckpt_files dir)
+
+let dir_bytes dir =
+  Array.fold_left
+    (fun acc f -> acc + file_size (Filename.concat dir f))
+    0 (Sys.readdir dir)
+
+(* A store whose 1 MiB bound, less a filler file newer than anything the
+   cell writes, holds a quarter, then three quarters, of the checkpoint
+   and chunk bytes the cell writes unbounded: the cell evicts as it
+   writes, its profile and chunk files among the rest. Every checkpoint
+   it leaves loads, because each checkpoint write keeps the chunks it
+   names, and the cell records a cold cell's bits; so does a cell served
+   over that store, which re-flies what was evicted. *)
 let test_evicted_chunks_cell_identical () =
-  with_temp_dir @@ fun dir ->
   let cold = cold_bits () in
-  with_store_env dir @@ fun () ->
   let config = chunk_cell () in
-  ignore (run_cell config : Campaign.result);
-  let chunks = chunk_files dir and checkpoints = ckpt_files dir in
-  let profile = List.fold_left (fun acc p -> acc + file_size p) 0 (profile_files dir) in
-  List.iter Sys.remove (profile_files dir);
-  List.iter (fun p -> Unix.utimes p 1e9 1e9) chunks;
-  List.iter (fun p -> Unix.utimes p 2e9 2e9) checkpoints;
-  let sum = List.fold_left (fun acc p -> acc + file_size p) 0 in
-  let filler = Filename.concat dir (String.make 32 'f' ^ ".prof") in
-  Out_channel.with_open_bin filler (fun oc ->
-      output_string oc
-        (String.make
-           ((1 lsl 20) - sum checkpoints - sum chunks - profile
-           + (sum chunks / 2))
-           'f'));
-  Unix.utimes filler 4e9 4e9;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "AVIS_STORE_MB" "1024")
-    (fun () ->
-      Unix.putenv "AVIS_STORE_MB" "1";
-      let _, _, source =
-        Campaign.profile_and_context ~store:(Checkpoint_store.create ~dir ())
-          config
-      in
-      Alcotest.(check bool) "the profile flown" true
-        (source = Avis_util.Metrics.Profile_run);
-      Alcotest.(check bool) "chunk files evicted" true
-        (List.exists (fun p -> not (Sys.file_exists p)) chunks);
-      let evicting = cell_bits config (run_cell config) in
-      Alcotest.(check bool) "evicting = cold" true (evicting = cold);
-      Alcotest.(check bool) "served over evicted chunks = cold" true
-        (cell_bits config (run_cell config) = cold))
+  let scenario_bytes, chunks_written =
+    with_temp_dir @@ fun dir ->
+    with_store_env dir @@ fun () ->
+    ignore (run_cell config : Campaign.result);
+    ( dir_bytes dir
+      - List.fold_left (fun acc p -> acc + file_size p) 0 (profile_files dir),
+      List.length (chunk_files dir) )
+  in
+  List.iter
+    (fun quarters ->
+      with_temp_dir @@ fun dir ->
+      with_store_env dir @@ fun () ->
+      let msg s = Printf.sprintf "%d/4 held: %s" quarters s in
+      let filler = Filename.concat dir (String.make 32 'f' ^ ".prof") in
+      Out_channel.with_open_bin filler (fun oc ->
+          output_string oc
+            (String.make ((1 lsl 20) - (scenario_bytes * quarters / 4)) 'f'));
+      Unix.utimes filler 4e9 4e9;
+      Fun.protect
+        ~finally:(fun () -> Unix.putenv "AVIS_STORE_MB" "1024")
+        (fun () ->
+          Unix.putenv "AVIS_STORE_MB" "1";
+          Alcotest.(check bool) (msg "evicting = cold") true
+            (cell_bits config (run_cell config) = cold);
+          Alcotest.(check bool) (msg "chunk files evicted") true
+            (List.length (chunk_files dir) < chunks_written);
+          Alcotest.(check bool) (msg "every checkpoint left loads") true
+            (every_checkpoint_loads dir);
+          Alcotest.(check bool) (msg "served over evicted chunks = cold") true
+            (cell_bits config (run_cell config) = cold);
+          Alcotest.(check bool) (msg "every checkpoint left loads after it")
+            true (every_checkpoint_loads dir)))
+    [ 1; 3 ]
 
 (* A put judges a chunk file by its size: a file that is not the size the
    bytes frame to is damaged, and the put forgets it and writes it again,
    so the checkpoints written after it do not name a chunk that can only
    miss. An instance that indexed the file at its scan reads the size from
-   its index; one that did not stats the file. *)
+   its index; one that did not stats the file. A file deleted behind an
+   instance's index is written again too. *)
 let test_store_put_rewrites_damaged_chunk () =
   with_temp_dir @@ fun dir ->
   let chunk = String.init 300 (fun i -> Char.chr (i land 0xFF)) in
@@ -1632,7 +1662,11 @@ let test_store_put_rewrites_damaged_chunk () =
   truncate_file ~len:12 path;
   ignore (Checkpoint_store.put_chunk unindexed chunk : string);
   Alcotest.(check (option string)) "damage on disk rewritten" (Some chunk)
-    (loaded ())
+    (loaded ());
+  Sys.remove path;
+  ignore (Checkpoint_store.put_chunk rescanned chunk : string);
+  Alcotest.(check (option string)) "deleted behind the index rewritten"
+    (Some chunk) (loaded ())
 
 let () =
   Alcotest.run "avis_store"
